@@ -206,6 +206,35 @@ def test_batched_vs_scalar_eval_speedup(benchmark):
     assert population_speedup >= 2.0
 
 
+def _mutation_walk(model, total_power, num_crossbars, size):
+    """A WtDup=2 explorer for ``model`` and ``size`` genes from a
+    random mutation walk (the EA's own operators)."""
+    config = SynthesisConfig(total_power=total_power)
+    n = model.num_weighted_layers
+    spec = make_spec(
+        model, [2] * n, xb_size=128, res_rram=2, res_dac=1,
+        params=config.params,
+        max_blocks_per_layer=config.max_blocks_per_layer,
+    )
+    budget = PowerBudget(
+        total_power=total_power, ratio_rram=0.3, xb_size=128,
+        res_rram=2, num_crossbars=num_crossbars,
+    )
+    explorer = MacroPartitionExplorer(
+        spec=spec, budget=budget, res_dac=1, config=config,
+        rng=random.Random(5),
+    )
+    rng = random.Random(1)
+    genes = explorer.initial_population(16)
+    while len(genes) < size:
+        parent = rng.choice(genes)
+        operator = rng.choice(
+            [explorer.mutate_num, explorer.mutate_share]
+        )
+        genes.append(operator(parent, rng))
+    return explorer, genes
+
+
 def test_batched_backend_speedup(benchmark):
     """Per-backend EA-scoring throughput on one VGG13 population.
 
@@ -215,38 +244,22 @@ def test_batched_backend_speedup(benchmark):
     engine's wall time and genes/sec land in ``extra_info`` keyed by
     backend name, plus the engine list actually exercised — so the CI
     bench artifact records exactly which accelerators were measured.
-    Exact backends must agree with numpy bit-for-bit while they're at
-    it (the cheap end-to-end cross-check; the conformance suite is the
-    real gate)."""
+
+    A second row times the calls the EA really makes on a residual
+    DAG: 16-gene populations on resnet18_cifar (out-degree 4,
+    in-degree 3), as microseconds per call per backend
+    (``resnet18_pop16_<backend>_us_per_call``) and numpy's speedup over
+    the python loop kernel (``resnet18_pop16_numpy_vs_python``).
+    Exact backends must agree with numpy bit-for-bit on both
+    populations (the cheap end-to-end cross-check; the conformance
+    suite is the real gate)."""
     import numpy as np
 
     from repro.core.backend import backend_status, get_backend
     from repro.core.batch_eval import BatchPerformanceEvaluator
 
-    model = zoo.vgg13()
-    config = SynthesisConfig(total_power=120.0)
-    n = model.num_weighted_layers
-    spec = make_spec(
-        model, [2] * n, xb_size=128, res_rram=2, res_dac=1,
-        params=config.params,
-        max_blocks_per_layer=config.max_blocks_per_layer,
-    )
-    budget = PowerBudget(
-        total_power=120.0, ratio_rram=0.3, xb_size=128, res_rram=2,
-        num_crossbars=4096,
-    )
-    explorer = MacroPartitionExplorer(
-        spec=spec, budget=budget, res_dac=1, config=config,
-        rng=random.Random(5),
-    )
-    rng = random.Random(1)
-    genes = explorer.initial_population(16)
-    while len(genes) < 256:
-        parent = rng.choice(genes)
-        operator = rng.choice(
-            [explorer.mutate_num, explorer.mutate_share]
-        )
-        genes.append(operator(parent, rng))
+    explorer, genes = _mutation_walk(zoo.vgg13(), 120.0, 4096, 256)
+    spec, budget = explorer.spec, explorer.budget
 
     available = [name for name, ok, _ in backend_status() if ok]
     evaluators = {
@@ -295,11 +308,52 @@ def test_batched_backend_speedup(benchmark):
         title="per-backend population scoring (VGG13, 256 genes)",
     ))
 
+    # The EA's real call: the last 16 genes of a walk, so sharing
+    # pairs are in; all of them are feasible at this budget.
+    explorer, walk = _mutation_walk(zoo.resnet18_cifar(), 60.0, 8192, 64)
+    dag_genes = walk[-16:]
+    dag_scores = {}
+    us_per_call = {}
+    for name in available:
+        evaluator = BatchPerformanceEvaluator(
+            explorer.spec, explorer.budget, 1, backend=name,
+        )
+        dag_scores[name] = evaluator.evaluate_population(dag_genes)
+        passes = []
+        for _ in range(3):
+            started = time.perf_counter()
+            for _ in range(10):
+                evaluator.evaluate_population(dag_genes)
+            passes.append((time.perf_counter() - started) / 10)
+        us_per_call[name] = 1e6 * min(passes)
+        key = f"resnet18_pop16_{name}_us_per_call"
+        benchmark.extra_info[key] = round(us_per_call[name], 1)
+    dag_speedup = us_per_call["python"] / us_per_call["numpy"]
+    benchmark.extra_info["resnet18_pop16_numpy_vs_python"] = round(
+        dag_speedup, 2
+    )
+    print(format_table(
+        ["backend", "us/call", "contract"],
+        [
+            (name, f"{spent:,.0f}",
+             "exact" if get_backend(name).exact else "1e-9 rel")
+            for name, spent in sorted(
+                us_per_call.items(), key=lambda kv: kv[1]
+            )
+        ],
+        title="per-backend EA call (resnet18_cifar, 16 genes)",
+    ))
+
+    assert all(dag_scores["numpy"].feasible)
     for name in available:
         if get_backend(name).exact and name != "numpy":
             assert np.array_equal(
                 np.asarray(baseline[name].fitness),
                 np.asarray(baseline["numpy"].fitness),
+            ), name
+            assert np.array_equal(
+                np.asarray(dag_scores[name].fitness),
+                np.asarray(dag_scores["numpy"].fitness),
             ), name
     assert "numpy" in seconds and seconds["numpy"] > 0
 

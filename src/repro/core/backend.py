@@ -172,6 +172,28 @@ class PopulationContext:
       transfer accumulation order.
     * ``lat_offsets`` / ``lat_producer`` / ``lat_fraction`` —
       consumer-major: the fine-grained pipeline forward pass.
+
+    The vectorized engine reads the same edges through gene-free index
+    arrays, so its Python loops run over out-edge slots and topological
+    levels rather than over layers and edges. They are built with the
+    CSR walks and live on the context, so they go when it goes:
+
+    * ``comm_producer`` — the producer of each ``comm_consumer`` entry;
+      with it every edge's transfer time is one ``(population, E)``
+      array.
+    * ``out_slots`` — one ``(producers, edges)`` pair per out-edge slot
+      ``k``: the producers with more than ``k`` out-edges and the
+      ``comm_consumer`` position of each one's ``k``-th edge. Folding
+      the transfers in slot order adds each producer's terms left to
+      right.
+    * ``levels`` — one ``(consumers, producers, edges)`` triple per
+      topological level >= 1 (level 0 layers start at 0). ``producers``
+      and ``edges`` are ``(D, K)``: row ``d`` holds each consumer's
+      ``d``-th in-edge, as a producer layer and a ``lat_*`` position;
+      consumers with fewer than ``D`` in-edges repeat their first one,
+      which cannot change a ``max``.
+    * ``merge_layers`` — the row-tiled layers (``row_tiles > 1``), the
+      only ones with a partial-sum merge term.
     """
 
     # Per-layer geometry / workload arrays (L,).
@@ -192,6 +214,11 @@ class PopulationContext:
     lat_offsets: "object"  # (L+1,) int64
     lat_producer: "object"  # (E,) int64
     lat_fraction: "object"  # (E,) float64
+    # The same edges as gene-free index arrays (vectorized engine).
+    comm_producer: "object"  # (E,) int64
+    out_slots: Tuple[Tuple["object", "object"], ...]
+    levels: Tuple[Tuple["object", "object", "object"], ...]
+    merge_layers: "object"  # (R,) int64
     # Scalars.
     denom: float  # Eq. 6 balanced-delay denominator
     per_macro_fixed: float
@@ -813,9 +840,6 @@ class _ArrayOps:
     def copy(self, a):
         return a.copy()
 
-    def any(self, a) -> bool:
-        return bool(self.xp.any(a))
-
     def errstate(self):
         return self.xp.errstate(all="ignore")
 
@@ -923,9 +947,6 @@ class _TorchOps:
     def copy(self, a):
         return a.clone()
 
-    def any(self, a) -> bool:
-        return bool(self.torch.any(a))
-
     @contextlib.contextmanager
     def errstate(self):
         prev = self.torch.get_default_dtype()
@@ -997,9 +1018,14 @@ class VectorBackend(ArrayBackend):
 
     # -- device-side helpers -------------------------------------------
     @staticmethod
+    def _manhattan_dev(ops, a, b):
+        """Hops between two ``(row, col)`` mesh positions."""
+        return ops.abs(a[0] - b[0]) + ops.abs(a[1] - b[1])
+
+    @staticmethod
     def _hops_dev(ops, a, b, cols):
-        return ops.abs(a // cols - b // cols) + ops.abs(
-            a % cols - b % cols
+        return VectorBackend._manhattan_dev(
+            ops, ops.divmod(a, cols), ops.divmod(b, cols)
         )
 
     @staticmethod
@@ -1112,13 +1138,42 @@ class VectorBackend(ArrayBackend):
             )
             return ops.to_host(result)
 
-    def score_population(self, ctx: PopulationContext, genes):
-        """Vectorized batch-eval kernel — the pre-seam numpy math of
-        ``BatchPerformanceEvaluator``, verbatim, against the adapter.
+    @staticmethod
+    def _row_sums_dev(ops, terms):
+        """Left-to-right row sums of ``(P, L)`` terms: the last column
+        of a sequential ``cumsum``. Bit-identical to the loops'
+        ``acc = 0.0; acc = acc + term`` when no partial sum is ``-0.0``
+        — callers pass non-negative terms, with a skipped term set to
+        ``+0.0``, which adds exactly nothing."""
+        return ops.cumsum1(terms)[:, -1]
 
-        Host-level control flow (edge CSR walks, per-layer python
-        loops) reads the *host* context arrays; only the elementwise
-        ``(population, layers)`` math runs on the device.
+    def score_population(self, ctx: PopulationContext, genes):
+        """Vectorized batch-eval kernel, written against the adapter.
+
+        Per-layer and per-edge quantities are whole ``(population,
+        layers)`` and ``(population, edges)`` array ops over the
+        context's gene-free index arrays; the only Python loops run
+        over ``ctx.out_slots`` (at most the largest out-degree) and
+        ``ctx.levels`` (the DAG depth). Every step keeps the loop
+        kernel's IEEE-754 evaluation order, so exact adapters return
+        its bits:
+
+        * elementwise formulas are the loops', operand for operand;
+        * ordered sums (rule-b savings, the ADC and ALU power accounts)
+          are :meth:`_row_sums_dev` over term arrays — no term is
+          negative and a skipped one is ``+0.0``, so these are the
+          loops' adds, in layer order; the owner side of a sharing
+          pair keeps the loops' last write, its largest sharer;
+        * ``comm`` starts as the partial-sum merge term, and each
+          producer's activation transfers are folded in one out-edge
+          slot at a time, i.e. in its left-to-right edge order;
+        * stage maxima, the period and the latency forward pass are
+          ``max`` reductions, exact in any grouping, so the forward
+          pass runs one topological level at a time.
+
+        The index arrays stay host numpy in ``ctx``; the elementwise
+        math runs on the adapter's device, where GPU scans and
+        reductions fall under the 1e-9 tolerance contract.
         """
         if _np is None:  # pragma: no cover - ctx assembly needs numpy
             raise ConfigurationError(
@@ -1129,11 +1184,16 @@ class VectorBackend(ArrayBackend):
         ops = self._ops()
         genes_host = _np.asarray(genes, dtype=_np.int64)
         pop, n = genes_host.shape
+
+        def index(host):
+            return ops.asarray(host, dtype=ops.int64)
+
         with ops.errstate():
             genes_d = ops.asarray(genes_host, dtype=ops.int64)
             owners, is_owner, total_macros, group_start, group_len = (
                 self._decode_dev(ops, genes_d)
             )
+            layer_idx = ops.arange(n)
             # Device copies of the per-layer context arrays that feed
             # elementwise math (scalars stay host python floats/ints).
             adc_wl = ops.asarray(ctx.adc_wl, dtype=ops.float64)
@@ -1196,36 +1256,31 @@ class VectorBackend(ArrayBackend):
                     ctx.alu_rate * balanced_delay
                 )[:, None]
 
-                # Sharing post-pass (rule b): per sharer layer i, in
-                # ascending i order — the exact pair order the scalar
-                # code receives from MacroPartition.from_gene.
+                # Sharing post-pass (rule b): every sharer layer i
+                # against its owner j = owners[:, i] at once.
                 savings = ops.zeros(pop, ops.float64)
                 partner = ops.full((pop, n), -1, ops.int64)
-                rows = ops.arange(pop)
                 if ctx.enable_macro_sharing:
-                    for i in range(n):
-                        sharer = ~is_owner[:, i]
-                        if not ops.any(sharer):
-                            continue
-                        j = owners[:, i]
-                        a_i = adc_alloc[:, i]
-                        a_j = adc_alloc[rows, j]
-                        p_i = adc_powers[i]
-                        p_j = adc_powers[j]
-                        bank = ops.maximum(a_j, a_i)
-                        unit = ops.maximum(p_j, p_i)
-                        separate = p_j * a_j + p_i * a_i
-                        merged = unit * bank
-                        include = sharer & (merged < separate)
-                        savings = ops.where(
-                            include, savings + (separate - merged),
-                            savings,
-                        )
-                        partner[:, i] = ops.where(
-                            include, j, partner[:, i]
-                        )
-                        prev = partner[rows, j]
-                        partner[rows, j] = ops.where(include, i, prev)
+                    a_j = ops.take_along(adc_alloc, owners)
+                    p_j = adc_powers[owners]
+                    p_i = adc_powers[None, :]
+                    separate = p_j * a_j + p_i * adc_alloc
+                    merged = ops.maximum(p_j, p_i) * ops.maximum(
+                        a_j, adc_alloc
+                    )
+                    include = ~is_owner & (merged < separate)
+                    savings = self._row_sums_dev(
+                        ops, ops.where(include, separate - merged, 0.0)
+                    )
+                    # The oracle pairs i -> j and j -> i in ascending i,
+                    # so an owner keeps its largest included sharer.
+                    claims = include[:, :, None] & (
+                        owners[:, :, None] == layer_idx[None, None, :]
+                    )
+                    owner_side = ops.max1(
+                        ops.where(claims, layer_idx[None, :, None], -1)
+                    )
+                    partner = ops.where(include, owners, owner_side)
 
                 apply_scale = (savings > 0.0) & (savings < available)
                 scale = ops.where(
@@ -1243,7 +1298,6 @@ class VectorBackend(ArrayBackend):
                     ops.maximum(adc_alloc, partner_alloc)
                     * scale[:, None]
                 )
-                layer_idx = ops.arange(n)
                 distance = ops.abs(layer_idx[None, :] - partner_idx)
                 overlap = ops.maximum(
                     0.0,
@@ -1262,40 +1316,30 @@ class VectorBackend(ArrayBackend):
                     ctx.alu_rate * effective_alu
                 )
 
-                # Power drawn: shared banks counted once, at the pair's
-                # first (owner-side) index; ordered accumulation
-                # matches the scalar loop.
-                adc_power_used = ops.zeros(pop, ops.float64)
-                for l in range(n):
-                    hp = has_partner[:, l]
-                    pidx = partner_idx[:, l]
-                    term_solo = (
-                        adc_powers[l] * adc_alloc[:, l]
-                    ) * scale
-                    bank_l = ops.maximum(
-                        adc_alloc[:, l], adc_alloc[rows, pidx]
-                    ) * scale
-                    term_pair = ops.maximum(
-                        adc_powers[l], adc_powers[pidx]
-                    ) * bank_l
-                    count_here = ~hp | (pidx > l)
-                    term = ops.where(hp, term_pair, term_solo)
-                    adc_power_used = ops.where(
-                        count_here, adc_power_used + term,
-                        adc_power_used,
-                    )
-                alu_power_used = ops.zeros(pop, ops.float64)
-                for l in range(n):
-                    alu_power_used = alu_power_used + (
-                        ctx.alu_power * alu_alloc[:, l]
-                    ) * scale
+                # Power drawn: a shared bank is counted once, at the
+                # pair's first (owner-side) index.
+                solo = (adc_powers[None, :] * adc_alloc) * scale[:, None]
+                pair = ops.maximum(
+                    adc_powers[None, :], adc_powers[partner_idx]
+                ) * bank
+                counted = ~has_partner | (
+                    partner_idx > layer_idx[None, :]
+                )
+                adc_power_used = self._row_sums_dev(
+                    ops,
+                    ops.where(
+                        counted, ops.where(has_partner, pair, solo), 0.0
+                    ),
+                )
+                alu_power_used = self._row_sums_dev(
+                    ops, (ctx.alu_power * alu_alloc) * scale[:, None]
+                )
                 adc_alu_power = adc_power_used + alu_power_used
 
             # -- §IV-B stage times -------------------------------------
             bandwidth = ctx.edram_bandwidth * group_len
             load = load_num[None, :] / bandwidth
             store = store_num[None, :] / bandwidth
-            comm = ops.zeros((pop, n), ops.float64)
             cols = ops.maximum(
                 1,
                 ops.astype(
@@ -1304,62 +1348,70 @@ class VectorBackend(ArrayBackend):
                     ),
                     ops.int64,
                 ),
+            )[:, None]
+            # Partial-sum merge of the row-tiled layers spanning more
+            # than one macro; comm starts here, as 0.0 + merge == merge.
+            comm = ops.zeros((pop, n), ops.float64)
+            tiled = ctx.merge_layers
+            columns = index(tiled)
+            length = group_len[:, columns]
+            start = group_start[:, columns]
+            neighbor = self._hops_dev(ops, start, start + 1, cols)
+            per_round_bytes = ops.asarray(
+                ctx.per_round_num[tiled], dtype=ops.float64
+            ) / length
+            per_block = ops.asarray(
+                ctx.merge_rounds[tiled], dtype=ops.int64
+            ) * (
+                per_round_bytes / ctx.noc_port_bandwidth
+                + ops.maximum(1, neighbor) * ctx.noc_hop_latency
             )
-            # Partial-sum merge for row-tiled layers spanning macros.
-            for l in range(n):
-                if int(ctx.row_tiles[l]) <= 1:
-                    continue
-                multi = group_len[:, l] > 1
-                if not ops.any(multi):
-                    continue
-                start = group_start[:, l]
-                neighbor = self._hops_dev(ops, start, start + 1, cols)
-                per_round_bytes = (
-                    float(ctx.per_round_num[l]) / group_len[:, l]
+            merge_time = ops.asarray(
+                ctx.total_blocks[tiled], dtype=ops.int64
+            ) * per_block
+            comm[:, columns] = ops.where(length > 1, merge_time, 0.0)
+
+            # Activation transfers of every inter-layer edge at once:
+            # the four-corner hop minimum between the group ranges' end
+            # macros, serialization over the narrower group, head flits.
+            src = index(ctx.comm_producer)
+            dst = index(ctx.comm_consumer)
+            last = group_start + group_len - 1
+            s0, s1, d0, d1 = (
+                ops.divmod(macro, cols) for macro in (
+                    group_start[:, src], last[:, src],
+                    group_start[:, dst], last[:, dst],
                 )
-                per_block = int(ctx.merge_rounds[l]) * (
-                    per_round_bytes / ctx.noc_port_bandwidth
-                    + ops.maximum(1, neighbor) * ctx.noc_hop_latency
-                )
-                merge_time = int(ctx.total_blocks[l]) * per_block
-                comm[:, l] = ops.where(
-                    multi, comm[:, l] + merge_time, comm[:, l]
-                )
-            # Activation transfers, per inter-layer edge in model order.
-            for producer in range(n):
-                lo = int(ctx.comm_offsets[producer])
-                hi = int(ctx.comm_offsets[producer + 1])
-                for e in range(lo, hi):
-                    consumer = int(ctx.comm_consumer[e])
-                    same = owners[:, producer] == owners[:, consumer]
-                    s0 = group_start[:, producer]
-                    s1 = s0 + group_len[:, producer] - 1
-                    d0 = group_start[:, consumer]
-                    d1 = d0 + group_len[:, consumer] - 1
-                    hops = ops.minimum(
-                        ops.minimum(
-                            self._hops_dev(ops, s0, d0, cols),
-                            self._hops_dev(ops, s1, d0, cols),
-                        ),
-                        ops.minimum(
-                            self._hops_dev(ops, s0, d1, cols),
-                            self._hops_dev(ops, s1, d1, cols),
-                        ),
-                    )
-                    ports = ops.minimum(
-                        group_len[:, producer], group_len[:, consumer]
-                    )
-                    serialization = float(ctx.out_bytes[producer]) / (
-                        ctx.noc_port_bandwidth * ports
-                    )
-                    head = (
-                        int(ctx.total_blocks[producer]) * hops
-                    ) * ctx.noc_hop_latency
-                    comm[:, producer] = ops.where(
-                        same,
-                        comm[:, producer],
-                        comm[:, producer] + (serialization + head),
-                    )
+            )
+            hops = ops.minimum(
+                ops.minimum(
+                    self._manhattan_dev(ops, s0, d0),
+                    self._manhattan_dev(ops, s1, d0),
+                ),
+                ops.minimum(
+                    self._manhattan_dev(ops, s0, d1),
+                    self._manhattan_dev(ops, s1, d1),
+                ),
+            )
+            ports = ops.minimum(group_len[:, src], group_len[:, dst])
+            serialization = ops.asarray(
+                ctx.out_bytes[ctx.comm_producer], dtype=ops.float64
+            ) / (ctx.noc_port_bandwidth * ports)
+            head = (
+                ops.asarray(
+                    ctx.total_blocks[ctx.comm_producer], dtype=ops.int64
+                ) * hops
+            ) * ctx.noc_hop_latency
+            # An edge inside one macro group moves nothing; its +0.0
+            # term leaves the never-negative comm bit-for-bit unchanged.
+            transfer = ops.where(
+                owners[:, src] == owners[:, dst], 0.0, serialization + head
+            )
+            # Slot k adds each producer's k-th out-edge, so every
+            # producer sums its transfers in the loops' edge order.
+            for producers, edges in ctx.out_slots:
+                columns = index(producers)
+                comm[:, columns] = comm[:, columns] + transfer[:, index(edges)]
 
             stage_total = ops.maximum(mvm[None, :], adc_delay)
             stage_total = ops.maximum(stage_total, alu_delay)
@@ -1370,26 +1422,20 @@ class VectorBackend(ArrayBackend):
             period = ops.max1(stage_total)
             bottleneck = ops.argmax1(stage_total)
 
-            # Fine-grained pipeline latency (vectorized forward pass).
-            starts = ops.zeros((pop, n), ops.float64)
-            ends = ops.zeros((pop, n), ops.float64)
-            for idx in range(n):
-                start = ops.zeros(pop, ops.float64)
-                lo = int(ctx.lat_offsets[idx])
-                hi = int(ctx.lat_offsets[idx + 1])
-                for e in range(lo, hi):
-                    producer = int(ctx.lat_producer[e])
-                    fraction = float(ctx.lat_fraction[e])
-                    start = ops.maximum(
-                        start,
-                        starts[:, producer]
-                        + stage_total[:, producer] * fraction,
-                    )
-                starts[:, idx] = start
-                ends[:, idx] = start + stage_total[:, idx]
-            latency = (
-                ops.max1(ends) if n else ops.zeros(pop, ops.float64)
+            # Fine-grained pipeline latency, one topological level at a
+            # time: a layer starts at the latest of its producers'
+            # start + stage * fraction. Every candidate is a
+            # non-negative start plus a non-negative share, so the
+            # loops' 0.0 seed never changes the max.
+            shares = stage_total[:, index(ctx.lat_producer)] * ops.asarray(
+                ctx.lat_fraction, dtype=ops.float64
             )
+            starts = ops.zeros((pop, n), ops.float64)
+            for consumers, producers, edges in ctx.levels:
+                starts[:, index(consumers)] = ops.max1(
+                    starts[:, index(producers)] + shares[:, index(edges)]
+                )
+            latency = ops.max1(starts + stage_total)
 
             # -- power account + derived metrics -----------------------
             power = ctx.rram_power + (fixed + adc_alu_power)

@@ -266,7 +266,7 @@ class BatchPerformanceEvaluator:
         adc_power_unit = params.adc_power_of(max_resolution)
 
         # Communication / pipeline structure, flattened to the CSR
-        # walks the backend kernels consume. Producer-major order for
+        # walks the loop kernels consume. Producer-major order for
         # transfers (the §IV-B accumulation order), consumer-major for
         # the latency forward pass — both preserve the exact iteration
         # order of spec.model.interlayer_edges().
@@ -291,13 +291,42 @@ class BatchPerformanceEvaluator:
             comm_consumer.extend(consumer_lists.get(producer, []))
             comm_offsets[producer + 1] = len(comm_consumer)
         lat_offsets = np.zeros(n + 1, dtype=np.int64)
-        lat_producer: List[int] = []
+        lat_producer = []
         lat_fraction: List[float] = []
         for idx in range(n):
             for producer in producer_of.get(idx, []):
                 lat_producer.append(producer)
                 lat_fraction.append(fraction[(producer, idx)])
             lat_offsets[idx + 1] = len(lat_producer)
+        lat_producer = np.asarray(lat_producer, dtype=np.int64)
+
+        # The same edges as the vectorized kernel's gene-free index
+        # arrays (see PopulationContext): out-edge slots for the
+        # transfer fold, topological levels for the latency pass.
+        out_degree = np.diff(comm_offsets)
+        out_slots = []
+        for slot in range(int(out_degree.max(initial=0))):
+            producers = np.flatnonzero(out_degree > slot)
+            out_slots.append((producers, comm_offsets[producers] + slot))
+        level = [0] * n
+        for idx in range(n):  # weighted layers are in topological order
+            for producer in producer_of.get(idx, []):
+                level[idx] = max(level[idx], level[producer] + 1)
+        levels = []
+        for depth in range(1, max(level, default=0) + 1):
+            consumers = np.flatnonzero(np.asarray(level) == depth)
+            in_edges = [
+                range(lat_offsets[idx], lat_offsets[idx + 1])
+                for idx in consumers
+            ]
+            width = max(len(edges) for edges in in_edges)
+            # A short in-edge list repeats its first edge: max-neutral.
+            edges = np.array(
+                [[e[d] if d < len(e) else e[0] for e in in_edges]
+                 for d in range(width)],
+                dtype=np.int64,
+            )
+            levels.append((consumers, lat_producer[edges], edges))
 
         # Power account scalars.
         used_crossbars = sum(g.crossbars for g in geos)
@@ -319,8 +348,14 @@ class BatchPerformanceEvaluator:
             comm_offsets=comm_offsets,
             comm_consumer=np.asarray(comm_consumer, dtype=np.int64),
             lat_offsets=lat_offsets,
-            lat_producer=np.asarray(lat_producer, dtype=np.int64),
+            lat_producer=lat_producer,
             lat_fraction=np.asarray(lat_fraction, dtype=np.float64),
+            comm_producer=np.repeat(
+                np.arange(n, dtype=np.int64), out_degree
+            ),
+            out_slots=tuple(out_slots),
+            levels=tuple(levels),
+            merge_layers=np.flatnonzero(row_tiles > 1),
             denom=denom,
             per_macro_fixed=per_macro_fixed,
             crossbar_fixed=crossbar_fixed,

@@ -892,7 +892,9 @@ class ExplorationEngine:
 
         merged = merge_fronts(front_points, objectives)
         best = merged[0]  # canonical order: first objective descending
-        solution = self._materialize_gene(tasks[best.task_index], best.gene)
+        solution = self._materialize_gene(
+            tasks[best.task_index], best.gene, best.throughput
+        )
         return ParetoSolutionSet(
             model_name=self.model.name,
             total_power=self.config.total_power,
@@ -934,12 +936,12 @@ class ExplorationEngine:
         return collected
 
     def _materialize_gene(
-        self, task: EvaluationTask, gene: Tuple[int, ...]
+        self, task: EvaluationTask, gene: Tuple[int, ...], fitness: float
     ) -> SynthesisSolution:
-        """Re-score one (task, gene) in-process into a full solution."""
+        """Re-score one (task, gene) in-process into a full solution;
+        ``fitness`` is the gene's score in the search."""
         explorer = self._local_runner.make_explorer(task)
-        _fitness, allocation, result = explorer.score(gene)
-        assert allocation is not None and result is not None
+        allocation, result = explorer.score_winner(gene, fitness)
         return SynthesisSolution(
             model_name=self.model.name,
             total_power=self.config.total_power,
@@ -1134,4 +1136,4 @@ class ExplorationEngine:
         evaluation the (possibly remote) worker reported.
         """
         assert outcome.gene is not None
-        return self._materialize_gene(task, outcome.gene)
+        return self._materialize_gene(task, outcome.gene, outcome.fitness)

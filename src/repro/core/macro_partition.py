@@ -38,7 +38,7 @@ from repro.core.config import (
     objective_vector,
 )
 from repro.core.evaluator import EvaluationResult, PerformanceEvaluator
-from repro.errors import ConfigurationError, InfeasibleError
+from repro.errors import ConfigurationError, InfeasibleError, PimsynError
 from repro.hardware.power import PowerBudget
 from repro.ir.builder import DataflowSpec
 from repro.optim.evolution import EvolutionEngine
@@ -207,6 +207,27 @@ class MacroPartitionExplorer:
             partition.macro_groups, allocation
         )
         return result.fitness, allocation, result
+
+    def score_winner(
+        self, gene: Gene, fitness: float
+    ) -> Tuple[ComponentAllocation, EvaluationResult]:
+        """Scalar re-score of a winning gene the search scored
+        ``fitness`` (positive, so feasible).
+
+        The search may have scored it through a batched backend; if the
+        scalar oracle finds it infeasible, the two engines diverged.
+        That raises :class:`PimsynError` rather than
+        :class:`InfeasibleError`, which callers treat as a skipped task.
+        """
+        _fitness, allocation, result = self.score(gene)
+        if allocation is None or result is None:
+            raise PimsynError(
+                f"gene {tuple(gene)} scored fitness {fitness!r} in the "
+                "search, but the scalar oracle finds it infeasible "
+                f"(backend {self.config.backend!r}, batch_eval="
+                f"{self.batch_eval}): the engines diverged"
+            )
+        return allocation, result
 
     def score_population(self, genes: Sequence[Gene]) -> List[float]:
         """Fitness of every gene in one vectorized pass.
@@ -400,6 +421,5 @@ class MacroPartitionExplorer:
                 "EA found no feasible macro partition under the power "
                 "budget"
             )
-        fitness, allocation, result = self.score(best_gene)
-        assert allocation is not None and result is not None
+        allocation, result = self.score_winner(best_gene, best_fitness)
         return MacroPartition.from_gene(best_gene), allocation, result

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 # Single numpy gate: the backend registry owns the import (and its
 # absence), so every tensorized path degrades identically.
-from repro.core.backend import numpy_module
+from repro.core.backend import get_backend, numpy_module
 from repro.core.config import SynthesisConfig
 from repro.errors import InfeasibleError
 from repro.hardware.crossbar import crossbar_set_size
@@ -75,6 +75,7 @@ class WeightDuplicationFilter:
         # WtDup_i never exceeds the layer's output count: more copies than
         # output positions cannot be used within one image.
         self.dup_caps: List[int] = list(self.out_positions)
+        self._backend = get_backend(self.config.backend)
 
     # ------------------------------------------------------------------
     # Eq. 2 feasibility
@@ -134,17 +135,14 @@ class WeightDuplicationFilter:
         order, so every engine reproduces :func:`repro.utils.
         mathutils.stdev` bit-for-bit (the conformance suite pins the
         primitive itself)."""
-        from repro.core.backend import get_backend
-
         np = numpy_module()
-        backend = get_backend(self.config.backend)
         count = values.shape[1]
         acc = np.asarray(
-            backend.ordered_sum(values), dtype=np.float64
+            self._backend.ordered_sum(values), dtype=np.float64
         )
         mu = acc / count
         spread = np.asarray(
-            backend.ordered_sum((values - mu[:, None]) ** 2),
+            self._backend.ordered_sum((values - mu[:, None]) ** 2),
             dtype=np.float64,
         )
         return np.sqrt(spread / count)
@@ -183,27 +181,64 @@ class WeightDuplicationFilter:
 
         Retries a few times to find a feasible move; falls back to the
         unchanged state when the budget is completely tight.
+
+        A move touches at most two entries, so once ``state`` itself is
+        known feasible a candidate is feasible exactly when the touched
+        entries stay within ``[1, cap]`` and the crossbars it adds fit
+        the state's slack. An infeasible ``state`` (never produced by
+        the walk) gets the full :meth:`is_feasible` check per try.
         """
         n_layers = len(state)
+        slack = (
+            self.num_crossbars - self.crossbars_used(state)
+            if self.is_feasible(state) else None
+        )
         for _ in range(16):
             move = rng.randrange(3)
             candidate = list(state)
+            grown = shrunk = None
             if move == 0:  # grow one layer
-                index = rng.randrange(n_layers)
-                candidate[index] += 1
+                grown = rng.randrange(n_layers)
+                candidate[grown] += 1
             elif move == 1:  # shrink one layer
-                index = rng.randrange(n_layers)
-                candidate[index] -= 1
+                shrunk = rng.randrange(n_layers)
+                candidate[shrunk] -= 1
             else:  # shift: shrink one, grow another
-                src = rng.randrange(n_layers)
-                dst = rng.randrange(n_layers)
-                if src == dst:
+                shrunk = rng.randrange(n_layers)
+                grown = rng.randrange(n_layers)
+                if shrunk == grown:
                     continue
-                candidate[src] -= 1
-                candidate[dst] += 1
-            if self.is_feasible(candidate):
+                candidate[shrunk] -= 1
+                candidate[grown] += 1
+            if slack is None:
+                feasible = self.is_feasible(candidate)
+            else:
+                feasible = self._move_fits(candidate, grown, shrunk, slack)
+            if feasible:
                 return tuple(candidate)
         return state
+
+    def _move_fits(
+        self,
+        candidate: Sequence[int],
+        grown: Optional[int],
+        shrunk: Optional[int],
+        slack: int,
+    ) -> bool:
+        """Eq. 2 feasibility of ``candidate``, one move away from a
+        feasible state with ``slack`` spare crossbars: only the touched
+        entries can leave ``[1, cap]``, and only their sizes change the
+        crossbar count."""
+        added = 0
+        if grown is not None:
+            if candidate[grown] > self.dup_caps[grown]:
+                return False
+            added += self.set_sizes[grown]
+        if shrunk is not None:
+            if candidate[shrunk] < 1:
+                return False
+            added -= self.set_sizes[shrunk]
+        return added <= slack
 
     # ------------------------------------------------------------------
     # Entry point (Alg. 1 line 6)

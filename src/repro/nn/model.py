@@ -40,6 +40,7 @@ class CNNModel:
     weight_precision: int = 16
     _by_name: Dict[str, Layer] = field(init=False, repr=False)
     _order: List[Layer] = field(init=False, repr=False)
+    _edges: List[Tuple[int, int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.act_precision <= 0 or self.weight_precision <= 0:
@@ -54,6 +55,8 @@ class CNNModel:
             self._by_name[layer.name] = layer
         self._order = self._toposort()
         infer_shapes(self._order, self.input_shape)
+        # The graph is fixed from here on; the edge walk runs once.
+        self._edges = self._interlayer_edges()
 
     def _toposort(self) -> List[Layer]:
         """Kahn's algorithm; raises on cycles and dangling references."""
@@ -161,8 +164,11 @@ class CNNModel:
         Non-weighted layers are transparent: ``conv1 -> relu -> pool ->
         conv2`` yields the single edge ``(0, 1)``. These edges drive the
         inter-layer pipeline dependencies in dataflow compilation and the
-        inter-macro ``transfer`` IRs.
+        inter-macro ``transfer`` IRs. Returns a fresh list each call.
         """
+        return list(self._edges)
+
+    def _interlayer_edges(self) -> List[Tuple[int, int]]:
         edges = set()
         for idx, layer in enumerate(self.weighted_layers):
             producers = self._weighted_producers(layer.name)

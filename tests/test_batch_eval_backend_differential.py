@@ -9,7 +9,10 @@ suite pins that in four layers:
    :class:`BatchEvaluation` of a rule-valid population is identical
    across backends — ``==`` for exact engines (numpy / python / numba),
    the documented tolerance contract for GPU engines (integer fields
-   still ``==``).
+   still ``==``). The array engines are also held to the python loop
+   oracle on the vectorized kernel's risky inputs: owners with several
+   sharers, population sizes on a residual DAG, a NoC-bound context,
+   and the sharing-off and identical-macro settings.
 2. Full synthesis: the (backend x jobs x batch_eval) matrix returns one
    winning solution with identical telemetry (EA runs, pruning
    decisions, cache hits).
@@ -25,6 +28,7 @@ stated reason (the conformance suite covers their registry behavior).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -35,7 +39,7 @@ from repro.core.backend import backend_status, get_backend, numpy_available
 from repro.core.batch_eval import BatchPerformanceEvaluator
 from repro.core.dataflow import make_spec
 from repro.core.executor import config_fingerprint, params_fingerprint
-from repro.core.macro_partition import MacroPartitionExplorer
+from repro.core.macro_partition import MacroPartitionExplorer, encode_gene
 from repro.hardware.params import HardwareParams
 from repro.hardware.power import PowerBudget
 from repro.nn import lenet5, zoo
@@ -99,12 +103,43 @@ def _population(explorer, size=24, seed=2):
     return genes
 
 
-def _evaluator(explorer, backend):
-    return BatchPerformanceEvaluator(
-        explorer.spec, explorer.budget, explorer.res_dac,
+def _multi_sharer_genes(explorer, size, seed=3):
+    """Genes whose owners are shared by two or more later layers.
+
+    Each gene cuts a shuffled layer list into groups of one to four,
+    and the smallest layer of a group owns it. ``_validate_population``
+    and ``MacroPartition.from_gene`` accept these genes (every
+    referenced owner owns itself), though the EA's mutations only ever
+    form pairs.
+    """
+    rng = random.Random(seed)
+    n = explorer.spec.num_layers
+    genes = []
+    for _ in range(size):
+        layers = list(range(n))
+        rng.shuffle(layers)
+        owners = list(range(n))
+        while layers:
+            group = [
+                layers.pop()
+                for _ in range(min(len(layers), rng.randint(1, 4)))
+            ]
+            for layer in group:
+                owners[layer] = min(group)
+        counts = [rng.randint(1, cap) for cap in explorer.caps]
+        genes.append(encode_gene(owners, counts))
+    return genes
+
+
+def _evaluator(explorer, backend, **knobs):
+    options = dict(
         enable_macro_sharing=explorer.config.enable_macro_sharing,
         identical_macros=not explorer.config.specialized_macros,
-        backend=backend,
+    )
+    options.update(knobs)
+    return BatchPerformanceEvaluator(
+        explorer.spec, explorer.budget, explorer.res_dac,
+        backend=backend, **options,
     )
 
 
@@ -168,6 +203,108 @@ class TestZooPopulationIdentity:
         bad = [tuple([0 * 1000 + 0] + [1] * (n - 1))]  # zero macros
         with pytest.raises(ConfigurationError, match="#macros"):
             evaluator.evaluate_population(bad)
+
+
+#: Array engines held to the python loop oracle on the vectorized
+#: kernel's risky inputs.
+VECTOR_BACKENDS = tuple(
+    name for name in AVAILABLE_BACKENDS if name != "python"
+)
+
+
+class TestVectorKernelRiskyCases:
+    """Inputs where the vectorized kernel's layout could part from the
+    python loops: an owner claimed by several sharers (the loops'
+    last-writer-wins partner), population sizes, a DAG with out-degree
+    4 and in-degree 3, and the knob settings the EA tier never runs."""
+
+    @pytest.mark.parametrize("backend", VECTOR_BACKENDS)
+    def test_owner_shared_by_several_layers(self, backend):
+        import numpy as np
+
+        multi_sharer_genes = 0
+        feasible = 0
+        for name in ("lenet5", "resnet18_cifar", "vgg16_cifar"):
+            for power in POWER_GRID:
+                explorer = _explorer(zoo.by_name(name), power)
+                genes = _multi_sharer_genes(explorer, 12)
+                for gene in genes:
+                    owners = [value // 1000 for value in gene]
+                    sharers = [
+                        owners.count(j) - 1 for j in set(owners)
+                    ]
+                    multi_sharer_genes += max(sharers) >= 2
+                reference = _evaluator(explorer, "python") \
+                    .evaluate_population(genes)
+                candidate = _evaluator(explorer, backend) \
+                    .evaluate_population(genes)
+                _assert_batches_match(reference, candidate, backend)
+                # The scalar chain agrees on these genes too.
+                assert [explorer.score(g)[0] for g in genes] == \
+                    [float(f) for f in np.asarray(reference.fitness)]
+                feasible += int(np.sum(reference.feasible))
+        assert multi_sharer_genes > 100
+        assert feasible > 100
+
+    @pytest.mark.parametrize("backend", VECTOR_BACKENDS)
+    @pytest.mark.parametrize("size", (1, 16, 128))
+    def test_resnet18_population_sizes(self, backend, size):
+        explorer = _explorer(zoo.by_name("resnet18_cifar"), 50.0)
+        reference_evaluator = _evaluator(explorer, "python")
+        ctx = reference_evaluator.context
+        assert len(ctx.out_slots) == 4  # largest out-degree
+        assert max(
+            producers.shape[0] for _, producers, _ in ctx.levels
+        ) == 3  # largest in-degree
+        genes = _population(explorer, size=size, seed=size)
+        reference = reference_evaluator.evaluate_population(genes)
+        candidate = _evaluator(explorer, backend) \
+            .evaluate_population(genes)
+        assert all(reference.feasible)
+        _assert_batches_match(reference, candidate, backend)
+
+    @pytest.mark.parametrize("backend", VECTOR_BACKENDS)
+    def test_noc_bound_resnet18_context(self, backend):
+        """With the NoC 100x slower, transfers set the stage times, so
+        the order in which each producer adds its transfers reaches the
+        metrics; at the real NoC speed it never decides a bit here."""
+        import numpy as np
+
+        explorer = _explorer(zoo.by_name("resnet18_cifar"), 50.0)
+        ctx = _evaluator(explorer, "python").context
+        slow = dataclasses.replace(
+            ctx, noc_port_bandwidth=ctx.noc_port_bandwidth / 100
+        )
+        genes = np.asarray(
+            _population(explorer, size=128, seed=1)
+            + _multi_sharer_genes(explorer, 64)
+        )
+        reference = get_backend("python").score_population(slow, genes)
+        candidate = get_backend(backend).score_population(slow, genes)
+        _assert_batches_match(reference, candidate, backend)
+
+    @pytest.mark.parametrize("backend", VECTOR_BACKENDS)
+    @pytest.mark.parametrize("knobs", (
+        {"enable_macro_sharing": False},
+        {"identical_macros": True},
+    ), ids=("no-sharing", "identical-macros"))
+    def test_zoo_contexts_under_knobs(self, backend, knobs):
+        import numpy as np
+
+        feasible = 0
+        for name in zoo.available_models():
+            model = zoo.by_name(name)
+            for power in POWER_GRID:
+                explorer = _explorer(model, power)
+                genes = _population(explorer) + \
+                    _multi_sharer_genes(explorer, 8)
+                reference = _evaluator(explorer, "python", **knobs) \
+                    .evaluate_population(genes)
+                candidate = _evaluator(explorer, backend, **knobs) \
+                    .evaluate_population(genes)
+                _assert_batches_match(reference, candidate, backend)
+                feasible += int(np.sum(reference.feasible))
+        assert feasible > 500
 
 
 class TestFullSynthesisIdentity:

@@ -12,7 +12,7 @@ from repro.core.macro_partition import (
     decode_gene,
     encode_gene,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InfeasibleError, PimsynError
 from repro.hardware.power import PowerBudget
 
 
@@ -168,3 +168,21 @@ class TestExplore:
         naive = encode_gene([0, 1, 2], [1, 1, 1])
         naive_fitness, _a, _r = explorer.score(naive)
         assert result.throughput >= naive_fitness
+
+    def test_scalar_divergence_on_the_winner_raises(
+        self, explorer, monkeypatch
+    ):
+        """The batched EA finds a feasible winner; a scalar re-score
+        calling it infeasible is an engine divergence, reported as a
+        PimsynError (never the skipped-task InfeasibleError) even under
+        ``python -O``."""
+        assert explorer.batch_eval
+        monkeypatch.setattr(
+            explorer, "score", lambda gene: (0.0, None, None)
+        )
+        with pytest.raises(PimsynError, match="scalar oracle") as info:
+            explorer.explore()
+        assert not isinstance(info.value, InfeasibleError)
+        message = str(info.value)
+        assert "gene (" in message
+        assert "backend 'numpy'" in message

@@ -3,10 +3,12 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.config import SynthesisConfig
 from repro.core.weight_duplication import WeightDuplicationFilter
 from repro.errors import InfeasibleError
+from repro.nn import lenet5
 from repro.utils.mathutils import stdev
 
 
@@ -16,6 +18,40 @@ def _filter(model, num_crossbars=2000, **overrides):
         model=model, xb_size=128, res_rram=2,
         num_crossbars=num_crossbars, config=config,
     )
+
+
+_LENET = lenet5()
+
+
+def _lenet_filter(headroom):
+    """A lenet5 filter with ``headroom`` crossbars above WtDup=1."""
+    sizes = _filter(_LENET, num_crossbars=10 ** 6).set_sizes
+    return _filter(_LENET, num_crossbars=sum(sizes) + headroom)
+
+
+def _full_check_neighbor(filt, state, rng):
+    """``neighbor`` with the full O(n) ``is_feasible`` on every try:
+    the reference the delta check must reproduce draw for draw."""
+    n_layers = len(state)
+    for _ in range(16):
+        move = rng.randrange(3)
+        candidate = list(state)
+        if move == 0:  # grow one layer
+            index = rng.randrange(n_layers)
+            candidate[index] += 1
+        elif move == 1:  # shrink one layer
+            index = rng.randrange(n_layers)
+            candidate[index] -= 1
+        else:  # shift: shrink one, grow another
+            src = rng.randrange(n_layers)
+            dst = rng.randrange(n_layers)
+            if src == dst:
+                continue
+            candidate[src] -= 1
+            candidate[dst] += 1
+        if filt.is_feasible(candidate):
+            return tuple(candidate)
+    return state
 
 
 class TestFeasibility:
@@ -112,6 +148,45 @@ class TestNeighbor:
         rng = random.Random(0)
         # With zero headroom the only feasible moves keep the state.
         assert filt.neighbor(state, rng) == state
+
+    @given(
+        headroom=st.integers(0, 200),
+        entries=st.lists(st.integers(1, 5), min_size=5, max_size=5),
+        broken=st.sampled_from((None, None, 0, 6)),
+        layer=st.integers(0, 4),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    @example(headroom=0, entries=[1, 1, 1, 1, 1], broken=None, layer=0,
+             seed=0)
+    @example(headroom=8, entries=[1, 1, 1, 1, 1], broken=None, layer=0,
+             seed=0)  # the one feasible move fills the budget exactly
+    @example(headroom=10, entries=[5, 5, 1, 1, 1], broken=None, layer=0,
+             seed=1)  # over budget
+    @example(headroom=200, entries=[1, 1, 1, 1, 1], broken=0, layer=3,
+             seed=2)  # an entry below 1
+    @example(headroom=200, entries=[1, 1, 1, 1, 1], broken=6, layer=4,
+             seed=3)  # an entry over its cap
+    @settings(max_examples=300, deadline=None)
+    def test_matches_full_check_walk(
+        self, headroom, entries, broken, layer, seed
+    ):
+        """The delta feasibility check takes exactly the full-check
+        walk's moves and random draws, from feasible and infeasible
+        states alike."""
+        filt = _lenet_filter(headroom)
+        # Entries within the caps, so the budget decides feasibility,
+        # unless one is pushed below 1 or over the cap of 1 that
+        # lenet5's three FC layers have.
+        state = [min(d, cap) for d, cap in zip(entries, filt.dup_caps)]
+        if broken is not None:
+            state[layer] = broken
+        state = tuple(state)
+        rng = random.Random(seed)
+        reference_rng = random.Random(seed)
+        assert filt.neighbor(state, rng) == _full_check_neighbor(
+            filt, state, reference_rng
+        )
+        assert rng.getstate() == reference_rng.getstate()
 
 
 class TestTopCandidates:

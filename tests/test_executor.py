@@ -31,10 +31,12 @@ from repro.core.executor import (
     decode_memo_entries,
     encode_memo_entries,
 )
+from repro.core.macro_partition import MacroPartitionExplorer, encode_gene
 from repro.core.synthesizer import SynthesisReport
 from repro.errors import (
     ConfigurationError,
     InfeasibleError,
+    PimsynError,
     SynthesisInterrupted,
 )
 from repro.hardware.params import HardwareParams
@@ -199,6 +201,48 @@ class TestPruning:
         assert synthesizer.report.pruned_tasks == 0
         # One archive entry per feasible EA outcome.
         assert len(archive) == len(synthesizer.report.best_history)
+
+
+def _infeasible_score(_explorer, _gene):
+    return 0.0, None, None
+
+
+class TestWinnerRescore:
+    """A winner the scalar oracle calls infeasible means the search's
+    engine and the oracle diverged: an explicit PimsynError that names
+    the gene, its search fitness and the backend — never the
+    skipped-task InfeasibleError, and never an assert that ``python -O``
+    strips."""
+
+    def test_synthesis_surfaces_the_divergence(self, lenet, monkeypatch):
+        monkeypatch.setattr(
+            MacroPartitionExplorer, "score", _infeasible_score
+        )
+        with pytest.raises(PimsynError, match="scalar oracle") as info:
+            Pimsyn(lenet, _config()).synthesize()
+        assert not isinstance(info.value, InfeasibleError)
+
+    def test_materialized_winner_surfaces_the_divergence(
+        self, lenet, monkeypatch
+    ):
+        config = _config()
+        engine = ExplorationEngine(lenet, config, SynthesisReport())
+        n = lenet.num_weighted_layers
+        task = EvaluationTask(
+            index=0, point=next(DesignSpace(lenet, config).outer_points()),
+            wt_dup=(1,) * n, res_dac=1,
+        )
+        gene = encode_gene(range(n), [1] * n)
+        monkeypatch.setattr(
+            MacroPartitionExplorer, "score", _infeasible_score
+        )
+        with pytest.raises(PimsynError) as info:
+            engine._materialize_gene(task, gene, 123.5)
+        assert not isinstance(info.value, InfeasibleError)
+        message = str(info.value)
+        assert str(gene) in message
+        assert "fitness 123.5" in message
+        assert f"backend {config.backend!r}" in message
 
 
 class TestWarmMemo:

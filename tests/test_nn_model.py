@@ -100,6 +100,18 @@ class TestInterlayerEdges:
         assert (1, 2) in model.interlayer_edges()
         assert (0, 1) in model.interlayer_edges()
 
+    def test_each_call_returns_a_fresh_list(self, resnet_cifar):
+        """The edges are walked once, at construction; a caller that
+        mutates the list it got cannot change the model's edges."""
+        edges = resnet_cifar.interlayer_edges()
+        expected = list(edges)
+        edges.append((0, 0))
+        edges.reverse()
+        del edges[:3]
+        assert resnet_cifar.interlayer_edges() == expected
+        assert resnet_cifar.interlayer_edges() is not \
+            resnet_cifar.interlayer_edges()
+
     def test_producer_weighted_index_through_vector_ops(self, tiny_model):
         assert tiny_model.producer_weighted_index("c2") == 0
         assert tiny_model.producer_weighted_index("c1") is None
