@@ -24,8 +24,8 @@ applications to PIM architectures"; the CLI is that click:
   technology registry: inspect profiles, export/load the JSON format,
   synthesize one model under every technology. ``--tech NAME`` on
   ``synthesize``/``sweep``/``peak``/``serve`` selects the device;
-- ``python -m repro backends`` — the array-backend registry that
-  executes the tensorized task-grid walk. ``--backend NAME`` on
+- ``python -m repro backends`` — the array engines that execute the
+  tensorized task-grid walk and EA scoring. ``--backend NAME`` on
   ``synthesize``/``sweep`` selects one (execution-only: never changes
   the solution or any content key).
 """
@@ -552,7 +552,7 @@ def cmd_backends(args) -> int:
         ))
     print(format_table(
         ["backend", "available", "default", "description / reason"],
-        rows, title="registered array backends (execution-only)",
+        rows, title="array backends (execution-only)",
     ))
     if getattr(args, "check", None):
         backend = get_backend(args.check)  # raises if not usable
@@ -562,14 +562,14 @@ def cmd_backends(args) -> int:
 
 
 def _backend_probe(backend) -> None:
-    """Score a real population on ``backend`` and hold it to its
-    declared contract against the pure-python oracle: ``==`` for exact
-    engines, the documented relative tolerance for GPU ones. Raises
-    PimsynError on divergence — `repro backends --check NAME` is the
-    one-command way to validate a box's accelerator stack."""
+    """Score a real population on ``backend`` and require every field
+    ``==`` to the pure-python oracle. Raises PimsynError on divergence
+    — `repro backends --check NAME` is the one-command way to validate
+    an engine on a box."""
+    import dataclasses
     import random as _random
 
-    from repro.core.backend import get_backend, numpy_available
+    from repro.core.backend import numpy_available
     from repro.core.batch_eval import BatchPerformanceEvaluator
     from repro.core.dataflow import make_spec
     from repro.core.macro_partition import MacroPartitionExplorer
@@ -604,43 +604,19 @@ def _backend_probe(backend) -> None:
     oracle = BatchPerformanceEvaluator(
         spec, budget, 1, backend="python",
     ).evaluate_population(genes)
-    exact_fields = ("feasible", "bottleneck_layer", "num_macros")
-    float_fields = (
-        "fitness", "period", "latency", "throughput", "tops",
-        "power", "tops_per_watt", "energy_per_image", "edp",
-    )
-    for field in exact_fields:
+    for field in dataclasses.fields(oracle):
         if not np.array_equal(
-            np.asarray(getattr(candidate, field)),
-            np.asarray(getattr(oracle, field)),
+            np.asarray(getattr(candidate, field.name)),
+            np.asarray(getattr(oracle, field.name)),
         ):
             raise PimsynError(
                 f"backend {backend.name!r} failed the batch-eval "
-                f"conformance probe: {field} diverges from the "
+                f"conformance probe: {field.name} diverges from the "
                 f"python oracle"
             )
-    for field in float_fields:
-        got = np.asarray(getattr(candidate, field), dtype=np.float64)
-        want = np.asarray(getattr(oracle, field), dtype=np.float64)
-        if backend.exact:
-            ok = bool(np.array_equal(got, want))
-        else:
-            denom = np.maximum(np.abs(want), 1.0)
-            ok = bool(np.all(
-                np.abs(got - want) <= backend.float_tolerance * denom
-            ))
-        if not ok:
-            raise PimsynError(
-                f"backend {backend.name!r} failed the batch-eval "
-                f"conformance probe: {field} outside the "
-                f"{'exact' if backend.exact else 'tolerance'} contract"
-            )
-    contract = "bit-identical" if backend.exact else (
-        f"within {backend.float_tolerance:g} relative"
-    )
     print(
         f"conformance probe passed: {len(genes)}-gene population "
-        f"scored {contract} vs the python oracle"
+        f"scored bit-identical to the python oracle"
     )
 
 
@@ -925,7 +901,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the comparison JSON here")
 
     backends = sub.add_parser(
-        "backends", help="list the registered array backends"
+        "backends", help="list the array backends"
     )
     backends.add_argument("--check", metavar="NAME",
                           help="exit non-zero unless NAME is usable "

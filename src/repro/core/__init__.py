@@ -19,7 +19,6 @@ from repro.core.backend import (
     available_backends,
     backend_status,
     get_backend,
-    register_backend,
 )
 from repro.core.batch_eval import (
     BatchEvaluation,
@@ -63,7 +62,6 @@ __all__ = [
     "available_backends",
     "backend_status",
     "get_backend",
-    "register_backend",
     "GridBoundEvaluator",
     "grid_eval_supported",
     "BatchEvaluation",

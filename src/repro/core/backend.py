@@ -1,73 +1,44 @@
-"""Pluggable array-execution backends for the tensorized DSE paths.
+"""Array-execution backends for the tensorized DSE paths.
 
-PR 3 vectorized the inner EA population scoring with numpy; the grid
-evaluator of :mod:`repro.core.grid_eval` applies the same
-flatten-to-tensor move to the *outer* (design point x WtDup x ResDAC)
-task walk; and :mod:`repro.core.batch_eval` routes the hottest kernel
-in the system — the ``(population, layers)`` EA scoring — through the
-same seam. All of these paths are pure array arithmetic, so the
-concrete array engine is an execution detail — exactly like the device
-technology is a content detail — and this module gives it the same
-shape as :mod:`repro.hardware.tech`: a named, validated registry of
-:class:`ArrayBackend` objects, selected by ``SynthesisConfig.backend``
-(``--backend`` on the CLI).
-
-Five backends ship built in:
+The grid evaluator of :mod:`repro.core.grid_eval` flattens the outer
+(design point x WtDup x ResDAC) task walk into ``(tasks, layers)``
+arrays, :mod:`repro.core.batch_eval` does the same for the inner
+``(population, layers)`` EA scoring, and the stage-1 SA filter scores
+whole proposal rounds at once. All of these are pure array arithmetic,
+so the engine that runs them is an execution detail, selected by
+``SynthesisConfig.backend`` (``--backend`` on the CLI) from a fixed
+table of three:
 
 ``numpy``
-    The default: vectorized ``(tasks, layers)`` / ``(population,
-    layers)`` operations, layer reductions accumulated in layer order
-    so every value is bit-identical to the scalar oracle.
+    Vectorized ``(tasks, layers)`` / ``(population, layers)`` numpy
+    operations; the default whenever numpy imports.
 ``python``
     Scalar loops over the same arrays, in exactly the scalar oracle's
-    operation order — the conformance reference every other backend
-    (including third-party registrations) is compared against. When
-    numpy itself is absent the executor skips grid evaluation entirely
-    and walks tasks one at a time, as before PR 6.
+    operation order: the reference every other engine is compared
+    against. It is the default on an interpreter without numpy, where
+    the executor walks tasks one at a time and the SA and EA score one
+    state or gene at a time, so no array is ever built.
 ``numba``
     The ``python`` loop kernels (:func:`_bound_loops` and the fused
     :func:`_score_loops` population kernel) JIT-compiled with
-    ``numba.njit`` (``fastmath`` off, so IEEE-754 evaluation order —
-    and therefore bit-identity — is preserved). Registered
-    unconditionally but only *available* when numba is importable;
-    selecting it without numba installed raises a
+    ``numba.njit`` (``fastmath`` off, so the IEEE-754 evaluation order
+    is preserved). Always listed, but only *available* when numba
+    imports; selecting it without numba raises a
     :class:`~repro.errors.ConfigurationError` naming the missing
     dependency.
-``cupy``
-    The vectorized engine running on CUDA through cupy's numpy-drop-in
-    API. Registered unconditionally (like a device technology);
-    *available* only when cupy imports and a CUDA device is present.
-``torch``
-    The vectorized engine on torch tensors — CUDA when
-    ``torch.cuda.is_available()``, CPU tensors otherwise. Registered
-    unconditionally; available whenever torch imports.
 
 Exactness contract
 ------------------
-Exact backends (``numpy``, ``python``, ``numba`` — ``exact = True``)
-must return bit-identical results for the op-level primitives
-(``ordered_sum``, ``ordered_max``, ``prune_mask``, and the integer
-``decode_population`` / ``mesh_hops``) and the fused kernels
-(:meth:`ArrayBackend.compute_bounds`,
-:meth:`ArrayBackend.score_population`) — *not* merely close: the DSE
-pruning decisions and EA tournaments ride on exact float comparisons,
-and the whole point of the tensorized walk is that it cannot change a
-solution.
-
-GPU tolerance contract
-----------------------
-The GPU backends (``cupy``, ``torch`` — ``exact = False``) keep the
-integer/geometry primitives exact (``==``: decode, hops, bottleneck
-indices, macro counts, feasibility flags) but may diverge from the
-IEEE-754 reference in the last ulps of float kernels (different FMA
-contraction and reduction hardware). Their ``float_tolerance``
-attribute (1e-9) is the maximum *relative* error the conformance tier
-accepts for float outputs. End-to-end solution identity is still
-guaranteed: ``MacroPartitionExplorer.explore`` re-scores the winning
-gene through the scalar oracle on the host, so the reported solution
-metrics are bit-identical regardless of which engine scored the
-population. ``tests/test_backend_conformance.py`` pins both contracts
-for every registered backend.
+Every engine returns results ``==`` to the python loop oracle for the
+op-level primitives (``ordered_sum``, ``ordered_max``, ``prune_mask``,
+and the integer ``decode_population`` / ``mesh_hops``) and for the
+fused kernels (:meth:`ArrayBackend.compute_bounds`,
+:meth:`ArrayBackend.score_population`): not merely close, because the
+DSE pruning decisions and EA tournaments ride on exact float
+comparisons, and the point of the tensorized walk is that it cannot
+change a solution. The numpy engine gets there by keeping the loops'
+order: an ordered row sum is the last column of a sequential
+``cumsum``, and a row maximum is exact in any grouping.
 
 Content-key contract
 --------------------
@@ -81,12 +52,12 @@ entries are shared across backends.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.utils import mathutils
 
 try:  # numpy is optional at this layer (the ``python`` backend runs
     import numpy as _np  # without it); the image bakes it in.
@@ -671,27 +642,21 @@ def _score_loops(
 
 
 # ----------------------------------------------------------------------
-# Backend interface + built-in engines
+# Backend interface
 # ----------------------------------------------------------------------
 class ArrayBackend:
     """One array-execution engine for the tensorized DSE paths.
 
     Subclasses implement the op-level primitives and the fused kernels
-    (task-grid bounds, population scoring); the registry hands out one
-    shared instance per name. ``available()`` gates optional
-    dependencies — an unavailable backend stays listed (with its
+    (task-grid bounds, population scoring); the module's engine table
+    holds one shared instance per name. ``available()`` gates optional
+    dependencies — an unavailable engine stays listed (with its
     reason) but cannot be selected.
     """
 
-    #: Registry key; subclasses must override with a non-empty name.
+    #: Table key; subclasses must override with a non-empty name.
     name: str = ""
     description: str = ""
-    #: Exact backends are held to bit-identity (``==``) on every
-    #: primitive and fused kernel. Non-exact (GPU) backends keep
-    #: integer/geometry outputs exact but may diverge on float kernels
-    #: by up to ``float_tolerance`` relative error.
-    exact: bool = True
-    float_tolerance: float = 0.0
 
     @classmethod
     def available(cls) -> bool:
@@ -707,8 +672,9 @@ class ArrayBackend:
     def ordered_sum(self, terms) -> "object":
         """Left-to-right sum over axis 1 of a ``(T, L)`` array.
 
-        Matches the scalar oracle's ordered Python ``sum`` — *not*
-        numpy's pairwise ``np.sum``, which can differ in the last ulp.
+        Matches the scalar oracle's ordered sums
+        (:func:`repro.utils.mathutils.ordered_sum`) — *not* numpy's
+        pairwise ``np.sum``, which can differ in the last ulp.
         """
         raise NotImplementedError
 
@@ -733,9 +699,8 @@ class ArrayBackend:
     ]:
         """Decode a ``(P, L)`` gene array into macro-group arrays.
 
-        Returns host arrays ``(owners, is_owner, total_macros,
-        group_start, group_len)`` — integer-exact on every backend
-        (``==``, GPU included). Validation is the caller's concern;
+        Returns numpy arrays ``(owners, is_owner, total_macros,
+        group_start, group_len)``. Validation is the caller's concern;
         this primitive assumes well-formed genes.
         """
         raise NotImplementedError
@@ -743,15 +708,14 @@ class ArrayBackend:
     def mesh_hops(self, a, b, cols) -> "object":
         """Elementwise MeshNoC hop count: Manhattan distance between
         macro ids ``a`` and ``b`` on a row-major mesh with ``cols``
-        columns. Integer-exact on every backend."""
+        columns."""
         raise NotImplementedError
 
     def compute_bounds(self, grid: TaskGrid) -> "object":
         """Per-task throughput upper bounds for a whole task grid.
 
         Must be bit-identical to calling :func:`repro.core.evaluator.
-        throughput_upper_bound` once per task (within
-        ``float_tolerance`` for non-exact backends).
+        throughput_upper_bound` once per task.
         """
         raise NotImplementedError
 
@@ -760,461 +724,187 @@ class ArrayBackend:
     ) -> PopulationScores:
         """Fused batch-eval kernel: score a whole gene population.
 
-        Must match the scalar oracle per lane — bit-identical for exact
-        backends, within ``float_tolerance`` relative error on float
-        fields for GPU backends (feasibility flags, bottleneck indices
-        and macro counts stay exact everywhere). Outputs are host numpy
-        arrays with infeasible lanes masked.
+        Must match the scalar oracle per lane, bit for bit. Outputs are
+        numpy arrays with infeasible lanes masked.
         """
         raise NotImplementedError
 
 
 # ----------------------------------------------------------------------
-# Array-module adapters (numpy / cupy / torch)
+# The vectorized engine
 # ----------------------------------------------------------------------
-class _ArrayOps:
-    """numpy-flavored adapter the vectorized engine is written against.
-
-    For numpy every method delegates 1:1 (bit-identity with the
-    pre-seam code is structural, not accidental); cupy reuses this
-    class wholesale because its API is a numpy drop-in.
-    """
-
-    def __init__(self, xp) -> None:
-        self.xp = xp
-        self.float64 = xp.float64
-        self.int64 = xp.int64
-        self.bool_ = xp.bool_
-
-    def asarray(self, a, dtype=None):
-        return self.xp.asarray(a, dtype=dtype)
-
-    def zeros(self, shape, dtype):
-        return self.xp.zeros(shape, dtype=dtype)
-
-    def full(self, shape, fill, dtype):
-        return self.xp.full(shape, fill, dtype=dtype)
-
-    def arange(self, n):
-        return self.xp.arange(n, dtype=self.int64)
-
-    def divmod(self, a, b):
-        return self.xp.divmod(a, b)
-
-    def take_along(self, a, idx):
-        return self.xp.take_along_axis(a, idx, axis=1)
-
-    def cumsum1(self, a):
-        return self.xp.cumsum(a, axis=1)
-
-    def sum1(self, a):
-        return self.xp.sum(a, axis=1)
-
-    def max1(self, a):
-        return self.xp.max(a, axis=1)
-
-    def argmax1(self, a):
-        return self.xp.argmax(a, axis=1)
-
-    def maximum(self, a, b):
-        return self.xp.maximum(a, b)
-
-    def minimum(self, a, b):
-        return self.xp.minimum(a, b)
-
-    def where(self, cond, a, b):
-        return self.xp.where(cond, a, b)
-
-    def abs(self, a):
-        return self.xp.abs(a)
-
-    def sqrt(self, a):
-        return self.xp.sqrt(a)
-
-    def ceil(self, a):
-        return self.xp.ceil(a)
-
-    def astype(self, a, dtype):
-        return a.astype(dtype)
-
-    def copy(self, a):
-        return a.copy()
-
-    def errstate(self):
-        return self.xp.errstate(all="ignore")
-
-    def to_host(self, a):
-        return a
+def _row_sums(terms):
+    """Left-to-right row sums of a ``(T, L)`` float64 array: the last
+    column of a sequential ``cumsum``. It adds exactly like the loops'
+    ``acc = 0.0; acc = acc + term``, except that a row of only ``-0.0``
+    terms sums to ``-0.0`` instead of ``+0.0`` (the two are ``==``).
+    The kernels pass non-negative terms, with a skipped term set to
+    ``+0.0``, which adds exactly nothing."""
+    return _np.cumsum(terms, axis=1)[:, -1]
 
 
-class _CupyOps(_ArrayOps):
-    """cupy flavor: no errstate (CUDA math never warns), explicit
-    device-to-host copies on the way out."""
-
-    def errstate(self):
-        return contextlib.nullcontext()
-
-    def to_host(self, a):
-        return self.xp.asnumpy(a)
+def _manhattan(a, b):
+    """Hops between two ``(row, col)`` mesh positions."""
+    return _np.abs(a[0] - b[0]) + _np.abs(a[1] - b[1])
 
 
-class _TorchOps:
-    """torch flavor of the adapter interface.
-
-    ``errstate()`` doubles as a float64-default guard: torch promotes
-    ``python-float * int64-tensor`` to the *default* dtype (float32 out
-    of the box), which would silently degrade the IEEE-754 contract —
-    every fused kernel runs inside this context so mixed scalar/int
-    arithmetic lands in float64, matching numpy's promotion rules.
-    """
-
-    def __init__(self, torch, device) -> None:
-        self.torch = torch
-        self.device = device
-        self.float64 = torch.float64
-        self.int64 = torch.int64
-        self.bool_ = torch.bool
-
-    def _wrap(self, x, ref=None):
-        t = self.torch
-        if isinstance(x, t.Tensor):
-            return x
-        dtype = ref.dtype if isinstance(ref, t.Tensor) else None
-        return t.as_tensor(x, dtype=dtype, device=self.device)
-
-    def asarray(self, a, dtype=None):
-        t = self.torch
-        if isinstance(a, t.Tensor):
-            out = a.to(self.device)
-            return out if dtype is None else out.to(dtype)
-        return t.as_tensor(a, dtype=dtype, device=self.device)
-
-    def zeros(self, shape, dtype):
-        return self.torch.zeros(shape, dtype=dtype, device=self.device)
-
-    def full(self, shape, fill, dtype):
-        return self.torch.full(
-            shape, fill, dtype=dtype, device=self.device
-        )
-
-    def arange(self, n):
-        return self.torch.arange(
-            n, dtype=self.int64, device=self.device
-        )
-
-    def divmod(self, a, b):
-        q = self.torch.div(a, b, rounding_mode="floor")
-        return q, a - q * b
-
-    def take_along(self, a, idx):
-        return self.torch.take_along_dim(a, idx, dim=1)
-
-    def cumsum1(self, a):
-        return self.torch.cumsum(a, dim=1)
-
-    def sum1(self, a):
-        return self.torch.sum(a, dim=1)
-
-    def max1(self, a):
-        return self.torch.max(a, dim=1).values
-
-    def argmax1(self, a):
-        return self.torch.argmax(a, dim=1)
-
-    def maximum(self, a, b):
-        return self.torch.maximum(self._wrap(a, b), self._wrap(b, a))
-
-    def minimum(self, a, b):
-        return self.torch.minimum(self._wrap(a, b), self._wrap(b, a))
-
-    def where(self, cond, a, b):
-        return self.torch.where(cond, self._wrap(a, b), self._wrap(b, a))
-
-    def abs(self, a):
-        return self.torch.abs(a)
-
-    def sqrt(self, a):
-        if not a.is_floating_point():
-            a = a.to(self.float64)
-        return self.torch.sqrt(a)
-
-    def ceil(self, a):
-        return self.torch.ceil(a)
-
-    def astype(self, a, dtype):
-        return a.to(dtype)
-
-    def copy(self, a):
-        return a.clone()
-
-    @contextlib.contextmanager
-    def errstate(self):
-        prev = self.torch.get_default_dtype()
-        self.torch.set_default_dtype(self.torch.float64)
-        try:
-            yield
-        finally:
-            self.torch.set_default_dtype(prev)
-
-    def to_host(self, a):
-        return a.detach().cpu().numpy()
+def _hops(a, b, cols):
+    return _manhattan(_np.divmod(a, cols), _np.divmod(b, cols))
 
 
-class VectorBackend(ArrayBackend):
-    """Shared vectorized engine, parameterized by an array adapter.
+def _decode(genes):
+    """(owners, is_owner, total_macros, group_start, group_len):
+    contiguous owner groups in layer order, exactly as
+    ``MacroPartition.from_gene`` assigns them."""
+    owners, counts = _np.divmod(genes, _ENCODING_BASE)
+    is_owner = owners == _np.arange(genes.shape[1], dtype=_np.int64)
+    sizes = _np.where(is_owner, counts, 0)
+    group_starts_by_owner = _np.cumsum(sizes, axis=1) - sizes
+    total_macros = sizes.sum(axis=1)
+    group_start = _np.take_along_axis(group_starts_by_owner, owners, axis=1)
+    group_len = _np.take_along_axis(counts, owners, axis=1)
+    return owners, is_owner, total_macros, group_start, group_len
 
-    ``numpy``, ``cupy`` and ``torch`` are all this implementation with
-    a different :class:`_ArrayOps` flavor — one source of truth for the
-    vectorized math, so the GPU backends cannot drift from the pinned
-    numpy semantics except through the adapter (which the conformance
-    tier exercises per backend).
-    """
 
-    def _ops(self):
-        raise NotImplementedError
+class NumpyBackend(ArrayBackend):
+    """Vectorized ``(tasks, layers)`` evaluation (the default)."""
+
+    name = "numpy"
+    description = "vectorized numpy engine (default)"
+
+    @classmethod
+    def available(cls) -> bool:
+        return _np is not None
+
+    @classmethod
+    def unavailable_reason(cls) -> Optional[str]:
+        if _np is None:
+            return "numpy is not importable on this interpreter"
+        return None
 
     # -- op-level primitives -------------------------------------------
     def ordered_sum(self, terms):
-        ops = self._ops()
-        terms = ops.asarray(terms, dtype=ops.float64)
-        acc = ops.zeros(terms.shape[0], ops.float64)
-        for l in range(terms.shape[1]):  # layer order == scalar order
-            acc = acc + terms[:, l]
-        return ops.to_host(acc)
+        return _row_sums(_np.asarray(terms, dtype=_np.float64))
 
     def ordered_max(self, terms):
-        ops = self._ops()
-        terms = ops.asarray(terms, dtype=ops.float64)
-        acc = ops.copy(terms[:, 0])
-        for l in range(1, terms.shape[1]):
-            acc = ops.maximum(acc, terms[:, l])
-        return ops.to_host(acc)
+        return _np.asarray(terms, dtype=_np.float64).max(axis=1)
 
     def prune_mask(
         self, bounds, positions, incumbent_fitness, incumbent_index
     ):
-        ops = self._ops()
-        bounds = ops.asarray(bounds, dtype=ops.float64)
-        positions = ops.asarray(positions, dtype=ops.int64)
+        bounds = _np.asarray(bounds, dtype=_np.float64)
+        positions = _np.asarray(positions, dtype=_np.int64)
         values = bounds[positions]
-        mask = (values < incumbent_fitness) | (
+        return (values < incumbent_fitness) | (
             (values == incumbent_fitness)
             & (positions > incumbent_index)
         )
-        return ops.to_host(mask)
 
     def decode_population(self, genes):
-        ops = self._ops()
-        genes = ops.asarray(genes, dtype=ops.int64)
-        decoded = self._decode_dev(ops, genes)
-        return tuple(ops.to_host(a) for a in decoded)
+        return _decode(_np.asarray(genes, dtype=_np.int64))
 
     def mesh_hops(self, a, b, cols):
-        ops = self._ops()
-        a = ops.asarray(a, dtype=ops.int64)
-        b = ops.asarray(b, dtype=ops.int64)
-        cols = ops.asarray(cols, dtype=ops.int64)
-        return ops.to_host(self._hops_dev(ops, a, b, cols))
-
-    # -- device-side helpers -------------------------------------------
-    @staticmethod
-    def _manhattan_dev(ops, a, b):
-        """Hops between two ``(row, col)`` mesh positions."""
-        return ops.abs(a[0] - b[0]) + ops.abs(a[1] - b[1])
-
-    @staticmethod
-    def _hops_dev(ops, a, b, cols):
-        return VectorBackend._manhattan_dev(
-            ops, ops.divmod(a, cols), ops.divmod(b, cols)
+        return _hops(
+            _np.asarray(a, dtype=_np.int64),
+            _np.asarray(b, dtype=_np.int64),
+            _np.asarray(cols, dtype=_np.int64),
         )
-
-    @staticmethod
-    def _decode_dev(ops, genes):
-        """(owners, is_owner, total_macros, group_start, group_len) on
-        the device; contiguous owner groups in layer order, exactly as
-        ``MacroPartition.from_gene`` assigns them."""
-        n = genes.shape[1]
-        owners, counts = ops.divmod(genes, _ENCODING_BASE)
-        layer_idx = ops.arange(n)
-        is_owner = owners == layer_idx[None, :]
-        sizes = ops.where(is_owner, counts, 0)
-        group_starts_by_owner = ops.cumsum1(sizes) - sizes
-        total_macros = ops.sum1(sizes)
-        group_start = ops.take_along(group_starts_by_owner, owners)
-        group_len = ops.take_along(counts, owners)
-        return owners, is_owner, total_macros, group_start, group_len
-
-    @staticmethod
-    def _ordered_sum_dev(ops, terms):
-        acc = ops.zeros(terms.shape[0], ops.float64)
-        for l in range(terms.shape[1]):
-            acc = acc + terms[:, l]
-        return acc
-
-    @staticmethod
-    def _ordered_max_dev(ops, terms):
-        acc = ops.copy(terms[:, 0])
-        for l in range(1, terms.shape[1]):
-            acc = ops.maximum(acc, terms[:, l])
-        return acc
 
     # -- fused kernels -------------------------------------------------
     def compute_bounds(self, grid: TaskGrid):
-        ops = self._ops()
-        with ops.errstate():
-            total_blocks = ops.asarray(
-                grid.total_blocks, dtype=ops.int64
-            )
-            inputs_per_block = ops.asarray(
-                grid.inputs_per_block, dtype=ops.int64
-            )
-            outputs_per_block = ops.asarray(
-                grid.outputs_per_block, dtype=ops.int64
-            )
-            group_cap = ops.asarray(grid.group_cap, dtype=ops.float64)
-            crossbars = ops.asarray(grid.crossbars, dtype=ops.int64)
-            conversions_pbb = ops.asarray(
-                grid.conversions_per_block_bit, dtype=ops.int64
-            )
-            bits = ops.asarray(grid.bits, dtype=ops.int64)
-            adc_power = ops.asarray(grid.adc_power, dtype=ops.float64)
-            vector_ops = ops.asarray(
-                grid.vector_ops, dtype=ops.float64
-            )
-            per_crossbar_fixed = ops.asarray(
-                grid.per_crossbar_fixed, dtype=ops.float64
-            )
-            peripheral_power = ops.asarray(
-                grid.peripheral_power, dtype=ops.float64
-            )
+        total_blocks = grid.total_blocks
+        bits = grid.bits[:, None]
+        with _np.errstate(all="ignore"):
             # Structural floor. Operation order mirrors the scalar
             # PerformanceEvaluator helpers: (blocks * bits) * latency,
             # ((blocks * per_block) * act_bytes) / bandwidth.
-            max_group = ops.maximum(
-                1, self._ordered_max_dev(ops, group_cap)
-            )
-            bandwidth = grid.edram_bandwidth * max_group
-            mvm = (
-                total_blocks * bits[:, None]
-            ) * grid.crossbar_latency
+            max_group = _np.maximum(1, grid.group_cap.max(axis=1))
+            bandwidth = (grid.edram_bandwidth * max_group)[:, None]
+            mvm = (total_blocks * bits) * grid.crossbar_latency
             load = (
-                (total_blocks * inputs_per_block) * grid.act_bytes
-            ) / bandwidth[:, None]
+                (total_blocks * grid.inputs_per_block) * grid.act_bytes
+            ) / bandwidth
             store = (
-                (total_blocks * outputs_per_block) * grid.act_bytes
-            ) / bandwidth[:, None]
-            stage = ops.maximum(ops.maximum(mvm, load), store)
-            period_floor = self._ordered_max_dev(ops, stage)
+                (total_blocks * grid.outputs_per_block) * grid.act_bytes
+            ) / bandwidth
+            period_floor = _np.maximum(
+                _np.maximum(mvm, load), store
+            ).max(axis=1)
 
             # Fixed-overhead floor (integer sums are exact in any order).
-            total_crossbars = ops.sum1(crossbars)
             fixed = (
                 grid.min_macros * grid.per_macro_fixed
-                + total_crossbars * per_crossbar_fixed
+                + grid.crossbars.sum(axis=1) * grid.per_crossbar_fixed
             )
-            available = peripheral_power - fixed
+            available = grid.peripheral_power - fixed
 
             # Eq. 6 power floor with the rule-b sharing halving.
-            conversions = (
-                total_blocks * bits[:, None]
-            ) * conversions_pbb
-            adc_wl = ops.astype(conversions, ops.float64)
-            alu_wl = adc_wl + vector_ops[None, :]
-            adc_denom = self._ordered_sum_dev(
-                ops, adc_power * adc_wl / grid.adc_sample_rate
+            adc_wl = (
+                (total_blocks * bits) * grid.conversions_per_block_bit
+            ).astype(_np.float64)
+            alu_wl = adc_wl + grid.vector_ops
+            adc_denom = _row_sums(
+                grid.adc_power * adc_wl / grid.adc_sample_rate
             )
-            alu_denom = self._ordered_sum_dev(
-                ops, grid.alu_power * alu_wl / grid.alu_frequency
+            alu_denom = _row_sums(
+                grid.alu_power * alu_wl / grid.alu_frequency
             )
             if grid.macro_sharing:
                 adc_denom = adc_denom / 2.0
-            period = ops.maximum(
+            period = _np.maximum(
                 period_floor, (adc_denom + alu_denom) / available
             )
-            result = ops.where(
+            return _np.where(
                 available <= 0,
                 0.0,
-                ops.where(period <= 0, math.inf, 1.0 / period),
+                _np.where(period <= 0, math.inf, 1.0 / period),
             )
-            return ops.to_host(result)
-
-    @staticmethod
-    def _row_sums_dev(ops, terms):
-        """Left-to-right row sums of ``(P, L)`` terms: the last column
-        of a sequential ``cumsum``. Bit-identical to the loops'
-        ``acc = 0.0; acc = acc + term`` when no partial sum is ``-0.0``
-        — callers pass non-negative terms, with a skipped term set to
-        ``+0.0``, which adds exactly nothing."""
-        return ops.cumsum1(terms)[:, -1]
 
     def score_population(self, ctx: PopulationContext, genes):
-        """Vectorized batch-eval kernel, written against the adapter.
+        """Vectorized batch-eval kernel.
 
         Per-layer and per-edge quantities are whole ``(population,
         layers)`` and ``(population, edges)`` array ops over the
         context's gene-free index arrays; the only Python loops run
         over ``ctx.out_slots`` (at most the largest out-degree) and
         ``ctx.levels`` (the DAG depth). Every step keeps the loop
-        kernel's IEEE-754 evaluation order, so exact adapters return
-        its bits:
+        kernel's IEEE-754 evaluation order, so the result is its bits:
 
         * elementwise formulas are the loops', operand for operand;
         * ordered sums (rule-b savings, the ADC and ALU power accounts)
-          are :meth:`_row_sums_dev` over term arrays — no term is
-          negative and a skipped one is ``+0.0``, so these are the
-          loops' adds, in layer order; the owner side of a sharing
-          pair keeps the loops' last write, its largest sharer;
+          are :func:`_row_sums` over term arrays — no term is negative
+          and a skipped one is ``+0.0``, so these are the loops' adds,
+          in layer order; the owner side of a sharing pair keeps the
+          loops' last write, its largest sharer;
         * ``comm`` starts as the partial-sum merge term, and each
           producer's activation transfers are folded in one out-edge
           slot at a time, i.e. in its left-to-right edge order;
         * stage maxima, the period and the latency forward pass are
           ``max`` reductions, exact in any grouping, so the forward
           pass runs one topological level at a time.
-
-        The index arrays stay host numpy in ``ctx``; the elementwise
-        math runs on the adapter's device, where GPU scans and
-        reductions fall under the 1e-9 tolerance contract.
         """
-        if _np is None:  # pragma: no cover - ctx assembly needs numpy
-            raise ConfigurationError(
-                "batched evaluation requires numpy (the "
-                "PopulationContext arrays are numpy even for the "
-                "loop backends)"
-            )
-        ops = self._ops()
-        genes_host = _np.asarray(genes, dtype=_np.int64)
-        pop, n = genes_host.shape
-
-        def index(host):
-            return ops.asarray(host, dtype=ops.int64)
-
-        with ops.errstate():
-            genes_d = ops.asarray(genes_host, dtype=ops.int64)
+        genes = _np.asarray(genes, dtype=_np.int64)
+        pop, n = genes.shape
+        adc_wl = ctx.adc_wl[None, :]
+        alu_wl = ctx.alu_wl[None, :]
+        adc_powers = ctx.adc_powers
+        with _np.errstate(all="ignore"):
             owners, is_owner, total_macros, group_start, group_len = (
-                self._decode_dev(ops, genes_d)
+                _decode(genes)
             )
-            layer_idx = ops.arange(n)
-            # Device copies of the per-layer context arrays that feed
-            # elementwise math (scalars stay host python floats/ints).
-            adc_wl = ops.asarray(ctx.adc_wl, dtype=ops.float64)
-            alu_wl = ops.asarray(ctx.alu_wl, dtype=ops.float64)
-            adc_powers = ops.asarray(ctx.adc_powers, dtype=ops.float64)
-            mvm = ops.asarray(ctx.mvm, dtype=ops.float64)
-            load_num = ops.asarray(ctx.load_num, dtype=ops.float64)
-            store_num = ops.asarray(ctx.store_num, dtype=ops.float64)
+            layer_idx = _np.arange(n, dtype=_np.int64)
 
             # -- Eq. 6 allocation + rule-b sharing ---------------------
             fixed = (
-                ops.astype(total_macros, ops.float64)
-                * ctx.per_macro_fixed
+                total_macros.astype(_np.float64) * ctx.per_macro_fixed
                 + ctx.crossbar_fixed
             )
             available = ctx.peripheral_power - fixed
             feasible = available > 0.0
             if ctx.identical_macros:
                 macro_count = group_len  # every group has >= 1 macro
-                adc_demand = ops.max1(adc_wl[None, :] / macro_count)
-                alu_demand = ops.max1(alu_wl[None, :] / macro_count)
+                adc_demand = (adc_wl / macro_count).max(axis=1)
+                alu_demand = (alu_wl / macro_count).max(axis=1)
                 adc_share_weight = (
                     ctx.adc_power_unit * adc_demand / ctx.adc_rate
                 )
@@ -1240,365 +930,219 @@ class VectorBackend(ArrayBackend):
                 )
                 bank = per_macro_adc[:, None] * macro_count
                 lanes = per_macro_alu[:, None] * macro_count
-                adc_delay = adc_wl[None, :] / (ctx.adc_rate * bank)
-                alu_delay = alu_wl[None, :] / (ctx.alu_rate * lanes)
+                adc_delay = adc_wl / (ctx.adc_rate * bank)
+                alu_delay = alu_wl / (ctx.alu_rate * lanes)
                 adc_alu_power = adc_power_total + alu_power_total
             else:
                 if ctx.denom <= 0:
                     # Gene-independent: the scalar path raises for
                     # every gene.
-                    feasible = ops.zeros(pop, ops.bool_)
+                    feasible = _np.zeros(pop, dtype=bool)
                 balanced_delay = ctx.denom / available
-                adc_alloc = adc_wl[None, :] / (
+                adc_alloc = adc_wl / (
                     ctx.adc_rate * balanced_delay
                 )[:, None]
-                alu_alloc = alu_wl[None, :] / (
+                alu_alloc = alu_wl / (
                     ctx.alu_rate * balanced_delay
                 )[:, None]
 
                 # Sharing post-pass (rule b): every sharer layer i
                 # against its owner j = owners[:, i] at once.
-                savings = ops.zeros(pop, ops.float64)
-                partner = ops.full((pop, n), -1, ops.int64)
+                savings = _np.zeros(pop, dtype=_np.float64)
+                partner = _np.full((pop, n), -1, dtype=_np.int64)
                 if ctx.enable_macro_sharing:
-                    a_j = ops.take_along(adc_alloc, owners)
+                    a_j = _np.take_along_axis(adc_alloc, owners, axis=1)
                     p_j = adc_powers[owners]
                     p_i = adc_powers[None, :]
                     separate = p_j * a_j + p_i * adc_alloc
-                    merged = ops.maximum(p_j, p_i) * ops.maximum(
+                    merged = _np.maximum(p_j, p_i) * _np.maximum(
                         a_j, adc_alloc
                     )
                     include = ~is_owner & (merged < separate)
-                    savings = self._row_sums_dev(
-                        ops, ops.where(include, separate - merged, 0.0)
+                    savings = _row_sums(
+                        _np.where(include, separate - merged, 0.0)
                     )
                     # The oracle pairs i -> j and j -> i in ascending i,
                     # so an owner keeps its largest included sharer.
                     claims = include[:, :, None] & (
                         owners[:, :, None] == layer_idx[None, None, :]
                     )
-                    owner_side = ops.max1(
-                        ops.where(claims, layer_idx[None, :, None], -1)
-                    )
-                    partner = ops.where(include, owners, owner_side)
+                    owner_side = _np.where(
+                        claims, layer_idx[None, :, None], -1
+                    ).max(axis=1)
+                    partner = _np.where(include, owners, owner_side)
 
                 apply_scale = (savings > 0.0) & (savings < available)
-                scale = ops.where(
+                scale = _np.where(
                     apply_scale,
-                    available / ops.where(
+                    available / _np.where(
                         apply_scale, available - savings, 1.0
                     ),
                     1.0,
-                )
+                )[:, None]
 
                 has_partner = partner >= 0
-                partner_idx = ops.where(has_partner, partner, 0)
-                partner_alloc = ops.take_along(adc_alloc, partner_idx)
-                bank = (
-                    ops.maximum(adc_alloc, partner_alloc)
-                    * scale[:, None]
+                partner_idx = _np.where(has_partner, partner, 0)
+                partner_alloc = _np.take_along_axis(
+                    adc_alloc, partner_idx, axis=1
                 )
-                distance = ops.abs(layer_idx[None, :] - partner_idx)
-                overlap = ops.maximum(
+                bank = _np.maximum(adc_alloc, partner_alloc) * scale
+                distance = _np.abs(layer_idx[None, :] - partner_idx)
+                overlap = _np.maximum(
                     0.0,
                     1.0 - distance / max(1, ctx.overlap_window),
                 )
-                effective_adc = ops.where(
+                effective_adc = _np.where(
                     has_partner,
                     bank / (1.0 + overlap),
-                    adc_alloc * scale[:, None],
+                    adc_alloc * scale,
                 )
-                effective_alu = alu_alloc * scale[:, None]
-                adc_delay = adc_wl[None, :] / (
-                    ctx.adc_rate * effective_adc
-                )
-                alu_delay = alu_wl[None, :] / (
-                    ctx.alu_rate * effective_alu
-                )
+                effective_alu = alu_alloc * scale
+                adc_delay = adc_wl / (ctx.adc_rate * effective_adc)
+                alu_delay = alu_wl / (ctx.alu_rate * effective_alu)
 
                 # Power drawn: a shared bank is counted once, at the
                 # pair's first (owner-side) index.
-                solo = (adc_powers[None, :] * adc_alloc) * scale[:, None]
-                pair = ops.maximum(
+                solo = (adc_powers[None, :] * adc_alloc) * scale
+                pair = _np.maximum(
                     adc_powers[None, :], adc_powers[partner_idx]
                 ) * bank
                 counted = ~has_partner | (
                     partner_idx > layer_idx[None, :]
                 )
-                adc_power_used = self._row_sums_dev(
-                    ops,
-                    ops.where(
-                        counted, ops.where(has_partner, pair, solo), 0.0
-                    ),
+                adc_power_used = _row_sums(
+                    _np.where(
+                        counted, _np.where(has_partner, pair, solo), 0.0
+                    )
                 )
-                alu_power_used = self._row_sums_dev(
-                    ops, (ctx.alu_power * alu_alloc) * scale[:, None]
+                alu_power_used = _row_sums(
+                    (ctx.alu_power * alu_alloc) * scale
                 )
                 adc_alu_power = adc_power_used + alu_power_used
 
             # -- §IV-B stage times -------------------------------------
             bandwidth = ctx.edram_bandwidth * group_len
-            load = load_num[None, :] / bandwidth
-            store = store_num[None, :] / bandwidth
-            cols = ops.maximum(
+            load = ctx.load_num[None, :] / bandwidth
+            store = ctx.store_num[None, :] / bandwidth
+            cols = _np.maximum(
                 1,
-                ops.astype(
-                    ops.ceil(
-                        ops.sqrt(ops.maximum(1, total_macros))
-                    ),
-                    ops.int64,
-                ),
+                _np.ceil(
+                    _np.sqrt(_np.maximum(1, total_macros))
+                ).astype(_np.int64),
             )[:, None]
             # Partial-sum merge of the row-tiled layers spanning more
             # than one macro; comm starts here, as 0.0 + merge == merge.
-            comm = ops.zeros((pop, n), ops.float64)
+            comm = _np.zeros((pop, n), dtype=_np.float64)
             tiled = ctx.merge_layers
-            columns = index(tiled)
-            length = group_len[:, columns]
-            start = group_start[:, columns]
-            neighbor = self._hops_dev(ops, start, start + 1, cols)
-            per_round_bytes = ops.asarray(
-                ctx.per_round_num[tiled], dtype=ops.float64
-            ) / length
-            per_block = ops.asarray(
-                ctx.merge_rounds[tiled], dtype=ops.int64
-            ) * (
+            length = group_len[:, tiled]
+            start = group_start[:, tiled]
+            neighbor = _hops(start, start + 1, cols)
+            per_round_bytes = ctx.per_round_num[tiled] / length
+            per_block = ctx.merge_rounds[tiled] * (
                 per_round_bytes / ctx.noc_port_bandwidth
-                + ops.maximum(1, neighbor) * ctx.noc_hop_latency
+                + _np.maximum(1, neighbor) * ctx.noc_hop_latency
             )
-            merge_time = ops.asarray(
-                ctx.total_blocks[tiled], dtype=ops.int64
-            ) * per_block
-            comm[:, columns] = ops.where(length > 1, merge_time, 0.0)
+            merge_time = ctx.total_blocks[tiled] * per_block
+            comm[:, tiled] = _np.where(length > 1, merge_time, 0.0)
 
             # Activation transfers of every inter-layer edge at once:
             # the four-corner hop minimum between the group ranges' end
             # macros, serialization over the narrower group, head flits.
-            src = index(ctx.comm_producer)
-            dst = index(ctx.comm_consumer)
+            src = ctx.comm_producer
+            dst = ctx.comm_consumer
             last = group_start + group_len - 1
             s0, s1, d0, d1 = (
-                ops.divmod(macro, cols) for macro in (
+                _np.divmod(macro, cols) for macro in (
                     group_start[:, src], last[:, src],
                     group_start[:, dst], last[:, dst],
                 )
             )
-            hops = ops.minimum(
-                ops.minimum(
-                    self._manhattan_dev(ops, s0, d0),
-                    self._manhattan_dev(ops, s1, d0),
-                ),
-                ops.minimum(
-                    self._manhattan_dev(ops, s0, d1),
-                    self._manhattan_dev(ops, s1, d1),
-                ),
+            hops = _np.minimum(
+                _np.minimum(_manhattan(s0, d0), _manhattan(s1, d0)),
+                _np.minimum(_manhattan(s0, d1), _manhattan(s1, d1)),
             )
-            ports = ops.minimum(group_len[:, src], group_len[:, dst])
-            serialization = ops.asarray(
-                ctx.out_bytes[ctx.comm_producer], dtype=ops.float64
-            ) / (ctx.noc_port_bandwidth * ports)
-            head = (
-                ops.asarray(
-                    ctx.total_blocks[ctx.comm_producer], dtype=ops.int64
-                ) * hops
-            ) * ctx.noc_hop_latency
+            ports = _np.minimum(group_len[:, src], group_len[:, dst])
+            serialization = ctx.out_bytes[src] / (
+                ctx.noc_port_bandwidth * ports
+            )
+            head = (ctx.total_blocks[src] * hops) * ctx.noc_hop_latency
             # An edge inside one macro group moves nothing; its +0.0
             # term leaves the never-negative comm bit-for-bit unchanged.
-            transfer = ops.where(
+            transfer = _np.where(
                 owners[:, src] == owners[:, dst], 0.0, serialization + head
             )
             # Slot k adds each producer's k-th out-edge, so every
             # producer sums its transfers in the loops' edge order.
             for producers, edges in ctx.out_slots:
-                columns = index(producers)
-                comm[:, columns] = comm[:, columns] + transfer[:, index(edges)]
+                comm[:, producers] = comm[:, producers] + transfer[:, edges]
 
-            stage_total = ops.maximum(mvm[None, :], adc_delay)
-            stage_total = ops.maximum(stage_total, alu_delay)
-            stage_total = ops.maximum(stage_total, load)
-            stage_total = ops.maximum(stage_total, store)
-            stage_total = ops.maximum(stage_total, comm)
+            stage_total = _np.maximum(ctx.mvm[None, :], adc_delay)
+            stage_total = _np.maximum(stage_total, alu_delay)
+            stage_total = _np.maximum(stage_total, load)
+            stage_total = _np.maximum(stage_total, store)
+            stage_total = _np.maximum(stage_total, comm)
 
-            period = ops.max1(stage_total)
-            bottleneck = ops.argmax1(stage_total)
+            period = stage_total.max(axis=1)
+            bottleneck = stage_total.argmax(axis=1)
 
             # Fine-grained pipeline latency, one topological level at a
             # time: a layer starts at the latest of its producers'
             # start + stage * fraction. Every candidate is a
             # non-negative start plus a non-negative share, so the
             # loops' 0.0 seed never changes the max.
-            shares = stage_total[:, index(ctx.lat_producer)] * ops.asarray(
-                ctx.lat_fraction, dtype=ops.float64
-            )
-            starts = ops.zeros((pop, n), ops.float64)
+            shares = stage_total[:, ctx.lat_producer] * ctx.lat_fraction
+            starts = _np.zeros((pop, n), dtype=_np.float64)
             for consumers, producers, edges in ctx.levels:
-                starts[:, index(consumers)] = ops.max1(
-                    starts[:, index(producers)] + shares[:, index(edges)]
-                )
-            latency = ops.max1(starts + stage_total)
+                starts[:, consumers] = (
+                    starts[:, producers] + shares[:, edges]
+                ).max(axis=1)
+            latency = (starts + stage_total).max(axis=1)
 
             # -- power account + derived metrics -----------------------
             power = ctx.rram_power + (fixed + adc_alu_power)
             throughput = 1.0 / period
             tops = ctx.macs2 / period / 1e12
-            tops_per_watt = ops.where(power > 0, tops / power, 0.0)
+            tops_per_watt = _np.where(power > 0, tops / power, 0.0)
             energy = power * latency
             edp = energy * latency
 
-            def _mask(values):
-                return ops.where(feasible, values, 0.0)
+        def _mask(values):
+            return _np.where(feasible, values, 0.0)
 
-            return PopulationScores(
-                feasible=ops.to_host(feasible),
-                fitness=ops.to_host(_mask(throughput)),
-                period=ops.to_host(_mask(period)),
-                latency=ops.to_host(_mask(latency)),
-                throughput=ops.to_host(_mask(throughput)),
-                tops=ops.to_host(_mask(tops)),
-                power=ops.to_host(_mask(power)),
-                tops_per_watt=ops.to_host(_mask(tops_per_watt)),
-                energy_per_image=ops.to_host(_mask(energy)),
-                edp=ops.to_host(_mask(edp)),
-                bottleneck_layer=ops.to_host(
-                    ops.where(feasible, bottleneck, -1)
-                ),
-                num_macros=ops.to_host(
-                    ops.where(feasible, total_macros, 0)
-                ),
-            )
+        return PopulationScores(
+            feasible=feasible,
+            fitness=_mask(throughput),
+            period=_mask(period),
+            latency=_mask(latency),
+            throughput=_mask(throughput),
+            tops=_mask(tops),
+            power=_mask(power),
+            tops_per_watt=_mask(tops_per_watt),
+            energy_per_image=_mask(energy),
+            edp=_mask(edp),
+            bottleneck_layer=_np.where(feasible, bottleneck, -1),
+            num_macros=_np.where(feasible, total_macros, 0),
+        )
 
 
-class NumpyBackend(VectorBackend):
-    """Vectorized ``(tasks, layers)`` evaluation (the default)."""
-
-    name = "numpy"
-    description = "vectorized numpy engine (default)"
-    _ops_cache: Optional[_ArrayOps] = None
-
-    @classmethod
-    def available(cls) -> bool:
-        return _np is not None
-
-    @classmethod
-    def unavailable_reason(cls) -> Optional[str]:
-        if _np is None:  # pragma: no cover - the image bakes numpy in
-            return "numpy is not importable on this interpreter"
-        return None
-
-    def _ops(self):
-        if NumpyBackend._ops_cache is None:
-            NumpyBackend._ops_cache = _ArrayOps(_np)
-        return NumpyBackend._ops_cache
-
-
-class CupyBackend(VectorBackend):
-    """The vectorized engine on CUDA through cupy (numpy drop-in).
-
-    Registered unconditionally, like a device technology; available
-    only when cupy imports *and* a CUDA device is present. Float
-    kernels are held to the 1e-9 relative GPU tolerance; integer and
-    geometry outputs stay exact.
-    """
-
-    name = "cupy"
-    description = "cupy CUDA engine (optional dependency, GPU)"
-    exact = False
-    float_tolerance = 1e-9
-    _ops_cache: Optional[_CupyOps] = None
-
-    @classmethod
-    def available(cls) -> bool:
-        if _np is None:
-            return False
-        try:
-            import cupy
-
-            return int(cupy.cuda.runtime.getDeviceCount()) > 0
-        except Exception:
-            return False
-
-    @classmethod
-    def unavailable_reason(cls) -> Optional[str]:
-        if not cls.available():
-            return (
-                "cupy with a visible CUDA device is required "
-                "(install cupy and run on a GPU host to enable it)"
-            )
-        return None  # pragma: no cover - needs a CUDA device
-
-    def _ops(self):  # pragma: no cover - needs a CUDA device
-        if CupyBackend._ops_cache is None:
-            import cupy
-
-            CupyBackend._ops_cache = _CupyOps(cupy)
-        return CupyBackend._ops_cache
-
-
-class TorchBackend(VectorBackend):
-    """The vectorized engine on torch tensors (CUDA when available).
-
-    Falls back to CPU tensors without a GPU — still useful as an
-    independent execution engine for conformance cross-checks. Float
-    kernels are held to the 1e-9 relative GPU tolerance; integer and
-    geometry outputs stay exact.
-    """
-
-    name = "torch"
-    description = "torch tensor engine (optional dependency, GPU/CPU)"
-    exact = False
-    float_tolerance = 1e-9
-    _ops_cache: Optional[_TorchOps] = None
-
-    @classmethod
-    def available(cls) -> bool:
-        if _np is None:
-            return False
-        try:
-            import torch  # noqa: F401
-        except Exception:
-            return False
-        return True
-
-    @classmethod
-    def unavailable_reason(cls) -> Optional[str]:
-        if not cls.available():
-            return (
-                "torch is not importable on this interpreter "
-                "(install torch to enable the tensor backend)"
-            )
-        return None  # pragma: no cover - torch present
-
-    def _ops(self):  # pragma: no cover - needs torch installed
-        if TorchBackend._ops_cache is None:
-            import torch
-
-            device = "cuda" if torch.cuda.is_available() else "cpu"
-            TorchBackend._ops_cache = _TorchOps(torch, device)
-        return TorchBackend._ops_cache
-
-
+# ----------------------------------------------------------------------
+# The loop engines
+# ----------------------------------------------------------------------
 class PythonBackend(ArrayBackend):
     """Dependency-free scalar loops — the conformance reference."""
 
     name = "python"
     description = "pure-Python loop engine (reference / fallback)"
 
-    @staticmethod
-    def _rows(terms) -> List[Sequence[float]]:
-        return [list(row) for row in terms]
-
     def ordered_sum(self, terms):
-        out = []
-        for row in self._rows(terms):
-            acc = 0.0
-            for value in row:
-                acc = acc + float(value)
-            out.append(acc)
-        return out
+        return [
+            mathutils.ordered_sum(float(value) for value in row)
+            for row in terms
+        ]
 
     def ordered_max(self, terms):
         out = []
-        for row in self._rows(terms):
+        for row in terms:
             acc = float(row[0])
             for value in row[1:]:
                 value = float(value)
@@ -1810,94 +1354,40 @@ class NumbaBackend(PythonBackend):
 
 
 # ----------------------------------------------------------------------
-# Registry (mirrors repro.hardware.tech)
+# The engine table
 # ----------------------------------------------------------------------
-#: Names whose engines are defined by this module and cannot be
-#: replaced with different implementations.
-BUILTIN_BACKENDS: Tuple[str, ...] = (
-    "numpy", "python", "numba", "cupy", "torch"
-)
+_BACKENDS: Dict[str, ArrayBackend] = {
+    backend.name: backend
+    for backend in (NumpyBackend(), PythonBackend(), NumbaBackend())
+}
 
-#: The backend every config selects unless told otherwise.
-DEFAULT_BACKEND = "numpy"
-
-_REGISTRY: Dict[str, ArrayBackend] = {}
-
-
-def _ensure_builtins() -> None:
-    if not _REGISTRY:
-        for backend_cls in (
-            NumpyBackend, PythonBackend, NumbaBackend, CupyBackend,
-            TorchBackend,
-        ):
-            _REGISTRY[backend_cls.name] = backend_cls()
-
-
-def register_backend(
-    backend: ArrayBackend, replace: bool = False
-) -> ArrayBackend:
-    """Add a backend instance to the registry.
-
-    Re-registering an existing name requires ``replace=True``; the
-    built-in names can never be rebound to a different class (the
-    conformance suite and the CLI docs are defined against them) —
-    re-registering an instance of the *same* class is a no-op success.
-    """
-    _ensure_builtins()
-    if not isinstance(backend, ArrayBackend):
-        raise ConfigurationError(
-            f"expected an ArrayBackend, got {type(backend).__name__}"
-        )
-    if not backend.name or not isinstance(backend.name, str):
-        raise ConfigurationError(
-            "backend name must be a non-empty string"
-        )
-    existing = _REGISTRY.get(backend.name)
-    if backend.name in BUILTIN_BACKENDS:
-        if type(existing) is not type(backend):
-            raise ConfigurationError(
-                f"the built-in {backend.name!r} backend cannot be "
-                "replaced; register the engine under a new name"
-            )
-        return existing
-    if existing is not None and not replace:
-        raise ConfigurationError(
-            f"backend {backend.name!r} is already registered "
-            "(pass replace=True to update it)"
-        )
-    _REGISTRY[backend.name] = backend
-    return backend
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a user-registered backend (built-ins cannot be removed)."""
-    _ensure_builtins()
-    if name in BUILTIN_BACKENDS:
-        raise ConfigurationError(
-            f"the built-in {name!r} backend cannot be unregistered"
-        )
-    _REGISTRY.pop(name, None)
+#: The backend every config selects unless told otherwise: the
+#: vectorized engine when numpy imports, the loop oracle otherwise.
+DEFAULT_BACKEND = "numpy" if numpy_available() else "python"
 
 
 def get_backend(name: str = DEFAULT_BACKEND) -> ArrayBackend:
-    """Look up an *available* backend by name.
+    """Look up an *available* backend by name; an instance passes
+    through unchanged.
 
-    Unknown names and registered-but-unavailable backends (e.g.
-    ``numba`` without numba installed, ``cupy`` without a CUDA device)
-    both raise :class:`~repro.errors.ConfigurationError` with an
-    actionable message — configs fail fast at construction, not
-    mid-walk.
+    Unknown names and unavailable engines (``numba`` without numba
+    installed) both raise :class:`~repro.errors.ConfigurationError`
+    with an actionable message — configs fail fast at construction,
+    not mid-walk. The unknown-name message lists the selectable
+    engines, then every other one with the reason it is unavailable.
     """
-    _ensure_builtins()
     if isinstance(name, ArrayBackend):
         return name
-    try:
-        backend = _REGISTRY[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown backend {name!r}; available: "
-            f"{available_backends()}"
-        ) from None
+    backend = _BACKENDS.get(name)
+    if backend is None:
+        status = backend_status()
+        message = f"unknown backend {name!r}; available: " + str(
+            [other for other, ok, _ in status if ok]
+        )
+        for other, ok, reason in status:
+            if not ok:
+                message += f"; {other!r} is unavailable: {reason}"
+        raise ConfigurationError(message)
     if not backend.available():
         raise ConfigurationError(
             f"backend {name!r} is unavailable: "
@@ -1907,18 +1397,15 @@ def get_backend(name: str = DEFAULT_BACKEND) -> ArrayBackend:
 
 
 def available_backends() -> List[str]:
-    """Registered backend names, built-ins first, extras sorted."""
-    _ensure_builtins()
-    extras = sorted(n for n in _REGISTRY if n not in BUILTIN_BACKENDS)
-    return list(BUILTIN_BACKENDS) + extras
+    """Every backend name in table order, selectable here or not
+    (:func:`backend_status` says which)."""
+    return list(_BACKENDS)
 
 
 def backend_status() -> List[Tuple[str, bool, str]]:
     """(name, available, description-or-reason) for every backend."""
-    _ensure_builtins()
     rows = []
-    for name in available_backends():
-        backend = _REGISTRY[name]
+    for name, backend in _BACKENDS.items():
         ok = backend.available()
         note = backend.description if ok else (
             backend.unavailable_reason() or "unavailable"

@@ -17,8 +17,8 @@ balanced delay, the ADC-sharing post-pass, stage times, the
 fine-grained pipeline latency and the power account — runs as one fused
 :meth:`repro.core.backend.ArrayBackend.score_population` kernel on the
 configured array backend (``SynthesisConfig.backend``): vectorized
-numpy by default, pure-Python loops as the oracle, the same loops
-numba-JIT'd, or a GPU engine (cupy / torch) when available.
+numpy by default, pure-Python loops as the oracle, or the same loops
+numba-JIT'd.
 
 Exactness contract
 ------------------
@@ -27,13 +27,10 @@ approximation: every formula is evaluated with the *same operation
 order* as the scalar code (`allocate_components` /
 ``PerformanceEvaluator.evaluate``), and IEEE-754 float64 arithmetic is
 deterministic, so batched metrics are bit-identical to the scalar ones
-wherever the scalar path is defined — on every *exact* backend
-(numpy / python / numba). Cross-layer reductions that the scalar code
-performs as ordered Python sums are likewise accumulated in layer
-order. GPU backends are held to the documented 1e-9 relative tolerance
-on float kernels (integer outputs stay exact), and full synthesis still
-reports bit-identical solutions because the explorer re-scores the
-winning gene through the scalar oracle.
+wherever the scalar path is defined, on every backend (numpy, python
+and numba). Cross-layer reductions that the scalar code performs as
+ordered sums (:func:`repro.utils.mathutils.ordered_sum`) are likewise
+accumulated in layer order.
 ``tests/test_batch_eval_differential.py`` pins the scalar contract
 across the entire model zoo, ``tests/test_batch_eval_backend_
 differential.py`` pins it per backend, and full synthesis selects the
@@ -74,6 +71,7 @@ from repro.hardware.crossbar import required_adc_resolution
 from repro.hardware.power import PowerBudget
 from repro.ir.builder import DataflowBuilder, DataflowSpec
 from repro.nn.workload import model_macs
+from repro.utils.mathutils import ordered_sum
 
 Gene = Tuple[int, ...]
 
@@ -168,7 +166,7 @@ class BatchPerformanceEvaluator:
     def context(self) -> PopulationContext:
         """The gene-independent scoring context handed to the backend
         (one per evaluator; the conformance tier scores it through
-        every registered backend)."""
+        every backend)."""
         return self._ctx
 
     def _precompute(self) -> None:
@@ -236,10 +234,10 @@ class BatchPerformanceEvaluator:
         ]
         adc_rate = params.adc_sample_rate
         alu_rate = params.alu_frequency
-        # Ordered Python sums, identical to allocate_components.
-        denom = sum(
+        # Ordered sums, identical to allocate_components.
+        denom = ordered_sum(
             p * wl / adc_rate for p, wl in zip(adc_powers, adc_wl)
-        ) + sum(
+        ) + ordered_sum(
             params.alu_power * wl / alu_rate for wl in alu_wl
         )
 

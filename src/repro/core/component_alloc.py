@@ -36,6 +36,7 @@ from repro.hardware.power import PowerBudget
 from repro.ir.builder import LayerGeometry
 from repro.nn.model import CNNModel
 from repro.nn.workload import vector_op_workload
+from repro.utils.mathutils import ordered_sum
 
 
 @dataclass
@@ -185,9 +186,9 @@ def allocate_components(
         )
 
     # Eq. 6 denominator: sum over layers and components of P*Wl/F.
-    denom = sum(
+    denom = ordered_sum(
         p * wl / adc_rate for p, wl in zip(adc_powers, adc_wl)
-    ) + sum(params.alu_power * wl / alu_rate for wl in alu_wl)
+    ) + ordered_sum(params.alu_power * wl / alu_rate for wl in alu_wl)
     if denom <= 0:
         raise InfeasibleError("no peripheral workload to allocate for")
 
@@ -258,7 +259,7 @@ def allocate_components(
             adc_power_used += max(adc_powers[idx], adc_powers[partner]) * bank
         else:
             adc_power_used += adc_powers[idx] * adc_alloc[idx] * scale
-    alu_power_used = sum(
+    alu_power_used = ordered_sum(
         params.alu_power * a * scale for a in alu_alloc
     )
 

@@ -157,15 +157,12 @@ class SynthesisConfig:
         Name of the array-execution backend every tensorized path
         runs on — the outer task-grid walk *and* the batched EA/NSGA/
         SA population scoring (see :mod:`repro.core.backend`):
-        ``"numpy"`` (default), ``"python"`` (loop reference),
-        ``"numba"`` (JIT), ``"cupy"`` / ``"torch"`` (GPU, when their
-        stacks import), or any registered third-party engine. Exact
-        backends are bit-identical by contract; GPU backends keep
-        integer outputs exact and float kernels within 1e-9 relative,
-        with winning genes re-scored on the scalar oracle — so the
-        choice is execution-only and excluded from content keys
-        either way. Unknown or unavailable names fail at
-        construction.
+        ``"numpy"`` (vectorized; the default when numpy imports),
+        ``"python"`` (the loop reference; the default without numpy)
+        or ``"numba"`` (the loops JIT-compiled, when numba imports).
+        Every backend is ``==`` to the loop reference by contract, so
+        the choice is execution-only and excluded from content keys.
+        Unknown or unavailable names fail at construction.
     sim_engine:
         Name of the cycle-simulator event-wheel engine every replay of
         this config's solutions runs on (see

@@ -29,6 +29,7 @@ from repro.hardware.params import HardwareParams
 from repro.hardware.power import PowerBudget
 from repro.ir.builder import DataflowSpec, DataflowBuilder, LayerGeometry
 from repro.nn.workload import model_macs
+from repro.utils.mathutils import ordered_sum
 
 
 @dataclass
@@ -154,7 +155,7 @@ def throughput_upper_bound(
 
     adc_wl, alu_wl = layer_workloads(spec.geometries, spec.model, spec.bits)
     adc_lo, adc_hi = params.adc_resolution_range
-    adc_denom = sum(
+    adc_denom = ordered_sum(
         params.adc_power_of(
             required_adc_resolution(
                 min(budget.xb_size, geo.rows), budget.res_rram,
@@ -164,7 +165,7 @@ def throughput_upper_bound(
         ) * wl / params.adc_sample_rate
         for geo, wl in zip(geometries, adc_wl)
     )
-    alu_denom = sum(
+    alu_denom = ordered_sum(
         params.alu_power * wl / params.alu_frequency for wl in alu_wl
     )
     if enable_macro_sharing:

@@ -129,13 +129,12 @@ def params_fingerprint(params: HardwareParams) -> str:
 #: excluded from content keys so a request replayed with different
 #: execution knobs still maps to the same stored result.
 #: ``grid_eval`` and ``backend`` join the set in PR 6: the tensorized
-#: outer walk and every registered array backend are bit-identical to
+#: outer walk and every array backend are bit-identical to
 #: the per-task scalar walk by contract (pinned by the grid-eval
 #: differential and backend conformance suites), so neither can change
 #: a result — only how fast it is computed. PR 9 extends ``backend``'s
 #: reach to the batched population scoring (EA/NSGA/SA hot path)
-#: under the same contract: exact engines are ``==``-identical, GPU
-#: engines are tolerance-bounded with winners re-scored on the scalar
+#: under the same contract: every engine is ``==`` to the scalar
 #: oracle, so the stored result still cannot move.
 #: ``sa_proposal_batch`` is deliberately *not* here: rounds larger than
 #: one change the SA walk (see :class:`repro.optim.annealing.

@@ -36,7 +36,7 @@ replicate the scalar oracle's IEEE-754 float64 operation order (ordered
 layer-axis reductions, left-associated products, exact integer
 intermediates), so ``bounds(tasks)[i]`` is bit-identical — ``==``, not
 merely close — to ``_TaskRunner.throughput_bound(tasks[i])`` for every
-task and every registered backend. ``tests/test_grid_eval_differential``
+task and every backend. ``tests/test_grid_eval_differential``
 pins this across the model zoo; the executor's pruning decisions (exact
 float comparisons against the incumbent) therefore cannot differ
 between the tensorized and the per-task walk.

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-# Single numpy gate: the backend registry owns the import (and its
+# Single numpy gate: repro.core.backend owns the import (and its
 # absence), so every tensorized path degrades identically.
 from repro.core.backend import get_backend, numpy_module
 from repro.core.config import SynthesisConfig

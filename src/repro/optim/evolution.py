@@ -78,7 +78,7 @@ class EvolutionEngine(Generic[Gene]):
         generation's offspring) are scored in one call — the batched
         engine of :mod:`repro.core.batch_eval` plugs in here, running
         its fused kernel on whichever :mod:`repro.core.backend` engine
-        ``SynthesisConfig.backend`` names (numpy / numba / GPU). The memo
+        ``SynthesisConfig.backend`` names (numpy / python / numba). The memo
         is consulted first, so cached genes are never re-evaluated and
         hit/miss accounting matches the scalar path exactly. Because
         evaluation consumes no randomness, batched and scalar runs walk

@@ -1,6 +1,6 @@
 """Pluggable execution engines for the cycle simulator's event wheel.
 
-Mirrors :mod:`repro.core.backend`'s registry contract, specialized to
+Follows :mod:`repro.core.backend`'s selection contract, specialized to
 the integer event wheel:
 
 - ``python`` — the object :class:`~repro.sim.cycle.machine.
@@ -344,7 +344,7 @@ class NumbaEngine(NumpyEngine):
 
 
 # ----------------------------------------------------------------------
-# Registry (mirrors repro.core.backend)
+# Registry (named, validated lookup, like repro.core.backend)
 # ----------------------------------------------------------------------
 #: Names whose engines are defined by this module and cannot be
 #: replaced with different implementations.

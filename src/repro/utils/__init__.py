@@ -14,6 +14,7 @@ from repro.utils.mathutils import (
     is_power_of_two,
     mean,
     next_power_of_two,
+    ordered_sum,
     stdev,
 )
 from repro.utils.rng import SeedSequence, make_rng
@@ -25,6 +26,7 @@ __all__ = [
     "is_power_of_two",
     "mean",
     "next_power_of_two",
+    "ordered_sum",
     "stdev",
     "SeedSequence",
     "make_rng",

@@ -49,6 +49,26 @@ def next_power_of_two(value: int) -> int:
     return 1 << (value - 1).bit_length()
 
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum, ``((0.0 + v0) + v1) + ...``.
+
+    The array kernels add cross-layer terms in layer order, one add at
+    a time, and the scalar oracle must add the same way to stay
+    bit-identical to them. Builtin :func:`sum` did so for floats until
+    Python 3.12, which made it compensated: ``sum([0.1] * 10)`` is
+    ``1.0`` there but ``0.9999999999999999`` left to right. Float sums
+    that a kernel reproduces go through this helper instead; integer
+    sums are exact either way and keep :func:`sum`.
+
+    >>> ordered_sum([0.1] * 10)
+    0.9999999999999999
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def mean(values: Iterable[float]) -> float:
     """Arithmetic mean; raises on an empty iterable."""
     data = list(values)
@@ -67,8 +87,8 @@ def stdev(values: Iterable[float]) -> float:
     data = list(values)
     if not data:
         raise ValueError("stdev of empty sequence")
-    mu = sum(data) / len(data)
-    return math.sqrt(sum((x - mu) ** 2 for x in data) / len(data))
+    mu = ordered_sum(data) / len(data)
+    return math.sqrt(ordered_sum((x - mu) ** 2 for x in data) / len(data))
 
 
 def geomean(values: Sequence[float]) -> float:

@@ -1,55 +1,51 @@
-"""Per-backend conformance for the array-execution registry.
+"""Per-backend conformance for the array-execution engines.
 
-Every registered :class:`~repro.core.backend.ArrayBackend` must return
-bit-identical values for the op-level primitives and the fused kernels
-(task-grid bounds *and* population scoring) — the ``python`` loop
-engine is the reference, since it executes the scalar oracle's
-operation order literally. The suite parametrizes over the registry, so
-a third-party backend registered before the run is held to the same
-contract, and a backend whose optional dependency is absent (``numba``
-without numba installed, ``cupy``/``torch`` without a GPU stack) is
+Every :class:`~repro.core.backend.ArrayBackend` in the engine table
+(numpy / python / numba) must return values ``==`` to the ``python``
+loop engine for the op-level primitives and the fused kernels
+(task-grid bounds *and* population scoring) — the loop engine is the
+reference, since it executes the scalar oracle's operation order
+literally. The suite parametrizes over the table, and an engine whose
+optional dependency is absent (``numba`` without numba installed) is
 *skipped with its own stated reason* rather than silently ignored.
 
-Exact backends (``exact = True``: numpy / python / numba) are compared
-with ``==`` on every output. GPU backends (``exact = False``) are held
-to the documented tolerance contract: integer / geometry outputs
-(decode, hops, feasibility, bottleneck, macro counts) stay ``==``-
-exact, float kernel outputs may diverge by at most ``float_tolerance``
-relative error.
-
-The registry's validation behavior (tech.py's pattern) is pinned too:
-unknown names, rebinding built-ins, duplicate registration, and
-selecting an unavailable engine all raise ConfigurationError with
-actionable messages. An AST guard keeps ``batch_eval.py`` and
-``grid_eval.py`` free of direct numpy imports — all array access goes
-through ``core.backend``.
+The lookup's validation behavior is pinned too: unknown names
+(``cupy`` and ``torch`` among them) and selecting an unavailable
+engine raise ConfigurationError with actionable messages, and the
+default config falls back to the loop engine without numpy. An AST
+guard keeps ``batch_eval.py`` and ``grid_eval.py`` free of
+direct numpy imports — all array access goes through
+``core.backend``.
 """
 
 from __future__ import annotations
 
 import ast
+import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
 from repro.core.backend import (
-    BUILTIN_BACKENDS,
     DEFAULT_BACKEND,
     ArrayBackend,
-    CupyBackend,
     NumbaBackend,
+    NumpyBackend,
     PythonBackend,
-    TorchBackend,
     available_backends,
     backend_status,
     get_backend,
     numpy_available,
-    register_backend,
-    unregister_backend,
 )
 from repro.core.config import SynthesisConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, PimsynError
+
+#: Names that are not engines, GPU stack names among them.
+UNKNOWN_NAMES = ("cuda", "torch", "cupy")
 
 pytestmark = pytest.mark.skipif(
     not numpy_available(),
@@ -225,10 +221,9 @@ def lenet_population():
     return evaluator.context, genes_arr, oracle
 
 
-#: PopulationScores fields that stay ``==``-exact on every backend,
-#: GPU included (the integer/geometry half of the tolerance contract).
+#: PopulationScores integer/flag fields.
 EXACT_SCORE_FIELDS = ("feasible", "bottleneck_layer", "num_macros")
-#: Float kernel outputs — exact backends ``==``, GPU ≤ float_tolerance.
+#: PopulationScores float kernel outputs.
 FLOAT_SCORE_FIELDS = (
     "fitness", "period", "latency", "throughput", "tops", "power",
     "tops_per_watt", "energy_per_image", "edp",
@@ -236,8 +231,7 @@ FLOAT_SCORE_FIELDS = (
 
 
 class TestBatchEvalPrimitiveConformance:
-    """decode_population / mesh_hops: integer-exact on every backend
-    (``==`` even for GPU engines — the geometry half of the contract)."""
+    """decode_population / mesh_hops: integer-exact on every backend."""
 
     @pytest.mark.parametrize("name", available_backends())
     def test_decode_population_matches_reference(
@@ -283,8 +277,8 @@ class TestBatchEvalPrimitiveConformance:
 
 
 class TestScorePopulationConformance:
-    """The fused batch-eval kernel, per backend, against the python
-    oracle: ``==`` for exact engines, ≤ float_tolerance for GPU."""
+    """The fused batch-eval kernel, per backend, ``==`` to the python
+    oracle on every field."""
 
     @pytest.mark.parametrize("name", available_backends())
     def test_exact_fields_bit_identical(self, name, lenet_population):
@@ -309,14 +303,7 @@ class TestScorePopulationConformance:
         for field in FLOAT_SCORE_FIELDS:
             got = np.asarray(getattr(scores, field), dtype=np.float64)
             want = np.asarray(getattr(oracle, field), dtype=np.float64)
-            if backend.exact:
-                assert np.array_equal(got, want), field
-            else:
-                tol = backend.float_tolerance
-                denom = np.maximum(np.abs(want), 1.0)
-                assert np.all(
-                    np.abs(got - want) <= tol * denom
-                ), field
+            assert np.array_equal(got, want), field
 
     @pytest.mark.parametrize("name", available_backends())
     def test_population_has_feasible_and_infeasible_lanes(
@@ -342,42 +329,6 @@ class TestScorePopulationConformance:
             assert np.all(np.asarray(scores.num_macros)[masked] == 0)
 
 
-class TestGpuRegistry:
-    """GPU backends registered like technologies: always listed,
-    selectable only when their stack imports, tolerance documented."""
-
-    @pytest.mark.parametrize("name", ("cupy", "torch"))
-    def test_gpu_backends_always_listed(self, name):
-        assert name in available_backends()
-        status = {n: ok for n, ok, _ in backend_status()}
-        cls = {"cupy": CupyBackend, "torch": TorchBackend}[name]
-        assert status[name] is cls.available()
-
-    @pytest.mark.parametrize("cls", (CupyBackend, TorchBackend))
-    def test_gpu_tolerance_contract_documented(self, cls):
-        assert cls.exact is False
-        assert cls.float_tolerance == 1e-9
-
-    @pytest.mark.parametrize("name", ("cupy", "torch"))
-    def test_unavailable_gpu_selection_raises(self, name):
-        cls = {"cupy": CupyBackend, "torch": TorchBackend}[name]
-        if cls.available():
-            pytest.skip(f"{name} stack present; selection succeeds")
-        reason = cls.unavailable_reason()
-        assert reason  # listed rows must explain themselves
-        with pytest.raises(ConfigurationError, match="unavailable"):
-            get_backend(name)
-
-    def test_exact_backends_declare_exactness(self):
-        for name in ("numpy", "python", "numba"):
-            status = {n: ok for n, ok, _ in backend_status()}
-            if not status[name]:
-                continue
-            backend = get_backend(name)
-            assert backend.exact is True
-            assert backend.float_tolerance == 0.0
-
-
 class TestNoDirectNumpyImport:
     """AST guard: the tensorized hot paths must reach numpy only
     through ``core.backend`` (``numpy_module()`` / the backend object),
@@ -399,11 +350,11 @@ class TestNoDirectNumpyImport:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     root = alias.name.split(".")[0]
-                    if root in ("numpy", "cupy", "torch", "numba"):
+                    if root in ("numpy", "numba"):
                         offenders.append((node.lineno, alias.name))
             elif isinstance(node, ast.ImportFrom):
                 root = (node.module or "").split(".")[0]
-                if root in ("numpy", "cupy", "torch", "numba"):
+                if root in ("numpy", "numba"):
                     offenders.append((node.lineno, node.module))
         assert not offenders, (
             f"{relpath} imports an array module directly "
@@ -412,18 +363,26 @@ class TestNoDirectNumpyImport:
 
 
 class TestRegistry:
-    """Registration / lookup validation (the tech.py contract)."""
+    """Lookup validation over the fixed engine table."""
 
-    def test_builtins_listed_first(self):
-        names = available_backends()
-        assert tuple(names[:len(BUILTIN_BACKENDS)]) == BUILTIN_BACKENDS
-        assert DEFAULT_BACKEND in names
+    def test_engine_table_order(self):
+        assert available_backends() == ["numpy", "python", "numba"]
+        assert DEFAULT_BACKEND in available_backends()
 
-    def test_unknown_name_raises_with_available_list(self):
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            get_backend("cuda")
-        with pytest.raises(ConfigurationError, match="numpy"):
-            get_backend("cuda")  # the message names what *is* available
+    @pytest.mark.parametrize("name", UNKNOWN_NAMES)
+    def test_unknown_name_raises_with_available_list(self, name):
+        """The message names only the engines selectable here as
+        available, and every other one with its reason."""
+        usable = [n for n, ok, _ in backend_status() if ok]
+        with pytest.raises(
+            ConfigurationError, match="unknown backend"
+        ) as err:
+            get_backend(name)
+        message = str(err.value)
+        assert f"available: {usable}" in message
+        for other, ok, reason in backend_status():
+            if not ok:
+                assert f"{other!r} is unavailable: {reason}" in message
 
     def test_unavailable_backend_raises_with_reason(self):
         if NumbaBackend.available():
@@ -440,55 +399,6 @@ class TestRegistry:
         status = {n: ok for n, ok, _ in backend_status()}
         assert status["numba"] is NumbaBackend.available()
 
-    def test_builtin_cannot_be_rebound(self):
-        class Impostor(ArrayBackend):
-            name = "numpy"
-
-        with pytest.raises(ConfigurationError, match="built-in"):
-            register_backend(Impostor())
-
-    def test_builtin_same_class_reregistration_is_noop(self):
-        existing = get_backend("python")
-        assert register_backend(PythonBackend()) is existing
-
-    def test_builtin_cannot_be_unregistered(self):
-        with pytest.raises(ConfigurationError, match="built-in"):
-            unregister_backend("numpy")
-
-    def test_extra_backend_lifecycle(self):
-        class Echo(PythonBackend):
-            name = "echo"
-            description = "test double"
-
-        try:
-            register_backend(Echo())
-            assert "echo" in available_backends()
-            with pytest.raises(
-                ConfigurationError, match="already registered"
-            ):
-                register_backend(Echo())
-            replacement = Echo()
-            assert register_backend(replacement, replace=True) \
-                is replacement
-            # Extras are selectable through the same config path.
-            config = SynthesisConfig.fast(
-                total_power=2.0, backend="echo"
-            )
-            assert get_backend(config.backend) is replacement
-        finally:
-            unregister_backend("echo")
-        assert "echo" not in available_backends()
-
-    def test_rejects_non_backend_and_empty_name(self):
-        with pytest.raises(ConfigurationError, match="ArrayBackend"):
-            register_backend(object())  # type: ignore[arg-type]
-
-        class Nameless(PythonBackend):
-            name = ""
-
-        with pytest.raises(ConfigurationError, match="non-empty"):
-            register_backend(Nameless())
-
     def test_instance_passthrough(self):
         backend = get_backend("python")
         assert get_backend(backend) is backend
@@ -497,9 +407,10 @@ class TestRegistry:
 class TestConfigIntegration:
     """SynthesisConfig validates its backend at construction."""
 
-    def test_unknown_backend_fails_fast(self):
+    @pytest.mark.parametrize("name", UNKNOWN_NAMES)
+    def test_unknown_backend_fails_fast(self, name):
         with pytest.raises(ConfigurationError, match="unknown backend"):
-            SynthesisConfig.fast(total_power=2.0, backend="cuda")
+            SynthesisConfig.fast(total_power=2.0, backend=name)
 
     def test_non_string_backend_rejected(self):
         with pytest.raises(ConfigurationError, match="backend"):
@@ -508,6 +419,38 @@ class TestConfigIntegration:
     def test_default_backend_resolves(self):
         config = SynthesisConfig.fast(total_power=2.0)
         assert get_backend(config.backend).name == DEFAULT_BACKEND
+
+    def test_default_config_runs_without_numpy(self):
+        """With numpy blocked, the default config resolves to the loop
+        engine and synthesizes lenet5 to the payload this process's
+        numpy run produces."""
+        from repro.core import Pimsyn
+        from repro.nn import zoo
+
+        script = (
+            "import json, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from repro.core import Pimsyn, SynthesisConfig\n"
+            "from repro.nn import zoo\n"
+            "config = SynthesisConfig.fast(total_power=2.0)\n"
+            "assert config.backend == 'python', config.backend\n"
+            "solution = Pimsyn(zoo.by_name('lenet5'), config)"
+            ".synthesize()\n"
+            "print(json.dumps(solution.to_payload(), sort_keys=True))\n"
+        )
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True,
+            text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert result.returncode == 0, result.stderr
+        config = SynthesisConfig.fast(total_power=2.0)
+        assert config.backend == "numpy"
+        solution = Pimsyn(zoo.by_name("lenet5"), config).synthesize()
+        assert result.stdout.strip() == json.dumps(
+            solution.to_payload(), sort_keys=True
+        )
 
 
 class TestCli:
@@ -518,7 +461,7 @@ class TestCli:
 
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        for name in BUILTIN_BACKENDS:
+        for name in available_backends():
             assert name in out
 
     def test_backends_check_available(self, capsys):
@@ -527,8 +470,37 @@ class TestCli:
         assert main(["backends", "--check", "numpy"]) == 0
         assert "available" in capsys.readouterr().out
 
-    def test_backends_check_unknown_fails(self, capsys):
+    @pytest.mark.parametrize("name", UNKNOWN_NAMES)
+    def test_backends_check_unknown_fails(self, capsys, name):
         from repro.cli import main
 
-        assert main(["backends", "--check", "cuda"]) == 1
+        assert main(["backends", "--check", name]) == 1
         assert "unknown backend" in capsys.readouterr().err
+
+    def test_synthesize_with_removed_backend_fails(self, capsys):
+        from repro.cli import main
+
+        assert main([
+            "synthesize", "--model", "lenet5", "--power", "2",
+            "--backend", "cupy",
+        ]) == 1
+        assert "unknown backend 'cupy'" in capsys.readouterr().err
+
+    def test_probe_rejects_a_one_ulp_divergence(self):
+        """The probe holds every field to ``==``: an engine whose
+        fitness is one ulp off the oracle fails it."""
+        import numpy as np
+
+        from repro.cli import _backend_probe
+
+        class OneUlpOff(NumpyBackend):
+            name = "one-ulp-off"
+
+            def score_population(self, ctx, genes):
+                scores = super().score_population(ctx, genes)
+                scores.fitness = np.nextafter(scores.fitness, np.inf)
+                return scores
+
+        _backend_probe(get_backend("numpy"))
+        with pytest.raises(PimsynError, match="fitness"):
+            _backend_probe(OneUlpOff())

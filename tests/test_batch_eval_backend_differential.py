@@ -2,17 +2,16 @@
 
 The tentpole claim of the batch-eval backend seam: ``backend`` is an
 *execution* knob — it selects how populations are scored (vectorized
-numpy, pure-python loops, numba JIT, GPU), never what they score. This
+numpy, pure-python loops, numba JIT), never what they score. This
 suite pins that in four layers:
 
 1. Population-level: every zoo model x the power grid, the full
-   :class:`BatchEvaluation` of a rule-valid population is identical
-   across backends — ``==`` for exact engines (numpy / python / numba),
-   the documented tolerance contract for GPU engines (integer fields
-   still ``==``). The array engines are also held to the python loop
-   oracle on the vectorized kernel's risky inputs: owners with several
-   sharers, population sizes on a residual DAG, a NoC-bound context,
-   and the sharing-off and identical-macro settings.
+   :class:`BatchEvaluation` of a rule-valid population is ``==``
+   across backends on every field. The array engines are also held to
+   the python loop oracle on the vectorized kernel's risky inputs:
+   owners with several sharers, population sizes on a residual DAG, a
+   NoC-bound context, and the sharing-off and identical-macro
+   settings.
 2. Full synthesis: the (backend x jobs x batch_eval) matrix returns one
    winning solution with identical telemetry (EA runs, pruning
    decisions, cache hits).
@@ -20,10 +19,10 @@ suite pins that in four layers:
    ``backend`` nor ``batch_eval`` perturbs a config fingerprint or a
    serve job key (execution-only fields).
 4. Goldens: the committed pareto-front golden is reproduced by every
-   available exact backend, byte-identically across backends.
+   available backend, byte-identically across backends.
 
 Backends whose optional dependency is missing are skipped with their
-stated reason (the conformance suite covers their registry behavior).
+stated reason (the conformance suite covers their lookup behavior).
 """
 
 from __future__ import annotations
@@ -51,20 +50,13 @@ pytestmark = pytest.mark.skipif(
 
 POWER_GRID = (0.5, 2.0, 8.0, 50.0, 200.0)
 
-#: All registered backends that can execute here. Exact ones are held
-#: to ``==``; non-exact (GPU) ones to their float_tolerance.
+#: Every backend that can execute here; all are held to ``==``.
 AVAILABLE_BACKENDS = tuple(
     name for name, ok, _ in backend_status() if ok
 )
 
-EXACT_FIELDS = ("feasible", "bottleneck_layer", "num_macros")
-FLOAT_FIELDS = (
-    "fitness", "period", "latency", "throughput", "tops", "power",
-    "tops_per_watt", "energy_per_image", "edp",
-)
-
 #: PR 5 pins (recorded on the pre-profile tree). The seam's hard
-#: promise: routing batch_eval through the backend registry never
+#: promise: routing batch_eval through the array backends never
 #: moves a default-technology content key.
 PINNED_PARAMS_FP = "3dd4e2a54ef76d2a"
 PINNED_CONFIG_FP_FAST_2W = "101f9fe6705bffb0"
@@ -146,22 +138,11 @@ def _evaluator(explorer, backend, **knobs):
 def _assert_batches_match(reference, candidate, backend_name):
     import numpy as np
 
-    backend = get_backend(backend_name)
-    for field in EXACT_FIELDS:
+    for field in dataclasses.fields(reference):
         assert np.array_equal(
-            np.asarray(getattr(candidate, field)),
-            np.asarray(getattr(reference, field)),
-        ), f"{backend_name}:{field}"
-    for field in FLOAT_FIELDS:
-        want = np.asarray(getattr(reference, field), dtype=np.float64)
-        got = np.asarray(getattr(candidate, field), dtype=np.float64)
-        if backend.exact:
-            assert np.array_equal(got, want), f"{backend_name}:{field}"
-        else:
-            denom = np.maximum(np.abs(want), 1.0)
-            assert np.all(
-                np.abs(got - want) <= backend.float_tolerance * denom
-            ), f"{backend_name}:{field}"
+            np.asarray(getattr(candidate, field.name)),
+            np.asarray(getattr(reference, field.name)),
+        ), f"{backend_name}:{field.name}"
 
 
 class TestZooPopulationIdentity:
@@ -389,7 +370,7 @@ class TestContentKeyPins:
 
 class TestGoldensPerBackend:
     """The committed pareto-front golden reproduces on every available
-    exact backend, byte-identically across backends."""
+    backend, byte-identically across backends."""
 
     @pytest.fixture(scope="class")
     def golden_payload(self):
@@ -404,11 +385,6 @@ class TestGoldensPerBackend:
 
     @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
     def test_pareto_golden_reproduced(self, backend, golden_payload):
-        if not get_backend(backend).exact:
-            pytest.skip(
-                "GPU backends are held to the tolerance contract, "
-                "not byte-identity, on float artifacts"
-            )
         from repro.core.design_space import DesignSpace
 
         model = zoo.by_name(golden_payload["model"])

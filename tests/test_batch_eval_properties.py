@@ -10,12 +10,12 @@ samples):
 - genes already in the evaluation memo are never re-evaluated by the
   EA's batched path.
 
-The per-backend classes hold every *available* registered backend to
-the same properties through the new primitives (``decode_population``,
-``score_population``): permutation invariance, batch-of-one vs the
-scalar oracle (``==`` for exact backends, the documented tolerance for
-GPU engines), and memo hit/miss identity — the EA's cache interaction
-is byte-for-byte the same whichever backend scores the misses.
+The per-backend classes hold every *available* backend to the same
+properties through the new primitives (``decode_population``,
+``score_population``): permutation invariance, batch-of-one ``==``
+the scalar oracle, and memo hit/miss identity — the EA's cache
+interaction is byte-for-byte the same whichever backend scores the
+misses.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def _make_explorer(sharing=True):
 EXPLORER = _make_explorer()
 CAPS = list(EXPLORER.caps)
 
-#: Backends that can execute here; unavailable ones are covered by the
+#: Backends that can execute here; an unavailable one is covered by the
 #: conformance suite's skip/raise tests.
 AVAILABLE_BACKENDS = tuple(
     name for name, ok, _ in backend_status() if ok
@@ -80,16 +80,6 @@ def _backend_evaluator(name):
             backend=name,
         )
     return _EVALUATORS[name]
-
-
-def _fitness_matches(backend_name, got, want):
-    """``==`` for exact backends, relative tolerance for GPU ones."""
-    backend = get_backend(backend_name)
-    if backend.exact:
-        return got == want
-    return abs(got - want) <= backend.float_tolerance * max(
-        abs(want), 1.0
-    )
 
 
 @st.composite
@@ -252,21 +242,15 @@ class TestBackendPrimitiveProperties:
     @given(gene=valid_genes())
     @settings(max_examples=10, deadline=None)
     def test_batch_of_one_equals_scalar_oracle(self, backend, gene):
-        """Single-gene batches reproduce the scalar ``score()`` on
-        every backend (tolerance contract for non-exact engines)."""
+        """Single-gene batches reproduce the scalar ``score()``, bit
+        for bit, on every backend."""
         batch = _backend_evaluator(backend).evaluate_population([gene])
         fitness, allocation, result = EXPLORER.score(gene)
         assert bool(batch.feasible[0]) == (allocation is not None)
-        assert _fitness_matches(
-            backend, float(batch.fitness[0]), fitness
-        )
+        assert float(batch.fitness[0]) == fitness
         if result is not None:
-            assert _fitness_matches(
-                backend, float(batch.period[0]), result.period
-            )
-            assert _fitness_matches(
-                backend, float(batch.power[0]), result.power
-            )
+            assert float(batch.period[0]) == result.period
+            assert float(batch.power[0]) == result.power
 
     @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
     @given(genes=populations())
@@ -274,9 +258,9 @@ class TestBackendPrimitiveProperties:
     def test_memo_interaction_identical_across_backends(
         self, backend, genes
     ):
-        """The EA's memo sees the same hits, misses, and (for exact
-        backends) the same stored values whichever engine scores the
-        misses — backend choice cannot perturb cache state."""
+        """The EA's memo sees the same hits, misses and stored values
+        whichever engine scores the misses — backend choice cannot
+        perturb cache state."""
         results = {}
         for name in ("numpy", backend):
             cached = genes[: len(genes) // 2]
@@ -303,15 +287,8 @@ class TestBackendPrimitiveProperties:
         base_eval, base_cache, base_values = results["numpy"]
         got_eval, got_cache, got_values = results[backend]
         assert got_eval == base_eval  # identical miss sets, in order
-        assert set(got_cache) == set(base_cache)
-        if get_backend(backend).exact:
-            assert got_cache == base_cache
-            assert got_values == base_values
-        else:
-            for g in base_cache:
-                assert _fitness_matches(
-                    backend, got_cache[g], base_cache[g]
-                )
+        assert got_cache == base_cache
+        assert got_values == base_values
 
 
 class TestEngineEquivalence:

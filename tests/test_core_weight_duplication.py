@@ -1,5 +1,7 @@
 """Unit tests for the stage-1 SA weight-duplication filter."""
 
+import hashlib
+import math
 import random
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.core.config import SynthesisConfig
 from repro.core.weight_duplication import WeightDuplicationFilter
 from repro.errors import InfeasibleError
-from repro.nn import lenet5
+from repro.nn import lenet5, zoo
 from repro.utils.mathutils import stdev
 
 
@@ -99,6 +101,61 @@ class TestEnergyFunction:
         skewed = filt.energy((1, 1, 1))
         balanced = filt.energy((4, 1, 1))
         assert balanced < skewed
+
+
+def _left_to_right(values):
+    total = 0.0
+    for value in values:
+        total = total + value
+    return total
+
+
+def _written_out_energy(filt, dup):
+    """Eq. 4 with both population stdevs' sums added left to right."""
+    def spread(values):
+        mu = _left_to_right(values) / len(values)
+        return math.sqrt(
+            _left_to_right([(x - mu) ** 2 for x in values]) / len(values)
+        )
+
+    steps = [p / d for p, d in zip(filt.out_positions, dup)]
+    volumes = [d * u for d, u in zip(dup, filt.volume_units)]
+    return spread(steps) + filt.config.sa_alpha * spread(volumes)
+
+
+#: sha256 (first 16 hex digits) of the ``float.hex()`` of the 200
+#: energies in ``TestEnergySumOrder``. Every sum in Eq. 4 adds left to
+#: right, so the digest is the same on every Python version, including
+#: 3.12+, where builtin ``sum()`` of floats is compensated.
+VGG16_ENERGY_DIGEST = "2353726fda7cff24"
+
+
+class TestEnergySumOrder:
+    """The scalar energy is the left-to-right reference, bit for bit,
+    whatever the interpreter's builtin ``sum()`` does."""
+
+    @pytest.fixture(scope="class")
+    def vgg16_states(self):
+        filt = _filter(
+            zoo.vgg16_cifar(), num_crossbars=10 ** 6, backend="python"
+        )
+        rng = random.Random(0)
+        states = [
+            tuple(rng.randint(1, min(cap, 64)) for cap in filt.dup_caps)
+            for _ in range(200)
+        ]
+        return filt, states
+
+    def test_energy_matches_written_out_sums(self, vgg16_states):
+        filt, states = vgg16_states
+        for state in states:
+            assert filt.energy(state) == _written_out_energy(filt, state)
+
+    def test_energy_digest_is_pinned(self, vgg16_states):
+        filt, states = vgg16_states
+        text = " ".join(filt.energy(state).hex() for state in states)
+        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert digest == VGG16_ENERGY_DIGEST
 
 
 class TestInitialState:

@@ -287,7 +287,7 @@ class TestRouteCache:
 
 
 # ----------------------------------------------------------------------
-# Registry contract (mirrors the backend registry's behavior)
+# Registry contract (mirrors the array-backend lookup's behavior)
 # ----------------------------------------------------------------------
 class _FakeEngine(CycleEngine):
     name = "fake-wheel"

@@ -542,6 +542,11 @@ class TestApi:
             _post(server, {"model": "lenet5"})
         assert err.value.code == 400
         with pytest.raises(urllib.error.HTTPError) as err:
+            _post(server, {"model": "lenet5", "power": 2.0,
+                           "config": {"backend": "torch"}})
+        assert err.value.code == 400
+        assert "unknown backend 'torch'" in err.value.read().decode()
+        with pytest.raises(urllib.error.HTTPError) as err:
             _get(server, "/jobs/unknown-id")
         assert err.value.code == 404
         with pytest.raises(urllib.error.HTTPError) as err:

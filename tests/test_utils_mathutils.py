@@ -11,6 +11,7 @@ from repro.utils.mathutils import (
     is_power_of_two,
     mean,
     next_power_of_two,
+    ordered_sum,
     stdev,
 )
 
@@ -74,6 +75,26 @@ class TestPowersOfTwo:
 
     def test_next_power_handles_zero(self):
         assert next_power_of_two(0) == 1
+
+
+class TestOrderedSum:
+    def test_adds_left_to_right(self):
+        """Builtin ``sum()`` is compensated from Python 3.12 on (it
+        gives 1.0 here); the helper adds one term at a time on every
+        version, as the array kernels do."""
+        assert ordered_sum([0.1] * 10) == 0.9999999999999999
+
+    def test_matches_a_written_out_loop(self):
+        values = [1e16, 1.0, 1.0, 1.0, -1e16, 0.1, 0.2]
+        total = 0.0
+        for value in values:
+            total = total + value
+        assert ordered_sum(values) == total
+        assert ordered_sum(iter(values)) == total
+
+    def test_empty_is_float_zero(self):
+        assert ordered_sum([]) == 0.0
+        assert isinstance(ordered_sum([]), float)
 
 
 class TestStatistics:
