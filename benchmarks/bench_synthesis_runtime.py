@@ -17,11 +17,14 @@ evaluator against the gene-at-a-time oracle on the EA hot path and
 publishes the speedup into the benchmark JSON (``extra_info``), so CI
 bench artifacts track the batching win over time.
 
-``test_grid_walk_vs_per_task_speedup`` measures the PR 6 tensorized
-task-grid walk (plus the O(1) tiling summary it rides on) against a
-faithful reconstruction of the PR 5 per-task walk, asserting identical
-solutions and publishing the cold-synthesis speedup into the bench
-JSON.
+``test_grid_walk_vs_per_task_speedup`` measures the tensorized
+task-grid walk (plus the O(1) tiling summary it rides on) against the
+per-task walk of an interpreter without numpy, with tile
+materialization in spec construction, asserting identical solutions
+and publishing the cold-synthesis speedup into the bench JSON.
+
+Both baseline arms run inside the ``without_numpy`` fixture: numpy is
+the only thing that picks a batched path or its scalar oracle.
 
 ``test_batched_backend_speedup`` scores the same population through
 every *available* array backend (numpy / python / numba) and
@@ -122,7 +125,7 @@ def test_parallel_engine_speedup():
     assert speedup >= 1.5
 
 
-def test_batched_vs_scalar_eval_speedup(benchmark):
+def test_batched_vs_scalar_eval_speedup(benchmark, without_numpy):
     """Numpy population scoring vs the scalar oracle (the EA hot path).
 
     A VGG13 stage-3 landscape: 256 rule-valid genes scored once through
@@ -130,8 +133,9 @@ def test_batched_vs_scalar_eval_speedup(benchmark):
     through the gene-at-a-time ``score`` chain. The batched engine must
     be >= 2x faster — in practice it is far more — while returning
     numerically identical fitness values. Results (plus a full EA-run
-    comparison with default Alg. 2 knobs) land in the benchmark JSON's
-    ``extra_info`` as the tracked batched-vs-scalar speedup numbers.
+    comparison with default Alg. 2 knobs, the scalar run with numpy
+    blocked) land in the benchmark JSON's ``extra_info`` as the tracked
+    batched-vs-scalar speedup numbers.
     """
     model = zoo.vgg13()
     config = SynthesisConfig(total_power=120.0)
@@ -146,13 +150,13 @@ def test_batched_vs_scalar_eval_speedup(benchmark):
         num_crossbars=4096,
     )
 
-    def make_explorer(batch):
+    def make_explorer():
         return MacroPartitionExplorer(
             spec=spec, budget=budget, res_dac=1, config=config,
-            rng=random.Random(5), batch_eval=batch,
+            rng=random.Random(5),
         )
 
-    explorer = make_explorer(True)
+    explorer = make_explorer()
     rng = random.Random(1)
     genes = explorer.initial_population(16)
     while len(genes) < 256:
@@ -171,14 +175,18 @@ def test_batched_vs_scalar_eval_speedup(benchmark):
     population_speedup = scalar_s / batched_s
     assert batched_scores == scalar_scores
 
-    # Full EA launches (default Alg. 2 knobs), engine on vs off.
-    ea_seconds = {}
-    for batch in (True, False):
-        ea = make_explorer(batch)
+    # Full EA launches (default Alg. 2 knobs), numpy on vs blocked.
+    def timed_explore():
+        ea = make_explorer()
         started = time.perf_counter()
         _partition, _allocation, result = ea.explore()
-        ea_seconds[batch] = time.perf_counter() - started
-        ea_throughput = result.throughput
+        return time.perf_counter() - started, result.throughput
+
+    ea_seconds = {}
+    ea_seconds[True], ea_throughput = timed_explore()
+    with without_numpy():
+        ea_seconds[False], scalar_throughput = timed_explore()
+    assert scalar_throughput == ea_throughput
     ea_speedup = ea_seconds[False] / ea_seconds[True]
 
     benchmark.extra_info["population_size"] = len(genes)
@@ -353,18 +361,18 @@ def test_batched_backend_speedup(benchmark):
     assert "numpy" in seconds and seconds["numpy"] > 0
 
 
-def test_grid_walk_vs_per_task_speedup(benchmark):
-    """Cold synthesis: tensorized task grid vs the PR 5 per-task walk.
+def test_grid_walk_vs_per_task_speedup(benchmark, without_numpy):
+    """Cold synthesis: tensorized task grid vs the per-task walk.
 
-    Baseline arm = the pre-grid driver, reconstructed faithfully:
-    ``grid_eval=False`` walks tasks one at a time, and spec
-    construction re-materializes every crossbar tile
-    (``map_layer_weights``, which the O(1) tiling summary replaced) —
-    the two costs PR 6 removed from the outer walk. Both arms run the
+    Baseline arm = the per-task walk: numpy blocked, so the executor
+    walks tasks one at a time (as do the SA filter and the EA, on their
+    scalar oracles), and spec construction re-materializes every
+    crossbar tile (``map_layer_weights``, which the O(1) tiling summary
+    replaced) — the two costs the grid walk removes. Both arms run the
     same queue-heavy VGG16-CIFAR configuration (full fast outer grids,
     trimmed SA/EA effort so the *outer walk* dominates the wall clock
-    rather than search costs common to both arms) and must return
-    byte-identical solutions with identical pruning telemetry.
+    rather than search costs) and must return byte-identical solutions
+    with identical pruning telemetry.
 
     The measured speedup lands in ``extra_info`` for the CI bench
     artifact, which gates on the >= 5x acceptance line; the in-test
@@ -393,9 +401,10 @@ def test_grid_walk_vs_per_task_speedup(benchmark):
     original_summary = builder.crossbar_tiling_summary
     builder.crossbar_tiling_summary = map_layer_weights
     try:
-        started = time.perf_counter()
-        baseline, baseline_report = run(grid_eval=False)
-        baseline_s = time.perf_counter() - started
+        with without_numpy():
+            started = time.perf_counter()
+            baseline, baseline_report = run(backend="python")
+            baseline_s = time.perf_counter() - started
     finally:
         builder.crossbar_tiling_summary = original_summary
 
@@ -418,7 +427,7 @@ def test_grid_walk_vs_per_task_speedup(benchmark):
     print(format_table(
         ["mode", "EA runs", "pruned", "seconds", "speedup"],
         [
-            ("per-task walk (PR 5)", baseline_report.ea_runs,
+            ("per-task walk (no numpy)", baseline_report.ea_runs,
              baseline_report.pruned_tasks, round(baseline_s, 3),
              "1.0x"),
             ("tensorized grid walk", report.ea_runs,

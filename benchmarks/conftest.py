@@ -8,10 +8,12 @@ normalize to the same designs) do not repeat work.
 
 from __future__ import annotations
 
+import contextlib
 from typing import Dict, Tuple
 
 import pytest
 
+import repro.core.backend
 from repro.core import Pimsyn, SynthesisConfig
 from repro.core.design_space import DesignSpace
 from repro.core.solution import SynthesisSolution
@@ -98,3 +100,21 @@ def cifar_models():
         "vgg16": zoo.vgg16_cifar(),
         "resnet18": zoo.resnet18_cifar(),
     }
+
+
+@pytest.fixture(scope="session")
+def without_numpy():
+    """A context manager under which repro runs as it does on an
+    interpreter without numpy: the one numpy gate,
+    ``repro.core.backend._np``, reads None, so every batched DSE path
+    takes its scalar oracle. Configs built inside must pass
+    ``backend="python"``. The benches' copy of the ``tests/conftest.py``
+    fixture (a conftest's fixtures reach only its own directory)."""
+
+    @contextlib.contextmanager
+    def blocked():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(repro.core.backend, "_np", None)
+            yield
+
+    return blocked

@@ -25,9 +25,10 @@ applications to PIM architectures"; the CLI is that click:
   synthesize one model under every technology. ``--tech NAME`` on
   ``synthesize``/``sweep``/``peak``/``serve`` selects the device;
 - ``python -m repro backends`` — the array engines that execute the
-  tensorized task-grid walk and EA scoring. ``--backend NAME`` on
-  ``synthesize``/``sweep`` selects one (execution-only: never changes
-  the solution or any content key).
+  batched DSE paths (task-grid bounds, EA/NSGA-II population scoring,
+  the SA filter's sums). ``--backend NAME`` on ``synthesize``/``sweep``
+  selects one (execution-only: never changes the solution or any
+  content key).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from typing import List, Optional
 
 from repro.analysis import format_table
 from repro.core import Pimsyn, SynthesisConfig
+from repro.core.backend import DEFAULT_BACKEND
 from repro.core.design_space import DesignSpace
 from repro.errors import PimsynError, SynthesisInterrupted
 from repro.hardware.params import HardwareParams
@@ -49,6 +51,14 @@ from repro.hardware.tech import (
 )
 from repro.nn import zoo
 from repro.nn.onnx_io import load_model
+
+
+#: ``--backend`` help for ``synthesize`` and ``sweep``.
+_BACKEND_HELP = (
+    "array engine for the three batched DSE paths: task-grid bounds, "
+    "EA/NSGA-II population scoring and the SA filter's sums (default: "
+    f"{DEFAULT_BACKEND}; see `repro backends`; execution-only)"
+)
 
 
 def _load(args) -> object:
@@ -77,10 +87,7 @@ def _tech(args) -> str:
 
 def _config(args, power: float) -> SynthesisConfig:
     jobs = getattr(args, "jobs", 1)
-    batch_eval = not getattr(args, "scalar_eval", False)
     extras = {"tech": _tech(args)}
-    if getattr(args, "scalar_bounds", False):
-        extras["grid_eval"] = False
     if getattr(args, "backend", None):
         extras["backend"] = args.backend
     if getattr(args, "engine", None):
@@ -91,12 +98,10 @@ def _config(args, power: float) -> SynthesisConfig:
         extras["objectives"] = tuple(args.objectives)
     if getattr(args, "full", False):
         return SynthesisConfig(
-            total_power=power, seed=args.seed, jobs=jobs,
-            batch_eval=batch_eval, **extras,
+            total_power=power, seed=args.seed, jobs=jobs, **extras,
         )
     return SynthesisConfig.fast(
-        total_power=power, seed=args.seed, jobs=jobs,
-        batch_eval=batch_eval, **extras,
+        total_power=power, seed=args.seed, jobs=jobs, **extras,
     )
 
 
@@ -322,13 +327,10 @@ def cmd_sweep(args) -> int:
 
     model = _load(args)
     extras = {}
-    if getattr(args, "scalar_bounds", False):
-        extras["grid_eval"] = False
     if getattr(args, "backend", None):
         extras["backend"] = args.backend
     config = SynthesisConfig.fast(
         seed=args.seed, jobs=getattr(args, "jobs", 1),
-        batch_eval=not getattr(args, "scalar_eval", False),
         tech=_tech(args), **extras,
     )
     rows = power_sweep(model, args.powers, config=config)
@@ -664,18 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--jobs", type=int, default=1,
                        help="worker processes for the DSE (0 = one per "
                             "CPU core; same solution as --jobs 1)")
-    synth.add_argument("--scalar-eval", action="store_true",
-                       help="score EA populations gene-by-gene instead "
-                            "of through the numpy batch engine (same "
-                            "solution, slower; mainly for debugging)")
-    synth.add_argument("--scalar-bounds", action="store_true",
-                       help="bound/prune the outer task grid per task "
-                            "instead of through the tensorized grid "
-                            "walk (same solution, slower)")
-    synth.add_argument("--backend", default=None,
-                       help="array backend for the tensorized grid "
-                            "walk (default: numpy; see `repro "
-                            "backends`; execution-only)")
+    synth.add_argument("--backend", default=None, help=_BACKEND_HELP)
     synth.add_argument("--pareto", action="store_true",
                        help="multi-objective mode: print the Pareto "
                             "front over --objectives instead of a "
@@ -766,15 +757,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--jobs", type=int, default=1,
                        help="worker processes per synthesis (0 = one "
                             "per CPU core)")
-    sweep.add_argument("--scalar-eval", action="store_true",
-                       help="disable the numpy batch evaluator "
-                            "(same results, slower)")
-    sweep.add_argument("--scalar-bounds", action="store_true",
-                       help="disable the tensorized task-grid walk "
-                            "(same results, slower)")
-    sweep.add_argument("--backend", default=None,
-                       help="array backend for the grid walk "
-                            "(see `repro backends`)")
+    sweep.add_argument("--backend", default=None, help=_BACKEND_HELP)
     sweep.add_argument("--seed", type=int, default=2024)
 
     serve = sub.add_parser(

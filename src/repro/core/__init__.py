@@ -52,7 +52,7 @@ from repro.core.persistence import (
     save_solution,
     solution_from_payload,
 )
-from repro.core.grid_eval import GridBoundEvaluator, grid_eval_supported
+from repro.core.grid_eval import GridBoundEvaluator
 from repro.core.solution import SynthesisSolution
 from repro.core.synthesizer import Pimsyn
 
@@ -63,7 +63,6 @@ __all__ = [
     "backend_status",
     "get_backend",
     "GridBoundEvaluator",
-    "grid_eval_supported",
     "BatchEvaluation",
     "BatchPerformanceEvaluator",
     "SynthesisConfig",

@@ -29,11 +29,10 @@ table of three:
 
 Exactness contract
 ------------------
-Every engine returns results ``==`` to the python loop oracle for the
-op-level primitives (``ordered_sum``, ``ordered_max``, ``prune_mask``,
-and the integer ``decode_population`` / ``mesh_hops``) and for the
-fused kernels (:meth:`ArrayBackend.compute_bounds`,
-:meth:`ArrayBackend.score_population`): not merely close, because the
+Every engine returns results ``==`` to the python loop oracle for its
+three calls — the SA filter's :meth:`ArrayBackend.ordered_sum` and the
+fused kernels :meth:`ArrayBackend.compute_bounds` and
+:meth:`ArrayBackend.score_population`: not merely close, because the
 DSE pruning decisions and EA tournaments ride on exact float
 comparisons, and the point of the tensorized walk is that it cannot
 change a solution. The numpy engine gets there by keeping the loops'
@@ -43,11 +42,12 @@ order: an ordered row sum is the last column of a sequential
 Content-key contract
 --------------------
 A backend changes *how fast* the task walk and the EA inner loop run,
-never *what* they return, so ``backend`` (and the ``grid_eval`` /
-``batch_eval`` switches) live in
-:data:`repro.core.executor.EXECUTION_ONLY_FIELDS` and are excluded from
+never *what* they return, so ``backend`` lives in
+:data:`repro.core.executor.EXECUTION_ONLY_FIELDS` and is excluded from
 every content fingerprint — eval memos, serve job keys and store
-entries are shared across backends.
+entries are shared across backends. Whether the batched paths run at
+all is not a setting: :func:`numpy_available` decides it, and without
+numpy each path runs its scalar oracle instead.
 """
 
 from __future__ import annotations
@@ -67,12 +67,14 @@ except ImportError:  # pragma: no cover - exercised via monkeypatching
 
 def numpy_module():
     """The numpy module, or None — the single gate every tensorized
-    path (batch_eval, grid_eval, the backends) consults."""
+    path (the SA filter, batch_eval, grid_eval, the backends)
+    consults. Tests block numpy by setting ``_np`` to None."""
     return _np
 
 
 def numpy_available() -> bool:
-    """True when the vectorized engines can run on this interpreter."""
+    """True when the batched DSE paths can run on this interpreter;
+    without numpy each caller takes its scalar oracle instead."""
     return _np is not None
 
 
@@ -647,11 +649,12 @@ def _score_loops(
 class ArrayBackend:
     """One array-execution engine for the tensorized DSE paths.
 
-    Subclasses implement the op-level primitives and the fused kernels
-    (task-grid bounds, population scoring); the module's engine table
-    holds one shared instance per name. ``available()`` gates optional
-    dependencies — an unavailable engine stays listed (with its
-    reason) but cannot be selected.
+    Subclasses implement the three calls the DSE makes: the SA
+    filter's ordered row sum and the fused kernels (task-grid bounds,
+    population scoring). The module's engine table holds one shared
+    instance per name. ``available()`` gates optional dependencies —
+    an unavailable engine stays listed (with its reason) but cannot be
+    selected.
     """
 
     #: Table key; subclasses must override with a non-empty name.
@@ -668,7 +671,6 @@ class ArrayBackend:
         """Human-readable reason when :meth:`available` is False."""
         return None
 
-    # -- op-level primitives (conformance-tested per backend) ----------
     def ordered_sum(self, terms) -> "object":
         """Left-to-right sum over axis 1 of a ``(T, L)`` array.
 
@@ -676,39 +678,6 @@ class ArrayBackend:
         (:func:`repro.utils.mathutils.ordered_sum`) — *not* numpy's
         pairwise ``np.sum``, which can differ in the last ulp.
         """
-        raise NotImplementedError
-
-    def ordered_max(self, terms) -> "object":
-        """Maximum over axis 1 of a ``(T, L)`` array."""
-        raise NotImplementedError
-
-    def prune_mask(
-        self, bounds, positions, incumbent_fitness: float,
-        incumbent_index: int,
-    ) -> "object":
-        """Dominated-task mask over ``positions`` (task indices).
-
-        True where the task provably cannot beat the incumbent: its
-        bound is below the incumbent's fitness, or ties it with a
-        larger task index (the executor's exact tie-break rule).
-        """
-        raise NotImplementedError
-
-    def decode_population(self, genes) -> Tuple[
-        "object", "object", "object", "object", "object"
-    ]:
-        """Decode a ``(P, L)`` gene array into macro-group arrays.
-
-        Returns numpy arrays ``(owners, is_owner, total_macros,
-        group_start, group_len)``. Validation is the caller's concern;
-        this primitive assumes well-formed genes.
-        """
-        raise NotImplementedError
-
-    def mesh_hops(self, a, b, cols) -> "object":
-        """Elementwise MeshNoC hop count: Manhattan distance between
-        macro ids ``a`` and ``b`` on a row-major mesh with ``cols``
-        columns."""
         raise NotImplementedError
 
     def compute_bounds(self, grid: TaskGrid) -> "object":
@@ -782,35 +751,9 @@ class NumpyBackend(ArrayBackend):
             return "numpy is not importable on this interpreter"
         return None
 
-    # -- op-level primitives -------------------------------------------
     def ordered_sum(self, terms):
         return _row_sums(_np.asarray(terms, dtype=_np.float64))
 
-    def ordered_max(self, terms):
-        return _np.asarray(terms, dtype=_np.float64).max(axis=1)
-
-    def prune_mask(
-        self, bounds, positions, incumbent_fitness, incumbent_index
-    ):
-        bounds = _np.asarray(bounds, dtype=_np.float64)
-        positions = _np.asarray(positions, dtype=_np.int64)
-        values = bounds[positions]
-        return (values < incumbent_fitness) | (
-            (values == incumbent_fitness)
-            & (positions > incumbent_index)
-        )
-
-    def decode_population(self, genes):
-        return _decode(_np.asarray(genes, dtype=_np.int64))
-
-    def mesh_hops(self, a, b, cols):
-        return _hops(
-            _np.asarray(a, dtype=_np.int64),
-            _np.asarray(b, dtype=_np.int64),
-            _np.asarray(cols, dtype=_np.int64),
-        )
-
-    # -- fused kernels -------------------------------------------------
     def compute_bounds(self, grid: TaskGrid):
         total_blocks = grid.total_blocks
         bits = grid.bits[:, None]
@@ -1139,90 +1082,6 @@ class PythonBackend(ArrayBackend):
             mathutils.ordered_sum(float(value) for value in row)
             for row in terms
         ]
-
-    def ordered_max(self, terms):
-        out = []
-        for row in terms:
-            acc = float(row[0])
-            for value in row[1:]:
-                value = float(value)
-                if value > acc:
-                    acc = value
-            out.append(acc)
-        return out
-
-    def prune_mask(
-        self, bounds, positions, incumbent_fitness, incumbent_index
-    ):
-        values = [float(bounds[int(p)]) for p in positions]
-        return [
-            value < incumbent_fitness
-            or (
-                value == incumbent_fitness
-                and int(position) > incumbent_index
-            )
-            for value, position in zip(values, positions)
-        ]
-
-    def decode_population(self, genes):
-        if _np is None:  # pragma: no cover - gene arrays are numpy
-            raise ConfigurationError(
-                "population decoding returns numpy arrays; numpy is "
-                "not importable on this interpreter"
-            )
-        genes = _np.asarray(genes, dtype=_np.int64)
-        pop, n = genes.shape
-        owners = _np.zeros((pop, n), dtype=_np.int64)
-        is_owner = _np.zeros((pop, n), dtype=bool)
-        total_macros = _np.zeros(pop, dtype=_np.int64)
-        group_start = _np.zeros((pop, n), dtype=_np.int64)
-        group_len = _np.zeros((pop, n), dtype=_np.int64)
-        for p in range(pop):
-            counts = []
-            starts = []
-            acc = 0
-            total = 0
-            for l in range(n):
-                owner = int(genes[p, l]) // _ENCODING_BASE
-                count = int(genes[p, l]) - owner * _ENCODING_BASE
-                owners[p, l] = owner
-                is_owner[p, l] = owner == l
-                counts.append(count)
-                starts.append(acc)
-                if owner == l:
-                    acc += count
-                    total += count
-            total_macros[p] = total
-            for l in range(n):
-                owner = int(owners[p, l])
-                group_start[p, l] = starts[owner]
-                group_len[p, l] = counts[owner]
-        return owners, is_owner, total_macros, group_start, group_len
-
-    def mesh_hops(self, a, b, cols):
-        if _np is None:  # pragma: no cover - hop arrays are numpy
-            raise ConfigurationError(
-                "mesh_hops returns numpy arrays; numpy is not "
-                "importable on this interpreter"
-            )
-        a = _np.asarray(a, dtype=_np.int64)
-        b = _np.asarray(b, dtype=_np.int64)
-        cols_arr = _np.broadcast_to(
-            _np.asarray(cols, dtype=_np.int64), a.shape
-        )
-        out = _np.zeros(a.shape, dtype=_np.int64)
-        flat_a = a.ravel()
-        flat_b = b.ravel()
-        flat_c = cols_arr.ravel()
-        flat_out = out.ravel()
-        for i in range(flat_a.shape[0]):
-            av = int(flat_a[i])
-            bv = int(flat_b[i])
-            cv = int(flat_c[i])
-            flat_out[i] = abs(av // cv - bv // cv) + abs(
-                av % cv - bv % cv
-            )
-        return out
 
     def _kernel(self):
         """The bound loop kernel to run (the JIT backend overrides)."""

@@ -34,7 +34,8 @@ accumulated in layer order.
 ``tests/test_batch_eval_differential.py`` pins the scalar contract
 across the entire model zoo, ``tests/test_batch_eval_backend_
 differential.py`` pins it per backend, and full synthesis selects the
-identical solution with ``SynthesisConfig.batch_eval`` on or off.
+identical solution with numpy and without it (where the explorer scores
+one gene at a time through the scalar oracle).
 
 Genes that the scalar path rejects with :class:`InfeasibleError`
 (fixed overhead exceeding the peripheral budget, a collapsed
@@ -76,15 +77,6 @@ from repro.utils.mathutils import ordered_sum
 Gene = Tuple[int, ...]
 
 _ENCODING_BASE = 1000  # keep in sync with repro.core.macro_partition
-
-
-def numpy_available() -> bool:
-    """True when the vectorized engine can run on this interpreter.
-
-    Delegates to :func:`repro.core.backend.numpy_available` — the
-    single gate shared by every tensorized path.
-    """
-    return numpy_module() is not None
 
 
 @dataclass
@@ -146,9 +138,9 @@ class BatchPerformanceEvaluator:
     ) -> None:
         if numpy_module() is None:  # pragma: no cover - defensive gate
             raise ConfigurationError(
-                "numpy is required for batched evaluation; set "
-                "SynthesisConfig.batch_eval=False to use the scalar "
-                "engine"
+                "numpy is required for batched evaluation; without "
+                "it, MacroPartitionExplorer scores genes one at a time "
+                "through its scalar oracle"
             )
         self.spec = spec
         self.budget = budget

@@ -115,14 +115,6 @@ class SynthesisConfig:
         Share one content-keyed evaluation memo across all EA runs (per
         worker process), so re-visited (model, hardware params, design
         point, gene) tuples never re-run component allocation.
-    batch_eval:
-        Score whole EA populations through the numpy engine of
-        :mod:`repro.core.batch_eval` (one vector op per pipeline stage
-        instead of one Python call per gene). The batched engine
-        replicates the scalar oracle's operation order, so results are
-        identical for a fixed seed — this knob only changes speed.
-        ``False`` falls back to gene-at-a-time evaluation (also the
-        automatic fallback when numpy is unavailable).
     sa_proposal_batch:
         Neighbor proposals the stage-1 SA filter draws and scores per
         batch (its Eq. 4 energies vectorize the same way). ``1``
@@ -143,26 +135,18 @@ class SynthesisConfig:
         internally. At least two distinct objectives are required
         (one-objective fronts degenerate to the scalar EA — use
         ``synthesize()``).
-    grid_eval:
-        Bound the outer (design point, WtDup, ResDAC) task queue
-        through the tensorized grid evaluator of
-        :mod:`repro.core.grid_eval` (one ``(tasks, layers)`` pass
-        instead of one spec rebuild per task) and prune dominated
-        tasks by vectorized masking. The grid path is bit-identical
-        to the per-task walk, so this knob — like ``batch_eval`` —
-        only changes speed and is excluded from content keys.
-        ``False`` (or a numpy-less interpreter) falls back to the
-        per-task scalar walk.
     backend:
-        Name of the array-execution backend every tensorized path
-        runs on — the outer task-grid walk *and* the batched EA/NSGA/
-        SA population scoring (see :mod:`repro.core.backend`):
+        Name of the array engine the three batched DSE paths run on —
+        the task-grid bounds, EA/NSGA-II population scoring and the SA
+        filter's Eq. 4 sums (see :mod:`repro.core.backend`):
         ``"numpy"`` (vectorized; the default when numpy imports),
         ``"python"`` (the loop reference; the default without numpy)
         or ``"numba"`` (the loops JIT-compiled, when numba imports).
         Every backend is ``==`` to the loop reference by contract, so
         the choice is execution-only and excluded from content keys.
-        Unknown or unavailable names fail at construction.
+        Unknown or unavailable names fail at construction. Without
+        numpy no array is built: each path runs its scalar oracle,
+        which returns the same values.
     sim_engine:
         Name of the cycle-simulator event-wheel engine every replay of
         this config's solutions runs on (see
@@ -203,13 +187,11 @@ class SynthesisConfig:
     jobs: int = 1
     prune_dominated: bool = True
     share_eval_cache: bool = True
-    batch_eval: bool = True
     sa_proposal_batch: int = 8
     pareto: bool = False
     objectives: Tuple[str, ...] = DEFAULT_OBJECTIVES
     seed: int = 2024
     tech: str = DEFAULT_TECHNOLOGY
-    grid_eval: bool = True
     backend: str = DEFAULT_BACKEND
     sim_engine: str = "auto"
 
@@ -284,14 +266,6 @@ class SynthesisConfig:
         if self.jobs < 0:
             raise ConfigurationError(
                 "jobs must be >= 0 (0 selects one worker per CPU core)"
-            )
-        if not isinstance(self.batch_eval, bool):
-            raise ConfigurationError(
-                f"batch_eval must be a bool, got {self.batch_eval!r}"
-            )
-        if not isinstance(self.grid_eval, bool):
-            raise ConfigurationError(
-                f"grid_eval must be a bool, got {self.grid_eval!r}"
             )
         # Fail fast on unknown/unavailable backends (a mid-walk lookup
         # error would waste the whole stage-1 filter pass).

@@ -27,20 +27,20 @@ Three properties make the engine safe to parallelize and to accelerate:
    fingerprints and is shared with :class:`repro.optim.evolution.
    EvolutionEngine`, so re-visited tuples never re-run the
    component-allocation stage (per process; workers keep local caches).
-4. **Batched population scoring** — every explorer a runner builds
-   inherits ``config.batch_eval``, so each EA launch scores whole
-   generations through the numpy engine of
-   :mod:`repro.core.batch_eval`. The engine is bit-identical to the
-   scalar oracle, which is why ``batch_eval`` sits in
-   :data:`EXECUTION_ONLY_FIELDS`; serial and multiprocessing paths both
-   benefit because the batching happens inside the worker-side runner.
-5. **Tensorized task bounds** — the pruning bounds of property 2 are
-   computed for the *whole* queue in one ``(tasks, layers)`` pass
-   through :mod:`repro.core.grid_eval` (``config.grid_eval``), on the
-   array backend named by ``config.backend``, and dominated tasks are
-   masked vectorized per wave. Bit-identical to bounding each task
-   through its own spec, so ``grid_eval`` and ``backend`` also sit in
-   :data:`EXECUTION_ONLY_FIELDS`.
+4. **Batched population scoring** — when numpy imports, each EA
+   launch scores whole generations through the batched engine of
+   :mod:`repro.core.batch_eval`, on the array backend named by
+   ``config.backend``; without numpy, one gene at a time through the
+   scalar oracle. The two are bit-identical, which is why ``backend``
+   sits in :data:`EXECUTION_ONLY_FIELDS`; serial and multiprocessing
+   paths both benefit because the batching happens inside the
+   worker-side runner.
+5. **Tensorized task bounds** — when numpy imports, the pruning bounds
+   of property 2 are computed for the *whole* queue in one
+   ``(tasks, layers)`` pass through :mod:`repro.core.grid_eval`, on the
+   same backend; without numpy, through one spec per task. The two are
+   bit-identical, so the pruning walk — one dispatch-time check per
+   task against the incumbent — makes the same decisions on either.
 
 Every future scaling direction (sharding the queue across hosts, async
 backends, multi-accelerator evaluation) plugs in behind the same
@@ -68,10 +68,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.core.archive import DesignArchive
     from repro.core.synthesizer import SynthesisReport
 
+from repro.core.backend import numpy_available
 from repro.core.config import SynthesisConfig
 from repro.core.dataflow import make_spec
 from repro.core.design_space import DesignPoint, DesignSpace
 from repro.core.evaluator import throughput_upper_bound
+from repro.core.grid_eval import GridBoundEvaluator
 from repro.core.macro_partition import MacroPartition, MacroPartitionExplorer
 from repro.core.pareto import ParetoPoint, ParetoSolutionSet, merge_fronts
 from repro.core.solution import SynthesisSolution
@@ -128,20 +130,18 @@ def params_fingerprint(params: HardwareParams) -> str:
 #: reproduces the scalar oracle's arithmetic bit for bit). They are
 #: excluded from content keys so a request replayed with different
 #: execution knobs still maps to the same stored result.
-#: ``grid_eval`` and ``backend`` join the set in PR 6: the tensorized
-#: outer walk and every array backend are bit-identical to
-#: the per-task scalar walk by contract (pinned by the grid-eval
-#: differential and backend conformance suites), so neither can change
-#: a result — only how fast it is computed. PR 9 extends ``backend``'s
-#: reach to the batched population scoring (EA/NSGA/SA hot path)
-#: under the same contract: every engine is ``==`` to the scalar
-#: oracle, so the stored result still cannot move.
+#: ``backend`` names the array engine of the batched paths (task-grid
+#: bounds, EA/NSGA-II population scoring, the SA filter's sums); every
+#: engine is ``==`` to the scalar oracle by contract (pinned by the
+#: differential and backend conformance suites), so it cannot change a
+#: result — only how fast it is computed. ``sim_engine`` is the same
+#: promise for the cycle simulator's event wheel.
 #: ``sa_proposal_batch`` is deliberately *not* here: rounds larger than
 #: one change the SA walk (see :class:`repro.optim.annealing.
 #: SimulatedAnnealer`), so it is result content.
 EXECUTION_ONLY_FIELDS = frozenset(
-    {"jobs", "prune_dominated", "share_eval_cache", "batch_eval",
-     "grid_eval", "backend", "sim_engine"}
+    {"jobs", "prune_dominated", "share_eval_cache", "backend",
+     "sim_engine"}
 )
 
 
@@ -414,10 +414,10 @@ class _TaskRunner:
     def make_explorer(self, task: EvaluationTask) -> MacroPartitionExplorer:
         """Build the stage-3 explorer for a task (shared by run/score).
 
-        The explorer inherits ``config.batch_eval``, so every EA launch
-        this worker runs scores whole populations through the numpy
-        engine — the serial executor and each pool worker batch their
-        task queues' evaluations identically.
+        Every EA launch this worker runs scores whole populations
+        through the explorer's batched engine when numpy imports — the
+        serial executor and each pool worker batch their task queues'
+        evaluations identically.
         """
         spec, budget = self.spec_and_budget(task)
         return MacroPartitionExplorer(
@@ -427,7 +427,6 @@ class _TaskRunner:
             cache_context=task.context_key(
                 self._model_key, self._params_key
             ),
-            batch_eval=self.config.batch_eval,
         )
 
     def score_population(
@@ -476,11 +475,8 @@ class _TaskRunner:
                 (lambda gene: ("pareto", objectives, context, gene))
                 if self.cache is not None else None
             ),
-            batch_objectives=(
-                (lambda genes: explorer.score_population_objectives(
-                    genes, objectives
-                ))
-                if explorer.batch_eval else None
+            batch_objectives=lambda genes: (
+                explorer.score_population_objectives(genes, objectives)
             ),
         )
         population = explorer.initial_population(
@@ -956,34 +952,22 @@ class ExplorationEngine:
             budget=explorer.budget,
         )
 
-    def _task_bounds(self, tasks: List[EvaluationTask]):
+    def _task_bounds(self, tasks: List[EvaluationTask]) -> List[float]:
         """Pruning bounds for a whole queue, aligned with ``tasks``.
 
-        Routes through the tensorized grid evaluator
-        (:mod:`repro.core.grid_eval`) when ``config.grid_eval`` is on
-        and numpy is present; otherwise the per-task scalar walk.
-        Grid and scalar bounds are bit-identical (the differential
-        suite's pinned claim), so both paths order and prune the
-        queue identically — the second return value is the backend
-        array for vectorized masking, ``None`` on the scalar path.
+        One pass through the tensorized grid evaluator
+        (:mod:`repro.core.grid_eval`) when numpy imports; otherwise the
+        per-task scalar walk. Grid and scalar bounds are bit-identical
+        (the differential suite's pinned claim), so both order and
+        prune the queue identically.
         """
-        if self.config.grid_eval:
-            from repro.core.grid_eval import (
-                GridBoundEvaluator,
-                grid_eval_supported,
+        if not numpy_available():
+            return [self._local_runner.throughput_bound(t) for t in tasks]
+        if self._grid_evaluator is None:
+            self._grid_evaluator = GridBoundEvaluator(
+                self.model, self.config
             )
-
-            if grid_eval_supported():
-                if self._grid_evaluator is None:
-                    self._grid_evaluator = GridBoundEvaluator(
-                        self.model, self.config
-                    )
-                array = self._grid_evaluator.bounds_array(tasks)
-                return [float(value) for value in array], array
-        return (
-            [self._local_runner.throughput_bound(t) for t in tasks],
-            None,
-        )
+        return self._grid_evaluator.bounds(tasks)
 
     def _evaluate_queue(
         self,
@@ -1009,12 +993,12 @@ class ExplorationEngine:
         if prune is None:
             prune = self.config.prune_dominated and self.archive is None
         if prune:
-            bounds, bounds_array = self._task_bounds(tasks)
+            bounds = self._task_bounds(tasks)
             order = sorted(
                 range(len(tasks)), key=lambda i: (-bounds[i], i)
             )
         else:
-            bounds, bounds_array = [], None
+            bounds = []
             order = list(range(len(tasks)))
 
         incumbent: Optional[TaskOutcome] = None
@@ -1027,43 +1011,20 @@ class ExplorationEngine:
             # pool prefetch would launch every EA before the first
             # incumbent could rule any of them out.
             wave: List[EvaluationTask] = []
-            if (
-                prune and incumbent is not None
-                and bounds_array is not None
-            ):
-                # Grid path: one backend call masks the whole remaining
-                # tail against the incumbent (fixed during assembly, so
-                # the mask equals the per-task checks below), then the
-                # walk only counts pruned tasks until the wave fills.
-                remaining = order[cursor:]
-                mask = self._grid_evaluator.backend.prune_mask(
-                    bounds_array, remaining,
-                    incumbent.fitness, incumbent.index,
-                )
-                for dominated, position in zip(mask, remaining):
-                    cursor += 1
-                    if dominated:
+            while cursor < len(order) and len(wave) < wave_size:
+                position = order[cursor]
+                cursor += 1
+                task = tasks[position]
+                if prune and incumbent is not None:
+                    bound = bounds[position]
+                    if bound < incumbent.fitness or (
+                        bound == incumbent.fitness
+                        and task.index > incumbent.index
+                    ):
                         self.report.pruned_tasks += 1
                         continue
-                    self.report.ea_runs += 1
-                    wave.append(tasks[position])
-                    if len(wave) == wave_size:
-                        break
-            else:
-                while cursor < len(order) and len(wave) < wave_size:
-                    position = order[cursor]
-                    cursor += 1
-                    task = tasks[position]
-                    if prune and incumbent is not None:
-                        bound = bounds[position]
-                        if bound < incumbent.fitness or (
-                            bound == incumbent.fitness
-                            and task.index > incumbent.index
-                        ):
-                            self.report.pruned_tasks += 1
-                            continue
-                    self.report.ea_runs += 1
-                    wave.append(task)
+                self.report.ea_runs += 1
+                wave.append(task)
             for outcome in executor.imap_tasks(wave):
                 incumbent = self._absorb(outcome, tasks, incumbent)
                 if (

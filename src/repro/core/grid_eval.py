@@ -41,9 +41,10 @@ pins this across the model zoo; the executor's pruning decisions (exact
 float comparisons against the incumbent) therefore cannot differ
 between the tensorized and the per-task walk.
 
-The module degrades gracefully: :func:`grid_eval_supported` is False
-when numpy is unavailable, and the executor falls back to the scalar
-per-task walk (same solutions, slower), exactly like ``batch_eval``.
+Grid assembly builds numpy arrays whichever backend consumes them, so
+numpy is the gate: without it (:func:`repro.core.backend.
+numpy_available` is False) the executor bounds tasks one at a time
+through the scalar walk instead — same bounds, slower.
 """
 
 from __future__ import annotations
@@ -68,16 +69,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.executor import EvaluationTask
 
 
-def grid_eval_supported() -> bool:
-    """Whether the tensorized task walk can run on this interpreter.
-
-    Grid assembly builds numpy arrays regardless of the backend that
-    consumes them, so numpy is the gate (the ``python`` backend still
-    *executes* without vector instructions, but reads the same arrays).
-    """
-    return numpy_module() is not None
-
-
 class GridBoundEvaluator:
     """Computes pruning bounds for whole task queues in one pass.
 
@@ -98,7 +89,8 @@ class GridBoundEvaluator:
         if np is None:
             raise RuntimeError(
                 "grid evaluation requires numpy; gate on "
-                "grid_eval_supported() before constructing"
+                "repro.core.backend.numpy_available() before "
+                "constructing"
             )
         self.model = model
         self.config = config

@@ -24,10 +24,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, MutableMapping, Optional, Sequence, Tuple
 
-from repro.core.batch_eval import (
-    BatchPerformanceEvaluator,
-    numpy_available,
-)
+from repro.core.backend import numpy_available
+from repro.core.batch_eval import BatchPerformanceEvaluator
 from repro.core.component_alloc import (
     ComponentAllocation,
     allocate_components,
@@ -138,13 +136,13 @@ class MacroPartitionExplorer:
     Without them the engine falls back to a private per-run memo, which
     is the original behavior.
 
-    ``batch_eval`` selects the population-scoring engine: ``True`` runs
-    whole EA generations through the numpy evaluator of
-    :mod:`repro.core.batch_eval` (bit-identical metrics, one vector op
-    per stage instead of one Python call per gene), ``False`` keeps the
-    gene-at-a-time oracle, and ``None`` (default) follows
-    ``config.batch_eval``. Either way :meth:`score` remains the scalar
-    reference for individual genes (winner materialization, tests).
+    The EA and NSGA-II score whole generations through
+    :meth:`score_population` / :meth:`score_population_objectives`:
+    the batched evaluator of :mod:`repro.core.batch_eval` when numpy
+    imports (bit-identical metrics, one array op per stage instead of
+    one Python call per gene), the gene-at-a-time oracle otherwise.
+    Either way :meth:`score` remains the scalar reference for
+    individual genes (winner materialization, tests).
     """
 
     def __init__(
@@ -156,7 +154,6 @@ class MacroPartitionExplorer:
         rng: random.Random,
         cache: Optional[MutableMapping] = None,
         cache_context: Optional[Hashable] = None,
-        batch_eval: Optional[bool] = None,
     ) -> None:
         self.spec = spec
         self.budget = budget
@@ -165,9 +162,6 @@ class MacroPartitionExplorer:
         self.rng = rng
         self.cache = cache
         self.cache_context = cache_context
-        if batch_eval is None:
-            batch_eval = config.batch_eval
-        self.batch_eval = bool(batch_eval) and numpy_available()
         self._batch_evaluator: Optional[BatchPerformanceEvaluator] = None
         self.last_report = None  # EvolutionReport of the latest explore()
         self.evaluator = PerformanceEvaluator(spec, budget)
@@ -224,8 +218,8 @@ class MacroPartitionExplorer:
             raise PimsynError(
                 f"gene {tuple(gene)} scored fitness {fitness!r} in the "
                 "search, but the scalar oracle finds it infeasible "
-                f"(backend {self.config.backend!r}, batch_eval="
-                f"{self.batch_eval}): the engines diverged"
+                f"(backend {self.config.backend!r}): the engines "
+                "diverged"
             )
         return allocation, result
 
@@ -234,11 +228,11 @@ class MacroPartitionExplorer:
 
         Numerically identical to calling :meth:`score` per gene (the
         batched engine replicates the scalar operation order); used by
-        the EA as its generation-level ``batch_fitness`` hook. With
-        ``batch_eval`` off (or numpy unavailable) it degrades to the
-        scalar loop, so callers get the same values either way.
+        the EA as its generation-level ``batch_fitness`` hook. Without
+        numpy it degrades to the scalar loop, so callers get the same
+        values either way.
         """
-        if not self.batch_eval:
+        if not numpy_available():
             return [self.score(gene)[0] for gene in genes]
         return self.batch_evaluator.fitness_of(genes)
 
@@ -283,11 +277,11 @@ class MacroPartitionExplorer:
         objective_vector` adapter the scalar path uses, so batched and
         scalar runs produce identical vectors — and therefore identical
         NSGA-II walks and fronts. Degrades to the scalar loop when
-        ``batch_eval`` is off or numpy is unavailable.
+        numpy is unavailable.
         """
         if objectives is None:
             objectives = self.config.objectives
-        if not self.batch_eval:
+        if not numpy_available():
             return [
                 self.score_objectives(gene, objectives) for gene in genes
             ]
@@ -307,8 +301,7 @@ class MacroPartitionExplorer:
     @property
     def batch_evaluator(self) -> BatchPerformanceEvaluator:
         """The lazily built batched engine for this (spec, budget, DAC),
-        running on ``config.backend`` (execution-only, like
-        ``config.batch_eval`` itself)."""
+        running on ``config.backend`` (execution-only)."""
         if self._batch_evaluator is None:
             self._batch_evaluator = BatchPerformanceEvaluator(
                 self.spec,
@@ -408,9 +401,7 @@ class MacroPartitionExplorer:
                 (lambda gene: (context, gene))
                 if self.cache is not None else None
             ),
-            batch_fitness=(
-                self.score_population if self.batch_eval else None
-            ),
+            batch_fitness=self.score_population,
         )
         self.last_report = engine.report
         best_gene, best_fitness = engine.run(

@@ -8,10 +8,10 @@ the same fingerprint scheme as the executor's evaluation memo
 (:func:`repro.core.executor.model_fingerprint` /
 :func:`~repro.core.executor.params_fingerprint` /
 :func:`~repro.core.executor.config_fingerprint`). Execution-only knobs
-(``jobs``, pruning, cache sharing, the batch/grid evaluators and the
-array ``backend``) are excluded by construction, so the same request
-replayed with a different worker count — or a different array engine —
-maps to the same stored result.
+(``jobs``, pruning, cache sharing, the array ``backend`` and the
+cycle-simulator ``sim_engine``) are excluded by construction, so the
+same request replayed with a different worker count — or a different
+array engine — maps to the same stored result.
 
 :class:`JobRecord` is the scheduler-side lifecycle object: state
 machine (queued -> running -> done/failed), timestamps, store

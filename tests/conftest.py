@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
+import repro.core.backend
 from repro.core.config import SynthesisConfig
 from repro.hardware.params import HardwareParams
 from repro.nn import lenet5, resnet18_cifar, vgg13
@@ -52,3 +55,24 @@ def tiny_model() -> CNNModel:
 @pytest.fixture()
 def fast_config() -> SynthesisConfig:
     return SynthesisConfig.fast(total_power=2.0, seed=7)
+
+
+@pytest.fixture(scope="session")
+def without_numpy():
+    """A context manager under which repro runs as it does on an
+    interpreter without numpy.
+
+    It sets ``repro.core.backend._np``, the one numpy gate, to None, so
+    the task bounds, EA/NSGA-II population scoring and the SA filter all
+    take their scalar oracles. Configs built inside must pass
+    ``backend="python"``, the default such an interpreter gets. Forked
+    ``jobs > 1`` workers inherit the patched gate.
+    """
+
+    @contextlib.contextmanager
+    def blocked():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(repro.core.backend, "_np", None)
+            yield
+
+    return blocked

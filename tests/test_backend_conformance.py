@@ -2,8 +2,9 @@
 
 Every :class:`~repro.core.backend.ArrayBackend` in the engine table
 (numpy / python / numba) must return values ``==`` to the ``python``
-loop engine for the op-level primitives and the fused kernels
-(task-grid bounds *and* population scoring) — the loop engine is the
+loop engine for its three calls: the SA filter's ``ordered_sum`` and
+the fused kernels (task-grid bounds *and* population scoring) — the
+loop engine is the
 reference, since it executes the scalar oracle's operation order
 literally. The suite parametrizes over the table, and an engine whose
 optional dependency is absent (``numba`` without numba installed) is
@@ -98,7 +99,7 @@ def lenet_grid():
 
 
 class TestPrimitiveConformance:
-    """ordered_sum / ordered_max / prune_mask: exact across backends."""
+    """ordered_sum: exact across backends."""
 
     @pytest.mark.parametrize("name", available_backends())
     def test_ordered_sum_matches_reference(self, name):
@@ -118,36 +119,6 @@ class TestPrimitiveConformance:
             expected = expected + value
         assert [float(v) for v in backend.ordered_sum([row])] == \
             [expected]
-
-    @pytest.mark.parametrize("name", available_backends())
-    def test_ordered_max_matches_reference(self, name):
-        backend = _backend_or_skip(name)
-        terms = _random_matrix(9, 5, seed=2)
-        assert [float(v) for v in backend.ordered_max(terms)] == \
-            _reference().ordered_max(terms)
-
-    @pytest.mark.parametrize("name", available_backends())
-    def test_prune_mask_semantics(self, name):
-        backend = _backend_or_skip(name)
-        bounds = [3.0, 2.0, 2.0, 1.0, 2.0]
-        positions = [0, 1, 2, 3, 4]
-        # Incumbent: fitness 2.0 at task index 2. Pruned: strictly
-        # worse bounds, or ties held by *larger* task indices.
-        mask = [bool(v) for v in backend.prune_mask(
-            bounds, positions, 2.0, 2
-        )]
-        assert mask == [False, False, False, True, True]
-
-    @pytest.mark.parametrize("name", available_backends())
-    def test_prune_mask_subset_positions(self, name):
-        """positions indexes into the full bounds array (the executor
-        passes the un-walked tail of its order), not a dense slice."""
-        backend = _backend_or_skip(name)
-        bounds = [5.0, 1.0, 4.0, 2.0]
-        mask = [bool(v) for v in backend.prune_mask(
-            bounds, [3, 0], 2.0, 1
-        )]
-        assert mask == [True, False]
 
 
 class TestKernelConformance:
@@ -228,52 +199,6 @@ FLOAT_SCORE_FIELDS = (
     "fitness", "period", "latency", "throughput", "tops", "power",
     "tops_per_watt", "energy_per_image", "edp",
 )
-
-
-class TestBatchEvalPrimitiveConformance:
-    """decode_population / mesh_hops: integer-exact on every backend."""
-
-    @pytest.mark.parametrize("name", available_backends())
-    def test_decode_population_matches_reference(
-        self, name, lenet_population
-    ):
-        import numpy as np
-
-        backend = _backend_or_skip(name)
-        _, genes_arr, _ = lenet_population
-        got = backend.decode_population(genes_arr)
-        want = _reference().decode_population(genes_arr)
-        assert len(got) == len(want) == 5
-        for g, w in zip(got, want):
-            assert np.array_equal(np.asarray(g), np.asarray(w))
-
-    @pytest.mark.parametrize("name", available_backends())
-    def test_mesh_hops_matches_reference(self, name):
-        import numpy as np
-
-        backend = _backend_or_skip(name)
-        rng = random.Random(5)
-        a = np.asarray(
-            [rng.randrange(0, 64) for _ in range(128)], dtype=np.int64
-        )
-        b = np.asarray(
-            [rng.randrange(0, 64) for _ in range(128)], dtype=np.int64
-        )
-        for cols in (1, 3, 8):
-            got = np.asarray(backend.mesh_hops(a, b, cols))
-            want = np.asarray(_reference().mesh_hops(a, b, cols))
-            assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("name", available_backends())
-    def test_mesh_hops_is_manhattan(self, name):
-        """Pinned against the closed form, not just the reference."""
-        import numpy as np
-
-        backend = _backend_or_skip(name)
-        a = np.asarray([0, 5, 7, 7], dtype=np.int64)
-        b = np.asarray([7, 5, 0, 6], dtype=np.int64)
-        got = [int(v) for v in np.asarray(backend.mesh_hops(a, b, 3))]
-        assert got == [3, 0, 3, 1]
 
 
 class TestScorePopulationConformance:

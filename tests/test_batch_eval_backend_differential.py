@@ -12,12 +12,12 @@ suite pins that in four layers:
    owners with several sharers, population sizes on a residual DAG, a
    NoC-bound context, and the sharing-off and identical-macro
    settings.
-2. Full synthesis: the (backend x jobs x batch_eval) matrix returns one
-   winning solution with identical telemetry (EA runs, pruning
-   decisions, cache hits).
-3. Content keys: the PR 5 fingerprints are byte-unchanged, and neither
-   ``backend`` nor ``batch_eval`` perturbs a config fingerprint or a
-   serve job key (execution-only fields).
+2. Full synthesis: the (backend x jobs) matrix, plus the scalar
+   oracles a numpy-less interpreter runs, returns one winning solution
+   with identical telemetry (EA runs, pruning decisions, cache hits).
+3. Content keys: the pinned fingerprints are byte-unchanged, and
+   ``backend`` never perturbs a config fingerprint or a serve job key
+   (an execution-only field).
 4. Goldens: the committed pareto-front golden is reproduced by every
    available backend, byte-identically across backends.
 
@@ -56,7 +56,7 @@ AVAILABLE_BACKENDS = tuple(
 )
 
 #: PR 5 pins (recorded on the pre-profile tree). The seam's hard
-#: promise: routing batch_eval through the array backends never
+#: promise: routing batched scoring through the array backends never
 #: moves a default-technology content key.
 PINNED_PARAMS_FP = "3dd4e2a54ef76d2a"
 PINNED_CONFIG_FP_FAST_2W = "101f9fe6705bffb0"
@@ -289,20 +289,21 @@ class TestVectorKernelRiskyCases:
 
 
 class TestFullSynthesisIdentity:
-    """backend x jobs x batch_eval: one winner, one telemetry stream."""
+    """backend x jobs, and numpy on/off: one winner, one telemetry
+    stream."""
 
-    def test_backend_jobs_batch_matrix_lenet5(self):
+    def test_backend_jobs_batch_matrix_lenet5(self, without_numpy):
+        def run(jobs, backend):
+            return Pimsyn(zoo.by_name("lenet5"), SynthesisConfig.fast(
+                total_power=2.0, seed=7, jobs=jobs, backend=backend,
+            )).synthesize().to_json()
+
         outputs = set()
-        for backend in AVAILABLE_BACKENDS:
-            for jobs in (1, 4):
-                for batch in (True, False):
-                    solution = Pimsyn(zoo.by_name("lenet5"), (
-                        SynthesisConfig.fast(
-                            total_power=2.0, seed=7, jobs=jobs,
-                            backend=backend, batch_eval=batch,
-                        )
-                    )).synthesize()
-                    outputs.add(solution.to_json())
+        for jobs in (1, 4):
+            for backend in AVAILABLE_BACKENDS:
+                outputs.add(run(jobs, backend))
+            with without_numpy():
+                outputs.add(run(jobs, "python"))
         assert len(outputs) == 1
 
     @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
@@ -326,22 +327,21 @@ class TestFullSynthesisIdentity:
             reports["baseline"].cache_hits
 
     @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
-    def test_alexnet_identity_per_backend(self, backend):
-        solution = Pimsyn(zoo.by_name("alexnet_cifar"), (
-            SynthesisConfig.fast(
-                total_power=8.0, seed=7, backend=backend,
-            )
-        )).synthesize()
-        baseline = Pimsyn(zoo.by_name("alexnet_cifar"), (
-            SynthesisConfig.fast(
-                total_power=8.0, seed=7, batch_eval=False,
-            )
-        )).synthesize()
-        assert solution.to_json() == baseline.to_json()
+    def test_alexnet_identity_per_backend(self, backend, without_numpy):
+        def run(backend):
+            return Pimsyn(zoo.by_name("alexnet_cifar"), (
+                SynthesisConfig.fast(
+                    total_power=8.0, seed=7, backend=backend,
+                )
+            )).synthesize().to_json()
+
+        solution = run(backend)
+        with without_numpy():
+            assert run("python") == solution
 
 
 class TestContentKeyPins:
-    """backend / batch_eval are execution-only: PR 5 pins never move."""
+    """backend is execution-only: the pinned keys never move."""
 
     def test_pr5_fingerprints_byte_unchanged(self):
         assert params_fingerprint(HardwareParams()) == PINNED_PARAMS_FP
@@ -358,14 +358,6 @@ class TestContentKeyPins:
         assert config_fingerprint(config) == PINNED_CONFIG_FP_FAST_2W
         assert job_content_key(lenet5(), config) == \
             PINNED_JOB_KEY_LENET5_FAST_2W
-
-    def test_batch_eval_toggle_never_moves_a_key(self):
-        for batch in (True, False):
-            config = SynthesisConfig.fast(
-                total_power=2.0, batch_eval=batch,
-            )
-            assert config_fingerprint(config) == \
-                PINNED_CONFIG_FP_FAST_2W
 
 
 class TestGoldensPerBackend:

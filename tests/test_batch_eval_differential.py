@@ -6,13 +6,13 @@ fidelity to the scalar evaluation chain (``MacroPartition.from_gene``
 suite pins that claim across the entire model zoo and a grid of power
 budgets (spanning infeasible, tight and generous regimes), for both
 macro-sharing settings and both macro-specialization modes — and then
-end to end: full synthesis must select the *identical* solution with
-``SynthesisConfig.batch_eval`` on or off.
+end to end: full synthesis must select the *identical* solution, with
+identical search and pruning telemetry, with numpy and without it
+(the ``without_numpy`` fixture), serial or pooled.
 """
 
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
@@ -23,7 +23,6 @@ from repro.core.macro_partition import MacroPartitionExplorer
 from repro.hardware.power import PowerBudget
 from repro.nn import zoo
 
-RELTOL = 1e-9
 POWER_GRID = (0.5, 2.0, 8.0, 50.0, 200.0)
 METRIC_FIELDS = (
     "period", "latency", "throughput", "tops", "power",
@@ -66,14 +65,14 @@ def _population(explorer, size=24, seed=2):
     return genes
 
 
-def _assert_close(scalar, batched, label):
-    assert math.isclose(
-        scalar, batched, rel_tol=RELTOL, abs_tol=RELTOL
-    ), f"{label}: scalar={scalar!r} batched={batched!r}"
+def _assert_equal(scalar, batched, label):
+    assert scalar == batched, (
+        f"{label}: scalar={scalar!r} batched={batched!r}"
+    )
 
 
 class TestZooDifferential:
-    """Every zoo model x power grid: metrics agree within 1e-9."""
+    """Every zoo model x power grid: metrics are ``==``."""
 
     @pytest.mark.parametrize("name", zoo.available_models())
     def test_all_metrics_match_scalar_oracle(self, name):
@@ -86,7 +85,7 @@ class TestZooDifferential:
             batch = explorer.batch_evaluator.evaluate_population(genes)
             for k, gene in enumerate(genes):
                 fitness, allocation, result = explorer.score(gene)
-                _assert_close(
+                _assert_equal(
                     fitness, float(batch.fitness[k]),
                     f"{name}@{power}W gene {k} fitness",
                 )
@@ -97,7 +96,7 @@ class TestZooDifferential:
                 feasible_seen += 1
                 assert bool(batch.feasible[k])
                 for field in METRIC_FIELDS:
-                    _assert_close(
+                    _assert_equal(
                         getattr(result, field),
                         float(getattr(batch, field)[k]),
                         f"{name}@{power}W gene {k} {field}",
@@ -122,20 +121,20 @@ class TestZooDifferential:
             genes = _population(explorer)
             batched = explorer.score_population(genes)
             for gene, value in zip(genes, batched):
-                _assert_close(
+                _assert_equal(
                     explorer.score(gene)[0], value,
                     f"{name} sharing={sharing} "
                     f"specialized={specialized}",
                 )
 
-    def test_score_population_scalar_fallback(self):
-        """batch_eval=False degrades score_population to the scalar
-        loop with identical values (the --scalar-eval path)."""
+    def test_score_population_scalar_fallback(self, without_numpy):
+        """Without numpy, score_population degrades to the scalar loop
+        with identical values."""
         explorer = _explorer(zoo.by_name("lenet5"), 2.0)
         genes = _population(explorer, size=8)
         batched = explorer.score_population(genes)
-        explorer.batch_eval = False
-        assert explorer.score_population(genes) == batched
+        with without_numpy():
+            assert explorer.score_population(genes) == batched
 
     def test_res_dac_variants(self):
         """ResDAC changes bit-serial depth; both engines must track."""
@@ -145,49 +144,57 @@ class TestZooDifferential:
             genes = _population(explorer, size=12)
             batched = explorer.score_population(genes)
             for gene, value in zip(genes, batched):
-                _assert_close(
+                _assert_equal(
                     explorer.score(gene)[0], value,
                     f"res_dac={res_dac}",
                 )
 
 
 class TestFullSynthesisIdentity:
-    """batch_eval on/off is an execution knob: results are identical."""
+    """Whether numpy imports is an execution detail: with it, task
+    bounds, EA scoring and the SA filter run batched; without it, on
+    their scalar oracles. Results are identical."""
 
     @pytest.mark.parametrize("name,power", [
         ("lenet5", 2.0), ("alexnet_cifar", 8.0),
     ])
-    def test_identical_solution_and_telemetry(self, name, power):
+    def test_identical_solution_and_telemetry(
+        self, name, power, without_numpy
+    ):
         model = zoo.by_name(name)
-        runs = {}
-        reports = {}
-        for batch in (True, False):
-            synthesizer = Pimsyn(model, SynthesisConfig.fast(
-                total_power=power, seed=7, batch_eval=batch,
-            ))
-            runs[batch] = synthesizer.synthesize().to_json()
-            reports[batch] = synthesizer.report
-        assert runs[True] == runs[False]
-        # Even the search telemetry matches: the batched engine walks
-        # the same RNG stream and consults the same memo.
-        assert (
-            reports[True].ea_evaluations == reports[False].ea_evaluations
-        )
-        assert reports[True].cache_hits == reports[False].cache_hits
-        assert reports[True].ea_runs == reports[False].ea_runs
 
-    def test_identical_across_jobs_and_batch(self):
-        """The 2x2 (jobs, batch_eval) grid returns one solution."""
+        def run(backend):
+            synthesizer = Pimsyn(model, SynthesisConfig.fast(
+                total_power=power, seed=7, backend=backend,
+            ))
+            return synthesizer.synthesize().to_json(), synthesizer.report
+
+        batched, batched_report = run("numpy")
+        with without_numpy():
+            scalar, scalar_report = run("python")
+        assert batched == scalar
+        # Even the search telemetry matches: the batched engine walks
+        # the same RNG stream and consults the same memo, and the grid
+        # bounds make the per-task walk's pruning decisions.
+        assert batched_report.ea_evaluations == scalar_report.ea_evaluations
+        assert batched_report.cache_hits == scalar_report.cache_hits
+        assert batched_report.ea_runs == scalar_report.ea_runs
+        assert batched_report.pruned_tasks == scalar_report.pruned_tasks
+
+    def test_identical_across_jobs_and_batch(self, without_numpy):
+        """The 2x2 (jobs, numpy) grid returns one solution."""
         outputs = set()
         for jobs in (1, 2):
-            for batch in (True, False):
-                solution = Pimsyn(zoo.by_name("lenet5"), (
+            outputs.add(Pimsyn(zoo.by_name("lenet5"), (
+                SynthesisConfig.fast(total_power=2.0, seed=11, jobs=jobs)
+            )).synthesize().to_json())
+            with without_numpy():
+                outputs.add(Pimsyn(zoo.by_name("lenet5"), (
                     SynthesisConfig.fast(
                         total_power=2.0, seed=11, jobs=jobs,
-                        batch_eval=batch,
+                        backend="python",
                     )
-                )).synthesize()
-                outputs.add(solution.to_json())
+                )).synthesize().to_json())
         assert len(outputs) == 1
 
 
@@ -224,22 +231,24 @@ class TestTechnologyDifferential:
             batch = explorer.batch_evaluator.evaluate_population(genes)
             for k, gene in enumerate(genes):
                 fitness, allocation, result = explorer.score(gene)
-                _assert_close(
+                _assert_equal(
                     fitness, float(batch.fitness[k]),
                     f"{tech}@{power}W gene {k} fitness",
                 )
                 if allocation is None:
                     continue
                 for field in METRIC_FIELDS:
-                    _assert_close(
+                    _assert_equal(
                         getattr(result, field),
                         float(getattr(batch, field)[k]),
                         f"{tech}@{power}W gene {k} {field}",
                     )
 
     @pytest.mark.parametrize("tech", ("reram-lp", "sram-pim"))
-    def test_full_synthesis_identity_per_technology(self, tech):
-        """batch_eval stays an execution-only knob off-reram too, and
+    def test_full_synthesis_identity_per_technology(
+        self, tech, without_numpy
+    ):
+        """Numpy stays an execution detail off-reram too, and
         non-default technologies synthesize end to end."""
         from repro.core.design_space import DesignSpace
 
@@ -248,12 +257,14 @@ class TestTechnologyDifferential:
         power = DesignSpace(model, probe).minimum_feasible_power(
             margin=2.0
         )
-        runs = {}
-        for batch in (True, False):
+
+        def run(backend):
             solution = Pimsyn(model, SynthesisConfig.fast(
-                total_power=power, seed=7, tech=tech,
-                batch_eval=batch,
+                total_power=power, seed=7, tech=tech, backend=backend,
             )).synthesize()
-            runs[batch] = solution.to_json()
             assert solution.evaluation.throughput > 0
-        assert runs[True] == runs[False]
+            return solution.to_json()
+
+        batched = run("numpy")
+        with without_numpy():
+            assert run("python") == batched

@@ -11,11 +11,11 @@ samples):
   EA's batched path.
 
 The per-backend classes hold every *available* backend to the same
-properties through the new primitives (``decode_population``,
-``score_population``): permutation invariance, batch-of-one ``==``
-the scalar oracle, and memo hit/miss identity — the EA's cache
-interaction is byte-for-byte the same whichever backend scores the
-misses.
+properties through ``score_population``: permutation invariance,
+batch-of-one ``==`` the scalar oracle, and memo hit/miss identity —
+the EA's cache interaction is byte-for-byte the same whichever backend
+scores the misses. And an EA run walks identically with numpy and
+without it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import SynthesisConfig
-from repro.core.backend import backend_status, get_backend
+from repro.core.backend import backend_status
 from repro.core.batch_eval import BatchPerformanceEvaluator
 from repro.core.dataflow import make_spec
 from repro.core.macro_partition import (
@@ -191,28 +191,7 @@ class TestBatchInvariants:
 
 
 class TestBackendPrimitiveProperties:
-    """The new ArrayBackend primitives, per available backend."""
-
-    @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
-    @given(genes=populations(), seed=st.integers(0, 2**16))
-    @settings(max_examples=10, deadline=None)
-    def test_decode_population_permutation_invariance(
-        self, backend, genes, seed
-    ):
-        """Decoding a permuted population permutes every per-gene row
-        of the decode — lanes are independent."""
-        import numpy as np
-
-        engine = get_backend(backend)
-        genes_arr = np.asarray(genes, dtype=np.int64)
-        order = list(range(len(genes)))
-        random.Random(seed).shuffle(order)
-        base = engine.decode_population(genes_arr)
-        permuted = engine.decode_population(genes_arr[order])
-        for b, p in zip(base, permuted):
-            assert np.array_equal(
-                np.asarray(b)[order], np.asarray(p)
-            )
+    """Population scoring, per available backend."""
 
     @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
     @given(genes=populations(), seed=st.integers(0, 2**16))
@@ -294,20 +273,25 @@ class TestBackendPrimitiveProperties:
 class TestEngineEquivalence:
     @given(seed=st.integers(0, 2**16))
     @settings(max_examples=10, deadline=None)
-    def test_batched_and_scalar_ea_runs_are_identical(self, seed):
+    def test_batched_and_scalar_ea_runs_are_identical(
+        self, seed, without_numpy
+    ):
         """Same seed, same initial population -> same EA outcome and
-        telemetry with and without the batched engine."""
-        outcomes = {}
-        for batch in (True, False):
-            explorer = _make_explorer()
-            explorer.batch_eval = batch
+        telemetry with the batched engine and, numpy blocked, without
+        it."""
+
+        def outcome(explorer):
             explorer.rng = random.Random(seed)
             partition, _allocation, result = explorer.explore()
-            outcomes[batch] = (
+            return (
                 partition.gene,
                 result.throughput,
                 explorer.last_report.evaluations,
                 explorer.last_report.cache_hits,
                 explorer.last_report.generations,
             )
-        assert outcomes[True] == outcomes[False]
+
+        batched = outcome(_make_explorer())
+        scalar_explorer = _make_explorer()
+        with without_numpy():
+            assert outcome(scalar_explorer) == batched

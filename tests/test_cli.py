@@ -101,6 +101,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["synthesize", "--model", "a", "--json", "b"])
 
+    @pytest.mark.parametrize("command", [
+        ["synthesize", "--model", "lenet5", "--power", "2"],
+        ["sweep", "--model", "lenet5", "--powers", "2"],
+    ])
+    @pytest.mark.parametrize("path", ["eval", "bounds"])
+    def test_removed_scalar_flags_are_usage_errors(
+        self, command, path, capsys
+    ):
+        """Numpy alone picks the batched or scalar DSE paths; the
+        removed switches fail with argparse's usage error."""
+        flag = f"--scalar-{path}"
+        with pytest.raises(SystemExit) as exc:
+            main(command + [flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
 
 class TestTechCommand:
     def test_list(self, capsys):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core.backend import numpy_available
 from repro.core.config import SynthesisConfig
 from repro.core.dataflow import make_spec
 from repro.core.macro_partition import (
@@ -176,7 +177,7 @@ class TestExplore:
         calling it infeasible is an engine divergence, reported as a
         PimsynError (never the skipped-task InfeasibleError) even under
         ``python -O``."""
-        assert explorer.batch_eval
+        assert numpy_available()  # the search scores batched
         monkeypatch.setattr(
             explorer, "score", lambda gene: (0.0, None, None)
         )

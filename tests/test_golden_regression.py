@@ -133,10 +133,10 @@ class TestGoldenShapes:
 class TestContentKeysBackendIndependent:
     """PR 5's pinned content keys survive the tensorized task walk.
 
-    ``grid_eval`` and ``backend`` are execution-only knobs: toggling
-    them must leave every fingerprint and serve job key *byte*-unchanged
-    (the pins recorded before the grid walk existed), or stored results
-    would silently split by array engine.
+    ``backend`` is an execution-only knob: switching it must leave every
+    fingerprint and serve job key *byte*-unchanged (the pins recorded
+    before the grid walk existed), or stored results would silently
+    split by array engine.
     """
 
     PINNED_PARAMS_FP = "3dd4e2a54ef76d2a"
@@ -149,12 +149,10 @@ class TestContentKeysBackendIndependent:
         from repro.core.config import SynthesisConfig
 
         usable = [name for name, ok, _ in backend_status() if ok]
-        for grid_eval in (True, False):
-            for backend in usable:
-                yield lambda power, _g=grid_eval, _b=backend, \
-                    _preset=True: SynthesisConfig.fast(
-                        total_power=power, grid_eval=_g, backend=_b,
-                    )
+        for backend in usable:
+            yield lambda power, _b=backend: SynthesisConfig.fast(
+                total_power=power, backend=_b,
+            )
 
     def test_config_fingerprints_pinned_across_backends(self):
         from repro.core.config import SynthesisConfig
@@ -163,9 +161,7 @@ class TestContentKeysBackendIndependent:
         for make in self._variants():
             assert config_fingerprint(make(2.0)) == \
                 self.PINNED_CONFIG_FP_FAST_2W
-        full = SynthesisConfig(
-            total_power=50.0, grid_eval=False, backend="python"
-        )
+        full = SynthesisConfig(total_power=50.0, backend="python")
         assert config_fingerprint(full) == self.PINNED_CONFIG_FP_FULL_50W
 
     def test_params_fingerprint_untouched(self):
@@ -192,12 +188,19 @@ class TestContentKeysBackendIndependent:
         base = JobRequest(model="lenet5", total_power=2.0)
         tuned = JobRequest(
             model="lenet5", total_power=2.0,
-            overrides={"backend": "python", "grid_eval": False},
+            overrides={"backend": "python"},
         )
         assert base.content_key() == tuned.content_key()
         assert base.content_key() == self.PINNED_JOB_KEY_LENET5_FAST_2W
 
-    def test_execution_only_fields_cover_the_new_knobs(self):
+    def test_execution_only_fields_are_config_fields(self):
+        """Every execution-only name is a live SynthesisConfig field, so
+        a deleted field cannot linger in the set unnoticed."""
+        from dataclasses import fields
+
+        from repro.core.config import SynthesisConfig
         from repro.core.executor import EXECUTION_ONLY_FIELDS
 
-        assert {"grid_eval", "backend"} <= set(EXECUTION_ONLY_FIELDS)
+        names = {f.name for f in fields(SynthesisConfig)}
+        assert EXECUTION_ONLY_FIELDS <= names
+        assert "backend" in EXECUTION_ONLY_FIELDS

@@ -10,7 +10,9 @@ less would let the tensorized walk change which tasks run. This suite
 pins that claim across the model zoo and a power grid spanning
 infeasible, tight and generous regimes, for every available backend —
 and then end to end: full synthesis must select the identical solution
-with ``grid_eval`` on or off, serial or pooled, pruned or not.
+on every backend and with numpy blocked (the per-task walk), pruned or
+not. ``tests/test_batch_eval_differential.py`` holds the numpy on/off
+solution and telemetry identity across ``jobs``.
 """
 
 from __future__ import annotations
@@ -18,15 +20,15 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Pimsyn, SynthesisConfig
-from repro.core.backend import backend_status, get_backend
+from repro.core.backend import backend_status, get_backend, numpy_available
 from repro.core.design_space import DesignSpace
 from repro.core.executor import ExplorationEngine
-from repro.core.grid_eval import GridBoundEvaluator, grid_eval_supported
+from repro.core.grid_eval import GridBoundEvaluator
 from repro.core.synthesizer import SynthesisReport
 from repro.nn import zoo
 
 pytestmark = pytest.mark.skipif(
-    not grid_eval_supported(), reason="grid evaluation requires numpy"
+    not numpy_available(), reason="grid evaluation requires numpy"
 )
 
 POWER_GRID = (0.5, 2.0, 8.0, 50.0, 200.0)
@@ -95,85 +97,49 @@ class TestZooBoundsBitIdentity:
                 values.add(value == 0.0)
         assert values == {True, False}
 
-    def test_engine_task_bounds_routes_identically(self):
+    def test_engine_task_bounds_routes_identically(self, without_numpy):
         """ExplorationEngine._task_bounds returns the same floats on
-        the grid path and the scalar path (grid_eval toggled)."""
+        the grid path and, numpy blocked, the scalar path."""
         model = zoo.by_name("alexnet_cifar")
-        scalar_cfg = SynthesisConfig.fast(
-            total_power=8.0, seed=7, grid_eval=False
-        )
-        grid_cfg = SynthesisConfig.fast(total_power=8.0, seed=7)
-        engine, tasks = _engine_and_tasks(model, scalar_cfg)
-        scalar_bounds, scalar_array = engine._task_bounds(tasks)
-        assert scalar_array is None
-        grid_engine = ExplorationEngine(
-            model, grid_cfg, SynthesisReport()
-        )
-        grid_bounds, grid_array = grid_engine._task_bounds(tasks)
-        assert grid_array is not None
-        assert grid_bounds == scalar_bounds
+        config = SynthesisConfig.fast(total_power=8.0, seed=7)
+        grid_engine, tasks = _engine_and_tasks(model, config)
+        grid_bounds = grid_engine._task_bounds(tasks)
+        assert grid_engine._grid_evaluator is not None
+        scalar_engine = ExplorationEngine(model, config, SynthesisReport())
+        with without_numpy():
+            per_task_bounds = scalar_engine._task_bounds(tasks)
+        assert scalar_engine._grid_evaluator is None
+        assert grid_bounds == per_task_bounds
 
 
 class TestFullSynthesisIdentity:
-    """grid_eval / backend are execution knobs: results are identical."""
-
-    @pytest.mark.parametrize("name,power", [
-        ("lenet5", 2.0), ("alexnet_cifar", 8.0),
-    ])
-    def test_identical_solution_and_pruning_telemetry(self, name, power):
-        model = zoo.by_name(name)
-        runs = {}
-        reports = {}
-        for grid in (True, False):
-            synthesizer = Pimsyn(model, SynthesisConfig.fast(
-                total_power=power, seed=7, grid_eval=grid,
-            ))
-            runs[grid] = synthesizer.synthesize().to_json()
-            reports[grid] = synthesizer.report
-        assert runs[True] == runs[False]
-        # Not just the winner: the pruning decisions themselves match,
-        # because the bounds are bit-identical.
-        assert reports[True].pruned_tasks == reports[False].pruned_tasks
-        assert reports[True].ea_runs == reports[False].ea_runs
-        assert reports[True].cache_hits == reports[False].cache_hits
+    """backend is an execution knob, and numpy only picks batched or
+    scalar paths: results are identical."""
 
     @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
-    def test_identical_solution_per_backend(self, backend):
-        solution = Pimsyn(zoo.by_name("lenet5"), SynthesisConfig.fast(
-            total_power=2.0, seed=7, backend=backend,
-        )).synthesize()
-        baseline = Pimsyn(zoo.by_name("lenet5"), SynthesisConfig.fast(
-            total_power=2.0, seed=7, grid_eval=False,
-        )).synthesize()
-        assert solution.to_json() == baseline.to_json()
+    def test_identical_solution_per_backend(self, backend, without_numpy):
+        def run(backend):
+            return Pimsyn(zoo.by_name("lenet5"), SynthesisConfig.fast(
+                total_power=2.0, seed=7, backend=backend,
+            )).synthesize().to_json()
 
-    def test_identical_across_jobs_and_grid(self):
-        """The 2x2 (jobs, grid_eval) grid returns one solution — the
-        vectorized wave masking interacts with pool prefetch exactly
-        like the scalar dispatch loop did."""
-        outputs = set()
-        for jobs in (1, 4):
-            for grid in (True, False):
-                solution = Pimsyn(zoo.by_name("lenet5"), (
-                    SynthesisConfig.fast(
-                        total_power=2.0, seed=11, jobs=jobs,
-                        grid_eval=grid,
-                    )
-                )).synthesize()
-                outputs.add(solution.to_json())
-        assert len(outputs) == 1
+        solution = run(backend)
+        with without_numpy():
+            assert run("python") == solution
 
-    def test_identical_across_pruning_and_grid(self):
-        """Pruning on/off x grid on/off: one winner (pruning only ever
+    def test_identical_across_pruning_and_grid(self, without_numpy):
+        """Pruning on/off x numpy on/off: one winner (pruning only ever
         removes provably dominated tasks, on either bounds path)."""
+
+        def run(prune, backend):
+            return Pimsyn(zoo.by_name("lenet5"), SynthesisConfig.fast(
+                total_power=2.0, seed=11, prune_dominated=prune,
+                backend=backend,
+            )).synthesize().to_json()
+
         outputs = set()
         for prune in (True, False):
-            for grid in (True, False):
-                solution = Pimsyn(zoo.by_name("lenet5"), (
-                    SynthesisConfig.fast(
-                        total_power=2.0, seed=11,
-                        prune_dominated=prune, grid_eval=grid,
-                    )
-                )).synthesize()
-                outputs.add(solution.to_json())
+            outputs.add(run(prune, "numpy"))
+            with without_numpy():
+                outputs.add(run(prune, "python"))
         assert len(outputs) == 1

@@ -1,17 +1,17 @@
 """Hypothesis invariants of the tensorized task-grid walk.
 
-Four algebraic properties the grid evaluator and its prune masking
-must satisfy for *any* task ordering and any incumbent (not just the
-ones the differential suite samples):
+Four properties the grid evaluator must satisfy for *any* task
+ordering (not just the ones the differential suite samples):
 
 - permuting the task queue permutes the bounds and nothing else;
 - a batch of one equals the scalar ``throughput_bound``;
-- the prune mask is *sound*: no task is ever masked whose true EA
-  fitness beats (or tie-breaks past) the incumbent — the bound really
-  is an upper bound, and masking applies the executor's exact rule;
-- memo hit/miss accounting is identical with the grid walk on or off
-  (the tensorized path only changes how bounds are computed, never
-  which EA launches run or what they memoize).
+- pruning is *sound*: every task's bound is at least its true EA
+  fitness, so the executor's dispatch-time check never skips a task
+  that could beat the incumbent;
+- memo hit/miss accounting is identical with the grid walk and, numpy
+  blocked, the per-task walk (the tensorized path only changes how
+  bounds are computed, never which EA launches run or what they
+  memoize).
 """
 
 from __future__ import annotations
@@ -21,15 +21,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Pimsyn, SynthesisConfig
-from repro.core.backend import get_backend
+from repro.core.backend import numpy_available
 from repro.core.design_space import DesignSpace
 from repro.core.executor import ExplorationEngine
-from repro.core.grid_eval import GridBoundEvaluator, grid_eval_supported
+from repro.core.grid_eval import GridBoundEvaluator
 from repro.core.synthesizer import SynthesisReport
 from repro.nn import lenet5
 
 pytestmark = pytest.mark.skipif(
-    not grid_eval_supported(), reason="grid evaluation requires numpy"
+    not numpy_available(), reason="grid evaluation requires numpy"
 )
 
 
@@ -58,7 +58,7 @@ def _fixture():
     return model, config, engine, evaluator, tasks, bounds, outcomes
 
 
-if grid_eval_supported():
+if numpy_available():
     MODEL, CONFIG, ENGINE, EVALUATOR, TASKS, BOUNDS, OUTCOMES = \
         _fixture()
     FEASIBLE = [o for o in OUTCOMES if o.feasible]
@@ -96,52 +96,7 @@ class TestGridInvariants:
         assert values[0] == BOUNDS[index]
 
 
-class TestPruneMaskSoundness:
-    @given(
-        incumbent_pos=st.integers(0, len(TASKS) - 1),
-        backend_name=st.sampled_from(("numpy", "python")),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_no_winning_task_is_ever_masked(
-        self, incumbent_pos, backend_name
-    ):
-        """For any incumbent drawn from the *actual* task outcomes, a
-        masked task's true fitness can never beat the incumbent's (nor
-        tie it with a smaller index): bound >= truth, and the mask
-        reproduces the executor's exact comparison."""
-        incumbent = OUTCOMES[incumbent_pos]
-        if not incumbent.feasible:
-            incumbent_fitness, incumbent_index = 0.0, incumbent.index
-        else:
-            incumbent_fitness = incumbent.fitness
-            incumbent_index = incumbent.index
-        backend = get_backend(backend_name)
-        positions = list(range(len(TASKS)))
-        mask = [bool(v) for v in backend.prune_mask(
-            BOUNDS, positions, incumbent_fitness, incumbent_index
-        )]
-        for position, dominated in zip(positions, mask):
-            if not dominated:
-                continue
-            truth = OUTCOMES[position]
-            better = truth.feasible and (
-                truth.fitness > incumbent_fitness
-                or (
-                    truth.fitness == incumbent_fitness
-                    and truth.index < incumbent_index
-                )
-            )
-            assert not better, (
-                f"task {position} pruned but its true fitness "
-                f"{truth.fitness} beats incumbent {incumbent_fitness}"
-            )
-            # And the mask is exactly the executor's scalar rule.
-            bound = BOUNDS[position]
-            assert bound < incumbent_fitness or (
-                bound == incumbent_fitness
-                and TASKS[position].index > incumbent_index
-            )
-
+class TestPruningSoundness:
     def test_bound_dominates_truth_everywhere(self):
         """The precondition soundness rests on: bound >= true fitness
         for every task in the queue (infeasible tasks report 0)."""
@@ -151,40 +106,44 @@ class TestPruneMaskSoundness:
 
 
 class TestMemoAccounting:
-    def test_hit_miss_telemetry_identical_grid_on_off(self):
-        """grid_eval changes how bounds are computed, not which tasks
-        run or what the memo sees: hits, misses and EA evaluation
-        counts match exactly."""
-        reports = {}
-        for grid in (True, False):
+    def test_hit_miss_telemetry_identical_grid_on_off(self, without_numpy):
+        """The grid walk changes how bounds are computed, not which
+        tasks run or what the memo sees: hits, misses and EA evaluation
+        counts match the numpy-less per-task walk exactly."""
+
+        def report(backend):
             synthesizer = Pimsyn(lenet5(), SynthesisConfig.fast(
-                total_power=2.0, seed=7, grid_eval=grid,
+                total_power=2.0, seed=7, backend=backend,
             ))
             synthesizer.synthesize()
-            reports[grid] = synthesizer.report
-        on, off = reports[True], reports[False]
+            return synthesizer.report
+
+        on = report("numpy")
+        with without_numpy():
+            off = report("python")
         assert on.cache_hits == off.cache_hits
         assert on.cache_misses == off.cache_misses
         assert on.ea_evaluations == off.ea_evaluations
         assert on.ea_runs == off.ea_runs
         assert on.pruned_tasks == off.pruned_tasks
 
-    def test_memo_snapshots_identical_grid_on_off(self):
+    def test_memo_snapshots_identical_grid_on_off(self, without_numpy):
         """Even the memo *contents* (key set and values) agree."""
-        snapshots = {}
-        for grid in (True, False):
-            from repro.core.synthesizer import SynthesisReport
 
+        def snapshot(backend):
             engine = ExplorationEngine(
                 lenet5(),
                 SynthesisConfig.fast(
-                    total_power=2.0, seed=7, grid_eval=grid,
+                    total_power=2.0, seed=7, backend=backend,
                 ),
                 SynthesisReport(),
             )
             engine.run()
-            snapshots[grid] = dict(engine.memo_snapshot())
-        assert snapshots[True] == snapshots[False]
+            return dict(engine.memo_snapshot())
+
+        on = snapshot("numpy")
+        with without_numpy():
+            assert snapshot("python") == on
 
 
 class TestTilingSummaryEquivalence:

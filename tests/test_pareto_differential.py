@@ -4,7 +4,7 @@ Mirrors ``test_batch_eval_differential.py`` one layer up: the vector
 objectives driving NSGA-II must be **bit-identical** between the
 batched engine and the scalar oracle across the model zoo, full
 ``synthesize_pareto()`` must return identical fronts whatever the
-execution knobs (``batch_eval`` on/off, ``jobs`` 1/2), every published
+execution conditions (numpy on/off, ``jobs`` 1/2), every published
 front point must re-verify against an independent
 ``PerformanceEvaluator`` re-run, and — the acceptance criterion — the
 front's best-throughput point must match the single-objective
@@ -111,13 +111,13 @@ class TestZooVectorDifferential:
                 assert int(batch.num_macros[position]) == 0
         assert feasible_seen > 0
 
-    def test_scalar_fallback_path(self):
-        """batch_eval=False degrades to the scalar loop, same vectors."""
+    def test_scalar_fallback_path(self, without_numpy):
+        """Without numpy it degrades to the scalar loop, same vectors."""
         explorer = _explorer(zoo.by_name("lenet5"), 2.0)
         genes = _population(explorer, size=8)
         batched = explorer.score_population_objectives(genes)
-        explorer.batch_eval = False
-        assert explorer.score_population_objectives(genes) == batched
+        with without_numpy():
+            assert explorer.score_population_objectives(genes) == batched
 
     def test_infeasible_vector_is_dominated_sentinel(self):
         explorer = _explorer(zoo.by_name("lenet5"), 0.5)
@@ -132,19 +132,23 @@ class TestZooVectorDifferential:
 class TestFullParetoIdentity:
     """Execution knobs never change the front, only its wall time."""
 
-    def test_identical_front_across_batch_and_jobs(self):
+    def test_identical_front_across_batch_and_jobs(self, without_numpy):
         fronts = set()
         reports = {}
+
+        def run(jobs, batch):
+            config = SynthesisConfig.fast(
+                total_power=2.0, seed=7, jobs=jobs,
+                backend="numpy" if batch else "python", pareto=True,
+            )
+            synthesizer = Pimsyn(zoo.by_name("lenet5"), config)
+            fronts.add(synthesizer.synthesize_pareto().to_json())
+            reports[(jobs, batch)] = synthesizer.report
+
         for jobs in (1, 2):
-            for batch in (True, False):
-                config = SynthesisConfig.fast(
-                    total_power=2.0, seed=7, jobs=jobs,
-                    batch_eval=batch,
-                )
-                config.pareto = True
-                synthesizer = Pimsyn(zoo.by_name("lenet5"), config)
-                fronts.add(synthesizer.synthesize_pareto().to_json())
-                reports[(jobs, batch)] = synthesizer.report
+            run(jobs, batch=True)
+            with without_numpy():
+                run(jobs, batch=False)
         assert len(fronts) == 1
         # Batched and scalar walks share one memo accounting (jobs=1:
         # one shared in-process cache makes the totals comparable).

@@ -547,6 +547,12 @@ class TestApi:
         assert err.value.code == 400
         assert "unknown backend 'torch'" in err.value.read().decode()
         with pytest.raises(urllib.error.HTTPError) as err:
+            _post(server, {"model": "lenet5", "power": 2.0,
+                           "config": {"batch_eval": False}})
+        assert err.value.code == 400
+        assert "unknown config overrides ['batch_eval']" in \
+            err.value.read().decode()
+        with pytest.raises(urllib.error.HTTPError) as err:
             _get(server, "/jobs/unknown-id")
         assert err.value.code == 404
         with pytest.raises(urllib.error.HTTPError) as err:
