@@ -345,6 +345,15 @@ class TaskOutcome:
     cache_hits: int = 0
 
 
+def _dominated(bound: float, index: int, incumbent: TaskOutcome) -> bool:
+    """The dispatch-time pruning rule: a task whose analytical ``bound``
+    falls short of the incumbent's fitness, or ties it from a larger
+    task ``index`` (ties resolve to the smaller index), cannot win."""
+    return bound < incumbent.fitness or (
+        bound == incumbent.fitness and index > incumbent.index
+    )
+
+
 # ----------------------------------------------------------------------
 # Task evaluation (runs in the parent or in pool workers)
 # ----------------------------------------------------------------------
@@ -1015,14 +1024,11 @@ class ExplorationEngine:
                 position = order[cursor]
                 cursor += 1
                 task = tasks[position]
-                if prune and incumbent is not None:
-                    bound = bounds[position]
-                    if bound < incumbent.fitness or (
-                        bound == incumbent.fitness
-                        and task.index > incumbent.index
-                    ):
-                        self.report.pruned_tasks += 1
-                        continue
+                if prune and incumbent is not None and _dominated(
+                    bounds[position], task.index, incumbent
+                ):
+                    self.report.pruned_tasks += 1
+                    continue
                 self.report.ea_runs += 1
                 wave.append(task)
             for outcome in executor.imap_tasks(wave):

@@ -254,6 +254,61 @@ class TestScorePopulationConformance:
             assert np.all(np.asarray(scores.num_macros)[masked] == 0)
 
 
+class TestKernelHelperConformance:
+    """The numpy kernel's gene decode and mesh hops: integer-exact to
+    the scalar chain (``MacroPartition.from_gene`` / ``MeshNoC.hops``)."""
+
+    def test_decode_matches_macro_partition(self, lenet_population):
+        from repro.core.backend import _decode
+        from repro.core.macro_partition import MacroPartition, decode_gene
+
+        _, genes_arr, _ = lenet_population
+        owners, is_owner, total, start, length = _decode(genes_arr)
+        assert not is_owner.all()  # the population shares macros
+        for k, gene in enumerate(genes_arr.tolist()):
+            partition = MacroPartition.from_gene(tuple(gene))
+            want_owners, _ = decode_gene(tuple(gene))
+            assert owners[k].tolist() == list(want_owners)
+            assert is_owner[k].tolist() == [
+                owner == i for i, owner in enumerate(want_owners)
+            ]
+            assert int(total[k]) == partition.num_macros
+            assert start[k].tolist() == [
+                group[0] for group in partition.macro_groups
+            ]
+            assert length[k].tolist() == [
+                len(group) for group in partition.macro_groups
+            ]
+
+    @pytest.mark.parametrize("num_macros", (1, 9, 50, 64))
+    def test_hops_match_mesh_noc(self, num_macros):
+        import numpy as np
+
+        from repro.core.backend import _hops
+        from repro.hardware.noc import MeshNoC
+        from repro.hardware.params import HardwareParams
+
+        noc = MeshNoC(num_macros, HardwareParams())
+        rng = random.Random(5)
+        a = [rng.randrange(num_macros) for _ in range(128)]
+        b = [rng.randrange(num_macros) for _ in range(128)]
+        got = _hops(
+            np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64),
+            noc.cols,
+        )
+        assert got.tolist() == [noc.hops(s, d) for s, d in zip(a, b)]
+
+    def test_hops_is_manhattan(self):
+        """Pinned against the closed form, not just the scalar chain."""
+        import numpy as np
+
+        from repro.core.backend import _hops
+
+        a = np.asarray([0, 5, 7, 7], dtype=np.int64)
+        b = np.asarray([7, 5, 0, 6], dtype=np.int64)
+        assert _hops(a, b, 3).tolist() == [3, 0, 3, 1]
+
+
 class TestNoDirectNumpyImport:
     """AST guard: the tensorized hot paths must reach numpy only
     through ``core.backend`` (``numpy_module()`` / the backend object),

@@ -17,7 +17,8 @@ suite pins that in four layers:
    with identical telemetry (EA runs, pruning decisions, cache hits).
 3. Content keys: the pinned fingerprints are byte-unchanged, and
    ``backend`` never perturbs a config fingerprint or a serve job key
-   (an execution-only field).
+   (an execution-only field), not even as the python default of an
+   interpreter without numpy.
 4. Goldens: the committed pareto-front golden is reproduced by every
    available backend, byte-identically across backends.
 
@@ -29,7 +30,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -358,6 +363,33 @@ class TestContentKeyPins:
         assert config_fingerprint(config) == PINNED_CONFIG_FP_FAST_2W
         assert job_content_key(lenet5(), config) == \
             PINNED_JOB_KEY_LENET5_FAST_2W
+
+    def test_numpy_free_interpreter_keys_identically(self):
+        """An interpreter without numpy defaults to the python engine;
+        its default config still maps to the pinned keys, so a store
+        shared with a numpy host never splits."""
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from repro.core import SynthesisConfig\n"
+            "from repro.core.executor import config_fingerprint\n"
+            "from repro.nn import lenet5\n"
+            "from repro.serve.job import job_content_key\n"
+            "config = SynthesisConfig.fast(total_power=2.0)\n"
+            "print(config.backend, config_fingerprint(config),\n"
+            "      job_content_key(lenet5(), config))\n"
+        )
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True,
+            text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == [
+            "python", PINNED_CONFIG_FP_FAST_2W,
+            PINNED_JOB_KEY_LENET5_FAST_2W,
+        ]
 
 
 class TestGoldensPerBackend:

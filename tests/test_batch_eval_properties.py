@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import SynthesisConfig
-from repro.core.backend import backend_status
+from repro.core.backend import backend_status, numpy_available
 from repro.core.batch_eval import BatchPerformanceEvaluator
 from repro.core.dataflow import make_spec
 from repro.core.macro_partition import (
@@ -268,6 +268,28 @@ class TestBackendPrimitiveProperties:
         assert got_eval == base_eval  # identical miss sets, in order
         assert got_cache == base_cache
         assert got_values == base_values
+
+
+class TestDecodeProperties:
+    @pytest.mark.skipif(
+        not numpy_available(), reason="the gene decode is numpy's kernel"
+    )
+    @given(genes=populations(), seed=st.integers(0, 2**16))
+    @settings(max_examples=10, deadline=None)
+    def test_decode_permutation_invariance(self, genes, seed):
+        """Decoding a permuted population permutes every per-gene row
+        of the decode: lanes are independent."""
+        import numpy as np
+
+        from repro.core.backend import _decode
+
+        genes_arr = np.asarray(genes, dtype=np.int64)
+        order = list(range(len(genes)))
+        random.Random(seed).shuffle(order)
+        base = _decode(genes_arr)
+        permuted = _decode(genes_arr[order])
+        for b, p in zip(base, permuted):
+            assert np.array_equal(np.asarray(b)[order], np.asarray(p))
 
 
 class TestEngineEquivalence:

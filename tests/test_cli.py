@@ -117,6 +117,24 @@ class TestParser:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["synthesize", "sweep"])
+    def test_backend_help_names_default_and_paths(
+        self, command, capsys, monkeypatch
+    ):
+        from repro.core.backend import DEFAULT_BACKEND
+
+        monkeypatch.setenv("COLUMNS", "400")  # no wrapping mid-phrase
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        help_text = capsys.readouterr().out
+        assert f"default: {DEFAULT_BACKEND}" in help_text
+        for path in (
+            "task-grid bounds", "EA/NSGA-II population scoring",
+            "SA filter's sums",
+        ):
+            assert path in help_text
+
 
 class TestTechCommand:
     def test_list(self, capsys):

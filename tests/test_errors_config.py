@@ -69,6 +69,13 @@ class TestSynthesisConfigValidation:
             with pytest.raises(ConfigurationError):
                 SynthesisConfig(jobs=bad)
 
+    @pytest.mark.parametrize("switch", ["batch_eval", "grid_eval"])
+    def test_removed_path_switches_rejected(self, switch):
+        """Numpy alone picks the batched or scalar DSE paths; a config
+        naming a removed switch fails instead of being ignored."""
+        with pytest.raises(TypeError, match=switch):
+            SynthesisConfig.fast(total_power=2.0, **{switch: False})
+
     def test_jobs_zero_means_all_cores(self):
         config = SynthesisConfig(jobs=0)
         assert config.resolved_jobs >= 1

@@ -203,4 +203,11 @@ class TestContentKeysBackendIndependent:
 
         names = {f.name for f in fields(SynthesisConfig)}
         assert EXECUTION_ONLY_FIELDS <= names
-        assert "backend" in EXECUTION_ONLY_FIELDS
+
+    def test_execution_only_fields_cover_the_new_knobs(self):
+        """The engine selectors are execution-only; the SA proposal
+        batch changes the walk, so it is result content."""
+        from repro.core.executor import EXECUTION_ONLY_FIELDS
+
+        assert {"backend", "sim_engine"} <= EXECUTION_ONLY_FIELDS
+        assert "sa_proposal_batch" not in EXECUTION_ONLY_FIELDS

@@ -10,15 +10,19 @@ less would let the tensorized walk change which tasks run. This suite
 pins that claim across the model zoo and a power grid spanning
 infeasible, tight and generous regimes, for every available backend —
 and then end to end: full synthesis must select the identical solution
-on every backend and with numpy blocked (the per-task walk), pruned or
-not. ``tests/test_batch_eval_differential.py`` holds the numpy on/off
-solution and telemetry identity across ``jobs``.
+on every backend, with only the executor's bounds on the per-task walk
+(search telemetry included, serial or pooled) and with numpy blocked,
+pruned or not. ``tests/test_batch_eval_differential.py`` holds the
+numpy on/off solution and telemetry identity across ``jobs``.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
+import repro.core.executor
 from repro.core import Pimsyn, SynthesisConfig
 from repro.core.backend import backend_status, get_backend, numpy_available
 from repro.core.design_space import DesignSpace
@@ -39,6 +43,22 @@ POWER_GRID = (0.5, 2.0, 8.0, 50.0, 200.0)
 AVAILABLE_BACKENDS = tuple(
     name for name, ok, _ in backend_status() if ok
 )
+
+
+@contextlib.contextmanager
+def _per_task_bounds():
+    """Route only the executor's task bounds through the per-task scalar
+    walk; EA scoring and the SA filter stay batched, so any difference
+    comes from the bounds walk alone. Building a grid evaluator under
+    it fails the test."""
+
+    def no_grid(*_args, **_kwargs):
+        raise AssertionError("grid evaluator built on the per-task walk")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repro.core.executor, "numpy_available", lambda: False)
+        patch.setattr(repro.core.executor, "GridBoundEvaluator", no_grid)
+        yield
 
 
 def _engine_and_tasks(model, config):
@@ -115,6 +135,45 @@ class TestZooBoundsBitIdentity:
 class TestFullSynthesisIdentity:
     """backend is an execution knob, and numpy only picks batched or
     scalar paths: results are identical."""
+
+    @pytest.mark.parametrize("name,power", [
+        ("lenet5", 2.0), ("alexnet_cifar", 8.0),
+    ])
+    def test_identical_solution_and_pruning_telemetry(self, name, power):
+        model = zoo.by_name(name)
+
+        def run():
+            synthesizer = Pimsyn(model, SynthesisConfig.fast(
+                total_power=power, seed=7,
+            ))
+            return synthesizer.synthesize().to_json(), synthesizer.report
+
+        grid, grid_report = run()
+        with _per_task_bounds():
+            per_task, per_task_report = run()
+        assert grid == per_task
+        # Not just the winner: the pruning decisions themselves match,
+        # because the bounds are bit-identical.
+        assert grid_report.pruned_tasks == per_task_report.pruned_tasks
+        assert grid_report.ea_runs == per_task_report.ea_runs
+        assert grid_report.cache_hits == per_task_report.cache_hits
+
+    def test_identical_across_jobs_and_grid(self):
+        """The 2x2 (jobs, bounds walk) grid returns one solution: the
+        grid bounds order and prune the dispatch waves under pool
+        prefetch exactly like the per-task walk."""
+
+        def run(jobs):
+            return Pimsyn(zoo.by_name("lenet5"), SynthesisConfig.fast(
+                total_power=2.0, seed=11, jobs=jobs,
+            )).synthesize().to_json()
+
+        outputs = set()
+        for jobs in (1, 4):
+            outputs.add(run(jobs))
+            with _per_task_bounds():
+                outputs.add(run(jobs))
+        assert len(outputs) == 1
 
     @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
     def test_identical_solution_per_backend(self, backend, without_numpy):

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import Pimsyn, SynthesisConfig
 from repro.core.backend import numpy_available
 from repro.core.design_space import DesignSpace
-from repro.core.executor import ExplorationEngine
+from repro.core.executor import ExplorationEngine, TaskOutcome, _dominated
 from repro.core.grid_eval import GridBoundEvaluator
 from repro.core.synthesizer import SynthesisReport
 from repro.nn import lenet5
@@ -65,7 +65,7 @@ if numpy_available():
     assert FEASIBLE
 else:  # pragma: no cover - placeholders keep strategies importable
     MODEL = lenet5()
-    TASKS, BOUNDS, OUTCOMES = [None], [0.0], []
+    TASKS, BOUNDS, OUTCOMES, FEASIBLE = [None], [0.0], [], []
 
 
 class TestGridInvariants:
@@ -97,6 +97,38 @@ class TestGridInvariants:
 
 
 class TestPruningSoundness:
+    @given(incumbent_pos=st.integers(0, max(0, len(FEASIBLE) - 1)))
+    @settings(max_examples=50, deadline=None)
+    def test_no_winning_task_is_ever_pruned(self, incumbent_pos):
+        """For any incumbent drawn from the *actual* feasible task
+        outcomes, a task the dispatch check prunes can never beat the
+        incumbent's true fitness (nor tie it with a smaller index)."""
+        incumbent = FEASIBLE[incumbent_pos]
+        for task, bound, truth in zip(TASKS, BOUNDS, OUTCOMES):
+            if not _dominated(bound, task.index, incumbent):
+                continue
+            better = truth.feasible and (
+                truth.fitness > incumbent.fitness
+                or (
+                    truth.fitness == incumbent.fitness
+                    and truth.index < incumbent.index
+                )
+            )
+            assert not better, (
+                f"task {task.index} pruned but its true fitness "
+                f"{truth.fitness} beats incumbent {incumbent.fitness}"
+            )
+
+    def test_dispatch_check_tie_break(self):
+        """Pruned: strictly worse bounds, or ties held by *larger* task
+        indices than the incumbent's."""
+        incumbent = TaskOutcome(index=2, feasible=True, fitness=2.0)
+        bounds = [3.0, 2.0, 2.0, 1.0, 2.0]
+        assert [
+            _dominated(bound, index, incumbent)
+            for index, bound in enumerate(bounds)
+        ] == [False, False, False, True, True]
+
     def test_bound_dominates_truth_everywhere(self):
         """The precondition soundness rests on: bound >= true fitness
         for every task in the queue (infeasible tasks report 0)."""
