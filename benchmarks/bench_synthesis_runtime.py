@@ -26,11 +26,10 @@ and publishing the cold-synthesis speedup into the bench JSON.
 Both baseline arms run inside the ``without_numpy`` fixture: numpy is
 the only thing that picks a batched path or its scalar oracle.
 
-``test_batched_backend_speedup`` scores the same population through
-every *available* array backend (numpy / python / numba) and
-publishes per-backend EA-scoring throughput (genes/sec) into the bench
-JSON, so CI artifacts track each engine — including a freshly
-installed numba — over time.
+``test_batched_backend_speedup`` publishes the numpy kernel's
+EA-scoring throughput (genes/sec) and its speedup over the scalar
+oracle at the EA's real 16-gene call size on resnet18_cifar into the
+bench JSON, so CI artifacts track both over time.
 """
 
 from __future__ import annotations
@@ -244,121 +243,83 @@ def _mutation_walk(model, total_power, num_crossbars, size):
 
 
 def test_batched_backend_speedup(benchmark):
-    """Per-backend EA-scoring throughput on one VGG13 population.
+    """numpy EA-scoring throughput, and its speedup over the scalar
+    oracle at the EA's real call size.
 
-    Every backend the box can run (numpy always; python as the oracle
-    floor; numba when installed) scores the same 256-gene population
-    through ``BatchPerformanceEvaluator``; each engine's wall time and
-    genes/sec land in ``extra_info`` keyed by backend name, plus the
-    engine list actually exercised — so the CI bench artifact records
-    exactly which engines were measured.
+    The numpy kernel scores one 256-gene VGG13 population through
+    ``BatchPerformanceEvaluator`` under pytest-benchmark's loop; its
+    wall time and genes/sec land in ``extra_info`` (``numpy_seconds``,
+    ``numpy_genes_per_sec``).
 
-    A second row times the calls the EA really makes on a residual
-    DAG: 16-gene populations on resnet18_cifar (out-degree 4,
-    in-degree 3), as microseconds per call per backend
-    (``resnet18_pop16_<backend>_us_per_call``) and numpy's speedup over
-    the python loop kernel (``resnet18_pop16_numpy_vs_python``).
-    Every measured engine must agree with numpy bit-for-bit on both
-    populations (the cheap end-to-end cross-check; the conformance
-    suite is the real gate)."""
-    import numpy as np
-
-    from repro.core.backend import backend_status
-    from repro.core.batch_eval import BatchPerformanceEvaluator
-
+    A second row times the call the EA really makes on a residual DAG:
+    16 genes on resnet18_cifar (out-degree 4, in-degree 3), once as one
+    ``evaluate_population`` call and once as 16 scalar
+    ``explorer.score`` calls, the path an interpreter without numpy
+    runs. Microseconds per 16-gene call land as
+    ``resnet18_pop16_numpy_us_per_call`` and
+    ``resnet18_pop16_scalar_us_per_call``, and numpy's speedup as
+    ``resnet18_pop16_numpy_vs_scalar`` (CI gates it at >= 3). The two
+    must agree on every field (the cheap end-to-end cross-check; the
+    differential suite is the real gate)."""
     explorer, genes = _mutation_walk(zoo.vgg13(), 120.0, 4096, 256)
-    spec, budget = explorer.spec, explorer.budget
-
-    available = [name for name, ok, _ in backend_status() if ok]
-    evaluators = {
-        name: BatchPerformanceEvaluator(
-            spec, budget, 1, backend=name,
-        )
-        for name in available
-    }
-    # Warm every engine once (JIT compilation, device init) so the
-    # measured pass is steady-state throughput.
-    baseline = {
-        name: ev.evaluate_population(genes)
-        for name, ev in evaluators.items()
-    }
-
-    def measure(name):
-        started = time.perf_counter()
-        evaluators[name].evaluate_population(genes)
-        return time.perf_counter() - started
-
-    # The default backend under pytest-benchmark's real loop; the rest
-    # on a single steady-state pass each.
-    benchmark(evaluators["numpy"].evaluate_population, genes)
-    seconds = {"numpy": benchmark.stats.stats.min}
-    for name in available:
-        if name != "numpy":
-            seconds[name] = min(measure(name) for _ in range(3))
-
-    rows = []
+    evaluator = explorer.batch_evaluator
+    evaluator.evaluate_population(genes)  # warm the context
+    benchmark(evaluator.evaluate_population, genes)
+    numpy_s = benchmark.stats.stats.min
     benchmark.extra_info["population_size"] = len(genes)
-    benchmark.extra_info["backends_measured"] = sorted(seconds)
-    for name, spent in sorted(seconds.items(), key=lambda kv: kv[1]):
-        genes_per_sec = len(genes) / spent
-        benchmark.extra_info[f"{name}_seconds"] = round(spent, 6)
-        benchmark.extra_info[f"{name}_genes_per_sec"] = round(
-            genes_per_sec, 1
-        )
-        rows.append((name, round(spent, 5), f"{genes_per_sec:,.0f}"))
-    print()
-    print(format_table(
-        ["backend", "seconds", "genes/sec"],
-        rows,
-        title="per-backend population scoring (VGG13, 256 genes)",
-    ))
+    benchmark.extra_info["numpy_seconds"] = round(numpy_s, 6)
+    benchmark.extra_info["numpy_genes_per_sec"] = round(
+        len(genes) / numpy_s, 1
+    )
 
     # The EA's real call: the last 16 genes of a walk, so sharing
     # pairs are in; all of them are feasible at this budget.
     explorer, walk = _mutation_walk(zoo.resnet18_cifar(), 60.0, 8192, 64)
     dag_genes = walk[-16:]
-    dag_scores = {}
-    us_per_call = {}
-    for name in available:
-        evaluator = BatchPerformanceEvaluator(
-            explorer.spec, explorer.budget, 1, backend=name,
-        )
-        dag_scores[name] = evaluator.evaluate_population(dag_genes)
+    evaluator = explorer.batch_evaluator
+    batch = evaluator.evaluate_population(dag_genes)
+    assert all(batch.feasible)
+    for k, gene in enumerate(dag_genes):
+        for name, want in explorer.score_fields(gene).items():
+            assert getattr(batch, name)[k] == want, (k, name)
+
+    def per_call_us(call):
         passes = []
         for _ in range(3):
             started = time.perf_counter()
             for _ in range(10):
-                evaluator.evaluate_population(dag_genes)
+                call()
             passes.append((time.perf_counter() - started) / 10)
-        us_per_call[name] = 1e6 * min(passes)
+        return 1e6 * min(passes)
+
+    us_per_call = {
+        "numpy": per_call_us(
+            lambda: evaluator.evaluate_population(dag_genes)
+        ),
+        "scalar": per_call_us(
+            lambda: [explorer.score(gene) for gene in dag_genes]
+        ),
+    }
+    for name, spent in us_per_call.items():
         key = f"resnet18_pop16_{name}_us_per_call"
-        benchmark.extra_info[key] = round(us_per_call[name], 1)
-    dag_speedup = us_per_call["python"] / us_per_call["numpy"]
-    benchmark.extra_info["resnet18_pop16_numpy_vs_python"] = round(
+        benchmark.extra_info[key] = round(spent, 1)
+    dag_speedup = us_per_call["scalar"] / us_per_call["numpy"]
+    benchmark.extra_info["resnet18_pop16_numpy_vs_scalar"] = round(
         dag_speedup, 2
     )
+    print()
     print(format_table(
-        ["backend", "us/call"],
+        ["path", "us/call"],
         [
-            (name, f"{spent:,.0f}")
-            for name, spent in sorted(
-                us_per_call.items(), key=lambda kv: kv[1]
-            )
+            ("numpy VGG13 x 256 genes", f"{1e6 * numpy_s:,.0f}"),
+            ("numpy resnet18_cifar x 16", f"{us_per_call['numpy']:,.0f}"),
+            ("scalar resnet18_cifar x 16",
+             f"{us_per_call['scalar']:,.0f}"),
         ],
-        title="per-backend EA call (resnet18_cifar, 16 genes)",
+        title=f"EA population scoring (resnet18_cifar numpy vs scalar: "
+              f"{dag_speedup:.1f}x)",
     ))
-
-    assert all(dag_scores["numpy"].feasible)
-    for name in available:
-        assert np.array_equal(
-            np.asarray(baseline[name].fitness),
-            np.asarray(baseline["numpy"].fitness),
-        ), name
-        assert np.array_equal(
-            np.asarray(dag_scores[name].fitness),
-            np.asarray(dag_scores["numpy"].fitness),
-        ), name
-    assert "numpy" in seconds and seconds["numpy"] > 0
+    assert numpy_s > 0
 
 
 def test_grid_walk_vs_per_task_speedup(benchmark, without_numpy):
@@ -403,7 +364,7 @@ def test_grid_walk_vs_per_task_speedup(benchmark, without_numpy):
     try:
         with without_numpy():
             started = time.perf_counter()
-            baseline, baseline_report = run(backend="python")
+            baseline, baseline_report = run()
             baseline_s = time.perf_counter() - started
     finally:
         builder.crossbar_tiling_summary = original_summary

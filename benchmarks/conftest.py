@@ -107,9 +107,9 @@ def without_numpy():
     """A context manager under which repro runs as it does on an
     interpreter without numpy: the one numpy gate,
     ``repro.core.backend._np``, reads None, so every batched DSE path
-    takes its scalar oracle. Configs built inside must pass
-    ``backend="python"``. The benches' copy of the ``tests/conftest.py``
-    fixture (a conftest's fixtures reach only its own directory)."""
+    takes its scalar oracle. The benches' copy of the
+    ``tests/conftest.py`` fixture (a conftest's fixtures reach only its
+    own directory)."""
 
     @contextlib.contextmanager
     def blocked():

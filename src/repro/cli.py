@@ -24,11 +24,11 @@ applications to PIM architectures"; the CLI is that click:
   technology registry: inspect profiles, export/load the JSON format,
   synthesize one model under every technology. ``--tech NAME`` on
   ``synthesize``/``sweep``/``peak``/``serve`` selects the device;
-- ``python -m repro backends`` — the array engines that execute the
-  batched DSE paths (task-grid bounds, EA/NSGA-II population scoring,
-  the SA filter's sums). ``--backend NAME`` on ``synthesize``/``sweep``
-  selects one (execution-only: never changes the solution or any
-  content key).
+- ``python -m repro backends`` — the engines of the batched DSE paths
+  (task-grid bounds, EA/NSGA-II population scoring, the SA filter's
+  sums): the numpy kernels when numpy imports, the scalar oracles
+  otherwise. There is nothing to select; ``--check numpy`` scores a
+  population both ways and requires every field ``==``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from typing import List, Optional
 
 from repro.analysis import format_table
 from repro.core import Pimsyn, SynthesisConfig
-from repro.core.backend import DEFAULT_BACKEND
 from repro.core.design_space import DesignSpace
 from repro.errors import PimsynError, SynthesisInterrupted
 from repro.hardware.params import HardwareParams
@@ -51,14 +50,6 @@ from repro.hardware.tech import (
 )
 from repro.nn import zoo
 from repro.nn.onnx_io import load_model
-
-
-#: ``--backend`` help for ``synthesize`` and ``sweep``.
-_BACKEND_HELP = (
-    "array engine for the three batched DSE paths: task-grid bounds, "
-    "EA/NSGA-II population scoring and the SA filter's sums (default: "
-    f"{DEFAULT_BACKEND}; see `repro backends`; execution-only)"
-)
 
 
 def _load(args) -> object:
@@ -88,8 +79,6 @@ def _tech(args) -> str:
 def _config(args, power: float) -> SynthesisConfig:
     jobs = getattr(args, "jobs", 1)
     extras = {"tech": _tech(args)}
-    if getattr(args, "backend", None):
-        extras["backend"] = args.backend
     if getattr(args, "engine", None):
         extras["sim_engine"] = args.engine
     if getattr(args, "pareto", False):
@@ -326,12 +315,9 @@ def cmd_sweep(args) -> int:
     from repro.analysis import power_sweep
 
     model = _load(args)
-    extras = {}
-    if getattr(args, "backend", None):
-        extras["backend"] = args.backend
     config = SynthesisConfig.fast(
         seed=args.seed, jobs=getattr(args, "jobs", 1),
-        tech=_tech(args), **extras,
+        tech=_tech(args),
     )
     rows = power_sweep(model, args.powers, config=config)
     table = [
@@ -548,40 +534,36 @@ def cmd_backends(args) -> int:
 
     rows = []
     for name, ok, detail in backend_status():
-        default = "*" if name == SynthesisConfig().backend else ""
+        runs = "*" if name == SynthesisConfig().backend else ""
         rows.append((
-            name, "yes" if ok else "no", default, detail,
+            name, "yes" if ok else "no", runs, detail,
         ))
     print(format_table(
-        ["backend", "available", "default", "description / reason"],
-        rows, title="array backends (execution-only)",
+        ["backend", "available", "runs", "description / reason"],
+        rows, title="batched DSE engines (chosen by numpy import)",
     ))
     if getattr(args, "check", None):
-        backend = get_backend(args.check)  # raises if not usable
+        get_backend(args.check)  # raises if not usable
         print(f"backend {args.check!r} is available")
-        _backend_probe(backend)
+        if args.check == "numpy":
+            _backend_probe()
+        else:
+            print("it is the scalar oracle: nothing to compare against")
     return 0
 
 
-def _backend_probe(backend) -> None:
-    """Score a real population on ``backend`` and require every field
-    ``==`` to the pure-python oracle. Raises PimsynError on divergence
-    — `repro backends --check NAME` is the one-command way to validate
-    an engine on a box."""
-    import dataclasses
+def _backend_probe() -> None:
+    """Score a real 16-gene population with the numpy kernel and
+    require every field ``==`` to the scalar oracle, one
+    ``MacroPartitionExplorer.score`` per gene. Raises PimsynError on
+    divergence — `repro backends --check numpy` is the one-command way
+    to validate the kernel on a box."""
     import random as _random
 
-    from repro.core.backend import numpy_available
-    from repro.core.batch_eval import BatchPerformanceEvaluator
     from repro.core.dataflow import make_spec
     from repro.core.macro_partition import MacroPartitionExplorer
     from repro.hardware.power import PowerBudget
     from repro.nn import lenet5
-
-    if not numpy_available():
-        print("conformance probe skipped: numpy unavailable")
-        return
-    import numpy as np
 
     model = lenet5()
     config = SynthesisConfig.fast(total_power=2.0)
@@ -599,26 +581,20 @@ def _backend_probe(backend) -> None:
         spec=spec, budget=budget, res_dac=1, config=config,
         rng=_random.Random(3),
     )
-    genes = explorer.initial_population(16)
-    candidate = BatchPerformanceEvaluator(
-        spec, budget, 1, backend=backend,
-    ).evaluate_population(genes)
-    oracle = BatchPerformanceEvaluator(
-        spec, budget, 1, backend="python",
-    ).evaluate_population(genes)
-    for field in dataclasses.fields(oracle):
-        if not np.array_equal(
-            np.asarray(getattr(candidate, field.name)),
-            np.asarray(getattr(oracle, field.name)),
-        ):
-            raise PimsynError(
-                f"backend {backend.name!r} failed the batch-eval "
-                f"conformance probe: {field.name} diverges from the "
-                f"python oracle"
-            )
+    genes = explorer.initial_population(8)
+    genes += [explorer.mutate_share(gene, explorer.rng) for gene in genes]
+    batch = explorer.batch_evaluator.evaluate_population(genes)
+    for k, gene in enumerate(genes):
+        for name, want in explorer.score_fields(gene).items():
+            if getattr(batch, name)[k] != want:
+                raise PimsynError(
+                    f"the numpy kernel failed the batch-eval "
+                    f"conformance probe: {name} of gene {k} diverges "
+                    f"from the scalar oracle"
+                )
     print(
         f"conformance probe passed: {len(genes)}-gene population "
-        f"scored bit-identical to the python oracle"
+        f"scored bit-identical to the scalar oracle"
     )
 
 
@@ -666,7 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--jobs", type=int, default=1,
                        help="worker processes for the DSE (0 = one per "
                             "CPU core; same solution as --jobs 1)")
-    synth.add_argument("--backend", default=None, help=_BACKEND_HELP)
     synth.add_argument("--pareto", action="store_true",
                        help="multi-objective mode: print the Pareto "
                             "front over --objectives instead of a "
@@ -757,7 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--jobs", type=int, default=1,
                        help="worker processes per synthesis (0 = one "
                             "per CPU core)")
-    sweep.add_argument("--backend", default=None, help=_BACKEND_HELP)
     sweep.add_argument("--seed", type=int, default=2024)
 
     serve = sub.add_parser(
@@ -884,11 +858,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the comparison JSON here")
 
     backends = sub.add_parser(
-        "backends", help="list the array backends"
+        "backends", help="list the engines of the batched DSE paths"
     )
     backends.add_argument("--check", metavar="NAME",
                           help="exit non-zero unless NAME is usable "
-                               "on this interpreter")
+                               "on this interpreter (for numpy: and "
+                               "scores == to the scalar oracle)")
     return parser
 
 

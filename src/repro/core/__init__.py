@@ -13,13 +13,7 @@ candidates with the analytical model in :mod:`repro.core.evaluator` and
 packaging winners as :class:`repro.core.solution.SynthesisSolution`.
 """
 
-from repro.core.backend import (
-    ArrayBackend,
-    TaskGrid,
-    available_backends,
-    backend_status,
-    get_backend,
-)
+from repro.core.backend import TaskGrid, backend_status, get_backend
 from repro.core.batch_eval import (
     BatchEvaluation,
     BatchPerformanceEvaluator,
@@ -57,9 +51,7 @@ from repro.core.solution import SynthesisSolution
 from repro.core.synthesizer import Pimsyn
 
 __all__ = [
-    "ArrayBackend",
     "TaskGrid",
-    "available_backends",
     "backend_status",
     "get_backend",
     "GridBoundEvaluator",

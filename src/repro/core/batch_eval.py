@@ -1,4 +1,4 @@
-"""Backend-batched population evaluator for the DSE hot path.
+"""Batched population evaluator for the DSE hot path.
 
 The EA of :mod:`repro.optim.evolution` and the DSE executor score one
 gene at a time through :meth:`repro.core.macro_partition.
@@ -14,11 +14,8 @@ other gene-independent quantity are precomputed once per (spec, budget,
 ResDAC) context into a :class:`repro.core.backend.PopulationContext`,
 and the per-gene work — group sizing, fixed overhead, the Eq. 6
 balanced delay, the ADC-sharing post-pass, stage times, the
-fine-grained pipeline latency and the power account — runs as one fused
-:meth:`repro.core.backend.ArrayBackend.score_population` kernel on the
-configured array backend (``SynthesisConfig.backend``): vectorized
-numpy by default, pure-Python loops as the oracle, or the same loops
-numba-JIT'd.
+fine-grained pipeline latency and the power account — runs as the one
+fused numpy kernel :func:`repro.core.backend.score_population`.
 
 Exactness contract
 ------------------
@@ -26,16 +23,19 @@ The batched path is a drop-in replacement for the scalar oracle, not an
 approximation: every formula is evaluated with the *same operation
 order* as the scalar code (`allocate_components` /
 ``PerformanceEvaluator.evaluate``), and IEEE-754 float64 arithmetic is
-deterministic, so batched metrics are bit-identical to the scalar ones
-wherever the scalar path is defined, on every backend (numpy, python
-and numba). Cross-layer reductions that the scalar code performs as
-ordered sums (:func:`repro.utils.mathutils.ordered_sum`) are likewise
-accumulated in layer order.
-``tests/test_batch_eval_differential.py`` pins the scalar contract
-across the entire model zoo, ``tests/test_batch_eval_backend_
-differential.py`` pins it per backend, and full synthesis selects the
+deterministic, so batched metrics are bit-identical to the scalar ones,
+on every field, for every gene the validator accepts. Cross-layer
+reductions that the scalar code performs as ordered sums
+(:func:`repro.utils.mathutils.ordered_sum`) are likewise accumulated in
+layer order. ``tests/test_batch_eval_differential.py`` pins the
+contract across the entire model zoo, and full synthesis selects the
 identical solution with numpy and without it (where the explorer scores
 one gene at a time through the scalar oracle).
+
+Both paths accept the same genes: :meth:`BatchPerformanceEvaluator.
+evaluate_population` raises :class:`ConfigurationError` wherever
+``MacroPartition.from_gene`` does, including on an owner shared by two
+or more layers (rule b allows pairs only).
 
 Genes that the scalar path rejects with :class:`InfeasibleError`
 (fixed overhead exceeding the peripheral budget, a collapsed
@@ -49,17 +49,16 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-# The numpy gate is shared with every tensorized path (grid_eval, the
-# array backends) through repro.core.backend — one switch to stub or
+# The numpy gate is shared with every batched path (grid_eval, the SA
+# filter) through repro.core.backend — one switch to stub or
 # monkeypatch, not three. Call sites bind `np = numpy_module()` live
 # (never a module-level snapshot) so patching the gate reaches every
 # method uniformly. This module never imports numpy directly (an AST
 # guard in tests/test_backend_conformance.py enforces that).
 from repro.core.backend import (
-    DEFAULT_BACKEND,
     PopulationContext,
-    get_backend,
     numpy_module,
+    score_population,
 )
 
 from repro.core.component_alloc import (
@@ -119,11 +118,6 @@ class BatchPerformanceEvaluator:
     identical_macros:
         Use the §V-C2 identical-macro allocation (the scalar
         ``identical_macros=not config.specialized_macros``).
-    backend:
-        Array-execution engine name (or instance) from
-        :mod:`repro.core.backend` — governs *how* populations are
-        scored, never what they score (execution-only, like
-        ``SynthesisConfig.backend`` it is threaded from).
     """
 
     def __init__(
@@ -134,7 +128,6 @@ class BatchPerformanceEvaluator:
         enable_macro_sharing: bool = True,
         identical_macros: bool = False,
         overlap_window: int = 4,
-        backend: "object" = DEFAULT_BACKEND,
     ) -> None:
         if numpy_module() is None:  # pragma: no cover - defensive gate
             raise ConfigurationError(
@@ -148,7 +141,6 @@ class BatchPerformanceEvaluator:
         self.enable_macro_sharing = enable_macro_sharing
         self.identical_macros = identical_macros
         self.overlap_window = overlap_window
-        self.backend = get_backend(backend)
         self._precompute()
 
     # ------------------------------------------------------------------
@@ -156,9 +148,8 @@ class BatchPerformanceEvaluator:
     # ------------------------------------------------------------------
     @property
     def context(self) -> PopulationContext:
-        """The gene-independent scoring context handed to the backend
-        (one per evaluator; the conformance tier scores it through
-        every backend)."""
+        """The gene-independent scoring context handed to the kernel
+        (one per evaluator)."""
         return self._ctx
 
     def _precompute(self) -> None:
@@ -255,11 +246,12 @@ class BatchPerformanceEvaluator:
         max_resolution = max(adc_resolutions)
         adc_power_unit = params.adc_power_of(max_resolution)
 
-        # Communication / pipeline structure, flattened to the CSR
-        # walks the loop kernels consume. Producer-major order for
-        # transfers (the §IV-B accumulation order), consumer-major for
-        # the latency forward pass — both preserve the exact iteration
-        # order of spec.model.interlayer_edges().
+        # Communication / pipeline structure as gene-free index arrays
+        # (see PopulationContext), built from two CSR walks over the
+        # edges: producer-major for transfers (the §IV-B accumulation
+        # order), consumer-major for the latency forward pass — both
+        # preserve the exact iteration order of
+        # spec.model.interlayer_edges().
         consumer_lists = {}
         producer_of = {}
         for producer, consumer in spec.model.interlayer_edges():
@@ -290,9 +282,8 @@ class BatchPerformanceEvaluator:
             lat_offsets[idx + 1] = len(lat_producer)
         lat_producer = np.asarray(lat_producer, dtype=np.int64)
 
-        # The same edges as the vectorized kernel's gene-free index
-        # arrays (see PopulationContext): out-edge slots for the
-        # transfer fold, topological levels for the latency pass.
+        # Out-edge slots for the transfer fold, topological levels for
+        # the latency pass.
         out_degree = np.diff(comm_offsets)
         out_slots = []
         for slot in range(int(out_degree.max(initial=0))):
@@ -328,21 +319,18 @@ class BatchPerformanceEvaluator:
             load_num=load_num,
             store_num=store_num,
             total_blocks=total_blocks,
-            row_tiles=row_tiles,
             merge_rounds=merge_rounds,
             per_round_num=per_round_num,
             out_bytes=out_bytes,
             adc_wl=np.array(adc_wl, dtype=np.float64),
             alu_wl=np.array(alu_wl, dtype=np.float64),
             adc_powers=np.array(adc_powers, dtype=np.float64),
-            comm_offsets=comm_offsets,
-            comm_consumer=np.asarray(comm_consumer, dtype=np.int64),
-            lat_offsets=lat_offsets,
-            lat_producer=lat_producer,
-            lat_fraction=np.asarray(lat_fraction, dtype=np.float64),
             comm_producer=np.repeat(
                 np.arange(n, dtype=np.int64), out_degree
             ),
+            comm_consumer=np.asarray(comm_consumer, dtype=np.int64),
+            lat_producer=lat_producer,
+            lat_fraction=np.asarray(lat_fraction, dtype=np.float64),
             out_slots=tuple(out_slots),
             levels=tuple(levels),
             merge_layers=np.flatnonzero(row_tiles > 1),
@@ -365,12 +353,12 @@ class BatchPerformanceEvaluator:
         )
 
     # ------------------------------------------------------------------
-    # Gene validation (host-side; the kernels assume well-formed genes)
+    # Gene validation (host-side; the kernel assumes well-formed genes)
     # ------------------------------------------------------------------
     def _validate_population(self, genes_arr) -> None:
-        """Validates like ``decode_gene`` / ``MacroPartition.
-        from_gene``; raises :class:`ConfigurationError` so malformed
-        genes fail identically on every backend."""
+        """Rejects what ``decode_gene`` / ``MacroPartition.from_gene``
+        reject, with :class:`ConfigurationError`, so both scoring paths
+        accept the same genes."""
         np = numpy_module()
         owners, counts = np.divmod(genes_arr, _ENCODING_BASE)
         layer_idx = np.arange(self.num_layers, dtype=np.int64)
@@ -378,11 +366,21 @@ class BatchPerformanceEvaluator:
             raise ConfigurationError("batch decode: #macros < 1")
         if np.any(owners > layer_idx[None, :]):
             raise ConfigurationError("batch decode: owner > layer index")
-        # Every referenced owner must own itself (pairs only, rule b).
+        # Every referenced owner must own itself (rule b).
         owner_of_owner = np.take_along_axis(owners, owners, axis=1)
         if np.any(owner_of_owner != owners):
             raise ConfigurationError(
                 "batch decode: layer shares with a non-owner"
+            )
+        # Rule b allows pairs only. Owners get unique negative
+        # sentinels, so after a row sort two equal neighbours can only
+        # be two sharers of one owner.
+        shared = np.where(owners == layer_idx, -1 - layer_idx, owners)
+        shared.sort(axis=1)
+        if np.any(shared[:, 1:] == shared[:, :-1]):
+            raise ConfigurationError(
+                "batch decode: an owner is shared by more than one "
+                "layer (rule b allows pairs only)"
             )
 
     # ------------------------------------------------------------------
@@ -410,7 +408,7 @@ class BatchPerformanceEvaluator:
                 f"{self.num_layers} layers"
             )
         self._validate_population(genes_arr)
-        scores = self.backend.score_population(self._ctx, genes_arr)
+        scores = score_population(self._ctx, genes_arr)
         return BatchEvaluation(
             feasible=scores.feasible,
             fitness=scores.fitness,

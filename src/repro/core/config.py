@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.core.backend import DEFAULT_BACKEND, get_backend
+from repro.core.backend import numpy_available
 from repro.errors import ConfigurationError
 from repro.hardware.params import HardwareParams
 from repro.hardware.tech import DEFAULT_TECHNOLOGY, get_technology
@@ -135,18 +135,6 @@ class SynthesisConfig:
         internally. At least two distinct objectives are required
         (one-objective fronts degenerate to the scalar EA — use
         ``synthesize()``).
-    backend:
-        Name of the array engine the three batched DSE paths run on —
-        the task-grid bounds, EA/NSGA-II population scoring and the SA
-        filter's Eq. 4 sums (see :mod:`repro.core.backend`):
-        ``"numpy"`` (vectorized; the default when numpy imports),
-        ``"python"`` (the loop reference; the default without numpy)
-        or ``"numba"`` (the loops JIT-compiled, when numba imports).
-        Every backend is ``==`` to the loop reference by contract, so
-        the choice is execution-only and excluded from content keys.
-        Unknown or unavailable names fail at construction. Without
-        numpy no array is built: each path runs its scalar oracle,
-        which returns the same values.
     sim_engine:
         Name of the cycle-simulator event-wheel engine every replay of
         this config's solutions runs on (see
@@ -154,11 +142,14 @@ class SynthesisConfig:
         available), ``"python"`` (object oracle), ``"numpy"``
         (structure-of-arrays flat wheel) or ``"numba"`` (its JIT, when
         numba imports). All engines are ``==``-exact against the
-        oracle, so — like ``backend`` — the choice is execution-only
-        and excluded from content keys. Unknown or unavailable names
-        fail at construction.
+        oracle, so the choice is execution-only and excluded from
+        content keys. Unknown or unavailable names fail at
+        construction.
     seed:
         Master seed for all stochastic stages.
+
+    The array engine of the batched DSE paths is not a setting: the
+    read-only :attr:`backend` reports it.
     """
 
     total_power: float = 50.0
@@ -192,7 +183,6 @@ class SynthesisConfig:
     objectives: Tuple[str, ...] = DEFAULT_OBJECTIVES
     seed: int = 2024
     tech: str = DEFAULT_TECHNOLOGY
-    backend: str = DEFAULT_BACKEND
     sim_engine: str = "auto"
 
     @property
@@ -203,6 +193,15 @@ class SynthesisConfig:
 
             return max(1, os.cpu_count() or 1)
         return self.jobs
+
+    @property
+    def backend(self) -> str:
+        """The engine the batched DSE paths (task-grid bounds,
+        EA/NSGA-II population scoring, the SA filter's Eq. 4 sums) run
+        on: ``"numpy"`` when numpy imports, else ``"python"``, their
+        scalar oracles. Both return the same values, so it never enters
+        a content key (see :mod:`repro.core.backend`)."""
+        return "numpy" if numpy_available() else "python"
 
     def __post_init__(self) -> None:
         if self.total_power <= 0:
@@ -267,13 +266,6 @@ class SynthesisConfig:
             raise ConfigurationError(
                 "jobs must be >= 0 (0 selects one worker per CPU core)"
             )
-        # Fail fast on unknown/unavailable backends (a mid-walk lookup
-        # error would waste the whole stage-1 filter pass).
-        if not isinstance(self.backend, str):
-            raise ConfigurationError(
-                f"backend must be a registry name, got {self.backend!r}"
-            )
-        get_backend(self.backend)
         if not isinstance(self.sim_engine, str):
             raise ConfigurationError(
                 f"sim_engine must be a registry name, got "

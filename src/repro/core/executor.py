@@ -29,16 +29,15 @@ Three properties make the engine safe to parallelize and to accelerate:
    component-allocation stage (per process; workers keep local caches).
 4. **Batched population scoring** — when numpy imports, each EA
    launch scores whole generations through the batched engine of
-   :mod:`repro.core.batch_eval`, on the array backend named by
-   ``config.backend``; without numpy, one gene at a time through the
-   scalar oracle. The two are bit-identical, which is why ``backend``
-   sits in :data:`EXECUTION_ONLY_FIELDS`; serial and multiprocessing
-   paths both benefit because the batching happens inside the
-   worker-side runner.
+   :mod:`repro.core.batch_eval`; without numpy, one gene at a time
+   through the scalar oracle. The two are bit-identical, so whether
+   numpy imports never enters a content key; serial and
+   multiprocessing paths both benefit because the batching happens
+   inside the worker-side runner.
 5. **Tensorized task bounds** — when numpy imports, the pruning bounds
    of property 2 are computed for the *whole* queue in one
-   ``(tasks, layers)`` pass through :mod:`repro.core.grid_eval`, on the
-   same backend; without numpy, through one spec per task. The two are
+   ``(tasks, layers)`` pass through :mod:`repro.core.grid_eval`;
+   without numpy, through one spec per task. The two are
    bit-identical, so the pruning walk — one dispatch-time check per
    task against the incumbent — makes the same decisions on either.
 
@@ -130,18 +129,16 @@ def params_fingerprint(params: HardwareParams) -> str:
 #: reproduces the scalar oracle's arithmetic bit for bit). They are
 #: excluded from content keys so a request replayed with different
 #: execution knobs still maps to the same stored result.
-#: ``backend`` names the array engine of the batched paths (task-grid
-#: bounds, EA/NSGA-II population scoring, the SA filter's sums); every
-#: engine is ``==`` to the scalar oracle by contract (pinned by the
-#: differential and backend conformance suites), so it cannot change a
-#: result — only how fast it is computed. ``sim_engine`` is the same
-#: promise for the cycle simulator's event wheel.
+#: ``sim_engine`` names the cycle simulator's event wheel; every engine
+#: is ``==`` to the object oracle, so it cannot change a result — only
+#: how fast it is computed. The array engine of the batched DSE paths
+#: is not a field at all: whether numpy imports picks it, and
+#: ``SynthesisConfig.backend`` only reports it.
 #: ``sa_proposal_batch`` is deliberately *not* here: rounds larger than
 #: one change the SA walk (see :class:`repro.optim.annealing.
 #: SimulatedAnnealer`), so it is result content.
 EXECUTION_ONLY_FIELDS = frozenset(
-    {"jobs", "prune_dominated", "share_eval_cache", "backend",
-     "sim_engine"}
+    {"jobs", "prune_dominated", "share_eval_cache", "sim_engine"}
 )
 
 

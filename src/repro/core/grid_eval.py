@@ -12,8 +12,8 @@ Profiling shows that listcomp dominating cold synthesis now that the EA
 itself is batched.
 
 :class:`GridBoundEvaluator` instead assembles one ``(tasks, layers)``
-:class:`~repro.core.backend.TaskGrid` and hands it to the configured
-:class:`~repro.core.backend.ArrayBackend`:
+:class:`~repro.core.backend.TaskGrid` and hands it to the numpy kernel
+:func:`~repro.core.backend.compute_bounds`:
 
 - the crossbar tiling (``set``, row tiles, bit slices) depends only on
   ``(layer, XbSize, ResRram)`` — never on WtDup or ResDAC — so it is
@@ -31,32 +31,26 @@ itself is batched.
 
 Exactness contract
 ------------------
-Identical to :mod:`repro.core.batch_eval`'s: the backend kernels
-replicate the scalar oracle's IEEE-754 float64 operation order (ordered
-layer-axis reductions, left-associated products, exact integer
-intermediates), so ``bounds(tasks)[i]`` is bit-identical — ``==``, not
-merely close — to ``_TaskRunner.throughput_bound(tasks[i])`` for every
-task and every backend. ``tests/test_grid_eval_differential``
-pins this across the model zoo; the executor's pruning decisions (exact
-float comparisons against the incumbent) therefore cannot differ
-between the tensorized and the per-task walk.
+Identical to :mod:`repro.core.batch_eval`'s: the kernel replicates the
+scalar oracle's IEEE-754 float64 operation order (ordered layer-axis
+reductions, left-associated products, exact integer intermediates), so
+``bounds(tasks)[i]`` is bit-identical — ``==``, not merely close — to
+``_TaskRunner.throughput_bound(tasks[i])`` for every task.
+``tests/test_grid_eval_differential`` pins this across the model zoo;
+the executor's pruning decisions (exact float comparisons against the
+incumbent) therefore cannot differ between the tensorized and the
+per-task walk.
 
-Grid assembly builds numpy arrays whichever backend consumes them, so
-numpy is the gate: without it (:func:`repro.core.backend.
-numpy_available` is False) the executor bounds tasks one at a time
-through the scalar walk instead — same bounds, slower.
+Without numpy (:func:`repro.core.backend.numpy_available` is False)
+the executor bounds tasks one at a time through the scalar walk
+instead — same bounds, slower.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-from repro.core.backend import (
-    ArrayBackend,
-    TaskGrid,
-    get_backend,
-    numpy_module,
-)
+from repro.core.backend import TaskGrid, compute_bounds, numpy_module
 from repro.core.config import SynthesisConfig
 from repro.hardware.crossbar import (
     crossbar_tiling_summary,
@@ -79,12 +73,7 @@ class GridBoundEvaluator:
     WtDup-dependent arrays.
     """
 
-    def __init__(
-        self,
-        model: CNNModel,
-        config: SynthesisConfig,
-        backend: Optional[ArrayBackend] = None,
-    ) -> None:
+    def __init__(self, model: CNNModel, config: SynthesisConfig) -> None:
         np = numpy_module()
         if np is None:
             raise RuntimeError(
@@ -95,10 +84,6 @@ class GridBoundEvaluator:
         self.model = model
         self.config = config
         self.params = config.params
-        self.backend = (
-            backend if backend is not None
-            else get_backend(config.backend)
-        )
         layers = model.weighted_layers
         self._num_layers = len(layers)
         # Static per-layer geometry (mirrors DataflowSpec.__post_init__).
@@ -278,11 +263,11 @@ class GridBoundEvaluator:
         )
 
     def bounds_array(self, tasks: Sequence["EvaluationTask"]):
-        """Per-task bounds as a float64 array (backend-computed)."""
+        """Per-task bounds as a float64 array."""
         np = numpy_module()
         if not tasks:
             return np.zeros(0, dtype=np.float64)
-        return self.backend.compute_bounds(self.build_grid(tasks))
+        return compute_bounds(self.build_grid(tasks))
 
     def bounds(self, tasks: Sequence["EvaluationTask"]) -> List[float]:
         """Per-task bounds as Python floats (positionally aligned).

@@ -45,6 +45,12 @@ Gene = Tuple[int, ...]
 
 _ENCODING_BASE = 1000
 
+#: The float metrics a gene's evaluation shares with BatchEvaluation.
+_METRIC_FIELDS = (
+    "period", "latency", "throughput", "tops", "power",
+    "tops_per_watt", "energy_per_image", "edp",
+)
+
 
 def encode_gene(owners: Sequence[int], macro_counts: Sequence[int]) -> Gene:
     """Pack (owner, #macros) pairs into the paper's integer encoding."""
@@ -107,6 +113,7 @@ class MacroPartition:
                 next_id += size
         groups: List[Tuple[int, ...]] = []
         pairs: List[Tuple[int, int]] = []
+        sharer_of: Dict[int, int] = {}
         for index, owner in enumerate(owners):
             if owner == index:
                 groups.append(group_of_owner[index])
@@ -116,6 +123,13 @@ class MacroPartition:
                         f"layer {index} shares with {owner}, which is not "
                         "an owner"
                     )
+                if owner in sharer_of:
+                    raise ConfigurationError(
+                        f"layers {sharer_of[owner]} and {index} both "
+                        f"share layer {owner}'s macros (rule b allows "
+                        "pairs only)"
+                    )
+                sharer_of[owner] = index
                 groups.append(group_of_owner[owner])
                 pairs.append((owner, index))
         return cls(
@@ -202,13 +216,37 @@ class MacroPartitionExplorer:
         )
         return result.fitness, allocation, result
 
+    def score_fields(self, gene: Gene) -> Dict[str, object]:
+        """One gene's :class:`~repro.core.batch_eval.BatchEvaluation`
+        fields from the scalar oracle (:meth:`score`), an infeasible
+        gene taking the batched kernel's masked values (metrics 0.0,
+        ``bottleneck_layer`` -1, ``num_macros`` 0): the row each
+        batched score is held ``==`` to."""
+        fitness, _allocation, result = self.score(gene)
+        row: Dict[str, object] = {
+            name: 0.0 if result is None else getattr(result, name)
+            for name in _METRIC_FIELDS
+        }
+        row.update(
+            feasible=result is not None,
+            fitness=fitness,
+            bottleneck_layer=(
+                -1 if result is None else result.bottleneck_layer
+            ),
+            num_macros=(
+                0 if result is None
+                else MacroPartition.from_gene(gene).num_macros
+            ),
+        )
+        return row
+
     def score_winner(
         self, gene: Gene, fitness: float
     ) -> Tuple[ComponentAllocation, EvaluationResult]:
         """Scalar re-score of a winning gene the search scored
         ``fitness`` (positive, so feasible).
 
-        The search may have scored it through a batched backend; if the
+        The search may have scored it through the numpy kernel; if the
         scalar oracle finds it infeasible, the two engines diverged.
         That raises :class:`PimsynError` rather than
         :class:`InfeasibleError`, which callers treat as a skipped task.
@@ -300,8 +338,8 @@ class MacroPartitionExplorer:
 
     @property
     def batch_evaluator(self) -> BatchPerformanceEvaluator:
-        """The lazily built batched engine for this (spec, budget, DAC),
-        running on ``config.backend`` (execution-only)."""
+        """The lazily built batched engine for this (spec, budget,
+        DAC); it needs numpy."""
         if self._batch_evaluator is None:
             self._batch_evaluator = BatchPerformanceEvaluator(
                 self.spec,
@@ -309,7 +347,6 @@ class MacroPartitionExplorer:
                 self.res_dac,
                 enable_macro_sharing=self.config.enable_macro_sharing,
                 identical_macros=not self.config.specialized_macros,
-                backend=self.config.backend,
             )
         return self._batch_evaluator
 

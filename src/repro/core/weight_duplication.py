@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 # Single numpy gate: repro.core.backend owns the import (and its
-# absence), so every tensorized path degrades identically.
-from repro.core.backend import get_backend, numpy_module
+# absence), so every batched path degrades identically.
+from repro.core.backend import numpy_module, row_sums
 from repro.core.config import SynthesisConfig
 from repro.errors import InfeasibleError
 from repro.hardware.crossbar import crossbar_set_size
@@ -75,7 +75,6 @@ class WeightDuplicationFilter:
         # WtDup_i never exceeds the layer's output count: more copies than
         # output positions cannot be used within one image.
         self.dup_caps: List[int] = list(self.out_positions)
-        self._backend = get_backend(self.config.backend)
 
     # ------------------------------------------------------------------
     # Eq. 2 feasibility
@@ -111,7 +110,7 @@ class WeightDuplicationFilter:
         Cross-layer reductions accumulate in layer order (the same
         left-to-right sums :func:`repro.utils.mathutils.stdev` runs),
         so each value is bit-identical to :meth:`energy` on that state
-        — the SA walk cannot depend on which backend scored it.
+        — the SA walk cannot depend on whether numpy scored it.
         """
         np = numpy_module()
         if np is None:
@@ -130,21 +129,15 @@ class WeightDuplicationFilter:
     def _batch_stdev(self, values):
         """Population stdev over the layer axis, ordered like ``stdev``.
 
-        The two cross-layer reductions run through the configured
-        backend's ``ordered_sum`` primitive — left-to-right layer
-        order, so every engine reproduces :func:`repro.utils.
-        mathutils.stdev` bit-for-bit (the conformance suite pins the
-        primitive itself)."""
+        The two cross-layer reductions are :func:`repro.core.backend.
+        row_sums` — left-to-right layer order, so they reproduce
+        :func:`repro.utils.mathutils.stdev` bit-for-bit (the
+        conformance suite pins them against
+        :func:`repro.utils.mathutils.ordered_sum`)."""
         np = numpy_module()
         count = values.shape[1]
-        acc = np.asarray(
-            self._backend.ordered_sum(values), dtype=np.float64
-        )
-        mu = acc / count
-        spread = np.asarray(
-            self._backend.ordered_sum((values - mu[:, None]) ** 2),
-            dtype=np.float64,
-        )
+        mu = row_sums(values) / count
+        spread = row_sums((values - mu[:, None]) ** 2)
         return np.sqrt(spread / count)
 
     # ------------------------------------------------------------------

@@ -87,10 +87,9 @@ class SimulatedAnnealer(Generic[State]):
     batch_energy:
         Optional population-level energy: maps a state sequence to the
         values ``energy`` would return state by state (the WtDup filter
-        supplies a vectorized Eq. 4 whose cross-layer reductions run
-        through the configured :mod:`repro.core.backend` engine's
-        ``ordered_sum``). Used to score each round's neighbor
-        proposals in one call.
+        supplies a vectorized Eq. 4 whose cross-layer reductions are
+        :func:`repro.core.backend.row_sums` when numpy imports). Used
+        to score each round's neighbor proposals in one call.
     proposal_batch:
         Neighbor proposals drawn and scored per round. ``1`` (default)
         reproduces the classic chain exactly — one proposal, one
@@ -100,8 +99,8 @@ class SimulatedAnnealer(Generic[State]):
         Metropolis acceptance against the evolving current state. The
         walk differs from the one-at-a-time chain (later proposals in a
         round are "stale" when an earlier one is accepted) but stays
-        fully deterministic under a fixed seed and independent of the
-        energy backend.
+        fully deterministic under a fixed seed and independent of
+        whether ``batch_energy`` is set.
     """
 
     def __init__(
@@ -128,7 +127,8 @@ class SimulatedAnnealer(Generic[State]):
         self.evaluations = 0
 
     def _energies(self, states: List[State]) -> List[float]:
-        """Score a proposal round, batched when a backend is wired."""
+        """Score a proposal round, batched when ``batch_energy`` is
+        set."""
         self.evaluations += len(states)
         if self.batch_energy is not None and len(states) > 1:
             values = list(self.batch_energy(states))

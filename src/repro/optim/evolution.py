@@ -76,10 +76,9 @@ class EvolutionEngine(Generic[Gene]):
         same values ``fitness`` would return gene by gene. When set,
         whole generations (the initial population and each
         generation's offspring) are scored in one call — the batched
-        engine of :mod:`repro.core.batch_eval` plugs in here, running
-        its fused kernel on whichever :mod:`repro.core.backend` engine
-        ``SynthesisConfig.backend`` names (numpy / python / numba). The memo
-        is consulted first, so cached genes are never re-evaluated and
+        engine of :mod:`repro.core.batch_eval` plugs in here when numpy
+        imports (:mod:`repro.core.backend`). The memo is consulted
+        first, so cached genes are never re-evaluated and
         hit/miss accounting matches the scalar path exactly. Because
         evaluation consumes no randomness, batched and scalar runs walk
         identical RNG streams and return identical results.

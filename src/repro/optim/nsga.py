@@ -75,8 +75,8 @@ class NSGA2Engine(Generic[Gene]):
     batch_objectives:
         Optional population-level scorer returning one vector per gene,
         value-identical to ``objectives`` gene by gene (the explorer's
-        glue runs :mod:`repro.core.batch_eval` on the configured
-        :mod:`repro.core.backend` engine). The memo is
+        glue runs :mod:`repro.core.batch_eval` when numpy imports).
+        The memo is
         consulted first and in-batch duplicates are resolved after the
         fresh values land, so hit/miss accounting matches the
         gene-at-a-time path exactly.

@@ -32,23 +32,21 @@ Outputs:
 
 Everything is integer-cycle arithmetic after quantization, so a run is
 byte-deterministic for a fixed ``(solution, fault_rate, fault_seed)``
-— on *every* engine: the wheel runs on a registered
-:mod:`~repro.sim.cycle.engine` (object oracle, structure-of-arrays
-flat loop, or its numba JIT), all ``==``-exact by contract.
+— on *every* engine: the wheel runs on one of the three
+:mod:`~repro.sim.cycle.engine` engines (object oracle,
+structure-of-arrays flat loop, or its numba JIT), all ``==``-exact by
+contract.
 """
 
 from repro.sim.cycle.clock import CycleClock
 from repro.sim.cycle.engine import (
-    BUILTIN_ENGINES,
     DEFAULT_ENGINE,
     CycleEngine,
     PreparedProgram,
     available_engines,
     engine_status,
     get_engine,
-    register_engine,
     resolve_engine_name,
-    unregister_engine,
 )
 from repro.sim.cycle.kernel import (
     LoweredProgram,
@@ -89,16 +87,13 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "CrossValidationReport",
     "cross_validate",
-    "BUILTIN_ENGINES",
     "DEFAULT_ENGINE",
     "CycleEngine",
     "PreparedProgram",
     "available_engines",
     "engine_status",
     "get_engine",
-    "register_engine",
     "resolve_engine_name",
-    "unregister_engine",
     "LoweredProgram",
     "draw_attempts",
     "lower_arrays",

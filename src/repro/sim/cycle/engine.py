@@ -1,7 +1,7 @@
-"""Pluggable execution engines for the cycle simulator's event wheel.
+"""Execution engines for the cycle simulator's event wheel.
 
-Follows :mod:`repro.core.backend`'s selection contract, specialized to
-the integer event wheel:
+A fixed table of three, selected by name (``SynthesisConfig.
+sim_engine``, ``repro simulate --engine``):
 
 - ``python`` — the object :class:`~repro.sim.cycle.machine.
   CycleMachine`, kept as the oracle every other engine is pinned
@@ -23,10 +23,10 @@ the integer event wheel:
 All engines return a :class:`~repro.sim.cycle.machine.MachineResult`
 that is ``==``-identical to the oracle's, field for field — start and
 finish cycles, retire order, per-cause stall attribution, per-layer
-busy accounting and fault draws. Unknown names and registered-but-
-unavailable engines raise :class:`~repro.errors.ConfigurationError`
-with the same actionable message shape ``repro backends`` uses, so
-``SynthesisConfig`` and ``repro simulate --engine`` fail fast.
+busy accounting and fault draws. Unknown names and unavailable
+engines raise :class:`~repro.errors.ConfigurationError` with an
+actionable message, so ``SynthesisConfig`` and ``repro simulate
+--engine`` fail fast.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ class PreparedProgram:
 class CycleEngine:
     """Base class: a named way to run one prepared program."""
 
-    #: Registry name (``--engine`` value).
+    #: Table name (``--engine`` value).
     name: str = ""
     #: One-line description for ``--help`` and status tables.
     description: str = ""
@@ -344,11 +344,12 @@ class NumbaEngine(NumpyEngine):
 
 
 # ----------------------------------------------------------------------
-# Registry (named, validated lookup, like repro.core.backend)
+# The engine table (fixed; named, validated lookup)
 # ----------------------------------------------------------------------
-#: Names whose engines are defined by this module and cannot be
-#: replaced with different implementations.
-BUILTIN_ENGINES: Tuple[str, ...] = ("python", "numpy", "numba")
+_ENGINES: Dict[str, CycleEngine] = {
+    engine.name: engine
+    for engine in (PythonEngine(), NumpyEngine(), NumbaEngine())
+}
 
 #: The engine every simulator selects unless told otherwise: resolves
 #: to the fastest *available* engine (numba > numpy > python) at run
@@ -358,72 +359,13 @@ DEFAULT_ENGINE = "auto"
 #: Resolution order of the ``auto`` meta-engine.
 AUTO_ORDER: Tuple[str, ...] = ("numba", "numpy", "python")
 
-_REGISTRY: Dict[str, CycleEngine] = {}
-
-
-def _ensure_builtins() -> None:
-    if not _REGISTRY:
-        for engine in (PythonEngine(), NumpyEngine(), NumbaEngine()):
-            _REGISTRY[engine.name] = engine
-
-
-def register_engine(
-    engine: CycleEngine, replace: bool = False
-) -> CycleEngine:
-    """Add an engine instance to the registry.
-
-    Re-registering an existing name requires ``replace=True``; the
-    built-in names can never be rebound to a different class —
-    re-registering an instance of the *same* class is a no-op success.
-    """
-    _ensure_builtins()
-    if not isinstance(engine, CycleEngine):
-        raise ConfigurationError(
-            f"expected a CycleEngine, got {type(engine).__name__}"
-        )
-    if not engine.name or not isinstance(engine.name, str):
-        raise ConfigurationError(
-            "cycle engine name must be a non-empty string"
-        )
-    if engine.name == "auto":
-        raise ConfigurationError(
-            "'auto' is the built-in meta-selector and cannot be "
-            "registered as an engine name"
-        )
-    existing = _REGISTRY.get(engine.name)
-    if engine.name in BUILTIN_ENGINES:
-        if type(existing) is not type(engine):
-            raise ConfigurationError(
-                f"the built-in {engine.name!r} cycle engine cannot be "
-                "replaced; register the engine under a new name"
-            )
-        return existing
-    if existing is not None and not replace:
-        raise ConfigurationError(
-            f"cycle engine {engine.name!r} is already registered "
-            "(pass replace=True to update it)"
-        )
-    _REGISTRY[engine.name] = engine
-    return engine
-
-
-def unregister_engine(name: str) -> None:
-    """Remove a user-registered engine (built-ins cannot be removed)."""
-    _ensure_builtins()
-    if name in BUILTIN_ENGINES:
-        raise ConfigurationError(
-            f"the built-in {name!r} cycle engine cannot be unregistered"
-        )
-    _REGISTRY.pop(name, None)
-
 
 def resolve_engine_name(name: str = DEFAULT_ENGINE) -> str:
     """Collapse ``auto`` to the fastest available concrete engine."""
-    _ensure_builtins()
     if name != "auto":
         return name
     for candidate in AUTO_ORDER:
-        if _REGISTRY[candidate].available():
+        if _ENGINES[candidate].available():
             return candidate
     return "python"  # pragma: no cover - python is always available
 
@@ -431,22 +373,18 @@ def resolve_engine_name(name: str = DEFAULT_ENGINE) -> str:
 def get_engine(name: str = DEFAULT_ENGINE) -> CycleEngine:
     """Look up an *available* engine by name (``auto`` resolves first).
 
-    Unknown names and registered-but-unavailable engines (e.g.
-    ``numba`` without numba installed) both raise
-    :class:`~repro.errors.ConfigurationError` with an actionable
-    message — configs fail fast at construction, not mid-replay.
+    Unknown names and unavailable engines (e.g. ``numba`` without
+    numba installed) both raise :class:`~repro.errors.
+    ConfigurationError` with an actionable message — configs fail fast
+    at construction, not mid-replay.
     """
-    _ensure_builtins()
-    if isinstance(name, CycleEngine):
-        return name
     name = resolve_engine_name(name)
-    try:
-        engine = _REGISTRY[name]
-    except KeyError:
+    engine = _ENGINES.get(name)
+    if engine is None:
         raise ConfigurationError(
             f"unknown cycle engine {name!r}; available: "
             f"{available_engines()}"
-        ) from None
+        )
     if not engine.available():
         raise ConfigurationError(
             f"cycle engine {name!r} is unavailable: "
@@ -456,18 +394,15 @@ def get_engine(name: str = DEFAULT_ENGINE) -> CycleEngine:
 
 
 def available_engines() -> List[str]:
-    """Registered engine names, built-ins first, extras sorted."""
-    _ensure_builtins()
-    extras = sorted(n for n in _REGISTRY if n not in BUILTIN_ENGINES)
-    return list(BUILTIN_ENGINES) + extras
+    """Every engine name in table order, usable here or not
+    (:func:`engine_status` says which)."""
+    return list(_ENGINES)
 
 
 def engine_status() -> List[Tuple[str, bool, str]]:
     """(name, available, description-or-reason) for every engine."""
-    _ensure_builtins()
     rows = []
-    for name in available_engines():
-        engine = _REGISTRY[name]
+    for name, engine in _ENGINES.items():
         ok = engine.available()
         note = engine.description if ok else (
             engine.unavailable_reason() or "unavailable"

@@ -23,8 +23,8 @@ Two implementations of the same wheel walk those tables:
   reads.
 - :func:`wheel_loops` — the whole wheel as one flat loop with an
   *inlined* binary min-heap on lexicographic ``(cycle, uid)`` keys,
-  written in the njit-compatible subset shared with
-  :mod:`repro.core.backend`'s kernels. Interpreted it is no faster
+  written in numba's njit-compatible subset (flat loops, no Python
+  containers). Interpreted it is no faster
   than the oracle (a pure-Python sift loses to C ``heapq``); its job
   is to be compiled — the ``numba`` engine JITs it with ``fastmath``
   off over the int64 array mirrors.

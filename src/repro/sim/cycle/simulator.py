@@ -104,7 +104,7 @@ class CycleSimulator:
             noc=self.noc,
         )
         # Fail fast on unknown/unavailable engines, mirroring
-        # SynthesisConfig's backend validation.
+        # SynthesisConfig's sim_engine validation.
         get_engine(self.engine)
         self._prepared: Optional[PreparedProgram] = None
         self._prepared_host: Optional[Dict] = None

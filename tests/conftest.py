@@ -64,9 +64,8 @@ def without_numpy():
 
     It sets ``repro.core.backend._np``, the one numpy gate, to None, so
     the task bounds, EA/NSGA-II population scoring and the SA filter all
-    take their scalar oracles. Configs built inside must pass
-    ``backend="python"``, the default such an interpreter gets. Forked
-    ``jobs > 1`` workers inherit the patched gate.
+    take their scalar oracles, and ``SynthesisConfig.backend`` reads
+    ``"python"``. Forked ``jobs > 1`` workers inherit the patched gate.
     """
 
     @contextlib.contextmanager

@@ -1,28 +1,31 @@
-"""Per-backend conformance for the array-execution engines.
+"""Conformance of the numpy kernels to their scalar oracles.
 
-Every :class:`~repro.core.backend.ArrayBackend` in the engine table
-(numpy / python / numba) must return values ``==`` to the ``python``
-loop engine for its three calls: the SA filter's ``ordered_sum`` and
-the fused kernels (task-grid bounds *and* population scoring) — the
-loop engine is the
-reference, since it executes the scalar oracle's operation order
-literally. The suite parametrizes over the table, and an engine whose
-optional dependency is absent (``numba`` without numba installed) is
-*skipped with its own stated reason* rather than silently ignored.
+Each batched DSE path has one numpy kernel in :mod:`repro.core.backend`
+and one scalar oracle, the code an interpreter without numpy runs. Each
+kernel must return values ``==`` to its oracle:
 
-The lookup's validation behavior is pinned too: unknown names
-(``cupy`` and ``torch`` among them) and selecting an unavailable
-engine raise ConfigurationError with actionable messages, and the
-default config falls back to the loop engine without numpy. An AST
-guard keeps ``batch_eval.py`` and ``grid_eval.py`` free of
-direct numpy imports — all array access goes through
-``core.backend``.
+* :func:`~repro.core.backend.row_sums`, the SA filter's Eq. 4 sums, to
+  :func:`repro.utils.mathutils.ordered_sum` over each row;
+* :func:`~repro.core.backend.compute_bounds` to
+  :func:`repro.core.evaluator.throughput_upper_bound` on each task;
+* :func:`~repro.core.backend.score_population` to
+  :meth:`~repro.core.macro_partition.MacroPartitionExplorer.score` on
+  each gene, on every field.
+
+The reporting surface is pinned too: ``backend_status`` lists the two
+engines, ``get_backend`` fails fast with actionable messages,
+``SynthesisConfig.backend`` is a read-only report rather than a knob,
+and ``repro backends --check numpy`` probes the kernel against the
+scalar oracle. An AST guard keeps the batched modules free of direct
+numpy imports — all array access goes through ``core.backend``.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import json
+import math
 import os
 import pathlib
 import random
@@ -32,38 +35,23 @@ import sys
 import pytest
 
 from repro.core.backend import (
-    DEFAULT_BACKEND,
-    ArrayBackend,
-    NumbaBackend,
-    NumpyBackend,
-    PythonBackend,
-    available_backends,
     backend_status,
+    compute_bounds,
     get_backend,
     numpy_available,
+    row_sums,
+    score_population,
 )
 from repro.core.config import SynthesisConfig
 from repro.errors import ConfigurationError, PimsynError
+from repro.utils.mathutils import ordered_sum
 
-#: Names that are not engines, GPU stack names among them.
-UNKNOWN_NAMES = ("cuda", "torch", "cupy")
+#: Names that are not engines: GPU stack names and the deleted JIT.
+UNKNOWN_NAMES = ("cuda", "torch", "cupy", "numba")
 
-pytestmark = pytest.mark.skipif(
-    not numpy_available(),
-    reason="TaskGrid assembly requires numpy",
+needs_numpy = pytest.mark.skipif(
+    not numpy_available(), reason="the numpy kernels need numpy"
 )
-
-
-def _backend_or_skip(name: str) -> ArrayBackend:
-    status = {n: (ok, note) for n, ok, note in backend_status()}
-    ok, note = status[name]
-    if not ok:
-        pytest.skip(f"backend {name!r} unavailable: {note}")
-    return get_backend(name)
-
-
-def _reference() -> PythonBackend:
-    return get_backend("python")
 
 
 def _random_matrix(rows, cols, seed, scale=1.0):
@@ -74,17 +62,18 @@ def _random_matrix(rows, cols, seed, scale=1.0):
     ]
 
 
-@pytest.fixture(scope="module")
-def lenet_grid():
-    """A real TaskGrid (lenet5's fast queue) for kernel conformance."""
+def _grid_and_scalar_bounds(name, power, sharing):
+    """A real TaskGrid (the model's fast queue) and its scalar bounds."""
     from repro.core.design_space import DesignSpace
     from repro.core.executor import ExplorationEngine
     from repro.core.grid_eval import GridBoundEvaluator
     from repro.core.synthesizer import SynthesisReport
     from repro.nn import zoo
 
-    model = zoo.by_name("lenet5")
-    config = SynthesisConfig.fast(total_power=2.0, seed=7)
+    model = zoo.by_name(name)
+    config = SynthesisConfig.fast(
+        total_power=power, seed=7, enable_macro_sharing=sharing,
+    )
     engine = ExplorationEngine(model, config, SynthesisReport())
     points = list(DesignSpace(model, config).outer_points())
     executor = engine._make_executor()
@@ -98,61 +87,12 @@ def lenet_grid():
     return evaluator.build_grid(tasks), scalar
 
 
-class TestPrimitiveConformance:
-    """ordered_sum: exact across backends."""
-
-    @pytest.mark.parametrize("name", available_backends())
-    def test_ordered_sum_matches_reference(self, name):
-        backend = _backend_or_skip(name)
-        terms = _random_matrix(7, 13, seed=1, scale=1e6)
-        assert [float(v) for v in backend.ordered_sum(terms)] == \
-            _reference().ordered_sum(terms)
-
-    @pytest.mark.parametrize("name", available_backends())
-    def test_ordered_sum_is_left_associated(self, name):
-        """The accumulation order is the scalar oracle's, observable
-        through a row engineered so pairwise summation differs."""
-        backend = _backend_or_skip(name)
-        row = [1e16, 1.0, 1.0, 1.0, -1e16]
-        expected = 0.0
-        for value in row:
-            expected = expected + value
-        assert [float(v) for v in backend.ordered_sum([row])] == \
-            [expected]
-
-
-class TestKernelConformance:
-    """compute_bounds: bit-identical to the scalar oracle, per backend."""
-
-    @pytest.mark.parametrize("name", available_backends())
-    def test_compute_bounds_matches_scalar_oracle(
-        self, name, lenet_grid
-    ):
-        backend = _backend_or_skip(name)
-        grid, scalar = lenet_grid
-        values = [float(v) for v in backend.compute_bounds(grid)]
-        assert values == scalar
-
-    @pytest.mark.parametrize("name", available_backends())
-    def test_compute_bounds_cross_backend_identity(
-        self, name, lenet_grid
-    ):
-        backend = _backend_or_skip(name)
-        grid, _ = lenet_grid
-        reference = [
-            float(v) for v in _reference().compute_bounds(grid)
-        ]
-        assert [float(v) for v in backend.compute_bounds(grid)] == \
-            reference
-
-
 @pytest.fixture(scope="module")
 def lenet_population():
-    """A real PopulationContext + rule-valid gene population (lenet5)
-    plus the python-oracle scores, for fused-kernel conformance."""
+    """A lenet5 explorer, a rule-valid population with sharing pairs
+    and infeasible genes, and the kernel's scores of it."""
     import numpy as np
 
-    from repro.core.batch_eval import BatchPerformanceEvaluator
     from repro.core.dataflow import make_spec
     from repro.core.macro_partition import MacroPartitionExplorer
     from repro.hardware.power import PowerBudget
@@ -182,14 +122,69 @@ def lenet_population():
             [explorer.mutate_num, explorer.mutate_share]
         )
         genes.append(operator(parent, rng))
-    evaluator = BatchPerformanceEvaluator(
-        spec, budget, 1, backend="python"
-    )
     genes_arr = np.asarray(genes, dtype=np.int64)
-    oracle = get_backend("python").score_population(
-        evaluator.context, genes_arr
+    scores = score_population(
+        explorer.batch_evaluator.context, genes_arr
     )
-    return evaluator.context, genes_arr, oracle
+    return explorer, genes_arr, scores
+
+
+@needs_numpy
+class TestRowSumConformance:
+    """row_sums: each row ``==`` to ordered_sum, the SA filter's
+    scalar oracle."""
+
+    @pytest.mark.parametrize("rows,cols,scale", [
+        (7, 13, 1e6), (1, 1, 1.0), (64, 21, 1e-3),
+    ])
+    def test_row_sums_match_ordered_sum(self, rows, cols, scale):
+        import numpy as np
+
+        terms = _random_matrix(rows, cols, seed=rows, scale=scale)
+        got = row_sums(np.asarray(terms, dtype=np.float64))
+        assert got.tolist() == [ordered_sum(row) for row in terms]
+
+    def test_negative_zero_row(self):
+        """The one documented parting from the oracle: a row of only
+        ``-0.0`` sums to ``-0.0`` where ordered_sum's ``0.0`` seed gives
+        ``+0.0``; the two are ``==``."""
+        import numpy as np
+
+        got = float(row_sums(np.asarray([[-0.0, -0.0]]))[0])
+        want = ordered_sum([-0.0, -0.0])
+        assert got == want
+        assert math.copysign(1.0, got) == -1.0
+        assert math.copysign(1.0, want) == 1.0
+
+    def test_row_sums_are_left_associated(self):
+        """The accumulation order is the oracle's, observable through a
+        row engineered so pairwise summation differs."""
+        import numpy as np
+
+        row = [1e16, 1.0, 1.0, 1.0, -1e16]
+        expected = 0.0
+        for value in row:
+            expected = expected + value
+        assert row_sums(np.asarray([row])).tolist() == [expected]
+        assert expected == ordered_sum(row)
+
+
+@needs_numpy
+class TestBoundsConformance:
+    """compute_bounds: bit-identical to the scalar bound, per task,
+    with the rule-b halving on and off."""
+
+    @pytest.mark.parametrize("name,power,sharing", [
+        ("lenet5", 2.0, True),
+        ("lenet5", 2.0, False),
+        ("resnet18_cifar", 50.0, False),
+    ])
+    def test_compute_bounds_matches_scalar_oracle(
+        self, name, power, sharing
+    ):
+        grid, scalar = _grid_and_scalar_bounds(name, power, sharing)
+        assert grid.macro_sharing is sharing
+        assert compute_bounds(grid).tolist() == scalar
 
 
 #: PopulationScores integer/flag fields.
@@ -201,46 +196,31 @@ FLOAT_SCORE_FIELDS = (
 )
 
 
+@needs_numpy
 class TestScorePopulationConformance:
-    """The fused batch-eval kernel, per backend, ``==`` to the python
-    oracle on every field."""
+    """The fused population kernel ``==`` to the scalar oracle on every
+    field of every gene."""
 
-    @pytest.mark.parametrize("name", available_backends())
-    def test_exact_fields_bit_identical(self, name, lenet_population):
-        import numpy as np
+    @pytest.mark.parametrize("fields", (
+        EXACT_SCORE_FIELDS, FLOAT_SCORE_FIELDS,
+    ), ids=("exact-fields", "float-fields"))
+    def test_fields_match_scalar_oracle(self, fields, lenet_population):
+        explorer, genes_arr, scores = lenet_population
+        for k, gene in enumerate(genes_arr.tolist()):
+            oracle = explorer.score_fields(tuple(gene))
+            for field in fields:
+                assert getattr(scores, field)[k] == oracle[field], (
+                    k, field,
+                )
 
-        backend = _backend_or_skip(name)
-        ctx, genes_arr, oracle = lenet_population
-        scores = backend.score_population(ctx, genes_arr)
-        for field in EXACT_SCORE_FIELDS:
-            assert np.array_equal(
-                np.asarray(getattr(scores, field)),
-                np.asarray(getattr(oracle, field)),
-            ), field
-
-    @pytest.mark.parametrize("name", available_backends())
-    def test_float_fields_within_contract(self, name, lenet_population):
-        import numpy as np
-
-        backend = _backend_or_skip(name)
-        ctx, genes_arr, oracle = lenet_population
-        scores = backend.score_population(ctx, genes_arr)
-        for field in FLOAT_SCORE_FIELDS:
-            got = np.asarray(getattr(scores, field), dtype=np.float64)
-            want = np.asarray(getattr(oracle, field), dtype=np.float64)
-            assert np.array_equal(got, want), field
-
-    @pytest.mark.parametrize("name", available_backends())
     def test_population_has_feasible_and_infeasible_lanes(
-        self, name, lenet_population
+        self, lenet_population
     ):
         """The fixture exercises both kernel paths; infeasible lanes
-        must come back fully masked on every backend."""
+        come back fully masked."""
         import numpy as np
 
-        backend = _backend_or_skip(name)
-        ctx, genes_arr, _ = lenet_population
-        scores = backend.score_population(ctx, genes_arr)
+        _, _, scores = lenet_population
         feasible = np.asarray(scores.feasible)
         assert feasible.any()
         masked = ~feasible
@@ -254,6 +234,7 @@ class TestScorePopulationConformance:
             assert np.all(np.asarray(scores.num_macros)[masked] == 0)
 
 
+@needs_numpy
 class TestKernelHelperConformance:
     """The numpy kernel's gene decode and mesh hops: integer-exact to
     the scalar chain (``MacroPartition.from_gene`` / ``MeshNoC.hops``)."""
@@ -310,12 +291,15 @@ class TestKernelHelperConformance:
 
 
 class TestNoDirectNumpyImport:
-    """AST guard: the tensorized hot paths must reach numpy only
-    through ``core.backend`` (``numpy_module()`` / the backend object),
-    so one gate controls stubbing, monkeypatching, and availability
-    (the bare-``HardwareParams()`` guard pattern from test_tech.py)."""
+    """AST guard: the batched paths reach numpy only through
+    ``core.backend`` (``numpy_module()`` and its kernels), so one gate
+    controls stubbing, monkeypatching, and availability (the
+    bare-``HardwareParams()`` guard pattern from test_tech.py)."""
 
-    GUARDED = ("core/batch_eval.py", "core/grid_eval.py")
+    GUARDED = (
+        "core/batch_eval.py", "core/grid_eval.py",
+        "core/weight_duplication.py",
+    )
 
     @pytest.mark.parametrize("relpath", GUARDED)
     def test_no_direct_numpy_import(self, relpath):
@@ -342,81 +326,96 @@ class TestNoDirectNumpyImport:
         )
 
 
-class TestRegistry:
-    """Lookup validation over the fixed engine table."""
+class TestReportingSurface:
+    """backend_status / get_backend: the two engines, reported."""
 
-    def test_engine_table_order(self):
-        assert available_backends() == ["numpy", "python", "numba"]
-        assert DEFAULT_BACKEND in available_backends()
+    def test_status_rows(self):
+        assert [row.name for row in backend_status()] == [
+            "numpy", "python",
+        ]
+        status = {name: ok for name, ok, _ in backend_status()}
+        assert status == {"numpy": numpy_available(), "python": True}
 
     @pytest.mark.parametrize("name", UNKNOWN_NAMES)
     def test_unknown_name_raises_with_available_list(self, name):
-        """The message names only the engines selectable here as
-        available, and every other one with its reason."""
         usable = [n for n, ok, _ in backend_status() if ok]
         with pytest.raises(
             ConfigurationError, match="unknown backend"
         ) as err:
             get_backend(name)
-        message = str(err.value)
-        assert f"available: {usable}" in message
-        for other, ok, reason in backend_status():
-            if not ok:
-                assert f"{other!r} is unavailable: {reason}" in message
+        assert f"available: {usable}" in str(err.value)
 
-    def test_unavailable_backend_raises_with_reason(self):
-        if NumbaBackend.available():
-            pytest.skip("numba installed here; nothing is unavailable")
-        with pytest.raises(
-            ConfigurationError, match="numba.*unavailable|unavailable"
-        ):
-            get_backend("numba")
-
-    def test_numba_is_registered_even_when_absent(self):
-        """Absence gates *selection*, not listing — `repro backends`
-        must show the row with its reason."""
-        assert "numba" in available_backends()
-        status = {n: ok for n, ok, _ in backend_status()}
-        assert status["numba"] is NumbaBackend.available()
-
-    def test_instance_passthrough(self):
-        backend = get_backend("python")
-        assert get_backend(backend) is backend
+    def test_numpy_unavailable_without_numpy(self, without_numpy):
+        with without_numpy():
+            status = {name: (ok, note) for name, ok, note in
+                      backend_status()}
+            assert status["numpy"] == (
+                False, "numpy is not importable on this interpreter",
+            )
+            assert get_backend("python").name == "python"
+            with pytest.raises(
+                ConfigurationError,
+                match="backend 'numpy' is unavailable: numpy is not "
+                      "importable",
+            ):
+                get_backend("numpy")
 
 
 class TestConfigIntegration:
-    """SynthesisConfig validates its backend at construction."""
+    """``SynthesisConfig.backend`` reports the engine; it is no knob."""
 
-    @pytest.mark.parametrize("name", UNKNOWN_NAMES)
-    def test_unknown_backend_fails_fast(self, name):
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            SynthesisConfig.fast(total_power=2.0, backend=name)
-
-    def test_non_string_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="backend"):
-            SynthesisConfig.fast(total_power=2.0, backend=3)
-
-    def test_default_backend_resolves(self):
+    def test_backend_is_not_a_config_field(self):
+        with pytest.raises(TypeError, match="backend"):
+            SynthesisConfig(total_power=2.0, backend="python")
+        with pytest.raises(TypeError, match="backend"):
+            SynthesisConfig.fast(total_power=2.0, backend="numpy")
         config = SynthesisConfig.fast(total_power=2.0)
-        assert get_backend(config.backend).name == DEFAULT_BACKEND
+        with pytest.raises(TypeError, match="backend"):
+            dataclasses.replace(config, backend="python")
+        assert "backend" not in {
+            f.name for f in dataclasses.fields(SynthesisConfig)
+        }
+
+    def test_backend_is_read_only(self):
+        config = SynthesisConfig.fast(total_power=2.0)
+        with pytest.raises(AttributeError):
+            config.backend = "python"
+
+    def test_default_backend_resolves(self, without_numpy):
+        config = SynthesisConfig.fast(total_power=2.0)
+        assert get_backend(config.backend).name == (
+            "numpy" if numpy_available() else "python"
+        )
+        with without_numpy():
+            assert config.backend == "python"
+            assert get_backend(config.backend).name == "python"
 
     def test_default_config_runs_without_numpy(self):
-        """With numpy blocked, the default config resolves to the loop
-        engine and synthesizes lenet5 to the payload this process's
-        numpy run produces."""
+        """On an interpreter without numpy the default config reports
+        the python engine, keys to the pinned content keys, and
+        synthesizes lenet5 to the payload this process's numpy run
+        produces."""
         from repro.core import Pimsyn
+        from repro.core.executor import config_fingerprint
         from repro.nn import zoo
+        from repro.serve.job import job_content_key
 
         script = (
             "import json, sys\n"
             "sys.modules['numpy'] = None\n"
             "from repro.core import Pimsyn, SynthesisConfig\n"
+            "from repro.core.executor import config_fingerprint\n"
             "from repro.nn import zoo\n"
+            "from repro.serve.job import job_content_key\n"
             "config = SynthesisConfig.fast(total_power=2.0)\n"
-            "assert config.backend == 'python', config.backend\n"
-            "solution = Pimsyn(zoo.by_name('lenet5'), config)"
-            ".synthesize()\n"
-            "print(json.dumps(solution.to_payload(), sort_keys=True))\n"
+            "model = zoo.by_name('lenet5')\n"
+            "solution = Pimsyn(model, config).synthesize()\n"
+            "print(json.dumps({\n"
+            "    'backend': config.backend,\n"
+            "    'config_key': config_fingerprint(config),\n"
+            "    'job_key': job_content_key(model, config),\n"
+            "    'payload': solution.to_payload(),\n"
+            "}, sort_keys=True))\n"
         )
         src = pathlib.Path(__file__).resolve().parent.parent / "src"
         result = subprocess.run(
@@ -426,29 +425,59 @@ class TestConfigIntegration:
         )
         assert result.returncode == 0, result.stderr
         config = SynthesisConfig.fast(total_power=2.0)
-        assert config.backend == "numpy"
-        solution = Pimsyn(zoo.by_name("lenet5"), config).synthesize()
-        assert result.stdout.strip() == json.dumps(
-            solution.to_payload(), sort_keys=True
-        )
+        model = zoo.by_name("lenet5")
+        solution = Pimsyn(model, config).synthesize()
+        assert result.stdout.strip() == json.dumps({
+            "backend": "python",
+            "config_key": config_fingerprint(config),
+            "job_key": job_content_key(model, config),
+            "payload": solution.to_payload(),
+        }, sort_keys=True)
+        assert config_fingerprint(config) == "101f9fe6705bffb0"
+        assert job_content_key(model, config) == \
+            "0adb10f6bd13ed88e923b60108964df7"
 
 
 class TestCli:
-    """`repro backends` lists the registry; --check gates exit status."""
+    """`repro backends` lists the engines; --check gates exit status."""
 
     def test_backends_listing(self, capsys):
         from repro.cli import main
 
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        for name in available_backends():
-            assert name in out
+        for name, _, note in backend_status():
+            assert name in out and note in out
 
+    def test_backends_listing_without_numpy(self, capsys, without_numpy):
+        """Without numpy the table marks the scalar oracles as the
+        engine that runs."""
+        from repro.cli import main
+
+        with without_numpy():
+            assert main(["backends"]) == 0
+        rows = {
+            line.split()[0]: line.split()[1:3]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith(("numpy ", "python "))
+        }
+        assert rows["numpy"][0] == "no"
+        assert rows["python"] == ["yes", "*"]
+
+    @needs_numpy
     def test_backends_check_available(self, capsys):
         from repro.cli import main
 
         assert main(["backends", "--check", "numpy"]) == 0
-        assert "available" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "backend 'numpy' is available" in out
+        assert "bit-identical to the scalar oracle" in out
+
+    def test_backends_check_python(self, capsys):
+        from repro.cli import main
+
+        assert main(["backends", "--check", "python"]) == 0
+        assert "it is the scalar oracle" in capsys.readouterr().out
 
     @pytest.mark.parametrize("name", UNKNOWN_NAMES)
     def test_backends_check_unknown_fails(self, capsys, name):
@@ -457,30 +486,34 @@ class TestCli:
         assert main(["backends", "--check", name]) == 1
         assert "unknown backend" in capsys.readouterr().err
 
-    def test_synthesize_with_removed_backend_fails(self, capsys):
+    def test_backends_check_numpy_fails_without_numpy(
+        self, capsys, without_numpy
+    ):
         from repro.cli import main
 
-        assert main([
-            "synthesize", "--model", "lenet5", "--power", "2",
-            "--backend", "cupy",
-        ]) == 1
-        assert "unknown backend 'cupy'" in capsys.readouterr().err
+        with without_numpy():
+            assert main(["backends", "--check", "numpy"]) == 1
+        assert "backend 'numpy' is unavailable" in \
+            capsys.readouterr().err
 
-    def test_probe_rejects_a_one_ulp_divergence(self):
-        """The probe holds every field to ``==``: an engine whose
-        fitness is one ulp off the oracle fails it."""
+    @needs_numpy
+    def test_probe_rejects_a_one_ulp_divergence(self, monkeypatch):
+        """The probe holds every field to ``==``: a kernel whose fitness
+        is one ulp off the oracle fails it."""
         import numpy as np
 
+        import repro.core.batch_eval
         from repro.cli import _backend_probe
 
-        class OneUlpOff(NumpyBackend):
-            name = "one-ulp-off"
+        _backend_probe()
 
-            def score_population(self, ctx, genes):
-                scores = super().score_population(ctx, genes)
-                scores.fitness = np.nextafter(scores.fitness, np.inf)
-                return scores
+        def one_ulp_off(ctx, genes):
+            scores = score_population(ctx, genes)
+            scores.fitness = np.nextafter(scores.fitness, np.inf)
+            return scores
 
-        _backend_probe(get_backend("numpy"))
+        monkeypatch.setattr(
+            repro.core.batch_eval, "score_population", one_ulp_off
+        )
         with pytest.raises(PimsynError, match="fitness"):
-            _backend_probe(OneUlpOff())
+            _backend_probe()

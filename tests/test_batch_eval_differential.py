@@ -1,39 +1,53 @@
 """Differential suite: the batched evaluator vs the scalar oracle.
 
-The numpy engine of :mod:`repro.core.batch_eval` claims bit-level
+The numpy kernel behind :mod:`repro.core.batch_eval` claims bit-level
 fidelity to the scalar evaluation chain (``MacroPartition.from_gene``
--> ``allocate_components`` -> ``PerformanceEvaluator.evaluate``). This
-suite pins that claim across the entire model zoo and a grid of power
+-> ``allocate_components`` -> ``PerformanceEvaluator.evaluate``), on
+every :class:`~repro.core.batch_eval.BatchEvaluation` field. This suite
+pins that claim across the entire model zoo and a grid of power
 budgets (spanning infeasible, tight and generous regimes), for both
-macro-sharing settings and both macro-specialization modes — and then
+macro-sharing settings and both macro-specialization modes, and on the
+kernel's risky inputs: population sizes on a residual DAG and a
+NoC-bound context. Both paths reject the same malformed genes — an
+owner shared by two layers among them (rule b allows pairs only). Then
 end to end: full synthesis must select the *identical* solution, with
 identical search and pruning telemetry, with numpy and without it
-(the ``without_numpy`` fixture), serial or pooled.
+(the ``without_numpy`` fixture), serial or pooled, and the committed
+pareto golden reproduces both ways.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import random
 
 import pytest
 
 from repro.core import Pimsyn, SynthesisConfig
+from repro.core.backend import numpy_available
 from repro.core.dataflow import make_spec
-from repro.core.macro_partition import MacroPartitionExplorer
+from repro.core.macro_partition import (
+    MacroPartition,
+    MacroPartitionExplorer,
+    encode_gene,
+)
+from repro.errors import ConfigurationError
+from repro.hardware.params import HardwareParams
 from repro.hardware.power import PowerBudget
 from repro.nn import zoo
 
 POWER_GRID = (0.5, 2.0, 8.0, 50.0, 200.0)
-METRIC_FIELDS = (
-    "period", "latency", "throughput", "tops", "power",
-    "tops_per_watt", "energy_per_image", "edp",
+
+needs_numpy = pytest.mark.skipif(
+    not numpy_available(), reason="the batched path needs numpy"
 )
 
 
 def _explorer(model, power, sharing=True, specialized=True,
-              res_dac=1, seed=1):
+              res_dac=1, seed=1, params=None):
     """A stage-3 explorer over a ones-WtDup spec for ``model``."""
-    config = SynthesisConfig.fast(total_power=power)
+    config = SynthesisConfig.fast(total_power=power, params=params)
     config.enable_macro_sharing = sharing
     config.specialized_macros = specialized
     n = model.num_weighted_layers
@@ -65,10 +79,48 @@ def _population(explorer, size=24, seed=2):
     return genes
 
 
+def _multi_sharer_genes(explorer, size, seed=3):
+    """Genes whose owners are shared by two or more later layers.
+
+    Each gene cuts a shuffled layer list into groups of one to four,
+    and the smallest layer of a group owns it. Every referenced owner
+    owns itself, but rule b allows pairs only, so both scoring paths
+    reject the genes with a group of three or more.
+    """
+    rng = random.Random(seed)
+    n = explorer.spec.num_layers
+    genes = []
+    for _ in range(size):
+        layers = list(range(n))
+        rng.shuffle(layers)
+        owners = list(range(n))
+        while layers:
+            group = [
+                layers.pop()
+                for _ in range(min(len(layers), rng.randint(1, 4)))
+            ]
+            for layer in group:
+                owners[layer] = min(group)
+        counts = [rng.randint(1, cap) for cap in explorer.caps]
+        genes.append(encode_gene(owners, counts))
+    return genes
+
+
 def _assert_equal(scalar, batched, label):
     assert scalar == batched, (
         f"{label}: scalar={scalar!r} batched={batched!r}"
     )
+
+
+def _assert_matches_oracle(explorer, genes, batch, label):
+    """Every BatchEvaluation field of every gene ``==`` the scalar
+    oracle's (``MacroPartitionExplorer.score_fields``)."""
+    assert len(batch) == len(genes)
+    for k, gene in enumerate(genes):
+        for name, want in explorer.score_fields(gene).items():
+            _assert_equal(
+                want, getattr(batch, name)[k], f"{label} gene {k} {name}"
+            )
 
 
 class TestZooDifferential:
@@ -83,27 +135,11 @@ class TestZooDifferential:
             explorer = _explorer(model, power)
             genes = _population(explorer)
             batch = explorer.batch_evaluator.evaluate_population(genes)
-            for k, gene in enumerate(genes):
-                fitness, allocation, result = explorer.score(gene)
-                _assert_equal(
-                    fitness, float(batch.fitness[k]),
-                    f"{name}@{power}W gene {k} fitness",
-                )
-                if allocation is None:
-                    infeasible_seen += 1
-                    assert not bool(batch.feasible[k])
-                    continue
-                feasible_seen += 1
-                assert bool(batch.feasible[k])
-                for field in METRIC_FIELDS:
-                    _assert_equal(
-                        getattr(result, field),
-                        float(getattr(batch, field)[k]),
-                        f"{name}@{power}W gene {k} {field}",
-                    )
-                assert result.bottleneck_layer == int(
-                    batch.bottleneck_layer[k]
-                )
+            _assert_matches_oracle(
+                explorer, genes, batch, f"{name}@{power}W"
+            )
+            feasible_seen += int(batch.feasible.sum())
+            infeasible_seen += int((~batch.feasible).sum())
         # The grid must actually exercise both regimes.
         assert feasible_seen > 0
         assert infeasible_seen > 0
@@ -150,6 +186,115 @@ class TestZooDifferential:
                 )
 
 
+@needs_numpy
+class TestRiskyKernelCases:
+    """Inputs where the kernel's array layout could part from the
+    scalar oracle: population sizes on a DAG with out-degree 4 and
+    in-degree 3, a NoC-bound context, and the knob settings the EA tier
+    never runs."""
+
+    @pytest.mark.parametrize("size", (1, 16, 128))
+    def test_resnet18_population_sizes(self, size):
+        explorer = _explorer(zoo.by_name("resnet18_cifar"), 50.0)
+        ctx = explorer.batch_evaluator.context
+        assert len(ctx.out_slots) == 4  # largest out-degree
+        assert max(
+            producers.shape[0] for _, producers, _ in ctx.levels
+        ) == 3  # largest in-degree
+        genes = _population(explorer, size=size, seed=size)
+        batch = explorer.batch_evaluator.evaluate_population(genes)
+        assert all(batch.feasible)
+        _assert_matches_oracle(explorer, genes, batch, f"pop{size}")
+
+    def test_noc_bound_resnet18_context(self):
+        """With the NoC 100x slower, transfers set the stage times, so
+        the order in which each producer adds its transfers reaches the
+        metrics; at the real NoC speed it never decides a bit here."""
+        explorer = _explorer(
+            zoo.by_name("resnet18_cifar"), 50.0,
+            params=HardwareParams(noc_frequency=1e7),
+        )
+        genes = _population(explorer, size=128, seed=1)
+        batch = explorer.batch_evaluator.evaluate_population(genes)
+        _assert_matches_oracle(explorer, genes, batch, "slow NoC")
+        comm_bound = 0
+        for gene in genes:
+            _fitness, _allocation, result = explorer.score(gene)
+            timing = result.layer_timings[result.bottleneck_layer]
+            comm_bound += timing.bottleneck == "comm"
+        assert comm_bound == len(genes)
+
+    @pytest.mark.parametrize("knobs", (
+        {"sharing": False}, {"specialized": False},
+    ), ids=("no-sharing", "identical-macros"))
+    def test_zoo_contexts_under_knobs(self, knobs):
+        feasible = 0
+        for name in zoo.available_models():
+            for power in POWER_GRID:
+                explorer = _explorer(zoo.by_name(name), power, **knobs)
+                genes = _population(explorer)
+                batch = explorer.batch_evaluator.evaluate_population(genes)
+                _assert_matches_oracle(
+                    explorer, genes, batch, f"{name}@{power}W"
+                )
+                feasible += int(batch.feasible.sum())
+        assert feasible > 500
+
+
+@needs_numpy
+class TestMalformedGenes:
+    """Both scoring paths reject the same genes with
+    ConfigurationError, so no gene gets two different scores."""
+
+    def test_empty_and_malformed_populations(self):
+        explorer = _explorer(zoo.by_name("lenet5"), 2.0)
+        evaluator = explorer.batch_evaluator
+        assert len(evaluator.evaluate_population([])) == 0
+        with pytest.raises(ConfigurationError, match="shape"):
+            evaluator.evaluate_population([(1001,)])
+
+    @pytest.mark.parametrize("gene,message", [
+        ((1, 1000, 2001, 3001, 4001), "#macros"),
+        ((1, 2001, 2001, 3001, 4001), "owner"),
+        ((1, 1, 2001, 1001, 4001), "not an owner|non-owner"),
+        ((1, 1001, 2001, 2001, 2001), "pairs only"),
+        ((1, 1, 2001, 3001, 1), "pairs only"),
+    ], ids=(
+        "zero-macros", "owner-after-layer", "shares-with-a-sharer",
+        "adjacent-sharers", "distant-sharers",
+    ))
+    def test_malformed_gene_rejected_by_both_paths(self, gene, message):
+        explorer = _explorer(zoo.by_name("lenet5"), 2.0)
+        assert len(gene) == explorer.spec.num_layers
+        with pytest.raises(ConfigurationError, match=message):
+            explorer.score(gene)
+        with pytest.raises(ConfigurationError, match=message):
+            explorer.batch_evaluator.evaluate_population(
+                explorer.initial_population(4) + [gene]
+            )
+
+    @pytest.mark.parametrize(
+        "name", ("lenet5", "resnet18_cifar", "vgg16_cifar")
+    )
+    def test_owner_shared_by_several_layers(self, name):
+        """Genes with an owner shared two or more times. The scalar
+        oracle would count one shared ADC bank per sharer and the kernel
+        one per owner, so their power would differ; both reject them."""
+        multi = 0
+        for power in POWER_GRID:
+            explorer = _explorer(zoo.by_name(name), power)
+            for gene in _multi_sharer_genes(explorer, 12):
+                owners = [value // 1000 for value in gene]
+                if max(owners.count(j) for j in set(owners)) < 3:
+                    continue  # pairs only: a valid gene
+                multi += 1
+                with pytest.raises(ConfigurationError, match="pairs only"):
+                    MacroPartition.from_gene(gene)
+                with pytest.raises(ConfigurationError, match="pairs only"):
+                    explorer.batch_evaluator.evaluate_population([gene])
+        assert multi >= 40
+
+
 class TestFullSynthesisIdentity:
     """Whether numpy imports is an execution detail: with it, task
     bounds, EA scoring and the SA filter run batched; without it, on
@@ -163,15 +308,15 @@ class TestFullSynthesisIdentity:
     ):
         model = zoo.by_name(name)
 
-        def run(backend):
+        def run():
             synthesizer = Pimsyn(model, SynthesisConfig.fast(
-                total_power=power, seed=7, backend=backend,
+                total_power=power, seed=7,
             ))
             return synthesizer.synthesize().to_json(), synthesizer.report
 
-        batched, batched_report = run("numpy")
+        batched, batched_report = run()
         with without_numpy():
-            scalar, scalar_report = run("python")
+            scalar, scalar_report = run()
         assert batched == scalar
         # Even the search telemetry matches: the batched engine walks
         # the same RNG stream and consults the same memo, and the grid
@@ -192,10 +337,39 @@ class TestFullSynthesisIdentity:
                 outputs.add(Pimsyn(zoo.by_name("lenet5"), (
                     SynthesisConfig.fast(
                         total_power=2.0, seed=11, jobs=jobs,
-                        backend="python",
                     )
                 )).synthesize().to_json())
         assert len(outputs) == 1
+
+    @pytest.fixture(scope="class")
+    def golden_payload(self):
+        path = os.path.join(
+            os.path.dirname(__file__), "golden",
+            "pareto_front_vgg8.json",
+        )
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+
+    @pytest.mark.parametrize("blocked", (False, True),
+                             ids=("numpy", "no-numpy"))
+    def test_pareto_golden_reproduced(
+        self, blocked, golden_payload, without_numpy
+    ):
+        """The committed pareto-front golden reproduces with numpy and,
+        on the scalar oracles, without it."""
+        model = zoo.by_name(golden_payload["model"])
+        config = SynthesisConfig.fast(
+            total_power=golden_payload["total_power"],
+            seed=golden_payload["seed"], pareto=True,
+        )
+        if blocked:
+            with without_numpy():
+                front = Pimsyn(model, config).synthesize_pareto()
+        else:
+            front = Pimsyn(model, config).synthesize_pareto()
+        recomputed = json.loads(json.dumps(front.to_payload()["points"]))
+        assert recomputed == golden_payload["points"]
+        assert len(front) == golden_payload["front_size"]
 
 
 class TestTechnologyDifferential:
@@ -229,20 +403,9 @@ class TestTechnologyDifferential:
             )
             genes = _population(explorer, size=16)
             batch = explorer.batch_evaluator.evaluate_population(genes)
-            for k, gene in enumerate(genes):
-                fitness, allocation, result = explorer.score(gene)
-                _assert_equal(
-                    fitness, float(batch.fitness[k]),
-                    f"{tech}@{power}W gene {k} fitness",
-                )
-                if allocation is None:
-                    continue
-                for field in METRIC_FIELDS:
-                    _assert_equal(
-                        getattr(result, field),
-                        float(getattr(batch, field)[k]),
-                        f"{tech}@{power}W gene {k} {field}",
-                    )
+            _assert_matches_oracle(
+                explorer, genes, batch, f"{tech}@{power}W"
+            )
 
     @pytest.mark.parametrize("tech", ("reram-lp", "sram-pim"))
     def test_full_synthesis_identity_per_technology(
@@ -258,13 +421,13 @@ class TestTechnologyDifferential:
             margin=2.0
         )
 
-        def run(backend):
+        def run():
             solution = Pimsyn(model, SynthesisConfig.fast(
-                total_power=power, seed=7, tech=tech, backend=backend,
+                total_power=power, seed=7, tech=tech,
             )).synthesize()
             assert solution.evaluation.throughput > 0
             return solution.to_json()
 
-        batched = run("numpy")
+        batched = run()
         with without_numpy():
-            assert run("python") == batched
+            assert run() == batched

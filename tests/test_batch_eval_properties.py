@@ -10,38 +10,42 @@ samples):
 - genes already in the evaluation memo are never re-evaluated by the
   EA's batched path.
 
-The per-backend classes hold every *available* backend to the same
-properties through ``score_population``: permutation invariance,
-batch-of-one ``==`` the scalar oracle, and memo hit/miss identity —
-the EA's cache interaction is byte-for-byte the same whichever backend
-scores the misses. And an EA run walks identically with numpy and
+The numpy-kernel class holds :func:`repro.core.backend.
+score_population` to the same properties on every field: permutation
+invariance, batch-of-one ``==`` the scalar oracle, and memo hit/miss
+identity — the EA's cache interaction is byte-for-byte the same whether
+the kernel or the scalar oracle scores the misses. Both paths accept
+exactly the same genes, and an EA run walks identically with numpy and
 without it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import SynthesisConfig
-from repro.core.backend import backend_status, numpy_available
-from repro.core.batch_eval import BatchPerformanceEvaluator
+from repro.core.backend import numpy_available
 from repro.core.dataflow import make_spec
 from repro.core.macro_partition import (
+    MacroPartition,
     MacroPartitionExplorer,
     encode_gene,
 )
+from repro.errors import ConfigurationError
 from repro.hardware.power import PowerBudget
 from repro.nn import lenet5
 from repro.optim.evolution import EvolutionEngine
 
 
-def _make_explorer(sharing=True):
+def _make_explorer(sharing=True, specialized=True):
     model = lenet5()
     config = SynthesisConfig.fast(total_power=2.0)
     config.enable_macro_sharing = sharing
+    config.specialized_macros = specialized
     n = model.num_weighted_layers
     spec = make_spec(
         model, [1] * n, xb_size=128, res_rram=2, res_dac=1,
@@ -60,26 +64,10 @@ def _make_explorer(sharing=True):
 
 EXPLORER = _make_explorer()
 CAPS = list(EXPLORER.caps)
-
-#: Backends that can execute here; an unavailable one is covered by the
-#: conformance suite's skip/raise tests.
-AVAILABLE_BACKENDS = tuple(
-    name for name, ok, _ in backend_status() if ok
-)
-
-_EVALUATORS = {}
-
-
-def _backend_evaluator(name):
-    """One batched evaluator per backend over EXPLORER's context."""
-    if name not in _EVALUATORS:
-        _EVALUATORS[name] = BatchPerformanceEvaluator(
-            EXPLORER.spec, EXPLORER.budget, EXPLORER.res_dac,
-            enable_macro_sharing=EXPLORER.config.enable_macro_sharing,
-            identical_macros=not EXPLORER.config.specialized_macros,
-            backend=name,
-        )
-    return _EVALUATORS[name]
+KNOB_EXPLORERS = {
+    "no-sharing": _make_explorer(sharing=False),
+    "identical-macros": _make_explorer(specialized=False),
+}
 
 
 @st.composite
@@ -101,6 +89,23 @@ def valid_genes(draw):
         else:
             owners.append(index)
     return encode_gene(owners, counts)
+
+
+@st.composite
+def any_genes(draw):
+    """Genes valid or not: any owner up to the layer itself (the layer
+    half the time), counts up to the cap and, one gene in ten, a zero
+    count (rejected on decode)."""
+    owners = [
+        draw(st.one_of(st.just(index), st.integers(0, index)))
+        for index in range(len(CAPS))
+    ]
+    counts = [draw(st.integers(1, cap)) for cap in CAPS]
+    if draw(st.integers(0, 9)) == 0:
+        counts[draw(st.integers(0, len(CAPS) - 1))] = 0
+    return tuple(
+        owner * 1000 + count for owner, count in zip(owners, counts)
+    )
 
 
 @st.composite
@@ -190,68 +195,74 @@ class TestBatchInvariants:
             assert cache[gene] == sentinel
 
 
-class TestBackendPrimitiveProperties:
-    """Population scoring, per available backend."""
+@pytest.mark.skipif(
+    not numpy_available(), reason="the batched path needs numpy"
+)
+class TestNumpyKernelProperties:
+    """Population scoring through the numpy kernel, on every field."""
 
-    @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
     @given(genes=populations(), seed=st.integers(0, 2**16))
     @settings(max_examples=10, deadline=None)
-    def test_score_population_permutation_invariance(
-        self, backend, genes, seed
-    ):
+    def test_score_population_permutation_invariance(self, genes, seed):
         import numpy as np
 
-        evaluator = _backend_evaluator(backend)
+        evaluator = EXPLORER.batch_evaluator
         order = list(range(len(genes)))
         random.Random(seed).shuffle(order)
         base = evaluator.evaluate_population(genes)
         permuted = evaluator.evaluate_population(
             [genes[i] for i in order]
         )
-        assert np.array_equal(
-            np.asarray(base.feasible)[order],
-            np.asarray(permuted.feasible),
-        )
-        assert np.array_equal(
-            np.asarray(base.fitness)[order],
-            np.asarray(permuted.fitness),
-        )
+        for field in dataclasses.fields(base):
+            assert np.array_equal(
+                np.asarray(getattr(base, field.name))[order],
+                np.asarray(getattr(permuted, field.name)),
+            ), field.name
 
-    @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
     @given(gene=valid_genes())
     @settings(max_examples=10, deadline=None)
-    def test_batch_of_one_equals_scalar_oracle(self, backend, gene):
+    def test_batch_of_one_equals_scalar_oracle(self, gene):
         """Single-gene batches reproduce the scalar ``score()``, bit
-        for bit, on every backend."""
-        batch = _backend_evaluator(backend).evaluate_population([gene])
-        fitness, allocation, result = EXPLORER.score(gene)
-        assert bool(batch.feasible[0]) == (allocation is not None)
-        assert float(batch.fitness[0]) == fitness
-        if result is not None:
-            assert float(batch.period[0]) == result.period
-            assert float(batch.power[0]) == result.power
+        for bit, on every field."""
+        batch = EXPLORER.batch_evaluator.evaluate_population([gene])
+        for name, want in EXPLORER.score_fields(gene).items():
+            assert getattr(batch, name)[0] == want, name
 
-    @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
+    @pytest.mark.parametrize("knobs", sorted(KNOB_EXPLORERS))
     @given(genes=populations())
     @settings(max_examples=10, deadline=None)
-    def test_memo_interaction_identical_across_backends(
-        self, backend, genes
+    def test_kernel_matches_oracle_under_knobs(self, knobs, genes):
+        """The no-sharing and identical-macro allocations, which the EA
+        tier never runs, match the oracle on every field too."""
+        explorer = KNOB_EXPLORERS[knobs]
+        batch = explorer.batch_evaluator.evaluate_population(genes)
+        for k, gene in enumerate(genes):
+            for name, want in explorer.score_fields(gene).items():
+                assert getattr(batch, name)[k] == want, (k, name)
+
+    @given(genes=populations())
+    @settings(max_examples=10, deadline=None)
+    def test_memo_interaction_identical_with_and_without_numpy(
+        self, genes
     ):
         """The EA's memo sees the same hits, misses and stored values
-        whichever engine scores the misses — backend choice cannot
-        perturb cache state."""
+        whether the numpy kernel or the scalar oracle scores the
+        misses."""
+        scorers = {
+            "numpy": EXPLORER.batch_evaluator.fitness_of,
+            "scalar": lambda batch: [EXPLORER.score(g)[0] for g in batch],
+        }
         results = {}
-        for name in ("numpy", backend):
+        for name, score in scorers.items():
             cached = genes[: len(genes) // 2]
             cache = {}
             for i, g in enumerate(cached):
                 cache.setdefault(g, float(i))
-            evaluator = _backend_evaluator(name)
             evaluated = []
 
-            def batch_fitness(batch, _ev=evaluator, _log=evaluated):
+            def batch_fitness(batch, _score=score, _log=evaluated):
                 _log.extend(batch)
-                return _ev.fitness_of(list(batch))
+                return _score(list(batch))
 
             engine = EvolutionEngine(
                 fitness=lambda g: EXPLORER.score(g)[0],
@@ -263,11 +274,24 @@ class TestBackendPrimitiveProperties:
             )
             values = engine._evaluate_batch(list(genes))
             results[name] = (tuple(evaluated), dict(cache), values)
-        base_eval, base_cache, base_values = results["numpy"]
-        got_eval, got_cache, got_values = results[backend]
-        assert got_eval == base_eval  # identical miss sets, in order
-        assert got_cache == base_cache
-        assert got_values == base_values
+        assert results["numpy"] == results["scalar"]
+
+    @given(gene=any_genes())
+    @settings(max_examples=60, deadline=None)
+    def test_both_paths_accept_the_same_genes(self, gene):
+        """The batched validator rejects exactly the genes
+        ``MacroPartition.from_gene`` rejects (a zero count, sharing
+        with a sharer, an owner shared by two layers), and the kernel
+        matches the oracle on the ones both accept."""
+        try:
+            MacroPartition.from_gene(gene)
+        except ConfigurationError:
+            with pytest.raises(ConfigurationError):
+                EXPLORER.batch_evaluator.evaluate_population([gene])
+            return
+        batch = EXPLORER.batch_evaluator.evaluate_population([gene])
+        for name, want in EXPLORER.score_fields(gene).items():
+            assert getattr(batch, name)[0] == want, name
 
 
 class TestDecodeProperties:

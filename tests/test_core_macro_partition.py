@@ -85,6 +85,22 @@ class TestMacroPartitionDecoding:
         with pytest.raises(ConfigurationError):
             MacroPartition.from_gene(gene)
 
+    def test_owner_shared_twice_rejected(self):
+        """Rule b allows pairs only: layers 1 and 2 both sharing layer
+        0's macros is a group of three."""
+        with pytest.raises(
+            ConfigurationError,
+            match=r"layers 1 and 2 both share layer 0's macros",
+        ):
+            MacroPartition.from_gene(encode_gene([0, 0, 0], [2, 2, 2]))
+
+    def test_two_disjoint_pairs_accepted(self):
+        partition = MacroPartition.from_gene(encode_gene(
+            [0, 1, 0, 1], [2, 1, 2, 1]
+        ))
+        assert partition.sharing_pairs == ((0, 2), (1, 3))
+        assert partition.num_macros == 3
+
 
 class TestMutations:
     def test_mutate_num_respects_caps(self, explorer):
@@ -116,6 +132,24 @@ class TestMutations:
             gene = explorer.mutate_share(gene, rng)
         # After many toggles the gene is still structurally valid.
         MacroPartition.from_gene(gene)
+
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_mutation_walks_form_pairs_only(self, explorer, seed):
+        """Alg. 2's operators never build a gene rule b rejects, so
+        enforcing pairs only moves no design."""
+        rng = random.Random(seed)
+        genes = explorer.initial_population(4)
+        for _ in range(300):
+            parent = rng.choice(genes)
+            op = rng.choice((explorer.mutate_num, explorer.mutate_share))
+            child = op(parent, rng)
+            partition = MacroPartition.from_gene(child)  # must not raise
+            owners = [j for j, _i in partition.sharing_pairs]
+            assert len(owners) == len(set(owners))
+            genes.append(child)
+        assert any(
+            MacroPartition.from_gene(g).sharing_pairs for g in genes
+        )
 
     def test_mutations_preserve_length(self, explorer):
         gene = encode_gene([0, 1, 2], [1, 2, 1])
@@ -169,6 +203,33 @@ class TestExplore:
         naive = encode_gene([0, 1, 2], [1, 1, 1])
         naive_fitness, _a, _r = explorer.score(naive)
         assert result.throughput >= naive_fitness
+
+    def test_score_fields_of_a_feasible_gene(self, explorer):
+        gene = encode_gene([0, 1, 0], [1, 1, 1])
+        fitness, _allocation, result = explorer.score(gene)
+        fields = explorer.score_fields(gene)
+        assert fields["feasible"] is True
+        assert fields["fitness"] == fitness == result.throughput
+        assert fields["num_macros"] == 2
+        assert fields["bottleneck_layer"] == result.bottleneck_layer
+        for name in ("period", "latency", "power", "edp"):
+            assert fields[name] == getattr(result, name)
+
+    def test_score_fields_of_an_infeasible_gene(self, tiny_model, params):
+        """Infeasible genes take the batched kernel's masked values."""
+        budget = PowerBudget.from_constraint(0.01, 0.3, 128, 2, params)
+        spec = make_spec(tiny_model, [4, 2, 1], xb_size=128, res_rram=2,
+                         res_dac=1, params=params)
+        starved = MacroPartitionExplorer(
+            spec=spec, budget=budget, res_dac=1,
+            config=SynthesisConfig.fast(total_power=0.01, seed=11),
+            rng=random.Random(11),
+        )
+        fields = starved.score_fields(encode_gene([0, 1, 2], [1, 1, 1]))
+        assert fields.pop("feasible") is False
+        assert fields.pop("bottleneck_layer") == -1
+        assert fields.pop("num_macros") == 0
+        assert set(fields.values()) == {0.0}
 
     def test_scalar_divergence_on_the_winner_raises(
         self, explorer, monkeypatch

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.core.backend import numpy_available
 from repro.core.config import SynthesisConfig
 from repro.core.weight_duplication import WeightDuplicationFilter
 from repro.errors import InfeasibleError
@@ -136,9 +137,7 @@ class TestEnergySumOrder:
 
     @pytest.fixture(scope="class")
     def vgg16_states(self):
-        filt = _filter(
-            zoo.vgg16_cifar(), num_crossbars=10 ** 6, backend="python"
-        )
+        filt = _filter(zoo.vgg16_cifar(), num_crossbars=10 ** 6)
         rng = random.Random(0)
         states = [
             tuple(rng.randint(1, min(cap, 64)) for cap in filt.dup_caps)
@@ -156,6 +155,24 @@ class TestEnergySumOrder:
         text = " ".join(filt.energy(state).hex() for state in states)
         digest = hashlib.sha256(text.encode()).hexdigest()[:16]
         assert digest == VGG16_ENERGY_DIGEST
+
+    @pytest.mark.skipif(
+        not numpy_available(), reason="the batched path needs numpy"
+    )
+    def test_batch_energy_matches_scalar_energy(self, vgg16_states):
+        """A whole proposal round through the numpy row sums is the
+        scalar energy of each state, bit for bit."""
+        filt, states = vgg16_states
+        assert filt.batch_energy(states) == [
+            filt.energy(state) for state in states
+        ]
+
+    def test_batch_energy_without_numpy(self, vgg16_states, without_numpy):
+        filt, states = vgg16_states
+        with without_numpy():
+            assert filt.batch_energy(states[:20]) == [
+                filt.energy(state) for state in states[:20]
+            ]
 
 
 class TestInitialState:

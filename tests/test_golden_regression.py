@@ -13,6 +13,7 @@ shape (e.g. a baseline beating the synthesized design).
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 import json
 import math
@@ -133,10 +134,10 @@ class TestGoldenShapes:
 class TestContentKeysBackendIndependent:
     """PR 5's pinned content keys survive the tensorized task walk.
 
-    ``backend`` is an execution-only knob: switching it must leave every
-    fingerprint and serve job key *byte*-unchanged (the pins recorded
-    before the grid walk existed), or stored results would silently
-    split by array engine.
+    Whether numpy imports picks the batched paths or their scalar
+    oracles, and it must leave every fingerprint and serve job key
+    *byte*-unchanged (the pins recorded before the grid walk existed),
+    or stored results would silently split by interpreter.
     """
 
     PINNED_PARAMS_FP = "3dd4e2a54ef76d2a"
@@ -144,25 +145,21 @@ class TestContentKeysBackendIndependent:
     PINNED_CONFIG_FP_FULL_50W = "d6018dea5177428e"
     PINNED_JOB_KEY_LENET5_FAST_2W = "0adb10f6bd13ed88e923b60108964df7"
 
-    def _variants(self):
-        from repro.core.backend import backend_status
-        from repro.core.config import SynthesisConfig
-
-        usable = [name for name, ok, _ in backend_status() if ok]
-        for backend in usable:
-            yield lambda power, _b=backend: SynthesisConfig.fast(
-                total_power=power, backend=_b,
-            )
-
-    def test_config_fingerprints_pinned_across_backends(self):
+    def test_config_fingerprints_pinned_across_backends(
+        self, without_numpy
+    ):
         from repro.core.config import SynthesisConfig
         from repro.core.executor import config_fingerprint
 
-        for make in self._variants():
-            assert config_fingerprint(make(2.0)) == \
-                self.PINNED_CONFIG_FP_FAST_2W
-        full = SynthesisConfig(total_power=50.0, backend="python")
-        assert config_fingerprint(full) == self.PINNED_CONFIG_FP_FULL_50W
+        for blocked in (False, True):
+            with without_numpy() if blocked else contextlib.nullcontext():
+                fast = SynthesisConfig.fast(total_power=2.0)
+                full = SynthesisConfig(total_power=50.0)
+                assert fast.backend == ("python" if blocked else "numpy")
+                assert config_fingerprint(fast) == \
+                    self.PINNED_CONFIG_FP_FAST_2W
+                assert config_fingerprint(full) == \
+                    self.PINNED_CONFIG_FP_FULL_50W
 
     def test_params_fingerprint_untouched(self):
         from repro.core.executor import params_fingerprint
@@ -171,27 +168,45 @@ class TestContentKeysBackendIndependent:
         assert params_fingerprint(HardwareParams()) == \
             self.PINNED_PARAMS_FP
 
-    def test_serve_job_key_pinned_across_backends(self):
+    def test_serve_job_key_pinned_across_backends(self, without_numpy):
+        from repro.core.config import SynthesisConfig
         from repro.nn import lenet5
         from repro.serve.job import job_content_key
 
         model = lenet5()
-        for make in self._variants():
-            assert job_content_key(model, make(2.0)) == \
-                self.PINNED_JOB_KEY_LENET5_FAST_2W
+        for blocked in (False, True):
+            with without_numpy() if blocked else contextlib.nullcontext():
+                assert job_content_key(
+                    model, SynthesisConfig.fast(total_power=2.0)
+                ) == self.PINNED_JOB_KEY_LENET5_FAST_2W
 
     def test_job_request_overrides_cannot_split_the_store(self):
-        """A request that *explicitly* asks for a backend still maps to
-        the same stored result as one that says nothing."""
+        """A request that *explicitly* picks an event wheel still maps
+        to the same stored result as one that says nothing."""
         from repro.serve.job import JobRequest
 
         base = JobRequest(model="lenet5", total_power=2.0)
         tuned = JobRequest(
             model="lenet5", total_power=2.0,
-            overrides={"backend": "python"},
+            overrides={"sim_engine": "python"},
         )
         assert base.content_key() == tuned.content_key()
         assert base.content_key() == self.PINNED_JOB_KEY_LENET5_FAST_2W
+
+    def test_backend_override_is_rejected(self):
+        """``backend`` is no config field, so a request naming it fails
+        as an unknown override instead of being silently dropped."""
+        from repro.errors import ConfigurationError
+        from repro.serve.job import JobRequest
+
+        with pytest.raises(
+            ConfigurationError,
+            match=r"unknown config overrides \['backend'\]",
+        ):
+            JobRequest(
+                model="lenet5", total_power=2.0,
+                overrides={"backend": "numpy"},
+            )
 
     def test_execution_only_fields_are_config_fields(self):
         """Every execution-only name is a live SynthesisConfig field, so
@@ -205,9 +220,11 @@ class TestContentKeysBackendIndependent:
         assert EXECUTION_ONLY_FIELDS <= names
 
     def test_execution_only_fields_cover_the_new_knobs(self):
-        """The engine selectors are execution-only; the SA proposal
-        batch changes the walk, so it is result content."""
+        """The event-wheel selector is execution-only; the SA proposal
+        batch changes the walk, so it is result content. The array
+        engine is no field at all."""
         from repro.core.executor import EXECUTION_ONLY_FIELDS
 
-        assert {"backend", "sim_engine"} <= EXECUTION_ONLY_FIELDS
+        assert "sim_engine" in EXECUTION_ONLY_FIELDS
+        assert "backend" not in EXECUTION_ONLY_FIELDS
         assert "sa_proposal_batch" not in EXECUTION_ONLY_FIELDS

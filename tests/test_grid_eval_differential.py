@@ -1,19 +1,19 @@
 """Differential suite: the tensorized task-grid walk vs the per-task walk.
 
-PR 6 flattens the outer (design point x WtDup x ResDAC) queue into one
-``(tasks, layers)`` :class:`~repro.core.backend.TaskGrid` and computes
-every pruning bound in a single backend call. The claim mirrors the
+The outer (design point x WtDup x ResDAC) queue is flattened into one
+``(tasks, layers)`` :class:`~repro.core.backend.TaskGrid`, and every
+pruning bound comes from one numpy kernel call. The claim mirrors the
 batch-eval suite's, but stronger: the grid bounds are **bit-identical**
 (``==``, not 1e-9-close) to :meth:`_TaskRunner.throughput_bound` called
 once per task — pruning rides on exact float comparisons, so anything
 less would let the tensorized walk change which tasks run. This suite
 pins that claim across the model zoo and a power grid spanning
-infeasible, tight and generous regimes, for every available backend —
-and then end to end: full synthesis must select the identical solution
-on every backend, with only the executor's bounds on the per-task walk
-(search telemetry included, serial or pooled) and with numpy blocked,
-pruned or not. ``tests/test_batch_eval_differential.py`` holds the
-numpy on/off solution and telemetry identity across ``jobs``.
+infeasible, tight and generous regimes — and then end to end: full
+synthesis must select the identical solution with only the executor's
+bounds on the per-task walk (search telemetry included, serial or
+pooled) and with numpy blocked, pruned or not.
+``tests/test_batch_eval_differential.py`` holds the numpy on/off
+solution and telemetry identity across ``jobs``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import pytest
 
 import repro.core.executor
 from repro.core import Pimsyn, SynthesisConfig
-from repro.core.backend import backend_status, get_backend, numpy_available
+from repro.core.backend import numpy_available
 from repro.core.design_space import DesignSpace
 from repro.core.executor import ExplorationEngine
 from repro.core.grid_eval import GridBoundEvaluator
@@ -36,13 +36,6 @@ pytestmark = pytest.mark.skipif(
 )
 
 POWER_GRID = (0.5, 2.0, 8.0, 50.0, 200.0)
-
-#: Backends that can execute here (numpy + python always; numba when
-#: the container has it). Unavailable ones are covered by the
-#: conformance suite's skip/raise tests.
-AVAILABLE_BACKENDS = tuple(
-    name for name, ok, _ in backend_status() if ok
-)
 
 
 @contextlib.contextmanager
@@ -91,13 +84,8 @@ class TestZooBoundsBitIdentity:
             scalar = [
                 engine._local_runner.throughput_bound(t) for t in tasks
             ]
-            for backend in AVAILABLE_BACKENDS:
-                grid = GridBoundEvaluator(
-                    model, config, backend=get_backend(backend)
-                )
-                assert grid.bounds(tasks) == scalar, (
-                    f"{name}@{power}W backend={backend}"
-                )
+            grid = GridBoundEvaluator(model, config)
+            assert grid.bounds(tasks) == scalar, f"{name}@{power}W"
         # The grid must actually produce work at some power level.
         assert tasks_seen > 0
 
@@ -133,8 +121,8 @@ class TestZooBoundsBitIdentity:
 
 
 class TestFullSynthesisIdentity:
-    """backend is an execution knob, and numpy only picks batched or
-    scalar paths: results are identical."""
+    """numpy only picks batched or scalar paths: results are
+    identical."""
 
     @pytest.mark.parametrize("name,power", [
         ("lenet5", 2.0), ("alexnet_cifar", 8.0),
@@ -175,30 +163,18 @@ class TestFullSynthesisIdentity:
                 outputs.add(run(jobs))
         assert len(outputs) == 1
 
-    @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
-    def test_identical_solution_per_backend(self, backend, without_numpy):
-        def run(backend):
-            return Pimsyn(zoo.by_name("lenet5"), SynthesisConfig.fast(
-                total_power=2.0, seed=7, backend=backend,
-            )).synthesize().to_json()
-
-        solution = run(backend)
-        with without_numpy():
-            assert run("python") == solution
-
     def test_identical_across_pruning_and_grid(self, without_numpy):
         """Pruning on/off x numpy on/off: one winner (pruning only ever
         removes provably dominated tasks, on either bounds path)."""
 
-        def run(prune, backend):
+        def run(prune):
             return Pimsyn(zoo.by_name("lenet5"), SynthesisConfig.fast(
                 total_power=2.0, seed=11, prune_dominated=prune,
-                backend=backend,
             )).synthesize().to_json()
 
         outputs = set()
         for prune in (True, False):
-            outputs.add(run(prune, "numpy"))
+            outputs.add(run(prune))
             with without_numpy():
-                outputs.add(run(prune, "python"))
+                outputs.add(run(prune))
         assert len(outputs) == 1

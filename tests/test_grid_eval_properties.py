@@ -143,16 +143,16 @@ class TestMemoAccounting:
         tasks run or what the memo sees: hits, misses and EA evaluation
         counts match the numpy-less per-task walk exactly."""
 
-        def report(backend):
+        def report():
             synthesizer = Pimsyn(lenet5(), SynthesisConfig.fast(
-                total_power=2.0, seed=7, backend=backend,
+                total_power=2.0, seed=7,
             ))
             synthesizer.synthesize()
             return synthesizer.report
 
-        on = report("numpy")
+        on = report()
         with without_numpy():
-            off = report("python")
+            off = report()
         assert on.cache_hits == off.cache_hits
         assert on.cache_misses == off.cache_misses
         assert on.ea_evaluations == off.ea_evaluations
@@ -162,20 +162,18 @@ class TestMemoAccounting:
     def test_memo_snapshots_identical_grid_on_off(self, without_numpy):
         """Even the memo *contents* (key set and values) agree."""
 
-        def snapshot(backend):
+        def snapshot():
             engine = ExplorationEngine(
                 lenet5(),
-                SynthesisConfig.fast(
-                    total_power=2.0, seed=7, backend=backend,
-                ),
+                SynthesisConfig.fast(total_power=2.0, seed=7),
                 SynthesisReport(),
             )
             engine.run()
             return dict(engine.memo_snapshot())
 
-        on = snapshot("numpy")
+        on = snapshot()
         with without_numpy():
-            assert snapshot("python") == on
+            assert snapshot() == on
 
 
 class TestTilingSummaryEquivalence:

@@ -138,9 +138,9 @@ class TestFullParetoIdentity:
 
         def run(jobs, batch):
             config = SynthesisConfig.fast(
-                total_power=2.0, seed=7, jobs=jobs,
-                backend="numpy" if batch else "python", pareto=True,
+                total_power=2.0, seed=7, jobs=jobs, pareto=True,
             )
+            assert config.backend == ("numpy" if batch else "python")
             synthesizer = Pimsyn(zoo.by_name("lenet5"), config)
             fronts.add(synthesizer.synthesize_pareto().to_json())
             reports[(jobs, batch)] = synthesizer.report

@@ -53,6 +53,16 @@ class TestPersistence:
         with pytest.raises(ConfigurationError):
             load_solution(path, lenet5())
 
+    def test_gene_breaking_rule_b_rejected(self, solution):
+        """A stored gene with an owner shared by two layers does not
+        load: rule b allows pairs only."""
+        from repro.core.persistence import solution_from_payload
+
+        payload = solution.to_payload()
+        payload["gene"] = [1, 1, 1] + list(payload["gene"][3:])
+        with pytest.raises(ConfigurationError, match="pairs only"):
+            solution_from_payload(payload, lenet5())
+
     def test_payload_round_trip_through_result_store(
         self, solution, tmp_path
     ):

@@ -543,9 +543,10 @@ class TestApi:
         assert err.value.code == 400
         with pytest.raises(urllib.error.HTTPError) as err:
             _post(server, {"model": "lenet5", "power": 2.0,
-                           "config": {"backend": "torch"}})
+                           "config": {"backend": "python"}})
         assert err.value.code == 400
-        assert "unknown backend 'torch'" in err.value.read().decode()
+        assert "unknown config overrides ['backend']" in \
+            err.value.read().decode()
         with pytest.raises(urllib.error.HTTPError) as err:
             _post(server, {"model": "lenet5", "power": 2.0,
                            "config": {"batch_eval": False}})
