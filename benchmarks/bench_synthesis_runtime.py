@@ -74,12 +74,11 @@ def test_synthesis_runtime_lenet(benchmark):
 
 
 def test_parallel_engine_speedup():
-    """The cached/pruned parallel engine vs the exhaustive serial walk.
+    """The pruned parallel engine vs the exhaustive serial walk.
 
     Same model, power, seed, and Table I sub-grid; the serial baseline
-    disables pruning and evaluation-cache sharing, reproducing the
-    pre-executor driver that visited all 60 (point, WtDup, ResDAC) EA
-    launches. The engine must return a byte-identical solution at >= 2x
+    disables pruning, reproducing the pre-executor driver that visited
+    all 60 (point, WtDup, ResDAC) EA launches. The engine must return a byte-identical solution at >= 2x
     the speed (typically far more: dominated-task pruning alone skips
     ~90% of EA launches; ``jobs`` adds core scaling on multi-core
     hosts).
@@ -100,9 +99,7 @@ def test_parallel_engine_speedup():
         solution = synthesizer.synthesize()
         return solution, synthesizer.report, time.perf_counter() - started
 
-    serial, serial_report, serial_s = run(
-        jobs=1, prune_dominated=False, share_eval_cache=False
-    )
+    serial, serial_report, serial_s = run(jobs=1, prune_dominated=False)
     engine, engine_report, engine_s = run(jobs=4)
     speedup = serial_s / engine_s
     print()

@@ -426,10 +426,7 @@ def cmd_store(args) -> int:
         print(json.dumps(stats.to_payload(), indent=2))
         return 0
     if args.store_command == "gc":
-        report = store.gc(
-            stale_claims_after=args.stale_after,
-            drop_completed_memos=not args.keep_memos,
-        )
+        report = store.gc(stale_claims_after=args.stale_after)
         print(json.dumps(report.to_payload(), indent=2))
         return 0
     if args.store_command == "migrate":
@@ -809,9 +806,6 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--stale-after", type=float, default=600.0,
                     help="claims older than this many seconds are "
                          "presumed orphaned")
-    gc.add_argument("--keep-memos", action="store_true",
-                    help="keep memo snapshots even when their result "
-                         "exists")
     store_sub.add_parser(
         "migrate", help="move a legacy flat-layout store into the "
                         "sharded layout (byte-identical documents)",

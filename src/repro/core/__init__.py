@@ -26,7 +26,6 @@ from repro.core.evaluator import (
     throughput_upper_bound,
 )
 from repro.core.executor import (
-    EvaluationCache,
     EvaluationTask,
     ExplorationEngine,
     TaskOutcome,
@@ -60,7 +59,6 @@ __all__ = [
     "SynthesisConfig",
     "DesignPoint",
     "DesignSpace",
-    "EvaluationCache",
     "EvaluationResult",
     "EvaluationTask",
     "ExplorationEngine",

@@ -111,10 +111,6 @@ class SynthesisConfig:
         (:func:`repro.core.evaluator.throughput_upper_bound`) cannot
         beat the incumbent. The bound is sound, so pruning never changes
         the solution — only the telemetry (fewer EA runs).
-    share_eval_cache:
-        Share one content-keyed evaluation memo across all EA runs (per
-        worker process), so re-visited (model, hardware params, design
-        point, gene) tuples never re-run component allocation.
     sa_proposal_batch:
         Neighbor proposals the stage-1 SA filter draws and scores per
         batch (its Eq. 4 energies vectorize the same way). ``1``
@@ -149,7 +145,8 @@ class SynthesisConfig:
         Master seed for all stochastic stages.
 
     The array engine of the batched DSE paths is not a setting: the
-    read-only :attr:`backend` reports it.
+    read-only :attr:`backend` reports it. Nor is the evaluation memo:
+    every task runner keeps one (:mod:`repro.core.executor`).
     """
 
     total_power: float = 50.0
@@ -177,7 +174,6 @@ class SynthesisConfig:
     max_blocks_per_layer: int = 8
     jobs: int = 1
     prune_dominated: bool = True
-    share_eval_cache: bool = True
     sa_proposal_batch: int = 8
     pareto: bool = False
     objectives: Tuple[str, ...] = DEFAULT_OBJECTIVES

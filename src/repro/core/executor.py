@@ -7,11 +7,12 @@ config, and the master seed (all RNGs are label-derived, never shared).
 This module turns the nested loops into that flat work queue and runs it
 through a pluggable executor:
 
-- :class:`SerialExecutor` evaluates tasks in-process (``jobs=1``);
+- :class:`SerialExecutor` evaluates tasks in-process (``jobs=1``) on
+  the engine's own :class:`_TaskRunner`;
 - :class:`ProcessExecutor` fans them out over a ``multiprocessing`` pool
   (``jobs>1``), each worker holding its own :class:`_TaskRunner`.
 
-Three properties make the engine safe to parallelize and to accelerate:
+Five properties make the engine safe to parallelize and to accelerate:
 
 1. **Determinism** — task RNGs are spawned from the master seed by a
    content label, so a task's outcome is identical no matter which
@@ -22,11 +23,13 @@ Three properties make the engine safe to parallelize and to accelerate:
    throughput_upper_bound`) is compared against the incumbent; tasks
    that provably cannot win are skipped. Tasks are evaluated in
    descending-bound order so a strong incumbent appears early.
-3. **Content-keyed memoization** — :class:`EvaluationCache` stores EA
-   fitness values under ``(model, hardware params, design point, gene)``
-   fingerprints and is shared with :class:`repro.optim.evolution.
-   EvolutionEngine`, so re-visited tuples never re-run the
-   component-allocation stage (per process; workers keep local caches).
+3. **Content-keyed memoization** — each :class:`_TaskRunner` keeps one
+   dict of EA fitness values (and NSGA-II vectors) under ``(model,
+   hardware params, design point, gene)`` fingerprints, which the
+   engines consult before scoring. An interrupted synthesis hands the
+   in-process memo to its caller (:class:`repro.errors.
+   SynthesisInterrupted`), and a run pre-filled with it (``warm_memo``)
+   replays the finished tasks without re-running component allocation.
 4. **Batched population scoring** — when numpy imports, each EA
    launch scores whole generations through the batched engine of
    :mod:`repro.core.batch_eval`; without numpy, one gene at a time
@@ -124,22 +127,19 @@ def params_fingerprint(params: HardwareParams) -> str:
 
 
 #: Config fields that steer *how* the DSE runs, never *what* it returns
-#: (serial and parallel runs are identical by contract, pruning is
-#: sound, the memo only skips re-computation, and the batched evaluator
-#: reproduces the scalar oracle's arithmetic bit for bit). They are
-#: excluded from content keys so a request replayed with different
-#: execution knobs still maps to the same stored result.
+#: (serial and parallel runs are identical by contract and pruning is
+#: sound). They are excluded from content keys so a request replayed
+#: with different execution knobs still maps to the same stored result.
 #: ``sim_engine`` names the cycle simulator's event wheel; every engine
 #: is ``==`` to the object oracle, so it cannot change a result — only
 #: how fast it is computed. The array engine of the batched DSE paths
 #: is not a field at all: whether numpy imports picks it, and
-#: ``SynthesisConfig.backend`` only reports it.
+#: ``SynthesisConfig.backend`` only reports it. Nor is the evaluation
+#: memo: every task runner keeps one.
 #: ``sa_proposal_batch`` is deliberately *not* here: rounds larger than
 #: one change the SA walk (see :class:`repro.optim.annealing.
 #: SimulatedAnnealer`), so it is result content.
-EXECUTION_ONLY_FIELDS = frozenset(
-    {"jobs", "prune_dominated", "share_eval_cache", "sim_engine"}
-)
+EXECUTION_ONLY_FIELDS = frozenset({"jobs", "prune_dominated", "sim_engine"})
 
 
 def config_fingerprint(config: SynthesisConfig) -> str:
@@ -207,54 +207,6 @@ def decode_memo_entries(
             value = float(value)
         entries.append((_decode_term(raw_key), value))
     return entries
-
-
-class EvaluationCache:
-    """Content-keyed memo for EA fitness evaluations.
-
-    A thin mapping with hit/miss accounting. One instance is shared by
-    every :class:`MacroPartitionExplorer` a runner creates, keyed by
-    ``(context, gene)`` where the context fingerprints the (model,
-    hardware params, design point, WtDup, ResDAC) tuple — so identical
-    evaluations are recognized across EA runs, not just within one.
-    """
-
-    __slots__ = ("_store", "hits", "misses")
-
-    def __init__(self) -> None:
-        self._store: Dict[Hashable, float] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def __contains__(self, key: Hashable) -> bool:
-        found = key in self._store
-        if found:
-            self.hits += 1
-        else:
-            self.misses += 1
-        return found
-
-    def __getitem__(self, key: Hashable) -> float:
-        return self._store[key]
-
-    def __setitem__(self, key: Hashable, value: float) -> None:
-        self._store[key] = value
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def preload(self, key: Hashable, value: float) -> None:
-        """Insert a known fitness without touching the hit/miss stats.
-
-        Used to warm-start a run from a persisted memo (the serve
-        layer's result store) — first-insertion wins so a live entry is
-        never clobbered by stale data.
-        """
-        self._store.setdefault(key, value)
-
-    def items(self) -> List[Tuple[Hashable, float]]:
-        """Snapshot of every memoized ``(key, fitness)`` pair."""
-        return list(self._store.items())
 
 
 # ----------------------------------------------------------------------
@@ -357,8 +309,10 @@ def _dominated(bound: float, index: int, incumbent: TaskOutcome) -> bool:
 class _TaskRunner:
     """Evaluates filter jobs and EA tasks for one (model, config) pair.
 
-    Each worker process owns one runner; its :class:`EvaluationCache`
-    persists across every task the worker handles.
+    Each worker process owns one runner, and so does the exploration
+    engine (serial runs and winner re-scoring). Its ``cache`` dict is
+    the evaluation memo of every task it handles, pre-filled from
+    ``warm_memo`` when a synthesis resumes.
     """
 
     def __init__(
@@ -372,12 +326,7 @@ class _TaskRunner:
         self.model = model
         self.config = config
         self.seeds = SeedSequence(config.seed)
-        self.cache: Optional[EvaluationCache] = (
-            EvaluationCache() if config.share_eval_cache else None
-        )
-        if self.cache is not None and warm_memo:
-            for key, value in warm_memo:
-                self.cache.preload(key, value)
+        self.cache: Dict[Hashable, object] = dict(warm_memo or ())
         self._model_key = model_fingerprint(model)
         self._params_key = params_fingerprint(config.params)
 
@@ -435,28 +384,15 @@ class _TaskRunner:
             ),
         )
 
-    def score_population(
-        self, task: EvaluationTask, genes: Sequence[Tuple[int, ...]]
-    ) -> List[float]:
-        """Batch-score a gene population under a task's context.
-
-        One vectorized pass over the whole queue of genes; values are
-        identical to scoring each gene through the task's explorer.
-        Used by analysis tooling and the differential test suite to
-        probe a task's fitness landscape without launching its EA.
-        """
-        return self.make_explorer(task).score_population(genes)
-
     def run_pareto_task(self, item: ParetoTaskItem) -> ParetoTaskOutcome:
         """Run one NSGA-II launch; returns the task's local front.
 
         The engine shares the runner's evaluation memo under
         pareto-specific keys (the objective set joins the context), so
-        scalar fitness floats and vector tuples never collide, while
-        re-visited (design point, gene, objectives) evaluations are
-        free. Front genes are re-scored through the scalar oracle to
-        materialize full metrics — deterministic, and bit-identical to
-        what the batched engine computed during the search.
+        scalar fitness floats and vector tuples never collide. Front
+        genes are re-scored through the scalar oracle to materialize
+        full metrics — deterministic, and bit-identical to what the
+        batched engine computed during the search.
         """
         import math
 
@@ -467,8 +403,8 @@ class _TaskRunner:
         explorer = self.make_explorer(task)
         context = task.context_key(self._model_key, self._params_key)
         engine: NSGA2Engine = NSGA2Engine(
-            objectives=lambda gene: explorer.score_objectives(
-                gene, objectives
+            score=lambda genes: explorer.score_population_objectives(
+                genes, objectives
             ),
             mutations=[explorer.mutate_num, explorer.mutate_share],
             gene_key=lambda gene: gene,
@@ -477,13 +413,7 @@ class _TaskRunner:
             offspring_per_gen=self.config.ea_offspring_per_gen,
             max_generations=self.config.ea_max_generations,
             cache=self.cache,
-            cache_key=(
-                (lambda gene: ("pareto", objectives, context, gene))
-                if self.cache is not None else None
-            ),
-            batch_objectives=lambda genes: (
-                explorer.score_population_objectives(genes, objectives)
-            ),
+            cache_key=lambda gene: ("pareto", objectives, context, gene),
         )
         population = explorer.initial_population(
             self.config.ea_population_size
@@ -557,19 +487,12 @@ class _TaskRunner:
 # Pluggable executors
 # ----------------------------------------------------------------------
 class SerialExecutor:
-    """In-process task evaluation (``jobs=1``) with one shared cache."""
+    """In-process task evaluation (``jobs=1``) on one runner."""
 
     jobs = 1
 
-    def __init__(
-        self,
-        model: CNNModel,
-        config: SynthesisConfig,
-        warm_memo: Optional[
-            Sequence[Tuple[Hashable, float]]
-        ] = None,
-    ) -> None:
-        self.runner = _TaskRunner(model, config, warm_memo=warm_memo)
+    def __init__(self, runner: _TaskRunner) -> None:
+        self.runner = runner
 
     def map_filters(
         self, points: Sequence[DesignPoint]
@@ -720,7 +643,6 @@ class ExplorationEngine:
         self._local_runner = _TaskRunner(
             model, config, warm_memo=self._warm_memo
         )
-        self._serial_runner: Optional[_TaskRunner] = None
         self._grid_evaluator = None  # lazy GridBoundEvaluator
 
     def _log(self, message: str) -> None:
@@ -731,29 +653,16 @@ class ExplorationEngine:
         jobs = self.config.resolved_jobs
         self.report.jobs = jobs
         if jobs <= 1:
-            executor = SerialExecutor(
-                self.model, self.config, warm_memo=self._warm_memo
-            )
-            self._serial_runner = executor.runner
-            return executor
+            return SerialExecutor(self._local_runner)
         return ProcessExecutor(
             self.model, self.config, jobs, warm_memo=self._warm_memo
         )
 
     def memo_snapshot(self) -> List[Tuple[Hashable, float]]:
-        """Every memo entry this engine holds in-process.
-
-        Merges the local runner's cache (bounds, winner re-scoring, the
-        per-winner fitness folded in by :meth:`_absorb`) with the serial
-        executor's, when one ran. Pool workers keep private caches that
-        die with the pool — a ``jobs=1`` run is the high-fidelity memo
-        donor; parallel runs still contribute every winning gene.
-        """
-        merged: Dict[Hashable, float] = {}
-        for runner in (self._local_runner, self._serial_runner):
-            if runner is not None and runner.cache is not None:
-                merged.update(runner.cache.items())
-        return list(merged.items())
+        """Every memo entry this engine holds in-process: the warm memo
+        plus what a ``jobs=1`` run scored. Pool workers keep private
+        memos that die with the pool."""
+        return list(self._local_runner.cache.items())
 
     # ------------------------------------------------------------------
     # Queue construction
@@ -1051,17 +960,6 @@ class ExplorationEngine:
             return incumbent
         self.report.best_history.append(outcome.fitness)
         task = tasks[outcome.index]
-        # Fold each task's winning (context, gene) -> fitness into the
-        # parent-side memo: with a process pool the workers' caches are
-        # unreachable, so this is what memo_snapshot() can still harvest
-        # from a parallel run.
-        cache = self._local_runner.cache
-        if cache is not None and outcome.gene is not None:
-            context = task.context_key(
-                self._local_runner._model_key,
-                self._local_runner._params_key,
-            )
-            cache.preload((context, outcome.gene), outcome.fitness)
         if self.archive is not None:
             from repro.core.archive import ArchiveEntry
 

@@ -143,12 +143,12 @@ class MacroPartition:
 class MacroPartitionExplorer:
     """Alg. 2: evolve MacAlloc, scoring through stage 4 + the evaluator.
 
-    ``cache``/``cache_context`` plug the explorer into the DSE-wide
-    evaluation memo (see :mod:`repro.core.executor`): fitness values are
-    stored under ``(cache_context, gene)`` so identical (model, hardware
-    params, design point, gene) evaluations are shared across EA runs.
-    Without them the engine falls back to a private per-run memo, which
-    is the original behavior.
+    ``cache``/``cache_context`` plug the explorer into its task
+    runner's evaluation memo (see :mod:`repro.core.executor`): fitness
+    values are stored under ``(cache_context, gene)``, so a memo
+    carried over from an interrupted run replays its (model, hardware
+    params, design point, gene) evaluations. Without them the engine
+    keeps a private per-run memo.
 
     The EA and NSGA-II score whole generations through
     :meth:`score_population` / :meth:`score_population_objectives`:
@@ -265,10 +265,9 @@ class MacroPartitionExplorer:
         """Fitness of every gene in one vectorized pass.
 
         Numerically identical to calling :meth:`score` per gene (the
-        batched engine replicates the scalar operation order); used by
-        the EA as its generation-level ``batch_fitness`` hook. Without
-        numpy it degrades to the scalar loop, so callers get the same
-        values either way.
+        batched engine replicates the scalar operation order); the EA's
+        one scorer. Without numpy it degrades to the scalar loop, so
+        callers get the same values either way.
         """
         if not numpy_available():
             return [self.score(gene)[0] for gene in genes]
@@ -423,9 +422,8 @@ class MacroPartitionExplorer:
         feasible (e.g. the fixed overhead of even one macro per layer
         exceeds the peripheral budget).
         """
-        context = self.cache_context
         engine: EvolutionEngine[Gene] = EvolutionEngine(
-            fitness=lambda gene: self.score(gene)[0],
+            score=self.score_population,
             mutations=[self.mutate_num, self.mutate_share],
             gene_key=lambda gene: gene,
             rng=self.rng,
@@ -434,11 +432,7 @@ class MacroPartitionExplorer:
             max_generations=self.config.ea_max_generations,
             patience=self.config.ea_patience,
             cache=self.cache,
-            cache_key=(
-                (lambda gene: (context, gene))
-                if self.cache is not None else None
-            ),
-            batch_fitness=self.score_population,
+            cache_key=lambda gene: (self.cache_context, gene),
         )
         self.last_report = engine.report
         best_gene, best_fitness = engine.run(

@@ -23,6 +23,9 @@ queue of ``(point, WtDup, ResDAC)`` tasks and driven by
 evaluation (``SynthesisConfig.jobs``), content-keyed memoization of EA
 fitness evaluations, and sound dominated-task pruning — all while
 returning the same best solution as the serial walk for a fixed seed.
+``Pimsyn(warm_memo=...)`` pre-fills that memo with the entries an
+interrupted run hands back (:class:`repro.errors.SynthesisInterrupted`),
+so a resumed synthesis replays the finished tasks.
 """
 
 from __future__ import annotations
@@ -93,7 +96,6 @@ class Pimsyn:
         self.archive = archive
         self.warm_memo = warm_memo
         self.report = SynthesisReport()
-        self._engine_ref: Optional[ExplorationEngine] = None
 
     # ------------------------------------------------------------------
     # Alg. 1
@@ -120,7 +122,7 @@ class Pimsyn:
 
         Runs the same flat task queue as :meth:`synthesize` (un-pruned),
         then one NSGA-II launch per task through the same memoized
-        batch-fitness path, merging the local fronts under the shared
+        population scoring, merging the local fronts under the shared
         strict dominance. The returned set's ``solution`` is the
         front's best point in the first objective materialized as a
         full :class:`SynthesisSolution`; with the default objectives
@@ -163,19 +165,8 @@ class Pimsyn:
             )
         return best
 
-    def memo_snapshot(self):
-        """Evaluation-memo entries gathered by the last synthesis run.
-
-        The serve-layer result store persists these so identical future
-        jobs warm-start (``warm_memo=``) instead of re-evaluating; an
-        identical warm-started run performs zero fresh EA evaluations.
-        """
-        if self._engine_ref is None:
-            return []
-        return self._engine_ref.memo_snapshot()
-
     def _engine(self) -> ExplorationEngine:
-        self._engine_ref = ExplorationEngine(
+        return ExplorationEngine(
             model=self.model,
             config=self.config,
             report=self.report,
@@ -183,4 +174,3 @@ class Pimsyn:
             archive=self.archive,
             warm_memo=self.warm_memo,
         )
-        return self._engine_ref

@@ -2,19 +2,18 @@
 
 Where :class:`repro.optim.evolution.EvolutionEngine` climbs a scalar
 fitness, this engine evolves toward a whole Pareto front of vector
-objectives (all maximized). It deliberately mirrors the EA's plumbing —
-caller-supplied mutation operators, ``gene_key`` identity, an optional
-externally owned memo cache consulted before every evaluation, and an
-optional population-level ``batch_objectives`` hook — so the DSE
-executor can drive both engines through the same memoized batch-fitness
-path (:mod:`repro.core.batch_eval` supplies the vectorized scorer).
+objectives (all maximized). It deliberately mirrors the EA's plumbing:
+caller-supplied mutation operators, ``gene_key`` identity, and one
+population scorer consulted through the same memo helper
+(:func:`repro.optim.memo.score_through_memo`), so the DSE executor
+drives both engines the same way.
 
 The NSGA-II specifics (Deb et al. 2002) live in
 :mod:`repro.optim.dominance`: fast non-dominated sort, crowding
 distance with infinite boundary points, and binary tournament on
-(rank, crowding). Evaluation consumes no randomness, so batched and
-scalar objective scoring walk identical RNG streams and return
-identical fronts — the same determinism contract the scalar EA ships.
+(rank, crowding). Scoring consumes no randomness, so a run's RNG
+stream and front do not depend on how many genes the memo served —
+the same determinism contract the scalar EA ships.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import random
 from dataclasses import dataclass, field
 from typing import (
     Callable,
-    Dict,
     Generic,
     Hashable,
     List,
@@ -39,6 +37,7 @@ from repro.optim.dominance import (
     crowding_distances,
     fast_non_dominated_sort,
 )
+from repro.optim.memo import score_through_memo
 
 Gene = TypeVar("Gene")
 Vector = Tuple[float, ...]
@@ -62,29 +61,22 @@ class NSGA2Engine(Generic[Gene]):
 
     Parameters
     ----------
-    objectives:
-        Maps a gene to its objective vector (every component
-        maximized; callers negate minimized metrics). Must be
-        deterministic — values are memoized by ``cache_key``.
+    score:
+        Population scorer: maps a gene sequence to one objective vector
+        (a tuple, every component maximized; callers negate minimized
+        metrics) per gene. Must be deterministic: vectors are memoized
+        by ``cache_key`` and only memo misses reach it.
     mutations / gene_key / rng / population_size / offspring_per_gen /
     max_generations / cache / cache_key:
         Exactly as in :class:`repro.optim.evolution.EvolutionEngine`.
         A cache shared with the scalar EA must use a ``cache_key`` that
         also encodes the objective set, so scalar fitness floats and
         vector tuples never collide under one key.
-    batch_objectives:
-        Optional population-level scorer returning one vector per gene,
-        value-identical to ``objectives`` gene by gene (the explorer's
-        glue runs :mod:`repro.core.batch_eval` when numpy imports).
-        The memo is
-        consulted first and in-batch duplicates are resolved after the
-        fresh values land, so hit/miss accounting matches the
-        gene-at-a-time path exactly.
     """
 
     def __init__(
         self,
-        objectives: Callable[[Gene], Vector],
+        score: Callable[[Sequence[Gene]], Sequence[Vector]],
         mutations: List[Callable[[Gene, random.Random], Gene]],
         gene_key: Callable[[Gene], Hashable],
         rng: random.Random,
@@ -93,9 +85,6 @@ class NSGA2Engine(Generic[Gene]):
         max_generations: int = 20,
         cache: Optional[MutableMapping] = None,
         cache_key: Optional[Callable[[Gene], Hashable]] = None,
-        batch_objectives: Optional[
-            Callable[[Sequence[Gene]], Sequence[Vector]]
-        ] = None,
     ) -> None:
         if population_size < 1:
             raise ConfigurationError("population_size must be >= 1")
@@ -105,67 +94,22 @@ class NSGA2Engine(Generic[Gene]):
             raise ConfigurationError("max_generations must be >= 1")
         if not mutations:
             raise ConfigurationError("at least one mutation operator needed")
-        self.objectives = objectives
+        self.score = score
         self.mutations = list(mutations)
         self.gene_key = gene_key
         self.rng = rng
         self.population_size = population_size
         self.offspring_per_gen = offspring_per_gen
         self.max_generations = max_generations
-        self.batch_objectives = batch_objectives
         self.report = NSGAReport()
         self._cache: MutableMapping = cache if cache is not None else {}
         self._cache_key = cache_key if cache_key is not None else gene_key
 
-    # ------------------------------------------------------------------
-    # Memoized evaluation (the EvolutionEngine contract, vector-valued)
-    # ------------------------------------------------------------------
-    def _evaluate(self, gene: Gene) -> Vector:
-        key = self._cache_key(gene)
-        if key in self._cache:
-            self.report.cache_hits += 1
-        else:
-            self._cache[key] = tuple(self.objectives(gene))
-            self.report.evaluations += 1
-        return self._cache[key]
-
-    def _evaluate_batch(self, genes: Sequence[Gene]) -> List[Vector]:
-        """Score ``genes`` through the memo, batching the misses."""
-        if self.batch_objectives is None or len(genes) <= 1:
-            return [self._evaluate(gene) for gene in genes]
-        keys = [self._cache_key(gene) for gene in genes]
-        values: List[Optional[Vector]] = [None] * len(genes)
-        pending: Dict[Hashable, int] = {}
-        miss_genes: List[Gene] = []
-        duplicates: List[int] = []
-        for position, (gene, key) in enumerate(zip(genes, keys)):
-            if key in pending:
-                duplicates.append(position)
-            elif key in self._cache:
-                self.report.cache_hits += 1
-                values[position] = self._cache[key]
-            else:
-                pending[key] = position
-                miss_genes.append(gene)
-        if miss_genes:
-            fresh = list(self.batch_objectives(miss_genes))
-            if len(fresh) != len(miss_genes):
-                raise ConfigurationError(
-                    f"batch_objectives returned {len(fresh)} vectors "
-                    f"for {len(miss_genes)} genes"
-                )
-            for (key, position), vector in zip(pending.items(), fresh):
-                self._cache[key] = tuple(vector)
-                values[position] = self._cache[key]
-                self.report.evaluations += 1
-        for position in duplicates:
-            key = keys[position]
-            if key in self._cache:
-                self.report.cache_hits += 1
-                values[position] = self._cache[key]
-            else:  # pragma: no cover - pending keys are always inserted
-                values[position] = self._evaluate(genes[position])
-        return values  # type: ignore[return-value]
+    def _scored(self, genes: List[Gene]) -> List[Tuple[Gene, Vector]]:
+        """``(gene, objective vector)`` pairs, scored through the memo."""
+        return list(zip(genes, score_through_memo(
+            genes, self.score, self._cache, self._cache_key, self.report
+        )))
 
     # ------------------------------------------------------------------
     # NSGA-II machinery
@@ -227,19 +171,17 @@ class NSGA2Engine(Generic[Gene]):
         """
         if not initial_population:
             raise ConfigurationError("initial population must be non-empty")
-        population: List[Tuple[Gene, Vector]] = list(zip(
-            initial_population,
-            self._evaluate_batch(list(initial_population)),
-        ))
-        population = self._truncate(population)
+        population = self._truncate(
+            self._scored(list(initial_population))
+        )
 
         for _generation in range(self.max_generations):
             vectors = [vector for _, vector in population]
             ranks, crowding = self._rank_and_crowd(vectors)
-            # Generate the whole brood before evaluating: selection
-            # only reads the parent population and evaluation consumes
-            # no randomness, so one batched call preserves the exact
-            # RNG stream of child-at-a-time evaluation.
+            # Generate the whole brood before scoring: selection only
+            # reads the parent population and scoring consumes no
+            # randomness, so one scoring call preserves the exact RNG
+            # stream of child-at-a-time scoring.
             brood: List[Gene] = []
             seen = {self.gene_key(g) for g, _ in population}
             for _ in range(self.offspring_per_gen):
@@ -251,9 +193,7 @@ class NSGA2Engine(Generic[Gene]):
                     continue
                 seen.add(key)
                 brood.append(child)
-            children = list(zip(brood, self._evaluate_batch(brood)))
-
-            population = self._truncate(population + children)
+            population = self._truncate(population + self._scored(brood))
             self.report.generations += 1
             front_size = len(
                 fast_non_dominated_sort(

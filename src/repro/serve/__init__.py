@@ -10,7 +10,8 @@ workloads through one cached engine needs:
   (same fingerprint scheme as the executor memo), lifecycle record;
 - :mod:`repro.serve.store` — persistent content-addressed result
   store; repeated requests replay from disk with zero evaluator calls,
-  and evaluation memos warm-start future runs;
+  and an interrupted job's evaluation memo lets its resubmission
+  resume;
 - :mod:`repro.serve.scheduler` — stdlib worker pool draining a
   FIFO + priority queue through :class:`repro.core.synthesizer.Pimsyn`
   with crash-isolated workers and graceful shutdown;

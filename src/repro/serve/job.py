@@ -8,12 +8,13 @@ the same fingerprint scheme as the executor's evaluation memo
 (:func:`repro.core.executor.model_fingerprint` /
 :func:`~repro.core.executor.params_fingerprint` /
 :func:`~repro.core.executor.config_fingerprint`). Execution-only knobs
-(``jobs``, pruning, cache sharing and the cycle-simulator
-``sim_engine``) are excluded by construction, so the same request
-replayed with a different worker count — or a different event wheel —
-maps to the same stored result. The array engine of the batched DSE
-paths is no knob at all (whether numpy imports picks it), so a request
-that names ``backend`` is rejected as an unknown override.
+(``jobs``, pruning and the cycle-simulator ``sim_engine``) are
+excluded by construction, so the same request replayed with a
+different worker count — or a different event wheel — maps to the same
+stored result. The array engine of the batched DSE paths is no knob at
+all (whether numpy imports picks it), and neither is sharing the
+evaluation memo, so a request that names either is rejected as an
+unknown override.
 
 :class:`JobRecord` is the scheduler-side lifecycle object: state
 machine (queued -> running -> done/failed), timestamps, store

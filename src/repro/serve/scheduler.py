@@ -16,9 +16,8 @@ The scheduler is store-first at every step:
    of double-running it — and re-checks once more *after* acquiring
    the claim, because a peer may have finished inside the claim-break
    window;
-3. computed results are persisted together with the run's evaluation
-   memo, so even non-identical future jobs on the same key resume a
-   warm landscape.
+3. a computed result is persisted alone: the next request for its key
+   is a store hit, so nothing would ever read its evaluation memo.
 
 Backpressure: with ``max_queue_depth`` set, ``submit()`` raises
 :class:`repro.errors.SchedulerBusyError` (with a ``retry_after``
@@ -30,13 +29,14 @@ instead of building an unbounded latency queue.
 
 Workers are crash-isolated: any :class:`Exception` marks that job
 ``failed`` and the worker moves on. If a job surfaces
-:class:`SynthesisInterrupted`, its partial memo is persisted before
-the job is marked failed, so the work already done survives a
-resubmission. (Signals only reach the *main* thread, so a service
-Ctrl-C/SIGTERM does not interrupt in-flight worker-thread jobs —
-``shutdown(wait=True)`` lets them finish, fails everything still
-queued, and a second signal force-exits; the engine-level interrupt
-path belongs to main-thread synthesis, e.g. ``repro synthesize``.)
+:class:`SynthesisInterrupted`, its partial memo is persisted while the
+job still holds its claim, so whichever scheduler takes the key next
+resumes from the work already done. (Signals only reach the *main*
+thread, so a service Ctrl-C/SIGTERM does not interrupt in-flight
+worker-thread jobs — ``shutdown(wait=True)`` lets them finish, fails
+everything still queued, and a second signal force-exits; the
+engine-level interrupt path belongs to main-thread synthesis, e.g.
+``repro synthesize``.)
 """
 
 from __future__ import annotations
@@ -361,9 +361,8 @@ class JobScheduler:
             try:
                 self._run_job(record)
             except SynthesisInterrupted as exc:
-                # persist what the interrupted run learned, then fail
-                self.store.merge_memo(record.key, exc.partial_memo)
-                self.store.release(record.key)
+                # _run_job_inner persisted the partial memo and released
+                # the claim on the way out
                 self._fail(record, f"interrupted: {exc}")
             except Exception as exc:  # crash isolation per job
                 self.store.release(record.key)
@@ -443,9 +442,11 @@ class JobScheduler:
                 synthesizer.report, front=front,
             )
             self.store.put(record.key, payload)
-            self.store.merge_memo(
-                record.key, synthesizer.memo_snapshot()
-            )
+        except SynthesisInterrupted as exc:
+            # Persist what the run learned before the claim goes: a
+            # peer that takes the key next must find the memo to resume.
+            self.store.merge_memo(record.key, exc.partial_memo)
+            raise
         finally:
             heartbeat_stop.set()
             self.store.release(record.key)

@@ -455,12 +455,16 @@ class ResultStore:
             return 0.0
 
     # ------------------------------------------------------------------
-    # Evaluation memos (executor warm start)
+    # Evaluation memos (resuming an interrupted job)
     # ------------------------------------------------------------------
     def load_memo(
         self, key: str
     ) -> List[Tuple[Hashable, float]]:
-        """Decoded memo entries for ``Pimsyn(warm_memo=...)``; [] if none."""
+        """Decoded memo entries for ``Pimsyn(warm_memo=...)``; [] if none.
+
+        Only an interrupted job writes a memo (:meth:`merge_memo`), so
+        a resubmission of its key resumes instead of restarting.
+        """
         for path in (
             self._memo_path(key), self._legacy_memo_path(key)
         ):
@@ -553,11 +557,7 @@ class ResultStore:
                 pass  # not empty (new files raced in) or never existed
         return report
 
-    def gc(
-        self,
-        stale_claims_after: float = 600.0,
-        drop_completed_memos: bool = True,
-    ) -> GCReport:
+    def gc(self, stale_claims_after: float = 600.0) -> GCReport:
         """Compact the store; never touches a result document.
 
         Removes: claims whose owner is presumed crashed (older than
@@ -565,8 +565,10 @@ class ResultStore:
         lock so a live claim re-created mid-walk survives); memo
         snapshots whose result already exists (a re-run of that key
         answers from the store before it would load the memo, so the
-        snapshot is dead weight); and temp files leaked by crashed
-        writers (older than an hour — in-flight writes are younger).
+        snapshot is dead weight: e.g. the memo of an interrupted job
+        whose resubmission has finished); and temp files leaked by
+        crashed writers (older than an hour — in-flight writes are
+        younger).
         """
         report = GCReport()
         claim_dirs = list(self.shards_dir.glob("*/claims"))
@@ -579,19 +581,18 @@ class ResultStore:
                         path, stale_claims_after
                     ):
                         report.stale_claims += 1
-        if drop_completed_memos:
-            memo_dirs = list(self.shards_dir.glob("*/memo"))
-            if self.legacy_memo_dir.is_dir():
-                memo_dirs.append(self.legacy_memo_dir)
-            for memos in memo_dirs:
-                for path in memos.glob("*.json"):
-                    if self.contains(path.stem):
-                        with self._shard_lock(path.stem):
-                            try:
-                                path.unlink()
-                            except OSError:
-                                continue
-                        report.orphaned_memos += 1
+        memo_dirs = list(self.shards_dir.glob("*/memo"))
+        if self.legacy_memo_dir.is_dir():
+            memo_dirs.append(self.legacy_memo_dir)
+        for memos in memo_dirs:
+            for path in memos.glob("*.json"):
+                if self.contains(path.stem):
+                    with self._shard_lock(path.stem):
+                        try:
+                            path.unlink()
+                        except OSError:
+                            continue
+                    report.orphaned_memos += 1
         now = time.time()
         for path in self.root.rglob(".*.tmp"):
             try:

@@ -6,17 +6,14 @@ samples):
 
 - permuting a population permutes the scores and nothing else;
 - a batch of one equals the scalar ``score()``;
-- duplicated genes receive identical fitness;
-- genes already in the evaluation memo are never re-evaluated by the
-  EA's batched path.
+- duplicated genes receive identical fitness.
 
 The numpy-kernel class holds :func:`repro.core.backend.
 score_population` to the same properties on every field: permutation
-invariance, batch-of-one ``==`` the scalar oracle, and memo hit/miss
-identity — the EA's cache interaction is byte-for-byte the same whether
-the kernel or the scalar oracle scores the misses. Both paths accept
+invariance and batch-of-one ``==`` the scalar oracle. Both paths accept
 exactly the same genes, and an EA run walks identically with numpy and
-without it.
+without it. The memo in front of both is tested on its own
+(``test_memo_properties.py``).
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ from repro.core.macro_partition import (
 from repro.errors import ConfigurationError
 from repro.hardware.power import PowerBudget
 from repro.nn import lenet5
-from repro.optim.evolution import EvolutionEngine
 
 
 def _make_explorer(sharing=True, specialized=True):
@@ -147,53 +143,6 @@ class TestBatchInvariants:
         scores = EXPLORER.score_population([gene] * copies)
         assert len(set(scores)) == 1
 
-    @given(genes=populations())
-    @settings(max_examples=25, deadline=None)
-    def test_memo_hits_are_never_reevaluated(self, genes):
-        """Cached genes must not reach batch_fitness; fresh genes must
-        reach it exactly once each, duplicates collapsed."""
-        cached = genes[: len(genes) // 2]
-        cache = {}
-        sentinels = {}
-        for i, gene in enumerate(cached):
-            cache.setdefault(gene, float(i))
-            sentinels.setdefault(gene, float(i))
-        batch_evaluated = []
-        scalar_evaluated = []
-
-        def batch_fitness(batch):
-            batch_evaluated.extend(batch)
-            return EXPLORER.score_population(list(batch))
-
-        def fitness(gene):
-            scalar_evaluated.append(gene)
-            return EXPLORER.score(gene)[0]
-
-        engine = EvolutionEngine(
-            fitness=fitness,
-            mutations=[EXPLORER.mutate_num],
-            gene_key=lambda gene: gene,
-            rng=random.Random(0),
-            cache=cache,
-            batch_fitness=batch_fitness,
-        )
-        values = engine._evaluate_batch(list(genes))
-        assert len(values) == len(genes)
-        evaluated = batch_evaluated + scalar_evaluated
-        cached_set = set(cached)
-        # Memo hits never reach either evaluation path, and no gene is
-        # evaluated twice (in-batch duplicates collapse to one call).
-        assert not (set(evaluated) & cached_set)
-        assert len(evaluated) == len(set(evaluated))
-        assert set(evaluated) == {
-            g for g in genes if g not in cached_set
-        }
-        for gene, value in zip(genes, values):
-            assert value == cache[gene]
-        # Cached entries kept their sentinel values: no re-evaluation.
-        for gene, sentinel in sentinels.items():
-            assert cache[gene] == sentinel
-
 
 @pytest.mark.skipif(
     not numpy_available(), reason="the batched path needs numpy"
@@ -239,42 +188,6 @@ class TestNumpyKernelProperties:
         for k, gene in enumerate(genes):
             for name, want in explorer.score_fields(gene).items():
                 assert getattr(batch, name)[k] == want, (k, name)
-
-    @given(genes=populations())
-    @settings(max_examples=10, deadline=None)
-    def test_memo_interaction_identical_with_and_without_numpy(
-        self, genes
-    ):
-        """The EA's memo sees the same hits, misses and stored values
-        whether the numpy kernel or the scalar oracle scores the
-        misses."""
-        scorers = {
-            "numpy": EXPLORER.batch_evaluator.fitness_of,
-            "scalar": lambda batch: [EXPLORER.score(g)[0] for g in batch],
-        }
-        results = {}
-        for name, score in scorers.items():
-            cached = genes[: len(genes) // 2]
-            cache = {}
-            for i, g in enumerate(cached):
-                cache.setdefault(g, float(i))
-            evaluated = []
-
-            def batch_fitness(batch, _score=score, _log=evaluated):
-                _log.extend(batch)
-                return _score(list(batch))
-
-            engine = EvolutionEngine(
-                fitness=lambda g: EXPLORER.score(g)[0],
-                mutations=[EXPLORER.mutate_num],
-                gene_key=lambda g: g,
-                rng=random.Random(0),
-                cache=cache,
-                batch_fitness=batch_fitness,
-            )
-            values = engine._evaluate_batch(list(genes))
-            results[name] = (tuple(evaluated), dict(cache), values)
-        assert results["numpy"] == results["scalar"]
 
     @given(gene=any_genes())
     @settings(max_examples=60, deadline=None)

@@ -130,6 +130,16 @@ class TestParser:
         assert "unrecognized arguments: --backend python" in \
             capsys.readouterr().err
 
+    def test_gc_keep_memos_flag_is_a_usage_error(self, tmp_path, capsys):
+        """Only an interrupted job writes a memo, and gc drops it once
+        the key's result exists; there is nothing left to keep."""
+        with pytest.raises(SystemExit) as exc:
+            main(["store", "gc", "--store", str(tmp_path / "store"),
+                  "--keep-memos"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --keep-memos" in \
+            capsys.readouterr().err
+
 
 class TestTechCommand:
     def test_list(self, capsys):

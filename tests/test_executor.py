@@ -5,8 +5,9 @@ The three contracts the executor refactor must keep:
 1. serial and parallel runs return byte-identical best solutions for a
    fixed seed (task RNGs are label-derived, the winner rule is
    order-free);
-2. the shared evaluation memo is accounted in :class:`SynthesisReport`
-   and actually short-circuits re-visited (design point, gene) tuples;
+2. the task runner's evaluation memo is accounted in
+   :class:`SynthesisReport`, actually short-circuits re-visited (design
+   point, gene) tuples, and replays a run it was pre-filled from;
 3. dominated-task pruning is sound — the analytical throughput bound
    never discards the true optimum of a small exhaustively-walked
    space.
@@ -14,13 +15,14 @@ The three contracts the executor refactor must keep:
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core import Pimsyn, SynthesisConfig
 from repro.core.design_space import DesignSpace
 from repro.core.evaluator import throughput_upper_bound
 from repro.core.executor import (
-    EvaluationCache,
     EvaluationTask,
     ExplorationEngine,
     _TaskRunner,
@@ -63,9 +65,9 @@ class TestDeterminism:
         assert serial.wt_dup == parallel.wt_dup
 
     def test_parallel_matches_exhaustive_serial(self, lenet):
-        """jobs>1 with pruning+cache == the feature-free serial walk."""
+        """jobs>1 with pruning == the un-pruned serial walk."""
         exhaustive, report = _run(lenet, _config(
-            jobs=1, prune_dominated=False, share_eval_cache=False,
+            jobs=1, prune_dominated=False,
         ))
         engine, _ = _run(lenet, _config(jobs=2))
         assert report.pruned_tasks == 0
@@ -120,31 +122,22 @@ class TestCacheAccounting:
             2 * report.outer_points * len(config.res_dac_choices)
         )
 
-    def test_disabled_cache_still_counts_engine_local_memo(self, lenet):
-        _, shared = _run(lenet, _config(prune_dominated=False))
-        _, private = _run(lenet, _config(
-            prune_dominated=False, share_eval_cache=False,
-        ))
-        # Same EA trajectories either way; the shared memo can only
-        # serve extra (cross-EA) hits on top of the per-run memo.
-        assert shared.cache_hits >= private.cache_hits
-        assert shared.cache_misses <= private.cache_misses
-
-    def test_evaluation_cache_counters(self):
-        cache = EvaluationCache()
-        assert ("k" in cache) is False
-        cache["k"] = 1.0
-        assert ("k" in cache) is True
-        assert cache["k"] == 1.0
-        assert len(cache) == 1
-        assert cache.hits == 1 and cache.misses == 1
+    def test_share_eval_cache_is_not_a_config_field(self):
+        """Every runner keeps one memo; there is no knob to share or
+        unshare it."""
+        with pytest.raises(TypeError, match="share_eval_cache"):
+            SynthesisConfig(total_power=2.0, share_eval_cache=False)
+        with pytest.raises(TypeError, match="share_eval_cache"):
+            _config(share_eval_cache=True)
+        with pytest.raises(TypeError, match="share_eval_cache"):
+            dataclasses.replace(_config(), share_eval_cache=False)
 
 
 class TestPruning:
     def test_pruning_preserves_the_true_optimum(self, lenet):
         """Exhaustive walk vs pruned walk over the same small space."""
         exhaustive, ex_report = _run(lenet, _config(
-            prune_dominated=False, share_eval_cache=False,
+            prune_dominated=False,
         ))
         pruned, pr_report = _run(lenet, _config())
         assert pr_report.pruned_tasks > 0
@@ -245,10 +238,15 @@ class TestWinnerRescore:
         assert f"backend {config.backend!r}" in message
 
 
+def _cold_engine(lenet, **overrides):
+    """An exploration engine that has run once, and its solution."""
+    engine = ExplorationEngine(lenet, _config(**overrides), SynthesisReport())
+    return engine, engine.run()
+
+
 class TestWarmMemo:
     def test_warm_started_replay_runs_zero_evaluations(self, lenet):
-        cold = Pimsyn(lenet, _config())
-        cold_solution = cold.synthesize()
+        cold, cold_solution = _cold_engine(lenet)
         snapshot = cold.memo_snapshot()
         assert cold.report.ea_evaluations > 0
         assert len(snapshot) > 0
@@ -262,8 +260,7 @@ class TestWarmMemo:
     def test_memo_entries_survive_json_round_trip(self, lenet):
         import json
 
-        cold = Pimsyn(lenet, _config())
-        cold_solution = cold.synthesize()
+        cold, cold_solution = _cold_engine(lenet)
         snapshot = cold.memo_snapshot()
         restored = decode_memo_entries(
             json.loads(json.dumps(encode_memo_entries(snapshot)))
@@ -273,14 +270,21 @@ class TestWarmMemo:
         assert warm.synthesize().to_json() == cold_solution.to_json()
         assert warm.report.ea_evaluations == 0
 
-    def test_parallel_run_still_harvests_winner_memo(self, lenet):
-        parallel = Pimsyn(lenet, _config(jobs=2))
-        parallel.synthesize()
-        # pool workers keep private caches, but every feasible task's
-        # winning (context, gene) -> fitness is folded in parent-side
-        assert len(parallel.memo_snapshot()) >= len(
-            parallel.report.best_history
-        ) > 0
+    def test_snapshot_is_the_one_runner_memo(self, lenet):
+        """A serial run scores on the engine's own runner, so its
+        snapshot holds each scored gene exactly once; a pool run's
+        workers keep their memos, so it holds only the warm memo."""
+        serial, _ = _cold_engine(lenet)
+        snapshot = serial.memo_snapshot()
+        assert len(snapshot) == serial.report.ea_evaluations
+        parallel, _ = _cold_engine(lenet, jobs=2)
+        assert parallel.memo_snapshot() == []
+        warm = ExplorationEngine(
+            lenet, _config(jobs=2), SynthesisReport(),
+            warm_memo=snapshot[:3],
+        )
+        warm.run()
+        assert warm.memo_snapshot() == snapshot[:3]
 
 
 class TestInterrupt:

@@ -13,9 +13,10 @@ ties the new engine back to the scalar EA:
 - strict dominance: a vector never dominates itself (the archive's
   equal-vector regression);
 - a single-objective NSGA-II run recovers the same best fitness as
-  ``EvolutionEngine`` under the same seed;
-- the engine's batched objective path is walk-identical to the scalar
-  one, with matching memo accounting.
+  ``EvolutionEngine`` under the same seed.
+
+The memo both engines score through is tested on its own
+(``test_memo_properties.py``).
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ class TestEngineContracts:
     def test_single_objective_nsga_matches_scalar_ea(self, seed):
         initial = [(0,), (_SPAN,), (13,)]
         ea = EvolutionEngine(
-            fitness=_toy_fitness,
+            score=lambda genes: [_toy_fitness(gene) for gene in genes],
             mutations=_toy_mutations(),
             gene_key=lambda gene: gene,
             rng=random.Random(seed),
@@ -197,7 +198,7 @@ class TestEngineContracts:
         _gene, best = ea.run(list(initial))
 
         nsga = NSGA2Engine(
-            objectives=lambda gene: (_toy_fitness(gene),),
+            score=lambda genes: [(_toy_fitness(gene),) for gene in genes],
             mutations=_toy_mutations(),
             gene_key=lambda gene: gene,
             rng=random.Random(seed),
@@ -206,67 +207,3 @@ class TestEngineContracts:
         )
         front = nsga.run(list(initial))
         assert max(vector[0] for _gene, vector in front) == best == 0.0
-
-    @given(seed=st.integers(0, 2**16))
-    @settings(max_examples=15, deadline=None)
-    def test_batched_and_scalar_objectives_walk_identically(self, seed):
-        def vector_of(gene):
-            return (float(gene[0]), -abs(gene[0] - 20.0))
-
-        results = {}
-        for batched in (True, False):
-            engine = NSGA2Engine(
-                objectives=vector_of,
-                mutations=_toy_mutations(),
-                gene_key=lambda gene: gene,
-                rng=random.Random(seed),
-                population_size=8, offspring_per_gen=8,
-                max_generations=12,
-                batch_objectives=(
-                    (lambda genes: [vector_of(g) for g in genes])
-                    if batched else None
-                ),
-            )
-            front = engine.run([(0,), (_SPAN,)])
-            results[batched] = (
-                front,
-                engine.report.evaluations,
-                engine.report.cache_hits,
-                engine.report.front_size_history,
-            )
-        assert results[True] == results[False]
-
-    @given(genes=st.lists(
-        st.tuples(st.integers(0, _SPAN)), min_size=1, max_size=12,
-    ))
-    @settings(max_examples=40, deadline=None)
-    def test_memo_hits_never_reach_batch_objectives(self, genes):
-        cached = genes[: len(genes) // 2]
-        cache = {}
-        for i, gene in enumerate(cached):
-            cache.setdefault(gene, (float(i), float(-i)))
-        sentinels = dict(cache)
-        batch_seen = []
-
-        def batch_objectives(batch):
-            batch_seen.extend(batch)
-            return [(float(g[0]), -float(g[0])) for g in batch]
-
-        engine = NSGA2Engine(
-            objectives=lambda g: (float(g[0]), -float(g[0])),
-            mutations=_toy_mutations(),
-            gene_key=lambda gene: gene,
-            rng=random.Random(0),
-            cache=cache,
-            batch_objectives=batch_objectives,
-        )
-        values = engine._evaluate_batch(list(genes))
-        assert len(values) == len(genes)
-        cached_set = set(cached)
-        assert not (set(batch_seen) & cached_set)
-        assert len(batch_seen) == len(set(batch_seen))
-        for gene, value in zip(genes, values):
-            assert value == cache[gene]
-        for gene, sentinel in sentinels.items():
-            assert cache[gene] == sentinel
-        assert engine.report.evaluations == len(set(genes) - cached_set)

@@ -169,7 +169,7 @@ class TestEvolutionEngine:
         )
         defaults.update(kwargs)
         return EvolutionEngine(
-            fitness=lambda g: float(sum(g)),
+            score=lambda genes: [float(sum(g)) for g in genes],
             mutations=[flip],
             gene_key=lambda g: g,
             rng=random.Random(seed),
@@ -190,15 +190,15 @@ class TestEvolutionEngine:
     def test_fitness_memoized(self):
         calls = []
 
-        def fitness(gene):
-            calls.append(gene)
-            return float(sum(gene))
+        def score(genes):
+            calls.extend(genes)
+            return [float(sum(gene)) for gene in genes]
 
         def flip(gene, rng):
             return gene  # constant: same gene re-proposed forever
 
         engine = EvolutionEngine(
-            fitness=fitness, mutations=[flip], gene_key=lambda g: g,
+            score=score, mutations=[flip], gene_key=lambda g: g,
             rng=random.Random(0), population_size=4,
             offspring_per_gen=4, max_generations=5,
         )
@@ -217,8 +217,9 @@ class TestEvolutionEngine:
         assert history == sorted(history)
 
     def test_handles_nonpositive_fitness(self):
-        def fitness(gene):
-            return float(sum(gene)) - 100.0  # always negative
+        def score(genes):
+            # always negative
+            return [float(sum(gene)) - 100.0 for gene in genes]
 
         def flip(gene, rng):
             index = rng.randrange(len(gene))
@@ -227,7 +228,7 @@ class TestEvolutionEngine:
             return tuple(out)
 
         engine = EvolutionEngine(
-            fitness=fitness, mutations=[flip], gene_key=lambda g: g,
+            score=score, mutations=[flip], gene_key=lambda g: g,
             rng=random.Random(2), population_size=6,
             offspring_per_gen=6, max_generations=30,
         )
@@ -273,7 +274,7 @@ class TestEvolutionEngine:
             self._onemax_engine(population_size=0)
         with pytest.raises(ConfigurationError):
             EvolutionEngine(
-                fitness=lambda g: 0.0, mutations=[],
+                score=lambda genes: [0.0] * len(genes), mutations=[],
                 gene_key=lambda g: g, rng=random.Random(0),
             )
         engine = self._onemax_engine()

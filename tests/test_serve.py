@@ -4,7 +4,7 @@ The load-bearing contracts:
 
 1. job content keys follow the executor memo's fingerprint scheme —
    sensitive to everything that changes a result, blind to
-   execution-only knobs (``jobs``, pruning, cache sharing);
+   execution-only knobs (``jobs``, pruning);
 2. a repeated request is served from the content-addressed store with
    *zero* evaluator calls and a byte-identical artifact;
 3. two schedulers sharing one store directory never corrupt results
@@ -43,6 +43,31 @@ def _request(power=2.0, seed=7, **kwargs) -> JobRequest:
     )
 
 
+def _interrupt_third_task(monkeypatch) -> None:
+    """Make the third EA task of the next synthesis raise
+    KeyboardInterrupt, as Ctrl-C would, after two finished tasks."""
+    from repro.core import executor as executor_mod
+
+    calls = {"n": 0}
+    original = executor_mod._TaskRunner.run_task
+
+    def _interrupting(self, task):
+        calls["n"] += 1
+        if calls["n"] == 3:
+            raise KeyboardInterrupt
+        return original(self, task)
+
+    monkeypatch.setattr(
+        executor_mod._TaskRunner, "run_task", _interrupting
+    )
+
+
+def _unpruned_request() -> JobRequest:
+    # pruning off (execution-only: same content key) so the walk
+    # reaches a third run_task call to interrupt
+    return _request(overrides={"prune_dominated": False})
+
+
 def _serial_solution(power=2.0, seed=7, **overrides):
     config = SynthesisConfig.fast(
         total_power=power, seed=seed, **overrides
@@ -76,9 +101,17 @@ class TestJobContentKey:
     def test_blind_to_execution_knobs(self):
         base = _request().content_key()
         assert _request(
-            overrides={"prune_dominated": False,
-                       "share_eval_cache": False}
+            overrides={"prune_dominated": False}
         ).content_key() == base
+
+    def test_share_eval_cache_override_is_rejected(self):
+        """The memo is no config field, so a request naming it fails as
+        an unknown override instead of being silently dropped."""
+        with pytest.raises(
+            ConfigurationError,
+            match=r"unknown config overrides \['share_eval_cache'\]",
+        ):
+            _request(overrides={"share_eval_cache": False})
 
     def test_scheduler_owned_knobs_rejected_as_overrides(self):
         # 'jobs' belongs to the scheduler and 'seed' has its own
@@ -334,32 +367,84 @@ class TestScheduler:
     def test_interrupted_job_persists_partial_memo(
         self, store, monkeypatch
     ):
-        from repro.core import executor as executor_mod
-
-        calls = {"n": 0}
-        original = executor_mod._TaskRunner.run_task
-
-        def _interrupting(self, task):
-            calls["n"] += 1
-            if calls["n"] == 3:
-                raise KeyboardInterrupt
-            return original(self, task)
-
-        monkeypatch.setattr(
-            executor_mod._TaskRunner, "run_task", _interrupting
-        )
+        _interrupt_third_task(monkeypatch)
         with JobScheduler(store, workers=1) as scheduler:
-            # pruning off (execution-only: same content key) so the
-            # walk reaches a third run_task call to interrupt
-            record = scheduler.submit(_request(
-                overrides={"prune_dominated": False}
-            ))
+            record = scheduler.submit(_unpruned_request())
             scheduler.wait(record.id, timeout=60)
             assert record.state == JobState.FAILED
             assert "interrupted" in record.error
             assert not store.claimed(record.key)
         # the two completed tasks' evaluations survived to disk
         assert len(store.load_memo(record.key)) > 0
+
+    def test_partial_memo_is_written_before_the_claim_is_released(
+        self, store, monkeypatch
+    ):
+        """A peer scheduler may take the key the moment the claim goes,
+        so the memo it resumes from must already be on disk."""
+        _interrupt_third_task(monkeypatch)
+        memo_at_release = []
+        original = ResultStore.release
+
+        def _spy(self, key):
+            memo_at_release.append(len(self.load_memo(key)))
+            original(self, key)
+
+        monkeypatch.setattr(ResultStore, "release", _spy)
+        with JobScheduler(store, workers=1) as scheduler:
+            record = scheduler.submit(_unpruned_request())
+            scheduler.wait(record.id, timeout=60)
+        assert record.state == JobState.FAILED
+        assert memo_at_release == [len(store.load_memo(record.key))]
+        assert memo_at_release[0] > 0
+
+    def test_resubmitted_interrupted_job_resumes(
+        self, store, tmp_path, monkeypatch
+    ):
+        """The memo's one reader: a resubmission of an interrupted job
+        replays its finished tasks and stores the uninterrupted run's
+        solution, byte for byte."""
+        cold_store = ResultStore(tmp_path / "cold")
+        with JobScheduler(cold_store, workers=1) as scheduler:
+            cold = scheduler.submit(_unpruned_request())
+            scheduler.wait(cold.id, timeout=60)
+        assert cold.state == JobState.DONE
+        # a job computed without interruption persists no memo
+        assert cold_store.stats().memo_files == 0
+
+        with monkeypatch.context() as patch:
+            _interrupt_third_task(patch)
+            with JobScheduler(store, workers=1) as scheduler:
+                first = scheduler.submit(_unpruned_request())
+                scheduler.wait(first.id, timeout=60)
+        assert first.state == JobState.FAILED
+        assert store.stats().memo_files == 1
+
+        with JobScheduler(store, workers=1) as scheduler:
+            resumed = scheduler.submit(_unpruned_request())
+            scheduler.wait(resumed.id, timeout=60)
+        assert resumed.state == JobState.DONE
+        assert resumed.source == "computed"
+        assert resumed.key == cold.key
+
+        def solution_bytes(result_store, key):
+            return json.dumps(result_store.get(key)["solution"]).encode()
+
+        assert solution_bytes(store, resumed.key) == solution_bytes(
+            cold_store, cold.key
+        )
+        hits = resumed.report["cache_hits"]
+        evaluations = resumed.report["ea_evaluations"]
+        assert hits > cold.report["cache_hits"]
+        assert evaluations < cold.report["ea_evaluations"]
+        # the same walk: every lookup is either a hit or an evaluation
+        assert hits + evaluations == (
+            cold.report["cache_hits"] + cold.report["ea_evaluations"]
+        )
+        # the resumed job wrote no memo of its own, and gc drops the
+        # interrupted one now that the key's result exists
+        assert store.stats().memo_files == 1
+        assert store.gc().orphaned_memos == 1
 
 
 # ----------------------------------------------------------------------
@@ -398,7 +483,7 @@ class TestBatch:
             "models": ["lenet5"],
             "powers": [2.0, 2.5, 3.0],
             # execution-only knob: both configs map to the same keys
-            "configs": [{}, {"share_eval_cache": False}],
+            "configs": [{}, {"prune_dominated": False}],
             "seed": 7,
         }
         report = run_batch(manifest, store, workers=2)

@@ -349,11 +349,6 @@ class TestGC:
         assert report.orphaned_memos == 1
         assert store.load_memo(finished) == []
         assert len(store.load_memo(pending)) == 1
-        # keeping memos is an option (warm starts for re-runs)
-        store.merge_memo(finished, [(("k",), 1.0)])
-        report = store.gc(drop_completed_memos=False)
-        assert report.orphaned_memos == 0
-        assert len(store.load_memo(finished)) == 1
 
     def test_gc_reaps_only_aged_tmp_files(self, tmp_path):
         store = ResultStore(tmp_path)
