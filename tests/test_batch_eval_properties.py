@@ -6,14 +6,18 @@ samples):
 
 - permuting a population permutes the scores and nothing else;
 - a batch of one equals the scalar ``score()``;
-- duplicated genes receive identical fitness.
+- duplicated genes receive identical fitness;
+- genes already in the evaluation memo are never re-evaluated by the
+  EA's population scorer.
 
 The numpy-kernel class holds :func:`repro.core.backend.
 score_population` to the same properties on every field: permutation
-invariance and batch-of-one ``==`` the scalar oracle. Both paths accept
+invariance, batch-of-one ``==`` the scalar oracle, and memo hit/miss
+identity — the EA's memo interaction is byte-for-byte the same whether
+the kernel or the scalar oracle scores the misses. Both paths accept
 exactly the same genes, and an EA run walks identically with numpy and
-without it. The memo in front of both is tested on its own
-(``test_memo_properties.py``).
+without it. The memo accounting itself is tested on its own, over float
+and tuple values (``test_memo_properties.py``).
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from repro.core.macro_partition import (
 from repro.errors import ConfigurationError
 from repro.hardware.power import PowerBudget
 from repro.nn import lenet5
+from repro.optim.evolution import EvolutionEngine
 
 
 def _make_explorer(sharing=True, specialized=True):
@@ -64,6 +69,17 @@ KNOB_EXPLORERS = {
     "no-sharing": _make_explorer(sharing=False),
     "identical-macros": _make_explorer(specialized=False),
 }
+
+
+def _memo_engine(score, cache):
+    """An EA over ``EXPLORER``'s genes scoring through ``cache``."""
+    return EvolutionEngine(
+        score=score,
+        mutations=[EXPLORER.mutate_num],
+        gene_key=lambda gene: gene,
+        rng=random.Random(0),
+        cache=cache,
+    )
 
 
 @st.composite
@@ -143,6 +159,42 @@ class TestBatchInvariants:
         scores = EXPLORER.score_population([gene] * copies)
         assert len(set(scores)) == 1
 
+    @given(genes=populations())
+    @settings(max_examples=25, deadline=None)
+    def test_memo_hits_are_never_reevaluated(self, genes):
+        """Cached genes must not reach the EA's scorer; fresh genes must
+        reach it exactly once each, duplicates collapsed."""
+        cached = genes[: len(genes) // 2]
+        cache = {}
+        sentinels = {}
+        for i, gene in enumerate(cached):
+            cache.setdefault(gene, float(i))
+            sentinels.setdefault(gene, float(i))
+        evaluated = []
+
+        def score(batch):
+            evaluated.extend(batch)
+            return EXPLORER.score_population(list(batch))
+
+        engine = _memo_engine(score, cache)
+        values = [value for _, value in engine._scored(list(genes))]
+        assert len(values) == len(genes)
+        cached_set = set(cached)
+        # Memo hits never reach the scorer, and no gene is evaluated
+        # twice (in-batch duplicates collapse to one call).
+        assert not (set(evaluated) & cached_set)
+        assert len(evaluated) == len(set(evaluated))
+        assert set(evaluated) == {
+            g for g in genes if g not in cached_set
+        }
+        assert engine.report.evaluations == len(evaluated)
+        assert engine.report.cache_hits == len(genes) - len(evaluated)
+        for gene, value in zip(genes, values):
+            assert value == cache[gene]
+        # Cached entries kept their sentinel values: no re-evaluation.
+        for gene, sentinel in sentinels.items():
+            assert cache[gene] == sentinel
+
 
 @pytest.mark.skipif(
     not numpy_available(), reason="the batched path needs numpy"
@@ -188,6 +240,38 @@ class TestNumpyKernelProperties:
         for k, gene in enumerate(genes):
             for name, want in explorer.score_fields(gene).items():
                 assert getattr(batch, name)[k] == want, (k, name)
+
+    @given(genes=populations())
+    @settings(max_examples=10, deadline=None)
+    def test_memo_interaction_identical_with_and_without_numpy(
+        self, genes
+    ):
+        """The EA's memo sees the same hits, misses and stored values
+        whether the numpy kernel or the scalar oracle scores the
+        misses."""
+        scorers = {
+            "numpy": EXPLORER.batch_evaluator.fitness_of,
+            "scalar": lambda batch: [EXPLORER.score(g)[0] for g in batch],
+        }
+        results = {}
+        for name, fitness_of in scorers.items():
+            cached = genes[: len(genes) // 2]
+            cache = {}
+            for i, g in enumerate(cached):
+                cache.setdefault(g, float(i))
+            evaluated = []
+
+            def score(batch, _score=fitness_of, _log=evaluated):
+                _log.extend(batch)
+                return _score(list(batch))
+
+            engine = _memo_engine(score, cache)
+            values = [value for _, value in engine._scored(list(genes))]
+            results[name] = (
+                tuple(evaluated), dict(cache), values,
+                engine.report.evaluations, engine.report.cache_hits,
+            )
+        assert results["numpy"] == results["scalar"]
 
     @given(gene=any_genes())
     @settings(max_examples=60, deadline=None)
