@@ -16,6 +16,7 @@ from repro.core.backend import numpy_available
 from repro.errors import ConfigurationError
 from repro.hardware.params import HardwareParams
 from repro.hardware.tech import DEFAULT_TECHNOLOGY, get_technology
+from repro.optim.annealing import AnnealingSchedule
 
 #: Metrics the multi-objective (pareto) mode can optimize, mapped to
 #: their sense: ``+1`` maximized as-is, ``-1`` negated so the shared
@@ -89,12 +90,14 @@ class SynthesisConfig:
     num_wtdup_candidates:
         Stage 1 keeps this many SA-filtered WtDup candidates (paper: 30).
     sa_* :
-        Annealing schedule of the stage-1 filter.
+        Annealing schedule of the stage-1 filter (:attr:`sa_schedule`),
+        validated when the config is built.
     sa_alpha:
         Eq. 4's empirical ``alpha`` balancing workload vs access-volume
         spread.
     ea_* :
-        Alg. 2 population knobs.
+        Alg. 2 population knobs; the population, brood and generation
+        counts must be at least 1.
     specialized_macros:
         Per-layer macro customization (§V-C2). ``False`` forces identical
         macros chip-wide.
@@ -199,6 +202,17 @@ class SynthesisConfig:
         a content key (see :mod:`repro.core.backend`)."""
         return "numpy" if numpy_available() else "python"
 
+    @property
+    def sa_schedule(self) -> AnnealingSchedule:
+        """The stage-1 filter's cooling schedule, from the ``sa_*``
+        fields."""
+        return AnnealingSchedule(
+            initial_temperature=self.sa_initial_temperature,
+            min_temperature=self.sa_min_temperature,
+            cooling_rate=self.sa_cooling_rate,
+            steps_per_temp=self.sa_steps_per_temp,
+        )
+
     def __post_init__(self) -> None:
         if self.total_power <= 0:
             raise ConfigurationError("total_power must be positive")
@@ -253,6 +267,19 @@ class SynthesisConfig:
                 )
         if self.num_wtdup_candidates < 1:
             raise ConfigurationError("need at least one WtDup candidate")
+        # Schedule and population errors surface here, not when stage 1
+        # or the first EA launch runs: a serve request is keyed (and
+        # queued) only after its config is built.
+        try:
+            self.sa_schedule
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"sa_* schedule: {exc}") from None
+        for name in (
+            "ea_population_size", "ea_offspring_per_gen",
+            "ea_max_generations",
+        ):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1")
         if not isinstance(self.jobs, int) or isinstance(self.jobs, bool):
             raise ConfigurationError(
                 f"jobs must be an integer, got {self.jobs!r} "

@@ -12,7 +12,7 @@ through a pluggable executor:
 - :class:`ProcessExecutor` fans them out over a ``multiprocessing`` pool
   (``jobs>1``), each worker holding its own :class:`_TaskRunner`.
 
-Five properties make the engine safe to parallelize and to accelerate:
+Six properties make the engine safe to parallelize and to accelerate:
 
 1. **Determinism** — task RNGs are spawned from the master seed by a
    content label, so a task's outcome is identical no matter which
@@ -43,6 +43,13 @@ Five properties make the engine safe to parallelize and to accelerate:
    without numpy, through one spec per task. The two are
    bit-identical, so the pruning walk — one dispatch-time check per
    task against the incumbent — makes the same decisions on either.
+6. **Lock-stepped stage 1** — the SA filter chains of many outer points
+   run together, one Eq. 4 ``batch_energy`` call per round for all of
+   them (:func:`repro.core.weight_duplication.lockstep_candidates`):
+   the serial executor's runner takes every point, and the pool splits
+   them into at most ``jobs`` contiguous chunks, one worker call each.
+   Every chain keeps its ``sa:{point}`` RNG and its own walk, so
+   candidate lists do not depend on the chunking.
 
 Every future scaling direction (sharding the queue across hosts, async
 backends, multi-accelerator evaluation) plugs in behind the same
@@ -79,7 +86,10 @@ from repro.core.grid_eval import GridBoundEvaluator
 from repro.core.macro_partition import MacroPartition, MacroPartitionExplorer
 from repro.core.pareto import ParetoPoint, ParetoSolutionSet, merge_fronts
 from repro.core.solution import SynthesisSolution
-from repro.core.weight_duplication import WeightDuplicationFilter
+from repro.core.weight_duplication import (
+    WeightDuplicationFilter,
+    lockstep_candidates,
+)
 from repro.errors import InfeasibleError, SynthesisInterrupted
 from repro.hardware.params import HardwareParams
 from repro.hardware.tech import DEFAULT_TECHNOLOGY
@@ -307,10 +317,12 @@ def _dominated(bound: float, index: int, incumbent: TaskOutcome) -> bool:
 # Task evaluation (runs in the parent or in pool workers)
 # ----------------------------------------------------------------------
 class _TaskRunner:
-    """Evaluates filter jobs and EA tasks for one (model, config) pair.
+    """Evaluates stage 1 and EA tasks for one (model, config) pair.
 
     Each worker process owns one runner, and so does the exploration
-    engine (serial runs and winner re-scoring). Its ``cache`` dict is
+    engine (serial runs and winner re-scoring). Stage 1 takes a list of
+    outer points and lock-steps their SA chains
+    (:meth:`filter_candidates`). Its ``cache`` dict is
     the evaluation memo of every task it handles, pre-filled from
     ``warm_memo`` when a synthesis resumes.
     """
@@ -331,21 +343,34 @@ class _TaskRunner:
         self._params_key = params_fingerprint(config.params)
 
     def filter_candidates(
-        self, point: DesignPoint
-    ) -> Optional[List[Tuple[int, ...]]]:
-        """Stage 1 (Alg. 1 line 6) for one point; None when infeasible."""
-        try:
-            filter_ = WeightDuplicationFilter(
-                model=self.model,
-                xb_size=point.xb_size,
-                res_rram=point.res_rram,
-                num_crossbars=point.num_crossbars,
-                config=self.config,
+        self, points: Sequence[DesignPoint]
+    ) -> List[Optional[List[Tuple[int, ...]]]]:
+        """Stage 1 (Alg. 1 line 6) for ``points``, in point order: each
+        point's WtDup candidates, or None when it is infeasible. The
+        feasible points' SA chains run in lock-step
+        (:func:`repro.core.weight_duplication.lockstep_candidates`),
+        each under its own ``sa:{point}`` RNG, so a point's list does
+        not depend on which other points share the call."""
+        lists: List[Optional[List[Tuple[int, ...]]]] = [None] * len(points)
+        chains, positions = [], []
+        for position, point in enumerate(points):
+            try:
+                filter_ = WeightDuplicationFilter(
+                    model=self.model,
+                    xb_size=point.xb_size,
+                    res_rram=point.res_rram,
+                    num_crossbars=point.num_crossbars,
+                    config=self.config,
+                )
+            except InfeasibleError:
+                continue
+            chains.append(
+                (filter_, self.seeds.spawn(f"sa:{point.describe()}"))
             )
-        except InfeasibleError:
-            return None
-        rng = self.seeds.spawn(f"sa:{point.describe()}")
-        return [tuple(c) for c in filter_.top_candidates(rng)]
+            positions.append(position)
+        for position, found in zip(positions, lockstep_candidates(chains)):
+            lists[position] = found
+        return lists
 
     def spec_and_budget(self, task: EvaluationTask):
         """The stage-2 spec and Eq. 3 budget a task evaluates under."""
@@ -497,7 +522,7 @@ class SerialExecutor:
     def map_filters(
         self, points: Sequence[DesignPoint]
     ) -> List[Optional[List[Tuple[int, ...]]]]:
-        return [self.runner.filter_candidates(p) for p in points]
+        return self.runner.filter_candidates(points)
 
     def imap_tasks(
         self, tasks: Iterable[EvaluationTask]
@@ -537,11 +562,11 @@ def _worker_init(
     _WORKER_RUNNER = _TaskRunner(model, config, warm_memo=warm_memo)
 
 
-def _worker_filter(
-    point: DesignPoint,
-) -> Optional[List[Tuple[int, ...]]]:
+def _worker_filters(
+    points: Sequence[DesignPoint],
+) -> List[Optional[List[Tuple[int, ...]]]]:
     assert _WORKER_RUNNER is not None
-    return _WORKER_RUNNER.filter_candidates(point)
+    return _WORKER_RUNNER.filter_candidates(points)
 
 
 def _worker_task(task: EvaluationTask) -> TaskOutcome:
@@ -586,7 +611,21 @@ class ProcessExecutor:
     def map_filters(
         self, points: Sequence[DesignPoint]
     ) -> List[Optional[List[Tuple[int, ...]]]]:
-        return self._pool.map(_worker_filter, points)
+        """Stage 1 over at most ``jobs`` contiguous chunks of
+        ``points``, one lock-stepped worker call per chunk; results
+        come back in point order."""
+        size, extra = divmod(len(points), self.jobs)
+        chunks, start = [], 0
+        for worker in range(self.jobs):
+            stop = start + size + (worker < extra)
+            if stop > start:
+                chunks.append(points[start:stop])
+            start = stop
+        return [
+            candidates
+            for chunk in self._pool.map(_worker_filters, chunks)
+            for candidates in chunk
+        ]
 
     def imap_tasks(
         self, tasks: Iterable[EvaluationTask]

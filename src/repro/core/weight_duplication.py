@@ -15,6 +15,14 @@ The first term balances per-layer computation (equal block counts means a
 balanced inter-layer pipeline); the second penalizes skewed data-access
 demand. The filter returns the ``top_k`` lowest-energy *distinct*
 duplication vectors, which Alg. 1 then traverses exactly (line 7).
+
+Each outer design point runs its own SA chain, under its own RNG and
+its own Eq. 2 budget. Eq. 4 reads only model constants and ``alpha``,
+never the design point, so :func:`lockstep_candidates` drives every
+chain of a (model, config) together and scores all their proposal
+rounds with one vectorized ``batch_energy`` call per round. A chain
+returns the same candidates whether it runs alone
+(:meth:`WeightDuplicationFilter.top_candidates`) or beside others.
 """
 
 from __future__ import annotations
@@ -30,7 +38,12 @@ from repro.core.config import SynthesisConfig
 from repro.errors import InfeasibleError
 from repro.hardware.crossbar import crossbar_set_size
 from repro.nn.model import CNNModel
-from repro.optim.annealing import AnnealingSchedule, SimulatedAnnealer
+from repro.optim.annealing import (
+    SimulatedAnnealer,
+    Stepper,
+    anneal_together,
+    round_scorer,
+)
 from repro.utils.mathutils import stdev
 
 WtDup = Tuple[int, ...]
@@ -75,6 +88,10 @@ class WeightDuplicationFilter:
         # WtDup_i never exceeds the layer's output count: more copies than
         # output positions cannot be used within one image.
         self.dup_caps: List[int] = list(self.out_positions)
+        # neighbor's one-entry memo: the last entry state, held so the
+        # key stays the state itself, and its slack (None: infeasible).
+        self._entry: Optional[WtDup] = None
+        self._entry_slack: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Eq. 2 feasibility
@@ -179,13 +196,20 @@ class WeightDuplicationFilter:
         known feasible a candidate is feasible exactly when the touched
         entries stay within ``[1, cap]`` and the crossbars it adds fit
         the state's slack. An infeasible ``state`` (never produced by
-        the walk) gets the full :meth:`is_feasible` check per try.
+        the walk) gets the full :meth:`is_feasible` check per try. The
+        slack of the last entry state is kept: every proposal of an SA
+        round starts from the same state, which changes only on an
+        accept, so ``state`` is checked once per new entry state.
         """
         n_layers = len(state)
-        slack = (
-            self.num_crossbars - self.crossbars_used(state)
-            if self.is_feasible(state) else None
-        )
+        entry = tuple(state)
+        if entry is not self._entry and entry != self._entry:
+            self._entry = entry
+            self._entry_slack = (
+                self.num_crossbars - self.crossbars_used(entry)
+                if self.is_feasible(entry) else None
+            )
+        slack = self._entry_slack
         for _ in range(16):
             move = rng.randrange(3)
             candidate = list(state)
@@ -236,24 +260,48 @@ class WeightDuplicationFilter:
     # ------------------------------------------------------------------
     # Entry point (Alg. 1 line 6)
     # ------------------------------------------------------------------
-    def top_candidates(self, rng: random.Random) -> List[WtDup]:
-        """Run the SA filter; return the best distinct WtDup vectors."""
-        schedule = AnnealingSchedule(
-            initial_temperature=self.config.sa_initial_temperature,
-            min_temperature=self.config.sa_min_temperature,
-            cooling_rate=self.config.sa_cooling_rate,
-            steps_per_temp=self.config.sa_steps_per_temp,
-        )
+    def chain(self, rng: random.Random) -> Stepper:
+        """This point's SA chain under ``rng``, as an ask/tell stepper
+        (:meth:`repro.optim.annealing.SimulatedAnnealer.steps`) from the
+        greedy initial state."""
         annealer = SimulatedAnnealer(
             energy=self.energy,
             neighbor=self.neighbor,
             state_key=lambda state: state,
             rng=rng,
-            schedule=schedule,
-            batch_energy=self.batch_energy,
+            schedule=self.config.sa_schedule,
             proposal_batch=self.config.sa_proposal_batch,
         )
-        ranked = annealer.run(
+        return annealer.steps(
             self.initial_state(), top_k=self.config.num_wtdup_candidates
         )
-        return [state for state, _energy in ranked]
+
+    def top_candidates(self, rng: random.Random) -> List[WtDup]:
+        """Run the SA filter; return the best distinct WtDup vectors."""
+        return lockstep_candidates([(self, rng)])[0]
+
+
+def lockstep_candidates(
+    chains: Sequence[Tuple[WeightDuplicationFilter, random.Random]],
+) -> List[List[WtDup]]:
+    """Stage 1 for many outer points of one (model, config) at once.
+
+    Each ``(filter, rng)`` pair is one point's SA chain. The chains run
+    in lock-step (:func:`repro.optim.annealing.anneal_together`): every
+    round's proposals, from all chains, are scored by one
+    ``batch_energy`` call of the first filter. That is sound because
+    Eq. 4 reads only ``out_positions``, ``volume_units`` and
+    ``sa_alpha``, which all filters of one (model, config) share, and
+    because ``batch_energy`` scores each state bit-identically to
+    :meth:`WeightDuplicationFilter.energy`. So each list, in chain
+    order, equals what that filter's :meth:`~WeightDuplicationFilter.
+    top_candidates` returns alone under the same RNG.
+    """
+    if not chains:
+        return []
+    head = chains[0][0]
+    ranked = anneal_together(
+        [filt.chain(rng) for filt, rng in chains],
+        round_scorer(head.energy, head.batch_energy),
+    )
+    return [[state for state, _energy in archive] for archive in ranked]

@@ -6,12 +6,16 @@ lowest energy-function values" that later stages traverse. The engine
 therefore maintains a bounded archive of the best *distinct* states seen
 anywhere along the walk.
 
-Neighbor proposals can be drawn and scored in *rounds*
-(``proposal_batch``), with the round's energies supplied by a single
-``batch_energy`` call — the hook the WtDup filter uses to run Eq. 4 as
-vectorized numpy instead of one Python evaluation per proposal. A
-``proposal_batch`` of 1 is exactly the classic chain; see the class
-docstring for the larger-round semantics.
+Neighbor proposals are drawn and scored in *rounds*
+(``proposal_batch``); a ``proposal_batch`` of 1 is exactly the classic
+chain (see the class docstring for the larger-round semantics). The
+walk is an ask/tell stepper (:meth:`SimulatedAnnealer.steps`): it
+yields each round's proposals and receives their energies, so one
+driver (:func:`anneal_together`) can score the rounds of many chains
+in a single call. That is how the WtDup filter runs every outer design
+point's chain in lock-step through one vectorized Eq. 4 call per
+round (:func:`repro.core.weight_duplication.lockstep_candidates`);
+:meth:`SimulatedAnnealer.run` is the same driver over one chain.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import (
     Callable,
+    Generator,
     Generic,
     Hashable,
     List,
@@ -33,6 +38,10 @@ from typing import (
 from repro.errors import ConfigurationError
 
 State = TypeVar("State")
+Ranked = List[Tuple[State, float]]
+#: A chain as an ask/tell stepper: yields a proposal round, receives the
+#: round's energies in draw order, returns the ranked archive.
+Stepper = Generator[List[State], List[float], Ranked]
 
 
 @dataclass(frozen=True)
@@ -88,8 +97,9 @@ class SimulatedAnnealer(Generic[State]):
         Optional population-level energy: maps a state sequence to the
         values ``energy`` would return state by state (the WtDup filter
         supplies a vectorized Eq. 4 whose cross-layer reductions are
-        :func:`repro.core.backend.row_sums` when numpy imports). Used
-        to score each round's neighbor proposals in one call.
+        :func:`repro.core.backend.row_sums` when numpy imports).
+        :meth:`run` scores each round of two or more proposals with one
+        call (:func:`round_scorer`).
     proposal_batch:
         Neighbor proposals drawn and scored per round. ``1`` (default)
         reproduces the classic chain exactly — one proposal, one
@@ -100,7 +110,7 @@ class SimulatedAnnealer(Generic[State]):
         walk differs from the one-at-a-time chain (later proposals in a
         round are "stale" when an earlier one is accepted) but stays
         fully deterministic under a fixed seed and independent of
-        whether ``batch_energy`` is set.
+        whether ``batch_energy`` is set, and of which driver scores it.
     """
 
     def __init__(
@@ -126,25 +136,15 @@ class SimulatedAnnealer(Generic[State]):
         self.proposal_batch = proposal_batch
         self.evaluations = 0
 
-    def _energies(self, states: List[State]) -> List[float]:
-        """Score a proposal round, batched when ``batch_energy`` is
-        set."""
-        self.evaluations += len(states)
-        if self.batch_energy is not None and len(states) > 1:
-            values = list(self.batch_energy(states))
-            if len(values) != len(states):
-                raise ConfigurationError(
-                    f"batch_energy returned {len(values)} values for "
-                    f"{len(states)} states"
-                )
-            return [float(v) for v in values]
-        return [self.energy(state) for state in states]
+    def steps(self, initial: State, top_k: int = 1) -> Stepper:
+        """Anneal from ``initial`` as an ask/tell stepper.
 
-    def run(self, initial: State, top_k: int = 1) -> List[Tuple[State, float]]:
-        """Anneal from ``initial``; return the best ``top_k`` distinct states.
-
-        The result is sorted by ascending energy (best first) and always
-        contains at least one entry.
+        Scores ``initial`` with ``energy`` itself, then yields each
+        proposal round and expects that round's energies sent back in
+        draw order (:func:`anneal_together` does so, for one chain in
+        :meth:`run` or for many at once). Returns the best ``top_k``
+        distinct states, sorted by ascending energy (best first); the
+        list always holds at least one entry.
         """
         if top_k < 1:
             raise ConfigurationError("top_k must be >= 1")
@@ -162,7 +162,8 @@ class SimulatedAnnealer(Generic[State]):
                     self.neighbor(current, self.rng)
                     for _ in range(round_size)
                 ]
-                energies = self._energies(proposals)
+                self.evaluations += round_size
+                energies = yield proposals
                 for candidate, candidate_energy in zip(
                     proposals, energies
                 ):
@@ -187,3 +188,73 @@ class SimulatedAnnealer(Generic[State]):
 
         ranked = sorted(archive.values(), key=lambda pair: pair[1])
         return ranked[:top_k]
+
+    def run(self, initial: State, top_k: int = 1) -> Ranked:
+        """Anneal from ``initial``; return the best ``top_k`` distinct
+        states (see :meth:`steps`), scoring each round through
+        :func:`round_scorer`."""
+        return anneal_together(
+            [self.steps(initial, top_k)],
+            round_scorer(self.energy, self.batch_energy),
+        )[0]
+
+
+def round_scorer(
+    energy: Callable[[State], float],
+    batch_energy: Optional[
+        Callable[[Sequence[State]], Sequence[float]]
+    ] = None,
+) -> Callable[[List[State]], List[float]]:
+    """The scoring rule for a round of states: one ``batch_energy``
+    call when it is set and the round holds two or more states,
+    otherwise ``energy`` state by state."""
+
+    def score(states: List[State]) -> List[float]:
+        if batch_energy is not None and len(states) > 1:
+            return [float(v) for v in batch_energy(states)]
+        return [energy(state) for state in states]
+
+    return score
+
+
+def anneal_together(
+    steppers: Sequence[Stepper],
+    score: Callable[[List[State]], Sequence[float]],
+) -> List[Ranked]:
+    """Drive annealing steppers in lock-step; return their archives.
+
+    Each round, the proposals of every live stepper go to one
+    ``score(states)`` call, concatenated in stepper order, and each
+    stepper is sent its own slice. A stepper that finishes drops out,
+    so chains with different schedules or round sizes can share the
+    driver. A chain's walk depends only on its own draws and on the
+    energies of its own states, so lock-stepping never changes what a
+    chain returns — given a ``score`` whose value for a state does not
+    depend on the other states in the call.
+
+    Raises :class:`ConfigurationError` when ``score`` returns a
+    different number of values than it was given states.
+    """
+    results: List[Optional[Ranked]] = [None] * len(steppers)
+    replies: list = [(index, None) for index in range(len(steppers))]
+    while replies:
+        pending = []
+        for index, reply in replies:
+            try:
+                pending.append((index, steppers[index].send(reply)))
+            except StopIteration as finished:
+                results[index] = finished.value
+        if not pending:
+            break
+        states = [state for _index, round_ in pending for state in round_]
+        energies = list(score(states))
+        if len(energies) != len(states):
+            raise ConfigurationError(
+                f"energy scorer returned {len(energies)} values for "
+                f"{len(states)} states"
+            )
+        replies, start = [], 0
+        for index, round_ in pending:
+            replies.append((index, energies[start:start + len(round_)]))
+            start += len(round_)
+    return results  # type: ignore[return-value]

@@ -1,6 +1,8 @@
 """Unit tests for the stage-1 SA weight-duplication filter."""
 
+import contextlib
 import hashlib
+import json
 import math
 import random
 
@@ -9,10 +11,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.core.backend import numpy_available
 from repro.core.config import SynthesisConfig
-from repro.core.weight_duplication import WeightDuplicationFilter
+from repro.core.design_space import DesignSpace
+from repro.core.weight_duplication import (
+    WeightDuplicationFilter,
+    lockstep_candidates,
+)
 from repro.errors import InfeasibleError
 from repro.nn import lenet5, zoo
 from repro.utils.mathutils import stdev
+from repro.utils.rng import SeedSequence
 
 
 def _filter(model, num_crossbars=2000, **overrides):
@@ -262,6 +269,57 @@ class TestNeighbor:
         )
         assert rng.getstate() == reference_rng.getstate()
 
+    @given(
+        headroom=st.integers(0, 60),
+        seed=st.integers(0, 2 ** 32 - 1),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(("proposal", "same", "seen", "infeasible")),
+                st.integers(0, 2 ** 16),
+            ),
+            min_size=1, max_size=60,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_carried_slack_matches_full_check_over_a_walk(
+        self, headroom, seed, steps
+    ):
+        """One filter serves a whole walk, so its carried entry-state
+        slack must never go stale. Each next entry state is the last
+        proposal, the same entry, an earlier state (the same object or
+        an equal copy) or an injected infeasible state; every call
+        must take the full-check walk's move and leave the RNG where
+        the full check leaves it."""
+        filt = _lenet_filter(headroom)
+        rng = random.Random(seed)
+        reference_rng = random.Random(seed)
+        entry = filt.initial_state()
+        seen = [entry]
+        for kind, pick in steps:
+            proposal = filt.neighbor(entry, rng)
+            assert proposal == _full_check_neighbor(
+                filt, entry, reference_rng
+            )
+            assert rng.getstate() == reference_rng.getstate()
+            seen.append(proposal)
+            if kind == "proposal":
+                entry = proposal
+            elif kind == "seen":
+                entry = seen[pick % len(seen)]
+                if pick % 2:
+                    entry = tuple(list(entry))  # equal, not identical
+            elif kind == "infeasible":
+                broken = list(entry)
+                layer = pick % len(broken)
+                if pick % 3 == 0:
+                    broken[layer] = 0  # below 1
+                elif pick % 3 == 1:
+                    broken[layer] = filt.dup_caps[layer] + 1  # over cap
+                else:
+                    broken[0] = filt.dup_caps[0]  # over budget
+                entry = tuple(broken)
+                assert not filt.is_feasible(entry)
+
 
 class TestTopCandidates:
     def test_returns_requested_count(self, tiny_model):
@@ -294,3 +352,82 @@ class TestTopCandidates:
         assert filt.energy(best) < filt.energy(
             tuple([1] * vgg13_model.num_weighted_layers)
         )
+
+
+def _stage_one_chains(name, power, proposal_batch):
+    """A fresh ``(filter, rng)`` chain for every outer point of ``name``
+    at ``power`` on the default grid, seed 1, each under its
+    ``sa:{point}`` RNG, as the executor builds them."""
+    model = zoo.by_name(name)
+    config = SynthesisConfig(
+        total_power=power, seed=1, sa_proposal_batch=proposal_batch
+    )
+    seeds = SeedSequence(config.seed)
+    return [
+        (
+            WeightDuplicationFilter(
+                model=model, xb_size=point.xb_size,
+                res_rram=point.res_rram,
+                num_crossbars=point.num_crossbars, config=config,
+            ),
+            seeds.spawn(f"sa:{point.describe()}"),
+        )
+        for point in DesignSpace(model, config).outer_points()
+    ]
+
+
+#: (model, power, sa_proposal_batch) -> (outer points, sha256 prefix of
+#: the JSON of every point's candidate list), as one chain per point
+#: produced them before the chains were lock-stepped.
+STAGE_ONE_DIGESTS = {
+    ("lenet5", 2.0, 1): (35, "78168b441f1bf766"),
+    ("lenet5", 2.0, 8): (35, "6268ea34d6498388"),
+    ("alexnet_cifar", 20.0, 1): (33, "e9edc64db0f902f9"),
+    ("alexnet_cifar", 20.0, 8): (33, "c788692ab79a074f"),
+    ("vgg16_cifar", 40.0, 1): (33, "66e03653ebfbb253"),
+    ("vgg16_cifar", 40.0, 8): (33, "5b10ac536df6e150"),
+}
+
+
+class TestLockstep:
+    """Lock-stepping the stage-1 chains never changes a chain's walk."""
+
+    @pytest.fixture(scope="class")
+    def solo_walks(self):
+        """Each point's own one-chain walk, per case, computed once."""
+        walks = {}
+
+        def solo(case):
+            if case not in walks:
+                walks[case] = [
+                    filt.top_candidates(rng)
+                    for filt, rng in _stage_one_chains(*case)
+                ]
+            return walks[case]
+
+        return solo
+
+    @pytest.mark.parametrize("gate", ["numpy", "without_numpy"])
+    @pytest.mark.parametrize(
+        "case", sorted(STAGE_ONE_DIGESTS),
+        ids=lambda case: f"{case[0]}-batch{case[2]}",
+    )
+    def test_lockstep_equals_each_solo_walk(
+        self, case, gate, solo_walks, without_numpy
+    ):
+        if gate == "numpy" and not numpy_available():
+            pytest.skip("numpy is not installed")
+        blocked = without_numpy() if gate == "without_numpy" else (
+            contextlib.nullcontext()
+        )
+        with blocked:
+            together = lockstep_candidates(_stage_one_chains(*case))
+        solo = solo_walks(case)
+        assert together == solo
+        points, digest = STAGE_ONE_DIGESTS[case]
+        text = json.dumps([[list(c) for c in found] for found in solo])
+        assert len(solo) == points
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+    def test_no_chains(self):
+        assert lockstep_candidates([]) == []

@@ -62,6 +62,48 @@ class TestSynthesisConfigValidation:
         with pytest.raises(ConfigurationError):
             SynthesisConfig(jobs=-1)
 
+    @pytest.mark.parametrize("overrides, message", [
+        pytest.param({"sa_cooling_rate": 1.5}, "cooling_rate must lie in",
+                     id="sa_cooling_rate=1.5"),
+        pytest.param({"sa_steps_per_temp": 0}, "steps_per_temp must be >= 1",
+                     id="sa_steps_per_temp=0"),
+        pytest.param({"sa_min_temperature": 0},
+                     "temperatures must be positive",
+                     id="sa_min_temperature=0"),
+        pytest.param({"sa_min_temperature": 2.0},
+                     "min_temperature must not exceed initial_temperature",
+                     id="sa_min_temperature-above-initial"),
+        pytest.param({"ea_population_size": 0},
+                     "ea_population_size must be >= 1",
+                     id="ea_population_size=0"),
+        pytest.param({"ea_offspring_per_gen": 0},
+                     "ea_offspring_per_gen must be >= 1",
+                     id="ea_offspring_per_gen=0"),
+        pytest.param({"ea_max_generations": 0},
+                     "ea_max_generations must be >= 1",
+                     id="ea_max_generations=0"),
+    ])
+    def test_bad_search_schedule_rejected_at_construction(
+        self, overrides, message
+    ):
+        """A schedule or population stage 1 or the EA would refuse
+        fails when the config is built, not when the search launches."""
+        with pytest.raises(ConfigurationError, match=message):
+            SynthesisConfig(**overrides)
+        with pytest.raises(ConfigurationError, match=message):
+            SynthesisConfig.fast(total_power=2.0, **overrides)
+
+    def test_sa_schedule_follows_the_sa_fields(self):
+        config = SynthesisConfig.fast(total_power=2.0)
+        schedule = config.sa_schedule
+        assert (
+            schedule.initial_temperature, schedule.min_temperature,
+            schedule.cooling_rate, schedule.steps_per_temp,
+        ) == (
+            config.sa_initial_temperature, config.sa_min_temperature,
+            config.sa_cooling_rate, config.sa_steps_per_temp,
+        )
+
     def test_non_integer_jobs_rejected_early(self):
         """A bad jobs value must fail here, not deep inside
         multiprocessing.Pool at DSE time."""

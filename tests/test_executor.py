@@ -16,15 +16,19 @@ The three contracts the executor refactor must keep:
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import Pimsyn, SynthesisConfig
+from repro.core import executor as executor_mod
 from repro.core.design_space import DesignSpace
 from repro.core.evaluator import throughput_upper_bound
 from repro.core.executor import (
     EvaluationTask,
     ExplorationEngine,
+    ProcessExecutor,
     _TaskRunner,
     model_fingerprint,
     params_fingerprint,
@@ -35,6 +39,7 @@ from repro.core.executor import (
 )
 from repro.core.macro_partition import MacroPartitionExplorer, encode_gene
 from repro.core.synthesizer import SynthesisReport
+from repro.core.weight_duplication import WeightDuplicationFilter
 from repro.errors import (
     ConfigurationError,
     InfeasibleError,
@@ -131,6 +136,105 @@ class TestCacheAccounting:
             _config(share_eval_cache=True)
         with pytest.raises(TypeError, match="share_eval_cache"):
             dataclasses.replace(_config(), share_eval_cache=False)
+
+
+class TestLockstepStageOne:
+    """Stage 1 lock-steps the SA chains of every point it is given."""
+
+    #: lenet5 @ 2 W on the default grid (35 outer points) with a short
+    #: SA schedule (7 rungs of one 6-proposal round), so examples are
+    #: cheap.
+    CONFIG = SynthesisConfig(
+        total_power=2.0, seed=1, sa_steps_per_temp=6, sa_cooling_rate=0.5,
+    )
+
+    @pytest.fixture(scope="class")
+    def stage_one(self, lenet):
+        """(runner, points, the lists of one call over all points), the
+        points holding one hand-made point too small for the model."""
+        points = list(DesignSpace(lenet, self.CONFIG).outer_points())
+        points.insert(17, dataclasses.replace(points[0], num_crossbars=1))
+        runner = _TaskRunner(lenet, self.CONFIG)
+        return runner, points, runner.filter_candidates(points)
+
+    def test_infeasible_point_yields_none(self, stage_one):
+        _runner, points, whole = stage_one
+        assert len(whole) == len(points) == 36
+        assert [i for i, found in enumerate(whole) if found is None] == [17]
+
+    @given(cuts=st.sets(st.integers(1, 35)))
+    @settings(max_examples=40, deadline=None)
+    def test_any_contiguous_split_gives_the_same_lists(
+        self, stage_one, cuts
+    ):
+        runner, points, whole = stage_one
+        bounds = [0, *sorted(cuts), len(points)]
+        split = [
+            found
+            for start, stop in zip(bounds, bounds[1:])
+            for found in runner.filter_candidates(points[start:stop])
+        ]
+        assert split == whole
+
+    @pytest.mark.parametrize("jobs, sizes", [
+        (2, [18, 18]),
+        (5, [8, 7, 7, 7, 7]),
+        (40, [1] * 36),
+    ])
+    def test_pool_makes_at_most_jobs_contiguous_chunks(
+        self, stage_one, jobs, sizes, monkeypatch
+    ):
+        runner, points, whole = stage_one
+        chunks = []
+
+        class _InlinePool:
+            def map(self, function, items):
+                chunks.extend(items)
+                return [function(item) for item in items]
+
+        monkeypatch.setattr(executor_mod, "_WORKER_RUNNER", runner)
+        pool = ProcessExecutor.__new__(ProcessExecutor)
+        pool.jobs = jobs
+        pool._pool = _InlinePool()
+        assert pool.map_filters(points) == whole
+        assert [len(chunk) for chunk in chunks] == sizes
+        assert [point for chunk in chunks for point in chunk] == points
+
+    def test_pool_lists_match_serial(self, lenet, stage_one):
+        _runner, points, whole = stage_one
+        pool = ProcessExecutor(lenet, self.CONFIG, jobs=3)
+        try:
+            assert pool.map_filters(points) == whole
+        finally:
+            pool.close()
+
+    def test_one_energy_call_per_round_for_every_point(
+        self, lenet, monkeypatch
+    ):
+        """A ``jobs=1`` fast synthesis scores each SA round of both of
+        its outer points' chains in one ``batch_energy`` call, and
+        scores as many states as one call per chain round did."""
+        sizes = []
+        original = WeightDuplicationFilter.batch_energy
+
+        def counting(filt, states):
+            sizes.append(len(states))
+            return original(filt, states)
+
+        monkeypatch.setattr(
+            WeightDuplicationFilter, "batch_energy", counting
+        )
+        config = _config(jobs=1)
+        _, report = _run(lenet, config)
+        assert report.outer_points == 2
+        assert report.infeasible_points == 0
+        rungs = len(config.sa_schedule.temperatures())
+        assert len(sizes) == rungs * math.ceil(
+            config.sa_steps_per_temp / config.sa_proposal_batch
+        )
+        assert sum(sizes) == (
+            report.outer_points * rungs * config.sa_steps_per_temp
+        )
 
 
 class TestPruning:

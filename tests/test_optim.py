@@ -1,11 +1,16 @@
 """Unit tests for the SA and EA engines."""
 
+import math
 import random
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.optim.annealing import AnnealingSchedule, SimulatedAnnealer
+from repro.optim.annealing import (
+    AnnealingSchedule,
+    SimulatedAnnealer,
+    anneal_together,
+)
 from repro.optim.evolution import EvolutionEngine
 
 
@@ -153,6 +158,88 @@ class TestSimulatedAnnealer:
         )
         results = annealer.run(42, top_k=3)
         assert results[0][0] == 42
+
+
+def _walker(seed, schedule, proposal_batch, batch_energy=None):
+    """An annealer over the integers, minimizing ``(x - 17) ** 2``."""
+    return SimulatedAnnealer(
+        energy=lambda x: float((x - 17) ** 2),
+        neighbor=lambda x, rng: x + rng.choice((-2, -1, 1, 2)),
+        state_key=lambda x: x,
+        rng=random.Random(seed),
+        schedule=schedule,
+        batch_energy=batch_energy,
+        proposal_batch=proposal_batch,
+    )
+
+
+class TestAnnealTogether:
+    """The lock-step driver: each chain returns its solo walk."""
+
+    #: (seed, schedule, proposal_batch, initial state, top_k): ladders
+    #: of 66, 3, 2 and 17 rungs, with rounds of 1, of 3/3/1, of 2 and
+    #: of 5/5/2, so the chains finish in different rounds.
+    CHAINS = [
+        (1, AnnealingSchedule(10.0, 0.01, 0.9, 30), 1, 0, 4),
+        (2, AnnealingSchedule(5.0, 1.0, 0.5, 7), 3, 40, 2),
+        (3, AnnealingSchedule(1.0, 0.5, 0.5, 2), 8, -9, 5),
+        (4, AnnealingSchedule(2.0, 0.05, 0.8, 12), 5, 17, 1),
+    ]
+
+    def test_mixed_chains_match_their_solo_runs(self):
+        solo = [
+            _walker(seed, schedule, batch).run(initial, top_k=top_k)
+            for seed, schedule, batch, initial, top_k in self.CHAINS
+        ]
+        rounds = [
+            len(schedule.temperatures())
+            * math.ceil(schedule.steps_per_temp / batch)
+            for _seed, schedule, batch, _initial, _top_k in self.CHAINS
+        ]
+        calls = []
+
+        def score(states):
+            calls.append(len(states))
+            return [float((x - 17) ** 2) for x in states]
+
+        together = anneal_together(
+            [
+                _walker(seed, schedule, batch).steps(initial, top_k)
+                for seed, schedule, batch, initial, top_k in self.CHAINS
+            ],
+            score,
+        )
+        assert together == solo
+        # One call per round of the longest chain; a finished chain
+        # drops out of later calls.
+        assert len(calls) == max(rounds)
+        assert calls[0] == sum(
+            min(batch, schedule.steps_per_temp)
+            for _seed, schedule, batch, _initial, _top_k in self.CHAINS
+        )
+        assert sum(calls) == sum(
+            len(schedule.temperatures()) * schedule.steps_per_temp
+            for _seed, schedule, batch, _initial, _top_k in self.CHAINS
+        )
+
+    def test_no_steppers(self):
+        assert anneal_together([], lambda states: []) == []
+
+    @pytest.mark.parametrize("returned", [2, 4])
+    def test_wrong_count_names_both_counts(self, returned):
+        schedule = AnnealingSchedule(1.0, 0.5, 0.5, 3)
+        message = f"returned {returned} values for 3 states"
+        with pytest.raises(ConfigurationError, match=message):
+            anneal_together(
+                [_walker(1, schedule, 3).steps(0)],
+                lambda states: [0.0] * returned,
+            )
+        # run() keeps the check on a miscounting batch_energy.
+        with pytest.raises(ConfigurationError, match=message):
+            _walker(
+                1, schedule, 3,
+                batch_energy=lambda states: [0.0] * returned,
+            ).run(0)
 
 
 class TestEvolutionEngine:

@@ -649,6 +649,23 @@ class TestApi:
         assert err.value.code == 404
 
 
+    @pytest.mark.parametrize("config", [
+        {"sa_cooling_rate": 1.5},
+        {"ea_population_size": 0},
+    ], ids=["sa_cooling_rate=1.5", "ea_population_size=0"])
+    def test_bad_search_schedule_is_a_400_and_never_queued(
+        self, service, config
+    ):
+        server, scheduler, _store = service
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(server, {"model": "lenet5", "power": 2.0,
+                           "config": config})
+        assert err.value.code == 400
+        assert scheduler.jobs() == []
+        stats = scheduler.stats()
+        assert (stats["queued"], stats["executed"]) == (0, 0)
+
+
 def test_pimsyn_error_is_base_of_serve_errors():
     """Serve-layer rejections reuse the package error hierarchy."""
     assert issubclass(ConfigurationError, PimsynError)
