@@ -9,6 +9,7 @@ benches snappy while exercising every stage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -96,8 +97,15 @@ class SynthesisConfig:
         Eq. 4's empirical ``alpha`` balancing workload vs access-volume
         spread.
     ea_* :
-        Alg. 2 population knobs; the population, brood and generation
-        counts must be at least 1.
+        Alg. 2 population knobs.
+
+    Every count field (the ``ea_*`` knobs, ``num_wtdup_candidates``,
+    ``sa_steps_per_temp``, ``sa_proposal_batch``,
+    ``max_blocks_per_layer``) must be an ``int`` (not a ``bool``) of at
+    least 1, and every real-valued one (``total_power``, the other
+    ``sa_*`` knobs) a finite ``int`` or ``float`` (not a ``bool``);
+    anything else raises :class:`ConfigurationError` when the config
+    is built.
     specialized_macros:
         Per-layer macro customization (§V-C2). ``False`` forces identical
         macros chip-wide.
@@ -214,6 +222,37 @@ class SynthesisConfig:
         )
 
     def __post_init__(self) -> None:
+        # A bad value must not build and then fail mid-synthesis (or
+        # reach a serve client as an internal error). Nothing is
+        # coerced, so every accepted value keeps its content key.
+        for name in (
+            "total_power", "sa_initial_temperature", "sa_min_temperature",
+            "sa_cooling_rate", "sa_alpha",
+        ):
+            value = getattr(self, name)
+            if (
+                not isinstance(value, (int, float))
+                or isinstance(value, bool)
+                or not math.isfinite(value)
+            ):
+                raise ConfigurationError(
+                    f"{name} must be a finite number, got {value!r}"
+                )
+        for name in (
+            "num_wtdup_candidates", "sa_steps_per_temp",
+            "sa_proposal_batch", "ea_population_size",
+            "ea_offspring_per_gen", "ea_max_generations", "ea_patience",
+            "max_blocks_per_layer",
+        ):
+            value = getattr(self, name)
+            if (
+                not isinstance(value, int)
+                or isinstance(value, bool)
+                or value < 1
+            ):
+                raise ConfigurationError(
+                    f"{name} must be >= 1 (an integer), got {value!r}"
+                )
         if self.total_power <= 0:
             raise ConfigurationError("total_power must be positive")
         # Resolve the device technology: the profile supplies hardware
@@ -265,21 +304,12 @@ class SynthesisConfig:
                     f"{profile.name!r} (cells: "
                     f"{profile.res_rram_choices})"
                 )
-        if self.num_wtdup_candidates < 1:
-            raise ConfigurationError("need at least one WtDup candidate")
-        # Schedule and population errors surface here, not when stage 1
-        # or the first EA launch runs: a serve request is keyed (and
-        # queued) only after its config is built.
+        # Schedule errors surface here, not when stage 1 runs: a serve
+        # request is keyed (and queued) only after its config is built.
         try:
             self.sa_schedule
         except ConfigurationError as exc:
             raise ConfigurationError(f"sa_* schedule: {exc}") from None
-        for name in (
-            "ea_population_size", "ea_offspring_per_gen",
-            "ea_max_generations",
-        ):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1")
         if not isinstance(self.jobs, int) or isinstance(self.jobs, bool):
             raise ConfigurationError(
                 f"jobs must be an integer, got {self.jobs!r} "
@@ -299,15 +329,6 @@ class SynthesisConfig:
         from repro.sim.cycle.engine import get_engine
 
         get_engine(self.sim_engine)
-        if (
-            not isinstance(self.sa_proposal_batch, int)
-            or isinstance(self.sa_proposal_batch, bool)
-            or self.sa_proposal_batch < 1
-        ):
-            raise ConfigurationError(
-                "sa_proposal_batch must be an integer >= 1, got "
-                f"{self.sa_proposal_batch!r}"
-            )
         if not isinstance(self.pareto, bool):
             raise ConfigurationError(
                 f"pareto must be a bool, got {self.pareto!r}"

@@ -59,7 +59,9 @@ executor protocol.
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field, fields
+from functools import partial
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -524,17 +526,9 @@ class SerialExecutor:
     ) -> List[Optional[List[Tuple[int, ...]]]]:
         return self.runner.filter_candidates(points)
 
-    def imap_tasks(
-        self, tasks: Iterable[EvaluationTask]
-    ) -> Iterator[TaskOutcome]:
-        for task in tasks:
-            yield self.runner.run_task(task)
-
-    def imap_pareto(
-        self, items: Iterable[ParetoTaskItem]
-    ) -> Iterator[ParetoTaskOutcome]:
-        for item in items:
-            yield self.runner.run_pareto_task(item)
+    def imap(self, method: str, items: Iterable) -> Iterator:
+        """The runner's ``method`` applied to each item, in order."""
+        return map(getattr(self.runner, method), items)
 
     def terminate(self) -> None:
         pass
@@ -562,21 +556,10 @@ def _worker_init(
     _WORKER_RUNNER = _TaskRunner(model, config, warm_memo=warm_memo)
 
 
-def _worker_filters(
-    points: Sequence[DesignPoint],
-) -> List[Optional[List[Tuple[int, ...]]]]:
-    assert _WORKER_RUNNER is not None
-    return _WORKER_RUNNER.filter_candidates(points)
-
-
-def _worker_task(task: EvaluationTask) -> TaskOutcome:
-    assert _WORKER_RUNNER is not None
-    return _WORKER_RUNNER.run_task(task)
-
-
-def _worker_pareto(item: ParetoTaskItem) -> ParetoTaskOutcome:
-    assert _WORKER_RUNNER is not None
-    return _WORKER_RUNNER.run_pareto_task(item)
+def _worker_call(method: str, item):
+    """A pool worker's one entry point: its runner's ``method`` on
+    ``item``."""
+    return getattr(_WORKER_RUNNER, method)(item)
 
 
 class ProcessExecutor:
@@ -623,19 +606,16 @@ class ProcessExecutor:
             start = stop
         return [
             candidates
-            for chunk in self._pool.map(_worker_filters, chunks)
+            for chunk in self._pool.map(
+                partial(_worker_call, "filter_candidates"), chunks
+            )
             for candidates in chunk
         ]
 
-    def imap_tasks(
-        self, tasks: Iterable[EvaluationTask]
-    ) -> Iterator[TaskOutcome]:
-        return self._pool.imap(_worker_task, tasks)
-
-    def imap_pareto(
-        self, items: Iterable[ParetoTaskItem]
-    ) -> Iterator[ParetoTaskOutcome]:
-        return self._pool.imap(_worker_pareto, items)
+    def imap(self, method: str, items: Iterable) -> Iterator:
+        """The workers' runner ``method`` applied to each item, results
+        in submission order."""
+        return self._pool.imap(partial(_worker_call, method), items)
 
     def terminate(self) -> None:
         """Stop workers immediately (Ctrl-C path) — no zombie processes."""
@@ -697,6 +677,33 @@ class ExplorationEngine:
             self.model, self.config, jobs, warm_memo=self._warm_memo
         )
 
+    @contextmanager
+    def _executor(self, pareto: bool = False) -> Iterator:
+        """The executor of one run, closed when the run ends.
+
+        On Ctrl-C / SIGTERM it tears the pool down cleanly (no orphaned
+        workers, no multiprocessing traceback storm) and hands the
+        partial memo to the caller so it can be persisted — a
+        resubmitted job then resumes the landscape, not restarts.
+        """
+        executor = self._make_executor()
+        try:
+            yield executor
+        except KeyboardInterrupt:
+            executor.terminate()
+            self.report.interrupted = True
+            runs = f"{self.report.ea_runs} EA"
+            if pareto:
+                runs += f" and {self.report.nsga_runs} NSGA-II"
+            raise SynthesisInterrupted(
+                f"{'pareto ' if pareto else ''}synthesis of "
+                f"{self.model.name} interrupted after {runs} runs; "
+                "worker pool shut down cleanly",
+                partial_memo=self.memo_snapshot(),
+            ) from None
+        finally:
+            executor.close()
+
     def memo_snapshot(self) -> List[Tuple[Hashable, float]]:
         """Every memo entry this engine holds in-process: the warm memo
         plus what a ``jobs=1`` run scored. Pool workers keep private
@@ -754,32 +761,18 @@ class ExplorationEngine:
         if not points:
             return None
 
-        executor = self._make_executor()
-        try:
+        with self._executor() as executor:
             tasks = self._build_tasks(
                 executor, points, candidates_of_point
             )
             if not tasks:
                 return None
             incumbent = self._evaluate_queue(executor, tasks)
-        except KeyboardInterrupt:
-            # Ctrl-C / SIGTERM: tear the pool down cleanly (no orphaned
-            # workers, no multiprocessing traceback storm) and hand the
-            # partial memo to the caller so it can be persisted — a
-            # resubmitted job then resumes the landscape, not restarts.
-            executor.terminate()
-            self.report.interrupted = True
-            raise SynthesisInterrupted(
-                f"synthesis of {self.model.name} interrupted after "
-                f"{self.report.ea_runs} EA runs; worker pool shut down "
-                "cleanly",
-                partial_memo=self.memo_snapshot(),
-            ) from None
-        finally:
-            executor.close()
         if incumbent is None:
             return None
-        return self._materialize(tasks[incumbent.index], incumbent)
+        return self._materialize_gene(
+            tasks[incumbent.index], incumbent.gene, incumbent.fitness
+        )
 
     def run_pareto(
         self,
@@ -812,8 +805,7 @@ class ExplorationEngine:
         if not points:
             return None
 
-        executor = self._make_executor()
-        try:
+        with self._executor(pareto=True) as executor:
             tasks = self._build_tasks(executor, points, None)
             if not tasks:
                 return None
@@ -824,18 +816,6 @@ class ExplorationEngine:
             front_points = self._evaluate_pareto_queue(
                 executor, tasks, objectives, winners
             )
-        except KeyboardInterrupt:
-            executor.terminate()
-            self.report.interrupted = True
-            raise SynthesisInterrupted(
-                f"pareto synthesis of {self.model.name} interrupted "
-                f"after {self.report.ea_runs} EA and "
-                f"{self.report.nsga_runs} NSGA-II runs; worker pool "
-                "shut down cleanly",
-                partial_memo=self.memo_snapshot(),
-            ) from None
-        finally:
-            executor.close()
         if not front_points:
             return None
 
@@ -874,7 +854,7 @@ class ExplorationEngine:
             for task in tasks
         ]
         collected: List[ParetoPoint] = []
-        for outcome in executor.imap_pareto(items):
+        for outcome in executor.imap("run_pareto_task", items):
             self.report.nsga_runs += 1
             self.report.cache_hits += outcome.cache_hits
             self.report.ea_evaluations += outcome.evaluations
@@ -888,7 +868,9 @@ class ExplorationEngine:
         self, task: EvaluationTask, gene: Tuple[int, ...], fitness: float
     ) -> SynthesisSolution:
         """Re-score one (task, gene) in-process into a full solution;
-        ``fitness`` is the gene's score in the search."""
+        ``fitness`` is the gene's score in the search. Scoring is
+        deterministic, so this reproduces exactly the evaluation the
+        (possibly remote) worker reported."""
         explorer = self._local_runner.make_explorer(task)
         allocation, result = explorer.score_winner(gene, fitness)
         return SynthesisSolution(
@@ -976,7 +958,7 @@ class ExplorationEngine:
                     continue
                 self.report.ea_runs += 1
                 wave.append(task)
-            for outcome in executor.imap_tasks(wave):
+            for outcome in executor.imap("run_task", wave):
                 incumbent = self._absorb(outcome, tasks, incumbent)
                 if (
                     winners is not None
@@ -1026,14 +1008,3 @@ class ExplorationEngine:
                 f"WtDup={list(task.wt_dup)[:4]}..."
             )
         return incumbent
-
-    def _materialize(
-        self, task: EvaluationTask, outcome: TaskOutcome
-    ) -> SynthesisSolution:
-        """Re-score the winning gene in-process into a full solution.
-
-        Scoring is deterministic, so this reproduces exactly the
-        evaluation the (possibly remote) worker reported.
-        """
-        assert outcome.gene is not None
-        return self._materialize_gene(task, outcome.gene, outcome.fitness)

@@ -282,24 +282,17 @@ class MacroPartitionExplorer:
         """Sense-adjusted objective vector of one gene (scalar oracle).
 
         Metric names come from :data:`repro.core.config.
-        OBJECTIVE_SENSES`; ``num_macros`` reads the decoded partition,
-        everything else the :class:`EvaluationResult`. Infeasible genes
-        get the all ``-inf`` sentinel — dominated by every feasible
-        vector, tying (never dominating) other infeasible ones.
+        OBJECTIVE_SENSES` and are read from the gene's
+        :meth:`score_fields` row. Infeasible genes get the all ``-inf``
+        sentinel — dominated by every feasible vector, tying (never
+        dominating) other infeasible ones.
         """
         if objectives is None:
             objectives = self.config.objectives
-        _fitness, allocation, result = self.score(gene)
-        if allocation is None or result is None:
+        row = self.score_fields(gene)
+        if not row["feasible"]:
             return infeasible_objective_vector(objectives)
-        metrics = {
-            name: (
-                MacroPartition.from_gene(gene).num_macros
-                if name == "num_macros" else getattr(result, name)
-            )
-            for name in objectives
-        }
-        return objective_vector(metrics, objectives)
+        return objective_vector(row, objectives)
 
     def score_population_objectives(
         self,

@@ -7,7 +7,9 @@ problem-agnostic engines; the problem encodings live in
 :mod:`repro.core`. The multi-objective layer adds NSGA-II
 (:mod:`.nsga`) on top of shared Pareto-dominance primitives
 (:mod:`.dominance`), which the archive and the DSE executor's front
-merge reuse.
+merge reuse. Every search loop is an ask/tell stepper, and one driver,
+:func:`.annealing.anneal_together`, runs them all: the SA chains and
+the (mu + lambda) loop the EA and NSGA-II share.
 """
 
 from repro.optim.annealing import AnnealingSchedule, SimulatedAnnealer

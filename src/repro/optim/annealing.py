@@ -15,7 +15,10 @@ driver (:func:`anneal_together`) can score the rounds of many chains
 in a single call. That is how the WtDup filter runs every outer design
 point's chain in lock-step through one vectorized Eq. 4 call per
 round (:func:`repro.core.weight_duplication.lockstep_candidates`);
-:meth:`SimulatedAnnealer.run` is the same driver over one chain.
+:meth:`SimulatedAnnealer.run` is the same driver over one chain. It is
+the package's one search driver: the evolutionary engines' ``run()``
+drives their (mu + lambda) stepper with it too
+(:class:`repro.optim.evolution.MuPlusLambda`).
 """
 
 from __future__ import annotations
@@ -221,7 +224,8 @@ def anneal_together(
     steppers: Sequence[Stepper],
     score: Callable[[List[State]], Sequence[float]],
 ) -> List[Ranked]:
-    """Drive annealing steppers in lock-step; return their archives.
+    """Drive ask/tell steppers in lock-step; return what each returns
+    (an SA chain's archive, an EA's best gene, an NSGA-II front).
 
     Each round, the proposals of every live stepper go to one
     ``score(states)`` call, concatenated in stepper order, and each

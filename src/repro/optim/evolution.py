@@ -6,6 +6,13 @@ mechanisms (``mutate_num`` and ``mutate_share``) are passed in as a list;
 each child applies one operator chosen uniformly at random, which matches
 the algorithm's "apply mutation related to #macros / macro-sharing"
 pair of steps.
+
+The loop body is :class:`MuPlusLambda`, which the scalar EA here and
+NSGA-II (:mod:`repro.optim.nsga`) share. It is an ask/tell stepper like
+:meth:`repro.optim.annealing.SimulatedAnnealer.steps`: it yields each
+generation's genes and receives their values, and ``run()`` drives it
+with the one search driver, :func:`repro.optim.annealing.
+anneal_together`, scoring through the evaluation memo.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import random
 from dataclasses import dataclass, field
 from typing import (
     Callable,
+    Generator,
     Generic,
     Hashable,
     List,
@@ -25,9 +33,11 @@ from typing import (
 )
 
 from repro.errors import ConfigurationError
+from repro.optim.annealing import anneal_together
 from repro.optim.memo import score_through_memo
 
 Gene = TypeVar("Gene")
+Value = TypeVar("Value")
 
 
 @dataclass
@@ -46,48 +56,51 @@ class EvolutionReport:
     best_fitness_history: List[float] = field(default_factory=list)
 
 
-class EvolutionEngine(Generic[Gene]):
-    """Maximize fitness over genes under mutation operators.
+class MuPlusLambda(Generic[Gene, Value]):
+    """The (mu + lambda) loop both evolutionary engines share.
 
     Parameters
     ----------
     score:
-        Population scorer: maps a gene sequence to one fitness per gene,
-        larger is better (accelerator performance in §IV-C2). Whole
-        generations (the initial population and each generation's
-        brood) are scored through :func:`repro.optim.memo.
+        Population scorer: maps a gene sequence to one value per gene.
+        :meth:`run` scores whole generations (the initial population
+        and each brood) through :func:`repro.optim.memo.
         score_through_memo`, so only genes missing from the memo reach
-        it; the DSE passes :meth:`repro.core.macro_partition.
-        MacroPartitionExplorer.score_population`.
+        it.
     mutations:
         Operators ``(gene, rng) -> gene``; must return valid genes
         ("the generated children always obey the defined rules").
     population_size / offspring_per_gen / max_generations:
         Standard (mu + lambda) knobs; Alg. 2's ``MaxEAIterations``.
     cache:
-        Optional externally owned mapping used as the fitness memo. By
-        default each engine keeps a private dict; the DSE executor
-        passes its task runner's dict, which a resumed synthesis
-        pre-fills from the interrupted run's memo.
+        Optional externally owned mapping used as the memo. By default
+        each engine keeps a private dict; the DSE executor passes its
+        task runner's dict, which a resumed synthesis pre-fills from
+        the interrupted run's memo.
     cache_key:
         Key function for ``cache`` entries. Defaults to ``gene_key``;
         a shared cache must use a content key that also identifies the
         evaluation context (model, hardware params, design point).
 
-    Scoring consumes no randomness, so a run's RNG stream and result
-    do not depend on how many genes the memo served.
+    Subclasses set ``report_type`` and supply four hooks over
+    ``(gene, value)`` lists: ``_selector(population)``, one generation's
+    zero-argument parent picker; ``_survivors(population)``, the
+    truncation to ``population_size``; ``_advance(parents,
+    population)``, a finished generation's bookkeeping, True to stop;
+    and ``_result(population)``, what :meth:`steps` returns.
     """
+
+    report_type: type
 
     def __init__(
         self,
-        score: Callable[[Sequence[Gene]], Sequence[float]],
+        score: Callable[[Sequence[Gene]], Sequence[Value]],
         mutations: List[Callable[[Gene, random.Random], Gene]],
         gene_key: Callable[[Gene], Hashable],
         rng: random.Random,
         population_size: int = 16,
         offspring_per_gen: int = 16,
         max_generations: int = 20,
-        patience: Optional[int] = None,
         cache: Optional[MutableMapping] = None,
         cache_key: Optional[Callable[[Gene], Hashable]] = None,
     ) -> None:
@@ -106,16 +119,92 @@ class EvolutionEngine(Generic[Gene]):
         self.population_size = population_size
         self.offspring_per_gen = offspring_per_gen
         self.max_generations = max_generations
-        self.patience = patience
-        self.report = EvolutionReport()
+        self.report = self.report_type()
         self._cache: MutableMapping = cache if cache is not None else {}
         self._cache_key = cache_key if cache_key is not None else gene_key
 
-    def _scored(self, genes: List[Gene]) -> List[Tuple[Gene, float]]:
-        """``(gene, fitness)`` pairs, scored through the memo."""
-        return list(zip(genes, score_through_memo(
+    def _memo_score(self, genes: List[Gene]) -> List[Value]:
+        """The values of ``genes``, scored through the memo."""
+        return score_through_memo(
             genes, self.score, self._cache, self._cache_key, self.report
-        )))
+        )
+
+    def steps(
+        self, initial_population: List[Gene]
+    ) -> Generator[List[Gene], List[Value], object]:
+        """Evolve from ``initial_population`` as an ask/tell stepper.
+
+        Yields the initial population, then each generation's brood,
+        and expects their values sent back in order
+        (:func:`repro.optim.annealing.anneal_together` does so, for one
+        engine in :meth:`run` or for many at once). A brood holds only
+        children new to the population, so it may be empty. Scoring
+        consumes no randomness, so the walk does not depend on which
+        driver or memo scores the rounds.
+        """
+        if not initial_population:
+            raise ConfigurationError("initial population must be non-empty")
+        genes = list(initial_population)
+        population = self._survivors(list(zip(genes, (yield genes))))
+        for _generation in range(self.max_generations):
+            # Generate the whole brood first: selection only reads the
+            # parent population and scoring consumes no randomness, so
+            # one scoring round per generation preserves the exact RNG
+            # stream (and results) of child-at-a-time scoring.
+            select = self._selector(population)
+            brood: List[Gene] = []
+            seen = {self.gene_key(g) for g, _ in population}
+            for _ in range(self.offspring_per_gen):
+                parent = select()
+                operator = self.rng.choice(self.mutations)
+                child = operator(parent, self.rng)
+                key = self.gene_key(child)
+                if key not in seen:
+                    seen.add(key)
+                    brood.append(child)
+            parents = population
+            population = self._survivors(
+                parents + list(zip(brood, (yield brood)))
+            )
+            self.report.generations += 1
+            if self._advance(parents, population):
+                break
+        return self._result(population)
+
+    def run(self, initial_population: List[Gene]):
+        """Drive :meth:`steps` alone, scoring through the memo."""
+        return anneal_together(
+            [self.steps(initial_population)], self._memo_score
+        )[0]
+
+
+class EvolutionEngine(MuPlusLambda[Gene, float]):
+    """Maximize fitness over genes under mutation operators.
+
+    ``score`` maps a gene sequence to one fitness per gene, larger is
+    better (accelerator performance in §IV-C2); the DSE passes
+    :meth:`repro.core.macro_partition.MacroPartitionExplorer.
+    score_population`. The other parameters are :class:`MuPlusLambda`'s,
+    plus ``patience``: stop once that many generations in a row fail to
+    raise the best fitness.
+
+    Parents are picked fitness-proportionately, and the survivors are
+    the fittest ``population_size`` under a stable descending sort, so
+    the head of the population is the best gene found. :meth:`run`
+    returns it as ``(gene, fitness)``.
+    """
+
+    report_type = EvolutionReport
+
+    def __init__(
+        self, *args, patience: Optional[int] = None, **kwargs
+    ) -> None:
+        super().__init__(*args, **kwargs)
+        self.patience = patience
+
+    def steps(self, initial_population: List[Gene]):
+        self._stale = 0
+        return super().steps(initial_population)
 
     def _select_parent(self, population: List[Tuple[Gene, float]]) -> Gene:
         """Fitness-proportionate selection with a floor for non-positive
@@ -139,43 +228,21 @@ class EvolutionEngine(Generic[Gene]):
                 return gene
         return population[-1][0]
 
-    def run(self, initial_population: List[Gene]) -> Tuple[Gene, float]:
-        """Alg. 2: evolve from ``initial_population``; return the best gene."""
-        if not initial_population:
-            raise ConfigurationError("initial population must be non-empty")
-        population = self._scored(list(initial_population))
+    def _selector(self, population):
+        return lambda: self._select_parent(population)
+
+    def _survivors(self, population):
         population.sort(key=lambda pair: pair[1], reverse=True)
-        population = population[: self.population_size]
+        return population[: self.population_size]
 
-        best_gene, best_fit = population[0]
-        stale = 0
-        for _generation in range(self.max_generations):
-            # Generate the whole brood first: selection only reads the
-            # parent population and scoring consumes no randomness, so
-            # one scoring call per generation preserves the exact RNG
-            # stream (and results) of child-at-a-time scoring.
-            brood: List[Gene] = []
-            seen = {self.gene_key(g) for g, _ in population}
-            for _ in range(self.offspring_per_gen):
-                parent = self._select_parent(population)
-                operator = self.rng.choice(self.mutations)
-                child = operator(parent, self.rng)
-                key = self.gene_key(child)
-                if key in seen:
-                    continue
-                seen.add(key)
-                brood.append(child)
-            population.extend(self._scored(brood))
-            population.sort(key=lambda pair: pair[1], reverse=True)
-            population = population[: self.population_size]
-            self.report.generations += 1
+    def _advance(self, parents, population):
+        # The sort is stable and parents survive, so the head only
+        # changes to a strictly fitter child.
+        self._stale = (
+            0 if population[0][1] > parents[0][1] else self._stale + 1
+        )
+        self.report.best_fitness_history.append(population[0][1])
+        return self.patience is not None and self._stale >= self.patience
 
-            if population[0][1] > best_fit:
-                best_gene, best_fit = population[0]
-                stale = 0
-            else:
-                stale += 1
-            self.report.best_fitness_history.append(best_fit)
-            if self.patience is not None and stale >= self.patience:
-                break
-        return best_gene, best_fit
+    def _result(self, population) -> Tuple[Gene, float]:
+        return population[0]

@@ -177,7 +177,7 @@ class TestBatchInvariants:
             return EXPLORER.score_population(list(batch))
 
         engine = _memo_engine(score, cache)
-        values = [value for _, value in engine._scored(list(genes))]
+        values = engine._memo_score(list(genes))
         assert len(values) == len(genes)
         cached_set = set(cached)
         # Memo hits never reach the scorer, and no gene is evaluated
@@ -266,7 +266,7 @@ class TestNumpyKernelProperties:
                 return _score(list(batch))
 
             engine = _memo_engine(score, cache)
-            values = [value for _, value in engine._scored(list(genes))]
+            values = engine._memo_score(list(genes))
             results[name] = (
                 tuple(evaluated), dict(cache), values,
                 engine.report.evaluations, engine.report.cache_hits,

@@ -1,5 +1,7 @@
 """Tests for the exception hierarchy and SynthesisConfig validation."""
 
+import math
+
 import pytest
 
 from repro.core.config import SynthesisConfig
@@ -82,6 +84,41 @@ class TestSynthesisConfigValidation:
         pytest.param({"ea_max_generations": 0},
                      "ea_max_generations must be >= 1",
                      id="ea_max_generations=0"),
+        # Wrong types and values that used to build (then fail in the
+        # search, or run silently) or raise a bare TypeError.
+        *(
+            pytest.param({name: value}, f"{name} must be >= 1",
+                         id=f"{name}={value!r}")
+            for name, value in (
+                ("ea_patience", "5"),
+                ("ea_patience", 0),
+                ("ea_population_size", 2.5),
+                ("ea_population_size", "8"),
+                ("ea_offspring_per_gen", 2.5),
+                ("ea_max_generations", 2.5),
+                ("ea_max_generations", True),
+                ("num_wtdup_candidates", 2.5),
+                ("num_wtdup_candidates", "3"),
+                ("sa_steps_per_temp", 2.5),
+                ("sa_proposal_batch", 2.5),
+                ("max_blocks_per_layer", "3"),
+                ("max_blocks_per_layer", 2.5),
+            )
+        ),
+        *(
+            pytest.param({name: value}, f"{name} must be a finite number",
+                         id=f"{name}={value!r}")
+            for name, value in (
+                ("sa_alpha", "x"),
+                ("sa_alpha", math.nan),
+                ("sa_alpha", True),
+                ("sa_cooling_rate", "0.9"),
+                ("sa_initial_temperature", math.inf),
+                ("sa_min_temperature", None),
+                ("total_power", "5"),
+                ("total_power", math.nan),
+            )
+        ),
     ])
     def test_bad_search_schedule_rejected_at_construction(
         self, overrides, message
@@ -91,7 +128,7 @@ class TestSynthesisConfigValidation:
         with pytest.raises(ConfigurationError, match=message):
             SynthesisConfig(**overrides)
         with pytest.raises(ConfigurationError, match=message):
-            SynthesisConfig.fast(total_power=2.0, **overrides)
+            SynthesisConfig.fast(**{"total_power": 2.0, **overrides})
 
     def test_sa_schedule_follows_the_sa_fields(self):
         config = SynthesisConfig.fast(total_power=2.0)

@@ -1,0 +1,255 @@
+"""Pinned toy walks of the two evolutionary engines, solo and lock-stepped.
+
+``EvolutionEngine`` and ``NSGA2Engine`` share one (mu + lambda) loop
+body, an ask/tell stepper (``steps()``), and ``run()`` drives it through
+the one search driver, :func:`repro.optim.annealing.anneal_together`,
+scoring through the evaluation memo. The walks below were recorded
+before the two engines shared that loop, so they pin the RNG draw order
+of each child (select, then the operator choice, then the operator), the
+survivor sorts, the memo accounting and the stopping rules:
+
+- a full run, a run stopped by ``patience`` and runs whose broods are
+  all duplicates of the population (empty rounds);
+- the same steppers driven together through one driver call, which must
+  return each stepper's solo result and history with one scorer call
+  per round.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.optim.annealing import anneal_together
+from repro.optim.evolution import EvolutionEngine
+from repro.optim.nsga import NSGA2Engine
+
+
+def _flip(gene, rng):
+    index = rng.randrange(len(gene))
+    out = list(gene)
+    out[index] ^= 1
+    return tuple(out)
+
+
+def _swap(gene, rng):
+    i, j = rng.randrange(len(gene)), rng.randrange(len(gene))
+    out = list(gene)
+    out[i], out[j] = out[j], out[i]
+    return tuple(out)
+
+
+def _same(gene, _rng):
+    return gene
+
+
+def _fitness(gene):
+    """Weighted onemax shifted below zero at the start, so the walk
+    crosses the selector's rank-weighting floor."""
+    return float(sum((i + 1) * bit for i, bit in enumerate(gene))) - 10.0
+
+
+def _objectives(gene):
+    """Index-weighted ones against the count of ones: one front point
+    per count."""
+    return (
+        float(sum((i + 1) * bit for i, bit in enumerate(gene))),
+        -float(sum(gene)),
+    )
+
+
+def _bits(text):
+    return tuple(int(c) for c in text)
+
+
+#: name -> (engine keyword arguments, mutation operators, initial genes)
+EA_CASES = {
+    "full": (
+        dict(population_size=6, offspring_per_gen=5, max_generations=12),
+        [_flip, _swap],
+        [_bits("00000000"), _bits("10000000"), _bits("00000000")],
+    ),
+    "patience": (
+        dict(population_size=4, offspring_per_gen=3, max_generations=50,
+             patience=3),
+        [_flip, _swap],
+        [_bits("11111110"), _bits("01111111")],
+    ),
+    "duplicates": (
+        dict(population_size=3, offspring_per_gen=4, max_generations=5),
+        [_same],
+        [_bits("00110000"), _bits("00000011"), _bits("11000000"),
+         _bits("00001100")],
+    ),
+    "duplicates-patience": (
+        dict(population_size=2, offspring_per_gen=2, max_generations=10,
+             patience=2),
+        [_same, _same],
+        [_bits("00000001")],
+    ),
+}
+
+NSGA_CASES = {
+    "full": (
+        dict(population_size=6, offspring_per_gen=6, max_generations=10),
+        [_flip, _swap],
+        [_bits("00000000"), _bits("11111111"), _bits("10000000"),
+         _bits("10000000"), _bits("00000001"), _bits("01010101"),
+         _bits("00110011"), _bits("11110000")],
+    ),
+    "small": (
+        dict(population_size=3, offspring_per_gen=2, max_generations=7),
+        [_flip],
+        [_bits("00011000")],
+    ),
+    "duplicates": (
+        dict(population_size=4, offspring_per_gen=3, max_generations=4),
+        [_same],
+        [_bits("00000011"), _bits("11000000"), _bits("00111100")],
+    ),
+}
+
+
+def _ea(name, score=None, seed=11):
+    kwargs, mutations, _initial = EA_CASES[name]
+    return EvolutionEngine(
+        score=score or (lambda genes: [_fitness(g) for g in genes]),
+        mutations=mutations,
+        gene_key=lambda gene: gene,
+        rng=random.Random(seed),
+        **kwargs,
+    )
+
+
+def _nsga(name, score=None, seed=11):
+    kwargs, mutations, _initial = NSGA_CASES[name]
+    return NSGA2Engine(
+        score=score or (lambda genes: [_objectives(g) for g in genes]),
+        mutations=mutations,
+        gene_key=lambda gene: gene,
+        rng=random.Random(seed),
+        **kwargs,
+    )
+
+
+def _ea_walk(name):
+    engine = _ea(name)
+    gene, fitness = engine.run(list(EA_CASES[name][2]))
+    report = engine.report
+    return (
+        "".join(map(str, gene)), fitness, report.generations,
+        report.best_fitness_history, report.evaluations,
+        report.cache_hits,
+    )
+
+
+def _nsga_walk(name):
+    engine = _nsga(name)
+    front = engine.run(list(NSGA_CASES[name][2]))
+    report = engine.report
+    return (
+        [("".join(map(str, gene)), vector) for gene, vector in front],
+        report.generations, report.front_size_history,
+        report.evaluations, report.cache_hits,
+    )
+
+
+EA_WALKS = {
+    # (best gene, fitness, generations, best_fitness_history,
+    #  evaluations, cache_hits)
+    "full": (
+        "11011011", 17.0, 12,
+        [-3.0, 0.0, 7.0, 7.0, 8.0, 12.0] + [17.0] * 6, 34, 3,
+    ),
+    "patience": (
+        "11111111", 26.0, 6, [25.0, 25.0, 26.0, 26.0, 26.0, 26.0], 12, 1,
+    ),
+    "duplicates": ("00000011", 5.0, 5, [5.0] * 5, 4, 0),
+    "duplicates-patience": ("00000001", -2.0, 2, [-2.0, -2.0], 1, 0),
+}
+
+NSGA_WALKS = {
+    # (front, generations, front_size_history, evaluations, cache_hits)
+    "full": (
+        [("11111111", (36.0, -8.0)), ("01111011", (29.0, -6.0)),
+         ("01101011", (25.0, -5.0)), ("00010011", (19.0, -3.0)),
+         ("00000001", (8.0, -1.0)), ("00000000", (0.0, -0.0))],
+        10, [6] * 10, 34, 12,
+    ),
+    "small": (
+        [("11011010", (19.0, -5.0)), ("10011000", (10.0, -3.0)),
+         ("00000000", (0.0, -0.0))],
+        7, [3] * 7, 11, 2,
+    ),
+    "duplicates": (
+        [("00111100", (18.0, -4.0)), ("00000011", (15.0, -2.0))],
+        4, [2] * 4, 3, 0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EA_CASES))
+def test_evolution_walk_pinned(name):
+    assert _ea_walk(name) == EA_WALKS[name]
+
+
+@pytest.mark.parametrize("name", sorted(NSGA_CASES))
+def test_nsga_walk_pinned(name):
+    assert _nsga_walk(name) == NSGA_WALKS[name]
+
+
+@pytest.mark.parametrize("cases, make, value_of, history", [
+    (EA_CASES, _ea, _fitness, "best_fitness_history"),
+    (NSGA_CASES, _nsga, _objectives, "front_size_history"),
+], ids=["evolution", "nsga"])
+def test_steppers_share_one_driver(cases, make, value_of, history):
+    """Every case's stepper (different sizes; for the EA, one stopped
+    by patience and two breeding only duplicates) runs under one driver
+    call and returns its solo run's result and history."""
+    calls = []
+
+    def score(genes):
+        calls.append(len(genes))
+        return [value_of(gene) for gene in genes]
+
+    names = sorted(cases)
+    engines = [make(name) for name in names]
+    results = anneal_together(
+        [
+            engine.steps(list(cases[name][2]))
+            for name, engine in zip(names, engines)
+        ],
+        score,
+    )
+    solos = [make(name) for name in names]
+    for name, engine, result, solo in zip(names, engines, results, solos):
+        assert result == solo.run(list(cases[name][2]))
+        assert engine.report.generations == solo.report.generations
+        assert getattr(engine.report, history) == getattr(
+            solo.report, history
+        )
+    # One call per round: the initial population, then one brood per
+    # generation of the longest walk; a finished stepper drops out.
+    assert len(calls) == 1 + max(solo.report.generations for solo in solos)
+    # Every gene a solo run looks up in its memo is scored once here.
+    assert sum(calls) == sum(
+        solo.report.evaluations + solo.report.cache_hits for solo in solos
+    )
+
+
+def test_all_duplicate_broods_are_empty_rounds():
+    """A stepper whose children all repeat the population yields empty
+    broods; it still advances a generation per round."""
+    engine = _ea("duplicates")
+    stepper = engine.steps(list(EA_CASES["duplicates"][2]))
+    initial = next(stepper)
+    assert len(initial) == 4
+    assert stepper.send([_fitness(gene) for gene in initial]) == []
+    for generation in range(1, 5):
+        assert engine.report.generations == generation - 1
+        assert stepper.send([]) == []
+    with pytest.raises(StopIteration) as finished:
+        stepper.send([])
+    assert finished.value.value == (_bits("00000011"), 5.0)
+    assert engine.report.generations == 5

@@ -652,7 +652,21 @@ class TestApi:
     @pytest.mark.parametrize("config", [
         {"sa_cooling_rate": 1.5},
         {"ea_population_size": 0},
-    ], ids=["sa_cooling_rate=1.5", "ea_population_size=0"])
+        # Wrong types used to queue the job (it failed later) or answer
+        # 500; NaN and True used to run.
+        {"ea_patience": "5"},
+        {"ea_patience": 0},
+        {"ea_population_size": "8"},
+        {"ea_max_generations": True},
+        {"max_blocks_per_layer": 2.5},
+        {"sa_cooling_rate": "0.9"},
+        {"sa_alpha": float("nan")},
+    ], ids=[
+        "sa_cooling_rate=1.5", "ea_population_size=0", "ea_patience='5'",
+        "ea_patience=0", "ea_population_size='8'",
+        "ea_max_generations=True", "max_blocks_per_layer=2.5",
+        "sa_cooling_rate='0.9'", "sa_alpha=nan",
+    ])
     def test_bad_search_schedule_is_a_400_and_never_queued(
         self, service, config
     ):
