@@ -2,9 +2,11 @@
 
 The serve rebuild replaced the thread-per-connection ``http.server``
 front end with a single-event-loop asyncio server (keep-alive, bounded
-queue, per-client quotas). This harness measures that change instead of
-asserting it: raw-socket clients drive ``POST /jobs?wait=1`` against a
-prewarmed store in two disciplines —
+queue, per-client quotas). The old front end now lives only in this
+module (:class:`SynthesisServer`, over the service's own request
+router), as the baseline of the comparison. This harness measures that
+change instead of asserting it: raw-socket clients drive
+``POST /jobs?wait=1`` against a prewarmed store in two disciplines —
 
 - **closed loop**: N clients, each issuing its next request as soon as
   the previous response lands (throughput under sustained concurrency);
@@ -33,17 +35,139 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Any, Dict, List, Optional, Tuple
+from urllib.parse import parse_qs, urlparse
 
 import pytest
 
 from repro.analysis import format_table
 from repro.serve import JobRequest, JobScheduler, ResultStore, make_server
+from repro.serve.api import (
+    MAX_BODY_BYTES,
+    ClientQuotas,
+    Response,
+    _error,
+    _Router,
+)
 
 _MODEL = "lenet5"
 _POWERS = (2.0, 2.5, 3.0)
 _SEED = 2024
 _FULL_ENV = "REPRO_SERVE_LOAD_FULL"
+
+
+# ----------------------------------------------------------------------
+# Threaded front end (http.server) — the load gate's baseline
+# ----------------------------------------------------------------------
+class SynthesisServer(ThreadingHTTPServer):
+    """Thread-per-connection server carrying the service state.
+
+    The service's original front end, superseded by
+    :class:`repro.serve.AsyncSynthesisServer`; it lives here only as
+    the baseline the async front end is measured against, and routes
+    every request through the same ``_Router``.
+    """
+
+    daemon_threads = True
+
+    def __init__(
+        self,
+        address: Tuple[str, int],
+        scheduler: JobScheduler,
+        store: ResultStore,
+        verbose: bool = False,
+        quota: Optional[int] = None,
+    ) -> None:
+        super().__init__(address, _Handler)
+        self.scheduler = scheduler
+        self.store = store
+        self.verbose = verbose
+        self.router = _Router(scheduler, store, ClientQuotas(quota))
+
+
+class _Handler(BaseHTTPRequestHandler):
+    server: SynthesisServer
+
+    # ------------------------------------------------------------------
+    # Plumbing
+    # ------------------------------------------------------------------
+    def log_message(self, format: str, *args) -> None:  # noqa: A002
+        if self.server.verbose:
+            super().log_message(format, *args)
+
+    def _send(self, response: Response) -> None:
+        status, body, headers = response
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(body)
+
+    def _read_body(self) -> Optional[Dict[str, Any]]:
+        length = int(self.headers.get("Content-Length", 0) or 0)
+        if length <= 0:
+            self._send(_error(400, "request body required"))
+            return None
+        if length > MAX_BODY_BYTES:
+            self._send(_error(413, "request body too large"))
+            return None
+        raw = self.rfile.read(length)
+        try:
+            payload = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            self._send(_error(400, f"invalid JSON body: {exc}"))
+            return None
+        if not isinstance(payload, dict):
+            self._send(_error(400, "body must be a JSON object"))
+            return None
+        return payload
+
+    def _client_id(self) -> str:
+        return self.headers.get(
+            "X-Client-Id", self.client_address[0]
+        )
+
+    # ------------------------------------------------------------------
+    # Routes
+    # ------------------------------------------------------------------
+    def do_GET(self) -> None:  # noqa: N802 (BaseHTTPRequestHandler API)
+        parsed = urlparse(self.path)
+        self._send(self.server.router.route_get(
+            parsed.path, parse_qs(parsed.query)
+        ))
+
+    def do_POST(self) -> None:  # noqa: N802
+        parsed = urlparse(self.path)
+        parts = [p for p in parsed.path.split("/") if p]
+        query = parse_qs(parsed.query)
+        router = self.server.router
+        if parts == ["store", "gc"]:
+            self._send(router.route_post_gc(query))
+            return
+        if parts != ["jobs"]:
+            self._send(_error(404, f"unknown path {parsed.path!r}"))
+            return
+        payload = self._read_body()
+        if payload is None:
+            return
+        wait, timeout, error = router.parse_wait(query)
+        if error is not None:
+            self._send(error)
+            return
+        record, error = router.submit(payload, self._client_id())
+        if error is not None:
+            self._send(error)
+            return
+        if wait:
+            # wait on the record object itself: immune to the history
+            # evicting this id mid-wait (wait-by-id returns None then).
+            record = self.server.scheduler.wait_record(
+                record, timeout=timeout
+            )
+        self._send(router.record_response(record))
 
 
 # ----------------------------------------------------------------------
@@ -310,12 +434,20 @@ def _prewarm(store: ResultStore) -> None:
 
 
 class _Service:
+    """One service over ``root``: the ``"async"`` front end (the
+    product's) or the ``"threaded"`` baseline."""
+
     def __init__(self, root: str, kind: str) -> None:
         self.store = ResultStore(root)
         self.scheduler = JobScheduler(self.store, workers=4)
-        self.server = make_server(
-            "127.0.0.1", 0, self.scheduler, self.store, kind=kind
-        )
+        if kind == "threaded":
+            self.server = SynthesisServer(
+                ("127.0.0.1", 0), self.scheduler, self.store
+            )
+        else:
+            self.server = make_server(
+                "127.0.0.1", 0, self.scheduler, self.store
+            )
         self.address = self.server.server_address
         self.thread = threading.Thread(
             target=self.server.serve_forever, daemon=True

@@ -79,8 +79,6 @@ def _tech(args) -> str:
 def _config(args, power: float) -> SynthesisConfig:
     jobs = getattr(args, "jobs", 1)
     extras = {"tech": _tech(args)}
-    if getattr(args, "engine", None):
-        extras["sim_engine"] = args.engine
     if getattr(args, "pareto", False):
         extras["pareto"] = True
     if getattr(args, "objectives", None):
@@ -214,11 +212,6 @@ def cmd_simulate(args) -> int:
             print("error: --fault-rate requires --cycle (the windowed "
                   "engine has no fault model)", file=sys.stderr)
             return 2
-        if args.engine:
-            print("error: --engine requires --cycle (the windowed "
-                  "engine has no event wheel to select)",
-                  file=sys.stderr)
-            return 2
         engine = solution.simulation_engine()
         trace = engine.run(solution.build_dag())
         from repro.sim.metrics import extrapolate
@@ -236,14 +229,10 @@ def cmd_simulate(args) -> int:
                   f"({len(trace)} scheduled IRs)")
         return 0
 
-    from repro.sim.cycle import resolve_engine_name
-
     simulator = solution.cycle_simulator(
         fault_rate=args.fault_rate, fault_seed=args.fault_seed,
-        engine=config.sim_engine,
     )
-    print(f"cycle engine: {resolve_engine_name(config.sim_engine)}"
-          + (" (auto)" if config.sim_engine == "auto" else ""))
+    print(f"cycle engine: {config.sim_engine} (auto)")
     result = simulator.run()
     print(result.report.summary())
     if args.trace_out:
@@ -258,9 +247,7 @@ def cmd_simulate(args) -> int:
             json.dump(result.report.to_payload(), handle, indent=2)
         print(f"cycle report written to {args.report_out}")
     if args.fault_rate == 0.0:
-        validation = solution.cross_validate(
-            tol=args.tol, engine=config.sim_engine
-        )
+        validation = solution.cross_validate(tol=args.tol)
         print()
         print(f"cross-validation vs analytical model "
               f"(tol {validation.tolerance:.3f}):")
@@ -365,12 +352,11 @@ def cmd_serve(args) -> int:
     )
     server = make_server(
         args.host, args.port, scheduler, store,
-        verbose=args.verbose, kind=args.server, quota=args.quota,
+        verbose=args.verbose, quota=args.quota,
         reuse_port=args.reuse_port,
     )
     host, port = server.server_address[:2]
-    print(f"synthesis service on http://{host}:{port} "
-          f"({args.server} front end)")
+    print(f"synthesis service on http://{host}:{port}")
     print(f"  store: {store.root}  "
           f"({store.stats(include_models=False).results} results in "
           f"{store.num_shards} shards)")
@@ -686,18 +672,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "timelines, NoC link contention) and "
                                "cross-validate against the analytical "
                                "model")
-    from repro.sim.cycle import engine_status
-
-    engine_help = "; ".join(
-        f"{name}: {'available' if ok else 'UNAVAILABLE'}"
-        for name, ok, _ in engine_status()
-    )
-    simulate.add_argument("--engine", default=None,
-                          help="cycle event-wheel engine (requires "
-                               "--cycle; default auto = fastest "
-                               "available; all engines are ==-exact, "
-                               "the choice only moves wall time). "
-                               "Registered: " + engine_help)
     simulate.add_argument("--fault-rate", type=float, default=0.0,
                           help="per-attempt fault probability for "
                                "crossbar reads and NoC traffic "
@@ -748,11 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--tech", default=None,
                        help="default technology for requests that do "
                             "not specify one (default: reram)")
-    serve.add_argument("--server", default="async",
-                       choices=("async", "threaded"),
-                       help="HTTP front end: single-event-loop "
-                            "asyncio (default) or the legacy "
-                            "thread-per-connection baseline")
     serve.add_argument("--shards", type=int, default=None,
                        help="shard count when creating a new store "
                             "(an existing store keeps its own)")
@@ -765,8 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(X-Client-Id header / peer address)")
     serve.add_argument("--reuse-port", action="store_true",
                        help="set SO_REUSEPORT so several serve "
-                            "processes can share the port (async "
-                            "front end only)")
+                            "processes can share the port")
     serve.add_argument("--verbose", action="store_true",
                        help="log every HTTP request")
 

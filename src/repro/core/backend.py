@@ -139,10 +139,6 @@ class TaskGrid:
     macro_sharing: bool  # halves the ADC denominator (rule b)
 
     @property
-    def num_tasks(self) -> int:
-        return len(self.bits)
-
-    @property
     def num_layers(self) -> int:
         return len(self.vector_ops)
 

@@ -142,22 +142,13 @@ class SynthesisConfig:
         internally. At least two distinct objectives are required
         (one-objective fronts degenerate to the scalar EA — use
         ``synthesize()``).
-    sim_engine:
-        Name of the cycle-simulator event-wheel engine every replay of
-        this config's solutions runs on (see
-        :mod:`repro.sim.cycle.engine`): ``"auto"`` (default — fastest
-        available), ``"python"`` (object oracle), ``"numpy"``
-        (structure-of-arrays flat wheel) or ``"numba"`` (its JIT, when
-        numba imports). All engines are ``==``-exact against the
-        oracle, so the choice is execution-only and excluded from
-        content keys. Unknown or unavailable names fail at
-        construction.
     seed:
         Master seed for all stochastic stages.
 
     The array engine of the batched DSE paths is not a setting: the
-    read-only :attr:`backend` reports it. Nor is the evaluation memo:
-    every task runner keeps one (:mod:`repro.core.executor`).
+    read-only :attr:`backend` reports it. Nor is the cycle simulator's
+    event wheel (:attr:`sim_engine`), nor the evaluation memo: every
+    task runner keeps one (:mod:`repro.core.executor`).
     """
 
     total_power: float = 50.0
@@ -190,7 +181,6 @@ class SynthesisConfig:
     objectives: Tuple[str, ...] = DEFAULT_OBJECTIVES
     seed: int = 2024
     tech: str = DEFAULT_TECHNOLOGY
-    sim_engine: str = "auto"
 
     @property
     def resolved_jobs(self) -> int:
@@ -209,6 +199,18 @@ class SynthesisConfig:
         scalar oracles. Both return the same values, so it never enters
         a content key (see :mod:`repro.core.backend`)."""
         return "numpy" if numpy_available() else "python"
+
+    @property
+    def sim_engine(self) -> str:
+        """The event wheel the cycle simulator runs on: what ``auto``
+        resolves to (``numba``, ``numpy`` or ``python``, the oracle,
+        the first that imports). Every wheel returns ``==`` results,
+        so it never enters a content key (see
+        :mod:`repro.sim.cycle.engine`)."""
+        # Local import: a config build never loads the cycle simulator.
+        from repro.sim.cycle.engine import resolve_engine_name
+
+        return resolve_engine_name("auto")
 
     @property
     def sa_schedule(self) -> AnnealingSchedule:
@@ -319,16 +321,6 @@ class SynthesisConfig:
             raise ConfigurationError(
                 "jobs must be >= 0 (0 selects one worker per CPU core)"
             )
-        if not isinstance(self.sim_engine, str):
-            raise ConfigurationError(
-                f"sim_engine must be a registry name, got "
-                f"{self.sim_engine!r}"
-            )
-        # Local import: repro.sim imports the hardware layer, which
-        # would cycle back through repro.core at module import time.
-        from repro.sim.cycle.engine import get_engine
-
-        get_engine(self.sim_engine)
         if not isinstance(self.pareto, bool):
             raise ConfigurationError(
                 f"pareto must be a bool, got {self.pareto!r}"

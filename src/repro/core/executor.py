@@ -142,16 +142,15 @@ def params_fingerprint(params: HardwareParams) -> str:
 #: (serial and parallel runs are identical by contract and pruning is
 #: sound). They are excluded from content keys so a request replayed
 #: with different execution knobs still maps to the same stored result.
-#: ``sim_engine`` names the cycle simulator's event wheel; every engine
-#: is ``==`` to the object oracle, so it cannot change a result — only
-#: how fast it is computed. The array engine of the batched DSE paths
-#: is not a field at all: whether numpy imports picks it, and
-#: ``SynthesisConfig.backend`` only reports it. Nor is the evaluation
-#: memo: every task runner keeps one.
+#: The array engine of the batched DSE paths and the cycle simulator's
+#: event wheel are not fields at all: what imports picks them, and
+#: ``SynthesisConfig.backend`` / ``SynthesisConfig.sim_engine`` only
+#: report them. Nor is the evaluation memo: every task runner keeps
+#: one.
 #: ``sa_proposal_batch`` is deliberately *not* here: rounds larger than
 #: one change the SA walk (see :class:`repro.optim.annealing.
 #: SimulatedAnnealer`), so it is result content.
-EXECUTION_ONLY_FIELDS = frozenset({"jobs", "prune_dominated", "sim_engine"})
+EXECUTION_ONLY_FIELDS = frozenset({"jobs", "prune_dominated"})
 
 
 def config_fingerprint(config: SynthesisConfig) -> str:
@@ -548,10 +547,14 @@ def _worker_init(
     # Ctrl-C is the parent's business: it terminates the pool and
     # persists the partial memo. Workers ignoring SIGINT is what keeps
     # an interrupt from spraying one KeyboardInterrupt traceback per
-    # worker over the clean shutdown message.
+    # worker over the clean shutdown message. SIGTERM, which that
+    # terminate() sends, must kill a worker quietly, so a handler
+    # inherited from the parent (the CLI raises KeyboardInterrupt on
+    # it) is reset too.
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     global _WORKER_RUNNER
     _WORKER_RUNNER = _TaskRunner(model, config, warm_memo=warm_memo)
 

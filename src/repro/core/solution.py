@@ -217,8 +217,3 @@ class SynthesisSolution:
     def to_json(self, indent: int = 2) -> str:
         """Serialize the decision variables and metrics (not the model)."""
         return json.dumps(self.to_payload(), indent=indent)
-
-    @staticmethod
-    def metrics_from_json(document: str) -> Dict:
-        """Parse a serialized solution's metric payload."""
-        return json.loads(document)

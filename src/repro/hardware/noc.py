@@ -113,10 +113,6 @@ class MeshNoC:
         """Aggregate router power (one router per macro)."""
         return self.num_macros * self.params.noc_power
 
-    def bisection_bandwidth(self) -> float:
-        """Bytes/second crossing the mesh bisection (reporting metric)."""
-        return min(self.rows, self.cols) * self.params.noc_port_bandwidth
-
     def average_hops(self) -> float:
         """Mean hop distance over all ordered macro pairs (reporting)."""
         if self.num_macros == 1:

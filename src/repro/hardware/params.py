@@ -220,10 +220,6 @@ class HardwareParams:
         """One DAC per crossbar word line (Fig. 2c)."""
         return xb_size
 
-    def sample_holds_per_pe(self, xb_size: int) -> int:
-        """One S&H per crossbar bit line (Fig. 2c)."""
-        return xb_size
-
     def act_bit_iterations(self, res_dac: int) -> int:
         """Bit-serial iterations per computation block.
 

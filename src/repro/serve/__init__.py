@@ -19,9 +19,8 @@ workloads through one cached engine needs:
   (model x power x config) grids, deduplicated through the store;
 - :mod:`repro.serve.api` — JSON API (``POST /jobs``,
   ``GET /jobs/<id>``, ``GET /results/<key>``, ``GET /store/stats``,
-  ``GET /scheduler/stats``, ``POST /store/gc``) behind two front
-  ends: the default single-event-loop asyncio server and the legacy
-  thread-per-connection baseline, with per-client quotas and
+  ``GET /scheduler/stats``, ``POST /store/gc``) behind one
+  single-event-loop asyncio front end, with per-client quotas and
   bounded-queue backpressure (429 + ``Retry-After``).
 
 Entry points: ``python -m repro serve`` and ``python -m repro batch``.
@@ -30,7 +29,6 @@ Entry points: ``python -m repro serve`` and ``python -m repro batch``.
 from repro.serve.api import (
     AsyncSynthesisServer,
     ClientQuotas,
-    SynthesisServer,
     make_server,
 )
 from repro.serve.batch import (
@@ -60,7 +58,6 @@ from repro.serve.store import (
 __all__ = [
     "AsyncSynthesisServer",
     "ClientQuotas",
-    "SynthesisServer",
     "make_server",
     "BatchReport",
     "BatchRow",

@@ -1,19 +1,17 @@
-"""JSON API over the scheduler and result store — async by default.
+"""JSON API over the scheduler and result store.
 
-Two interchangeable front ends share one router:
+:class:`AsyncSynthesisServer` is the one front end: an ``asyncio``
+HTTP/1.1 server. One event loop multiplexes every connection,
+keep-alive is honored, and a long ``?wait=1`` costs a coroutine
+polling the job record, not an OS thread. Blocking work (submission,
+store walks) runs on the loop's thread pool. ``reuse_port=True`` sets
+``SO_REUSEPORT`` so N processes can share one listening port for
+multi-core scale-out. Request handling itself lives in the
+wire-agnostic :class:`_Router`; ``benchmarks/bench_serve_load.py``
+keeps a thread-per-connection ``http.server`` front end over the same
+router as the baseline of its load gate.
 
-- :class:`AsyncSynthesisServer` (default) — an ``asyncio`` HTTP/1.1
-  server: one event loop multiplexes every connection, keep-alive is
-  honored, and a long ``?wait=1`` costs a coroutine polling the job
-  record, not an OS thread. Blocking work (submission, store walks)
-  runs on the loop's thread pool. ``reuse_port=True`` sets
-  ``SO_REUSEPORT`` so N processes can share one listening port for
-  multi-core scale-out.
-- :class:`SynthesisServer` — the original ``http.server``
-  thread-per-connection implementation, kept as the measured baseline
-  for ``benchmarks/bench_serve_load.py`` (and as a fallback).
-
-Both speak the same endpoints:
+Endpoints:
 
 ====== ======================= =========================================
 Method Path                    Meaning
@@ -41,8 +39,10 @@ GET    ``/models``             Machine-readable model zoo.
 GET    ``/healthz``            Liveness probe.
 ====== ======================= =========================================
 
-Error mapping: malformed requests and unknown models are 400 with a
-JSON body (``PimsynError`` text), unknown ids/keys are 404, evicted
+Error mapping: malformed requests (a bad request line, a
+``Content-Length`` that is not a decimal byte count, a body that is
+not a JSON object) and unknown models are 400 with a JSON body
+(``PimsynError`` text), unknown ids/keys are 404, evicted
 job ids are 410, backpressure/quota rejections are 429 with
 ``Retry-After``, anything else is a 500 without a traceback leak.
 """
@@ -55,8 +55,7 @@ import socket
 import threading
 import time
 from http.client import responses as _REASONS
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.errors import PimsynError, SchedulerBusyError
@@ -70,7 +69,7 @@ DEFAULT_WAIT_SECONDS = 300.0
 KEEPALIVE_IDLE_SECONDS = 60.0
 
 #: (status, body bytes, extra headers) — the router's wire-agnostic
-#: response shape, rendered by each front end.
+#: response shape, rendered onto the wire by the front end.
 Response = Tuple[int, bytes, Dict[str, str]]
 
 
@@ -121,7 +120,7 @@ class ClientQuotas:
 
 
 class _Router:
-    """Wire-agnostic request handling shared by both front ends."""
+    """Wire-agnostic request handling behind the HTTP front end."""
 
     def __init__(
         self,
@@ -249,127 +248,16 @@ class _Router:
 
 
 # ----------------------------------------------------------------------
-# Threaded front end (http.server) — the measured baseline
-# ----------------------------------------------------------------------
-class SynthesisServer(ThreadingHTTPServer):
-    """Thread-per-connection server carrying the service state.
-
-    Superseded by :class:`AsyncSynthesisServer` as the default front
-    end; kept as the load-test baseline and as a fallback.
-    """
-
-    daemon_threads = True
-
-    def __init__(
-        self,
-        address: Tuple[str, int],
-        scheduler: JobScheduler,
-        store: ResultStore,
-        verbose: bool = False,
-        quota: Optional[int] = None,
-    ) -> None:
-        super().__init__(address, _Handler)
-        self.scheduler = scheduler
-        self.store = store
-        self.verbose = verbose
-        self.router = _Router(scheduler, store, ClientQuotas(quota))
-
-
-class _Handler(BaseHTTPRequestHandler):
-    server: SynthesisServer
-
-    # ------------------------------------------------------------------
-    # Plumbing
-    # ------------------------------------------------------------------
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if self.server.verbose:
-            super().log_message(format, *args)
-
-    def _send(self, response: Response) -> None:
-        status, body, headers = response
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in headers.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_body(self) -> Optional[Dict[str, Any]]:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length <= 0:
-            self._send(_error(400, "request body required"))
-            return None
-        if length > MAX_BODY_BYTES:
-            self._send(_error(413, "request body too large"))
-            return None
-        raw = self.rfile.read(length)
-        try:
-            payload = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            self._send(_error(400, f"invalid JSON body: {exc}"))
-            return None
-        if not isinstance(payload, dict):
-            self._send(_error(400, "body must be a JSON object"))
-            return None
-        return payload
-
-    def _client_id(self) -> str:
-        return self.headers.get(
-            "X-Client-Id", self.client_address[0]
-        )
-
-    # ------------------------------------------------------------------
-    # Routes
-    # ------------------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 (BaseHTTPRequestHandler API)
-        parsed = urlparse(self.path)
-        self._send(self.server.router.route_get(
-            parsed.path, parse_qs(parsed.query)
-        ))
-
-    def do_POST(self) -> None:  # noqa: N802
-        parsed = urlparse(self.path)
-        parts = [p for p in parsed.path.split("/") if p]
-        query = parse_qs(parsed.query)
-        router = self.server.router
-        if parts == ["store", "gc"]:
-            self._send(router.route_post_gc(query))
-            return
-        if parts != ["jobs"]:
-            self._send(_error(404, f"unknown path {parsed.path!r}"))
-            return
-        payload = self._read_body()
-        if payload is None:
-            return
-        wait, timeout, error = router.parse_wait(query)
-        if error is not None:
-            self._send(error)
-            return
-        record, error = router.submit(payload, self._client_id())
-        if error is not None:
-            self._send(error)
-            return
-        if wait:
-            # wait on the record object itself: immune to the history
-            # evicting this id mid-wait (wait-by-id returns None then).
-            record = self.server.scheduler.wait_record(
-                record, timeout=timeout
-            )
-        self._send(router.record_response(record))
-
-
-# ----------------------------------------------------------------------
-# Async front end (asyncio) — the default
+# The front end (asyncio)
 # ----------------------------------------------------------------------
 class AsyncSynthesisServer:
     """Single-event-loop HTTP/1.1 front end.
 
-    Interface-compatible with the threaded server where it matters:
+    Shaped like ``http.server``'s servers where it matters:
     ``server_address``, blocking ``serve_forever()`` (run it in a
     thread), thread-safe ``shutdown()``. The listening socket is bound
     at construction, so ``port=0`` resolves to a real port before the
-    loop starts — exactly like ``http.server``.
+    loop starts.
     """
 
     def __init__(
@@ -489,7 +377,16 @@ class AsyncSynthesisServer:
                     version.upper() == "HTTP/1.1"
                     and headers.get("connection", "").lower() != "close"
                 )
-                length = int(headers.get("content-length", 0) or 0)
+                length_text = headers.get("content-length") or "0"
+                if not (length_text.isascii() and length_text.isdigit()):
+                    await self._write(
+                        writer,
+                        _error(400, "malformed Content-Length header "
+                                    f"{length_text!r}"),
+                        keep_alive=False,
+                    )
+                    break
+                length = int(length_text)
                 if length > MAX_BODY_BYTES:
                     await self._write(
                         writer, _error(413, "request body too large"),
@@ -605,41 +502,22 @@ class AsyncSynthesisServer:
             delay = min(delay * 1.5, 0.05)
 
 
-ServerKind = Union[SynthesisServer, AsyncSynthesisServer]
-
-
 def make_server(
     host: str,
     port: int,
     scheduler: JobScheduler,
     store: ResultStore,
     verbose: bool = False,
-    kind: str = "async",
     quota: Optional[int] = None,
     reuse_port: bool = False,
-) -> ServerKind:
-    """Bind an API server (``port=0`` picks a free port).
+) -> AsyncSynthesisServer:
+    """Bind the API server (``port=0`` picks a free port).
 
-    ``kind`` selects the front end: ``"async"`` (default, asyncio) or
-    ``"threaded"`` (the legacy thread-per-connection baseline).
     ``quota`` caps each client's concurrently active jobs;
-    ``reuse_port`` (async only) sets ``SO_REUSEPORT`` so multiple
-    server processes can share the port.
+    ``reuse_port`` sets ``SO_REUSEPORT`` so multiple server processes
+    can share the port.
     """
-    if kind == "async":
-        return AsyncSynthesisServer(
-            (host, port), scheduler, store,
-            verbose=verbose, quota=quota, reuse_port=reuse_port,
-        )
-    if kind == "threaded":
-        if reuse_port:
-            raise PimsynError(
-                "reuse_port is only supported by the async front end"
-            )
-        return SynthesisServer(
-            (host, port), scheduler, store,
-            verbose=verbose, quota=quota,
-        )
-    raise PimsynError(
-        f"unknown server kind {kind!r}; choose 'async' or 'threaded'"
+    return AsyncSynthesisServer(
+        (host, port), scheduler, store,
+        verbose=verbose, quota=quota, reuse_port=reuse_port,
     )

@@ -8,12 +8,12 @@ the same fingerprint scheme as the executor's evaluation memo
 (:func:`repro.core.executor.model_fingerprint` /
 :func:`~repro.core.executor.params_fingerprint` /
 :func:`~repro.core.executor.config_fingerprint`). Execution-only knobs
-(``jobs``, pruning and the cycle-simulator ``sim_engine``) are
-excluded by construction, so the same request replayed with a
-different worker count — or a different event wheel — maps to the same
-stored result. The array engine of the batched DSE paths is no knob at
-all (whether numpy imports picks it), and neither is sharing the
-evaluation memo, so a request that names either is rejected as an
+(``jobs`` and pruning) are excluded by construction, so the same
+request replayed with a different worker count maps to the same stored
+result. The array engine of the batched DSE paths and the cycle
+simulator's event wheel are no knobs at all (what imports picks them),
+and neither is sharing the evaluation memo, so a request that names
+``backend``, ``sim_engine`` or ``share_eval_cache`` is rejected as an
 unknown override.
 
 :class:`JobRecord` is the scheduler-side lifecycle object: state

@@ -1,7 +1,11 @@
 """Execution engines for the cycle simulator's event wheel.
 
-A fixed table of three, selected by name (``SynthesisConfig.
-sim_engine``, ``repro simulate --engine``):
+A fixed table of three. Every simulator runs ``auto`` — the first of
+numba, numpy and python that imports (``SynthesisConfig.sim_engine``
+reports which); the ``engine=`` keyword of :class:`~repro.sim.cycle.
+simulator.CycleSimulator` and :func:`~repro.sim.cycle.validate.
+cross_validate` names one, which is how tests and benches hold each
+wheel to the oracle:
 
 - ``python`` — the object :class:`~repro.sim.cycle.machine.
   CycleMachine`, kept as the oracle every other engine is pinned
@@ -25,8 +29,7 @@ that is ``==``-identical to the oracle's, field for field — start and
 finish cycles, retire order, per-cause stall attribution, per-layer
 busy accounting and fault draws. Unknown names and unavailable
 engines raise :class:`~repro.errors.ConfigurationError` with an
-actionable message, so ``SynthesisConfig`` and ``repro simulate
---engine`` fail fast.
+actionable message, so a simulator fails fast when it is built.
 """
 
 from __future__ import annotations
@@ -129,9 +132,9 @@ class PreparedProgram:
 class CycleEngine:
     """Base class: a named way to run one prepared program."""
 
-    #: Table name (``--engine`` value).
+    #: Table name (the ``engine=`` value).
     name: str = ""
-    #: One-line description for ``--help`` and status tables.
+    #: One-line description for status tables.
     description: str = ""
 
     def available(self) -> bool:

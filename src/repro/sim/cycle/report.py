@@ -69,12 +69,6 @@ class CycleSimReport:
             raise SimulationError("power must be positive")
         return self.steady_tops / self.power
 
-    def stall_seconds(self) -> Dict[str, float]:
-        return {
-            kind: cycles * self.cycle_time
-            for kind, cycles in self.stall_cycles.items()
-        }
-
     def to_payload(self) -> Dict[str, object]:
         """JSON-safe, deterministic dict (dict order is insertion order,
         which is itself deterministic here)."""

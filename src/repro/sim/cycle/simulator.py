@@ -103,8 +103,7 @@ class CycleSimulator:
             macro_groups=self.macro_groups,
             noc=self.noc,
         )
-        # Fail fast on unknown/unavailable engines, mirroring
-        # SynthesisConfig's sim_engine validation.
+        # Fail fast on unknown/unavailable engines.
         get_engine(self.engine)
         self._prepared: Optional[PreparedProgram] = None
         self._prepared_host: Optional[Dict] = None

@@ -11,7 +11,7 @@ effects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Sequence
 
 from repro.core.component_alloc import ComponentAllocation
 from repro.errors import SimulationError
@@ -100,17 +100,3 @@ class IRLatencyModel:
             )
 
         raise SimulationError(f"no latency rule for {node.op}")
-
-    def layer_rate_table(self) -> Dict[int, Dict[str, float]]:
-        """Per-layer service rates (for reports and debugging)."""
-        table: Dict[int, Dict[str, float]] = {}
-        for geo, alloc in zip(
-            self.spec.geometries, self.allocation.layers
-        ):
-            table[geo.index] = {
-                "adc_instances": alloc.adc,
-                "alu_instances": alloc.alu,
-                "adc_resolution": float(alloc.adc_resolution),
-                "macros": float(len(self.macro_groups[geo.index])),
-            }
-        return table

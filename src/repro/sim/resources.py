@@ -98,10 +98,3 @@ class ResourcePool:
                 f"slot free at {slots[best]}, start {start}"
             )
         slots[best] = finish
-
-    def utilization_horizon(self) -> float:
-        """Latest availability time across all touched banks."""
-        latest = 0.0
-        for slots in self._free_at.values():
-            latest = max(latest, max(slots))
-        return latest

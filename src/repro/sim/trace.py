@@ -127,13 +127,6 @@ class SimTrace:
         """Completion time of the last IR."""
         return self._layer_index()[2]
 
-    def finish_of(self, node_id: int) -> float:
-        """Finish time of a node id (linear scan; test helper)."""
-        for entry in self.entries:
-            if entry.node.node_id == node_id:
-                return entry.finish
-        raise KeyError(f"node {node_id} not in trace")
-
     def by_resource(
         self,
     ) -> Dict[Tuple[ResourceKind, int], List[ScheduledNode]]:
@@ -156,14 +149,6 @@ class SimTrace:
         if layer not in starts:
             raise KeyError(f"layer {layer} not in trace")
         return starts[layer]
-
-    def busy_time(self, kind: ResourceKind, layer: int) -> float:
-        """Total occupied seconds of one bank (utilization metrics)."""
-        return sum(
-            e.duration
-            for e in self.entries
-            if resource_of(e.node) is kind and e.node.layer == layer
-        )
 
     def to_records(self) -> List[Dict[str, object]]:
         """The whole trace as JSON-safe dicts, in schedule order."""

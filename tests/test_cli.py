@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 from repro.nn import lenet5
 from repro.nn.onnx_io import save_model
@@ -117,17 +118,29 @@ class TestParser:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [
-        ["synthesize", "--model", "lenet5", "--power", "2"],
-        ["sweep", "--model", "lenet5", "--powers", "2"],
-    ], ids=("synthesize", "sweep"))
-    def test_backend_flag_is_a_usage_error(self, command, capsys):
-        """There is no engine to pick: whether numpy imports decides,
-        so ``--backend`` fails with argparse's usage error."""
+    @pytest.mark.parametrize("command, flag", [
+        (["synthesize", "--model", "lenet5", "--power", "2"],
+         ["--backend", "python"]),
+        (["sweep", "--model", "lenet5", "--powers", "2"],
+         ["--backend", "python"]),
+        (["serve", "--port", "0"], ["--server", "threaded"]),
+        (["simulate", "--model", "lenet5", "--power", "2", "--cycle"],
+         ["--engine", "python"]),
+    ], ids=("synthesize", "sweep", "serve-server", "simulate-engine"))
+    def test_backend_flag_is_a_usage_error(
+        self, command, flag, capsys, monkeypatch
+    ):
+        """There is no engine or front end to pick: what imports picks
+        the array engine and the event wheel, and serve has one HTTP
+        front end, so ``--backend``, ``--engine`` and ``--server`` fail
+        with argparse's usage error. The command itself is stubbed, so
+        a flag that parses fails the test instead of running a
+        synthesis or a server that never returns."""
+        monkeypatch.setitem(cli._COMMANDS, command[0], lambda _args: 0)
         with pytest.raises(SystemExit) as exc:
-            main(command + ["--backend", "python"])
+            main(command + flag)
         assert exc.value.code == 2
-        assert "unrecognized arguments: --backend python" in \
+        assert f"unrecognized arguments: {' '.join(flag)}" in \
             capsys.readouterr().err
 
     def test_gc_keep_memos_flag_is_a_usage_error(self, tmp_path, capsys):

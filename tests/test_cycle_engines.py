@@ -11,8 +11,13 @@ engine lookup to its fail-fast behavior.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +25,6 @@ from hypothesis import strategies as st
 
 from repro.core import Pimsyn, SynthesisConfig
 from repro.core.design_space import DesignSpace
-from repro.core.executor import config_fingerprint
 from repro.errors import ConfigurationError, SimulationError
 from repro.nn import zoo
 from repro.sim.cycle import (
@@ -319,14 +323,41 @@ class TestEngineRegistry:
         assert rows["python"][0] is True
 
     def test_config_validates_sim_engine(self):
-        with pytest.raises(
-            ConfigurationError, match=r"unknown cycle engine"
-        ):
-            SynthesisConfig.fast(sim_engine="no-such-wheel")
+        """The event wheel is no config field: naming it fails like
+        any unknown keyword."""
+        for build in (SynthesisConfig, SynthesisConfig.fast):
+            with pytest.raises(TypeError, match="sim_engine"):
+                build(sim_engine="python")
 
     def test_sim_engine_is_execution_only(self):
-        base = SynthesisConfig.fast(total_power=2.0)
-        pinned = SynthesisConfig.fast(
-            total_power=2.0, sim_engine="python"
+        """``sim_engine`` only reports the wheel ``auto`` resolves to:
+        no field, so no content key sees it, and nothing sets it."""
+        config = SynthesisConfig.fast(total_power=2.0)
+        assert config.sim_engine == resolve_engine_name("auto")
+        assert SynthesisConfig().sim_engine == resolve_engine_name("auto")
+        assert "sim_engine" not in {
+            f.name for f in dataclasses.fields(SynthesisConfig)
+        }
+        with pytest.raises(AttributeError):
+            config.sim_engine = "python"
+
+    def test_synthesis_never_loads_the_cycle_simulator(self):
+        """Building configs and synthesizing leave ``repro.sim`` out of
+        a fresh interpreter; only a replay loads it."""
+        script = (
+            "import sys\n"
+            "from repro.core import Pimsyn, SynthesisConfig\n"
+            "from repro.nn import lenet5\n"
+            "Pimsyn(lenet5(), SynthesisConfig.fast(total_power=2.0))"
+            ".synthesize()\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.split('.')[:2] == ['repro', 'sim']))\n"
         )
-        assert config_fingerprint(base) == config_fingerprint(pinned)
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True,
+            text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import signal
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,6 +54,11 @@ from repro.nn import lenet5
 
 def _config(**overrides) -> SynthesisConfig:
     return SynthesisConfig.fast(total_power=2.0, seed=7, **overrides)
+
+
+def _raise_interrupt(_signum, _frame):
+    """The CLI's SIGTERM handler, as a picklable module-level twin."""
+    raise KeyboardInterrupt
 
 
 def _run(model, config):
@@ -446,6 +453,26 @@ class TestInterrupt:
         with pytest.raises(SynthesisInterrupted):
             engine.run()
         assert terminated["called"]
+
+    def test_pool_workers_die_quietly_on_sigterm(self, lenet, capfd):
+        """``terminate()`` sends SIGTERM. A worker must not inherit the
+        parent's handler that turns it into a KeyboardInterrupt (the
+        CLI installs one), or each worker prints a traceback."""
+        previous = signal.signal(signal.SIGTERM, _raise_interrupt)
+        try:
+            executor = ProcessExecutor(lenet, _config(), jobs=2)
+            try:
+                assert executor._pool.apply_async(
+                    signal.getsignal, (signal.SIGTERM,)
+                ).get(timeout=60) == signal.SIG_DFL
+                for _ in range(2):
+                    executor._pool.apply_async(time.sleep, (30,))
+                time.sleep(0.5)  # let both workers pick up a sleep
+            finally:
+                executor.terminate()
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert "KeyboardInterrupt" not in capfd.readouterr().err
 
 
 class TestFingerprints:

@@ -181,32 +181,36 @@ class TestContentKeysBackendIndependent:
                 ) == self.PINNED_JOB_KEY_LENET5_FAST_2W
 
     def test_job_request_overrides_cannot_split_the_store(self):
-        """A request that *explicitly* picks an event wheel still maps
-        to the same stored result as one that says nothing."""
+        """A request that *explicitly* sets an execution-only knob
+        (pruning off) still maps to the same stored result as one that
+        says nothing."""
         from repro.serve.job import JobRequest
 
         base = JobRequest(model="lenet5", total_power=2.0)
         tuned = JobRequest(
             model="lenet5", total_power=2.0,
-            overrides={"sim_engine": "python"},
+            overrides={"prune_dominated": False},
         )
         assert base.content_key() == tuned.content_key()
         assert base.content_key() == self.PINNED_JOB_KEY_LENET5_FAST_2W
 
     def test_backend_override_is_rejected(self):
-        """``backend`` is no config field, so a request naming it fails
-        as an unknown override instead of being silently dropped."""
+        """``backend`` and ``sim_engine`` are no config fields (what
+        imports picks the array engine and the event wheel), so a
+        request naming either fails as an unknown override instead of
+        being silently dropped."""
         from repro.errors import ConfigurationError
         from repro.serve.job import JobRequest
 
-        with pytest.raises(
-            ConfigurationError,
-            match=r"unknown config overrides \['backend'\]",
-        ):
-            JobRequest(
-                model="lenet5", total_power=2.0,
-                overrides={"backend": "numpy"},
-            )
+        for name, value in (("backend", "numpy"), ("sim_engine", "python")):
+            with pytest.raises(
+                ConfigurationError,
+                match=rf"unknown config overrides \['{name}'\]",
+            ):
+                JobRequest(
+                    model="lenet5", total_power=2.0,
+                    overrides={name: value},
+                )
 
     def test_execution_only_fields_are_config_fields(self):
         """Every execution-only name is a live SynthesisConfig field, so
@@ -220,11 +224,12 @@ class TestContentKeysBackendIndependent:
         assert EXECUTION_ONLY_FIELDS <= names
 
     def test_execution_only_fields_cover_the_new_knobs(self):
-        """The event-wheel selector is execution-only; the SA proposal
+        """Worker count and pruning are execution-only; the SA proposal
         batch changes the walk, so it is result content. The array
-        engine is no field at all."""
+        engine and the event wheel are no fields at all."""
         from repro.core.executor import EXECUTION_ONLY_FIELDS
 
-        assert "sim_engine" in EXECUTION_ONLY_FIELDS
+        assert EXECUTION_ONLY_FIELDS == {"jobs", "prune_dominated"}
+        assert "sim_engine" not in EXECUTION_ONLY_FIELDS
         assert "backend" not in EXECUTION_ONLY_FIELDS
         assert "sa_proposal_batch" not in EXECUTION_ONLY_FIELDS

@@ -661,11 +661,14 @@ class TestApi:
         {"max_blocks_per_layer": 2.5},
         {"sa_cooling_rate": "0.9"},
         {"sa_alpha": float("nan")},
+        # The event wheel is no setting: naming it is an unknown
+        # override.
+        {"sim_engine": "python"},
     ], ids=[
         "sa_cooling_rate=1.5", "ea_population_size=0", "ea_patience='5'",
         "ea_patience=0", "ea_population_size='8'",
         "ea_max_generations=True", "max_blocks_per_layer=2.5",
-        "sa_cooling_rate='0.9'", "sa_alpha=nan",
+        "sa_cooling_rate='0.9'", "sa_alpha=nan", "sim_engine='python'",
     ])
     def test_bad_search_schedule_is_a_400_and_never_queued(
         self, service, config

@@ -9,15 +9,16 @@ Covers what the serve-tier rebuild changed above the store:
   uncounted ``peek`` and answers from a peer's result instead of
   recomputing; ``wait_for`` timeouts do not inflate the miss counter;
 - the asyncio front end itself: HTTP/1.1 keep-alive, oversized-body
-  413, bounded-queue 429 + ``Retry-After``, per-client quotas, and the
-  new ``GET /scheduler/stats`` / ``POST /store/gc`` endpoints;
-- ``make_server`` front-end selection (async default, threaded
-  baseline, SO_REUSEPORT gating).
+  413, malformed-``Content-Length`` 400, bounded-queue 429 +
+  ``Retry-After``, per-client quotas, and the new
+  ``GET /scheduler/stats`` / ``POST /store/gc`` endpoints;
+- ``make_server`` binding the one front end, with SO_REUSEPORT.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import socket
 import threading
 import urllib.error
@@ -32,7 +33,6 @@ from repro.serve import (
     JobRequest,
     JobScheduler,
     ResultStore,
-    SynthesisServer,
     make_server,
 )
 from repro.serve.api import _Router
@@ -304,22 +304,6 @@ class TestAsyncFrontEnd:
             finally:
                 server.shutdown()
 
-    def test_make_server_kinds(self, store):
-        with JobScheduler(store, autostart=False) as scheduler:
-            threaded = make_server(
-                "127.0.0.1", 0, scheduler, store, kind="threaded"
-            )
-            try:
-                assert isinstance(threaded, SynthesisServer)
-            finally:
-                threaded.server_close()
-            with pytest.raises(PimsynError):
-                make_server("127.0.0.1", 0, scheduler, store,
-                            kind="threaded", reuse_port=True)
-            with pytest.raises(PimsynError):
-                make_server("127.0.0.1", 0, scheduler, store,
-                            kind="carrier-pigeon")
-
     def test_keep_alive_serves_many_requests_per_connection(
         self, async_service
     ):
@@ -357,6 +341,36 @@ class TestAsyncFrontEnd:
             )
             response = sock.makefile("rb").readline()
         assert b"413" in response
+
+    @pytest.mark.parametrize("length", ["abc", "1e3", "-5"])
+    def test_malformed_content_length_is_400(
+        self, async_service, length, caplog
+    ):
+        """A Content-Length that is not a decimal byte count gets a JSON
+        400 naming the header and a closed connection, not an
+        unhandled exception in the connection callback."""
+        server, _scheduler, _store = async_service
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        with socket.create_connection(
+            server.server_address, timeout=10
+        ) as sock:
+            sock.sendall(
+                b"POST /jobs HTTP/1.1\r\nHost: t\r\n"
+                + f"Content-Length: {length}\r\n\r\n".encode()
+                + b"{}"
+            )
+            response = sock.makefile("rb").read()  # until the close
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        error = json.loads(body)["error"]
+        assert "Content-Length" in error and repr(length) in error
+        status, _headers, health = _http(server, "GET", "/healthz")
+        assert (status, health) == (200, {"ok": True})
+        assert not [
+            r for r in caplog.records
+            if r.name == "asyncio" and r.levelno >= logging.ERROR
+        ]
 
     def test_scheduler_stats_endpoint(self, async_service):
         server, scheduler, _store = async_service
@@ -467,33 +481,6 @@ class TestAsyncFrontEnd:
             assert "evicted" in body["error"]
             status, _h, _b = _http(server, "GET", "/jobs/never")
             assert status == 404
-        finally:
-            server.shutdown()
-            thread.join(timeout=10)
-            scheduler.shutdown(wait=True)
-
-    def test_threaded_baseline_serves_same_api(self, store):
-        scheduler = JobScheduler(store, workers=1, name="threaded")
-        server = make_server(
-            "127.0.0.1", 0, scheduler, store, kind="threaded"
-        )
-        thread = threading.Thread(
-            target=server.serve_forever, daemon=True
-        )
-        thread.start()
-        try:
-            _prestore(store, _request(power=2.0))
-            status, _h, record = _http(
-                server, "POST", "/jobs?wait=1",
-                body={"model": "lenet5", "power": 2.0, "seed": 7},
-            )
-            assert status == 200
-            assert record["state"] == "done"
-            assert record["cache_hit"] is True
-            status, _h, stats = _http(
-                server, "GET", "/scheduler/stats"
-            )
-            assert status == 200 and stats["store_hits"] == 1
         finally:
             server.shutdown()
             thread.join(timeout=10)
