@@ -17,9 +17,9 @@ applications to PIM architectures"; the CLI is that click:
   service (job queue + content-addressed result store + JSON API);
 - ``python -m repro batch --manifest sweep.yaml --store DIR`` — run a
   (model x power x config) manifest through the shared store;
-- ``python -m repro store stats|gc|migrate --store DIR`` — inspect a
-  result store, compact it (stale claims, dead memos), or move a
-  legacy flat-layout store into the sharded layout;
+- ``python -m repro store stats|gc --store DIR`` — inspect a result
+  store or compact it (stale claims, dead memos); opening a flat
+  (schema-1) store moves it into its shards first;
 - ``python -m repro tech list|show|export|compare`` — the device-
   technology registry: inspect profiles, export/load the JSON format,
   synthesize one model under every technology. ``--tech NAME`` on
@@ -415,11 +415,6 @@ def cmd_store(args) -> int:
         report = store.gc(stale_claims_after=args.stale_after)
         print(json.dumps(report.to_payload(), indent=2))
         return 0
-    if args.store_command == "migrate":
-        report = store.migrate()
-        print(json.dumps(report.to_payload(), indent=2))
-        print(f"store now sharded x{store.num_shards} at {store.root}")
-        return 0
     raise PimsynError(f"unknown store command {args.store_command!r}")
 
 
@@ -774,11 +769,6 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--stale-after", type=float, default=600.0,
                     help="claims older than this many seconds are "
                          "presumed orphaned")
-    store_sub.add_parser(
-        "migrate", help="move a legacy flat-layout store into the "
-                        "sharded layout (byte-identical documents)",
-        parents=[store_dir],
-    )
 
     tech = sub.add_parser(
         "tech", help="inspect and compare device-technology profiles"

@@ -49,7 +49,6 @@ from repro.serve.job import (
 from repro.serve.scheduler import JobScheduler
 from repro.serve.store import (
     GCReport,
-    MigrationReport,
     ResultStore,
     StoreStats,
     shard_of,
@@ -72,7 +71,6 @@ __all__ = [
     "result_payload",
     "JobScheduler",
     "GCReport",
-    "MigrationReport",
     "ResultStore",
     "StoreStats",
     "shard_of",

@@ -238,7 +238,16 @@ class JobScheduler:
             )
             self._records[record.id] = record
             self._inflight[key] = record
-        payload = self.store.get(key)
+        try:
+            payload = self.store.get(key)
+        except BaseException:
+            # The record was never queued: left registered, every later
+            # submit of the key would join it and drain() would wait
+            # on it forever.
+            with self._lock:
+                self._records.pop(record.id, None)
+                self._inflight.pop(key, None)
+            raise
         if payload is not None:
             self._finish_from_store(record, payload, source="store")
             return record

@@ -1,6 +1,6 @@
 """Persistent content-addressed result store (JSON on disk), sharded.
 
-Layout (schema 2) under one root directory — safe to share between
+One layout (schema 2) under one root directory — safe to share between
 schedulers, between processes, and between machines over a shared
 filesystem::
 
@@ -20,13 +20,15 @@ directory sizes (a million results spread over N directories instead
 of one) and gives every shard its own in-process lock, so concurrent
 memo merges and counter updates on different shards never contend.
 
-The **legacy flat layout** (schema 1: ``<root>/results``, ``memo``,
-``claims`` directly under the root) is still read transparently: every
-lookup falls back to the flat path, so opening a pre-sharding store
-serves byte-identical documents with no migration step.
-:meth:`ResultStore.migrate` moves the flat files into their shards
-(``os.replace`` — same bytes, same filesystem, atomic), and
-:meth:`ResultStore.gc` compacts the live tree: orphaned claims (stale,
+Every read path knows this layout alone. Opening a pre-sharding flat
+store (schema 1: ``results``, ``memo`` and ``claims`` directly under
+the root) first moves its files into their shards (``os.replace`` —
+same bytes, same filesystem, atomic); a shard copy already present
+wins, and flat claims are dropped. A missing or unreadable manifest is
+rebuilt from the shard directories when they are exactly ``00`` to
+``N-1``; otherwise opening raises :class:`ConfigurationError`, since
+guessing a count would re-shard the store and hide its keys.
+:meth:`ResultStore.gc` compacts the tree: orphaned claims (stale,
 crashed owners), memo snapshots whose result already exists, and
 leftover temp files.
 
@@ -38,7 +40,6 @@ because content-addressing makes them identical by construction.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import tempfile
@@ -96,7 +97,6 @@ class StoreStats:
     puts: int
     models: Dict[str, int]
     shards: int = 1
-    legacy_files: int = 0
 
     def to_payload(self) -> Dict[str, Any]:
         return {
@@ -110,7 +110,6 @@ class StoreStats:
             "puts": self.puts,
             "models": dict(self.models),
             "shards": self.shards,
-            "legacy_files": self.legacy_files,
         }
 
 
@@ -130,20 +129,29 @@ class GCReport:
         }
 
 
-@dataclass
-class MigrationReport:
-    """What one :meth:`ResultStore.migrate` pass moved."""
+def _is_key(key: str) -> bool:
+    return bool(key) and not any(c in key for c in "/\\.")
 
-    results: int = 0
-    memos: int = 0
-    claims_dropped: int = 0
 
-    def to_payload(self) -> Dict[str, int]:
-        return {
-            "results": self.results,
-            "memos": self.memos,
-            "claims_dropped": self.claims_dropped,
-        }
+def _listdir(directory: Path) -> List[str]:
+    """Entry names, or [] for a directory that is absent (or was just
+    removed by a concurrent opener)."""
+    try:
+        return sorted(os.listdir(directory))
+    except FileNotFoundError:
+        return []
+
+
+def _manifest_shards(manifest: Path) -> Optional[int]:
+    """The manifest's shard count; None when the file is missing or is
+    not a JSON object whose ``shards`` is an int in [1, 256]."""
+    try:
+        shards = json.loads(manifest.read_bytes()).get("shards")
+    except (FileNotFoundError, ValueError, AttributeError):
+        return None
+    if type(shards) is int and 1 <= shards <= 256:
+        return shards
+    return None
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -174,7 +182,8 @@ class ResultStore:
     Parameters
     ----------
     root:
-        Store directory (created as needed).
+        Store directory (created as needed). A flat (schema-1) store
+        there is moved into its shards before the constructor returns.
     shards:
         Shard count for a *new* store. An existing store's manifest
         always wins; passing a conflicting explicit count raises
@@ -188,10 +197,6 @@ class ResultStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.shards_dir = self.root / "shards"
-        # Legacy flat layout (schema 1) — read-only fallback.
-        self.legacy_results_dir = self.root / "results"
-        self.legacy_memo_dir = self.root / "memo"
-        self.legacy_claims_dir = self.root / "claims"
         self.num_shards = self._resolve_shards(shards)
         for index in range(self.num_shards):
             shard = self.shards_dir / f"{index:02x}"
@@ -204,39 +209,93 @@ class ResultStore:
         self._shard_locks = [
             threading.Lock() for _ in range(self.num_shards)
         ]
-        self._tomb_seq = itertools.count()
+        self._move_flat_layout()
 
     def _resolve_shards(self, requested: Optional[int]) -> int:
+        """The manifest's shard count; for a missing or unreadable
+        manifest, the count the shard directories spell out (and the
+        manifest is rewritten); for a root without shard directories,
+        ``requested`` or the default (a new store)."""
         manifest = self.root / _MANIFEST_NAME
-        try:
-            existing = json.loads(manifest.read_text("utf-8"))
-            current = int(existing["shards"])
-        except (FileNotFoundError, KeyError, ValueError,
-                json.JSONDecodeError):
-            current = None
-        if current is not None:
-            if requested is not None and requested != current:
-                raise ConfigurationError(
-                    f"store {self.root} was created with {current} "
-                    f"shards; reopening with shards={requested} would "
-                    "split the keyspace"
+        current = _manifest_shards(manifest)
+        if current is None:
+            names = _listdir(self.shards_dir)
+            # A new store's opener writes the manifest before its first
+            # shard directory, so directories seen here may belong to a
+            # concurrent opener whose manifest is now readable.
+            current = _manifest_shards(manifest)
+        if current is None:
+            if names:
+                if names != [f"{i:02x}" for i in range(len(names))]:
+                    raise ConfigurationError(
+                        f"store {self.root}: {_MANIFEST_NAME} is "
+                        "missing or unreadable and the entries of "
+                        f"shards/ ({names[0]} .. {names[-1]}, "
+                        f"{len(names)} of them) are not 00 to N-1; "
+                        f"restore {_MANIFEST_NAME} as "
+                        '{"schema": 2, "shards": N}'
+                    )
+                current = len(names)
+            else:
+                current = (
+                    DEFAULT_SHARDS if requested is None
+                    else int(requested)
                 )
-            return current
-        shards = DEFAULT_SHARDS if requested is None else int(requested)
-        if not 1 <= shards <= 256:
+                if not 1 <= current <= 256:
+                    raise ConfigurationError(
+                        "store shard count must be in [1, 256], got "
+                        f"{current}"
+                    )
+            _atomic_write(manifest, json.dumps(
+                {"schema": 2, "shards": current}
+            ).encode("utf-8"))
+        if requested is not None and requested != current:
             raise ConfigurationError(
-                f"store shard count must be in [1, 256], got {shards}"
+                f"store {self.root} was created with {current} "
+                f"shards; reopening with shards={requested} would "
+                "split the keyspace"
             )
-        _atomic_write(manifest, json.dumps(
-            {"schema": 2, "shards": shards}
-        ).encode("utf-8"))
-        return shards
+        return current
+
+    def _move_flat_layout(self) -> None:
+        """Move a flat (schema-1) store's files into their shards.
+
+        ``os.replace`` within one filesystem, so the bytes are
+        untouched. A shard copy already present wins; flat claims are
+        dropped (a pre-sharding scheduler's in-flight markers mean
+        nothing to this store); the emptied flat directories are
+        removed. Every opener runs this, and a file a concurrent
+        opener already moved is skipped, so when any constructor
+        returns, no flat document is left for a read to miss.
+        """
+        for sub in ("results", "memo"):
+            flat = self.root / sub
+            for name in _listdir(flat):
+                key, ext = os.path.splitext(name)
+                if ext != ".json" or not _is_key(key):
+                    continue
+                target = self._shard_dir(key) / sub / name
+                try:
+                    if target.exists():
+                        (flat / name).unlink()
+                    else:
+                        os.replace(flat / name, target)
+                except FileNotFoundError:
+                    continue
+        for name in _listdir(self.root / "claims"):
+            if name.endswith(".lock"):
+                (self.root / "claims" / name).unlink(missing_ok=True)
+        for sub in ("results", "memo", "claims"):
+            try:
+                (self.root / sub).rmdir()
+            except OSError:
+                pass  # absent, or holds files that are not documents
 
     # ------------------------------------------------------------------
     # Paths
     # ------------------------------------------------------------------
     def _validate_key(self, key: str) -> None:
-        if not key or any(c in key for c in "/\\."):
+        if not _is_key(key):
             raise ConfigurationError(f"malformed store key {key!r}")
 
     def _shard_lock(self, key: str) -> threading.Lock:
@@ -257,34 +316,19 @@ class ResultStore:
         self._validate_key(key)
         return self._shard_dir(key) / "claims" / f"{key}.lock"
 
-    def _legacy_result_path(self, key: str) -> Path:
-        self._validate_key(key)
-        return self.legacy_results_dir / f"{key}.json"
-
-    def _legacy_memo_path(self, key: str) -> Path:
-        self._validate_key(key)
-        return self.legacy_memo_dir / f"{key}.json"
-
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
     def contains(self, key: str) -> bool:
         """Existence check that does not touch the hit/miss counters."""
-        return (
-            self._result_path(key).exists()
-            or self._legacy_result_path(key).exists()
-        )
+        return self._result_path(key).exists()
 
     def _read_bytes(self, key: str) -> Optional[bytes]:
-        """Raw document (shard first, legacy fallback); no counters."""
-        for path in (
-            self._result_path(key), self._legacy_result_path(key)
-        ):
-            try:
-                return path.read_bytes()
-            except FileNotFoundError:
-                continue
-        return None
+        """Raw document; no counters."""
+        try:
+            return self._result_path(key).read_bytes()
+        except FileNotFoundError:
+            return None
 
     def get_bytes(self, key: str) -> Optional[bytes]:
         """The stored result document, verbatim (byte-identical)."""
@@ -329,15 +373,9 @@ class ResultStore:
         return path
 
     def keys(self) -> List[str]:
-        found = {
-            p.stem
-            for p in self.shards_dir.glob("*/results/*.json")
-        }
-        if self.legacy_results_dir.is_dir():
-            found.update(
-                p.stem for p in self.legacy_results_dir.glob("*.json")
-            )
-        return sorted(found)
+        return sorted(
+            p.stem for p in self.shards_dir.glob("*/results/*.json")
+        )
 
     def wait_for(
         self, key: str, timeout: float, poll: float = 0.02
@@ -457,6 +495,28 @@ class ResultStore:
     # ------------------------------------------------------------------
     # Evaluation memos (resuming an interrupted job)
     # ------------------------------------------------------------------
+    def _read_memo(
+        self, key: str
+    ) -> Tuple[List, List[Tuple[Hashable, float]]]:
+        """The one memo reader: the stored entries and their decoding.
+
+        A memo that is missing, torn, or of a shape that does not
+        decode into hashable keys and float values reads as absent
+        (``[], []``): the run it would have warmed goes cold, and the
+        next :meth:`merge_memo` replaces it.
+        """
+        try:
+            stored = json.loads(
+                self._memo_path(key).read_bytes()
+            )["entries"]
+            if not all(isinstance(pair, list) for pair in stored):
+                raise TypeError("memo entries are [key, value] pairs")
+            decoded = decode_memo_entries(stored)
+            dict(decoded)  # every key must hash
+        except (FileNotFoundError, KeyError, TypeError, ValueError):
+            return [], []
+        return stored, decoded
+
     def load_memo(
         self, key: str
     ) -> List[Tuple[Hashable, float]]:
@@ -465,15 +525,7 @@ class ResultStore:
         Only an interrupted job writes a memo (:meth:`merge_memo`), so
         a resubmission of its key resumes instead of restarting.
         """
-        for path in (
-            self._memo_path(key), self._legacy_memo_path(key)
-        ):
-            try:
-                raw = json.loads(path.read_text("utf-8"))
-            except (FileNotFoundError, json.JSONDecodeError):
-                continue
-            return decode_memo_entries(raw.get("entries", []))
-        return []
+        return self._read_memo(key)[1]
 
     def merge_memo(
         self,
@@ -484,79 +536,29 @@ class ResultStore:
 
         Read-merge-write under the key's *shard* lock (threads); the
         write itself is atomic, so a concurrent process-level merge can
-        at worst lose entries, never corrupt the file. A legacy flat
-        snapshot is folded in on first merge (the write always lands in
-        the shard).
+        at worst lose entries, never corrupt the file. A readable
+        snapshot keeps its stored entries verbatim; an unreadable one
+        is replaced.
         """
         if not entries:
             entries = []
         with self._shard_lock(key):
             merged: Dict[str, List] = {}
-            path = self._memo_path(key)
-            existing: List = []
-            for source in (path, self._legacy_memo_path(key)):
-                try:
-                    raw = json.loads(source.read_text("utf-8"))
-                    existing = raw.get("entries", [])
-                    break
-                except (FileNotFoundError, json.JSONDecodeError):
-                    continue
-            for encoded_key, value in existing:
+            for encoded_key, value in self._read_memo(key)[0]:
                 merged[json.dumps(encoded_key)] = [encoded_key, value]
             for encoded_key, value in encode_memo_entries(entries):
                 merged.setdefault(
                     json.dumps(encoded_key), [encoded_key, value]
                 )
             if merged:
-                _atomic_write(path, json.dumps(
+                _atomic_write(self._memo_path(key), json.dumps(
                     {"schema": 1, "entries": list(merged.values())}
                 ).encode("utf-8"))
             return len(merged)
 
     # ------------------------------------------------------------------
-    # Migration + compaction
+    # Compaction
     # ------------------------------------------------------------------
-    def migrate(self) -> MigrationReport:
-        """Move legacy flat-layout files into their shards.
-
-        ``os.replace`` within one filesystem: the document bytes are
-        untouched, and a reader switching from the legacy path to the
-        shard path mid-migration sees the file at one of the two (both
-        are checked on every read). Legacy claims are dropped — a
-        pre-sharding scheduler's in-flight markers are meaningless to
-        this store generation.
-        """
-        report = MigrationReport()
-        if self.legacy_results_dir.is_dir():
-            for path in sorted(self.legacy_results_dir.glob("*.json")):
-                target = self._result_path(path.stem)
-                if target.exists():
-                    path.unlink(missing_ok=True)
-                else:
-                    os.replace(path, target)
-                report.results += 1
-        if self.legacy_memo_dir.is_dir():
-            for path in sorted(self.legacy_memo_dir.glob("*.json")):
-                target = self._memo_path(path.stem)
-                if target.exists():
-                    path.unlink(missing_ok=True)
-                else:
-                    os.replace(path, target)
-                report.memos += 1
-        if self.legacy_claims_dir.is_dir():
-            for path in sorted(self.legacy_claims_dir.glob("*.lock")):
-                path.unlink(missing_ok=True)
-                report.claims_dropped += 1
-        for directory in (
-            self.legacy_results_dir, self.legacy_memo_dir,
-            self.legacy_claims_dir,
-        ):
-            try:
-                directory.rmdir()
-            except OSError:
-                pass  # not empty (new files raced in) or never existed
-        return report
-
     def gc(self, stale_claims_after: float = 600.0) -> GCReport:
         """Compact the store; never touches a result document.
 
@@ -571,28 +573,18 @@ class ResultStore:
         younger).
         """
         report = GCReport()
-        claim_dirs = list(self.shards_dir.glob("*/claims"))
-        if self.legacy_claims_dir.is_dir():
-            claim_dirs.append(self.legacy_claims_dir)
-        for claims in claim_dirs:
-            for path in claims.glob("*.lock"):
-                if self._claim_age(path) > stale_claims_after:
-                    if self._break_stale_claim(
-                        path, stale_claims_after
-                    ):
-                        report.stale_claims += 1
-        memo_dirs = list(self.shards_dir.glob("*/memo"))
-        if self.legacy_memo_dir.is_dir():
-            memo_dirs.append(self.legacy_memo_dir)
-        for memos in memo_dirs:
-            for path in memos.glob("*.json"):
-                if self.contains(path.stem):
-                    with self._shard_lock(path.stem):
-                        try:
-                            path.unlink()
-                        except OSError:
-                            continue
-                    report.orphaned_memos += 1
+        for path in self.shards_dir.glob("*/claims/*.lock"):
+            if self._claim_age(path) > stale_claims_after:
+                if self._break_stale_claim(path, stale_claims_after):
+                    report.stale_claims += 1
+        for path in self.shards_dir.glob("*/memo/*.json"):
+            if self.contains(path.stem):
+                with self._shard_lock(path.stem):
+                    try:
+                        path.unlink()
+                    except OSError:
+                        continue
+                report.orphaned_memos += 1
         now = time.time()
         for path in self.root.rglob(".*.tmp"):
             try:
@@ -628,17 +620,6 @@ class ResultStore:
         result_files = list(self.shards_dir.glob("*/results/*.json"))
         memo_files = list(self.shards_dir.glob("*/memo/*.json"))
         claims = len(list(self.shards_dir.glob("*/claims/*.lock")))
-        legacy_files = 0
-        if self.legacy_results_dir.is_dir():
-            legacy = list(self.legacy_results_dir.glob("*.json"))
-            result_files.extend(legacy)
-            legacy_files += len(legacy)
-        if self.legacy_memo_dir.is_dir():
-            legacy = list(self.legacy_memo_dir.glob("*.json"))
-            memo_files.extend(legacy)
-            legacy_files += len(legacy)
-        if self.legacy_claims_dir.is_dir():
-            claims += len(list(self.legacy_claims_dir.glob("*.lock")))
         models: Dict[str, int] = {}
         for path in result_files if include_models else ():
             try:
@@ -664,7 +645,6 @@ class ResultStore:
             puts=puts,
             models=models,
             shards=self.num_shards,
-            legacy_files=legacy_files,
         )
 
     def to_archive(self, capacity: int = 256) -> DesignArchive:

@@ -153,6 +153,14 @@ class TestParser:
         assert "unrecognized arguments: --keep-memos" in \
             capsys.readouterr().err
 
+    def test_store_migrate_is_a_usage_error(self, tmp_path, capsys):
+        """Opening a flat (schema-1) store moves it into its shards, so
+        there is no migrate step left to run."""
+        with pytest.raises(SystemExit) as exc:
+            main(["store", "migrate", "--store", str(tmp_path / "store")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'migrate'" in capsys.readouterr().err
+
 
 class TestTechCommand:
     def test_list(self, capsys):

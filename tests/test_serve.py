@@ -287,6 +287,42 @@ class TestScheduler:
                 _serial_solution().to_payload()
             )
 
+    def test_failing_store_read_leaves_no_phantom_job(self, store):
+        """A torn result document makes submit()'s store read raise;
+        the record it registered first must go with it, or every later
+        submit of the key joins a job that is never queued and drain()
+        never returns."""
+        key = _request().content_key()
+        store._result_path(key).write_bytes(b'{"schema": 1, "solu')
+        with JobScheduler(store, workers=1) as scheduler:
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    scheduler.submit(_request())
+            assert scheduler.stats()["records"] == 0
+            assert scheduler.drain(timeout=1)
+
+    def test_job_over_an_unreadable_memo_runs_cold(self, store, tmp_path):
+        """A memo of the wrong shape does not poison its key: the job
+        runs cold and stores the solution a fresh store computes."""
+        key = _request().content_key()
+        store._memo_path(key).write_text('{"entries": 5}')
+        cold_store = ResultStore(tmp_path / "cold")
+        with JobScheduler(cold_store, workers=1) as scheduler:
+            cold = scheduler.submit(_request())
+            scheduler.wait(cold.id, timeout=60)
+        with JobScheduler(store, workers=1) as scheduler:
+            record = scheduler.submit(_request())
+            scheduler.wait(record.id, timeout=60)
+        assert record.state == JobState.DONE, record.error
+        assert record.source == "computed"
+        assert store.get(key)["solution"] == (
+            cold_store.get(cold.key)["solution"]
+        )
+        assert record.report["cache_hits"] == cold.report["cache_hits"]
+        assert record.report["ea_evaluations"] == (
+            cold.report["ea_evaluations"]
+        )
+
     def test_inflight_duplicates_coalesce(self, store):
         scheduler = JobScheduler(store, workers=1, autostart=False)
         a = scheduler.submit(_request())
@@ -614,6 +650,7 @@ class TestApi:
         assert status == 200 and health == {"ok": True}
         status, stats = _get(server, "/store/stats")
         assert status == 200 and "results" in stats
+        assert "legacy_files" not in stats
         status, models = _get(server, "/models")
         names = [entry["name"] for entry in models["models"]]
         assert "lenet5" in names and "vgg16" in names

@@ -4,8 +4,12 @@ Pins the concurrency contracts the serve rebuild introduced:
 
 - the key->shard mapping is frozen (golden table) — changing it would
   orphan every stored result;
-- a legacy flat-layout (schema 1) store is read transparently and
-  migrates with byte-identical documents;
+- an unreadable manifest is rebuilt from the shard directories, never
+  replaced by a default count that would hide the store's keys;
+- opening a legacy flat-layout (schema 1) store moves it into its
+  shards with byte-identical documents, also when several threads and
+  processes open it at once;
+- a memo of any unreadable shape reads as absent;
 - breaking a stale claim is atomic: racing takeover attempts elect
   exactly one new owner and never unlink a *fresh* claim (the
   double-unlink bug that let two schedulers compute the same key);
@@ -18,12 +22,16 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import ConfigurationError
 from repro.serve import ResultStore, shard_of
 
@@ -100,9 +108,79 @@ class TestManifest:
         with pytest.raises(ConfigurationError):
             ResultStore(tmp_path / "b", shards=257)
 
+    #: On 4 shards all three keys sit in shards 0 and 3; a re-shard to
+    #: the default 16 would look for the first two in shards 11 and 12.
+    KEYS = ("7b" + "1" * 62, "1c" + "e" * 62, "00" + "0" * 62)
+
+    @pytest.mark.parametrize("body", [
+        b'{"schema": 2, "sha', b"[]", b'{"schema": 2, "shards": 0}',
+        b'{"shards": "x"}', None,
+    ], ids=("truncated", "list", "zero", "string", "deleted"))
+    def test_unreadable_manifest_is_rebuilt_from_shard_dirs(
+        self, tmp_path, body
+    ):
+        store = ResultStore(tmp_path, shards=4)
+        for key in self.KEYS:
+            store.put(key, _payload(key[:2]))
+        manifest = tmp_path / "store.json"
+        if body is None:
+            manifest.unlink()
+        else:
+            manifest.write_bytes(body)
+
+        reopened = ResultStore(tmp_path)
+        assert reopened.num_shards == 4
+        for key in self.KEYS:
+            assert reopened.get(key) == _payload(key[:2])
+        assert json.loads(manifest.read_text("utf-8")) == {
+            "schema": 2, "shards": 4,
+        }
+
+    def test_rebuilt_count_still_rejects_a_conflicting_count(
+        self, tmp_path
+    ):
+        ResultStore(tmp_path, shards=4)
+        (tmp_path / "store.json").unlink()
+        with pytest.raises(ConfigurationError, match="split"):
+            ResultStore(tmp_path, shards=8)
+        assert ResultStore(tmp_path, shards=4).num_shards == 4
+
+    def test_a_concurrent_new_store_is_not_taken_for_a_lost_manifest(
+        self, tmp_path, monkeypatch
+    ):
+        """A new store's opener writes the manifest before its first
+        shard directory. A second opener that read no manifest and then
+        lists a half-built ``shards/`` takes the manifest's count, not
+        the number of directories it saw."""
+        real_listdir = os.listdir
+
+        def listdir(path):
+            if Path(path) == tmp_path / "shards":
+                # the first opener lands between our two manifest reads
+                (tmp_path / "store.json").write_text(
+                    '{"schema": 2, "shards": 16}'
+                )
+                for index in range(3):
+                    (tmp_path / "shards" / f"{index:02x}").mkdir(
+                        parents=True
+                    )
+            return real_listdir(path)
+
+        monkeypatch.setattr(os, "listdir", listdir)
+        assert ResultStore(tmp_path).num_shards == 16
+
+    def test_gap_in_shard_dirs_raises_naming_the_manifest(
+        self, tmp_path
+    ):
+        ResultStore(tmp_path, shards=4)
+        (tmp_path / "store.json").write_bytes(b"{")
+        shutil.rmtree(tmp_path / "shards" / "02")
+        with pytest.raises(ConfigurationError, match="store.json"):
+            ResultStore(tmp_path)
+
 
 # ----------------------------------------------------------------------
-# Legacy flat layout: transparent reads + migration
+# Legacy flat layout: moved into the shards on open
 # ----------------------------------------------------------------------
 def _build_legacy_store(root: Path, keys) -> dict:
     """A schema-1 flat store as the pre-sharding code laid it out."""
@@ -125,10 +203,38 @@ def _build_legacy_store(root: Path, keys) -> dict:
     return documents
 
 
+def _tree(root: Path) -> dict:
+    """Every file under ``root`` with its bytes."""
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*")) if path.is_file()
+    }
+
+
+_FLAT_DIRS = ("results", "memo", "claims")
+
+#: Opens the store at argv[1] once the file argv[2] appears, then
+#: prints {key: document hex, or null on a miss} for the keys argv[3:].
+_OPENER = """
+import json, os, sys, time
+from repro.serve import ResultStore
+print("ready", flush=True)
+while not os.path.exists(sys.argv[2]):
+    time.sleep(0.001)
+store = ResultStore(sys.argv[1])
+documents = {key: store.get_bytes(key) for key in sys.argv[3:]}
+print(json.dumps({
+    key: None if data is None else data.hex()
+    for key, data in documents.items()
+}))
+"""
+
+
 class TestLegacyMigration:
     KEYS = ("00" + "a" * 62, "ff" + "b" * 62, "7b" + "c" * 62)
 
     def test_legacy_reads_without_migration(self, tmp_path):
+        """No migrate step: opening the store is enough."""
         documents = _build_legacy_store(tmp_path, self.KEYS)
         store = ResultStore(tmp_path)
         for key, data in documents.items():
@@ -137,58 +243,145 @@ class TestLegacyMigration:
         assert store.keys() == sorted(self.KEYS)
         stats = store.stats()
         assert stats.results == len(self.KEYS)
-        assert stats.legacy_files >= len(self.KEYS)
+        assert stats.memo_files == 1
+        assert "legacy_files" not in stats.to_payload()
 
     def test_migration_is_byte_identical(self, tmp_path):
         documents = _build_legacy_store(tmp_path, self.KEYS)
         store = ResultStore(tmp_path)
-        before = {key: store.get_bytes(key) for key in documents}
-
-        report = store.migrate()
-        assert report.results == len(self.KEYS)
-        assert report.memos == 1
-        assert report.claims_dropped == 1
-
         for key, data in documents.items():
-            assert store.get_bytes(key) == before[key] == data
-        assert store.keys() == sorted(self.KEYS)
-        # flat dirs are gone; the files now live in their shards
-        assert not (tmp_path / "results").exists()
-        assert not (tmp_path / "claims").exists()
-        assert store.stats().legacy_files == 0
+            assert store.get_bytes(key) == data
+        # flat dirs are gone, flat claims with them; the files now
+        # live in their shards
+        for sub in _FLAT_DIRS:
+            assert not (tmp_path / sub).exists()
+        assert store.stats().claims == 0
+        assert not store.claimed(self.KEYS[0])
         for key in self.KEYS:
             shard = f"{shard_of(key, store.num_shards):02x}"
             assert (
                 tmp_path / "shards" / shard / "results" / f"{key}.json"
-            ).is_file()
+            ).read_bytes() == documents[key]
 
     def test_migrated_store_reads_with_fresh_instance(self, tmp_path):
         documents = _build_legacy_store(tmp_path, self.KEYS)
-        ResultStore(tmp_path).migrate()
+        ResultStore(tmp_path)
         reopened = ResultStore(tmp_path)
         for key, data in documents.items():
             assert reopened.get_bytes(key) == data
-        assert len(reopened.load_memo(self.KEYS[0])) == 1
+        assert reopened.load_memo(self.KEYS[0]) == [(("k",), 1.5)]
 
     def test_migration_is_idempotent(self, tmp_path):
         _build_legacy_store(tmp_path, self.KEYS)
-        store = ResultStore(tmp_path)
-        store.migrate()
-        second = store.migrate()
-        assert second.to_payload() == {
-            "results": 0, "memos": 0, "claims_dropped": 0,
-        }
+        ResultStore(tmp_path)
+        before = _tree(tmp_path)
+        ResultStore(tmp_path)
+        assert _tree(tmp_path) == before
 
     def test_shard_write_wins_over_legacy_duplicate(self, tmp_path):
         key = self.KEYS[0]
-        _build_legacy_store(tmp_path, self.KEYS)
-        store = ResultStore(tmp_path)
-        sharded = store._result_path(key)
+        documents = _build_legacy_store(tmp_path, self.KEYS)
+        # as a release that read the flat layout in place left it: a
+        # manifest, and a shard copy beside the flat duplicate
+        (tmp_path / "store.json").write_text('{"schema": 2, "shards": 16}')
+        shard = f"{shard_of(key, 16):02x}"
+        sharded = tmp_path / "shards" / shard / "results" / f"{key}.json"
+        sharded.parent.mkdir(parents=True)
         sharded.write_bytes(b'{"schema": 1, "solution": {}}')
-        store.migrate()
-        # the shard copy was already authoritative; legacy dropped
-        assert store.get_bytes(key) == sharded.read_bytes()
+        store = ResultStore(tmp_path)
+        assert store.num_shards == 16
+        # the shard copy was already authoritative; the flat one dropped
+        assert store.get_bytes(key) == b'{"schema": 1, "solution": {}}'
+        assert store.get_bytes(self.KEYS[1]) == documents[self.KEYS[1]]
         assert not (tmp_path / "results").exists()
+
+    def test_concurrent_openers_all_read_every_document(self, tmp_path):
+        """Threads and processes open one flat store at once: each
+        open succeeds and reads every document byte-identically, and
+        no flat directory is left."""
+        root = tmp_path / "store"
+        keys = tuple(f"{i:02x}" + "c" * 62 for i in range(0, 256, 2))
+        documents = _build_legacy_store(root, keys)
+        go = tmp_path / "go"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-c", _OPENER, str(root), str(go),
+                 *keys],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True, env=env,
+            )
+            for _ in range(2)
+        ]
+        start = threading.Event()
+        reads, errors = [], []
+
+        def opener() -> None:
+            start.wait()
+            try:
+                store = ResultStore(root)
+                reads.append({key: store.get_bytes(key) for key in keys})
+            except Exception as exc:  # noqa: BLE001 — surfaced below
+                errors.append(repr(exc))
+
+        threads = [
+            threading.Thread(target=opener, daemon=True)
+            for _ in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        try:
+            for child in children:  # every child has imported repro
+                assert child.stdout.readline().strip() == "ready"
+        finally:
+            go.touch()
+            start.set()
+        for thread in threads:
+            thread.join(timeout=60)
+        for child in children:
+            out, err = child.communicate(timeout=60)
+            assert child.returncode == 0, err
+            hexes = json.loads(out)
+            reads.append({
+                key: None if data is None else bytes.fromhex(data)
+                for key, data in hexes.items()
+            })
+
+        assert not errors, errors[:3]
+        assert len(reads) == 6
+        for read in reads:
+            assert read == documents
+        for sub in _FLAT_DIRS:
+            assert not (root / sub).exists()
+
+
+# ----------------------------------------------------------------------
+# Memo shapes
+# ----------------------------------------------------------------------
+class TestMemoShapes:
+    KEY = "ab" * 32
+
+    @pytest.mark.parametrize("body", [
+        "[]", '{"entries": 5}', '{"entries": [[1]]}',
+        '{"entries": [[null, null]]}',
+    ], ids=("list", "int-entries", "short-pair", "null-pair"))
+    def test_unreadable_memo_reads_as_absent(self, tmp_path, body):
+        store = ResultStore(tmp_path)
+        store._memo_path(self.KEY).write_text(body)
+        assert store.load_memo(self.KEY) == []
+        # a merge replaces the unreadable memo
+        assert store.merge_memo(self.KEY, [(("k",), 1.0)]) == 1
+        assert store.load_memo(self.KEY) == [(("k",), 1.0)]
+
+    def test_readable_memo_keeps_its_stored_entries(self, tmp_path):
+        store = ResultStore(tmp_path)
+        path = store._memo_path(self.KEY)
+        path.write_text('{"schema": 1, "entries": [[["k"], 1]]}')
+        assert store.merge_memo(self.KEY, [(("j",), 2.0)]) == 2
+        entries = json.loads(path.read_text("utf-8"))["entries"]
+        assert entries == [[["k"], 1], [["j"], 2.0]]
+        assert type(entries[0][1]) is int
 
 
 # ----------------------------------------------------------------------
