@@ -35,8 +35,8 @@ it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, NamedTuple, Tuple
+from dataclasses import dataclass, fields
+from typing import List, NamedTuple, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -150,19 +150,23 @@ class TaskGrid:
 class PopulationContext:
     """Gene-independent context for fused population scoring.
 
-    Built once per (spec, budget, ResDAC) by
-    :class:`repro.core.batch_eval.BatchPerformanceEvaluator`; per-layer
-    arrays are numpy float64/int64, like :class:`TaskGrid`'s. The
-    inter-layer edges, in ``spec.model.interlayer_edges()`` order, come
-    as gene-free index arrays, so the kernel's Python loops run over
-    out-edge slots and topological levels rather than over layers and
-    edges:
+    Each row is one (spec, budget, ResDAC) evaluation function.
+    :class:`repro.core.batch_eval.BatchPerformanceEvaluator` builds a
+    one-row context per task, and :func:`stack_contexts` stacks the
+    rows of many tasks of one model, so one kernel call can score the
+    genes of many EA launches. Per-row arrays are numpy float64/int64
+    with a leading row axis, like :class:`TaskGrid`'s. The inter-layer
+    edges, in ``spec.model.interlayer_edges()`` order, are shared by
+    every row and come as gene-free index arrays, so the kernel's
+    Python loops run over out-edge slots and topological levels rather
+    than over layers and edges:
 
     * ``comm_producer`` / ``comm_consumer`` — every edge, grouped by
       producer (the §IV-B activation-transfer order); with them every
       edge's transfer time is one ``(population, E)`` array.
     * ``lat_producer`` / ``lat_fraction`` — every edge again, grouped
-      by consumer (the fine-grained pipeline forward pass).
+      by consumer (the fine-grained pipeline forward pass);
+      ``lat_fraction`` depends on the geometry, so it is per row.
     * ``out_slots`` — one ``(producers, edges)`` pair per out-edge slot
       ``k``: the producers with more than ``k`` out-edges and the
       ``comm_consumer`` position of each one's ``k``-th edge. Folding
@@ -174,11 +178,11 @@ class PopulationContext:
       ``d``-th in-edge, as a producer layer and a ``lat_*`` position;
       consumers with fewer than ``D`` in-edges repeat their first one,
       which cannot change a ``max``.
-    * ``merge_layers`` — the row-tiled layers (``row_tiles > 1``), the
-      only ones with a partial-sum merge term.
+    * ``merge_layers`` — per row, a mask of the row-tiled layers
+      (``row_tiles > 1``), the only ones with a partial-sum merge term.
     """
 
-    # Per-layer geometry / workload arrays (L,).
+    # Per-row, per-layer geometry / workload arrays (R, L).
     mvm: "object"  # float64 — exact MVM time per layer
     load_num: "object"  # float64 — load-bytes numerator
     store_num: "object"  # float64 — store-bytes numerator
@@ -189,27 +193,28 @@ class PopulationContext:
     adc_wl: "object"  # float64 — Eq. 5 ADC workload
     alu_wl: "object"  # float64 — Eq. 5 ALU workload
     adc_powers: "object"  # float64 — ADC power at required resolution
-    # Inter-layer edges.
+    merge_layers: "object"  # bool — row_tiles > 1
+    # Inter-layer edges (shared), and the per-row (R, E) fractions.
     comm_producer: "object"  # (E,) int64
     comm_consumer: "object"  # (E,) int64
     lat_producer: "object"  # (E,) int64
-    lat_fraction: "object"  # (E,) float64
+    lat_fraction: "object"  # (R, E) float64
     out_slots: Tuple[Tuple["object", "object"], ...]
     levels: Tuple[Tuple["object", "object", "object"], ...]
-    merge_layers: "object"  # (R,) int64
-    # Scalars.
-    denom: float  # Eq. 6 balanced-delay denominator
+    # Per-row scalars (R,) float64.
+    denom: "object"  # Eq. 6 balanced-delay denominator
+    crossbar_fixed: "object"
+    peripheral_power: "object"
+    adc_power_unit: "object"  # identical-macro ADC unit power (§V-C2)
+    rram_power: "object"
+    # Shared scalars.
     per_macro_fixed: float
-    crossbar_fixed: float
-    peripheral_power: float
     adc_rate: float
     alu_rate: float
     alu_power: float
-    adc_power_unit: float  # identical-macro ADC unit power (§V-C2)
     edram_bandwidth: float
     noc_port_bandwidth: float
     noc_hop_latency: float
-    rram_power: float
     macs2: float  # 2 * model MACs
     overlap_window: int
     enable_macro_sharing: bool
@@ -217,7 +222,65 @@ class PopulationContext:
 
     @property
     def num_layers(self) -> int:
-        return len(self.mvm)
+        return self.mvm.shape[1]
+
+    @property
+    def num_rows(self) -> int:
+        return self.mvm.shape[0]
+
+
+#: The PopulationContext fields with one entry per row.
+_ROW_FIELDS = frozenset({
+    "mvm", "load_num", "store_num", "total_blocks", "merge_rounds",
+    "per_round_num", "out_bytes", "adc_wl", "alu_wl", "adc_powers",
+    "merge_layers", "lat_fraction", "denom", "crossbar_fixed",
+    "peripheral_power", "adc_power_unit", "rram_power",
+})
+
+
+def _same(a, b) -> bool:
+    """Exact equality of two shared context fields (nested tuples of
+    arrays, arrays or scalars)."""
+    if isinstance(a, tuple):
+        return (isinstance(b, tuple) and len(a) == len(b)
+                and all(_same(x, y) for x, y in zip(a, b)))
+    if isinstance(a, _np.ndarray):
+        return (isinstance(b, _np.ndarray) and a.dtype == b.dtype
+                and _np.array_equal(a, b))
+    return type(a) is type(b) and a == b
+
+
+def stack_contexts(
+    contexts: Sequence[PopulationContext],
+) -> PopulationContext:
+    """One context holding the rows of ``contexts``, in order.
+
+    The shared fields (the model's edges and the hardware, model and
+    config scalars) must be equal in every context, or
+    :class:`~repro.errors.ConfigurationError` is raised: only tasks of
+    one model under one config stack.
+    """
+    if not contexts:
+        raise ConfigurationError("stack_contexts needs a context")
+    head = contexts[0]
+    values = {}
+    for spec in fields(PopulationContext):
+        name = spec.name
+        if name in _ROW_FIELDS:
+            continue
+        value = values[name] = getattr(head, name)
+        for context in contexts[1:]:
+            if not (context.num_layers == head.num_layers
+                    and _same(value, getattr(context, name))):
+                raise ConfigurationError(
+                    f"contexts differ in the shared field {name!r}: "
+                    "only one model's tasks under one config stack"
+                )
+    for name in _ROW_FIELDS:
+        values[name] = _np.concatenate(
+            [getattr(context, name) for context in contexts]
+        )
+    return PopulationContext(**values)
 
 
 @dataclass
@@ -333,11 +396,19 @@ def compute_bounds(grid: TaskGrid):
         )
 
 
-def score_population(ctx: PopulationContext, genes) -> PopulationScores:
+def score_population(
+    ctx: PopulationContext, genes, rows=None
+) -> PopulationScores:
     """Score a whole population of pairs-only genes at once: ``==``,
     on every field, to :meth:`repro.core.macro_partition.
     MacroPartitionExplorer.score` on each gene (``allocate_components``
-    then ``PerformanceEvaluator.evaluate``).
+    then ``PerformanceEvaluator.evaluate``) under its context row.
+
+    ``rows`` names each gene's row of ``ctx`` (a ``(population,)``
+    int array); without it every gene scores under row 0, the one
+    row of a single task's context. The kernel gathers each gene's
+    per-row arrays and scalars, and a gene's score never depends on
+    the other genes or rows in the call.
 
     Per-layer and per-edge quantities are whole ``(population,
     layers)`` and ``(population, edges)`` array ops over the
@@ -361,13 +432,16 @@ def score_population(ctx: PopulationContext, genes) -> PopulationScores:
     Validation is the caller's job:
     :meth:`~repro.core.batch_eval.BatchPerformanceEvaluator.
     evaluate_population` rejects what ``MacroPartition.from_gene``
-    rejects.
+    rejects, and row indices outside the context.
     """
     genes = _np.asarray(genes, dtype=_np.int64)
     pop, n = genes.shape
-    adc_wl = ctx.adc_wl[None, :]
-    alu_wl = ctx.alu_wl[None, :]
-    adc_powers = ctx.adc_powers
+    # One row broadcasts against the population; many are gathered.
+    take = slice(0, 1) if rows is None else _np.asarray(rows)
+    adc_wl = ctx.adc_wl[take]
+    alu_wl = ctx.alu_wl[take]
+    adc_powers = ctx.adc_powers[take]
+    total_blocks = ctx.total_blocks[take]
     with _np.errstate(all="ignore"):
         owners, is_owner, total_macros, group_start, group_len = (
             _decode(genes)
@@ -377,16 +451,17 @@ def score_population(ctx: PopulationContext, genes) -> PopulationScores:
         # -- Eq. 6 allocation + rule-b sharing ---------------------
         fixed = (
             total_macros.astype(_np.float64) * ctx.per_macro_fixed
-            + ctx.crossbar_fixed
+            + ctx.crossbar_fixed[take]
         )
-        available = ctx.peripheral_power - fixed
+        available = ctx.peripheral_power[take] - fixed
         feasible = available > 0.0
         if ctx.identical_macros:
+            adc_power_unit = ctx.adc_power_unit[take]
             macro_count = group_len  # every group has >= 1 macro
             adc_demand = (adc_wl / macro_count).max(axis=1)
             alu_demand = (alu_wl / macro_count).max(axis=1)
             adc_share_weight = (
-                ctx.adc_power_unit * adc_demand / ctx.adc_rate
+                adc_power_unit * adc_demand / ctx.adc_rate
             )
             alu_share_weight = (
                 ctx.alu_power * alu_demand / ctx.alu_rate
@@ -400,7 +475,7 @@ def score_population(ctx: PopulationContext, genes) -> PopulationScores:
                 available * alu_share_weight / weight_sum
             )
             per_macro_adc = adc_power_total / (
-                total_macros * ctx.adc_power_unit
+                total_macros * adc_power_unit
             )
             per_macro_alu = alu_power_total / (
                 total_macros * ctx.alu_power
@@ -414,11 +489,11 @@ def score_population(ctx: PopulationContext, genes) -> PopulationScores:
             alu_delay = alu_wl / (ctx.alu_rate * lanes)
             adc_alu_power = adc_power_total + alu_power_total
         else:
-            if ctx.denom <= 0:
-                # Gene-independent: the scalar path raises for
-                # every gene.
-                feasible = _np.zeros(pop, dtype=bool)
-            balanced_delay = ctx.denom / available
+            denom = ctx.denom[take]
+            # Gene-independent: the scalar path raises for every gene
+            # of a row whose denominator is not positive.
+            feasible = feasible & ~(denom <= 0)
+            balanced_delay = denom / available
             adc_alloc = adc_wl / (
                 ctx.adc_rate * balanced_delay
             )[:, None]
@@ -432,8 +507,8 @@ def score_population(ctx: PopulationContext, genes) -> PopulationScores:
             partner = _np.full((pop, n), -1, dtype=_np.int64)
             if ctx.enable_macro_sharing:
                 a_j = _np.take_along_axis(adc_alloc, owners, axis=1)
-                p_j = adc_powers[owners]
-                p_i = adc_powers[None, :]
+                p_j = _np.take_along_axis(adc_powers, owners, axis=1)
+                p_i = adc_powers
                 separate = p_j * a_j + p_i * adc_alloc
                 merged = _np.maximum(p_j, p_i) * _np.maximum(
                     a_j, adc_alloc
@@ -479,9 +554,10 @@ def score_population(ctx: PopulationContext, genes) -> PopulationScores:
 
             # Power drawn: a shared bank is counted once, at the
             # pair's first (owner-side) index.
-            solo = (adc_powers[None, :] * adc_alloc) * scale
+            solo = (adc_powers * adc_alloc) * scale
             pair = _np.maximum(
-                adc_powers[None, :], adc_powers[partner_idx]
+                adc_powers,
+                _np.take_along_axis(adc_powers, partner_idx, axis=1),
             ) * bank
             counted = ~has_partner | (
                 partner_idx > layer_idx[None, :]
@@ -498,8 +574,8 @@ def score_population(ctx: PopulationContext, genes) -> PopulationScores:
 
         # -- §IV-B stage times -------------------------------------
         bandwidth = ctx.edram_bandwidth * group_len
-        load = ctx.load_num[None, :] / bandwidth
-        store = ctx.store_num[None, :] / bandwidth
+        load = ctx.load_num[take] / bandwidth
+        store = ctx.store_num[take] / bandwidth
         cols = _np.maximum(
             1,
             _np.ceil(
@@ -508,18 +584,17 @@ def score_population(ctx: PopulationContext, genes) -> PopulationScores:
         )[:, None]
         # Partial-sum merge of the row-tiled layers spanning more
         # than one macro; comm starts here, as 0.0 + merge == merge.
-        comm = _np.zeros((pop, n), dtype=_np.float64)
-        tiled = ctx.merge_layers
-        length = group_len[:, tiled]
-        start = group_start[:, tiled]
-        neighbor = _hops(start, start + 1, cols)
-        per_round_bytes = ctx.per_round_num[tiled] / length
-        per_block = ctx.merge_rounds[tiled] * (
+        neighbor = _hops(group_start, group_start + 1, cols)
+        per_round_bytes = ctx.per_round_num[take] / group_len
+        per_block = ctx.merge_rounds[take] * (
             per_round_bytes / ctx.noc_port_bandwidth
             + _np.maximum(1, neighbor) * ctx.noc_hop_latency
         )
-        merge_time = ctx.total_blocks[tiled] * per_block
-        comm[:, tiled] = _np.where(length > 1, merge_time, 0.0)
+        comm = _np.where(
+            ctx.merge_layers[take] & (group_len > 1),
+            total_blocks * per_block,
+            0.0,
+        )
 
         # Activation transfers of every inter-layer edge at once:
         # the four-corner hop minimum between the group ranges' end
@@ -538,10 +613,10 @@ def score_population(ctx: PopulationContext, genes) -> PopulationScores:
             _np.minimum(_manhattan(s0, d1), _manhattan(s1, d1)),
         )
         ports = _np.minimum(group_len[:, src], group_len[:, dst])
-        serialization = ctx.out_bytes[src] / (
+        serialization = ctx.out_bytes[take][:, src] / (
             ctx.noc_port_bandwidth * ports
         )
-        head = (ctx.total_blocks[src] * hops) * ctx.noc_hop_latency
+        head = (total_blocks[:, src] * hops) * ctx.noc_hop_latency
         # An edge inside one macro group moves nothing; its +0.0
         # term leaves the never-negative comm bit-for-bit unchanged.
         transfer = _np.where(
@@ -552,7 +627,7 @@ def score_population(ctx: PopulationContext, genes) -> PopulationScores:
         for producers, edges in ctx.out_slots:
             comm[:, producers] = comm[:, producers] + transfer[:, edges]
 
-        stage_total = _np.maximum(ctx.mvm[None, :], adc_delay)
+        stage_total = _np.maximum(ctx.mvm[take], adc_delay)
         stage_total = _np.maximum(stage_total, alu_delay)
         stage_total = _np.maximum(stage_total, load)
         stage_total = _np.maximum(stage_total, store)
@@ -566,7 +641,7 @@ def score_population(ctx: PopulationContext, genes) -> PopulationScores:
         # start + stage * fraction. Every candidate is a
         # non-negative start plus a non-negative share, so the
         # oracle's 0.0 seed never changes the max.
-        shares = stage_total[:, ctx.lat_producer] * ctx.lat_fraction
+        shares = stage_total[:, ctx.lat_producer] * ctx.lat_fraction[take]
         starts = _np.zeros((pop, n), dtype=_np.float64)
         for consumers, producers, edges in ctx.levels:
             starts[:, consumers] = (
@@ -575,7 +650,7 @@ def score_population(ctx: PopulationContext, genes) -> PopulationScores:
         latency = (starts + stage_total).max(axis=1)
 
         # -- power account + derived metrics -----------------------
-        power = ctx.rram_power + (fixed + adc_alu_power)
+        power = ctx.rram_power[take] + (fixed + adc_alu_power)
         throughput = 1.0 / period
         tops = ctx.macs2 / period / 1e12
         tops_per_watt = _np.where(power > 0, tops / power, 0.0)

@@ -11,11 +11,14 @@ elementwise array formulas.
 :class:`BatchPerformanceEvaluator` evaluates a whole population of
 macro-partition genes in one pass: geometries, workloads and every
 other gene-independent quantity are precomputed once per (spec, budget,
-ResDAC) context into a :class:`repro.core.backend.PopulationContext`,
-and the per-gene work — group sizing, fixed overhead, the Eq. 6
-balanced delay, the ADC-sharing post-pass, stage times, the
-fine-grained pipeline latency and the power account — runs as the one
-fused numpy kernel :func:`repro.core.backend.score_population`.
+ResDAC) context into one row of a :class:`repro.core.backend.
+PopulationContext`, and the per-gene work — group sizing, fixed
+overhead, the Eq. 6 balanced delay, the ADC-sharing post-pass, stage
+times, the fine-grained pipeline latency and the power account — runs
+as the one fused numpy kernel :func:`repro.core.backend.
+score_population`. :meth:`BatchPerformanceEvaluator.stack` stacks the
+rows of many tasks of one model, so the lock-stepped EA launches of a
+DSE wave score all their genes in one call.
 
 Exactness contract
 ------------------
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 # The numpy gate is shared with every batched path (grid_eval, the SA
 # filter) through repro.core.backend — one switch to stub or
@@ -59,6 +62,7 @@ from repro.core.backend import (
     PopulationContext,
     numpy_module,
     score_population,
+    stack_contexts,
 )
 
 from repro.core.component_alloc import (
@@ -107,7 +111,8 @@ class BatchEvaluation:
 
 
 class BatchPerformanceEvaluator:
-    """Scores whole gene populations for one (spec, budget, ResDAC).
+    """Scores whole gene populations for one (spec, budget, ResDAC), or
+    for several at once when stacked (:meth:`stack`).
 
     Parameters mirror the knobs :meth:`MacroPartitionExplorer.score`
     reads from :class:`repro.core.config.SynthesisConfig`:
@@ -149,7 +154,7 @@ class BatchPerformanceEvaluator:
     @property
     def context(self) -> PopulationContext:
         """The gene-independent scoring context handed to the kernel
-        (one per evaluator)."""
+        (one per evaluator; one row unless stacked)."""
         return self._ctx
 
     def _precompute(self) -> None:
@@ -314,43 +319,67 @@ class BatchPerformanceEvaluator:
         rram_power = used_crossbars * params.crossbar_power_of(xb_size)
         macs2 = 2.0 * model_macs(spec.model)
 
+        # One row: per-layer arrays and per-task scalars gain a
+        # leading row axis (see PopulationContext).
+        def row(values, dtype=np.float64):
+            return np.array([values], dtype=dtype)
+
         self._ctx = PopulationContext(
-            mvm=mvm,
-            load_num=load_num,
-            store_num=store_num,
-            total_blocks=total_blocks,
-            merge_rounds=merge_rounds,
-            per_round_num=per_round_num,
-            out_bytes=out_bytes,
-            adc_wl=np.array(adc_wl, dtype=np.float64),
-            alu_wl=np.array(alu_wl, dtype=np.float64),
-            adc_powers=np.array(adc_powers, dtype=np.float64),
+            mvm=mvm[None],
+            load_num=load_num[None],
+            store_num=store_num[None],
+            total_blocks=total_blocks[None],
+            merge_rounds=merge_rounds[None],
+            per_round_num=per_round_num[None],
+            out_bytes=out_bytes[None],
+            adc_wl=row(adc_wl),
+            alu_wl=row(alu_wl),
+            adc_powers=row(adc_powers),
+            merge_layers=(row_tiles > 1)[None],
             comm_producer=np.repeat(
                 np.arange(n, dtype=np.int64), out_degree
             ),
             comm_consumer=np.asarray(comm_consumer, dtype=np.int64),
             lat_producer=lat_producer,
-            lat_fraction=np.asarray(lat_fraction, dtype=np.float64),
+            lat_fraction=row(lat_fraction),
             out_slots=tuple(out_slots),
             levels=tuple(levels),
-            merge_layers=np.flatnonzero(row_tiles > 1),
-            denom=denom,
+            denom=row(denom),
+            crossbar_fixed=row(crossbar_fixed),
+            peripheral_power=row(budget.peripheral_power),
+            adc_power_unit=row(adc_power_unit),
+            rram_power=row(rram_power),
             per_macro_fixed=per_macro_fixed,
-            crossbar_fixed=crossbar_fixed,
-            peripheral_power=budget.peripheral_power,
             adc_rate=adc_rate,
             alu_rate=alu_rate,
             alu_power=params.alu_power,
-            adc_power_unit=adc_power_unit,
             edram_bandwidth=params.edram_bandwidth,
             noc_port_bandwidth=params.noc_port_bandwidth,
             noc_hop_latency=params.noc_hop_latency,
-            rram_power=rram_power,
             macs2=macs2,
             overlap_window=self.overlap_window,
             enable_macro_sharing=self.enable_macro_sharing,
             identical_macros=self.identical_macros,
         )
+
+    @classmethod
+    def stack(
+        cls, evaluators: Sequence["BatchPerformanceEvaluator"]
+    ) -> "BatchPerformanceEvaluator":
+        """One evaluator over the context rows of ``evaluators``, in
+        order (:func:`repro.core.backend.stack_contexts`): its
+        :meth:`evaluate_population` scores each gene under the row its
+        ``rows`` entry names. The evaluators must score one model's
+        tasks under one config. A single evaluator is its own stack.
+        """
+        if len(evaluators) == 1:
+            return evaluators[0]
+        stacked = cls.__new__(cls)
+        stacked.num_layers = evaluators[0].num_layers
+        stacked._ctx = stack_contexts(
+            [evaluator.context for evaluator in evaluators]
+        )
+        return stacked
 
     # ------------------------------------------------------------------
     # Gene validation (host-side; the kernel assumes well-formed genes)
@@ -387,9 +416,14 @@ class BatchPerformanceEvaluator:
     # Public API
     # ------------------------------------------------------------------
     def evaluate_population(
-        self, genes: Sequence[Gene]
+        self, genes: Sequence[Gene], rows: Optional[Sequence[int]] = None
     ) -> BatchEvaluation:
-        """Score every gene; metrics are 0.0 where infeasible."""
+        """Score every gene; metrics are 0.0 where infeasible.
+
+        ``rows`` names each gene's context row (a :meth:`stack` of
+        several tasks' evaluators); without it every gene scores under
+        row 0.
+        """
         np = numpy_module()
         if len(genes) == 0:
             empty = np.zeros(0, dtype=np.float64)
@@ -408,7 +442,16 @@ class BatchPerformanceEvaluator:
                 f"{self.num_layers} layers"
             )
         self._validate_population(genes_arr)
-        scores = score_population(self._ctx, genes_arr)
+        if rows is not None:
+            rows = np.asarray(rows, dtype=np.int64)
+            if rows.shape != (len(genes_arr),) or not (
+                0 <= rows.min() and rows.max() < self._ctx.num_rows
+            ):
+                raise ConfigurationError(
+                    f"rows must name one of the {self._ctx.num_rows} "
+                    f"context rows for each of {len(genes_arr)} genes"
+                )
+        scores = score_population(self._ctx, genes_arr, rows)
         return BatchEvaluation(
             feasible=scores.feasible,
             fitness=scores.fitness,
@@ -424,6 +467,8 @@ class BatchPerformanceEvaluator:
             num_macros=scores.num_macros,
         )
 
-    def fitness_of(self, genes: Sequence[Gene]) -> List[float]:
+    def fitness_of(
+        self, genes: Sequence[Gene], rows: Optional[Sequence[int]] = None
+    ) -> List[float]:
         """EA-facing adapter: population fitness as plain floats."""
-        return [float(f) for f in self.evaluate_population(genes).fitness]
+        return self.evaluate_population(genes, rows).fitness.tolist()

@@ -12,7 +12,7 @@ through a pluggable executor:
 - :class:`ProcessExecutor` fans them out over a ``multiprocessing`` pool
   (``jobs>1``), each worker holding its own :class:`_TaskRunner`.
 
-Six properties make the engine safe to parallelize and to accelerate:
+Seven properties make the engine safe to parallelize and to accelerate:
 
 1. **Determinism** — task RNGs are spawned from the master seed by a
    content label, so a task's outcome is identical no matter which
@@ -22,7 +22,11 @@ Six properties make the engine safe to parallelize and to accelerate:
    throughput upper bound (:func:`repro.core.evaluator.
    throughput_upper_bound`) is compared against the incumbent; tasks
    that provably cannot win are skipped. Tasks are evaluated in
-   descending-bound order so a strong incumbent appears early.
+   descending-bound order so a strong incumbent appears early. The
+   check runs when a wave is assembled (property 7), against the
+   incumbent of the waves before it, so even at ``jobs=1`` a wave may
+   launch a task that a one-at-a-time walk would prune. A pruned task
+   still cannot win, so the winner does not depend on the wave size.
 3. **Content-keyed memoization** — each :class:`_TaskRunner` keeps one
    dict of EA fitness values (and NSGA-II vectors) under ``(model,
    hardware params, design point, gene)`` fingerprints, which the
@@ -30,8 +34,8 @@ Six properties make the engine safe to parallelize and to accelerate:
    in-process memo to its caller (:class:`repro.errors.
    SynthesisInterrupted`), and a run pre-filled with it (``warm_memo``)
    replays the finished tasks without re-running component allocation.
-4. **Batched population scoring** — when numpy imports, each EA
-   launch scores whole generations through the batched engine of
+4. **Batched population scoring** — when numpy imports, EA launches
+   score whole generations through the batched engine of
    :mod:`repro.core.batch_eval`; without numpy, one gene at a time
    through the scalar oracle. The two are bit-identical, so whether
    numpy imports never enters a content key; serial and
@@ -50,6 +54,14 @@ Six properties make the engine safe to parallelize and to accelerate:
    them into at most ``jobs`` contiguous chunks, one worker call each.
    Every chain keeps its ``sa:{point}`` RNG and its own walk, so
    candidate lists do not depend on the chunking.
+7. **Lock-stepped EA waves** — the queue goes out in waves of ``jobs
+   * WAVE_TASKS_PER_JOB`` non-dominated tasks, cut into at most
+   ``jobs`` contiguous chunks, one :meth:`_TaskRunner.run_tasks` call
+   each. A chunk's launches run in lock-step
+   (:func:`repro.core.macro_partition.explore_together`): one scoring
+   call per generation for all of them, over their stacked contexts
+   when numpy imports. Every launch keeps its ``ea:{...}`` RNG, memo
+   keys and counts, so its outcome does not depend on the chunking.
 
 Every future scaling direction (sharding the queue across hosts, async
 backends, multi-accelerator evaluation) plugs in behind the same
@@ -85,7 +97,11 @@ from repro.core.dataflow import make_spec
 from repro.core.design_space import DesignPoint, DesignSpace
 from repro.core.evaluator import throughput_upper_bound
 from repro.core.grid_eval import GridBoundEvaluator
-from repro.core.macro_partition import MacroPartition, MacroPartitionExplorer
+from repro.core.macro_partition import (
+    MacroPartition,
+    MacroPartitionExplorer,
+    explore_together,
+)
 from repro.core.pareto import ParetoPoint, ParetoSolutionSet, merge_fronts
 from repro.core.solution import SynthesisSolution
 from repro.core.weight_duplication import (
@@ -305,6 +321,11 @@ class TaskOutcome:
     cache_hits: int = 0
 
 
+#: Tasks per worker in one wave of the EA queue (module docstring,
+#: properties 2 and 7).
+WAVE_TASKS_PER_JOB = 8
+
+
 def _dominated(bound: float, index: int, incumbent: TaskOutcome) -> bool:
     """The dispatch-time pruning rule: a task whose analytical ``bound``
     falls short of the incumbent's fitness, or ties it from a larger
@@ -485,28 +506,51 @@ class _TaskRunner:
             enable_macro_sharing=self.config.enable_macro_sharing,
         )
 
-    def run_task(self, task: EvaluationTask) -> TaskOutcome:
-        """Run one EA launch end to end; never raises for infeasibility."""
-        explorer = self.make_explorer(task)
-        outcome = TaskOutcome(index=task.index)
-        try:
-            partition, _allocation, result = explorer.explore()
-        except InfeasibleError:
-            pass
-        else:
-            outcome.feasible = True
-            outcome.fitness = result.fitness
-            outcome.gene = partition.gene
-            outcome.throughput = result.throughput
-            outcome.power = result.power
-            outcome.tops_per_watt = result.tops_per_watt
-            outcome.latency = result.latency
-            outcome.num_macros = partition.num_macros
-        report = explorer.last_report
-        if report is not None:
-            outcome.ea_evaluations = report.evaluations
-            outcome.cache_hits = report.cache_hits
-        return outcome
+    def run_tasks(
+        self, tasks: Sequence[EvaluationTask]
+    ) -> List[TaskOutcome]:
+        """Run the EA launches of ``tasks`` in lock-step
+        (:func:`repro.core.macro_partition.explore_together`); one
+        outcome per task, in order. Never raises for infeasibility.
+
+        Each launch keeps its ``ea:{...}`` RNG, memo keys and counts,
+        so its outcome does not depend on which tasks share the call.
+        """
+        explorers = [self.make_explorer(task) for task in tasks]
+        outcomes = []
+        for task, explorer, found in zip(
+            tasks, explorers, explore_together(explorers)
+        ):
+            outcome = TaskOutcome(
+                index=task.index,
+                ea_evaluations=explorer.last_report.evaluations,
+                cache_hits=explorer.last_report.cache_hits,
+            )
+            if found is not None:
+                partition, _allocation, result = found
+                outcome.feasible = True
+                outcome.fitness = result.fitness
+                outcome.gene = partition.gene
+                outcome.throughput = result.throughput
+                outcome.power = result.power
+                outcome.tops_per_watt = result.tops_per_watt
+                outcome.latency = result.latency
+                outcome.num_macros = partition.num_macros
+            outcomes.append(outcome)
+        return outcomes
+
+
+def _chunks(items: Sequence, count: int) -> List[Sequence]:
+    """``items`` cut into at most ``count`` contiguous, non-empty
+    chunks whose sizes differ by at most one, in order."""
+    size, extra = divmod(len(items), count)
+    chunks, start = [], 0
+    for chunk in range(count):
+        stop = start + size + (chunk < extra)
+        if stop > start:
+            chunks.append(items[start:stop])
+        start = stop
+    return chunks
 
 
 # ----------------------------------------------------------------------
@@ -600,17 +644,11 @@ class ProcessExecutor:
         """Stage 1 over at most ``jobs`` contiguous chunks of
         ``points``, one lock-stepped worker call per chunk; results
         come back in point order."""
-        size, extra = divmod(len(points), self.jobs)
-        chunks, start = [], 0
-        for worker in range(self.jobs):
-            stop = start + size + (worker < extra)
-            if stop > start:
-                chunks.append(points[start:stop])
-            start = stop
         return [
             candidates
             for chunk in self._pool.map(
-                partial(_worker_call, "filter_candidates"), chunks
+                partial(_worker_call, "filter_candidates"),
+                _chunks(points, self.jobs),
             )
             for candidates in chunk
         ]
@@ -631,6 +669,29 @@ class ProcessExecutor:
         if not self._terminated:
             self._pool.close()
             self._pool.join()
+
+
+@contextmanager
+def _signals_ignored() -> Iterator[None]:
+    """Ignore SIGINT and SIGTERM for the block, then restore the
+    previous handlers. Pool teardown runs under it: ``timeout -s INT``
+    sends a second SIGINT, which must not interrupt ``terminate()``
+    half way. Handlers can only be set on the main thread, so other
+    threads run the block unchanged."""
+    import signal
+    import threading
+
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    names = (signal.SIGINT, signal.SIGTERM)
+    previous = [signal.signal(name, signal.SIG_IGN) for name in names]
+    try:
+        yield
+    finally:
+        for name, handler in zip(names, previous):
+            if handler is not None:  # None: not set from Python
+                signal.signal(name, handler)
 
 
 # ----------------------------------------------------------------------
@@ -693,7 +754,8 @@ class ExplorationEngine:
         try:
             yield executor
         except KeyboardInterrupt:
-            executor.terminate()
+            with _signals_ignored():
+                executor.terminate()
             self.report.interrupted = True
             runs = f"{self.report.ea_runs} EA"
             if pareto:
@@ -917,17 +979,18 @@ class ExplorationEngine:
     ) -> Optional[TaskOutcome]:
         """Evaluate tasks (descending analytical bound), track the best.
 
-        Pruning is decided lazily at dispatch time against the current
-        incumbent; because the bound is a true upper bound and ties
-        resolve to the smaller task index, a pruned task can never be
-        the winner — so serial and parallel runs (whose pruning sets may
-        differ through pool prefetch) still select identical solutions.
+        Pruning is decided lazily, as each wave is assembled, against
+        the current incumbent; because the bound is a true upper bound
+        and ties resolve to the smaller task index, a pruned task can
+        never be the winner — so serial and parallel runs (whose
+        pruning sets differ with the wave size) still select identical
+        solutions.
         Pruning is disabled when an archive is attached (the archive's
         purpose is recording the explored landscape, not just the
         winner) and in pareto mode, which passes ``prune=False`` so the
         set of per-task winner genes (collected into ``winners``) is
         identical whatever the worker count — the NSGA-II warm starts
-        must not depend on pool prefetch timing.
+        must not depend on the wave size.
         """
         if prune is None:
             prune = self.config.prune_dominated and self.archive is None
@@ -941,14 +1004,15 @@ class ExplorationEngine:
             order = list(range(len(tasks)))
 
         incumbent: Optional[TaskOutcome] = None
-        wave_size = max(1, executor.jobs)
+        jobs = max(1, executor.jobs)
+        wave_size = jobs * WAVE_TASKS_PER_JOB
         cursor = 0
         while cursor < len(order):
-            # Assemble the next wave of non-dominated tasks. Waves are
-            # sized to the worker count so pruning decisions always see
-            # the results of the previous wave — with one big dispatch,
-            # pool prefetch would launch every EA before the first
-            # incumbent could rule any of them out.
+            # Assemble the next wave of non-dominated tasks. Waves hold
+            # a few tasks per worker, enough to lock-step, so pruning
+            # decisions still see the results of the previous wave —
+            # with one big dispatch, every EA would launch before the
+            # first incumbent could rule any of them out.
             wave: List[EvaluationTask] = []
             while cursor < len(order) and len(wave) < wave_size:
                 position = order[cursor]
@@ -961,14 +1025,18 @@ class ExplorationEngine:
                     continue
                 self.report.ea_runs += 1
                 wave.append(task)
-            for outcome in executor.imap("run_task", wave):
-                incumbent = self._absorb(outcome, tasks, incumbent)
-                if (
-                    winners is not None
-                    and outcome.feasible
-                    and outcome.gene is not None
-                ):
-                    winners[outcome.index] = outcome.gene
+            # Each chunk's launches run in lock-step in one worker call.
+            for outcomes in executor.imap(
+                "run_tasks", _chunks(wave, jobs)
+            ):
+                for outcome in outcomes:
+                    incumbent = self._absorb(outcome, tasks, incumbent)
+                    if (
+                        winners is not None
+                        and outcome.feasible
+                        and outcome.gene is not None
+                    ):
+                        winners[outcome.index] = outcome.gene
         return incumbent
 
     def _absorb(

@@ -39,7 +39,7 @@ from repro.core.evaluator import EvaluationResult, PerformanceEvaluator
 from repro.errors import ConfigurationError, InfeasibleError, PimsynError
 from repro.hardware.power import PowerBudget
 from repro.ir.builder import DataflowSpec
-from repro.optim.evolution import EvolutionEngine
+from repro.optim.evolution import EvolutionEngine, evolve_together
 
 Gene = Tuple[int, ...]
 
@@ -177,7 +177,7 @@ class MacroPartitionExplorer:
         self.cache = cache
         self.cache_context = cache_context
         self._batch_evaluator: Optional[BatchPerformanceEvaluator] = None
-        self.last_report = None  # EvolutionReport of the latest explore()
+        self.last_report = None  # EvolutionReport of the latest EA run
         self.evaluator = PerformanceEvaluator(spec, budget)
         # Rule c caps: WtDup * row-tile count, and >= 1 crossbar per macro.
         self.caps: List[int] = []
@@ -365,57 +365,57 @@ class MacroPartitionExplorer:
     # Alg. 2's mutation operators
     # ------------------------------------------------------------------
     def mutate_num(self, gene: Gene, rng: random.Random) -> Gene:
-        """Perturb the #macros of one randomly chosen macro group."""
-        owners, counts = decode_gene(gene)
+        """Perturb the #macros of one randomly chosen macro group.
+
+        Edits the encoded gene in place of a decode/encode round trip,
+        with the same draws and the same result on every valid gene.
+        """
         index = rng.randrange(len(gene))
-        target = owners[index]  # operate on the group owner
+        target = gene[index] // _ENCODING_BASE  # the group's owner
         cap = self.caps[target]
         if cap == 1:
             return gene
         delta = rng.choice((-2, -1, 1, 2))
-        counts[target] = max(1, min(cap, counts[target] + delta))
-        return encode_gene(owners, counts)
+        value = gene[target]
+        count = value % _ENCODING_BASE
+        value += max(1, min(cap, count + delta)) - count
+        return gene[:target] + (value,) + gene[target + 1:]
 
     def mutate_share(self, gene: Gene, rng: random.Random) -> Gene:
-        """Toggle pair-sharing status of one randomly chosen layer."""
+        """Toggle pair-sharing status of one randomly chosen layer
+        (on the encoded gene, like :meth:`mutate_num`)."""
         if not self.config.enable_macro_sharing:
             return gene
-        owners, counts = decode_gene(gene)
-        n_layers = len(owners)
-        index = rng.randrange(n_layers)
-
-        if owners[index] != index:
+        index = rng.randrange(len(gene))
+        owner, count = divmod(gene[index], _ENCODING_BASE)
+        if owner != index:
             # Currently sharing: dissolve the pair.
-            owners[index] = index
-            return encode_gene(owners, counts)
-
-        # Currently an owner: try to share with an earlier eligible owner.
-        shared_owners = {o for i, o in enumerate(owners) if o != i}
-        if index in shared_owners:
-            return gene  # someone shares with us already (pairs only)
-        candidates = [
-            j for j in range(index)
-            if owners[j] == j and j not in shared_owners
-        ]
-        if not candidates:
-            return gene
-        partner = rng.choice(candidates)
-        owners[index] = partner
-        return encode_gene(owners, counts)
+            partner = index
+        else:
+            # Currently an owner: try to share with an earlier eligible
+            # owner.
+            owners = [value // _ENCODING_BASE for value in gene]
+            shared_owners = {o for i, o in enumerate(owners) if o != i}
+            if index in shared_owners:
+                return gene  # someone shares with us already (pairs only)
+            candidates = [
+                j for j in range(index)
+                if owners[j] == j and j not in shared_owners
+            ]
+            if not candidates:
+                return gene
+            partner = rng.choice(candidates)
+        return (
+            gene[:index] + (partner * _ENCODING_BASE + count,)
+            + gene[index + 1:]
+        )
 
     # ------------------------------------------------------------------
     # Entry point (Alg. 1 line 10)
     # ------------------------------------------------------------------
-    def explore(
-        self,
-    ) -> Tuple[MacroPartition, ComponentAllocation, EvaluationResult]:
-        """Run the EA; return the best feasible partition found.
-
-        Raises :class:`InfeasibleError` if no gene in the search was
-        feasible (e.g. the fixed overhead of even one macro per layer
-        exceeds the peripheral budget).
-        """
-        engine: EvolutionEngine[Gene] = EvolutionEngine(
+    def _engine(self) -> EvolutionEngine[Gene]:
+        """This launch's Alg. 2 EA, on the explorer's RNG and memo."""
+        return EvolutionEngine(
             score=self.score_population,
             mutations=[self.mutate_num, self.mutate_share],
             gene_key=lambda gene: gene,
@@ -427,14 +427,78 @@ class MacroPartitionExplorer:
             cache=self.cache,
             cache_key=lambda gene: (self.cache_context, gene),
         )
-        self.last_report = engine.report
-        best_gene, best_fitness = engine.run(
-            self.initial_population(self.config.ea_population_size)
-        )
-        if best_fitness <= 0.0:
+
+    def explore(
+        self,
+    ) -> Tuple[MacroPartition, ComponentAllocation, EvaluationResult]:
+        """Run the EA; return the best feasible partition found.
+
+        The one-launch case of :func:`explore_together`. Raises
+        :class:`InfeasibleError` if no gene in the search was feasible
+        (e.g. the fixed overhead of even one macro per layer exceeds
+        the peripheral budget).
+        """
+        (found,) = explore_together([self])
+        if found is None:
             raise InfeasibleError(
                 "EA found no feasible macro partition under the power "
                 "budget"
             )
-        allocation, result = self.score_winner(best_gene, best_fitness)
-        return MacroPartition.from_gene(best_gene), allocation, result
+        return found
+
+
+Explored = Optional[
+    Tuple[MacroPartition, ComponentAllocation, EvaluationResult]
+]
+
+
+def explore_together(
+    explorers: Sequence[MacroPartitionExplorer],
+) -> List[Explored]:
+    """Run the EAs of ``explorers`` in lock-step: each one's best
+    feasible partition, or None when its search found no feasible gene.
+
+    Every launch is built as :meth:`MacroPartitionExplorer.explore`
+    builds it alone, on its own RNG, memo keys and report
+    (``last_report``), and all of them run under one
+    :func:`repro.optim.evolution.evolve_together`. Each round scores
+    every launch's memo misses with one call: one
+    :meth:`~repro.core.batch_eval.BatchPerformanceEvaluator.
+    evaluate_population` over the launches' stacked contexts when numpy
+    imports, the scalar oracle gene by gene otherwise. So each launch
+    returns what it returns alone. The explorers must score one model
+    under one config and share one memo (a task runner's); each winner
+    is re-scored through the scalar oracle (:meth:`~MacroPartitionExplorer.
+    score_winner`).
+    """
+    if not explorers:
+        return []
+    engines = []
+    populations = []
+    for explorer in explorers:
+        engine = explorer._engine()
+        explorer.last_report = engine.report
+        engines.append(engine)
+        populations.append(
+            explorer.initial_population(explorer.config.ea_population_size)
+        )
+    if numpy_available():
+        score = BatchPerformanceEvaluator.stack(
+            [explorer.batch_evaluator for explorer in explorers]
+        ).fitness_of
+    else:
+        def score(genes, lanes):
+            return [
+                explorers[lane].score(gene)[0]
+                for gene, lane in zip(genes, lanes)
+            ]
+    found: List[Explored] = []
+    for explorer, (gene, fitness) in zip(
+        explorers, evolve_together(engines, populations, score)
+    ):
+        if fitness <= 0.0:
+            found.append(None)
+            continue
+        allocation, result = explorer.score_winner(gene, fitness)
+        found.append((MacroPartition.from_gene(gene), allocation, result))
+    return found

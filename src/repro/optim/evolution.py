@@ -13,12 +13,17 @@ NSGA-II (:mod:`repro.optim.nsga`) share. It is an ask/tell stepper like
 generation's genes and receives their values, and ``run()`` drives it
 with the one search driver, :func:`repro.optim.annealing.
 anneal_together`, scoring through the evaluation memo.
+:func:`evolve_together` runs many engines at once through
+``anneal_together`` and the one memo body, one scoring call per round;
+the DSE executor runs the EA launches of a wave that way.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import (
     Callable,
     Generator,
@@ -178,6 +183,66 @@ class MuPlusLambda(Generic[Gene, Value]):
         )[0]
 
 
+def _lane(lane: int, stepper: Generator) -> Generator:
+    """``stepper`` with each round's genes tagged ``(lane, gene)``."""
+    values = None
+    while True:
+        try:
+            genes = stepper.send(values)
+        except StopIteration as finished:
+            return finished.value
+        values = yield [(lane, gene) for gene in genes]
+
+
+def evolve_together(
+    engines: Sequence[MuPlusLambda],
+    populations: Sequence[List[Gene]],
+    score: Callable[[List[Gene], List[int]], Sequence[Value]],
+) -> list:
+    """Run ``engines`` from ``populations`` in lock-step; return what
+    each engine's :meth:`~MuPlusLambda.run` returns, in order.
+
+    One :func:`repro.optim.annealing.anneal_together` call drives every
+    engine's stepper. Each round, the genes of every live engine go
+    through the one memo body (:func:`repro.optim.memo.
+    score_through_memo`), each under its engine's ``cache_key`` and
+    counted in its engine's report, and their misses reach one
+    ``score(genes, lanes)`` call: ``lanes[k]`` is the position in
+    ``engines`` of the engine that bred ``genes[k]``. The engines must
+    share one memo. Scoring consumes no randomness, so each engine
+    walks as it does alone, given a ``score`` whose value for a gene
+    does not depend on the other genes in the call. Its counts are its
+    solo ones too, except that a key an earlier engine misses in the
+    same round is a hit for a later one, as if it ran after.
+    """
+    if not engines:
+        return []
+    memo = engines[0]._cache
+    if any(engine._cache is not memo for engine in engines):
+        raise ConfigurationError("lock-stepped engines must share one memo")
+
+    def score_round(items):
+        return score_through_memo(
+            items,
+            lambda misses: score(
+                [gene for _, gene in misses], [lane for lane, _ in misses]
+            ),
+            memo,
+            lambda item: engines[item[0]]._cache_key(item[1]),
+            lambda item: engines[item[0]].report,
+        )
+
+    return anneal_together(
+        [
+            _lane(lane, engine.steps(population))
+            for lane, (engine, population) in enumerate(
+                zip(engines, populations)
+            )
+        ],
+        score_round,
+    )
+
+
 class EvolutionEngine(MuPlusLambda[Gene, float]):
     """Maximize fitness over genes under mutation operators.
 
@@ -206,12 +271,13 @@ class EvolutionEngine(MuPlusLambda[Gene, float]):
         self._stale = 0
         return super().steps(initial_population)
 
-    def _select_parent(self, population: List[Tuple[Gene, float]]) -> Gene:
-        """Fitness-proportionate selection with a floor for non-positive
-        fitness values (falls back to rank weighting)."""
+    def _selector(self, population):
+        """Fitness-proportionate parent picks over one generation's
+        population, with a floor for non-positive fitness values (rank
+        weights instead). The running weight sums are built once; each
+        pick draws one ``rng.random()`` and bisects them."""
         fitnesses = [f for _, f in population]
-        low = min(fitnesses)
-        if low <= 0:
+        if min(fitnesses) <= 0:
             # Rank weights, mapped back to population positions.
             order = sorted(range(len(population)), key=lambda i: fitnesses[i])
             weights = [0.0] * len(population)
@@ -220,16 +286,16 @@ class EvolutionEngine(MuPlusLambda[Gene, float]):
         else:
             weights = fitnesses
         total = sum(weights)
-        pick = self.rng.random() * total
-        acc = 0.0
-        for (gene, _), weight in zip(population, weights):
-            acc += weight
-            if pick <= acc:
-                return gene
-        return population[-1][0]
+        running = list(accumulate(weights, initial=0.0))[1:]
+        genes = [gene for gene, _ in population]
+        last = len(genes) - 1
 
-    def _selector(self, population):
-        return lambda: self._select_parent(population)
+        def select() -> Gene:
+            # The first gene whose running sum reaches the pick.
+            pick = self.rng.random() * total
+            return genes[min(bisect_left(running, pick), last)]
+
+        return select
 
     def _survivors(self, population):
         population.sort(key=lambda pair: pair[1], reverse=True)

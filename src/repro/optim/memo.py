@@ -5,7 +5,11 @@
 ``score(genes) -> values``, and memoize its values under a content key:
 the searches re-visit genes, and every fresh value costs a full
 component-allocation pass. Scoring consumes no randomness, so the memo
-changes how many genes reach ``score``, never the walk.
+changes how many genes reach ``score``, never the walk. The DSE
+executor lock-steps many EA launches
+(:func:`repro.optim.evolution.evolve_together`) and scores their
+genes through one call of the same memo body, each launch keeping its
+own keys and counts.
 """
 
 from __future__ import annotations
@@ -38,25 +42,34 @@ def score_through_memo(
     Genes whose key is in ``memo`` are served as stored and never reach
     ``score``. The first gene of each missing key goes to one ``score``
     call, in order, and its value is stored; later genes with that key
-    are served from the stored value. Each gene is one lookup:
-    ``report.evaluations`` grows by the genes ``score`` computed and
-    ``report.cache_hits`` by the rest, so the two add up to
-    ``len(genes)``. A ``score`` that returns a different number of
-    values than it was given genes raises :class:`ConfigurationError`.
+    are served from the stored value. Each gene is one lookup: it
+    counts as an evaluation when ``score`` computed it and as a cache
+    hit otherwise, so the two add up to ``len(genes)``. The counts go
+    to ``report``; when ``genes`` mixes the genes of several searches,
+    ``report`` is instead a function from a gene to its search's
+    report, and a key one search misses counts as a hit for a later
+    search in the same call, as if that search ran after the first. A
+    ``score`` that returns a different number of values than it was
+    given genes raises :class:`ConfigurationError`.
     """
     keys = [key(gene) for gene in genes]
-    misses: Dict[Hashable, Gene] = {}
-    for gene, gene_key in zip(genes, keys):
+    misses: Dict[Hashable, int] = {}  # key -> position of its first gene
+    for position, gene_key in enumerate(keys):
         if gene_key not in memo and gene_key not in misses:
-            misses[gene_key] = gene
+            misses[gene_key] = position
     if misses:
-        fresh = list(score(list(misses.values())))
+        fresh = list(score([genes[p] for p in misses.values()]))
         if len(fresh) != len(misses):
             raise ConfigurationError(
                 f"score returned {len(fresh)} values for "
                 f"{len(misses)} genes"
             )
         memo.update(zip(misses, fresh))
-    report.evaluations += len(misses)
-    report.cache_hits += len(genes) - len(misses)
+    report_of = report if callable(report) else lambda _gene: report
+    scored = set(misses.values())
+    for position, gene in enumerate(genes):
+        if position in scored:
+            report_of(gene).evaluations += 1
+        else:
+            report_of(gene).cache_hits += 1
     return [memo[gene_key] for gene_key in keys]

@@ -240,40 +240,50 @@ class JobScheduler:
             self._inflight[key] = record
         try:
             payload = self.store.get(key)
-        except BaseException:
+        except BaseException as error:
             # The record was never queued: left registered, every later
             # submit of the key would join it and drain() would wait
-            # on it forever.
-            with self._lock:
-                self._records.pop(record.id, None)
-                self._inflight.pop(key, None)
+            # on it forever. A submit that already joined it holds it,
+            # so it fails before it goes.
+            self._drop(record, f"store read failed: {error!r}")
             raise
         if payload is not None:
             self._finish_from_store(record, payload, source="store")
             return record
         with self._lock:
-            if (
+            busy = (
                 self.max_queue_depth is not None
                 and self._queued >= self.max_queue_depth
-            ):
-                # Shed the load *before* enqueueing: drop the record we
-                # optimistically registered and tell the client when to
-                # come back.
+            )
+            if busy:
                 self.rejected += 1
-                self._records.pop(record.id, None)
-                self._inflight.pop(key, None)
+                queued = self._queued
                 retry_after = self._retry_after_locked()
-                raise SchedulerBusyError(
-                    f"queue full ({self._queued} jobs waiting, bound "
-                    f"{self.max_queue_depth}); retry in "
-                    f"{retry_after:.0f}s",
-                    retry_after=retry_after,
-                )
-            self._queued += 1
+            else:
+                self._queued += 1
+        if busy:
+            # Shed the load *before* enqueueing: drop the record we
+            # optimistically registered and tell the client when to
+            # come back.
+            self._drop(record, "queue full")
+            raise SchedulerBusyError(
+                f"queue full ({queued} jobs waiting, bound "
+                f"{self.max_queue_depth}); retry in "
+                f"{retry_after:.0f}s",
+                retry_after=retry_after,
+            )
         self._queue.put(
             (-request.priority, next(self._seq), record.id)
         )
         return record
+
+    def _drop(self, record: JobRecord, error: str) -> None:
+        """Fail a record ``submit`` registered but never queued, then
+        forget it. A concurrent submit of its key may have joined it,
+        and that caller's wait returns the failed record."""
+        self._fail(record, error)
+        with self._lock:
+            self._records.pop(record.id, None)
 
     def _retry_after_locked(self) -> float:
         """Suggested client backoff: roughly one queue-drain interval

@@ -507,8 +507,8 @@ class TestCli:
 
         _backend_probe()
 
-        def one_ulp_off(ctx, genes):
-            scores = score_population(ctx, genes)
+        def one_ulp_off(ctx, genes, rows=None):
+            scores = score_population(ctx, genes, rows)
             scores.fitness = np.nextafter(scores.fitness, np.inf)
             return scores
 

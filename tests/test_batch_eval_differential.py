@@ -18,6 +18,7 @@ pareto golden reproduces both ways.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import random
@@ -26,6 +27,7 @@ import pytest
 
 from repro.core import Pimsyn, SynthesisConfig
 from repro.core.backend import numpy_available
+from repro.core.batch_eval import BatchPerformanceEvaluator
 from repro.core.dataflow import make_spec
 from repro.core.macro_partition import (
     MacroPartition,
@@ -45,19 +47,19 @@ needs_numpy = pytest.mark.skipif(
 
 
 def _explorer(model, power, sharing=True, specialized=True,
-              res_dac=1, seed=1, params=None):
-    """A stage-3 explorer over a ones-WtDup spec for ``model``."""
+              res_dac=1, seed=1, params=None, xb_size=128, wt_dup=1):
+    """A stage-3 explorer over a uniform-WtDup spec for ``model``."""
     config = SynthesisConfig.fast(total_power=power, params=params)
     config.enable_macro_sharing = sharing
     config.specialized_macros = specialized
     n = model.num_weighted_layers
     spec = make_spec(
-        model, [1] * n, xb_size=128, res_rram=2, res_dac=res_dac,
-        params=config.params,
+        model, [wt_dup] * n, xb_size=xb_size, res_rram=2,
+        res_dac=res_dac, params=config.params,
         max_blocks_per_layer=config.max_blocks_per_layer,
     )
     budget = PowerBudget(
-        total_power=power, ratio_rram=0.3, xb_size=128, res_rram=2,
+        total_power=power, ratio_rram=0.3, xb_size=xb_size, res_rram=2,
         num_crossbars=4096,
     )
     return MacroPartitionExplorer(
@@ -239,6 +241,98 @@ class TestRiskyKernelCases:
                 )
                 feasible += int(batch.feasible.sum())
         assert feasible > 500
+
+
+@needs_numpy
+class TestStackedRows:
+    """One model's task contexts stacked into one
+    (``BatchPerformanceEvaluator.stack``), as a lock-stepped wave of EA
+    launches scores them: a population that mixes every row's genes
+    scores ``==``, on every field, to each gene's own context."""
+
+    #: (power, ResDAC, XbSize, WtDup) per row: budgets from infeasible
+    #: to generous, three DAC resolutions, two crossbar sizes (row
+    #: tiling, so the merge-layer masks differ) and two duplications
+    #: (block counts and pipeline fractions).
+    ROWS = (
+        (0.5, 1, 128, 1), (8.0, 2, 128, 1), (50.0, 4, 256, 2),
+        (200.0, 1, 256, 1), (8.0, 1, 128, 2),
+    )
+
+    def _rows(self, model, **knobs):
+        return [
+            _explorer(model, power, res_dac=res_dac, xb_size=xb_size,
+                      wt_dup=wt_dup, **knobs)
+            for power, res_dac, xb_size, wt_dup in self.ROWS
+        ]
+
+    @pytest.mark.parametrize("sharing,specialized", [
+        (True, True), (True, False), (False, True), (False, False),
+    ])
+    @pytest.mark.parametrize("name", zoo.available_models())
+    def test_mixed_rows_match_each_context(
+        self, name, sharing, specialized
+    ):
+        explorers = self._rows(
+            zoo.by_name(name), sharing=sharing, specialized=specialized
+        )
+        stacked = BatchPerformanceEvaluator.stack(
+            [explorer.batch_evaluator for explorer in explorers]
+        )
+        assert stacked.context.num_rows == len(self.ROWS)
+        alone, entries = [], []
+        for row, explorer in enumerate(explorers):
+            genes = _population(explorer, size=12, seed=row)
+            alone.append(
+                explorer.batch_evaluator.evaluate_population(genes)
+            )
+            entries.extend((row, k, gene) for k, gene in enumerate(genes))
+        random.Random(5).shuffle(entries)
+        batch = stacked.evaluate_population(
+            [gene for _row, _k, gene in entries],
+            [row for row, _k, _gene in entries],
+        )
+        assert len(batch) == len(entries)
+        for position, (row, k, _gene) in enumerate(entries):
+            for field in dataclasses.fields(batch):
+                _assert_equal(
+                    getattr(alone[row], field.name)[k],
+                    getattr(batch, field.name)[position],
+                    f"{name} row {row} gene {k} {field.name}",
+                )
+        feasible = [bool(batch.feasible[p]) for p in range(len(batch))]
+        assert any(feasible) and not all(feasible)
+
+    def test_one_row_is_its_own_stack(self):
+        explorer = _explorer(zoo.by_name("lenet5"), 2.0)
+        evaluator = explorer.batch_evaluator
+        assert BatchPerformanceEvaluator.stack([evaluator]) is evaluator
+        genes = _population(explorer, size=8)
+        assert evaluator.fitness_of(genes, [0] * len(genes)) == (
+            evaluator.fitness_of(genes)
+        )
+
+    def test_only_one_models_tasks_under_one_config_stack(self):
+        lenet = _explorer(zoo.by_name("lenet5"), 2.0).batch_evaluator
+        for other in (
+            _explorer(zoo.by_name("alexnet_cifar"), 2.0),
+            _explorer(zoo.by_name("lenet5"), 2.0, sharing=False),
+            _explorer(zoo.by_name("lenet5"), 2.0, specialized=False),
+        ):
+            with pytest.raises(ConfigurationError, match="shared field"):
+                BatchPerformanceEvaluator.stack(
+                    [lenet, other.batch_evaluator]
+                )
+
+    def test_rows_must_name_a_row_per_gene(self):
+        explorers = self._rows(zoo.by_name("lenet5"))
+        stacked = BatchPerformanceEvaluator.stack(
+            [explorer.batch_evaluator for explorer in explorers]
+        )
+        genes = _population(explorers[0], size=4)
+        for rows in ([0, 1, 2], [0, 1, 2, len(self.ROWS)], [-1, 0, 0, 0]):
+            with pytest.raises(ConfigurationError, match="rows"):
+                stacked.evaluate_population(genes, rows)
 
 
 @needs_numpy

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.backend import numpy_available
 from repro.core.config import SynthesisConfig
@@ -158,6 +159,98 @@ class TestMutations:
             for _ in range(20):
                 gene = op(gene, rng)
                 assert len(gene) == 3
+
+
+def _reference_mutate_num(explorer, gene, rng):
+    """``mutate_num`` as a decode/encode round trip (the oracle the
+    encoded edit is held to)."""
+    owners, counts = decode_gene(gene)
+    index = rng.randrange(len(gene))
+    target = owners[index]
+    cap = explorer.caps[target]
+    if cap == 1:
+        return gene
+    delta = rng.choice((-2, -1, 1, 2))
+    counts[target] = max(1, min(cap, counts[target] + delta))
+    return encode_gene(owners, counts)
+
+
+def _reference_mutate_share(explorer, gene, rng):
+    """``mutate_share`` as a decode/encode round trip."""
+    if not explorer.config.enable_macro_sharing:
+        return gene
+    owners, counts = decode_gene(gene)
+    index = rng.randrange(len(owners))
+    if owners[index] != index:
+        owners[index] = index
+        return encode_gene(owners, counts)
+    shared_owners = {o for i, o in enumerate(owners) if o != i}
+    if index in shared_owners:
+        return gene
+    candidates = [
+        j for j in range(index)
+        if owners[j] == j and j not in shared_owners
+    ]
+    if not candidates:
+        return gene
+    owners[index] = rng.choice(candidates)
+    return encode_gene(owners, counts)
+
+
+def _walk_explorer(sharing):
+    """lenet5 under a WtDup with several row tiles per layer, so every
+    layer's count has room to move (caps above 1)."""
+    from repro.nn import lenet5
+
+    model = lenet5()
+    config = SynthesisConfig.fast(total_power=8.0, seed=3)
+    config.enable_macro_sharing = sharing
+    spec = make_spec(model, [8, 4, 4, 2, 1], xb_size=32, res_rram=2,
+                     res_dac=1, params=config.params)
+    budget = PowerBudget(total_power=8.0, ratio_rram=0.3, xb_size=32,
+                         res_rram=2, num_crossbars=8192)
+    return MacroPartitionExplorer(
+        spec=spec, budget=budget, res_dac=1, config=config,
+        rng=random.Random(3),
+    )
+
+
+WALK_EXPLORERS = {
+    sharing: _walk_explorer(sharing) for sharing in (True, False)
+}
+
+
+class TestEncodedMutations:
+    """The operators edit the encoded gene; on every valid gene they
+    return the decode/encode reference's gene and leave the RNG in the
+    reference's state, so no EA walk moves."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(1, 80),
+        sharing=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_walk_matches_the_reference(self, seed, steps, sharing):
+        explorer = WALK_EXPLORERS[sharing]
+        assert max(explorer.caps) > 1
+        rng = random.Random(seed)
+        genes = explorer.initial_population(4)
+        operators = (
+            (explorer.mutate_num, _reference_mutate_num),
+            (explorer.mutate_share, _reference_mutate_share),
+        )
+        for _ in range(steps):
+            parent = rng.choice(genes)
+            operator, reference = rng.choice(operators)
+            reference_rng = random.Random()
+            reference_rng.setstate(rng.getstate())
+            want = reference(explorer, parent, reference_rng)
+            child = operator(parent, rng)
+            assert child == want and type(child) is tuple
+            assert rng.getstate() == reference_rng.getstate()
+            MacroPartition.from_gene(child)  # still a valid gene
+            genes.append(child)
 
 
 class TestScoring:

@@ -15,6 +15,7 @@ The three contracts the executor refactor must keep:
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import signal
@@ -244,6 +245,98 @@ class TestLockstepStageOne:
         )
 
 
+class TestLockstepWaves:
+    """``run_tasks`` lock-steps a chunk's EA launches
+    (:func:`repro.core.macro_partition.explore_together`). Every launch
+    must return what its explorer's solo ``explore()`` returns on a
+    runner that walks the same tasks one at a time: the best gene and
+    fitness, and the report's generations, best-fitness history,
+    evaluations and cache hits."""
+
+    #: At 20 W some of lenet5's launches stop on patience after 3
+    #: generations and others run up to the cap of 6, so launches drop
+    #: out of the lock-step at different rounds.
+    CONFIG = SynthesisConfig.fast(total_power=20.0, seed=7)
+
+    @staticmethod
+    def _tasks(model, config):
+        """lenet5's first 7 tasks, then the first one again under a new
+        index: a launch sharing its memo context (and RNG label) with
+        an earlier launch of the same wave."""
+        runner = _TaskRunner(model, config)
+        points = list(DesignSpace(model, config).outer_points())
+        tasks = []
+        for point, candidates in zip(
+            points, runner.filter_candidates(points)
+        ):
+            for wt_dup in candidates or ():
+                for res_dac in config.res_dac_choices:
+                    tasks.append(EvaluationTask(
+                        index=len(tasks), point=point, wt_dup=wt_dup,
+                        res_dac=res_dac,
+                    ))
+        tasks = tasks[:7]
+        return tasks + [dataclasses.replace(tasks[0], index=len(tasks))]
+
+    def _serial(self, model, tasks):
+        """Each task's solo ``explore()``, one after another on one
+        runner (so one memo), as a one-task-per-wave walk runs them."""
+        runner = _TaskRunner(model, self.CONFIG)
+        runs = []
+        for task in tasks:
+            explorer = runner.make_explorer(task)
+            try:
+                partition, _allocation, result = explorer.explore()
+            except InfeasibleError:
+                found = None
+            else:
+                found = (partition.gene, result.fitness)
+            runs.append((found, explorer.last_report))
+        return runs
+
+    @pytest.mark.parametrize(
+        "numpy", (True, False), ids=("numpy", "scalar")
+    )
+    def test_each_launch_returns_its_solo_run(
+        self, lenet, without_numpy, numpy
+    ):
+        from repro.core.macro_partition import explore_together
+
+        tasks = self._tasks(lenet, self.CONFIG)
+        with contextlib.ExitStack() as stack:
+            if not numpy:
+                stack.enter_context(without_numpy())
+            serial = self._serial(lenet, tasks)
+            runner = _TaskRunner(lenet, self.CONFIG)
+            explorers = [runner.make_explorer(task) for task in tasks]
+            together = explore_together(explorers)
+            outcomes = _TaskRunner(lenet, self.CONFIG).run_tasks(tasks)
+        for explorer, found, outcome, (want, report) in zip(
+            explorers, together, outcomes, serial
+        ):
+            got = None if found is None else (
+                found[0].gene, found[2].fitness
+            )
+            assert got == want
+            assert explorer.last_report == report
+            assert outcome.feasible == (want is not None)
+            assert (outcome.gene, outcome.fitness) == (
+                want if want is not None else (None, 0.0)
+            )
+            assert outcome.ea_evaluations == report.evaluations
+            assert outcome.cache_hits == report.cache_hits
+        reports = [report for _want, report in serial]
+        generations = {report.generations for report in reports}
+        assert min(generations) < self.CONFIG.ea_max_generations
+        assert len(generations) > 1
+        # The repeated task walks as the first one did, and every one
+        # of its lookups is a hit, as when it runs after it.
+        assert reports[-1].evaluations == 0
+        assert reports[-1].cache_hits == (
+            reports[0].evaluations + reports[0].cache_hits
+        )
+
+
 class TestPruning:
     def test_pruning_preserves_the_true_optimum(self, lenet):
         """Exhaustive walk vs pruned walk over the same small space."""
@@ -269,7 +362,7 @@ class TestPruning:
                     res_dac=res_dac,
                 )
                 bound = runner.throughput_bound(task)
-                outcome = runner.run_task(task)
+                (outcome,) = runner.run_tasks([task])
                 if not outcome.feasible:
                     continue
                 assert outcome.throughput <= bound
@@ -405,18 +498,19 @@ class TestInterrupt:
         from repro.core import executor as executor_mod
 
         calls = {"n": 0}
-        original = executor_mod._TaskRunner.run_task
+        original = executor_mod._TaskRunner.run_tasks
 
-        def interrupting(self, task):
+        def interrupting(self, tasks):
             calls["n"] += 1
-            if calls["n"] == 3:
+            if calls["n"] == 2:
                 raise KeyboardInterrupt
-            return original(self, task)
+            return original(self, tasks)
 
         monkeypatch.setattr(
-            executor_mod._TaskRunner, "run_task", interrupting
+            executor_mod._TaskRunner, "run_tasks", interrupting
         )
-        # pruning off so the walk reaches a third run_task call
+        # pruning off so the walk reaches a second run_tasks call: 24
+        # tasks go out in waves of 8, and the first wave finishes
         synthesizer = Pimsyn(lenet, _config(prune_dominated=False))
         with pytest.raises(SynthesisInterrupted) as excinfo:
             synthesizer.synthesize()
@@ -453,6 +547,47 @@ class TestInterrupt:
         with pytest.raises(SynthesisInterrupted):
             engine.run()
         assert terminated["called"]
+
+    def test_second_sigint_during_pool_teardown_is_ignored(
+        self, lenet, monkeypatch
+    ):
+        """``timeout -s INT`` sends a second SIGINT, which can land in
+        ``terminate()`` after the first one interrupted the run. The
+        teardown ignores SIGINT and SIGTERM, so the run still ends in
+        SynthesisInterrupted, and it restores the caller's handlers.
+        The handler here records instead of raising, so a signal that
+        got through fails an assertion rather than aborting pytest."""
+        import os
+
+        received = []
+
+        def recording(signum, _frame):
+            received.append(signum)
+
+        original = executor_mod.ProcessExecutor.terminate
+
+        def signalled(self):
+            os.kill(os.getpid(), signal.SIGINT)
+            original(self)
+
+        monkeypatch.setattr(
+            executor_mod.ProcessExecutor, "terminate", signalled
+        )
+        synthesizer = Pimsyn(lenet, _config(jobs=2))
+        engine = synthesizer._engine()
+
+        def interrupting(*_args, **_kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(engine, "_evaluate_queue", interrupting)
+        previous = signal.signal(signal.SIGINT, recording)
+        try:
+            with pytest.raises(SynthesisInterrupted):
+                engine.run()
+            assert signal.getsignal(signal.SIGINT) is recording
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert received == []
 
     def test_pool_workers_die_quietly_on_sigterm(self, lenet, capfd):
         """``terminate()`` sends SIGTERM. A worker must not inherit the

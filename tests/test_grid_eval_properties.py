@@ -54,7 +54,7 @@ def _fixture():
     bounds = evaluator.bounds(tasks)
     scalar = [engine._local_runner.throughput_bound(t) for t in tasks]
     assert bounds == scalar  # precondition for everything below
-    outcomes = [engine._local_runner.run_task(t) for t in tasks]
+    outcomes = engine._local_runner.run_tasks(tasks)
     return model, config, engine, evaluator, tasks, bounds, outcomes
 
 

@@ -338,7 +338,8 @@ class TestEvolutionEngine:
             ("a", -5.0), ("b", 0.0), ("c", -1.0), ("d", -3.0),
             ("e", -1.0),
         ]
-        picks = [engine._select_parent(population) for _ in range(20)]
+        select = engine._selector(population)
+        picks = [select() for _ in range(20)]
         assert picks == [
             "c", "d", "b", "e", "c", "d", "b", "b", "e", "c",
             "c", "d", "e", "b", "d", "c", "d", "e", "b", "e",
@@ -351,9 +352,8 @@ class TestEvolutionEngine:
         for _ in range(2):
             engine = self._onemax_engine()
             engine.rng = random.Random(99)
-            sequences.append(
-                [engine._select_parent(population) for _ in range(50)]
-            )
+            select = engine._selector(population)
+            sequences.append([select() for _ in range(50)])
         assert sequences[0] == sequences[1]
 
     def test_validation(self):

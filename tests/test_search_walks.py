@@ -12,7 +12,10 @@ survivor sorts, the memo accounting and the stopping rules:
   all duplicates of the population (empty rounds);
 - the same steppers driven together through one driver call, which must
   return each stepper's solo result and history with one scorer call
-  per round.
+  per round;
+- the same engines run by ``evolve_together`` (the DSE's lock-stepped
+  EA waves) through one shared memo, which must keep every pinned walk,
+  counts included.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ import random
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.optim.annealing import anneal_together
-from repro.optim.evolution import EvolutionEngine
+from repro.optim.evolution import EvolutionEngine, evolve_together
 from repro.optim.nsga import NSGA2Engine
 
 
@@ -111,7 +115,7 @@ NSGA_CASES = {
 }
 
 
-def _ea(name, score=None, seed=11):
+def _ea(name, score=None, seed=11, **memo):
     kwargs, mutations, _initial = EA_CASES[name]
     return EvolutionEngine(
         score=score or (lambda genes: [_fitness(g) for g in genes]),
@@ -119,10 +123,11 @@ def _ea(name, score=None, seed=11):
         gene_key=lambda gene: gene,
         rng=random.Random(seed),
         **kwargs,
+        **memo,
     )
 
 
-def _nsga(name, score=None, seed=11):
+def _nsga(name, score=None, seed=11, **memo):
     kwargs, mutations, _initial = NSGA_CASES[name]
     return NSGA2Engine(
         score=score or (lambda genes: [_objectives(g) for g in genes]),
@@ -130,13 +135,12 @@ def _nsga(name, score=None, seed=11):
         gene_key=lambda gene: gene,
         rng=random.Random(seed),
         **kwargs,
+        **memo,
     )
 
 
-def _ea_walk(name):
-    engine = _ea(name)
-    gene, fitness = engine.run(list(EA_CASES[name][2]))
-    report = engine.report
+def _ea_record(result, report):
+    gene, fitness = result
     return (
         "".join(map(str, gene)), fitness, report.generations,
         report.best_fitness_history, report.evaluations,
@@ -144,14 +148,23 @@ def _ea_walk(name):
     )
 
 
-def _nsga_walk(name):
-    engine = _nsga(name)
-    front = engine.run(list(NSGA_CASES[name][2]))
-    report = engine.report
+def _nsga_record(front, report):
     return (
         [("".join(map(str, gene)), vector) for gene, vector in front],
         report.generations, report.front_size_history,
         report.evaluations, report.cache_hits,
+    )
+
+
+def _ea_walk(name):
+    engine = _ea(name)
+    return _ea_record(engine.run(list(EA_CASES[name][2])), engine.report)
+
+
+def _nsga_walk(name):
+    engine = _nsga(name)
+    return _nsga_record(
+        engine.run(list(NSGA_CASES[name][2])), engine.report
     )
 
 
@@ -236,6 +249,52 @@ def test_steppers_share_one_driver(cases, make, value_of, history):
     assert sum(calls) == sum(
         solo.report.evaluations + solo.report.cache_hits for solo in solos
     )
+
+
+@pytest.mark.parametrize("cases, make, value_of, record, walks", [
+    (EA_CASES, _ea, _fitness, _ea_record, EA_WALKS),
+    (NSGA_CASES, _nsga, _objectives, _nsga_record, NSGA_WALKS),
+], ids=["evolution", "nsga"])
+def test_evolve_together_keeps_each_pinned_walk(
+    cases, make, value_of, record, walks
+):
+    """``evolve_together`` runs every case's engine at once, through
+    one memo (each engine under its own keys) and one scorer call per
+    round: each engine returns its pinned solo walk, counts included,
+    and only memo misses reach the scorer."""
+    memo, calls = {}, []
+
+    def score(genes, lanes):
+        calls.append(len(genes))
+        assert len(lanes) == len(genes)
+        return [value_of(gene) for gene in genes]
+
+    names = sorted(cases)
+    engines = [
+        make(name, cache=memo, cache_key=lambda gene, name=name: (
+            name, gene
+        ))
+        for name in names
+    ]
+    results = evolve_together(
+        engines, [list(cases[name][2]) for name in names], score
+    )
+    for name, engine, result in zip(names, engines, results):
+        assert record(result, engine.report) == walks[name]
+    assert len(calls) <= 1 + max(e.report.generations for e in engines)
+    assert sum(calls) == len(memo) == sum(
+        engine.report.evaluations for engine in engines
+    )
+
+
+def test_evolve_together_needs_one_memo():
+    engines = [_ea("full"), _ea("patience")]  # a private memo each
+    with pytest.raises(ConfigurationError, match="share one memo"):
+        evolve_together(
+            engines,
+            [list(EA_CASES[name][2]) for name in ("full", "patience")],
+            lambda genes, lanes: [_fitness(gene) for gene in genes],
+        )
 
 
 def test_all_duplicate_broods_are_empty_rounds():

@@ -23,7 +23,12 @@ import urllib.request
 import pytest
 
 from repro.core import Pimsyn, SynthesisConfig
-from repro.errors import ConfigurationError, ModelError, PimsynError
+from repro.errors import (
+    ConfigurationError,
+    ModelError,
+    PimsynError,
+    SchedulerBusyError,
+)
 from repro.nn import lenet5
 from repro.nn.onnx_io import model_to_json
 from repro.serve import (
@@ -43,28 +48,29 @@ def _request(power=2.0, seed=7, **kwargs) -> JobRequest:
     )
 
 
-def _interrupt_third_task(monkeypatch) -> None:
-    """Make the third EA task of the next synthesis raise
-    KeyboardInterrupt, as Ctrl-C would, after two finished tasks."""
+def _interrupt_second_wave(monkeypatch) -> None:
+    """Make the second EA wave of the next synthesis raise
+    KeyboardInterrupt, as Ctrl-C would, after one finished wave."""
     from repro.core import executor as executor_mod
 
     calls = {"n": 0}
-    original = executor_mod._TaskRunner.run_task
+    original = executor_mod._TaskRunner.run_tasks
 
-    def _interrupting(self, task):
+    def _interrupting(self, tasks):
         calls["n"] += 1
-        if calls["n"] == 3:
+        if calls["n"] == 2:
             raise KeyboardInterrupt
-        return original(self, task)
+        return original(self, tasks)
 
     monkeypatch.setattr(
-        executor_mod._TaskRunner, "run_task", _interrupting
+        executor_mod._TaskRunner, "run_tasks", _interrupting
     )
 
 
 def _unpruned_request() -> JobRequest:
     # pruning off (execution-only: same content key) so the walk
-    # reaches a third run_task call to interrupt
+    # reaches a second run_tasks call to interrupt: lenet5's 24 tasks
+    # go out in waves of 8
     return _request(overrides={"prune_dominated": False})
 
 
@@ -78,6 +84,27 @@ def _serial_solution(power=2.0, seed=7, **overrides):
 @pytest.fixture()
 def store(tmp_path) -> ResultStore:
     return ResultStore(tmp_path / "store")
+
+
+class _GatedStore(ResultStore):
+    """A store whose read of one key waits for ``release``, then raises
+    ``error`` or, when it is None, misses."""
+
+    def __init__(self, root, key, error):
+        super().__init__(root)
+        self.gated_key = key
+        self.error = error
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def get(self, key):
+        if key != self.gated_key:
+            return super().get(key)
+        self.entered.set()
+        assert self.release.wait(timeout=10)
+        if self.error is not None:
+            raise self.error
+        return None
 
 
 # ----------------------------------------------------------------------
@@ -323,6 +350,53 @@ class TestScheduler:
             cold.report["ea_evaluations"]
         )
 
+    @pytest.mark.parametrize(
+        "torn", (True, False), ids=("store-error", "queue-full")
+    )
+    def test_a_submit_that_joined_a_dropped_record_sees_it_fail(
+        self, tmp_path, torn
+    ):
+        """A duplicate submit joins the record of a submit whose store
+        read is still running. When that read raises, or its miss finds
+        the queue full, the record is dropped, and the joiner's wait
+        (the API's ``?wait=1``) must get a failed record, not block
+        until its timeout."""
+        store = _GatedStore(
+            tmp_path / "store", _request().content_key(),
+            ValueError("torn result") if torn else None,
+        )
+        scheduler = JobScheduler(
+            store, workers=1, autostart=False, max_queue_depth=1
+        )
+        scheduler.submit(_request(power=3.0))  # fills the queue
+        raised = []
+
+        def first_submit():
+            try:
+                scheduler.submit(_request())
+            except (PimsynError, ValueError) as error:
+                raised.append(error)
+
+        thread = threading.Thread(target=first_submit)
+        thread.start()
+        try:
+            assert store.entered.wait(timeout=10)
+            joined = scheduler.submit(_request())
+        finally:
+            store.release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        record = scheduler.wait_record(joined, timeout=5)
+        assert record.state == JobState.FAILED
+        if torn:
+            assert type(raised[0]) is ValueError
+            assert "torn result" in record.error
+        else:
+            assert type(raised[0]) is SchedulerBusyError
+            assert record.error == "queue full"
+        assert scheduler.stats()["records"] == 1  # the queued job
+        scheduler.shutdown()
+
     def test_inflight_duplicates_coalesce(self, store):
         scheduler = JobScheduler(store, workers=1, autostart=False)
         a = scheduler.submit(_request())
@@ -403,7 +477,7 @@ class TestScheduler:
     def test_interrupted_job_persists_partial_memo(
         self, store, monkeypatch
     ):
-        _interrupt_third_task(monkeypatch)
+        _interrupt_second_wave(monkeypatch)
         with JobScheduler(store, workers=1) as scheduler:
             record = scheduler.submit(_unpruned_request())
             scheduler.wait(record.id, timeout=60)
@@ -418,7 +492,7 @@ class TestScheduler:
     ):
         """A peer scheduler may take the key the moment the claim goes,
         so the memo it resumes from must already be on disk."""
-        _interrupt_third_task(monkeypatch)
+        _interrupt_second_wave(monkeypatch)
         memo_at_release = []
         original = ResultStore.release
 
@@ -449,7 +523,7 @@ class TestScheduler:
         assert cold_store.stats().memo_files == 0
 
         with monkeypatch.context() as patch:
-            _interrupt_third_task(patch)
+            _interrupt_second_wave(patch)
             with JobScheduler(store, workers=1) as scheduler:
                 first = scheduler.submit(_unpruned_request())
                 scheduler.wait(first.id, timeout=60)
