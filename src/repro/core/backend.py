@@ -240,7 +240,11 @@ _ROW_FIELDS = frozenset({
 
 def _same(a, b) -> bool:
     """Exact equality of two shared context fields (nested tuples of
-    arrays, arrays or scalars)."""
+    arrays, arrays or scalars). Contexts built over one
+    :class:`~repro.core.batch_eval.ModelContext` share its arrays, so
+    identity answers first."""
+    if a is b:
+        return True
     if isinstance(a, tuple):
         return (isinstance(b, tuple) and len(a) == len(b)
                 and all(_same(x, y) for x, y in zip(a, b)))

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 # The numpy gate is shared with every batched path (grid_eval, the SA
 # filter) through repro.core.backend — one switch to stub or
@@ -70,10 +70,11 @@ from repro.core.component_alloc import (
     layer_workloads,
 )
 from repro.core.evaluator import PerformanceEvaluator
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, PimsynError
 from repro.hardware.crossbar import required_adc_resolution
 from repro.hardware.power import PowerBudget
 from repro.ir.builder import DataflowBuilder, DataflowSpec
+from repro.nn.model import CNNModel
 from repro.nn.workload import model_macs
 from repro.utils.mathutils import ordered_sum
 
@@ -110,6 +111,97 @@ class BatchEvaluation:
         return int(self.fitness.shape[0])
 
 
+@dataclass(frozen=True)
+class ModelContext:
+    """The model-level half of a scoring context, shared by every task.
+
+    The inter-layer edge structure (``interlayer_edges()`` order) as the
+    gene-free index arrays :class:`~repro.core.backend.PopulationContext`
+    shares across its rows, and ``2 * MACs``. None of it depends on a
+    task, so the caller that builds many evaluators of one model builds
+    this once and passes it to each (a DSE task runner does), and every
+    context built over it shares these arrays by identity, which
+    :func:`~repro.core.backend.stack_contexts` checks in O(1).
+    ``producers_of[idx]`` lists layer ``idx``'s producers in the order
+    of the ``lat_*`` edges, for the per-task pipeline fractions.
+    """
+
+    model: CNNModel
+    producers_of: Tuple[Tuple[int, ...], ...]
+    comm_producer: "object"  # (E,) int64
+    comm_consumer: "object"  # (E,) int64
+    lat_producer: "object"  # (E,) int64
+    out_slots: Tuple[Tuple["object", "object"], ...]
+    levels: Tuple[Tuple["object", "object", "object"], ...]
+    macs2: float
+
+    @classmethod
+    def of(cls, model: CNNModel) -> "ModelContext":
+        """Build ``model``'s context from two CSR walks over its edges:
+        producer-major for transfers (the §IV-B accumulation order),
+        consumer-major for the latency forward pass. Needs numpy."""
+        np = numpy_module()
+        n = model.num_weighted_layers
+        consumer_lists: Dict[int, List[int]] = {}
+        producer_of: Dict[int, List[int]] = {}
+        for producer, consumer in model.interlayer_edges():
+            consumer_lists.setdefault(producer, []).append(consumer)
+            producer_of.setdefault(consumer, []).append(producer)
+        producers_of = tuple(
+            tuple(producer_of.get(idx, ())) for idx in range(n)
+        )
+        comm_offsets = np.zeros(n + 1, dtype=np.int64)
+        comm_consumer: List[int] = []
+        for producer in range(n):
+            comm_consumer.extend(consumer_lists.get(producer, []))
+            comm_offsets[producer + 1] = len(comm_consumer)
+        lat_offsets = np.zeros(n + 1, dtype=np.int64)
+        lat_producer: List[int] = []
+        for idx, producers in enumerate(producers_of):
+            lat_producer.extend(producers)
+            lat_offsets[idx + 1] = len(lat_producer)
+        lat_producer = np.asarray(lat_producer, dtype=np.int64)
+
+        # Out-edge slots for the transfer fold, topological levels for
+        # the latency pass.
+        out_degree = np.diff(comm_offsets)
+        out_slots = []
+        for slot in range(int(out_degree.max(initial=0))):
+            producers = np.flatnonzero(out_degree > slot)
+            out_slots.append((producers, comm_offsets[producers] + slot))
+        level = [0] * n
+        for idx in range(n):  # weighted layers are in topological order
+            for producer in producers_of[idx]:
+                level[idx] = max(level[idx], level[producer] + 1)
+        levels = []
+        for depth in range(1, max(level, default=0) + 1):
+            consumers = np.flatnonzero(np.asarray(level) == depth)
+            in_edges = [
+                range(lat_offsets[idx], lat_offsets[idx + 1])
+                for idx in consumers
+            ]
+            width = max(len(edges) for edges in in_edges)
+            # A short in-edge list repeats its first edge: max-neutral.
+            edges = np.array(
+                [[e[d] if d < len(e) else e[0] for e in in_edges]
+                 for d in range(width)],
+                dtype=np.int64,
+            )
+            levels.append((consumers, lat_producer[edges], edges))
+        return cls(
+            model=model,
+            producers_of=producers_of,
+            comm_producer=np.repeat(
+                np.arange(n, dtype=np.int64), out_degree
+            ),
+            comm_consumer=np.asarray(comm_consumer, dtype=np.int64),
+            lat_producer=lat_producer,
+            out_slots=tuple(out_slots),
+            levels=tuple(levels),
+            macs2=2.0 * model_macs(model),
+        )
+
+
 class BatchPerformanceEvaluator:
     """Scores whole gene populations for one (spec, budget, ResDAC), or
     for several at once when stacked (:meth:`stack`).
@@ -123,6 +215,9 @@ class BatchPerformanceEvaluator:
     identical_macros:
         Use the §V-C2 identical-macro allocation (the scalar
         ``identical_macros=not config.specialized_macros``).
+    model_context:
+        ``spec.model``'s :class:`ModelContext`, when the caller keeps
+        one for many evaluators; built here otherwise.
     """
 
     def __init__(
@@ -133,6 +228,7 @@ class BatchPerformanceEvaluator:
         enable_macro_sharing: bool = True,
         identical_macros: bool = False,
         overlap_window: int = 4,
+        model_context: Optional[ModelContext] = None,
     ) -> None:
         if numpy_module() is None:  # pragma: no cover - defensive gate
             raise ConfigurationError(
@@ -146,6 +242,14 @@ class BatchPerformanceEvaluator:
         self.enable_macro_sharing = enable_macro_sharing
         self.identical_macros = identical_macros
         self.overlap_window = overlap_window
+        if model_context is None:
+            model_context = ModelContext.of(spec.model)
+        elif model_context.model is not spec.model:
+            raise ConfigurationError(
+                f"the model context of {model_context.model.name!r} "
+                f"cannot score a spec of {spec.model.name!r}"
+            )
+        self.model_context = model_context
         self._precompute()
 
     # ------------------------------------------------------------------
@@ -165,28 +269,27 @@ class BatchPerformanceEvaluator:
         geos = spec.geometries
         n = len(geos)
         self.num_layers = n
+        shared = self.model_context
 
         # The scalar oracle's own helpers supply every per-layer scalar,
         # so a model change propagates here automatically.
         oracle = PerformanceEvaluator(spec, budget)
         act_bytes = oracle._bytes_per_activation()
+        blocks = [geo.total_blocks for geo in geos]
         mvm = np.array(
             [oracle._mvm_time(geo) for geo in geos], dtype=np.float64
         )
         # load/store numerators exactly as _memory_times composes them:
         # ((total_blocks * inputs_per_block) * act_bytes) / bandwidth.
         load_num = np.array(
-            [geo.total_blocks * geo.inputs_per_block * act_bytes
-             for geo in geos],
+            [count * geo.inputs_per_block * act_bytes
+             for count, geo in zip(blocks, geos)],
             dtype=np.float64,
         )
         store_num = np.array(
-            [geo.total_blocks * geo.outputs_per_block * act_bytes
-             for geo in geos],
+            [count * geo.outputs_per_block * act_bytes
+             for count, geo in zip(blocks, geos)],
             dtype=np.float64,
-        )
-        total_blocks = np.array(
-            [geo.total_blocks for geo in geos], dtype=np.int64
         )
         row_tiles = np.array(
             [geo.row_tiles for geo in geos], dtype=np.int64
@@ -206,8 +309,7 @@ class BatchPerformanceEvaluator:
         )
 
         # Eq. 5 workloads and the Eq. 6 denominator (all gene-free).
-        bits = spec.bits
-        adc_wl, alu_wl = layer_workloads(geos, spec.model, bits)
+        adc_wl, alu_wl = layer_workloads(geos, spec.model, spec.bits)
         xb_size = budget.xb_size
         adc_lo, adc_hi = params.adc_resolution_range
         adc_resolutions = [
@@ -231,9 +333,9 @@ class BatchPerformanceEvaluator:
 
         # Fixed-overhead constants, composed exactly as
         # fixed_overhead_power does: fixed == total_macros * per_macro
-        # + total_crossbars * per_crossbar. The differential suite pins
-        # this against the real function, so a power-model change there
-        # cannot silently diverge from the batched copy.
+        # + total_crossbars * per_crossbar. Checked against the real
+        # function for one macro, so a power-model change there cannot
+        # silently diverge from the kernel's copy.
         per_macro_fixed = (
             params.edram_power + params.noc_power
             + params.register_power_per_macro
@@ -243,81 +345,32 @@ class BatchPerformanceEvaluator:
         )
         total_crossbars = sum(geo.crossbars for geo in geos)
         crossbar_fixed = total_crossbars * per_crossbar
-        assert fixed_overhead_power(
+        oracle_fixed = fixed_overhead_power(
             geos, [[0]] * n, params, xb_size, self.res_dac
-        ) == 1 * per_macro_fixed + crossbar_fixed
+        )
+        if oracle_fixed != 1 * per_macro_fixed + crossbar_fixed:
+            raise PimsynError(
+                f"fixed_overhead_power gives {oracle_fixed!r} W for one "
+                "macro, but the batched kernel's copy of its constants "
+                f"gives {per_macro_fixed + crossbar_fixed!r} W: the "
+                "power model changed under the kernel"
+            )
 
         # Identical-macro constants (§V-C2).
         max_resolution = max(adc_resolutions)
         adc_power_unit = params.adc_power_of(max_resolution)
 
-        # Communication / pipeline structure as gene-free index arrays
-        # (see PopulationContext), built from two CSR walks over the
-        # edges: producer-major for transfers (the §IV-B accumulation
-        # order), consumer-major for the latency forward pass — both
-        # preserve the exact iteration order of
-        # spec.model.interlayer_edges().
-        consumer_lists = {}
-        producer_of = {}
-        for producer, consumer in spec.model.interlayer_edges():
-            consumer_lists.setdefault(producer, []).append(consumer)
-            producer_of.setdefault(consumer, []).append(producer)
+        # Each in-edge's pipeline fraction, in the shared lat_* order.
         builder = DataflowBuilder(spec)
-        fraction = {}
-        for consumer, producers in producer_of.items():
-            for producer in producers:
-                first_needed = builder.producer_block_for(
-                    geos[producer], geos[consumer], 0
-                )
-                fraction[(producer, consumer)] = (
-                    (first_needed + 1) / geos[producer].total_blocks
-                )
-        comm_offsets = np.zeros(n + 1, dtype=np.int64)
-        comm_consumer: List[int] = []
-        for producer in range(n):
-            comm_consumer.extend(consumer_lists.get(producer, []))
-            comm_offsets[producer + 1] = len(comm_consumer)
-        lat_offsets = np.zeros(n + 1, dtype=np.int64)
-        lat_producer = []
-        lat_fraction: List[float] = []
-        for idx in range(n):
-            for producer in producer_of.get(idx, []):
-                lat_producer.append(producer)
-                lat_fraction.append(fraction[(producer, idx)])
-            lat_offsets[idx + 1] = len(lat_producer)
-        lat_producer = np.asarray(lat_producer, dtype=np.int64)
-
-        # Out-edge slots for the transfer fold, topological levels for
-        # the latency pass.
-        out_degree = np.diff(comm_offsets)
-        out_slots = []
-        for slot in range(int(out_degree.max(initial=0))):
-            producers = np.flatnonzero(out_degree > slot)
-            out_slots.append((producers, comm_offsets[producers] + slot))
-        level = [0] * n
-        for idx in range(n):  # weighted layers are in topological order
-            for producer in producer_of.get(idx, []):
-                level[idx] = max(level[idx], level[producer] + 1)
-        levels = []
-        for depth in range(1, max(level, default=0) + 1):
-            consumers = np.flatnonzero(np.asarray(level) == depth)
-            in_edges = [
-                range(lat_offsets[idx], lat_offsets[idx + 1])
-                for idx in consumers
-            ]
-            width = max(len(edges) for edges in in_edges)
-            # A short in-edge list repeats its first edge: max-neutral.
-            edges = np.array(
-                [[e[d] if d < len(e) else e[0] for e in in_edges]
-                 for d in range(width)],
-                dtype=np.int64,
-            )
-            levels.append((consumers, lat_producer[edges], edges))
+        lat_fraction = [
+            (builder.producer_block_for(geos[producer], geos[idx], 0) + 1)
+            / blocks[producer]
+            for idx, producers in enumerate(shared.producers_of)
+            for producer in producers
+        ]
 
         # Power account scalars.
-        used_crossbars = sum(g.crossbars for g in geos)
-        rram_power = used_crossbars * params.crossbar_power_of(xb_size)
-        macs2 = 2.0 * model_macs(spec.model)
+        rram_power = total_crossbars * params.crossbar_power_of(xb_size)
 
         # One row: per-layer arrays and per-task scalars gain a
         # leading row axis (see PopulationContext).
@@ -328,7 +381,7 @@ class BatchPerformanceEvaluator:
             mvm=mvm[None],
             load_num=load_num[None],
             store_num=store_num[None],
-            total_blocks=total_blocks[None],
+            total_blocks=row(blocks, np.int64),
             merge_rounds=merge_rounds[None],
             per_round_num=per_round_num[None],
             out_bytes=out_bytes[None],
@@ -336,14 +389,12 @@ class BatchPerformanceEvaluator:
             alu_wl=row(alu_wl),
             adc_powers=row(adc_powers),
             merge_layers=(row_tiles > 1)[None],
-            comm_producer=np.repeat(
-                np.arange(n, dtype=np.int64), out_degree
-            ),
-            comm_consumer=np.asarray(comm_consumer, dtype=np.int64),
-            lat_producer=lat_producer,
+            comm_producer=shared.comm_producer,
+            comm_consumer=shared.comm_consumer,
+            lat_producer=shared.lat_producer,
             lat_fraction=row(lat_fraction),
-            out_slots=tuple(out_slots),
-            levels=tuple(levels),
+            out_slots=shared.out_slots,
+            levels=shared.levels,
             denom=row(denom),
             crossbar_fixed=row(crossbar_fixed),
             peripheral_power=row(budget.peripheral_power),
@@ -356,7 +407,7 @@ class BatchPerformanceEvaluator:
             edram_bandwidth=params.edram_bandwidth,
             noc_port_bandwidth=params.noc_port_bandwidth,
             noc_hop_latency=params.noc_hop_latency,
-            macs2=macs2,
+            macs2=shared.macs2,
             overlap_window=self.overlap_window,
             enable_macro_sharing=self.enable_macro_sharing,
             identical_macros=self.identical_macros,
@@ -376,6 +427,7 @@ class BatchPerformanceEvaluator:
             return evaluators[0]
         stacked = cls.__new__(cls)
         stacked.num_layers = evaluators[0].num_layers
+        stacked.model_context = evaluators[0].model_context
         stacked._ctx = stack_contexts(
             [evaluator.context for evaluator in evaluators]
         )

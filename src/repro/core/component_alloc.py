@@ -35,7 +35,6 @@ from repro.hardware.params import HardwareParams
 from repro.hardware.power import PowerBudget
 from repro.ir.builder import LayerGeometry
 from repro.nn.model import CNNModel
-from repro.nn.workload import vector_op_workload
 from repro.utils.mathutils import ordered_sum
 
 
@@ -86,14 +85,13 @@ def layer_workloads(
     """Per-image ADC conversions and ALU element-ops per layer (Eq. 5 Wl)."""
     adc_wl: List[float] = []
     alu_wl: List[float] = []
-    layers = model.weighted_layers
+    vector_ops = model.vector_op_workloads()
     for geo in geometries:
         conversions = (
             geo.total_blocks * bits * geo.conversions_per_block_bit
         )
         adc_wl.append(float(conversions))
-        vector_ops = vector_op_workload(model, layers[geo.index].name)
-        alu_wl.append(float(conversions) + float(vector_ops))
+        alu_wl.append(float(conversions) + float(vector_ops[geo.index]))
     return adc_wl, alu_wl
 
 

@@ -92,6 +92,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.core.synthesizer import SynthesisReport
 
 from repro.core.backend import numpy_available
+from repro.core.batch_eval import ModelContext
 from repro.core.config import SynthesisConfig
 from repro.core.dataflow import make_spec
 from repro.core.design_space import DesignPoint, DesignSpace
@@ -363,6 +364,7 @@ class _TaskRunner:
         self.cache: Dict[Hashable, object] = dict(warm_memo or ())
         self._model_key = model_fingerprint(model)
         self._params_key = params_fingerprint(config.params)
+        self._model_context: Optional[ModelContext] = None
 
     def filter_candidates(
         self, points: Sequence[DesignPoint]
@@ -419,9 +421,13 @@ class _TaskRunner:
         Every EA launch this worker runs scores whole populations
         through the explorer's batched engine when numpy imports — the
         serial executor and each pool worker batch their task queues'
-        evaluations identically.
+        evaluations identically. The runner builds the model's
+        :class:`~repro.core.batch_eval.ModelContext` once and hands it
+        to every explorer, so the contexts of a wave share it.
         """
         spec, budget = self.spec_and_budget(task)
+        if self._model_context is None and numpy_available():
+            self._model_context = ModelContext.of(self.model)
         return MacroPartitionExplorer(
             spec=spec, budget=budget, res_dac=task.res_dac,
             config=self.config, rng=self.seeds.spawn(task.seed_label),
@@ -429,6 +435,7 @@ class _TaskRunner:
             cache_context=task.context_key(
                 self._model_key, self._params_key
             ),
+            model_context=self._model_context,
         )
 
     def run_pareto_task(self, item: ParetoTaskItem) -> ParetoTaskOutcome:

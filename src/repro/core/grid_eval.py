@@ -57,7 +57,6 @@ from repro.hardware.crossbar import (
     required_adc_resolution,
 )
 from repro.nn.model import CNNModel
-from repro.nn.workload import vector_op_workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.executor import EvaluationTask
@@ -90,7 +89,6 @@ class GridBoundEvaluator:
         rows: List[int] = []
         cols: List[int] = []
         out_positions: List[int] = []
-        vector_ops: List[float] = []
         for layer in layers:
             assert layer.output_shape is not None
             _, ho, wo = layer.output_shape
@@ -100,11 +98,12 @@ class GridBoundEvaluator:
             rows.append(layer.weight_rows)  # type: ignore[attr-defined]
             cols.append(n_cols)
             out_positions.append(ho * wo)
-            vector_ops.append(float(vector_op_workload(model, layer.name)))
         self._rows = np.asarray(rows, dtype=np.int64)
         self._cols = np.asarray(cols, dtype=np.int64)
         self._out_positions = np.asarray(out_positions, dtype=np.int64)
-        self._vector_ops = np.asarray(vector_ops, dtype=np.float64)
+        self._vector_ops = np.asarray(
+            model.vector_op_workloads(), dtype=np.float64
+        )
         # Scalar constants, in the scalar code's own expressions.
         self._act_bytes = model.act_precision / 8.0
         self._per_macro_fixed = (

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, MutableMapping, Optional, Sequence, Tuple
 
 from repro.core.backend import numpy_available
-from repro.core.batch_eval import BatchPerformanceEvaluator
+from repro.core.batch_eval import BatchPerformanceEvaluator, ModelContext
 from repro.core.component_alloc import (
     ComponentAllocation,
     allocate_components,
@@ -157,6 +157,9 @@ class MacroPartitionExplorer:
     one Python call per gene), the gene-at-a-time oracle otherwise.
     Either way :meth:`score` remains the scalar reference for
     individual genes (winner materialization, tests).
+    ``model_context`` is the batched engine's model-level half
+    (:class:`~repro.core.batch_eval.ModelContext`), when the caller
+    keeps one for many explorers of ``spec.model``.
     """
 
     def __init__(
@@ -168,6 +171,7 @@ class MacroPartitionExplorer:
         rng: random.Random,
         cache: Optional[MutableMapping] = None,
         cache_context: Optional[Hashable] = None,
+        model_context: Optional[ModelContext] = None,
     ) -> None:
         self.spec = spec
         self.budget = budget
@@ -176,6 +180,7 @@ class MacroPartitionExplorer:
         self.rng = rng
         self.cache = cache
         self.cache_context = cache_context
+        self.model_context = model_context
         self._batch_evaluator: Optional[BatchPerformanceEvaluator] = None
         self.last_report = None  # EvolutionReport of the latest EA run
         self.evaluator = PerformanceEvaluator(spec, budget)
@@ -339,6 +344,7 @@ class MacroPartitionExplorer:
                 self.res_dac,
                 enable_macro_sharing=self.config.enable_macro_sharing,
                 identical_macros=not self.config.specialized_macros,
+                model_context=self.model_context,
             )
         return self._batch_evaluator
 

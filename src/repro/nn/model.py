@@ -41,6 +41,9 @@ class CNNModel:
     _by_name: Dict[str, Layer] = field(init=False, repr=False)
     _order: List[Layer] = field(init=False, repr=False)
     _edges: List[Tuple[int, int]] = field(init=False, repr=False)
+    _vector_ops: Optional[Tuple[int, ...]] = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         if self.act_precision <= 0 or self.weight_precision <= 0:
@@ -213,6 +216,22 @@ class CNNModel:
                     out.append(layer)
                     frontier.append(layer.name)
         return out
+
+    def vector_op_workloads(self) -> Tuple[int, ...]:
+        """Per weighted layer, in order, the vector-op elements charged
+        to its ALUs (:func:`repro.nn.workload.vector_op_workload`).
+
+        The graph and shapes are fixed once the model is built, so the
+        :meth:`vector_ops_after` walks run on the first call only.
+        """
+        if self._vector_ops is None:
+            from repro.nn.workload import vector_op_workload
+
+            self._vector_ops = tuple(
+                vector_op_workload(self, layer.name)
+                for layer in self.weighted_layers
+            )
+        return self._vector_ops
 
     def summary(self) -> str:
         """Human-readable per-layer table (name, kind, shape, weights)."""
