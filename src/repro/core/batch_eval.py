@@ -49,7 +49,7 @@ explorer assigns them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 # The numpy gate is shared with every batched path (grid_eval, the SA
@@ -109,6 +109,20 @@ class BatchEvaluation:
 
     def __len__(self) -> int:
         return int(self.fitness.shape[0])
+
+    def rows(self) -> List[Dict[str, object]]:
+        """Each gene's fields as plain Python values, in gene order:
+        the shape of :meth:`repro.core.macro_partition.
+        MacroPartitionExplorer.score_fields`, so a batch row and the
+        scalar oracle's row compare with ``==``."""
+        columns = {
+            spec.name: getattr(self, spec.name).tolist()
+            for spec in fields(self)
+        }
+        return [
+            dict(zip(columns, values))
+            for values in zip(*columns.values())
+        ]
 
 
 @dataclass(frozen=True)

@@ -305,8 +305,11 @@ class ParetoTaskOutcome:
 class TaskOutcome:
     """What a worker reports back for one task (kept IPC-small).
 
-    The winning gene is re-scored in the parent to materialize the full
-    :class:`SynthesisSolution`; losers only ever ship these scalars.
+    The metrics are the winning gene's fields as the search's engine
+    scored them. The incumbent's gene is re-scored in the parent to
+    materialize the full :class:`SynthesisSolution`, and that scalar
+    re-score must give the same metrics; losers only ever ship these
+    scalars.
     """
 
     index: int
@@ -321,6 +324,12 @@ class TaskOutcome:
     ea_evaluations: int = 0  # memo misses: fitness calls actually run
     cache_hits: int = 0
 
+
+#: The winner fields a :class:`TaskOutcome` carries.
+OUTCOME_METRICS = (
+    "fitness", "throughput", "power", "tops_per_watt", "latency",
+    "num_macros",
+)
 
 #: Tasks per worker in one wave of the EA queue (module docstring,
 #: properties 2 and 7).
@@ -522,6 +531,8 @@ class _TaskRunner:
 
         Each launch keeps its ``ea:{...}`` RNG, memo keys and counts,
         so its outcome does not depend on which tasks share the call.
+        Its metrics are its winner's fields from the chunk's one
+        winner-scoring call.
         """
         explorers = [self.make_explorer(task) for task in tasks]
         outcomes = []
@@ -534,15 +545,11 @@ class _TaskRunner:
                 cache_hits=explorer.last_report.cache_hits,
             )
             if found is not None:
-                partition, _allocation, result = found
+                gene, row = found
                 outcome.feasible = True
-                outcome.fitness = result.fitness
-                outcome.gene = partition.gene
-                outcome.throughput = result.throughput
-                outcome.power = result.power
-                outcome.tops_per_watt = result.tops_per_watt
-                outcome.latency = result.latency
-                outcome.num_macros = partition.num_macros
+                outcome.gene = gene
+                for name in OUTCOME_METRICS:
+                    setattr(outcome, name, row[name])
             outcomes.append(outcome)
         return outcomes
 
@@ -843,7 +850,8 @@ class ExplorationEngine:
         if incumbent is None:
             return None
         return self._materialize_gene(
-            tasks[incumbent.index], incumbent.gene, incumbent.fitness
+            tasks[incumbent.index], incumbent.gene, incumbent.fitness,
+            searched=incumbent,
         )
 
     def run_pareto(
@@ -937,14 +945,28 @@ class ExplorationEngine:
         return collected
 
     def _materialize_gene(
-        self, task: EvaluationTask, gene: Tuple[int, ...], fitness: float
+        self,
+        task: EvaluationTask,
+        gene: Tuple[int, ...],
+        fitness: float,
+        searched: Optional[TaskOutcome] = None,
     ) -> SynthesisSolution:
-        """Re-score one (task, gene) in-process into a full solution;
-        ``fitness`` is the gene's score in the search. Scoring is
-        deterministic, so this reproduces exactly the evaluation the
-        (possibly remote) worker reported."""
+        """Re-score one (task, gene) in-process, through the scalar
+        oracle, into a full solution; ``fitness`` is the gene's score in
+        the search, and ``searched`` the (possibly remote) worker's
+        outcome for it. The re-score must reproduce every metric the
+        search reported, or a :class:`~repro.errors.PimsynError` names
+        the field (:meth:`~repro.core.macro_partition.
+        MacroPartitionExplorer.score_winner`): this is the runtime check
+        of the batched kernel against the oracle, on the design that
+        ships."""
+        expected: Dict[str, object] = {"fitness": fitness}
+        if searched is not None:
+            expected.update(
+                (name, getattr(searched, name)) for name in OUTCOME_METRICS
+            )
         explorer = self._local_runner.make_explorer(task)
-        allocation, result = explorer.score_winner(gene, fitness)
+        allocation, result = explorer.score_winner(gene, expected)
         return SynthesisSolution(
             model_name=self.model.name,
             total_power=self.config.total_power,

@@ -22,7 +22,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, MutableMapping, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Hashable,
+    List,
+    Mapping,
+    MutableMapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.backend import numpy_available
 from repro.core.batch_eval import BatchPerformanceEvaluator, ModelContext
@@ -228,42 +237,40 @@ class MacroPartitionExplorer:
         ``bottleneck_layer`` -1, ``num_macros`` 0): the row each
         batched score is held ``==`` to."""
         fitness, _allocation, result = self.score(gene)
-        row: Dict[str, object] = {
-            name: 0.0 if result is None else getattr(result, name)
-            for name in _METRIC_FIELDS
-        }
-        row.update(
-            feasible=result is not None,
-            fitness=fitness,
-            bottleneck_layer=(
-                -1 if result is None else result.bottleneck_layer
-            ),
-            num_macros=(
-                0 if result is None
-                else MacroPartition.from_gene(gene).num_macros
-            ),
-        )
-        return row
+        return _fields_of(gene, fitness, result)
 
     def score_winner(
-        self, gene: Gene, fitness: float
+        self, gene: Gene, searched: Mapping[str, object]
     ) -> Tuple[ComponentAllocation, EvaluationResult]:
-        """Scalar re-score of a winning gene the search scored
-        ``fitness`` (positive, so feasible).
+        """Scalar re-score of a winning gene whose fields the search
+        scored as ``searched`` (a :meth:`score_fields`-shaped mapping
+        holding at least a positive ``fitness``, so feasible).
 
-        The search may have scored it through the numpy kernel; if the
-        scalar oracle finds it infeasible, the two engines diverged.
-        That raises :class:`PimsynError` rather than
-        :class:`InfeasibleError`, which callers treat as a skipped task.
+        The search may have scored it through the numpy kernel, which
+        is held ``==`` to the scalar oracle on every field. A field of
+        ``searched`` the oracle scores differently, or a winner the
+        oracle finds infeasible, means the two engines diverged: that
+        raises :class:`PimsynError` naming the field, rather than
+        :class:`InfeasibleError`, which callers treat as a skipped
+        task.
         """
-        _fitness, allocation, result = self.score(gene)
+        fitness, allocation, result = self.score(gene)
         if allocation is None or result is None:
             raise PimsynError(
-                f"gene {tuple(gene)} scored fitness {fitness!r} in the "
-                "search, but the scalar oracle finds it infeasible "
-                f"(backend {self.config.backend!r}): the engines "
-                "diverged"
+                f"gene {tuple(gene)} scored fitness "
+                f"{searched['fitness']!r} in the search, but the scalar "
+                "oracle finds it infeasible (backend "
+                f"{self.config.backend!r}): the engines diverged"
             )
+        oracle = _fields_of(gene, fitness, result)
+        for name, value in searched.items():
+            if oracle[name] != value:
+                raise PimsynError(
+                    f"gene {tuple(gene)} scored {name} {value!r} in the "
+                    f"search, but the scalar oracle scores "
+                    f"{oracle[name]!r} (backend "
+                    f"{self.config.backend!r}): the engines diverged"
+                )
         return allocation, result
 
     def score_population(self, genes: Sequence[Gene]) -> List[float]:
@@ -439,7 +446,9 @@ class MacroPartitionExplorer:
     ) -> Tuple[MacroPartition, ComponentAllocation, EvaluationResult]:
         """Run the EA; return the best feasible partition found.
 
-        The one-launch case of :func:`explore_together`. Raises
+        The one-launch case of :func:`explore_together`, its winner
+        materialized through the scalar oracle and held ``==`` to the
+        search's row (:meth:`score_winner`). Raises
         :class:`InfeasibleError` if no gene in the search was feasible
         (e.g. the fixed overhead of even one macro per layer exceeds
         the peripheral budget).
@@ -450,19 +459,46 @@ class MacroPartitionExplorer:
                 "EA found no feasible macro partition under the power "
                 "budget"
             )
-        return found
+        gene, row = found
+        allocation, result = self.score_winner(gene, row)
+        return MacroPartition.from_gene(gene), allocation, result
 
 
-Explored = Optional[
-    Tuple[MacroPartition, ComponentAllocation, EvaluationResult]
-]
+def _fields_of(
+    gene: Gene, fitness: float, result: Optional[EvaluationResult]
+) -> Dict[str, object]:
+    """A gene's :meth:`MacroPartitionExplorer.score_fields` row from
+    its scalar score (``result`` None: infeasible)."""
+    row: Dict[str, object] = {
+        name: 0.0 if result is None else getattr(result, name)
+        for name in _METRIC_FIELDS
+    }
+    row.update(
+        feasible=result is not None,
+        fitness=fitness,
+        bottleneck_layer=(
+            -1 if result is None else result.bottleneck_layer
+        ),
+        num_macros=(
+            0 if result is None
+            else MacroPartition.from_gene(gene).num_macros
+        ),
+    )
+    return row
+
+
+#: One launch's best feasible gene and its fields as the search's
+#: engine scores them (a :meth:`MacroPartitionExplorer.score_fields`
+#: row), or None when the search found no feasible gene.
+Explored = Optional[Tuple[Gene, Dict[str, object]]]
 
 
 def explore_together(
     explorers: Sequence[MacroPartitionExplorer],
 ) -> List[Explored]:
     """Run the EAs of ``explorers`` in lock-step: each one's best
-    feasible partition, or None when its search found no feasible gene.
+    feasible gene with its fields, or None when its search found no
+    feasible gene.
 
     Every launch is built as :meth:`MacroPartitionExplorer.explore`
     builds it alone, on its own RNG, memo keys and report
@@ -473,9 +509,11 @@ def explore_together(
     evaluate_population` over the launches' stacked contexts when numpy
     imports, the scalar oracle gene by gene otherwise. So each launch
     returns what it returns alone. The explorers must score one model
-    under one config and share one memo (a task runner's); each winner
-    is re-scored through the scalar oracle (:meth:`~MacroPartitionExplorer.
-    score_winner`).
+    under one config and share one memo (a task runner's). The winners'
+    fields come from one more call of the same scorer over all of them
+    (:meth:`~MacroPartitionExplorer.score_fields` without numpy); the
+    design that ships is the one held ``==`` to the scalar oracle
+    (:meth:`~MacroPartitionExplorer.score_winner`).
     """
     if not explorers:
         return []
@@ -489,22 +527,32 @@ def explore_together(
             explorer.initial_population(explorer.config.ea_population_size)
         )
     if numpy_available():
-        score = BatchPerformanceEvaluator.stack(
+        stacked = BatchPerformanceEvaluator.stack(
             [explorer.batch_evaluator for explorer in explorers]
-        ).fitness_of
+        )
+        score = stacked.fitness_of
     else:
         def score(genes, lanes):
             return [
                 explorers[lane].score(gene)[0]
                 for gene, lane in zip(genes, lanes)
             ]
-    found: List[Explored] = []
-    for explorer, (gene, fitness) in zip(
-        explorers, evolve_together(engines, populations, score)
-    ):
-        if fitness <= 0.0:
-            found.append(None)
-            continue
-        allocation, result = explorer.score_winner(gene, fitness)
-        found.append((MacroPartition.from_gene(gene), allocation, result))
+    best = evolve_together(engines, populations, score)
+    lanes = [
+        lane for lane, (_gene, fitness) in enumerate(best)
+        if fitness > 0.0
+    ]
+    genes = [best[lane][0] for lane in lanes]
+    if not genes:
+        rows = []
+    elif numpy_available():
+        rows = stacked.evaluate_population(genes, lanes).rows()
+    else:
+        rows = [
+            explorers[lane].score_fields(gene)
+            for lane, gene in zip(lanes, genes)
+        ]
+    found: List[Explored] = [None] * len(explorers)
+    for lane, gene, row in zip(lanes, genes, rows):
+        found[lane] = (gene, row)
     return found

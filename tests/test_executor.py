@@ -315,7 +315,7 @@ class TestLockstepWaves:
             explorers, together, outcomes, serial
         ):
             got = None if found is None else (
-                found[0].gene, found[2].fitness
+                found[0], found[1]["fitness"]
             )
             assert got == want
             assert explorer.last_report == report
