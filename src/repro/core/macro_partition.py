@@ -49,10 +49,14 @@ from repro.errors import ConfigurationError, InfeasibleError, PimsynError
 from repro.hardware.power import PowerBudget
 from repro.ir.builder import DataflowSpec
 from repro.optim.evolution import EvolutionEngine, evolve_together
+from repro.utils.rng import randbelow
 
 Gene = Tuple[int, ...]
 
 _ENCODING_BASE = 1000
+
+#: ``mutate_num``'s #macros steps.
+_DELTAS = (-2, -1, 1, 2)
 
 #: The float metrics a gene's evaluation shares with BatchEvaluation.
 _METRIC_FIELDS = (
@@ -368,9 +372,8 @@ class MacroPartitionExplorer:
             encode_gene(range(n_layers), list(self.caps))
         )
         while len(population) < size:
-            counts = [
-                self.rng.randint(1, self.caps[i]) for i in range(n_layers)
-            ]
+            # 1 + randbelow(cap): rng.randint(1, cap)'s draw.
+            counts = [1 + randbelow(self.rng, cap) for cap in self.caps]
             population.append(encode_gene(range(n_layers), counts))
         return population
 
@@ -382,13 +385,15 @@ class MacroPartitionExplorer:
 
         Edits the encoded gene in place of a decode/encode round trip,
         with the same draws and the same result on every valid gene.
+        Draws are :func:`repro.utils.rng.randbelow`: ``rng.randrange``
+        and ``rng.choice``'s values and RNG states.
         """
-        index = rng.randrange(len(gene))
+        index = randbelow(rng, len(gene))
         target = gene[index] // _ENCODING_BASE  # the group's owner
         cap = self.caps[target]
         if cap == 1:
             return gene
-        delta = rng.choice((-2, -1, 1, 2))
+        delta = _DELTAS[randbelow(rng, len(_DELTAS))]
         value = gene[target]
         count = value % _ENCODING_BASE
         value += max(1, min(cap, count + delta)) - count
@@ -399,7 +404,7 @@ class MacroPartitionExplorer:
         (on the encoded gene, like :meth:`mutate_num`)."""
         if not self.config.enable_macro_sharing:
             return gene
-        index = rng.randrange(len(gene))
+        index = randbelow(rng, len(gene))
         owner, count = divmod(gene[index], _ENCODING_BASE)
         if owner != index:
             # Currently sharing: dissolve the pair.
@@ -417,7 +422,7 @@ class MacroPartitionExplorer:
             ]
             if not candidates:
                 return gene
-            partner = rng.choice(candidates)
+            partner = candidates[randbelow(rng, len(candidates))]
         return (
             gene[:index] + (partner * _ENCODING_BASE + count,)
             + gene[index + 1:]

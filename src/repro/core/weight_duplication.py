@@ -27,9 +27,11 @@ returns the same candidates whether it runs alone
 
 from __future__ import annotations
 
+import heapq
 import random
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Sequence, Tuple
 
 # Single numpy gate: repro.core.backend owns the import (and its
 # absence), so every batched path degrades identically.
@@ -45,6 +47,7 @@ from repro.optim.annealing import (
     round_scorer,
 )
 from repro.utils.mathutils import stdev
+from repro.utils.rng import randbelow
 
 WtDup = Tuple[int, ...]
 
@@ -88,10 +91,17 @@ class WeightDuplicationFilter:
         # WtDup_i never exceeds the layer's output count: more copies than
         # output positions cannot be used within one image.
         self.dup_caps: List[int] = list(self.out_positions)
-        # neighbor's one-entry memo: the last entry state, held so the
-        # key stays the state itself, and its slack (None: infeasible).
+        # neighbor's memo: the last entry state and its slack (None:
+        # infeasible), and the last proposals returned from it with
+        # theirs. An SA round draws up to sa_proposal_batch proposals
+        # from one entry state, and the next entry is that state or one
+        # of them, so that many are kept. Holding the states keeps the
+        # identity checks sound.
         self._entry: Optional[WtDup] = None
         self._entry_slack: Optional[int] = None
+        self._carried: Deque[Tuple[WtDup, int]] = deque(
+            maxlen=self.config.sa_proposal_batch
+        )
 
     # ------------------------------------------------------------------
     # Eq. 2 feasibility
@@ -132,7 +142,9 @@ class WeightDuplicationFilter:
         np = numpy_module()
         if np is None:
             return [self.energy(state) for state in states]
-        dup = np.asarray(states, dtype=np.float64)
+        # int64 converts faster than float64, and the int -> float64
+        # promotions below are exact.
+        dup = np.array(states, dtype=np.int64)
         steps = np.array(self.out_positions, dtype=np.float64) / dup
         volumes = dup * np.array(
             self.volume_units, dtype=np.float64
@@ -141,7 +153,7 @@ class WeightDuplicationFilter:
         energies = energies + self.config.sa_alpha * self._batch_stdev(
             volumes
         )
-        return [float(e) for e in energies]
+        return energies.tolist()
 
     def _batch_stdev(self, values):
         """Population stdev over the layer axis, ordered like ``stdev``.
@@ -163,24 +175,30 @@ class WeightDuplicationFilter:
     def initial_state(self) -> WtDup:
         """All-ones, then repeatedly duplicate the layer with the most
         remaining steps while the budget allows — a cheap approximation
-        of the balanced pipeline the SA walk refines."""
+        of the balanced pipeline the SA walk refines.
+
+        Each pick is the first layer, by most steps and then lowest
+        index, that can still grow. A layer that cannot grow now never
+        can (the budget only shrinks and its count stays put), so it
+        leaves the heap for good.
+        """
         dup = [1] * len(self.set_sizes)
         remaining = self.num_crossbars - self.crossbars_used(dup)
-        improved = True
-        while improved:
-            improved = False
-            order = sorted(
-                range(len(dup)),
-                key=lambda i: self.out_positions[i] / dup[i],
-                reverse=True,
-            )
-            for index in order:
-                cost = self.set_sizes[index]
-                if cost <= remaining and dup[index] < self.dup_caps[index]:
-                    dup[index] += 1
-                    remaining -= cost
-                    improved = True
-                    break
+
+        def entry(index: int) -> Tuple[float, int]:
+            return -(self.out_positions[index] / dup[index]), index
+
+        heap = [entry(index) for index in range(len(dup))]
+        heapq.heapify(heap)
+        while heap:
+            index = heap[0][1]
+            cost = self.set_sizes[index]
+            if cost <= remaining and dup[index] < self.dup_caps[index]:
+                dup[index] += 1
+                remaining -= cost
+                heapq.heapreplace(heap, entry(index))
+            else:
+                heapq.heappop(heap)
         return tuple(dup)
 
     # ------------------------------------------------------------------
@@ -190,72 +208,79 @@ class WeightDuplicationFilter:
         """One feasible random move: grow, shrink, or shift duplication.
 
         Retries a few times to find a feasible move; falls back to the
-        unchanged state when the budget is completely tight.
+        unchanged state when the budget is completely tight. Each draw
+        is :func:`repro.utils.rng.randbelow`, ``rng.randrange``'s value
+        and RNG state.
 
         A move touches at most two entries, so once ``state`` itself is
-        known feasible a candidate is feasible exactly when the touched
+        known feasible a move is feasible exactly when the touched
         entries stay within ``[1, cap]`` and the crossbars it adds fit
-        the state's slack. An infeasible ``state`` (never produced by
-        the walk) gets the full :meth:`is_feasible` check per try. The
-        slack of the last entry state is kept: every proposal of an SA
-        round starts from the same state, which changes only on an
-        accept, so ``state`` is checked once per new entry state.
+        the state's slack; only the state returned is copied. An
+        infeasible ``state`` (never produced by the walk) gets the full
+        :meth:`is_feasible` check per try. Every proposal returned from
+        a feasible state carries its own slack, and the SA walk's next
+        entry state is its entry or one of its last proposals, so
+        ``is_feasible`` runs once per walk, on the initial state.
         """
+        slack = (
+            self._entry_slack if state is self._entry
+            else self._slack_of(state)
+        )
         n_layers = len(state)
-        entry = tuple(state)
-        if entry is not self._entry and entry != self._entry:
-            self._entry = entry
-            self._entry_slack = (
-                self.num_crossbars - self.crossbars_used(entry)
-                if self.is_feasible(entry) else None
-            )
-        slack = self._entry_slack
+        caps, sizes = self.dup_caps, self.set_sizes
         for _ in range(16):
-            move = rng.randrange(3)
-            candidate = list(state)
-            grown = shrunk = None
+            move = randbelow(rng, 3)
             if move == 0:  # grow one layer
-                grown = rng.randrange(n_layers)
-                candidate[grown] += 1
+                grown, shrunk = randbelow(rng, n_layers), -1
             elif move == 1:  # shrink one layer
-                shrunk = rng.randrange(n_layers)
-                candidate[shrunk] -= 1
+                grown, shrunk = -1, randbelow(rng, n_layers)
             else:  # shift: shrink one, grow another
-                shrunk = rng.randrange(n_layers)
-                grown = rng.randrange(n_layers)
+                shrunk = randbelow(rng, n_layers)
+                grown = randbelow(rng, n_layers)
                 if shrunk == grown:
                     continue
-                candidate[shrunk] -= 1
+            if slack is not None:
+                added = 0
+                if grown >= 0:
+                    if state[grown] >= caps[grown]:
+                        continue
+                    added = sizes[grown]
+                if shrunk >= 0:
+                    if state[shrunk] <= 1:
+                        continue
+                    added -= sizes[shrunk]
+                if added > slack:
+                    continue
+            candidate = list(state)
+            if grown >= 0:
                 candidate[grown] += 1
+            if shrunk >= 0:
+                candidate[shrunk] -= 1
             if slack is None:
-                feasible = self.is_feasible(candidate)
-            else:
-                feasible = self._move_fits(candidate, grown, shrunk, slack)
-            if feasible:
-                return tuple(candidate)
+                if self.is_feasible(candidate):
+                    return tuple(candidate)
+                continue
+            proposal = tuple(candidate)
+            self._carried.append((proposal, slack - added))
+            return proposal
         return state
 
-    def _move_fits(
-        self,
-        candidate: Sequence[int],
-        grown: Optional[int],
-        shrunk: Optional[int],
-        slack: int,
-    ) -> bool:
-        """Eq. 2 feasibility of ``candidate``, one move away from a
-        feasible state with ``slack`` spare crossbars: only the touched
-        entries can leave ``[1, cap]``, and only their sizes change the
-        crossbar count."""
-        added = 0
-        if grown is not None:
-            if candidate[grown] > self.dup_caps[grown]:
-                return False
-            added += self.set_sizes[grown]
-        if shrunk is not None:
-            if candidate[shrunk] < 1:
-                return False
-            added -= self.set_sizes[shrunk]
-        return added <= slack
+    def _slack_of(self, state: WtDup) -> Optional[int]:
+        """Make ``state`` :meth:`neighbor`'s entry state; return its
+        spare crossbars, None when it is infeasible: carried when it is
+        one of the last proposals, computed otherwise."""
+        for proposal, slack in self._carried:
+            if proposal is state:
+                break
+        else:
+            slack = (
+                self.num_crossbars - self.crossbars_used(state)
+                if self.is_feasible(state) else None
+            )
+        self._entry = tuple(state)  # a tuple is its own copy
+        self._entry_slack = slack
+        self._carried.clear()
+        return slack
 
     # ------------------------------------------------------------------
     # Entry point (Alg. 1 line 6)

@@ -151,10 +151,11 @@ class SimulatedAnnealer(Generic[State]):
         """
         if top_k < 1:
             raise ConfigurationError("top_k must be >= 1")
+        neighbor, rng, state_key = self.neighbor, self.rng, self.state_key
         current = initial
         current_energy = self.energy(current)
         self.evaluations = 1
-        archive: dict = {self.state_key(current): (current, current_energy)}
+        archive: dict = {state_key(current): (current, current_energy)}
 
         for temperature in self.schedule.temperatures():
             remaining = self.schedule.steps_per_temp
@@ -162,8 +163,7 @@ class SimulatedAnnealer(Generic[State]):
                 round_size = min(self.proposal_batch, remaining)
                 remaining -= round_size
                 proposals = [
-                    self.neighbor(current, self.rng)
-                    for _ in range(round_size)
+                    neighbor(current, rng) for _ in range(round_size)
                 ]
                 self.evaluations += round_size
                 energies = yield proposals
@@ -171,12 +171,12 @@ class SimulatedAnnealer(Generic[State]):
                     proposals, energies
                 ):
                     delta = candidate_energy - current_energy
-                    if delta <= 0 or self.rng.random() < math.exp(
+                    if delta <= 0 or rng.random() < math.exp(
                         -delta / temperature
                     ):
                         current = candidate
                         current_energy = candidate_energy
-                        key = self.state_key(current)
+                        key = state_key(current)
                         best = archive.get(key)
                         if best is None or current_energy < best[1]:
                             archive[key] = (current, current_energy)

@@ -40,6 +40,7 @@ from typing import (
 from repro.errors import ConfigurationError
 from repro.optim.annealing import anneal_together
 from repro.optim.memo import score_through_memo
+from repro.utils.rng import randbelow
 
 Gene = TypeVar("Gene")
 Value = TypeVar("Value")
@@ -161,7 +162,10 @@ class MuPlusLambda(Generic[Gene, Value]):
             seen = {self.gene_key(g) for g, _ in population}
             for _ in range(self.offspring_per_gen):
                 parent = select()
-                operator = self.rng.choice(self.mutations)
+                # rng.choice(self.mutations)'s draw.
+                operator = self.mutations[
+                    randbelow(self.rng, len(self.mutations))
+                ]
                 child = operator(parent, self.rng)
                 key = self.gene_key(child)
                 if key not in seen:

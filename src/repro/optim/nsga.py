@@ -27,6 +27,7 @@ from repro.optim.dominance import (
     fast_non_dominated_sort,
 )
 from repro.optim.evolution import MuPlusLambda
+from repro.utils.rng import randbelow
 
 Gene = TypeVar("Gene")
 Vector = Tuple[float, ...]
@@ -95,8 +96,8 @@ class NSGA2Engine(MuPlusLambda[Gene, Vector]):
         crowding: List[float],
     ) -> Gene:
         """Binary tournament on (rank, crowding); index breaks ties."""
-        a = self.rng.randrange(len(population))
-        b = self.rng.randrange(len(population))
+        a = randbelow(self.rng, len(population))
+        b = randbelow(self.rng, len(population))
         if (ranks[a], -crowding[a], a) <= (ranks[b], -crowding[b], b):
             return population[a][0]
         return population[b][0]

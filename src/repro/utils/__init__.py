@@ -17,7 +17,7 @@ from repro.utils.mathutils import (
     ordered_sum,
     stdev,
 )
-from repro.utils.rng import SeedSequence, make_rng
+from repro.utils.rng import SeedSequence, make_rng, randbelow
 
 __all__ = [
     "ceil_div",
@@ -30,4 +30,5 @@ __all__ = [
     "stdev",
     "SeedSequence",
     "make_rng",
+    "randbelow",
 ]

@@ -22,6 +22,29 @@ def make_rng(seed: int) -> random.Random:
     return random.Random(seed)
 
 
+def randbelow(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)``, from the same draws, in one Python frame.
+
+    CPython's ``randrange(n)``, ``randint(1, n)`` (``1 + ...``) and
+    ``choice(seq)`` (``seq[...]`` with ``n = len(seq)``) all reduce to
+    ``Random._randbelow(n)``, which for a ``random.Random`` (and any
+    subclass that keeps its ``random`` and ``getrandbits``) takes
+    ``getrandbits(n.bit_length())`` until the value is below ``n``.
+    This does exactly that, so it returns the same value and leaves
+    ``rng`` in the same state, call for call; it only skips the
+    argument checks and two frames the searches' hot loops paid for
+    each draw. Raises :class:`ValueError` for ``n < 1``, where
+    ``getrandbits(0)`` would be 0 forever.
+    """
+    if n < 1:
+        raise ValueError(f"randbelow needs n >= 1, got {n}")
+    bits = n.bit_length()
+    value = rng.getrandbits(bits)
+    while value >= n:
+        value = rng.getrandbits(bits)
+    return value
+
+
 @dataclass
 class SeedSequence:
     """Splittable seed source.
