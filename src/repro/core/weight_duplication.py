@@ -37,7 +37,7 @@ from typing import Deque, List, Optional, Sequence, Tuple
 # absence), so every batched path degrades identically.
 from repro.core.backend import numpy_module, row_sums
 from repro.core.config import SynthesisConfig
-from repro.errors import InfeasibleError
+from repro.errors import ConfigurationError, InfeasibleError
 from repro.hardware.crossbar import crossbar_set_size
 from repro.nn.model import CNNModel
 from repro.optim.annealing import (
@@ -320,11 +320,24 @@ def lockstep_candidates(
     because ``batch_energy`` scores each state bit-identically to
     :meth:`WeightDuplicationFilter.energy`. So each list, in chain
     order, equals what that filter's :meth:`~WeightDuplicationFilter.
-    top_candidates` returns alone under the same RNG.
+    top_candidates` returns alone under the same RNG. Filters that
+    differ in one of those three inputs raise
+    :class:`~repro.errors.ConfigurationError` naming it.
     """
     if not chains:
         return []
     head = chains[0][0]
+    for filt, _rng in chains[1:]:
+        for name, value, expected in (
+            ("out_positions", filt.out_positions, head.out_positions),
+            ("volume_units", filt.volume_units, head.volume_units),
+            ("sa_alpha", filt.config.sa_alpha, head.config.sa_alpha),
+        ):
+            if value != expected:
+                raise ConfigurationError(
+                    f"SA chains differ in Eq. 4's input {name!r}: only "
+                    "one model's points under one sa_alpha lock-step"
+                )
     ranked = anneal_together(
         [filt.chain(rng) for filt, rng in chains],
         round_scorer(head.energy, head.batch_energy),

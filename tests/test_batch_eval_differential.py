@@ -27,14 +27,14 @@ import pytest
 
 from repro.core import Pimsyn, SynthesisConfig
 from repro.core.backend import numpy_available
-from repro.core.batch_eval import BatchPerformanceEvaluator
+from repro.core.batch_eval import BatchPerformanceEvaluator, ModelContext
 from repro.core.dataflow import make_spec
 from repro.core.macro_partition import (
     MacroPartition,
     MacroPartitionExplorer,
     encode_gene,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, PimsynError
 from repro.hardware.params import HardwareParams
 from repro.hardware.power import PowerBudget
 from repro.nn import zoo
@@ -324,6 +324,33 @@ class TestStackedRows:
                     [lenet, other.batch_evaluator]
                 )
 
+    def test_one_model_context_is_shared_by_identity(self):
+        """Explorers built over one ModelContext share its arrays, so
+        their stack keeps the very objects, and a context of another
+        model is refused."""
+        model = zoo.by_name("resnet18_cifar")
+        shared = ModelContext.of(model)
+        explorers = self._rows(model)
+        for explorer in explorers:
+            explorer.model_context = shared
+        contexts = [
+            explorer.batch_evaluator.context for explorer in explorers
+        ]
+        stacked = BatchPerformanceEvaluator.stack(
+            [explorer.batch_evaluator for explorer in explorers]
+        ).context
+        for name in (
+            "comm_producer", "comm_consumer", "lat_producer",
+            "out_slots", "levels",
+        ):
+            assert getattr(stacked, name) is getattr(shared, name)
+            for context in contexts:
+                assert getattr(context, name) is getattr(shared, name)
+        lenet = _explorer(zoo.by_name("lenet5"), 2.0)
+        lenet.model_context = shared
+        with pytest.raises(ConfigurationError, match="model context"):
+            lenet.batch_evaluator
+
     def test_rows_must_name_a_row_per_gene(self):
         explorers = self._rows(zoo.by_name("lenet5"))
         stacked = BatchPerformanceEvaluator.stack(
@@ -333,6 +360,29 @@ class TestStackedRows:
         for rows in ([0, 1, 2], [0, 1, 2, len(self.ROWS)], [-1, 0, 0, 0]):
             with pytest.raises(ConfigurationError, match="rows"):
                 stacked.evaluate_population(genes, rows)
+
+
+@needs_numpy
+class TestFixedOverheadGuard:
+    def test_a_power_model_change_under_the_kernel_raises(
+        self, monkeypatch
+    ):
+        """The kernel copies fixed_overhead_power's constants; a power
+        model that moves under it is an explicit error, not an assert
+        ``python -O`` strips."""
+        from repro.core import batch_eval
+
+        real = batch_eval.fixed_overhead_power
+
+        def one_more_watt(*args, **kwargs):
+            return real(*args, **kwargs) + 1.0
+
+        monkeypatch.setattr(
+            batch_eval, "fixed_overhead_power", one_more_watt
+        )
+        explorer = _explorer(zoo.by_name("lenet5"), 2.0)
+        with pytest.raises(PimsynError, match="fixed_overhead_power"):
+            explorer.batch_evaluator
 
 
 @needs_numpy

@@ -252,6 +252,26 @@ class TestEncodedMutations:
             MacroPartition.from_gene(child)  # still a valid gene
             genes.append(child)
 
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_initial_population_matches_the_randint_reference(
+        self, seed, size
+    ):
+        explorer = _walk_explorer(True)
+        explorer.rng = random.Random(seed)
+        reference_rng = random.Random(seed)
+        n_layers = len(explorer.caps)
+        want = [
+            encode_gene(range(n_layers), [1] * n_layers),
+            encode_gene(range(n_layers), explorer.caps),
+        ]
+        while len(want) < size:
+            want.append(encode_gene(range(n_layers), [
+                reference_rng.randint(1, cap) for cap in explorer.caps
+            ]))
+        assert explorer.initial_population(size) == want
+        assert explorer.rng.getstate() == reference_rng.getstate()
+
 
 class TestScoring:
     def test_feasible_gene_scores_positive(self, explorer):

@@ -16,7 +16,7 @@ from repro.core.weight_duplication import (
     WeightDuplicationFilter,
     lockstep_candidates,
 )
-from repro.errors import InfeasibleError
+from repro.errors import ConfigurationError, InfeasibleError
 from repro.nn import lenet5, zoo
 from repro.utils.mathutils import stdev
 from repro.utils.rng import SeedSequence
@@ -33,10 +33,12 @@ def _filter(model, num_crossbars=2000, **overrides):
 _LENET = lenet5()
 
 
-def _lenet_filter(headroom):
+def _lenet_filter(headroom, **overrides):
     """A lenet5 filter with ``headroom`` crossbars above WtDup=1."""
     sizes = _filter(_LENET, num_crossbars=10 ** 6).set_sizes
-    return _filter(_LENET, num_crossbars=sum(sizes) + headroom)
+    return _filter(
+        _LENET, num_crossbars=sum(sizes) + headroom, **overrides
+    )
 
 
 def _full_check_neighbor(filt, state, rng):
@@ -182,7 +184,56 @@ class TestEnergySumOrder:
             ]
 
 
+def _scan_initial_state(filt):
+    """``initial_state`` as a sorted scan per step: the reference the
+    heap is held to."""
+    dup = [1] * len(filt.set_sizes)
+    remaining = filt.num_crossbars - filt.crossbars_used(dup)
+    improved = True
+    while improved:
+        improved = False
+        order = sorted(
+            range(len(dup)),
+            key=lambda i: filt.out_positions[i] / dup[i],
+            reverse=True,
+        )
+        for index in order:
+            cost = filt.set_sizes[index]
+            if cost <= remaining and dup[index] < filt.dup_caps[index]:
+                dup[index] += 1
+                remaining -= cost
+                improved = True
+                break
+    return tuple(dup)
+
+
 class TestInitialState:
+    @pytest.mark.parametrize("name", zoo.available_models())
+    def test_heap_matches_the_sorted_scan(self, name):
+        """The heap picks what the scan picks: the scan takes the most
+        steps first and breaks ties to the lower index, and a layer
+        that cannot grow now never can, since the budget only shrinks.
+        Three budgets per point: the WtDup=1 floor, the point's own
+        budget and the midpoint."""
+        model = zoo.by_name(name)
+        config = SynthesisConfig(total_power=60.0, seed=1)
+        space = DesignSpace(model, config)
+        checked = 0
+        for point in space.outer_points():
+            floor = space.min_crossbars(point.xb_size, point.res_rram)
+            for budget in (
+                floor, (floor + point.num_crossbars) // 2,
+                point.num_crossbars,
+            ):
+                filt = WeightDuplicationFilter(
+                    model=model, xb_size=point.xb_size,
+                    res_rram=point.res_rram, num_crossbars=budget,
+                    config=config,
+                )
+                assert filt.initial_state() == _scan_initial_state(filt)
+                checked += 1
+        assert checked >= 3
+
     def test_feasible(self, tiny_model):
         filt = _filter(tiny_model)
         assert filt.is_feasible(filt.initial_state())
@@ -321,6 +372,52 @@ class TestNeighbor:
                 assert not filt.is_feasible(entry)
 
 
+    @given(
+        headroom=st.integers(0, 80),
+        batch=st.integers(1, 8),
+        seed=st.integers(0, 2 ** 32 - 1),
+        picks=st.lists(st.integers(0, 8), min_size=1, max_size=40),
+    )
+    @example(headroom=0, batch=3, seed=0, picks=[1, 2, 0])
+    @settings(max_examples=150, deadline=None)
+    def test_rounds_carry_each_proposals_slack(
+        self, headroom, batch, seed, picks
+    ):
+        """SA rounds as the walk makes them: ``batch`` proposals from
+        one entry state, and the next entry is that state (pick 0) or
+        one of the round's proposals, as a Metropolis accept makes it.
+        Every proposal is the randrange-based full-check walk's, with
+        the RNG where that walk leaves it, and the carried slack means
+        neighbor runs ``is_feasible`` once, on the initial state. With
+        no headroom every call takes the 16-try fallback."""
+        filt = _lenet_filter(headroom, sa_proposal_batch=batch)
+        checks = []
+        is_feasible = filt.is_feasible
+        filt.is_feasible = lambda state: checks.append(1) or (
+            is_feasible(state)
+        )
+        rng = random.Random(seed)
+        reference_rng = random.Random(seed)
+        entry = filt.initial_state()
+        neighbor_checks = 0
+        for pick in picks:
+            proposals = []
+            for _ in range(batch):
+                before = len(checks)
+                proposal = filt.neighbor(entry, rng)
+                neighbor_checks += len(checks) - before
+                assert proposal == _full_check_neighbor(
+                    filt, entry, reference_rng
+                )
+                assert rng.getstate() == reference_rng.getstate()
+                proposals.append(proposal)
+            if headroom == 0:
+                assert proposals == [entry] * batch
+            if pick:
+                entry = proposals[(pick - 1) % batch]
+        assert neighbor_checks == 1
+
+
 class TestTopCandidates:
     def test_returns_requested_count(self, tiny_model):
         filt = _filter(tiny_model, num_wtdup_candidates=5)
@@ -431,3 +528,35 @@ class TestLockstep:
 
     def test_no_chains(self):
         assert lockstep_candidates([]) == []
+
+    @pytest.mark.parametrize(
+        "name", ("lenet5", "alexnet_cifar", "vgg16_cifar")
+    )
+    def test_chains_must_share_sa_alpha(self, name):
+        """Every chain is scored with the first filter's Eq. 4, so a
+        chain under another ``sa_alpha`` would walk another energy: its
+        list differs from its solo walk. That is refused by name."""
+        model = zoo.by_name(name)
+        floor = sum(_filter(model, num_crossbars=10 ** 9).set_sizes)
+        filters = [
+            _filter(model, num_crossbars=3 * floor, sa_alpha=alpha)
+            for alpha in (0.0, 50.0)
+        ]
+        solo = filters[1].top_candidates(random.Random(4))
+        assert solo != _filter(
+            model, num_crossbars=3 * floor, sa_alpha=0.0
+        ).top_candidates(random.Random(4))
+        with pytest.raises(ConfigurationError, match="'sa_alpha'"):
+            lockstep_candidates(
+                [(filt, random.Random(4)) for filt in filters]
+            )
+
+    def test_chains_must_share_one_model(self):
+        filters = [
+            _filter(zoo.by_name(name), num_crossbars=10 ** 6)
+            for name in ("lenet5", "alexnet_cifar")
+        ]
+        with pytest.raises(ConfigurationError, match="'out_positions'"):
+            lockstep_candidates(
+                [(filt, random.Random(4)) for filt in filters]
+            )

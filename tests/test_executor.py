@@ -28,7 +28,9 @@ from repro.core import Pimsyn, SynthesisConfig
 from repro.core import executor as executor_mod
 from repro.core.design_space import DesignSpace
 from repro.core.evaluator import throughput_upper_bound
+from repro.core.backend import numpy_available
 from repro.core.executor import (
+    OUTCOME_METRICS,
     EvaluationTask,
     ExplorationEngine,
     ProcessExecutor,
@@ -50,7 +52,7 @@ from repro.errors import (
     SynthesisInterrupted,
 )
 from repro.hardware.params import HardwareParams
-from repro.nn import lenet5
+from repro.nn import lenet5, zoo
 
 
 def _config(**overrides) -> SynthesisConfig:
@@ -336,6 +338,56 @@ class TestLockstepWaves:
             reports[0].evaluations + reports[0].cache_hits
         )
 
+    @pytest.mark.parametrize(
+        "numpy", (True, False), ids=("numpy", "scalar")
+    )
+    @pytest.mark.parametrize("name,power", (
+        ("lenet5", 20.0), ("alexnet_cifar", 20.0),
+        ("vgg16_cifar", 40.0), ("resnet18_cifar", 60.0),
+    ))
+    def test_outcome_metrics_are_the_winners_oracle_row(
+        self, name, power, numpy, without_numpy
+    ):
+        """A wave's outcomes carry their winners' metrics from one
+        batched call, not from per-launch scalar re-scores; each must
+        still be ``==`` to the scalar oracle's row of its gene."""
+        model = zoo.by_name(name)
+        config = SynthesisConfig.fast(total_power=power, seed=7)
+        tasks = self._tasks(model, config)
+        with contextlib.ExitStack() as stack:
+            if not numpy:
+                stack.enter_context(without_numpy())
+            runner = _TaskRunner(model, config)
+            outcomes = runner.run_tasks(tasks)
+        feasible = [outcome for outcome in outcomes if outcome.feasible]
+        assert feasible
+        for outcome in feasible:
+            row = runner.make_explorer(tasks[outcome.index]).score_fields(
+                outcome.gene
+            )
+            assert row["feasible"]
+            for metric in OUTCOME_METRICS:
+                assert getattr(outcome, metric) == row[metric], metric
+
+    def test_a_runners_explorers_share_the_model_context(self, lenet):
+        """Every explorer a runner makes scores over the runner's one
+        ModelContext, so a wave's contexts share the model-level arrays
+        by identity and stack without comparing them."""
+        if not numpy_available():
+            pytest.skip("numpy is not installed")
+        first, second = self._tasks(lenet, self.CONFIG)[:2]
+        runner = _TaskRunner(lenet, self.CONFIG)
+        a, b = (
+            runner.make_explorer(task).batch_evaluator.context
+            for task in (first, second)
+        )
+        assert a.lat_fraction is not b.lat_fraction
+        for name in (
+            "comm_producer", "comm_consumer", "lat_producer",
+            "out_slots", "levels",
+        ):
+            assert getattr(a, name) is getattr(b, name), name
+
 
 class TestPruning:
     def test_pruning_preserves_the_true_optimum(self, lenet):
@@ -440,6 +492,50 @@ class TestWinnerRescore:
         assert str(gene) in message
         assert "fitness 123.5" in message
         assert f"backend {config.backend!r}" in message
+
+
+def _bump_one_genes_throughput(monkeypatch, gene):
+    """Patch the batched kernel to add one ulp to ``gene``'s throughput
+    wherever it scores it. Fitness is its own array, so every search
+    walks as before."""
+    import numpy as np
+
+    from repro.core import batch_eval
+
+    kernel = batch_eval.score_population
+    target = np.asarray(gene, dtype=np.int64)
+
+    def bumped(ctx, genes, rows=None):
+        scores = kernel(ctx, genes, rows)
+        hit = np.all(np.asarray(genes) == target, axis=1)
+        scores.throughput = np.where(
+            hit, np.nextafter(scores.throughput, np.inf), scores.throughput
+        )
+        return scores
+
+    monkeypatch.setattr(batch_eval, "score_population", bumped)
+
+
+class TestShippedDesignCheck:
+    """The runtime kernel check sits on the design that ships: its
+    scalar re-score must reproduce every metric the search reported."""
+
+    def test_a_one_ulp_divergence_names_the_field(self, lenet, monkeypatch):
+        if not numpy_available():
+            pytest.skip("the batched kernel needs numpy")
+        config = _config()
+        shipped = Pimsyn(lenet, config).synthesize()
+        _bump_one_genes_throughput(monkeypatch, shipped.partition.gene)
+        with pytest.raises(PimsynError, match="throughput") as info:
+            Pimsyn(lenet, config).synthesize()
+        assert not isinstance(info.value, InfeasibleError)
+        assert str(shipped.partition.gene) in str(info.value)
+
+    def test_matching_metrics_ship(self, lenet):
+        config = _config()
+        engine = ExplorationEngine(lenet, config, SynthesisReport())
+        solution = engine.run()
+        assert solution is not None
 
 
 def _cold_engine(lenet, **overrides):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ModelError
+from repro.nn import zoo
 from repro.nn.layers import ConvLayer, PoolLayer
 from repro.nn.workload import (
     layer_access_volume,
@@ -63,6 +64,22 @@ class TestVectorOpWorkload:
 
     def test_fc_tail_has_no_vector_ops(self, tiny_model):
         assert vector_op_workload(tiny_model, "fc1") == 0
+
+
+    @pytest.mark.parametrize("name", zoo.available_models())
+    def test_the_models_cached_workloads_are_the_walk(self, name):
+        """``CNNModel.vector_op_workloads`` walks ``vector_ops_after``
+        once, on first use, and keeps today's per-layer values (residual
+        ops included, however many layers they are charged to)."""
+        model = zoo.by_name(name)
+        walk = tuple(
+            vector_op_workload(model, layer.name)
+            for layer in model.weighted_layers
+        )
+        assert model.vector_op_workloads() == walk
+        assert model.vector_op_workloads() is model.vector_op_workloads()
+        # The cache is not model content.
+        assert model == zoo.by_name(name)
 
 
 class TestPerLayerStats:

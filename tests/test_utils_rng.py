@@ -1,6 +1,17 @@
-"""Unit tests for repro.utils.rng."""
+"""Unit tests for repro.utils.rng.
 
-from repro.utils.rng import SeedSequence, make_rng
+The SA filter and the EA operators draw through ``randbelow`` instead
+of ``randrange``/``randint``/``choice``. Every candidate list, design
+and content key rests on the two giving the same value and leaving the
+RNG in the same state, call for call, on every Python the project
+supports.
+"""
+
+import random
+
+import pytest
+
+from repro.utils.rng import SeedSequence, make_rng, randbelow
 
 
 class TestMakeRng:
@@ -37,3 +48,52 @@ class TestSeedSequence:
         seq2 = SeedSequence(seed=9)
         seq2.child_seed("beta")  # new consumer registered first
         assert seq2.child_seed("alpha") == first
+
+
+SEEDS = (0, 1, 7, 2024, 2**32 + 5)
+
+#: Every n up to 1100, and the powers of two around which
+#: ``n.bit_length()`` steps (k <= 31: draws up to 32 bits).
+SIZES = sorted(
+    set(range(1, 1101))
+    | {2**k + d for k in range(1, 32) for d in (-1, 0, 1)}
+)
+
+
+def _pair(seed):
+    """Two RNGs in one state: the reference's and the helper's."""
+    return random.Random(seed), random.Random(seed)
+
+
+class TestRandbelow:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_randrange(self, seed):
+        reference, rng = _pair(seed)
+        for n in SIZES:
+            for _ in range(3):
+                assert randbelow(rng, n) == reference.randrange(n)
+            assert rng.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_one_plus_it_matches_randint(self, seed):
+        reference, rng = _pair(seed)
+        for n in SIZES:
+            assert 1 + randbelow(rng, n) == reference.randint(1, n)
+            assert rng.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_indexing_with_it_matches_choice(self, seed):
+        reference, rng = _pair(seed)
+        for n in SIZES:
+            seq = range(100, 100 + n)  # a sequence of length n, lazily
+            assert seq[randbelow(rng, len(seq))] == reference.choice(seq)
+            assert rng.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("n", (0, -1, -(2**40)))
+    def test_an_empty_range_raises(self, n):
+        """``getrandbits(0)`` is 0, so an unguarded loop never ends."""
+        rng = random.Random(3)
+        state = rng.getstate()
+        with pytest.raises(ValueError):
+            randbelow(rng, n)
+        assert rng.getstate() == state
