@@ -60,8 +60,12 @@ Seven properties make the engine safe to parallelize and to accelerate:
    each. A chunk's launches run in lock-step
    (:func:`repro.core.macro_partition.explore_together`): one scoring
    call per generation for all of them, over their stacked contexts
-   when numpy imports. Every launch keeps its ``ea:{...}`` RNG, memo
-   keys and counts, so its outcome does not depend on the chunking.
+   when numpy imports, and one more for all their winners, whose
+   metrics the outcomes carry. Every launch keeps its ``ea:{...}``
+   RNG, memo keys and counts, so its outcome does not depend on the
+   chunking. Only the design that ships is re-scored through the
+   scalar oracle (:meth:`ExplorationEngine._materialize_gene`), and
+   each metric must match what its worker reported.
 
 Every future scaling direction (sharding the queue across hosts, async
 backends, multi-accelerator evaluation) plugs in behind the same

@@ -536,10 +536,19 @@ def explore_together(
             [explorer.batch_evaluator for explorer in explorers]
         )
         score = stacked.fitness_of
+
+        def fields(genes, lanes):
+            return stacked.evaluate_population(genes, lanes).rows()
     else:
         def score(genes, lanes):
             return [
                 explorers[lane].score(gene)[0]
+                for gene, lane in zip(genes, lanes)
+            ]
+
+        def fields(genes, lanes):
+            return [
+                explorers[lane].score_fields(gene)
                 for gene, lane in zip(genes, lanes)
             ]
     best = evolve_together(engines, populations, score)
@@ -548,16 +557,8 @@ def explore_together(
         if fitness > 0.0
     ]
     genes = [best[lane][0] for lane in lanes]
-    if not genes:
-        rows = []
-    elif numpy_available():
-        rows = stacked.evaluate_population(genes, lanes).rows()
-    else:
-        rows = [
-            explorers[lane].score_fields(gene)
-            for lane, gene in zip(lanes, genes)
-        ]
     found: List[Explored] = [None] * len(explorers)
-    for lane, gene, row in zip(lanes, genes, rows):
-        found[lane] = (gene, row)
+    if genes:
+        for lane, gene, row in zip(lanes, genes, fields(genes, lanes)):
+            found[lane] = (gene, row)
     return found
