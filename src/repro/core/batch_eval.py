@@ -9,16 +9,17 @@ round-trips per EA generation for what is, mathematically, a handful of
 elementwise array formulas.
 
 :class:`BatchPerformanceEvaluator` evaluates a whole population of
-macro-partition genes in one pass: geometries, workloads and every
-other gene-independent quantity are precomputed once per (spec, budget,
-ResDAC) context into one row of a :class:`repro.core.backend.
-PopulationContext`, and the per-gene work — group sizing, fixed
-overhead, the Eq. 6 balanced delay, the ADC-sharing post-pass, stage
-times, the fine-grained pipeline latency and the power account — runs
-as the one fused numpy kernel :func:`repro.core.backend.
-score_population`. :meth:`BatchPerformanceEvaluator.stack` stacks the
-rows of many tasks of one model, so the lock-stepped EA launches of a
-DSE wave score all their genes in one call.
+macro-partition genes in one pass: the model's edge structure is built
+once per model (:class:`ModelContext`), geometries, workloads and every
+other gene-independent quantity once per (spec, budget, ResDAC) context
+into one row of a :class:`repro.core.backend.PopulationContext`, and
+the per-gene work — group sizing, fixed overhead, the Eq. 6 balanced
+delay, the ADC-sharing post-pass, stage times, the fine-grained
+pipeline latency and the power account — runs as the one fused numpy
+kernel :func:`repro.core.backend.score_population`.
+:meth:`BatchPerformanceEvaluator.stack` stacks the rows of many tasks
+of one model, so the lock-stepped EA launches of a DSE wave score all
+their genes in one call.
 
 Exactness contract
 ------------------
@@ -125,7 +126,7 @@ class BatchEvaluation:
         ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelContext:
     """The model-level half of a scoring context, shared by every task.
 

@@ -497,7 +497,7 @@ class TestWinnerRescore:
 def _bump_one_genes_throughput(monkeypatch, gene):
     """Patch the batched kernel to add one ulp to ``gene``'s throughput
     wherever it scores it. Fitness is its own array, so every search
-    walks as before."""
+    walks as it does unpatched."""
     import numpy as np
 
     from repro.core import batch_eval
