@@ -537,7 +537,7 @@ def explore_together(
         )
         score = stacked.fitness_of
 
-        def fields(genes, lanes):
+        def winner_rows(genes, lanes):
             return stacked.evaluate_population(genes, lanes).rows()
     else:
         def score(genes, lanes):
@@ -546,7 +546,7 @@ def explore_together(
                 for gene, lane in zip(genes, lanes)
             ]
 
-        def fields(genes, lanes):
+        def winner_rows(genes, lanes):
             return [
                 explorers[lane].score_fields(gene)
                 for gene, lane in zip(genes, lanes)
@@ -559,6 +559,8 @@ def explore_together(
     genes = [best[lane][0] for lane in lanes]
     found: List[Explored] = [None] * len(explorers)
     if genes:
-        for lane, gene, row in zip(lanes, genes, fields(genes, lanes)):
+        for lane, gene, row in zip(
+            lanes, genes, winner_rows(genes, lanes)
+        ):
             found[lane] = (gene, row)
     return found

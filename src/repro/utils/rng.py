@@ -31,10 +31,11 @@ def randbelow(rng: random.Random, n: int) -> int:
     subclass that keeps its ``random`` and ``getrandbits``) takes
     ``getrandbits(n.bit_length())`` until the value is below ``n``.
     This does exactly that, so it returns the same value and leaves
-    ``rng`` in the same state, call for call; it only skips the
-    argument checks and two frames the searches' hot loops paid for
-    each draw. Raises :class:`ValueError` for ``n < 1``, where
-    ``getrandbits(0)`` would be 0 forever.
+    ``rng`` in the same state, call for call, in one Python frame where
+    ``randrange`` takes three and checks its arguments: the SA and EA
+    loops draw hundreds of thousands of times per synthesis. Raises
+    :class:`ValueError` for ``n < 1``, where ``getrandbits(0)`` would
+    be 0 forever.
     """
     if n < 1:
         raise ValueError(f"randbelow needs n >= 1, got {n}")

@@ -371,7 +371,6 @@ class TestNeighbor:
                 entry = tuple(broken)
                 assert not filt.is_feasible(entry)
 
-
     @given(
         headroom=st.integers(0, 80),
         batch=st.integers(1, 8),
