@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import ModelError
 from repro.nn.layers import (
@@ -65,40 +65,80 @@ _KIND_TO_OP = {
 }
 
 
-def _node_to_layer(node: Dict[str, Any], in_channels_hint: int) -> Layer:
-    """Decode one JSON node; ``in_channels_hint`` resolves Conv CI lazily."""
-    try:
-        op = node["op"]
-        name = node["name"]
-        inputs = tuple(node.get("inputs", ["input"]))
-        attrs = node.get("attrs", {})
-    except (KeyError, TypeError) as exc:
-        raise ModelError(f"malformed node {node!r}: {exc}") from exc
+def _integer(value: Any, where: str) -> int:
+    """``value`` as an int: a JSON number with no fractional part. Any
+    other value (null, a string, a bool, ``8.5``) raises
+    :class:`ModelError` naming ``where``; nothing is truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ModelError(f"{where} must be an integer, got {value!r}")
+    return int(value)
 
-    if op not in _OP_TO_KIND:
+
+def _attr(attrs: Dict[str, Any], name: str, node: str,
+          default: Optional[int] = None) -> int:
+    """Integer attribute ``name`` of node ``node``; a missing one takes
+    ``default``, or raises :class:`ModelError` when there is none."""
+    if name in attrs:
+        return _integer(attrs[name], f"node {node!r}: attribute {name!r}")
+    if default is None:
+        raise ModelError(f"node {node!r}: missing attribute {name!r}")
+    return default
+
+
+def _node_to_layer(node: Any, in_channels_hint: int) -> Layer:
+    """Decode one JSON node; ``in_channels_hint`` resolves Conv CI lazily.
+
+    Every malformed field raises :class:`ModelError` naming the node
+    and the field."""
+    if not isinstance(node, dict):
+        raise ModelError(f"malformed node {node!r}: not an object")
+    for key in ("op", "name"):
+        if key not in node:
+            raise ModelError(f"malformed node {node!r}: missing {key!r}")
+    op, name = node["op"], node["name"]
+    if not isinstance(name, str):
+        raise ModelError(f"malformed node {node!r}: name must be a string")
+    if not isinstance(op, str) or op not in _OP_TO_KIND:
         raise ModelError(f"node {name!r}: unsupported op {op!r}")
+    inputs = node.get("inputs", ["input"])
+    if not isinstance(inputs, (list, tuple)) or not all(
+        isinstance(source, str) for source in inputs
+    ):
+        raise ModelError(
+            f"node {name!r}: 'inputs' must be a list of layer names, "
+            f"got {inputs!r}"
+        )
+    inputs = tuple(inputs)
+    attrs = node.get("attrs", {})
+    if not isinstance(attrs, dict):
+        raise ModelError(
+            f"node {name!r}: 'attrs' must be an object, got {attrs!r}"
+        )
 
     if op == "Conv":
         return ConvLayer(
             name=name, inputs=inputs,
-            kernel=int(attrs["kernel"]),
-            in_channels=int(attrs.get("in_channels", in_channels_hint)),
-            out_channels=int(attrs["out_channels"]),
-            stride=int(attrs.get("stride", 1)),
-            padding=int(attrs.get("padding", 0)),
+            kernel=_attr(attrs, "kernel", name),
+            in_channels=_attr(attrs, "in_channels", name, in_channels_hint),
+            out_channels=_attr(attrs, "out_channels", name),
+            stride=_attr(attrs, "stride", name, 1),
+            padding=_attr(attrs, "padding", name, 0),
         )
     if op == "Gemm":
         return FCLayer(
             name=name, inputs=inputs,
-            in_features=int(attrs["in_features"]),
-            out_features=int(attrs["out_features"]),
+            in_features=_attr(attrs, "in_features", name),
+            out_features=_attr(attrs, "out_features", name),
         )
     if op in ("MaxPool", "AveragePool"):
+        kernel = _attr(attrs, "kernel", name)
         return PoolLayer(
             name=name, inputs=inputs,
-            kernel=int(attrs["kernel"]),
-            stride=int(attrs.get("stride", attrs["kernel"])),
-            padding=int(attrs.get("padding", 0)),
+            kernel=kernel,
+            stride=_attr(attrs, "stride", name, kernel),
+            padding=_attr(attrs, "padding", name, 0),
             mode="max" if op == "MaxPool" else "avg",
         )
     if op == "Relu":
@@ -111,7 +151,12 @@ def _node_to_layer(node: Dict[str, Any], in_channels_hint: int) -> Layer:
 
 
 def model_from_json(document: Union[str, Dict[str, Any]]) -> CNNModel:
-    """Parse a JSON document (string or dict) into a :class:`CNNModel`."""
+    """Parse a JSON document (string or dict) into a :class:`CNNModel`.
+
+    A malformed document raises :class:`ModelError` naming the node and
+    the field, and so does one without a Conv or Gemm node: such a
+    model has no weights to map onto crossbars.
+    """
     if isinstance(document, str):
         try:
             document = json.loads(document)
@@ -124,24 +169,40 @@ def model_from_json(document: Union[str, Dict[str, Any]]) -> CNNModel:
         if key not in document:
             raise ModelError(f"model document missing {key!r}")
 
-    input_shape = tuple(int(d) for d in document["input_shape"])
-    if len(input_shape) != 3:
-        raise ModelError(f"input_shape must have 3 dims, got {input_shape}")
+    shape = document["input_shape"]
+    if not isinstance(shape, (list, tuple)) or len(shape) != 3:
+        raise ModelError(
+            f"input_shape must be a list of 3 dims, got {shape!r}"
+        )
+    input_shape = tuple(_integer(d, "input_shape") for d in shape)
+    nodes = document["nodes"]
+    if not isinstance(nodes, (list, tuple)):
+        raise ModelError(f"nodes must be a list, got {nodes!r}")
 
     layers: List[Layer] = []
     channels = input_shape[0]
-    for node in document["nodes"]:
+    for node in nodes:
         layer = _node_to_layer(node, channels)
         if isinstance(layer, ConvLayer):
             channels = layer.out_channels
         layers.append(layer)
+    name = str(document["name"])
+    if not any(isinstance(layer, (ConvLayer, FCLayer)) for layer in layers):
+        raise ModelError(
+            f"model {name!r} has no Conv or Gemm node: nothing to "
+            "synthesize"
+        )
 
     return CNNModel(
-        name=str(document["name"]),
+        name=name,
         layers=layers,
         input_shape=input_shape,  # type: ignore[arg-type]
-        act_precision=int(document.get("act_precision", 16)),
-        weight_precision=int(document.get("weight_precision", 16)),
+        act_precision=_integer(
+            document.get("act_precision", 16), "act_precision"
+        ),
+        weight_precision=_integer(
+            document.get("weight_precision", 16), "weight_precision"
+        ),
     )
 
 

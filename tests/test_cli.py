@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -81,6 +82,33 @@ class TestSynthesizeCommand:
         assert main([
             "synthesize", "--model", "nope", "--power", "2.0",
         ]) == 1
+
+    def test_malformed_json_model_is_one_error_line(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "name": "bad", "input_shape": [3, 8, 8],
+            "nodes": [{"op": "Conv", "name": "c1", "inputs": ["input"],
+                       "attrs": {"kernel": 3}}],
+        }))
+        assert main([
+            "synthesize", "--json", str(path), "--power", "2.0",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: node 'c1': missing attribute 'out_channels'\n"
+        )
+
+    def test_verbose_summary_counts_stopped_launches(self, capsys):
+        assert main([
+            "synthesize", "--model", "lenet5", "--power", "2.0",
+            "--verbose",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert re.search(
+            r"DSE: .* EA runs \(\d+ pruned, \d+ stopped\)", out
+        )
 
 
 class TestSweepCommand:

@@ -56,11 +56,11 @@ def _interrupt_second_wave(monkeypatch) -> None:
     calls = {"n": 0}
     original = executor_mod._TaskRunner.run_tasks
 
-    def _interrupting(self, tasks):
+    def _interrupting(self, tasks, bounds=None):
         calls["n"] += 1
         if calls["n"] == 2:
             raise KeyboardInterrupt
-        return original(self, tasks)
+        return original(self, tasks, bounds)
 
     monkeypatch.setattr(
         executor_mod._TaskRunner, "run_tasks", _interrupting
@@ -70,7 +70,7 @@ def _interrupt_second_wave(monkeypatch) -> None:
 def _unpruned_request() -> JobRequest:
     # pruning off (execution-only: same content key) so the walk
     # reaches a second run_tasks call to interrupt: lenet5's 24 tasks
-    # go out in waves of 8
+    # go out in waves of 16
     return _request(overrides={"prune_dominated": False})
 
 
@@ -173,6 +173,12 @@ class TestJobContentKey:
                        overrides={"not_a_knob": 1})
         with pytest.raises(ModelError):
             JobRequest(model="nope", total_power=2.0).content_key()
+        with pytest.raises(ModelError, match="'c1'.*'out_channels'"):
+            JobRequest.from_payload({"power": 2.0, "model": {
+                "name": "bad", "input_shape": [3, 8, 8],
+                "nodes": [{"op": "Conv", "name": "c1",
+                           "inputs": ["input"], "attrs": {"kernel": 3}}],
+            }}).content_key()
 
     def test_from_payload_validation(self):
         with pytest.raises(ConfigurationError):
@@ -792,6 +798,41 @@ class TestApi:
         assert scheduler.jobs() == []
         stats = scheduler.stats()
         assert (stats["queued"], stats["executed"]) == (0, 0)
+
+
+    @pytest.mark.parametrize("attrs,field", [
+        ({"kernel": 3}, "'out_channels'"),
+        ({"kernel": None, "out_channels": 4}, "'kernel'"),
+        ({"kernel": 3, "out_channels": 8.5}, "'out_channels'"),
+    ], ids=["missing", "null", "non-integral"])
+    def test_malformed_inline_model_is_a_400_and_never_queued(
+        self, service, attrs, field
+    ):
+        """A malformed inline model document is a 400 naming the node
+        and the field, not ``500 internal error: KeyError``, and no job
+        is queued."""
+        server, scheduler, _store = service
+        document = {
+            "name": "bad", "input_shape": [3, 8, 8],
+            "nodes": [{"op": "Conv", "name": "c1", "inputs": ["input"],
+                       "attrs": attrs}],
+        }
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(server, {"model": document, "power": 2.0})
+        assert err.value.code == 400
+        message = err.value.read().decode()
+        assert "'c1'" in message and field in message
+        assert scheduler.jobs() == []
+
+    def test_model_without_weighted_layers_is_a_400(self, service):
+        server, scheduler, _store = service
+        document = {"name": "empty", "input_shape": [3, 8, 8],
+                    "nodes": []}
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(server, {"model": document, "power": 2.0})
+        assert err.value.code == 400
+        assert "no Conv or Gemm" in err.value.read().decode()
+        assert scheduler.jobs() == []
 
 
 def test_pimsyn_error_is_base_of_serve_errors():
