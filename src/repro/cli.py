@@ -150,8 +150,7 @@ def cmd_synthesize(args) -> int:
         )
         print(
             f"  DSE: {report.outer_points} outer points, "
-            f"{report.ea_runs} EA runs ({report.pruned_tasks} pruned, "
-            f"{report.stopped_launches} stopped), "
+            f"{report.ea_runs} EA runs ({report.pruned_tasks} pruned), "
             f"{nsga}"
             f"{report.cache_hits} cache hits / "
             f"{report.cache_misses} misses, jobs={report.jobs}, "

@@ -25,11 +25,8 @@ Seven properties make the engine safe to parallelize and to accelerate:
    descending-bound order so a strong incumbent appears early. The
    check runs when a wave is assembled (property 7), against the
    incumbent of the waves before it, so even at ``jobs=1`` a wave may
-   launch a task that a one-at-a-time walk would prune. The same rule
-   then runs in flight: a launch stops once another launch of its
-   chunk has scored a design that dominates its bound. A pruned or
-   stopped task still cannot win, so the winner does not depend on the
-   wave size.
+   launch a task that a one-at-a-time walk would prune. A pruned task
+   still cannot win, so the winner does not depend on the wave size.
 3. **Content-keyed memoization** — each :class:`_TaskRunner` keeps one
    dict of EA fitness values (and NSGA-II vectors) under ``(model,
    hardware params, design point, gene)`` fingerprints, which the
@@ -66,19 +63,9 @@ Seven properties make the engine safe to parallelize and to accelerate:
    when numpy imports, and one more for all their winners, whose
    metrics the outcomes carry. Every launch keeps its ``ea:{...}``
    RNG, memo keys and counts, so its outcome does not depend on the
-   chunking. With pruning on, the chunk carries its tasks' bounds, and
-   after each round a launch stops once the chunk's leading scored
-   design, by ``(max fitness, min task index)``, dominates its bound
-   under :func:`_dominated` (:func:`_doomed_lanes`). That is sound
-   with ties included: a launch's winner is at least every fitness it
-   scored, and a leader that is stopped in turn was outranked by a
-   better design, so a launch that runs to its end ranks above every
-   launch stopped. A stopped launch reports no winner, and
-   ``SynthesisReport.stopped_launches`` counts it. Which launches stop
-   depends on the chunking; the design does not. Only the design that
-   ships is re-scored through the scalar oracle
-   (:meth:`ExplorationEngine._materialize_gene`), and each metric must
-   match what its worker reported.
+   chunking. Only the design that ships is re-scored through the
+   scalar oracle (:meth:`ExplorationEngine._materialize_gene`), and
+   each metric must match what its worker reported.
 
 Every future scaling direction (sharding the queue across hosts, async
 backends, multi-accelerator evaluation) plugs in behind the same
@@ -91,7 +78,6 @@ import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field, fields
 from functools import partial
-from itertools import starmap
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -341,7 +327,6 @@ class TaskOutcome:
     num_macros: int = 0
     ea_evaluations: int = 0  # memo misses: fitness calls actually run
     cache_hits: int = 0
-    stopped: bool = False  # launched, then stopped in flight: no winner
 
 
 #: The winner fields a :class:`TaskOutcome` carries.
@@ -351,7 +336,10 @@ OUTCOME_METRICS = (
 )
 
 #: Tasks per worker in one wave of the EA queue (module docstring,
-#: properties 2 and 7).
+#: properties 2 and 7). A chunk's launches share each generation's
+#: scoring call, most of whose cost is fixed, so a wider chunk makes
+#: fewer calls; but a wider wave also launches tasks that an earlier
+#: wave's incumbent would have pruned.
 WAVE_TASKS_PER_JOB = 16
 
 
@@ -362,29 +350,6 @@ def _dominated(bound: float, index: int, incumbent: TaskOutcome) -> bool:
     return bound < incumbent.fitness or (
         bound == incumbent.fitness and index > incumbent.index
     )
-
-
-def _doomed_lanes(
-    tasks: Sequence[EvaluationTask],
-    bounds: Sequence[float],
-    scored: Sequence[float],
-) -> List[int]:
-    """The lanes of a lock-stepped chunk that can no longer win, given
-    each lane's best fitness ``scored`` so far: those whose task
-    ``bounds`` the chunk's leading scored design, by ``(max fitness,
-    min task index)``, dominates under :func:`_dominated` (module
-    docstring, property 7). Any lane's design that dominates a bound
-    ranks at or below the leader's, so checking the leader suffices;
-    the leader is not checked against itself."""
-    leader = max(
-        range(len(tasks)),
-        key=lambda lane: (scored[lane], -tasks[lane].index),
-    )
-    best = TaskOutcome(index=tasks[leader].index, fitness=scored[leader])
-    return [
-        lane for lane, (task, bound) in enumerate(zip(tasks, bounds))
-        if lane != leader and _dominated(bound, task.index, best)
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -565,9 +530,7 @@ class _TaskRunner:
         )
 
     def run_tasks(
-        self,
-        tasks: Sequence[EvaluationTask],
-        bounds: Optional[Sequence[float]] = None,
+        self, tasks: Sequence[EvaluationTask]
     ) -> List[TaskOutcome]:
         """Run the EA launches of ``tasks`` in lock-step
         (:func:`repro.core.macro_partition.explore_together`); one
@@ -576,25 +539,17 @@ class _TaskRunner:
         Each launch keeps its ``ea:{...}`` RNG, memo keys and counts,
         so its outcome does not depend on which tasks share the call.
         Its metrics are its winner's fields from the chunk's one
-        winner-scoring call. Given the tasks' pruning ``bounds``, a
-        launch stops in flight once another launch of the chunk has
-        scored a design that dominates its bound
-        (:func:`_doomed_lanes`); its outcome says ``stopped`` and
-        carries no winner. Without them every launch runs to its end.
+        winner-scoring call.
         """
         explorers = [self.make_explorer(task) for task in tasks]
-        doomed = None if bounds is None else partial(
-            _doomed_lanes, tasks, bounds
-        )
         outcomes = []
         for task, explorer, found in zip(
-            tasks, explorers, explore_together(explorers, doomed)
+            tasks, explorers, explore_together(explorers)
         ):
             outcome = TaskOutcome(
                 index=task.index,
                 ea_evaluations=explorer.last_report.evaluations,
                 cache_hits=explorer.last_report.cache_hits,
-                stopped=explorer.last_report.stopped,
             )
             if found is not None:
                 gene, row = found
@@ -635,10 +590,9 @@ class SerialExecutor:
     ) -> List[Optional[List[Tuple[int, ...]]]]:
         return self.runner.filter_candidates(points)
 
-    def imap(self, method: str, calls: Iterable[tuple]) -> Iterator:
-        """The runner's ``method`` applied to each argument tuple, in
-        order."""
-        return starmap(getattr(self.runner, method), calls)
+    def imap(self, method: str, items: Iterable) -> Iterator:
+        """The runner's ``method`` applied to each item, in order."""
+        return map(getattr(self.runner, method), items)
 
     def terminate(self) -> None:
         pass
@@ -670,10 +624,10 @@ def _worker_init(
     _WORKER_RUNNER = _TaskRunner(model, config, warm_memo=warm_memo)
 
 
-def _worker_call(method: str, args: tuple):
+def _worker_call(method: str, item):
     """A pool worker's one entry point: its runner's ``method`` on
-    ``args``."""
-    return getattr(_WORKER_RUNNER, method)(*args)
+    ``item``."""
+    return getattr(_WORKER_RUNNER, method)(item)
 
 
 class ProcessExecutor:
@@ -715,15 +669,15 @@ class ProcessExecutor:
             candidates
             for chunk in self._pool.map(
                 partial(_worker_call, "filter_candidates"),
-                [(chunk,) for chunk in _chunks(points, self.jobs)],
+                _chunks(points, self.jobs),
             )
             for candidates in chunk
         ]
 
-    def imap(self, method: str, calls: Iterable[tuple]) -> Iterator:
-        """The workers' runner ``method`` applied to each argument
-        tuple, results in submission order."""
-        return self._pool.imap(partial(_worker_call, method), calls)
+    def imap(self, method: str, items: Iterable) -> Iterator:
+        """The workers' runner ``method`` applied to each item, results
+        in submission order."""
+        return self._pool.imap(partial(_worker_call, method), items)
 
     def terminate(self) -> None:
         """Stop workers immediately (Ctrl-C path) — no zombie processes."""
@@ -987,9 +941,7 @@ class ExplorationEngine:
             for task in tasks
         ]
         collected: List[ParetoPoint] = []
-        for outcome in executor.imap(
-            "run_pareto_task", [(item,) for item in items]
-        ):
+        for outcome in executor.imap("run_pareto_task", items):
             self.report.nsga_runs += 1
             self.report.cache_hits += outcome.cache_hits
             self.report.ea_evaluations += outcome.evaluations
@@ -1098,7 +1050,6 @@ class ExplorationEngine:
             # with one big dispatch, every EA would launch before the
             # first incumbent could rule any of them out.
             wave: List[EvaluationTask] = []
-            wave_bounds: List[float] = []
             while cursor < len(order) and len(wave) < wave_size:
                 position = order[cursor]
                 cursor += 1
@@ -1110,17 +1061,9 @@ class ExplorationEngine:
                     continue
                 self.report.ea_runs += 1
                 wave.append(task)
-                if prune:
-                    wave_bounds.append(bounds[position])
-            # Each chunk's launches run in lock-step in one worker call,
-            # and with pruning on they stop in flight as they are
-            # dominated there.
-            chunks = _chunks(wave, jobs)
-            chunk_bounds = (
-                _chunks(wave_bounds, jobs) if prune else [None] * len(chunks)
-            )
+            # Each chunk's launches run in lock-step in one worker call.
             for outcomes in executor.imap(
-                "run_tasks", zip(chunks, chunk_bounds)
+                "run_tasks", _chunks(wave, jobs)
             ):
                 for outcome in outcomes:
                     incumbent = self._absorb(outcome, tasks, incumbent)
@@ -1141,7 +1084,6 @@ class ExplorationEngine:
         """Fold one task outcome into the report/archive/incumbent."""
         self.report.cache_hits += outcome.cache_hits
         self.report.ea_evaluations += outcome.ea_evaluations
-        self.report.stopped_launches += outcome.stopped
         if not outcome.feasible:
             return incumbent
         self.report.best_history.append(outcome.fitness)

@@ -23,8 +23,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from typing import (
-    Callable,
-    Collection,
     Dict,
     Hashable,
     List,
@@ -496,18 +494,16 @@ def _fields_of(
 
 #: One launch's best feasible gene and its fields as the search's
 #: engine scores them (a :meth:`MacroPartitionExplorer.score_fields`
-#: row), or None when the search found no feasible gene or was stopped
-#: (:func:`explore_together`).
+#: row), or None when the search found no feasible gene.
 Explored = Optional[Tuple[Gene, Dict[str, object]]]
 
 
 def explore_together(
     explorers: Sequence[MacroPartitionExplorer],
-    doomed: Optional[Callable[[List[float]], Collection[int]]] = None,
 ) -> List[Explored]:
     """Run the EAs of ``explorers`` in lock-step: each one's best
     feasible gene with its fields, or None when its search found no
-    feasible gene or was stopped.
+    feasible gene.
 
     Every launch is built as :meth:`MacroPartitionExplorer.explore`
     builds it alone, on its own RNG, memo keys and report
@@ -523,13 +519,6 @@ def explore_together(
     (:meth:`~MacroPartitionExplorer.score_fields` without numpy); the
     design that ships is the one held ``==`` to the scalar oracle
     (:meth:`~MacroPartitionExplorer.score_winner`).
-
-    ``doomed``, when given, maps each launch's best fitness scored so
-    far, memo hits included (``-inf`` before any), to the launches that
-    can no longer win. It is asked after every round, and a launch it
-    names that is still running stops there: its report says
-    ``stopped``, and it returns None. The values are the memo body's on
-    either scorer, so numpy and scalar runs stop the same launches.
     """
     if not explorers:
         return []
@@ -562,19 +551,10 @@ def explore_together(
                 explorers[lane].score_fields(gene)
                 for gene, lane in zip(genes, lanes)
             ]
-    stop = None
-    if doomed is not None:
-        scored = [float("-inf")] * len(explorers)
-
-        def stop(round_):
-            for lane, values in round_:
-                scored[lane] = max([scored[lane], *values])
-            live = {lane for lane, _values in round_}
-            return live.intersection(doomed(scored))
-    best = evolve_together(engines, populations, score, stop)
+    best = evolve_together(engines, populations, score)
     lanes = [
-        lane for lane, won in enumerate(best)
-        if won is not None and won[1] > 0.0
+        lane for lane, (_gene, fitness) in enumerate(best)
+        if fitness > 0.0
     ]
     genes = [best[lane][0] for lane in lanes]
     found: List[Explored] = [None] * len(explorers)

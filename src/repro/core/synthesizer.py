@@ -54,12 +54,7 @@ class SynthesisReport:
 
     ``ea_runs`` counts EA launches actually executed; ``pruned_tasks``
     counts launches skipped because their analytical throughput bound
-    could not beat the incumbent. ``stopped_launches`` counts the
-    launches (among ``ea_runs``) stopped in flight once a launch
-    lock-stepped beside them scored a design that beats their bound;
-    like the pruning counts it depends on the wave and chunk sizes
-    (``jobs``), and it is telemetry only: it enters no payload or
-    content key. ``cache_hits`` is the evaluation-memo
+    could not beat the incumbent. ``cache_hits`` is the evaluation-memo
     total aggregated over all EA runs (and worker processes);
     ``ea_evaluations`` is the number of full component-allocation
     evaluations actually performed — equivalently, the memo misses.
@@ -70,7 +65,6 @@ class SynthesisReport:
     ea_runs: int = 0
     nsga_runs: int = 0
     pruned_tasks: int = 0
-    stopped_launches: int = 0
     infeasible_points: int = 0
     ea_evaluations: int = 0
     cache_hits: int = 0

@@ -28,7 +28,6 @@ import random
 from dataclasses import dataclass
 from typing import (
     Callable,
-    Collection,
     Generator,
     Generic,
     Hashable,
@@ -224,10 +223,7 @@ def round_scorer(
 def anneal_together(
     steppers: Sequence[Stepper],
     score: Callable[[List[State]], Sequence[float]],
-    doomed: Optional[
-        Callable[[List[Tuple[int, List[float]]]], Collection[int]]
-    ] = None,
-) -> List[Optional[Ranked]]:
+) -> List[Ranked]:
     """Drive ask/tell steppers in lock-step; return what each returns
     (an SA chain's archive, an EA's best gene, an NSGA-II front).
 
@@ -239,12 +235,6 @@ def anneal_together(
     energies of its own states, so lock-stepping never changes what a
     chain returns — given a ``score`` whose value for a state does not
     depend on the other states in the call.
-
-    ``doomed``, when given, sees each scored round as ``(index,
-    values)`` pairs, one per stepper in it, before the values are
-    sent, and returns the indices of those steppers to stop: each is
-    closed there, without its values, and returns None. Without it
-    every stepper runs to its end.
 
     Raises :class:`ConfigurationError` when ``score`` returns a
     different number of values than it was given states.
@@ -271,11 +261,4 @@ def anneal_together(
         for index, round_ in pending:
             replies.append((index, energies[start:start + len(round_)]))
             start += len(round_)
-        if doomed is not None:
-            stopped = doomed(replies)
-            for index in stopped:
-                steppers[index].close()
-            replies = [
-                reply for reply in replies if reply[0] not in stopped
-            ]
-    return results
+    return results  # type: ignore[return-value]

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import (
     Callable,
-    Collection,
     Generator,
     Generic,
     Hashable,
@@ -54,16 +53,13 @@ class EvolutionReport:
     ``evaluations`` counts the genes ``score`` computed (equivalently:
     memo misses); ``cache_hits`` counts lookups served from the memo
     instead (the EA re-visits genes, and a memo pre-filled from an
-    interrupted run replays its EA runs for free). ``stopped`` says
-    that a lock-stepped run (:func:`evolve_together`) stopped the
-    search before it finished; the counts then stop there too.
+    interrupted run replays its EA runs for free).
     """
 
     generations: int = 0
     evaluations: int = 0
     cache_hits: int = 0
     best_fitness_history: List[float] = field(default_factory=list)
-    stopped: bool = False
 
 
 class MuPlusLambda(Generic[Gene, Value]):
@@ -206,13 +202,9 @@ def evolve_together(
     engines: Sequence[MuPlusLambda],
     populations: Sequence[List[Gene]],
     score: Callable[[List[Gene], List[int]], Sequence[Value]],
-    doomed: Optional[
-        Callable[[List[Tuple[int, List[Value]]]], Collection[int]]
-    ] = None,
 ) -> list:
     """Run ``engines`` from ``populations`` in lock-step; return what
-    each engine's :meth:`~MuPlusLambda.run` returns, in order, or None
-    for an engine that ``doomed`` stopped.
+    each engine's :meth:`~MuPlusLambda.run` returns, in order.
 
     One :func:`repro.optim.annealing.anneal_together` call drives every
     engine's stepper. Each round, the genes of every live engine go
@@ -226,12 +218,6 @@ def evolve_together(
     does not depend on the other genes in the call. Its counts are its
     solo ones too, except that a key an earlier engine misses in the
     same round is a hit for a later one, as if it ran after.
-
-    ``doomed`` is :func:`~repro.optim.annealing.anneal_together`'s:
-    it sees each round's values as ``(lane, values)`` pairs, memo hits
-    included, and returns the lanes of that round to stop. A stopped
-    engine's report says so (``stopped``) and keeps the counts of the
-    rounds it was scored in.
     """
     if not engines:
         return []
@@ -250,12 +236,6 @@ def evolve_together(
             lambda item: engines[item[0]].report,
         )
 
-    def stop(round_):
-        lanes = doomed(round_)
-        for lane in lanes:
-            engines[lane].report.stopped = True
-        return lanes
-
     return anneal_together(
         [
             _lane(lane, engine.steps(population))
@@ -264,7 +244,6 @@ def evolve_together(
             )
         ],
         score_round,
-        None if doomed is None else stop,
     )
 
 

@@ -1,7 +1,6 @@
 """Tests for the command-line interface."""
 
 import json
-import re
 
 import pytest
 
@@ -98,16 +97,6 @@ class TestSynthesizeCommand:
         err = capsys.readouterr().err
         assert err == (
             "error: node 'c1': missing attribute 'out_channels'\n"
-        )
-
-    def test_verbose_summary_counts_stopped_launches(self, capsys):
-        assert main([
-            "synthesize", "--model", "lenet5", "--power", "2.0",
-            "--verbose",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert re.search(
-            r"DSE: .* EA runs \(\d+ pruned, \d+ stopped\)", out
         )
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import itertools
 import math
 import signal
 import time
@@ -36,8 +35,6 @@ from repro.core.executor import (
     EvaluationTask,
     ExplorationEngine,
     ProcessExecutor,
-    TaskOutcome,
-    _dominated,
     _TaskRunner,
     model_fingerprint,
     params_fingerprint,
@@ -202,10 +199,9 @@ class TestLockstepStageOne:
         chunks = []
 
         class _InlinePool:
-            def map(self, function, calls):
-                # Each worker call's one argument is its chunk.
-                chunks.extend(chunk for (chunk,) in calls)
-                return [function(call) for call in calls]
+            def map(self, function, items):
+                chunks.extend(items)
+                return [function(item) for item in items]
 
         monkeypatch.setattr(executor_mod, "_WORKER_RUNNER", runner)
         pool = ProcessExecutor.__new__(ProcessExecutor)
@@ -252,30 +248,13 @@ class TestLockstepStageOne:
         )
 
 
-def _queue(model, config):
-    """Every EA task of ``model``'s DSE under ``config``, in the
-    engine's enumeration order."""
-    runner = _TaskRunner(model, config)
-    points = list(DesignSpace(model, config).outer_points())
-    tasks = []
-    for point, candidates in zip(points, runner.filter_candidates(points)):
-        for wt_dup in candidates or ():
-            for res_dac in config.res_dac_choices:
-                tasks.append(EvaluationTask(
-                    index=len(tasks), point=point, wt_dup=wt_dup,
-                    res_dac=res_dac,
-                ))
-    return tasks
-
-
 class TestLockstepWaves:
     """``run_tasks`` lock-steps a chunk's EA launches
     (:func:`repro.core.macro_partition.explore_together`). Every launch
     must return what its explorer's solo ``explore()`` returns on a
     runner that walks the same tasks one at a time: the best gene and
     fitness, and the report's generations, best-fitness history,
-    evaluations and cache hits. Given the tasks' bounds, that holds for
-    every launch the chunk does not stop in flight."""
+    evaluations and cache hits."""
 
     #: At 20 W some of lenet5's launches stop on patience after 3
     #: generations and others run up to the cap of 6, so launches drop
@@ -284,10 +263,23 @@ class TestLockstepWaves:
 
     @staticmethod
     def _tasks(model, config):
-        """lenet5's first 7 tasks, then the first one again under a new
-        index: a launch sharing its memo context (and RNG label) with
-        an earlier launch of the same wave."""
-        tasks = _queue(model, config)[:7]
+        """A jobs=1 wave's chunk: lenet5's first ``WAVE_TASKS_PER_JOB
+        - 1`` tasks, then the first one again under a new index, a
+        launch sharing its memo context (and RNG label) with an earlier
+        launch of the same wave."""
+        runner = _TaskRunner(model, config)
+        points = list(DesignSpace(model, config).outer_points())
+        tasks = []
+        for point, candidates in zip(
+            points, runner.filter_candidates(points)
+        ):
+            for wt_dup in candidates or ():
+                for res_dac in config.res_dac_choices:
+                    tasks.append(EvaluationTask(
+                        index=len(tasks), point=point, wt_dup=wt_dup,
+                        res_dac=res_dac,
+                    ))
+        tasks = tasks[:WAVE_TASKS_PER_JOB - 1]
         return tasks + [dataclasses.replace(tasks[0], index=len(tasks))]
 
     def _serial(self, model, tasks):
@@ -323,41 +315,20 @@ class TestLockstepWaves:
             explorers = [runner.make_explorer(task) for task in tasks]
             together = explore_together(explorers)
             outcomes = _TaskRunner(lenet, self.CONFIG).run_tasks(tasks)
-            # The same chunk under its real bounds: at 20 W one launch
-            # reaches its bound, 625,000 img/s, and stops the others,
-            # two of them on a tie with that bound.
-            bounds = [runner.throughput_bound(task) for task in tasks]
-            stopping = _TaskRunner(lenet, self.CONFIG).run_tasks(
-                tasks, bounds
-            )
-        for explorer, found, outcome, stopped, (want, report) in zip(
-            explorers, together, outcomes, stopping, serial
+        for explorer, found, outcome, (want, report) in zip(
+            explorers, together, outcomes, serial
         ):
             got = None if found is None else (
                 found[0], found[1]["fitness"]
             )
             assert got == want
             assert explorer.last_report == report
-            assert not outcome.stopped
-            if stopped.stopped:
-                # No winner ships, and the launch looked up no more
-                # genes than its solo run.
-                assert (stopped.feasible, stopped.gene, stopped.fitness) \
-                    == (False, None, 0.0)
-                assert stopped.ea_evaluations + stopped.cache_hits <= (
-                    report.evaluations + report.cache_hits
-                )
-                continue
-            for run in (outcome, stopped):
-                assert run.feasible == (want is not None)
-                assert (run.gene, run.fitness) == (
-                    want if want is not None else (None, 0.0)
-                )
-                assert run.ea_evaluations == report.evaluations
-                assert run.cache_hits == report.cache_hits
-        assert [run.stopped for run in stopping] == [
-            True, False, True, True, True, True, True, True,
-        ]
+            assert outcome.feasible == (want is not None)
+            assert (outcome.gene, outcome.fitness) == (
+                want if want is not None else (None, 0.0)
+            )
+            assert outcome.ea_evaluations == report.evaluations
+            assert outcome.cache_hits == report.cache_hits
         reports = [report for _want, report in serial]
         generations = {report.generations for report in reports}
         assert min(generations) < self.CONFIG.ea_max_generations
@@ -418,146 +389,6 @@ class TestLockstepWaves:
             "out_slots", "levels",
         ):
             assert getattr(a, name) is getattr(b, name), name
-
-
-@pytest.fixture(scope="module", params=[
-    ("lenet5", 2.0), ("alexnet_cifar", 20.0),
-], ids=("lenet5", "alexnet_cifar"))
-def bounded_queue(request):
-    """A model's EA task queue under the fast preset, with each task's
-    real pruning bound."""
-    name, power = request.param
-    model = zoo.by_name(name)
-    config = SynthesisConfig.fast(total_power=power, seed=7)
-    runner = _TaskRunner(model, config)
-    tasks = _queue(model, config)
-    return model, config, tasks, [
-        runner.throughput_bound(task) for task in tasks
-    ]
-
-
-def _best(outcomes):
-    """A chunk's best outcome by the winner rule, as (fitness, -index):
-    the larger pair wins."""
-    return max(
-        ((o.fitness, -o.index) for o in outcomes if o.feasible),
-        default=None,
-    )
-
-
-class TestInFlightStops:
-    """With its tasks' bounds, ``run_tasks`` stops a launch once another
-    launch of the chunk has scored a design that dominates the bound
-    under the dispatch rule ``_dominated``; every launch's winner is at
-    least every fitness it scored, so a stopped launch cannot win."""
-
-    @settings(max_examples=15, deadline=None)
-    @given(data=st.data())
-    def test_stopped_lanes_are_dominated_and_the_best_is_kept(
-        self, bounded_queue, data
-    ):
-        model, config, tasks, bounds = bounded_queue
-        lanes = data.draw(st.lists(
-            st.integers(0, len(tasks) - 1), min_size=2,
-            max_size=WAVE_TASKS_PER_JOB, unique=True,
-        ))
-        chunk = [tasks[lane] for lane in lanes]
-        chunk_bounds = [bounds[lane] for lane in lanes]
-        runner = _TaskRunner(model, config)
-        stopping = runner.run_tasks(chunk, chunk_bounds)
-        full = _TaskRunner(model, config).run_tasks(chunk)
-        # Every design a lane scored is in the runner's memo, under its
-        # task's context.
-        task_of = {
-            task.context_key(runner._model_key, runner._params_key): task
-            for task in chunk
-        }
-        scored = [
-            TaskOutcome(index=task_of[context].index, fitness=fitness)
-            for (context, _gene), fitness in runner.cache.items()
-        ]
-        for task, bound, outcome, alone in zip(
-            chunk, chunk_bounds, stopping, full
-        ):
-            if not outcome.stopped:
-                assert outcome == alone
-                continue
-            assert (outcome.feasible, outcome.gene) == (False, None)
-            assert any(
-                design.index != task.index
-                and _dominated(bound, task.index, design)
-                for design in scored
-            )
-        assert _best(stopping) == _best(full)
-
-    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
-    def test_a_tie_stops_only_the_larger_task_indices(self, lenet, order):
-        """Three launches of one task under indices 3, 5 and 8, each
-        with its bound patched to the fitness all three reach: the
-        launch at 3 leads, and the launches at 5 and 8 stop on the tie,
-        whatever their lane order. A strict rule (bound below a scored
-        fitness) would stop none of them."""
-        config = TestLockstepWaves.CONFIG
-        task = _queue(lenet, config)[0]
-        (alone,) = _TaskRunner(lenet, config).run_tasks([task])
-        assert alone.feasible
-        chunk = [
-            dataclasses.replace(task, index=(3, 5, 8)[lane])
-            for lane in order
-        ]
-        outcomes = _TaskRunner(lenet, config).run_tasks(
-            chunk, [alone.fitness] * 3
-        )
-        by_index = {outcome.index: outcome for outcome in outcomes}
-        assert [by_index[index].stopped for index in (3, 5, 8)] == [
-            False, True, True,
-        ]
-        assert (by_index[3].gene, by_index[3].fitness) == (
-            alone.gene, alone.fitness
-        )
-
-    def test_no_bounds_no_stops(self, bounded_queue):
-        """Without bounds (pareto phase 1, archive runs,
-        ``prune_dominated=False``) every launch runs to its end."""
-        model, config, tasks, _bounds = bounded_queue
-        outcomes = _TaskRunner(model, config).run_tasks(
-            tasks[:WAVE_TASKS_PER_JOB]
-        )
-        assert not any(outcome.stopped for outcome in outcomes)
-
-    @pytest.mark.parametrize("name,power,stopped", [
-        ("lenet5", 2.0, 15), ("alexnet_cifar", 20.0, 3),
-    ])
-    def test_the_report_counts_stopped_launches(self, name, power, stopped):
-        """A synthesis counts its stopped launches; an unpruned one and
-        an archive run stop none, and all three ship one design."""
-        from repro.core.archive import DesignArchive
-
-        model = zoo.by_name(name)
-        solution, report = _run(
-            model, SynthesisConfig.fast(total_power=power, seed=7)
-        )
-        assert report.stopped_launches == stopped
-        assert report.stopped_launches < report.ea_runs
-        unpruned, unpruned_report = _run(model, SynthesisConfig.fast(
-            total_power=power, seed=7, prune_dominated=False,
-        ))
-        assert unpruned_report.stopped_launches == 0
-        archived = Pimsyn(
-            model, SynthesisConfig.fast(total_power=power, seed=7),
-            archive=DesignArchive(capacity=64),
-        )
-        assert archived.synthesize().to_json() == solution.to_json()
-        assert archived.report.stopped_launches == 0
-        assert unpruned.to_json() == solution.to_json()
-
-    def test_pareto_phase_one_stops_nothing(self, lenet):
-        """Pareto mode's phase 1 needs every task's winner, so it runs
-        unpruned, and no launch stops."""
-        synthesizer = Pimsyn(lenet, _config())
-        synthesizer.synthesize_pareto()
-        assert synthesizer.report.ea_runs > 0
-        assert synthesizer.report.stopped_launches == 0
 
 
 class TestPruning:
@@ -767,11 +598,11 @@ class TestInterrupt:
         calls = {"n": 0}
         original = executor_mod._TaskRunner.run_tasks
 
-        def interrupting(self, tasks, bounds=None):
+        def interrupting(self, tasks):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise KeyboardInterrupt
-            return original(self, tasks, bounds)
+            return original(self, tasks)
 
         monkeypatch.setattr(
             executor_mod._TaskRunner, "run_tasks", interrupting

@@ -158,7 +158,6 @@ class TestMemoAccounting:
         assert on.ea_evaluations == off.ea_evaluations
         assert on.ea_runs == off.ea_runs
         assert on.pruned_tasks == off.pruned_tasks
-        assert on.stopped_launches == off.stopped_launches > 0
 
     def test_memo_snapshots_identical_grid_on_off(self, without_numpy):
         """Even the memo *contents* (key set and values) agree."""

@@ -222,38 +222,6 @@ class TestAnnealTogether:
             for _seed, schedule, batch, _initial, _top_k in self.CHAINS
         )
 
-    def test_doomed_steppers_close_and_the_rest_run_on(self):
-        """``doomed`` sees each scored round as (index, values) pairs;
-        the steppers it names close before their values are sent and
-        return None, and the others return what they return alone."""
-        solo = [
-            _walker(seed, schedule, batch).run(initial, top_k=top_k)
-            for seed, schedule, batch, initial, top_k in self.CHAINS
-        ]
-        seen = []
-
-        def doomed(round_):
-            seen.append([index for index, _values in round_])
-            # Stop chain 0 after its third round and chain 3 after its
-            # first.
-            return {
-                index for index, _values in round_
-                if (index, len(seen)) in {(0, 3), (3, 1)}
-            }
-
-        together = anneal_together(
-            [
-                _walker(seed, schedule, batch).steps(initial, top_k)
-                for seed, schedule, batch, initial, top_k in self.CHAINS
-            ],
-            lambda states: [float((x - 17) ** 2) for x in states],
-            doomed,
-        )
-        assert together == [None, solo[1], solo[2], None]
-        assert seen[0] == [0, 1, 2, 3]
-        assert all(3 not in indices for indices in seen[1:])
-        assert all(0 not in indices for indices in seen[3:])
-
     def test_no_steppers(self):
         assert anneal_together([], lambda states: []) == []
 

@@ -56,11 +56,11 @@ def _interrupt_second_wave(monkeypatch) -> None:
     calls = {"n": 0}
     original = executor_mod._TaskRunner.run_tasks
 
-    def _interrupting(self, tasks, bounds=None):
+    def _interrupting(self, tasks):
         calls["n"] += 1
         if calls["n"] == 2:
             raise KeyboardInterrupt
-        return original(self, tasks, bounds)
+        return original(self, tasks)
 
     monkeypatch.setattr(
         executor_mod._TaskRunner, "run_tasks", _interrupting
@@ -798,7 +798,6 @@ class TestApi:
         assert scheduler.jobs() == []
         stats = scheduler.stats()
         assert (stats["queued"], stats["executed"]) == (0, 0)
-
 
     @pytest.mark.parametrize("attrs,field", [
         ({"kernel": 3}, "'out_channels'"),
