@@ -63,6 +63,18 @@ def infer_shapes(layers: Iterable[Layer], input_shape: Shape) -> Dict[str, Shape
     return shapes
 
 
+def _window_hw(layer: Layer, h: int, w: int) -> Tuple[int, int]:
+    """Output height and width of a Conv or pool ``layer`` over an
+    ``h`` x ``w`` input; a non-positive size names the layer."""
+    try:
+        return (
+            conv_output_hw(h, layer.kernel, layer.stride, layer.padding),
+            conv_output_hw(w, layer.kernel, layer.stride, layer.padding),
+        )
+    except ModelError as exc:
+        raise ModelError(f"{layer.name}: {exc}") from None
+
+
 def _infer_one(layer: Layer, in_shapes: list) -> Shape:
     """Shape rule for a single layer."""
     if isinstance(layer, ConvLayer):
@@ -72,9 +84,7 @@ def _infer_one(layer: Layer, in_shapes: list) -> Shape:
                 f"{layer.name}: expects {layer.in_channels} input channels, "
                 f"producer supplies {c}"
             )
-        oh = conv_output_hw(h, layer.kernel, layer.stride, layer.padding)
-        ow = conv_output_hw(w, layer.kernel, layer.stride, layer.padding)
-        return (layer.out_channels, oh, ow)
+        return (layer.out_channels, *_window_hw(layer, h, w))
 
     if isinstance(layer, FCLayer):
         c, h, w = in_shapes[0]
@@ -87,9 +97,7 @@ def _infer_one(layer: Layer, in_shapes: list) -> Shape:
 
     if isinstance(layer, PoolLayer):
         c, h, w = in_shapes[0]
-        oh = conv_output_hw(h, layer.kernel, layer.stride, layer.padding)
-        ow = conv_output_hw(w, layer.kernel, layer.stride, layer.padding)
-        return (c, oh, ow)
+        return (c, *_window_hw(layer, h, w))
 
     if isinstance(layer, ReluLayer):
         return in_shapes[0]

@@ -56,6 +56,19 @@ class TestInferShapes:
         with pytest.raises(ModelError):
             infer_shapes(layers, (3, 32, 32))
 
+    @pytest.mark.parametrize("layer", [
+        ConvLayer(name="c1", inputs=("input",), kernel=30,
+                  in_channels=3, out_channels=8),
+        PoolLayer(name="p1", inputs=("input",), kernel=9),
+    ], ids=("conv", "pool"))
+    def test_collapsing_window_names_the_layer(self, layer):
+        with pytest.raises(
+            ModelError,
+            match=rf"^{layer.name}: non-positive output size: in=8 "
+            rf"k={layer.kernel}",
+        ):
+            infer_shapes([layer], (3, 8, 8))
+
     def test_fc_feature_check(self):
         layers = [
             FlattenLayer(name="f", inputs=("input",)),
