@@ -47,13 +47,16 @@ Seven properties make the engine safe to parallelize and to accelerate:
    without numpy, through one spec per task. The two are
    bit-identical, so the pruning walk — one dispatch-time check per
    task against the incumbent — makes the same decisions on either.
-6. **Lock-stepped stage 1** — the SA filter chains of many outer points
-   run together, one Eq. 4 ``batch_energy`` call per round for all of
-   them (:func:`repro.core.weight_duplication.lockstep_candidates`):
-   the serial executor's runner takes every point, and the pool splits
+6. **Lock-stepped stage 1** — one loop steps the SA filter chains of
+   many outer points as moves off their round's entry states, with one
+   Eq. 4 ``batch_energy`` call per round for all of them
+   (:func:`repro.core.weight_duplication.lockstep_candidates`): the
+   serial executor's runner takes every point, and the pool splits
    them into at most ``jobs`` contiguous chunks, one worker call each.
-   Every chain keeps its ``sa:{point}`` RNG and its own walk, so
-   candidate lists do not depend on the chunking.
+   Every chain keeps its ``sa:{point}`` RNG and its own walk, the one
+   :class:`repro.optim.annealing.SimulatedAnnealer` takes over the
+   filter's ``energy`` and ``neighbor``, so candidate lists do not
+   depend on the chunking.
 7. **Lock-stepped EA waves** — the queue goes out in waves of ``jobs
    * WAVE_TASKS_PER_JOB`` (16) non-dominated tasks, cut into at most
    ``jobs`` contiguous chunks, one :meth:`_TaskRunner.run_tasks` call

@@ -45,6 +45,7 @@ profile happens to copy another's constants under a new name.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Mapping, Tuple, Union
@@ -64,6 +65,17 @@ _DEVICE_FIELDS: Tuple[str, ...] = tuple(
     f.name for f in fields(HardwareParams) if f.name != "technology"
 )
 
+#: Device constants that are ``{resolution or size: value}`` tables.
+_TABLE_FIELDS: Tuple[str, ...] = (
+    "crossbar_power", "crossbar_area", "dac_power", "adc_power",
+)
+
+#: Device constants that count bits, bytes or ports: integers.
+_INTEGER_FIELDS: Tuple[str, ...] = (
+    "edram_size_bytes", "edram_bus_bits", "noc_flit_bits", "noc_ports",
+    "act_precision", "weight_precision",
+)
+
 #: The Table I exploration domains a profile owns.
 _DOMAIN_FIELDS: Tuple[str, ...] = (
     "xb_size_choices",
@@ -72,6 +84,16 @@ _DOMAIN_FIELDS: Tuple[str, ...] = (
     "ratio_rram_choices",
     "adc_resolution_range",
 )
+
+
+def _is_number(value: object, integral: bool = False) -> bool:
+    """Whether ``value`` is a finite number, or an integer when
+    ``integral``; a bool is neither."""
+    if isinstance(value, bool):
+        return False
+    if integral:
+        return isinstance(value, int)
+    return isinstance(value, (int, float)) and math.isfinite(value)
 
 
 def _params_defaults() -> Dict[str, object]:
@@ -151,36 +173,77 @@ class TechnologyProfile:
     # ------------------------------------------------------------------
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
-            raise ConfigurationError("technology name must be a "
-                                     "non-empty string")
-        # Normalize mapping/sequence inputs (JSON hands us lists and
-        # str-keyed dicts) so equality and hashing behave.
-        object.__setattr__(
-            self, "crossbar_power", _int_key_map(self.crossbar_power,
-                                                 "crossbar_power"))
-        object.__setattr__(
-            self, "crossbar_area", _int_key_map(self.crossbar_area,
-                                                "crossbar_area"))
-        object.__setattr__(
-            self, "dac_power", _int_key_map(self.dac_power, "dac_power"))
-        object.__setattr__(
-            self, "adc_power", _int_key_map(self.adc_power, "adc_power"))
+            raise ConfigurationError(
+                "technology name must be a non-empty string, got "
+                f"{self.name!r}"
+            )
+        # Check every field's type before any value check, so a
+        # malformed document fails naming its field. Nothing is coerced
+        # except the tables' string keys and their values to float.
+        for name in ("description", "cell"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise self._error(f"{name} must be a string, got {value!r}")
+        for name in _TABLE_FIELDS:
+            object.__setattr__(self, name, self._table(name))
+        for name in _DEVICE_FIELDS:
+            if name in _TABLE_FIELDS:
+                continue
+            value = getattr(self, name)
+            integral = name in _INTEGER_FIELDS
+            if not _is_number(value, integral):
+                kind = "an integer" if integral else "a finite number"
+                raise self._error(f"{name} must be {kind}, got {value!r}")
         # Domains normalize to sorted tuples: downstream grid carving
         # (`SynthesisConfig.fast`'s "two smallest sizes" / "mid-grid
         # cell") relies on ascending order.
         for name in _DOMAIN_FIELDS:
-            if name == "adc_resolution_range":
-                object.__setattr__(self, name, tuple(getattr(self, name)))
-            else:
-                object.__setattr__(
-                    self, name, tuple(sorted(getattr(self, name)))
+            values = getattr(self, name)
+            integral = name != "ratio_rram_choices"
+            if not isinstance(values, (list, tuple)) or not all(
+                _is_number(value, integral) for value in values
+            ):
+                kind = "integers" if integral else "finite numbers"
+                raise self._error(
+                    f"{name} must be a list of {kind}, got {values!r}"
                 )
+            object.__setattr__(
+                self, name,
+                tuple(values) if name == "adc_resolution_range"
+                else tuple(sorted(values)),
+            )
+        if len(self.adc_resolution_range) != 2:
+            raise self._error(
+                "adc_resolution_range must be two integers [low, high], "
+                f"got {list(self.adc_resolution_range)}"
+            )
         self._validate()
 
+    def _error(self, msg: str) -> ConfigurationError:
+        return ConfigurationError(f"technology {self.name!r}: {msg}")
+
+    def _table(self, name: str) -> Dict[int, float]:
+        """Table ``name`` as ``{int: float}`` (JSON keys are strings)."""
+        table = getattr(self, name)
+        if not isinstance(table, Mapping):
+            raise self._error(f"{name} must be a mapping, got {table!r}")
+        out: Dict[int, float] = {}
+        for key, value in table.items():
+            try:
+                int_key = int(key) if isinstance(key, str) else key
+            except ValueError:
+                int_key = None
+            if not _is_number(int_key, integral=True):
+                raise self._error(f"{name} key {key!r} is not an integer")
+            if not _is_number(value):
+                raise self._error(
+                    f"{name}[{key}] must be a finite number, got {value!r}"
+                )
+            out[int_key] = float(value)
+        return out
+
     def _validate(self) -> None:
-        err = lambda msg: ConfigurationError(  # noqa: E731
-            f"technology {self.name!r}: {msg}"
-        )
+        err = self._error
         # Domains: non-empty, positive, unique.
         for name in ("xb_size_choices", "res_rram_choices",
                      "res_dac_choices", "ratio_rram_choices"):
@@ -195,8 +258,7 @@ class TechnologyProfile:
             if not 0.0 < ratio < 1.0:
                 raise err(f"RatioRram {ratio} outside (0, 1)")
         low, high = self.adc_resolution_range
-        if not (isinstance(low, int) and isinstance(high, int)
-                and 0 < low <= high):
+        if not 0 < low <= high:
             raise err(
                 f"adc_resolution_range must be integers 0 < low <= "
                 f"high, got {self.adc_resolution_range}"
@@ -242,8 +304,7 @@ class TechnologyProfile:
                 f"declared adc_resolution_range {low}-{high}; trim "
                 "the table or widen the range"
             )
-        for table in ("crossbar_power", "crossbar_area", "dac_power",
-                      "adc_power"):
+        for table in _TABLE_FIELDS:
             for key, value in getattr(self, table).items():
                 if value <= 0:
                     raise err(f"{table}[{key}] must be positive")
@@ -353,30 +414,13 @@ class TechnologyProfile:
                 f"{sorted(missing_domains)}"
             )
         kwargs: Dict[str, object] = dict(device)
-        kwargs.update({k: tuple(v) for k, v in domains.items()})
+        kwargs.update(domains)
         return cls(
-            name=str(payload["name"]),
-            description=str(payload.get("description", "")),
-            cell=str(payload.get("cell", "unknown")),
+            name=payload["name"],
+            description=payload.get("description", ""),
+            cell=payload.get("cell", "unknown"),
             **kwargs,
         )
-
-
-def _int_key_map(table: Mapping, label: str) -> Dict[int, float]:
-    """Normalize a power/area table to ``{int: float}`` (JSON keys are
-    strings); rejects keys that are not integer-like."""
-    out: Dict[int, float] = {}
-    if not isinstance(table, Mapping):
-        raise ConfigurationError(f"{label} must be a mapping")
-    for key, value in table.items():
-        try:
-            int_key = int(key)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"{label} key {key!r} is not an integer"
-            ) from exc
-        out[int_key] = float(value)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -569,13 +613,21 @@ def load_technology(
     path: Union[str, Path], replace: bool = False
 ) -> TechnologyProfile:
     """Parse a profile JSON document and register it."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"{path}: not valid JSON ({exc})"
-            ) from exc
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot read technology document {path}: {exc.strerror}"
+        ) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(
+            f"cannot read technology document {path}: not UTF-8 text"
+        ) from exc
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{path}: not valid JSON ({exc})") from exc
     return register_technology(
         TechnologyProfile.from_payload(payload), replace=replace
     )

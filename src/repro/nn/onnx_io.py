@@ -251,8 +251,18 @@ def model_to_json(model: CNNModel, indent: int = 2) -> str:
 
 def load_model(path: Union[str, Path]) -> CNNModel:
     """Read a model document from a file path."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return model_from_json(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise ModelError(
+            f"cannot read model document {path}: {exc.strerror}"
+        ) from exc
+    except UnicodeDecodeError as exc:
+        raise ModelError(
+            f"cannot read model document {path}: not UTF-8 text"
+        ) from exc
+    return model_from_json(text)
 
 
 def save_model(model: CNNModel, path: Union[str, Path]) -> None:

@@ -8,8 +8,11 @@ problem-agnostic engines; the problem encodings live in
 (:mod:`.nsga`) on top of shared Pareto-dominance primitives
 (:mod:`.dominance`), which the archive and the DSE executor's front
 merge reuse. Every search loop is an ask/tell stepper, and one driver,
-:func:`.annealing.anneal_together`, runs them all: the SA chains and
-the (mu + lambda) loop the EA and NSGA-II share.
+:func:`.annealing.anneal_together`, runs them all: the SA chain and
+the (mu + lambda) loop the EA and NSGA-II share. The stage-1 filter
+steps its lock-stepped SA chains in a move loop of its own
+(:func:`repro.core.weight_duplication.lockstep_candidates`), held to
+:class:`.annealing.SimulatedAnnealer` by its tests.
 """
 
 from repro.optim.annealing import AnnealingSchedule, SimulatedAnnealer

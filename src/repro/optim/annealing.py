@@ -11,14 +11,19 @@ Neighbor proposals are drawn and scored in *rounds*
 chain (see the class docstring for the larger-round semantics). The
 walk is an ask/tell stepper (:meth:`SimulatedAnnealer.steps`): it
 yields each round's proposals and receives their energies, so one
-driver (:func:`anneal_together`) can score the rounds of many chains
-in a single call. That is how the WtDup filter runs every outer design
-point's chain in lock-step through one vectorized Eq. 4 call per
-round (:func:`repro.core.weight_duplication.lockstep_candidates`);
-:meth:`SimulatedAnnealer.run` is the same driver over one chain. It is
-the package's one search driver: the evolutionary engines' ``run()``
-drives their (mu + lambda) stepper with it too
-(:class:`repro.optim.evolution.MuPlusLambda`).
+driver (:func:`anneal_together`) can score the rounds of many steppers
+in a single call; :meth:`SimulatedAnnealer.run` is that driver over
+one chain. It is the package's one search driver: the evolutionary
+engines' ``run()`` and the EA launches of a DSE wave
+(:func:`repro.optim.evolution.evolve_together`) drive their (mu +
+lambda) stepper with it too (:class:`repro.optim.evolution.
+MuPlusLambda`).
+
+The WtDup filter steps its chains in a loop of its own, over moves
+instead of states
+(:func:`repro.core.weight_duplication.lockstep_candidates`), and
+:class:`SimulatedAnnealer` over the filter's ``energy`` and
+``neighbor`` is the reference its tests hold that loop to.
 """
 
 from __future__ import annotations
@@ -98,11 +103,9 @@ class SimulatedAnnealer(Generic[State]):
         reproducible searches.
     batch_energy:
         Optional population-level energy: maps a state sequence to the
-        values ``energy`` would return state by state (the WtDup filter
-        supplies a vectorized Eq. 4 whose cross-layer reductions are
-        :func:`repro.core.backend.row_sums` when numpy imports).
-        :meth:`run` scores each round of two or more proposals with one
-        call (:func:`round_scorer`).
+        values ``energy`` would return state by state, such as the
+        WtDup filter's vectorized Eq. 4. :meth:`run` scores each round
+        of two or more proposals with one call (:func:`round_scorer`).
     proposal_batch:
         Neighbor proposals drawn and scored per round. ``1`` (default)
         reproduces the classic chain exactly — one proposal, one

@@ -43,6 +43,14 @@ def load_manifest(path: Union[str, Path]) -> Dict[str, Any]:
         text = path.read_text("utf-8")
     except FileNotFoundError as exc:
         raise ConfigurationError(f"manifest not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot read manifest {path}: {exc.strerror}"
+        ) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(
+            f"cannot read manifest {path}: not UTF-8 text"
+        ) from exc
     if path.suffix.lower() in (".yaml", ".yml"):
         try:
             import yaml

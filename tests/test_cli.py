@@ -234,6 +234,19 @@ class TestTechCommand:
         ]) == 1
         assert "cannot be replaced" in capsys.readouterr().err
 
+    def test_malformed_tech_file_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        assert main(["tech", "export", "reram", "--out", str(path)]) == 0
+        capsys.readouterr()
+        document = json.loads(path.read_text())
+        document["device"]["crossbar_latency"] = None
+        path.write_text(json.dumps(document))
+        assert main(["tech", "--tech-file", str(path), "list"]) == 1
+        assert capsys.readouterr().err == (
+            "error: technology 'reram': crossbar_latency must be a "
+            "finite number, got None\n"
+        )
+
     def test_export_stdout_is_loadable(self, tmp_path, capsys):
         assert main(["tech", "export", "sram-pim"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -352,3 +365,49 @@ class TestSimulateCommand:
         out = capsys.readouterr().out
         assert "cross-validation skipped" in out
         assert "faults" in out
+
+
+class TestUnreadableInputFiles:
+    """A model, technology or manifest path that cannot be read as
+    UTF-8 text ends in one ``error:`` line naming the path, and exit
+    status 1."""
+
+    @staticmethod
+    def _paths(tmp_path):
+        directory = tmp_path / "a-directory"
+        directory.mkdir()
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe\x00")
+        return {
+            "missing": (
+                tmp_path / "missing.json", "No such file or directory"
+            ),
+            "directory": (directory, "Is a directory"),
+            "not-utf8": (binary, "not UTF-8 text"),
+        }
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    @pytest.mark.parametrize("argv,document", [
+        (["synthesize", "--json", "{path}", "--power", "2"], "model"),
+        (["synthesize", "--model", "lenet5", "--power", "2",
+          "--tech-file", "{path}"], "technology"),
+        (["tech", "--tech-file", "{path}", "list"], "technology"),
+    ], ids=["synthesize-json", "synthesize-tech-file", "tech-tech-file"])
+    def test_one_error_line(self, tmp_path, capsys, kind, argv, document):
+        path, reason = self._paths(tmp_path)[kind]
+        argv = [arg.format(path=path) for arg in argv]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot read {document} document {path}: {reason}\n"
+        )
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_batch_manifest(self, tmp_path, capsys, kind):
+        path, reason = self._paths(tmp_path)[kind]
+        assert main([
+            "batch", "--manifest", str(path),
+            "--store", str(tmp_path / "store"),
+        ]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot read manifest {path}: {reason}\n"
+        )

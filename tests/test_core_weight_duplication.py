@@ -14,10 +14,12 @@ from repro.core.config import SynthesisConfig
 from repro.core.design_space import DesignSpace
 from repro.core.weight_duplication import (
     WeightDuplicationFilter,
+    apply_move,
     lockstep_candidates,
 )
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.nn import lenet5, zoo
+from repro.optim.annealing import SimulatedAnnealer
 from repro.utils.mathutils import stdev
 from repro.utils.rng import SeedSequence
 
@@ -287,24 +289,28 @@ class TestNeighbor:
         broken=st.sampled_from((None, None, 0, 6)),
         layer=st.integers(0, 4),
         seed=st.integers(0, 2 ** 32 - 1),
+        count=st.integers(1, 8),
     )
     @example(headroom=0, entries=[1, 1, 1, 1, 1], broken=None, layer=0,
-             seed=0)
+             seed=0, count=3)
     @example(headroom=8, entries=[1, 1, 1, 1, 1], broken=None, layer=0,
-             seed=0)  # the one feasible move fills the budget exactly
+             seed=0, count=1)  # the one feasible move fills the budget
     @example(headroom=10, entries=[5, 5, 1, 1, 1], broken=None, layer=0,
-             seed=1)  # over budget
+             seed=1, count=2)  # over budget
     @example(headroom=200, entries=[1, 1, 1, 1, 1], broken=0, layer=3,
-             seed=2)  # an entry below 1
+             seed=2, count=4)  # an entry below 1
     @example(headroom=200, entries=[1, 1, 1, 1, 1], broken=6, layer=4,
-             seed=3)  # an entry over its cap
+             seed=3, count=4)  # an entry over its cap
     @settings(max_examples=300, deadline=None)
     def test_matches_full_check_walk(
-        self, headroom, entries, broken, layer, seed
+        self, headroom, entries, broken, layer, seed, count
     ):
         """The delta feasibility check takes exactly the full-check
         walk's moves and random draws, from feasible and infeasible
-        states alike."""
+        states alike: ``neighbor``'s move, then each of a round of
+        ``count`` moves that ``draw_moves`` draws off the same state,
+        as the lock-stepped chains draw them. Both leave the RNG where
+        the randrange-based walk leaves it."""
         filt = _lenet_filter(headroom)
         # Entries within the caps, so the budget decides feasibility,
         # unless one is pushed below 1 or over the cap of 1 that
@@ -319,102 +325,17 @@ class TestNeighbor:
             filt, state, reference_rng
         )
         assert rng.getstate() == reference_rng.getstate()
-
-    @given(
-        headroom=st.integers(0, 60),
-        seed=st.integers(0, 2 ** 32 - 1),
-        steps=st.lists(
-            st.tuples(
-                st.sampled_from(("proposal", "same", "seen", "infeasible")),
-                st.integers(0, 2 ** 16),
-            ),
-            min_size=1, max_size=60,
-        ),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_carried_slack_matches_full_check_over_a_walk(
-        self, headroom, seed, steps
-    ):
-        """One filter serves a whole walk, so its carried entry-state
-        slack must never go stale. Each next entry state is the last
-        proposal, the same entry, an earlier state (the same object or
-        an equal copy) or an injected infeasible state; every call
-        must take the full-check walk's move and leave the RNG where
-        the full check leaves it."""
-        filt = _lenet_filter(headroom)
-        rng = random.Random(seed)
-        reference_rng = random.Random(seed)
-        entry = filt.initial_state()
-        seen = [entry]
-        for kind, pick in steps:
-            proposal = filt.neighbor(entry, rng)
-            assert proposal == _full_check_neighbor(
-                filt, entry, reference_rng
-            )
-            assert rng.getstate() == reference_rng.getstate()
-            seen.append(proposal)
-            if kind == "proposal":
-                entry = proposal
-            elif kind == "seen":
-                entry = seen[pick % len(seen)]
-                if pick % 2:
-                    entry = tuple(list(entry))  # equal, not identical
-            elif kind == "infeasible":
-                broken = list(entry)
-                layer = pick % len(broken)
-                if pick % 3 == 0:
-                    broken[layer] = 0  # below 1
-                elif pick % 3 == 1:
-                    broken[layer] = filt.dup_caps[layer] + 1  # over cap
-                else:
-                    broken[0] = filt.dup_caps[0]  # over budget
-                entry = tuple(broken)
-                assert not filt.is_feasible(entry)
-
-    @given(
-        headroom=st.integers(0, 80),
-        batch=st.integers(1, 8),
-        seed=st.integers(0, 2 ** 32 - 1),
-        picks=st.lists(st.integers(0, 8), min_size=1, max_size=40),
-    )
-    @example(headroom=0, batch=3, seed=0, picks=[1, 2, 0])
-    @settings(max_examples=150, deadline=None)
-    def test_rounds_carry_each_proposals_slack(
-        self, headroom, batch, seed, picks
-    ):
-        """SA rounds as the walk makes them: ``batch`` proposals from
-        one entry state, and the next entry is that state (pick 0) or
-        one of the round's proposals, as a Metropolis accept makes it.
-        Every proposal is the randrange-based full-check walk's, with
-        the RNG where that walk leaves it, and the carried slack means
-        neighbor runs ``is_feasible`` once, on the initial state. With
-        no headroom every call takes the 16-try fallback."""
-        filt = _lenet_filter(headroom, sa_proposal_batch=batch)
-        checks = []
-        is_feasible = filt.is_feasible
-        filt.is_feasible = lambda state: checks.append(1) or (
-            is_feasible(state)
+        grown, shrunk = [], []
+        filt.draw_moves(
+            state, filt.slack_of(state), rng, count, grown, shrunk
         )
-        rng = random.Random(seed)
-        reference_rng = random.Random(seed)
-        entry = filt.initial_state()
-        neighbor_checks = 0
-        for pick in picks:
-            proposals = []
-            for _ in range(batch):
-                before = len(checks)
-                proposal = filt.neighbor(entry, rng)
-                neighbor_checks += len(checks) - before
-                assert proposal == _full_check_neighbor(
-                    filt, entry, reference_rng
-                )
-                assert rng.getstate() == reference_rng.getstate()
-                proposals.append(proposal)
-            if headroom == 0:
-                assert proposals == [entry] * batch
-            if pick:
-                entry = proposals[(pick - 1) % batch]
-        assert neighbor_checks == 1
+        assert [
+            apply_move(state, up, down) for up, down in zip(grown, shrunk)
+        ] == [
+            _full_check_neighbor(filt, state, reference_rng)
+            for _ in range(count)
+        ]
+        assert rng.getstate() == reference_rng.getstate()
 
 
 class TestTopCandidates:
@@ -485,18 +406,49 @@ STAGE_ONE_DIGESTS = {
 }
 
 
+def _annealer_candidates(filt, rng):
+    """The reference walk: :class:`SimulatedAnnealer` over the filter's
+    scalar ``energy`` and ``neighbor`` from its initial state, one
+    state at a time, without ``batch_energy``."""
+    config = filt.config
+    annealer = SimulatedAnnealer(
+        energy=filt.energy,
+        neighbor=filt.neighbor,
+        state_key=lambda state: state,
+        rng=rng,
+        schedule=config.sa_schedule,
+        proposal_batch=config.sa_proposal_batch,
+    )
+    ranked = annealer.run(
+        filt.initial_state(), top_k=config.num_wtdup_candidates
+    )
+    return [state for state, _energy in ranked]
+
+
+def _round_sizes(config):
+    """Proposals per chain in each SA round, in order."""
+    sizes = []
+    for _temperature in config.sa_schedule.temperatures():
+        remaining = config.sa_steps_per_temp
+        while remaining > 0:
+            sizes.append(min(config.sa_proposal_batch, remaining))
+            remaining -= sizes[-1]
+    return sizes
+
+
 class TestLockstep:
-    """Lock-stepping the stage-1 chains never changes a chain's walk."""
+    """Stepping the stage-1 chains together never changes a chain's
+    walk: each list is the chain's own ``SimulatedAnnealer`` walk."""
 
     @pytest.fixture(scope="class")
     def solo_walks(self):
-        """Each point's own one-chain walk, per case, computed once."""
+        """Each point's reference walk, per case, computed once."""
         walks = {}
 
         def solo(case):
             if case not in walks:
                 walks[case] = [
-                    filt.top_candidates(rng)
+                    _annealer_candidates(filt, rng)
                     for filt, rng in _stage_one_chains(*case)
                 ]
             return walks[case]
@@ -525,6 +477,73 @@ class TestLockstep:
         assert len(solo) == points
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
+    @given(
+        headrooms=st.lists(st.integers(0, 60), min_size=1, max_size=4),
+        batch=st.integers(1, 8),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    @example(headrooms=[0, 8, 60], batch=3, seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_tight_budgets_walk_like_the_annealer(
+        self, headrooms, batch, seed
+    ):
+        """Near the budget most moves do not fit, so a slack carried
+        wrong from an accepted move would change the walk. Each chain,
+        under its own headroom above WtDup=1, returns the reference
+        walk's list."""
+        filters = [
+            _lenet_filter(headroom, sa_proposal_batch=batch)
+            for headroom in headrooms
+        ]
+        together = lockstep_candidates([
+            (filt, random.Random(seed + index))
+            for index, filt in enumerate(filters)
+        ])
+        assert together == [
+            _annealer_candidates(filt, random.Random(seed + index))
+            for index, filt in enumerate(filters)
+        ]
+
+    @pytest.mark.parametrize("gate", ["numpy", "without_numpy"])
+    @pytest.mark.parametrize("batch", [1, 7, 8])
+    def test_one_feasibility_check_per_chain_one_call_per_round(
+        self, batch, gate, without_numpy, monkeypatch
+    ):
+        """``is_feasible`` runs once per chain, on its initial state,
+        and ``batch_energy`` once per round, on every chain's proposals
+        of that round. A batch of 7 leaves a short last round at each
+        temperature."""
+        if gate == "numpy" and not numpy_available():
+            pytest.skip("numpy is not installed")
+        checked, scored = [], []
+        is_feasible = WeightDuplicationFilter.is_feasible
+        batch_energy = WeightDuplicationFilter.batch_energy
+
+        def counting_feasible(filt, state):
+            checked.append(filt)
+            return is_feasible(filt, state)
+
+        def counting_energy(filt, states):
+            scored.append(len(states))
+            return batch_energy(filt, states)
+
+        monkeypatch.setattr(
+            WeightDuplicationFilter, "is_feasible", counting_feasible
+        )
+        monkeypatch.setattr(
+            WeightDuplicationFilter, "batch_energy", counting_energy
+        )
+        chains = _stage_one_chains("lenet5", 2.0, batch)
+        blocked = without_numpy() if gate == "without_numpy" else (
+            contextlib.nullcontext()
+        )
+        with blocked:
+            lockstep_candidates(chains)
+        assert checked == [filt for filt, _rng in chains]
+        assert scored == [
+            len(chains) * size for size in _round_sizes(chains[0][0].config)
+        ]
+
     def test_no_chains(self):
         assert lockstep_candidates([]) == []
 
@@ -546,6 +565,25 @@ class TestLockstep:
             model, num_crossbars=3 * floor, sa_alpha=0.0
         ).top_candidates(random.Random(4))
         with pytest.raises(ConfigurationError, match="'sa_alpha'"):
+            lockstep_candidates(
+                [(filt, random.Random(4)) for filt in filters]
+            )
+
+    @pytest.mark.parametrize("field,values,name", [
+        ("sa_cooling_rate", (0.8, 0.9), "sa_schedule"),
+        ("sa_steps_per_temp", (15, 16), "sa_schedule"),
+        ("sa_initial_temperature", (1.0, 2.0), "sa_schedule"),
+        ("sa_proposal_batch", (8, 4), "sa_proposal_batch"),
+        ("num_wtdup_candidates", (6, 7), "num_wtdup_candidates"),
+    ])
+    def test_chains_must_share_the_walk_shape(self, field, values, name):
+        """One loop steps every chain through the first filter's
+        cooling ladder, round size and archive size, so a chain that
+        differs in one of them is refused by name."""
+        filters = [
+            _lenet_filter(40, **{field: value}) for value in values
+        ]
+        with pytest.raises(ConfigurationError, match=f"'{name}'"):
             lockstep_candidates(
                 [(filt, random.Random(4)) for filt in filters]
             )

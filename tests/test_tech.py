@@ -23,6 +23,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -263,6 +264,86 @@ class TestValidation:
     def test_nonpositive_scalar(self):
         with pytest.raises(ConfigurationError, match="must be positive"):
             TechnologyProfile(**_profile_kwargs(crossbar_latency=0.0))
+
+    @pytest.mark.parametrize("section,field,value,message", [
+        ("domains", "xb_size_choices", 5,
+         "xb_size_choices must be a list of integers, got 5"),
+        ("domains", "xb_size_choices", None,
+         "xb_size_choices must be a list of integers, got None"),
+        ("domains", "xb_size_choices", ["a"],
+         "xb_size_choices must be a list of integers, got ['a']"),
+        ("domains", "xb_size_choices", "128",
+         "xb_size_choices must be a list of integers, got '128'"),
+        ("domains", "adc_resolution_range", [7],
+         "adc_resolution_range must be two integers [low, high], "
+         "got [7]"),
+        ("domains", "adc_resolution_range", [7, 10, 14],
+         "adc_resolution_range must be two integers [low, high], "
+         "got [7, 10, 14]"),
+        ("device", "crossbar_latency", None,
+         "crossbar_latency must be a finite number, got None"),
+        ("device", "crossbar_latency", "1e-7",
+         "crossbar_latency must be a finite number, got '1e-7'"),
+        ("device", "crossbar_latency", json.loads("NaN"),
+         "crossbar_latency must be a finite number, got nan"),
+        ("device", "act_precision", 16.5,
+         "act_precision must be an integer, got 16.5"),
+        ("domains", "res_rram_choices", [1.5],
+         "res_rram_choices must be a list of integers, got [1.5]"),
+    ], ids=[
+        "domain-int", "domain-null", "domain-of-strings", "domain-string",
+        "adc-range-one", "adc-range-three", "constant-null",
+        "constant-string", "constant-nan", "precision-fraction",
+        "res-rram-fraction",
+    ])
+    def test_malformed_document_names_the_field(
+        self, section, field, value, message
+    ):
+        """Each malformed field of an exported document fails at parse
+        time with a ConfigurationError naming the technology and the
+        field, never a bare TypeError or ValueError, and never passes:
+        NaN (which Python's JSON reader accepts) would otherwise reach
+        the DSE, and a fractional integer would be used as is."""
+        payload = get_technology("reram").to_payload()
+        payload[section][field] = value
+        with pytest.raises(
+            ConfigurationError,
+            match=re.escape(f"technology 'reram': {message}"),
+        ):
+            TechnologyProfile.from_payload(payload)
+
+    def test_non_numeric_table_value_names_the_entry(self):
+        payload = get_technology("reram").to_payload()
+        payload["device"]["adc_power"]["7"] = "x"
+        with pytest.raises(
+            ConfigurationError,
+            match=re.escape(
+                "technology 'reram': adc_power[7] must be a finite "
+                "number, got 'x'"
+            ),
+        ):
+            TechnologyProfile.from_payload(payload)
+
+    def test_null_name_is_rejected(self):
+        """A null name must not register as the string 'None'."""
+        payload = get_technology("reram").to_payload()
+        payload["name"] = None
+        with pytest.raises(
+            ConfigurationError,
+            match="technology name must be a non-empty string, got None",
+        ):
+            TechnologyProfile.from_payload(payload)
+
+    @pytest.mark.parametrize("field", ["description", "cell"])
+    def test_null_text_field_is_rejected(self, field):
+        """Nor may a null description or cell read as 'None'."""
+        payload = get_technology("reram").to_payload()
+        payload[field] = None
+        with pytest.raises(
+            ConfigurationError,
+            match=f"technology 'reram': {field} must be a string, got None",
+        ):
+            TechnologyProfile.from_payload(payload)
 
     def test_config_rejects_grid_outside_tables(self):
         with pytest.raises(ConfigurationError,
