@@ -478,18 +478,21 @@ class TestLockstep:
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
     @given(
-        headrooms=st.lists(st.integers(0, 60), min_size=1, max_size=4),
+        headrooms=st.lists(st.integers(0, 1000), min_size=1, max_size=4),
         batch=st.integers(1, 8),
         seed=st.integers(0, 2 ** 32 - 1),
     )
     @example(headrooms=[0, 8, 60], batch=3, seed=0)
+    @example(headrooms=[100, 200, 1000], batch=1, seed=0)
     @settings(max_examples=40, deadline=None)
-    def test_tight_budgets_walk_like_the_annealer(
+    def test_carried_slack_walks_like_the_annealer(
         self, headrooms, batch, seed
     ):
-        """Near the budget most moves do not fit, so a slack carried
-        wrong from an accepted move would change the walk. Each chain,
-        under its own headroom above WtDup=1, returns the reference
+        """The loop carries each accepted move's slack where the
+        reference recomputes it, so a slack carried wrong would accept
+        or refuse another move. Each chain, under its own headroom
+        above WtDup=1 (none: every move is refused; more: grows and
+        shifts fit until the walk has spent it), returns the reference
         walk's list."""
         filters = [
             _lenet_filter(headroom, sa_proposal_batch=batch)
