@@ -34,6 +34,8 @@ applications to PIM architectures"; the CLI is that click:
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from typing import List, Optional
 
@@ -76,6 +78,43 @@ def _tech(args) -> str:
     return tech
 
 
+def _flag(dest: str) -> str:
+    """The command-line flag of the argparse destination ``dest``."""
+    return "--" + dest.replace("_", "-")
+
+
+def _check_outputs(args, *dests: str) -> None:
+    """Fail before any work starts when an output path given for one of
+    ``dests`` cannot be written: its directory is missing, or it names
+    a directory."""
+    for dest in dests:
+        path = getattr(args, dest, None)
+        if not path:
+            continue
+        if os.path.isdir(path):
+            reason = errno.EISDIR
+        elif not os.path.isdir(os.path.dirname(path) or "."):
+            reason = errno.ENOENT
+        else:
+            continue
+        raise PimsynError(
+            f"cannot write {_flag(dest)} {path}: {os.strerror(reason)}"
+        )
+
+
+def _write(args, dest: str, text: str) -> None:
+    """Write ``text`` to the output path given for ``dest``; a failure
+    is one error naming the flag and the path."""
+    path = getattr(args, dest)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise PimsynError(
+            f"cannot write {_flag(dest)} {path}: {exc.strerror or exc}"
+        ) from exc
+
+
 def _config(args, power: float) -> SynthesisConfig:
     jobs = getattr(args, "jobs", 1)
     extras = {"tech": _tech(args)}
@@ -116,6 +155,7 @@ def cmd_models(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
+    _check_outputs(args, "out", "front_csv", "schedule")
     model = _load(args)
     if args.power is not None:
         power = args.power
@@ -162,13 +202,11 @@ def cmd_synthesize(args) -> int:
     if args.out:
         document = front.to_json() if front is not None \
             else solution.to_json()
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(document)
+        _write(args, "out", document)
         artifact = "front" if front is not None else "solution"
         print(f"\n{artifact} written to {args.out}")
     if getattr(args, "front_csv", None) and front is not None:
-        with open(args.front_csv, "w", encoding="utf-8") as handle:
-            handle.write(front.to_csv())
+        _write(args, "front_csv", front.to_csv())
         print(f"front CSV written to {args.front_csv}")
     if args.schedule:
         from repro.sim import SimulationEngine
@@ -182,8 +220,7 @@ def cmd_synthesize(args) -> int:
         schedule = export_schedule(
             trace, solution.partition.macro_groups
         )
-        with open(args.schedule, "w", encoding="utf-8") as handle:
-            handle.write(schedule.to_json())
+        _write(args, "schedule", schedule.to_json())
         print(f"dataflow schedule written to {args.schedule} "
               f"({schedule.total_steps} control steps)")
     return 0
@@ -191,6 +228,7 @@ def cmd_synthesize(args) -> int:
 
 def cmd_simulate(args) -> int:
     """Synthesize (or reuse) a design and replay it on a simulator."""
+    _check_outputs(args, "trace_out", "report_out")
     model = _load(args)
     if args.power is not None:
         power = args.power
@@ -223,8 +261,7 @@ def cmd_simulate(args) -> int:
         print(f"  latency           {metrics.latency:.3e} s")
         print(f"  bottleneck        layer {metrics.bottleneck_layer}")
         if args.trace_out:
-            with open(args.trace_out, "w", encoding="utf-8") as handle:
-                handle.write(trace.to_jsonl() + "\n")
+            _write(args, "trace_out", trace.to_jsonl() + "\n")
             print(f"trace written to {args.trace_out} "
                   f"({len(trace)} scheduled IRs)")
         return 0
@@ -236,15 +273,16 @@ def cmd_simulate(args) -> int:
     result = simulator.run()
     print(result.report.summary())
     if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as handle:
-            handle.write(result.trace.to_jsonl() + "\n")
+        _write(args, "trace_out", result.trace.to_jsonl() + "\n")
         print(f"trace written to {args.trace_out} "
               f"({len(result.trace)} scheduled IRs)")
     if args.report_out:
         import json
 
-        with open(args.report_out, "w", encoding="utf-8") as handle:
-            json.dump(result.report.to_payload(), handle, indent=2)
+        _write(
+            args, "report_out",
+            json.dumps(result.report.to_payload(), indent=2),
+        )
         print(f"cycle report written to {args.report_out}")
     if args.fault_rate == 0.0:
         validation = solution.cross_validate(tol=args.tol)
@@ -386,6 +424,7 @@ def cmd_batch(args) -> int:
 
     from repro.serve import ResultStore, run_batch_file
 
+    _check_outputs(args, "out")
     store = ResultStore(args.store)
     progress = print if args.verbose else None
     report = run_batch_file(
@@ -395,8 +434,7 @@ def cmd_batch(args) -> int:
     )
     print(report.to_table())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report.to_payload(), handle, indent=2)
+        _write(args, "out", json.dumps(report.to_payload(), indent=2))
         print(f"\nbatch report written to {args.out}")
     return 1 if report.failures else 0
 
@@ -477,8 +515,7 @@ def cmd_tech(args) -> int:
         profile = get_technology(args.name)
         document = profile.to_json()
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(document + "\n")
+            _write(args, "out", document + "\n")
             print(f"technology {profile.name!r} written to {args.out}")
         else:
             print(document)
@@ -486,6 +523,7 @@ def cmd_tech(args) -> int:
     if command == "compare":
         from repro.analysis import tech_compare_table, technology_sweep
 
+        _check_outputs(args, "out")
         model = _load(args)
         rows = technology_sweep(
             model,
@@ -500,8 +538,7 @@ def cmd_tech(args) -> int:
                 "model": model.name,
                 "rows": [r.__dict__ for r in rows],
             }
-            with open(args.out, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2)
+            _write(args, "out", json.dumps(payload, indent=2))
             print(f"\ncomparison written to {args.out}")
         return 0
     raise PimsynError(f"unknown tech command {command!r}")

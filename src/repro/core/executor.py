@@ -50,13 +50,14 @@ Seven properties make the engine safe to parallelize and to accelerate:
 6. **Lock-stepped stage 1** — one loop steps the SA filter chains of
    many outer points as moves off their round's entry states, with one
    Eq. 4 ``batch_energy`` call per round for all of them
-   (:func:`repro.core.weight_duplication.lockstep_candidates`): the
-   serial executor's runner takes every point, and the pool splits
-   them into at most ``jobs`` contiguous chunks, one worker call each.
+   (:func:`repro.core.weight_duplication.lockstep_candidates`). The
+   points are cut into at most ``jobs`` contiguous chunks, one
+   :meth:`_TaskRunner.filter_candidates` call each, through the
+   executor's one ``imap``, which property 7's waves go through too.
    Every chain keeps its ``sa:{point}`` RNG and its own walk, the one
-   :class:`repro.optim.annealing.SimulatedAnnealer` takes over the
-   filter's ``energy`` and ``neighbor``, so candidate lists do not
-   depend on the chunking.
+   the reference :class:`repro.optim.annealing.SimulatedAnnealer`
+   takes over the filter's ``energy`` and ``neighbor``, so candidate
+   lists do not depend on the chunking.
 7. **Lock-stepped EA waves** — the queue goes out in waves of ``jobs
    * WAVE_TASKS_PER_JOB`` (16) non-dominated tasks, cut into at most
    ``jobs`` contiguous chunks, one :meth:`_TaskRunner.run_tasks` call
@@ -588,11 +589,6 @@ class SerialExecutor:
     def __init__(self, runner: _TaskRunner) -> None:
         self.runner = runner
 
-    def map_filters(
-        self, points: Sequence[DesignPoint]
-    ) -> List[Optional[List[Tuple[int, ...]]]]:
-        return self.runner.filter_candidates(points)
-
     def imap(self, method: str, items: Iterable) -> Iterator:
         """The runner's ``method`` applied to each item, in order."""
         return map(getattr(self.runner, method), items)
@@ -661,21 +657,6 @@ class ProcessExecutor:
             initializer=_worker_init,
             initargs=(model, config, warm_memo),
         )
-
-    def map_filters(
-        self, points: Sequence[DesignPoint]
-    ) -> List[Optional[List[Tuple[int, ...]]]]:
-        """Stage 1 over at most ``jobs`` contiguous chunks of
-        ``points``, one lock-stepped worker call per chunk; results
-        come back in point order."""
-        return [
-            candidates
-            for chunk in self._pool.map(
-                partial(_worker_call, "filter_candidates"),
-                _chunks(points, self.jobs),
-            )
-            for candidates in chunk
-        ]
 
     def imap(self, method: str, items: Iterable) -> Iterator:
         """The workers' runner ``method`` applied to each item, results
@@ -814,7 +795,15 @@ class ExplorationEngine:
                 for p in points
             ]
         else:
-            candidate_lists = executor.map_filters(points)
+            # Stage 1 over at most ``jobs`` contiguous chunks of the
+            # points, one lock-stepped runner call each, in point order.
+            candidate_lists = [
+                candidates
+                for chunk in executor.imap(
+                    "filter_candidates", _chunks(points, executor.jobs)
+                )
+                for candidates in chunk
+            ]
 
         tasks: List[EvaluationTask] = []
         for point, candidates in zip(points, candidate_lists):
@@ -990,6 +979,7 @@ class ExplorationEngine:
             evaluation=result,
             spec=explorer.spec,
             budget=explorer.budget,
+            specialized_macros=self.config.specialized_macros,
         )
 
     def _task_bounds(self, tasks: List[EvaluationTask]) -> List[float]:

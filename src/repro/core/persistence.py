@@ -78,7 +78,8 @@ def solution_from_payload(
     it — re-running only the deterministic tail of the flow, never the
     DSE. ``params`` (explicit constants) or ``tech`` (a registered
     profile name) selects the device the artifact was synthesized
-    under.
+    under; the allocation mode comes from the artifact, which records
+    ``specialized_macros`` when it is False.
     """
     hw = (
         params if params is not None
@@ -110,11 +111,18 @@ def solution_from_payload(
         params=hw,
         max_blocks_per_layer=max_blocks_per_layer,
     )
+    specialized = payload.get("specialized_macros", True)
+    if not isinstance(specialized, bool):
+        raise ConfigurationError(
+            f"artifact field 'specialized_macros' must be a boolean, "
+            f"got {specialized!r}"
+        )
     partition = MacroPartition.from_gene(tuple(payload["gene"]))
     allocation = allocate_components(
         spec.geometries, partition.macro_groups, budget, hw,
         point["res_dac"], model,
         sharing_pairs=partition.sharing_pairs,
+        identical_macros=not specialized,
     )
     evaluation = PerformanceEvaluator(spec, budget).evaluate(
         partition.macro_groups, allocation
@@ -141,4 +149,5 @@ def solution_from_payload(
         evaluation=evaluation,
         spec=spec,
         budget=budget,
+        specialized_macros=specialized,
     )

@@ -125,4 +125,5 @@ def _rebuild(
         evaluation=result,
         spec=spec,
         budget=reference.budget,
+        specialized_macros=config.specialized_macros,
     )

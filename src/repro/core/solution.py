@@ -29,7 +29,12 @@ from repro.utils.mathutils import ceil_div
 
 @dataclass
 class SynthesisSolution:
-    """One complete synthesized accelerator design."""
+    """One complete synthesized accelerator design.
+
+    ``specialized_macros`` is the allocation mode the design was priced
+    under (:class:`repro.core.config.SynthesisConfig`'s field of that
+    name): False provisions identical macros chip-wide (§V-C2).
+    """
 
     model_name: str
     total_power: float
@@ -43,6 +48,7 @@ class SynthesisSolution:
     evaluation: EvaluationResult
     spec: DataflowSpec = field(repr=False)
     budget: PowerBudget = field(repr=False)
+    specialized_macros: bool = True
 
     # ------------------------------------------------------------------
     # Materialization
@@ -212,6 +218,10 @@ class SynthesisSolution:
                 "edp_js": ev.edp,
             },
         }
+        # Only the non-default mode is recorded, so every artifact of a
+        # default synthesis keeps its bytes.
+        if not self.specialized_macros:
+            payload["specialized_macros"] = False
         return payload
 
     def to_json(self, indent: int = 2) -> str:

@@ -7,12 +7,13 @@ problem-agnostic engines; the problem encodings live in
 :mod:`repro.core`. The multi-objective layer adds NSGA-II
 (:mod:`.nsga`) on top of shared Pareto-dominance primitives
 (:mod:`.dominance`), which the archive and the DSE executor's front
-merge reuse. Every search loop is an ask/tell stepper, and one driver,
-:func:`.annealing.anneal_together`, runs them all: the SA chain and
-the (mu + lambda) loop the EA and NSGA-II share. The stage-1 filter
+merge reuse. The EA and NSGA-II share one (mu + lambda) loop, an
+ask/tell stepper, and :func:`.evolution.evolve_together` steps it for
+one engine or for many in lock-step. The stage-1 filter
 steps its lock-stepped SA chains in a move loop of its own
-(:func:`repro.core.weight_duplication.lockstep_candidates`), held to
-:class:`.annealing.SimulatedAnnealer` by its tests.
+(:func:`repro.core.weight_duplication.lockstep_candidates`), held by
+its tests to :class:`.annealing.SimulatedAnnealer`, the plain
+one-chain reference.
 """
 
 from repro.optim.annealing import AnnealingSchedule, SimulatedAnnealer

@@ -8,14 +8,13 @@ the algorithm's "apply mutation related to #macros / macro-sharing"
 pair of steps.
 
 The loop body is :class:`MuPlusLambda`, which the scalar EA here and
-NSGA-II (:mod:`repro.optim.nsga`) share. It is an ask/tell stepper like
-:meth:`repro.optim.annealing.SimulatedAnnealer.steps`: it yields each
-generation's genes and receives their values, and ``run()`` drives it
-with the one search driver, :func:`repro.optim.annealing.
-anneal_together`, scoring through the evaluation memo.
-:func:`evolve_together` runs many engines at once through
-``anneal_together`` and the one memo body, one scoring call per round;
-the DSE executor runs the EA launches of a wave that way.
+NSGA-II (:mod:`repro.optim.nsga`) share. It is an ask/tell stepper: it
+yields each generation's genes and receives their values.
+:func:`evolve_together` steps many engines at once, scoring each round
+of all of them through one call of the evaluation memo
+(:func:`repro.optim.memo.score_through_memo`); the DSE executor runs
+the EA launches of a wave that way, and ``run()`` is the same loop
+over one engine.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from typing import (
 )
 
 from repro.errors import ConfigurationError
-from repro.optim.annealing import anneal_together
 from repro.optim.memo import score_through_memo
 from repro.utils.rng import randbelow
 
@@ -129,12 +127,6 @@ class MuPlusLambda(Generic[Gene, Value]):
         self._cache: MutableMapping = cache if cache is not None else {}
         self._cache_key = cache_key if cache_key is not None else gene_key
 
-    def _memo_score(self, genes: List[Gene]) -> List[Value]:
-        """The values of ``genes``, scored through the memo."""
-        return score_through_memo(
-            genes, self.score, self._cache, self._cache_key, self.report
-        )
-
     def steps(
         self, initial_population: List[Gene]
     ) -> Generator[List[Gene], List[Value], object]:
@@ -142,11 +134,10 @@ class MuPlusLambda(Generic[Gene, Value]):
 
         Yields the initial population, then each generation's brood,
         and expects their values sent back in order
-        (:func:`repro.optim.annealing.anneal_together` does so, for one
-        engine in :meth:`run` or for many at once). A brood holds only
-        children new to the population, so it may be empty. Scoring
-        consumes no randomness, so the walk does not depend on which
-        driver or memo scores the rounds.
+        (:func:`evolve_together` does so, for one engine in :meth:`run`
+        or for many at once). A brood holds only children new to the
+        population, so it may be empty. Scoring consumes no randomness,
+        so the walk does not depend on which memo scores the rounds.
         """
         if not initial_population:
             raise ConfigurationError("initial population must be non-empty")
@@ -181,21 +172,12 @@ class MuPlusLambda(Generic[Gene, Value]):
         return self._result(population)
 
     def run(self, initial_population: List[Gene]):
-        """Drive :meth:`steps` alone, scoring through the memo."""
-        return anneal_together(
-            [self.steps(initial_population)], self._memo_score
+        """Evolve from ``initial_population`` alone, scoring through the
+        memo: :func:`evolve_together` over this engine."""
+        return evolve_together(
+            [self], [initial_population],
+            lambda genes, _lanes: self.score(genes),
         )[0]
-
-
-def _lane(lane: int, stepper: Generator) -> Generator:
-    """``stepper`` with each round's genes tagged ``(lane, gene)``."""
-    values = None
-    while True:
-        try:
-            genes = stepper.send(values)
-        except StopIteration as finished:
-            return finished.value
-        values = yield [(lane, gene) for gene in genes]
 
 
 def evolve_together(
@@ -204,29 +186,45 @@ def evolve_together(
     score: Callable[[List[Gene], List[int]], Sequence[Value]],
 ) -> list:
     """Run ``engines`` from ``populations`` in lock-step; return what
-    each engine's :meth:`~MuPlusLambda.run` returns, in order.
+    each engine's :meth:`~MuPlusLambda.steps` returns, in order.
 
-    One :func:`repro.optim.annealing.anneal_together` call drives every
-    engine's stepper. Each round, the genes of every live engine go
-    through the one memo body (:func:`repro.optim.memo.
-    score_through_memo`), each under its engine's ``cache_key`` and
-    counted in its engine's report, and their misses reach one
-    ``score(genes, lanes)`` call: ``lanes[k]`` is the position in
-    ``engines`` of the engine that bred ``genes[k]``. The engines must
-    share one memo. Scoring consumes no randomness, so each engine
-    walks as it does alone, given a ``score`` whose value for a gene
-    does not depend on the other genes in the call. Its counts are its
-    solo ones too, except that a key an earlier engine misses in the
-    same round is a hit for a later one, as if it ran after.
+    Each round, the genes of every live engine go through one call of
+    the memo body (:func:`repro.optim.memo.score_through_memo`), each
+    under its engine's ``cache_key`` and counted in its engine's
+    report, and their misses reach one ``score(genes, lanes)`` call:
+    ``lanes[k]`` is the position in ``engines`` of the engine that bred
+    ``genes[k]``. Each engine is then sent its own values, and an
+    engine that finishes drops out. The engines must share one memo.
+    Scoring consumes no randomness, so each engine walks as it does
+    alone, given a ``score`` whose value for a gene does not depend on
+    the other genes in the call. Its counts are its solo ones too,
+    except that a key an earlier engine misses in the same round is a
+    hit for a later one, as if it ran after. A ``score`` that returns a
+    different number of values than it was given genes raises
+    :class:`ConfigurationError`.
     """
     if not engines:
         return []
     memo = engines[0]._cache
     if any(engine._cache is not memo for engine in engines):
         raise ConfigurationError("lock-stepped engines must share one memo")
-
-    def score_round(items):
-        return score_through_memo(
+    steppers = [
+        engine.steps(population)
+        for engine, population in zip(engines, populations)
+    ]
+    results: list = [None] * len(steppers)
+    replies: list = [(lane, None) for lane in range(len(steppers))]
+    while replies:
+        pending, items = [], []
+        for lane, reply in replies:
+            try:
+                genes = steppers[lane].send(reply)
+            except StopIteration as finished:
+                results[lane] = finished.value
+                continue
+            pending.append((lane, len(genes)))
+            items.extend((lane, gene) for gene in genes)
+        values = score_through_memo(
             items,
             lambda misses: score(
                 [gene for _, gene in misses], [lane for lane, _ in misses]
@@ -235,16 +233,11 @@ def evolve_together(
             lambda item: engines[item[0]]._cache_key(item[1]),
             lambda item: engines[item[0]].report,
         )
-
-    return anneal_together(
-        [
-            _lane(lane, engine.steps(population))
-            for lane, (engine, population) in enumerate(
-                zip(engines, populations)
-            )
-        ],
-        score_round,
-    )
+        replies, start = [], 0
+        for lane, count in pending:
+            replies.append((lane, values[start:start + count]))
+            start += count
+    return results
 
 
 class EvolutionEngine(MuPlusLambda[Gene, float]):

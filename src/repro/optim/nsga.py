@@ -6,8 +6,9 @@ objectives (all maximized). Both run the one (mu + lambda) loop of
 :class:`repro.optim.evolution.MuPlusLambda`: caller-supplied mutation
 operators, ``gene_key`` identity, one population scorer consulted
 through the memo helper (:func:`repro.optim.memo.score_through_memo`),
-and an ask/tell stepper (``steps()``) that ``run()`` drives. The DSE
-executor drives both engines the same way.
+and an ask/tell stepper (``steps()``) that ``run()`` steps through
+:func:`repro.optim.evolution.evolve_together`, which also runs the DSE
+executor's lock-stepped EA launches.
 
 The NSGA-II specifics (Deb et al. 2002) live in
 :mod:`repro.optim.dominance`: fast non-dominated sort, crowding

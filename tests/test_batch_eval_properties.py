@@ -40,6 +40,7 @@ from repro.errors import ConfigurationError
 from repro.hardware.power import PowerBudget
 from repro.nn import lenet5
 from repro.optim.evolution import EvolutionEngine
+from repro.optim.memo import score_through_memo
 
 
 def _make_explorer(sharing=True, specialized=True):
@@ -177,7 +178,10 @@ class TestBatchInvariants:
             return EXPLORER.score_population(list(batch))
 
         engine = _memo_engine(score, cache)
-        values = engine._memo_score(list(genes))
+        values = score_through_memo(
+            list(genes), engine.score, engine._cache, engine._cache_key,
+            engine.report,
+        )
         assert len(values) == len(genes)
         cached_set = set(cached)
         # Memo hits never reach the scorer, and no gene is evaluated
@@ -266,7 +270,10 @@ class TestNumpyKernelProperties:
                 return _score(list(batch))
 
             engine = _memo_engine(score, cache)
-            values = engine._memo_score(list(genes))
+            values = score_through_memo(
+                list(genes), engine.score, engine._cache,
+                engine._cache_key, engine.report,
+            )
             results[name] = (
                 tuple(evaluated), dict(cache), values,
                 engine.report.evaluations, engine.report.cache_hits,

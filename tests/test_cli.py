@@ -411,3 +411,69 @@ class TestUnreadableInputFiles:
         assert capsys.readouterr().err == (
             f"error: cannot read manifest {path}: {reason}\n"
         )
+
+
+class TestUnwritableOutputPaths:
+    """An output path whose directory is missing, or that names a
+    directory, ends in one ``error:`` line naming the flag and the
+    path, and exit status 1, before any synthesis runs."""
+
+    SYNTH = ["synthesize", "--model", "lenet5", "--power", "2"]
+    SIMULATE = ["simulate", "--model", "lenet5", "--power", "2"]
+
+    @staticmethod
+    def _path(tmp_path, kind):
+        if kind == "missing-directory":
+            return tmp_path / "nodir" / "out.json", "No such file or directory"
+        directory = tmp_path / "a-directory"
+        directory.mkdir()
+        return directory, "Is a directory"
+
+    @pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("argv, flag", [
+        (SYNTH + ["--out", "{path}"], "--out"),
+        (SYNTH + ["--pareto", "--front-csv", "{path}"], "--front-csv"),
+        (SYNTH + ["--schedule", "{path}"], "--schedule"),
+        (SIMULATE + ["--trace-out", "{path}"], "--trace-out"),
+        (SIMULATE + ["--cycle", "--report-out", "{path}"], "--report-out"),
+        (["batch", "--manifest", "{manifest}", "--store", "{store}",
+          "--out", "{path}"], "--out"),
+        (["tech", "compare", "--model", "lenet5", "--out", "{path}"],
+         "--out"),
+        (["tech", "export", "reram", "--out", "{path}"], "--out"),
+    ], ids=[
+        "synthesize-out", "synthesize-front-csv", "synthesize-schedule",
+        "simulate-trace-out", "simulate-report-out", "batch-out",
+        "tech-compare-out", "tech-export-out",
+    ])
+    def test_one_error_line_and_no_synthesis(
+        self, tmp_path, capsys, monkeypatch, kind, argv, flag
+    ):
+        from repro.core import synthesizer
+
+        syntheses = []
+
+        def refuse(self):
+            syntheses.append(self)
+            raise AssertionError("a synthesis ran")
+
+        monkeypatch.setattr(synthesizer.Pimsyn, "synthesize", refuse)
+        monkeypatch.setattr(
+            synthesizer.Pimsyn, "synthesize_pareto", refuse
+        )
+        path, reason = self._path(tmp_path, kind)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(
+            {"models": ["lenet5"], "powers": [2.0]}
+        ))
+        store = tmp_path / "store"
+        argv = [
+            arg.format(path=path, manifest=manifest, store=store)
+            for arg in argv
+        ]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write {flag} {path}: {reason}\n"
+        )
+        assert syntheses == []
+        assert not store.exists()

@@ -35,6 +35,7 @@ from repro.core.executor import (
     EvaluationTask,
     ExplorationEngine,
     ProcessExecutor,
+    SerialExecutor,
     _TaskRunner,
     model_fingerprint,
     params_fingerprint,
@@ -187,6 +188,19 @@ class TestLockstepStageOne:
         ]
         assert split == whole
 
+    def _queue(self, points, lists):
+        """The task queue stage 1's ``lists`` for ``points`` make: one
+        task per (point, WtDup candidate, ResDAC), in that order."""
+        tasks = []
+        for point, found in zip(points, lists):
+            for wt_dup in found or ():
+                for res_dac in self.CONFIG.res_dac_choices:
+                    tasks.append(EvaluationTask(
+                        index=len(tasks), point=point, wt_dup=wt_dup,
+                        res_dac=res_dac,
+                    ))
+        return tasks
+
     @pytest.mark.parametrize("jobs, sizes", [
         (2, [18, 18]),
         (5, [8, 7, 7, 7, 7]),
@@ -196,28 +210,41 @@ class TestLockstepStageOne:
         self, stage_one, jobs, sizes, monkeypatch
     ):
         runner, points, whole = stage_one
-        chunks = []
+        chunks, lists = [], []
 
         class _InlinePool:
-            def map(self, function, items):
+            def imap(self, function, items):
                 chunks.extend(items)
-                return [function(item) for item in items]
+                results = [function(item) for item in items]
+                lists.extend(found for chunk in results for found in chunk)
+                return iter(results)
 
         monkeypatch.setattr(executor_mod, "_WORKER_RUNNER", runner)
         pool = ProcessExecutor.__new__(ProcessExecutor)
         pool.jobs = jobs
         pool._pool = _InlinePool()
-        assert pool.map_filters(points) == whole
+        engine = ExplorationEngine(
+            runner.model, self.CONFIG, SynthesisReport()
+        )
+        tasks = engine._build_tasks(pool, points, None)
+        assert lists == whole
+        assert tasks == self._queue(points, whole)
         assert [len(chunk) for chunk in chunks] == sizes
         assert [point for chunk in chunks for point in chunk] == points
 
     def test_pool_lists_match_serial(self, lenet, stage_one):
-        _runner, points, whole = stage_one
+        runner, points, whole = stage_one
+        serial = ExplorationEngine(lenet, self.CONFIG, SynthesisReport())
+        queue = serial._build_tasks(SerialExecutor(runner), points, None)
+        assert queue == self._queue(points, whole)
+        engine = ExplorationEngine(lenet, self.CONFIG, SynthesisReport())
         pool = ProcessExecutor(lenet, self.CONFIG, jobs=3)
         try:
-            assert pool.map_filters(points) == whole
+            assert engine._build_tasks(pool, points, None) == queue
         finally:
             pool.close()
+        assert engine.report == serial.report
+        assert engine.report.infeasible_points == 1
 
     def test_one_energy_call_per_round_for_every_point(
         self, lenet, monkeypatch

@@ -1,16 +1,11 @@
 """Unit tests for the SA and EA engines."""
 
-import math
 import random
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.optim.annealing import (
-    AnnealingSchedule,
-    SimulatedAnnealer,
-    anneal_together,
-)
+from repro.optim.annealing import AnnealingSchedule, SimulatedAnnealer
 from repro.optim.evolution import EvolutionEngine
 
 
@@ -74,51 +69,6 @@ class TestSimulatedAnnealer:
         with pytest.raises(ConfigurationError):
             self._quadratic_annealer().run(0, top_k=0)
 
-    def test_proposal_batch_one_matches_legacy_chain(self):
-        """b=1 is the classic chain: adding a batch energy backend (or
-        none) must not change the walk for a fixed seed."""
-        plain = self._quadratic_annealer(seed=4).run(0, top_k=4)
-        batched = SimulatedAnnealer(
-            energy=lambda x: (x - 17) ** 2,
-            neighbor=lambda x, rng: x + rng.choice((-1, 1)),
-            state_key=lambda x: x,
-            rng=random.Random(4),
-            schedule=AnnealingSchedule(
-                initial_temperature=10.0, min_temperature=0.01,
-                cooling_rate=0.9, steps_per_temp=30,
-            ),
-            batch_energy=lambda states: [(x - 17) ** 2 for x in states],
-            proposal_batch=1,
-        )
-        assert batched.run(0, top_k=4) == plain
-
-    def test_proposal_batch_backend_independent(self):
-        """With b>1 the walk differs from the classic chain but must be
-        identical whichever backend scores a round."""
-
-        def make(batch_energy):
-            return SimulatedAnnealer(
-                energy=lambda x: (x - 17) ** 2,
-                neighbor=lambda x, rng: x + rng.choice((-1, 1)),
-                state_key=lambda x: x,
-                rng=random.Random(8),
-                schedule=AnnealingSchedule(
-                    initial_temperature=10.0, min_temperature=0.01,
-                    cooling_rate=0.9, steps_per_temp=30,
-                ),
-                batch_energy=batch_energy,
-                proposal_batch=6,
-            )
-
-        scalar_backend = make(None)
-        vector_backend = make(
-            lambda states: [(x - 17) ** 2 for x in states]
-        )
-        assert scalar_backend.run(0, top_k=5) == vector_backend.run(
-            0, top_k=5
-        )
-        assert scalar_backend.evaluations == vector_backend.evaluations
-
     def test_proposal_batch_counts_evaluations(self):
         annealer = SimulatedAnnealer(
             energy=lambda x: float(x * x),
@@ -158,88 +108,6 @@ class TestSimulatedAnnealer:
         )
         results = annealer.run(42, top_k=3)
         assert results[0][0] == 42
-
-
-def _walker(seed, schedule, proposal_batch, batch_energy=None):
-    """An annealer over the integers, minimizing ``(x - 17) ** 2``."""
-    return SimulatedAnnealer(
-        energy=lambda x: float((x - 17) ** 2),
-        neighbor=lambda x, rng: x + rng.choice((-2, -1, 1, 2)),
-        state_key=lambda x: x,
-        rng=random.Random(seed),
-        schedule=schedule,
-        batch_energy=batch_energy,
-        proposal_batch=proposal_batch,
-    )
-
-
-class TestAnnealTogether:
-    """The lock-step driver: each chain returns its solo walk."""
-
-    #: (seed, schedule, proposal_batch, initial state, top_k): ladders
-    #: of 66, 3, 2 and 17 rungs, with rounds of 1, of 3/3/1, of 2 and
-    #: of 5/5/2, so the chains finish in different rounds.
-    CHAINS = [
-        (1, AnnealingSchedule(10.0, 0.01, 0.9, 30), 1, 0, 4),
-        (2, AnnealingSchedule(5.0, 1.0, 0.5, 7), 3, 40, 2),
-        (3, AnnealingSchedule(1.0, 0.5, 0.5, 2), 8, -9, 5),
-        (4, AnnealingSchedule(2.0, 0.05, 0.8, 12), 5, 17, 1),
-    ]
-
-    def test_mixed_chains_match_their_solo_runs(self):
-        solo = [
-            _walker(seed, schedule, batch).run(initial, top_k=top_k)
-            for seed, schedule, batch, initial, top_k in self.CHAINS
-        ]
-        rounds = [
-            len(schedule.temperatures())
-            * math.ceil(schedule.steps_per_temp / batch)
-            for _seed, schedule, batch, _initial, _top_k in self.CHAINS
-        ]
-        calls = []
-
-        def score(states):
-            calls.append(len(states))
-            return [float((x - 17) ** 2) for x in states]
-
-        together = anneal_together(
-            [
-                _walker(seed, schedule, batch).steps(initial, top_k)
-                for seed, schedule, batch, initial, top_k in self.CHAINS
-            ],
-            score,
-        )
-        assert together == solo
-        # One call per round of the longest chain; a finished chain
-        # drops out of later calls.
-        assert len(calls) == max(rounds)
-        assert calls[0] == sum(
-            min(batch, schedule.steps_per_temp)
-            for _seed, schedule, batch, _initial, _top_k in self.CHAINS
-        )
-        assert sum(calls) == sum(
-            len(schedule.temperatures()) * schedule.steps_per_temp
-            for _seed, schedule, batch, _initial, _top_k in self.CHAINS
-        )
-
-    def test_no_steppers(self):
-        assert anneal_together([], lambda states: []) == []
-
-    @pytest.mark.parametrize("returned", [2, 4])
-    def test_wrong_count_names_both_counts(self, returned):
-        schedule = AnnealingSchedule(1.0, 0.5, 0.5, 3)
-        message = f"returned {returned} values for 3 states"
-        with pytest.raises(ConfigurationError, match=message):
-            anneal_together(
-                [_walker(1, schedule, 3).steps(0)],
-                lambda states: [0.0] * returned,
-            )
-        # run() keeps the check on a miscounting batch_energy.
-        with pytest.raises(ConfigurationError, match=message):
-            _walker(
-                1, schedule, 3,
-                batch_energy=lambda states: [0.0] * returned,
-            ).run(0)
 
 
 class TestEvolutionEngine:

@@ -7,7 +7,7 @@ from repro.analysis.gantt import render_gantt
 from repro.core import Pimsyn, SynthesisConfig
 from repro.core.persistence import load_solution, save_solution
 from repro.errors import ConfigurationError, SimulationError
-from repro.nn import lenet5, vgg13
+from repro.nn import lenet5, vgg13, zoo
 from repro.sim import SimulationEngine
 from repro.sim.trace import SimTrace
 
@@ -84,6 +84,62 @@ class TestPersistence:
         assert restored.evaluation.throughput == pytest.approx(
             solution.evaluation.throughput
         )
+
+
+@pytest.fixture(scope="module", params=[
+    ("lenet5", 2.0), ("alexnet_cifar", 8.0),
+], ids=["lenet5", "alexnet_cifar"])
+def identical_macro_design(request):
+    """A design synthesized with identical macros chip-wide, and its
+    model."""
+    name, power = request.param
+    model = zoo.by_name(name)
+    config = SynthesisConfig.fast(
+        total_power=power, seed=1, specialized_macros=False
+    )
+    return Pimsyn(model, config).synthesize(), model
+
+
+class TestIdenticalMacroReload:
+    """A design priced with identical macros reloads under that mode,
+    to the same metrics, from its payload and from its file."""
+
+    def _assert_same(self, restored, solution):
+        assert restored.evaluation == solution.evaluation
+        assert restored.allocation == solution.allocation
+        assert restored.to_payload() == solution.to_payload()
+        assert restored.specialized_macros is False
+
+    def test_payload_records_the_mode(self, identical_macro_design):
+        solution, _model = identical_macro_design
+        assert solution.to_payload()["specialized_macros"] is False
+
+    def test_reload_from_payload(self, identical_macro_design):
+        from repro.core.persistence import solution_from_payload
+
+        solution, model = identical_macro_design
+        restored = solution_from_payload(solution.to_payload(), model)
+        self._assert_same(restored, solution)
+
+    def test_reload_from_file(self, identical_macro_design, tmp_path):
+        solution, model = identical_macro_design
+        path = tmp_path / "sol.json"
+        save_solution(solution, path)
+        self._assert_same(load_solution(path, model), solution)
+
+
+def test_default_payload_omits_the_mode(solution):
+    assert "specialized_macros" not in solution.to_payload()
+    assert solution.specialized_macros is True
+
+
+def test_non_boolean_mode_rejected(solution):
+    from repro.core.persistence import solution_from_payload
+
+    payload = solution.to_payload()
+    payload["specialized_macros"] = "no"
+    with pytest.raises(ConfigurationError, match="specialized_macros"):
+        solution_from_payload(payload, lenet5())
 
 
 class TestEnergyBreakdown:

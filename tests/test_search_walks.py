@@ -1,21 +1,23 @@
 """Pinned toy walks of the two evolutionary engines, solo and lock-stepped.
 
 ``EvolutionEngine`` and ``NSGA2Engine`` share one (mu + lambda) loop
-body, an ask/tell stepper (``steps()``), and ``run()`` drives it through
-the one search driver, :func:`repro.optim.annealing.anneal_together`,
-scoring through the evaluation memo. The walks below were recorded
-before the two engines shared that loop, so they pin the RNG draw order
-of each child (select, then the operator choice, then the operator), the
-survivor sorts, the memo accounting and the stopping rules:
+body, an ask/tell stepper (``steps()``), and
+:func:`repro.optim.evolution.evolve_together` steps it and scores each
+round through the evaluation memo; ``run()`` is ``evolve_together``
+over one engine. The walks below were recorded before the two engines
+shared that loop, so they pin the RNG draw order of each child
+(select, then the operator choice, then the operator), the survivor
+sorts, the memo accounting and the stopping rules:
 
 - a full run, a run stopped by ``patience`` and runs whose broods are
   all duplicates of the population (empty rounds);
-- the same steppers driven together through one driver call, which must
-  return each stepper's solo result and history with one scorer call
-  per round;
-- the same engines run by ``evolve_together`` (the DSE's lock-stepped
-  EA waves) through one shared memo, which must keep every pinned walk,
-  counts included.
+- ``run()`` against ``evolve_together`` called on the one engine,
+  results and reports;
+- every case's engine run by ``evolve_together`` at once (the DSE's
+  lock-stepped EA waves) through one shared memo, which must keep every
+  pinned walk, counts included, with one scorer call per round;
+- ``evolve_together``'s checks: no engines, engines with private
+  memos, and a scorer that returns too few or too many values.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.optim.annealing import anneal_together
 from repro.optim.evolution import EvolutionEngine, evolve_together
 from repro.optim.nsga import NSGA2Engine
 
@@ -212,43 +213,32 @@ def test_nsga_walk_pinned(name):
     assert _nsga_walk(name) == NSGA_WALKS[name]
 
 
-@pytest.mark.parametrize("cases, make, value_of, history", [
-    (EA_CASES, _ea, _fitness, "best_fitness_history"),
-    (NSGA_CASES, _nsga, _objectives, "front_size_history"),
-], ids=["evolution", "nsga"])
-def test_steppers_share_one_driver(cases, make, value_of, history):
-    """Every case's stepper (different sizes; for the EA, one stopped
-    by patience and two breeding only duplicates) runs under one driver
-    call and returns its solo run's result and history."""
-    calls = []
+#: kind -> (cases, engine factory, value of a gene)
+KINDS = {
+    "evolution": (EA_CASES, _ea, _fitness),
+    "nsga": (NSGA_CASES, _nsga, _objectives),
+}
 
-    def score(genes):
-        calls.append(len(genes))
-        return [value_of(gene) for gene in genes]
+EVERY_CASE = [
+    (kind, name) for kind, (cases, _make, _value_of) in KINDS.items()
+    for name in sorted(cases)
+]
 
-    names = sorted(cases)
-    engines = [make(name) for name in names]
-    results = anneal_together(
-        [
-            engine.steps(list(cases[name][2]))
-            for name, engine in zip(names, engines)
-        ],
-        score,
-    )
-    solos = [make(name) for name in names]
-    for name, engine, result, solo in zip(names, engines, results, solos):
-        assert result == solo.run(list(cases[name][2]))
-        assert engine.report.generations == solo.report.generations
-        assert getattr(engine.report, history) == getattr(
-            solo.report, history
-        )
-    # One call per round: the initial population, then one brood per
-    # generation of the longest walk; a finished stepper drops out.
-    assert len(calls) == 1 + max(solo.report.generations for solo in solos)
-    # Every gene a solo run looks up in its memo is scored once here.
-    assert sum(calls) == sum(
-        solo.report.evaluations + solo.report.cache_hits for solo in solos
-    )
+
+@pytest.mark.parametrize(
+    "kind, name", EVERY_CASE, ids=[f"{k}-{n}" for k, n in EVERY_CASE]
+)
+def test_run_is_evolve_together_over_one_engine(kind, name):
+    """``run()`` returns what ``evolve_together`` returns for the one
+    engine, and leaves the same report."""
+    cases, make, value_of = KINDS[kind]
+    solo, driven = make(name), make(name)
+    result = solo.run(list(cases[name][2]))
+    assert evolve_together(
+        [driven], [list(cases[name][2])],
+        lambda genes, lanes: [value_of(gene) for gene in genes],
+    ) == [result]
+    assert driven.report == solo.report
 
 
 @pytest.mark.parametrize("cases, make, value_of, record, walks", [
@@ -312,3 +302,50 @@ def test_all_duplicate_broods_are_empty_rounds():
         stepper.send([])
     assert finished.value.value == (_bits("00000011"), 5.0)
     assert engine.report.generations == 5
+
+
+def test_evolve_together_without_engines():
+    assert evolve_together([], [], lambda genes, lanes: []) == []
+
+
+def _miscount(values, delta):
+    """``values`` with one value dropped (``delta`` -1) or repeated
+    (+1)."""
+    return values[:-1] if delta < 0 else values + values[:1]
+
+
+@pytest.mark.parametrize("delta", [-1, 1], ids=["too-few", "too-many"])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_miscounting_scorer_names_both_counts(kind, delta):
+    """A scorer that returns one value too few or too many stops the
+    search with both counts named, whether it scores one engine's
+    ``run()`` or the lock-stepped rounds of every case's engine."""
+    cases, make, value_of = KINDS[kind]
+    names = sorted(cases)
+    # The first round scores each initial population's distinct genes.
+    first = len(set(cases["full"][2]))
+    every = sum(len(set(cases[name][2])) for name in names)
+
+    engine = make(
+        "full",
+        score=lambda genes: _miscount([value_of(g) for g in genes], delta),
+    )
+    message = f"returned {first + delta} values for {first} genes"
+    with pytest.raises(ConfigurationError, match=message):
+        engine.run(list(cases["full"][2]))
+
+    memo = {}
+    engines = [
+        make(name, cache=memo, cache_key=lambda gene, name=name: (
+            name, gene
+        ))
+        for name in names
+    ]
+    message = f"returned {every + delta} values for {every} genes"
+    with pytest.raises(ConfigurationError, match=message):
+        evolve_together(
+            engines, [list(cases[name][2]) for name in names],
+            lambda genes, lanes: _miscount(
+                [value_of(g) for g in genes], delta
+            ),
+        )
