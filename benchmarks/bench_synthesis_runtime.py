@@ -40,7 +40,7 @@ import time
 from repro.analysis import format_table
 from repro.core import Pimsyn, SynthesisConfig
 from repro.core.dataflow import make_spec
-from repro.core.macro_partition import MacroPartitionExplorer
+from repro.core.macro_partition import MacroPartitionExplorer, PopulationScorer
 from repro.hardware.power import PowerBudget
 from repro.nn import lenet5, zoo
 
@@ -125,8 +125,8 @@ def test_batched_vs_scalar_eval_speedup(benchmark, without_numpy):
     """Numpy population scoring vs the scalar oracle (the EA hot path).
 
     A VGG13 stage-3 landscape: 256 rule-valid genes scored once through
-    ``score_population`` (what every EA generation now runs) and once
-    through the gene-at-a-time ``score`` chain. The batched engine must
+    ``PopulationScorer``'s ``fitness`` (what every EA generation now
+    runs) and once through the gene-at-a-time ``score`` chain. The batched engine must
     be >= 2x faster — in practice it is far more — while returning
     numerically identical fitness values. Results (plus a full EA-run
     comparison with default Alg. 2 knobs, the scalar run with numpy
@@ -166,7 +166,8 @@ def test_batched_vs_scalar_eval_speedup(benchmark, without_numpy):
     scalar_scores = [explorer.score(g)[0] for g in genes]
     scalar_s = time.perf_counter() - started
 
-    batched_scores = benchmark(explorer.score_population, genes)
+    scorer = PopulationScorer([explorer])
+    batched_scores = benchmark(scorer.fitness, genes, [0] * len(genes))
     batched_s = benchmark.stats.stats.min
     population_speedup = scalar_s / batched_s
     assert batched_scores == scalar_scores
@@ -197,7 +198,7 @@ def test_batched_vs_scalar_eval_speedup(benchmark, without_numpy):
         ["path", "seconds", "speedup"],
         [
             ("scalar score() x 256", round(scalar_s, 4), "1.0x"),
-            ("score_population(256)", round(batched_s, 4),
+            ("PopulationScorer(256)", round(batched_s, 4),
              f"{population_speedup:.1f}x"),
             ("EA explore() scalar", round(ea_seconds[False], 4), "1.0x"),
             ("EA explore() batched", round(ea_seconds[True], 4),

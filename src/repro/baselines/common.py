@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
+from repro.core.backend import ENCODING_BASE
 from repro.core.component_alloc import (
     ComponentAllocation,
     LayerAllocation,
@@ -33,8 +34,8 @@ from repro.hardware.tech import DEFAULT_TECHNOLOGY
 from repro.nn.model import CNNModel
 from repro.utils.mathutils import ceil_div
 
-# Genes encode #macros below 1000 (the paper's base-1000 packing).
-_MAX_MACROS_PER_LAYER = 999
+# The paper's base-1000 gene packing caps a layer's #macros.
+_MAX_MACROS_PER_LAYER = ENCODING_BASE - 1
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -99,8 +99,11 @@ def get_backend(name: str) -> Engine:
     )
 
 
-#: Gene encoding base — keep in sync with repro.core.macro_partition.
-_ENCODING_BASE = 1000
+#: The paper's MacAlloc gene packing, ``owner * ENCODING_BASE +
+#: #macros`` (:mod:`repro.core.macro_partition`): its one definition,
+#: which the gene codec, the batched validator and the manual baselines
+#: import, so a layer holds at most ``ENCODING_BASE - 1`` macros.
+ENCODING_BASE = 1000
 
 
 # ----------------------------------------------------------------------
@@ -288,13 +291,16 @@ def stack_contexts(
 
 
 @dataclass
-class PopulationScores:
-    """Fused-kernel output: one numpy entry per gene, in order.
+class BatchEvaluation:
+    """Population-wide metric arrays, one numpy entry per gene, in
+    order: what :func:`score_population` returns.
 
+    ``feasible`` marks genes the scalar path evaluates successfully.
     Infeasible lanes are fully masked *inside* the kernel (metrics 0.0,
     ``bottleneck_layer`` -1, ``num_macros`` 0), the values the scalar
     oracle's infeasible genes get, so every field is defined and
-    ``==``-comparable to it rather than NaN.
+    ``==``-comparable to it rather than NaN. Field meanings mirror
+    :class:`repro.core.evaluator.EvaluationResult`.
     """
 
     feasible: "object"  # (P,) bool
@@ -309,6 +315,23 @@ class PopulationScores:
     edp: "object"
     bottleneck_layer: "object"  # (P,) int64 (-1 when infeasible)
     num_macros: "object"  # (P,) int64 (0 when infeasible)
+
+    def __len__(self) -> int:
+        return int(self.fitness.shape[0])
+
+    def rows(self) -> List[Dict[str, object]]:
+        """Each gene's fields as plain Python values, in gene order:
+        the shape of :meth:`repro.core.macro_partition.
+        MacroPartitionExplorer.score_fields`, so a batch row and the
+        scalar oracle's row compare with ``==``."""
+        columns = {
+            spec.name: getattr(self, spec.name).tolist()
+            for spec in fields(self)
+        }
+        return [
+            dict(zip(columns, values))
+            for values in zip(*columns.values())
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -337,7 +360,7 @@ def _decode(genes):
     """(owners, is_owner, total_macros, group_start, group_len):
     contiguous owner groups in layer order, exactly as
     ``MacroPartition.from_gene`` assigns them."""
-    owners, counts = _np.divmod(genes, _ENCODING_BASE)
+    owners, counts = _np.divmod(genes, ENCODING_BASE)
     is_owner = owners == _np.arange(genes.shape[1], dtype=_np.int64)
     sizes = _np.where(is_owner, counts, 0)
     group_starts_by_owner = _np.cumsum(sizes, axis=1) - sizes
@@ -402,7 +425,7 @@ def compute_bounds(grid: TaskGrid):
 
 def score_population(
     ctx: PopulationContext, genes, rows=None
-) -> PopulationScores:
+) -> BatchEvaluation:
     """Score a whole population of pairs-only genes at once: ``==``,
     on every field, to :meth:`repro.core.macro_partition.
     MacroPartitionExplorer.score` on each gene (``allocate_components``
@@ -664,7 +687,7 @@ def score_population(
     def _mask(values):
         return _np.where(feasible, values, 0.0)
 
-    return PopulationScores(
+    return BatchEvaluation(
         feasible=feasible,
         fitness=_mask(throughput),
         period=_mask(period),

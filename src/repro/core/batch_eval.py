@@ -16,7 +16,9 @@ into one row of a :class:`repro.core.backend.PopulationContext`, and
 the per-gene work — group sizing, fixed overhead, the Eq. 6 balanced
 delay, the ADC-sharing post-pass, stage times, the fine-grained
 pipeline latency and the power account — runs as the one fused numpy
-kernel :func:`repro.core.backend.score_population`.
+kernel :func:`repro.core.backend.score_population`, whose record,
+:class:`BatchEvaluation` (defined there, re-exported here),
+:meth:`BatchPerformanceEvaluator.evaluate_population` returns as is.
 :meth:`BatchPerformanceEvaluator.stack` stacks the rows of many tasks
 of one model, so the lock-stepped EA launches of a DSE wave score all
 their genes in one call.
@@ -50,7 +52,7 @@ explorer assigns them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 # The numpy gate is shared with every batched path (grid_eval, the SA
@@ -60,6 +62,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 # method uniformly. This module never imports numpy directly (an AST
 # guard in tests/test_backend_conformance.py enforces that).
 from repro.core.backend import (
+    ENCODING_BASE,
+    BatchEvaluation,
     PopulationContext,
     numpy_module,
     score_population,
@@ -80,50 +84,6 @@ from repro.nn.workload import model_macs
 from repro.utils.mathutils import ordered_sum
 
 Gene = Tuple[int, ...]
-
-_ENCODING_BASE = 1000  # keep in sync with repro.core.macro_partition
-
-
-@dataclass
-class BatchEvaluation:
-    """Population-wide metric arrays (one entry per gene, in order).
-
-    ``feasible`` marks genes the scalar path evaluates successfully;
-    every metric of an infeasible gene is ``0.0``, matching the fitness
-    the explorer assigns when :class:`repro.errors.InfeasibleError` is
-    raised. Field meanings mirror :class:`repro.core.evaluator.
-    EvaluationResult`.
-    """
-
-    feasible: "object"  # (P,) bool ndarray
-    fitness: "object"  # (P,) float ndarray — EA fitness (img/s)
-    period: "object"
-    latency: "object"
-    throughput: "object"
-    tops: "object"
-    power: "object"
-    tops_per_watt: "object"
-    energy_per_image: "object"
-    edp: "object"
-    bottleneck_layer: "object"  # (P,) int ndarray (-1 when infeasible)
-    num_macros: "object"  # (P,) int ndarray (0 when infeasible)
-
-    def __len__(self) -> int:
-        return int(self.fitness.shape[0])
-
-    def rows(self) -> List[Dict[str, object]]:
-        """Each gene's fields as plain Python values, in gene order:
-        the shape of :meth:`repro.core.macro_partition.
-        MacroPartitionExplorer.score_fields`, so a batch row and the
-        scalar oracle's row compare with ``==``."""
-        columns = {
-            spec.name: getattr(self, spec.name).tolist()
-            for spec in fields(self)
-        }
-        return [
-            dict(zip(columns, values))
-            for values in zip(*columns.values())
-        ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -456,7 +416,7 @@ class BatchPerformanceEvaluator:
         reject, with :class:`ConfigurationError`, so both scoring paths
         accept the same genes."""
         np = numpy_module()
-        owners, counts = np.divmod(genes_arr, _ENCODING_BASE)
+        owners, counts = np.divmod(genes_arr, ENCODING_BASE)
         layer_idx = np.arange(self.num_layers, dtype=np.int64)
         if np.any(counts < 1):
             raise ConfigurationError("batch decode: #macros < 1")
@@ -518,21 +478,7 @@ class BatchPerformanceEvaluator:
                     f"rows must name one of the {self._ctx.num_rows} "
                     f"context rows for each of {len(genes_arr)} genes"
                 )
-        scores = score_population(self._ctx, genes_arr, rows)
-        return BatchEvaluation(
-            feasible=scores.feasible,
-            fitness=scores.fitness,
-            period=scores.period,
-            latency=scores.latency,
-            throughput=scores.throughput,
-            tops=scores.tops,
-            power=scores.power,
-            tops_per_watt=scores.tops_per_watt,
-            energy_per_image=scores.energy_per_image,
-            edp=scores.edp,
-            bottleneck_layer=scores.bottleneck_layer,
-            num_macros=scores.num_macros,
-        )
+        return score_population(self._ctx, genes_arr, rows)
 
     def fitness_of(
         self, genes: Sequence[Gene], rows: Optional[Sequence[int]] = None

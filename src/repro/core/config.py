@@ -47,20 +47,19 @@ def objective_vector(metrics, objectives) -> Tuple[float, ...]:
     The one place metric values become dominance coordinates: minimized
     metrics are negated, everything else passes through bit-unchanged.
     Both the scalar and the batched scoring paths funnel through here,
-    which is what makes their fronts identical, not merely close.
+    which is what makes their fronts identical, not merely close. A
+    map marked infeasible (a ``score_fields`` row whose ``feasible`` is
+    False) gets the all ``-inf`` sentinel: dominated by every feasible
+    vector (all metrics are finite), never dominating a twin (equal
+    vectors tie under strict dominance).
     """
+    if not metrics.get("feasible", True):
+        return tuple(float("-inf") for _ in objectives)
     return tuple(
         float(metrics[name]) if OBJECTIVE_SENSES[name] > 0
         else -float(metrics[name])
         for name in objectives
     )
-
-
-def infeasible_objective_vector(objectives) -> Tuple[float, ...]:
-    """The vector assigned to infeasible genes: dominated by every
-    feasible vector (all metrics are finite), never dominating a twin
-    (equal vectors tie under strict dominance)."""
-    return tuple(float("-inf") for _ in objectives)
 
 
 @dataclass

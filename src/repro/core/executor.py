@@ -34,13 +34,14 @@ Seven properties make the engine safe to parallelize and to accelerate:
    in-process memo to its caller (:class:`repro.errors.
    SynthesisInterrupted`), and a run pre-filled with it (``warm_memo``)
    replays the finished tasks without re-running component allocation.
-4. **Batched population scoring** — when numpy imports, EA launches
-   score whole generations through the batched engine of
-   :mod:`repro.core.batch_eval`; without numpy, one gene at a time
-   through the scalar oracle. The two are bit-identical, so whether
-   numpy imports never enters a content key; serial and
-   multiprocessing paths both benefit because the batching happens
-   inside the worker-side runner.
+4. **Batched population scoring** — EA and NSGA-II launches score
+   whole generations through one scorer
+   (:class:`repro.core.macro_partition.PopulationScorer`): the batched
+   engine of :mod:`repro.core.batch_eval` when numpy imports, one gene
+   at a time through the scalar oracle without it. The two are
+   bit-identical, so whether numpy imports never enters a content
+   key; serial and multiprocessing paths both benefit because the
+   batching happens inside the worker-side runner.
 5. **Tensorized task bounds** — when numpy imports, the pruning bounds
    of property 2 are computed for the *whole* queue in one
    ``(tasks, layers)`` pass through :mod:`repro.core.grid_eval`;
@@ -67,9 +68,13 @@ Seven properties make the engine safe to parallelize and to accelerate:
    when numpy imports, and one more for all their winners, whose
    metrics the outcomes carry. Every launch keeps its ``ea:{...}``
    RNG, memo keys and counts, so its outcome does not depend on the
-   chunking. Only the design that ships is re-scored through the
-   scalar oracle (:meth:`ExplorationEngine._materialize_gene`), and
-   each metric must match what its worker reported.
+   chunking. Pareto mode's NSGA-II phase sends its tasks the same way,
+   in chunks of ``WAVE_TASKS_PER_JOB`` consecutive tasks, one
+   :meth:`_TaskRunner.run_pareto_tasks` call each. Only what ships is
+   re-scored through the scalar oracle
+   (:meth:`ExplorationEngine._materialize_gene`): the winning design,
+   or every point of the merged front, and each metric must match
+   what its worker reported.
 
 Every future scaling direction (sharding the queue across hosts, async
 backends, multi-accelerator evaluation) plugs in behind the same
@@ -79,6 +84,7 @@ executor protocol.
 from __future__ import annotations
 
 import hashlib
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field, fields
 from functools import partial
@@ -90,6 +96,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -101,7 +108,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
 
 from repro.core.backend import numpy_available
 from repro.core.batch_eval import ModelContext
-from repro.core.config import SynthesisConfig
+from repro.core.config import SynthesisConfig, objective_vector
 from repro.core.dataflow import make_spec
 from repro.core.design_space import DesignPoint, DesignSpace
 from repro.core.evaluator import throughput_upper_bound
@@ -109,6 +116,7 @@ from repro.core.grid_eval import GridBoundEvaluator
 from repro.core.macro_partition import (
     MacroPartition,
     MacroPartitionExplorer,
+    PopulationScorer,
     explore_together,
 )
 from repro.core.pareto import ParetoPoint, ParetoSolutionSet, merge_fronts
@@ -122,6 +130,7 @@ from repro.hardware.params import HardwareParams
 from repro.hardware.tech import DEFAULT_TECHNOLOGY
 from repro.hardware.power import PowerBudget
 from repro.nn.model import CNNModel
+from repro.optim.evolution import evolve_together
 from repro.utils.rng import SeedSequence
 
 ProgressCallback = Callable[[str], None]
@@ -288,14 +297,12 @@ class EvaluationTask:
 
 @dataclass(frozen=True)
 class ParetoTaskItem:
-    """One NSGA-II launch: a task, the objective set, and an optional
-    warm-start gene (the task's scalar-EA winner, when phase 1 found
-    one) injected into the initial population so the front always
-    contains a point at least as good in the first objective as the
-    single-objective result."""
+    """One NSGA-II launch: a task and an optional warm-start gene (the
+    task's scalar-EA winner, when phase 1 found one) injected into the
+    initial population so the front always contains a point at least
+    as good in the first objective as the single-objective result."""
 
     task: EvaluationTask
-    objectives: Tuple[str, ...]
     inject: Optional[Tuple[int, ...]] = None
 
 
@@ -458,72 +465,97 @@ class _TaskRunner:
             model_context=self._model_context,
         )
 
-    def run_pareto_task(self, item: ParetoTaskItem) -> ParetoTaskOutcome:
-        """Run one NSGA-II launch; returns the task's local front.
+    def run_pareto_tasks(
+        self, items: Sequence[ParetoTaskItem]
+    ) -> List[ParetoTaskOutcome]:
+        """Run the NSGA-II launches of ``items`` in lock-step under one
+        :func:`repro.optim.evolution.evolve_together`; each launch's
+        local front, in order.
 
-        The engine shares the runner's evaluation memo under
-        pareto-specific keys (the objective set joins the context), so
-        scalar fitness floats and vector tuples never collide. Front
-        genes are re-scored through the scalar oracle to materialize
-        full metrics — deterministic, and bit-identical to what the
-        batched engine computed during the search.
+        Each launch keeps its ``nsga:{...}`` RNG, its warm-start gene,
+        initial population and report, and its keys in the runner's
+        evaluation memo (pareto-specific: the objective set joins the
+        context, so scalar fitness floats and vector tuples never
+        collide), so its outcome does not depend on which items share
+        the call. Each round scores every launch's memo misses with
+        one :class:`~repro.core.macro_partition.PopulationScorer` call,
+        and one more call gives every front point its metrics.
         """
-        import math
-
         from repro.optim.nsga import NSGA2Engine
 
-        task = item.task
-        objectives = item.objectives
-        explorer = self.make_explorer(task)
-        context = task.context_key(self._model_key, self._params_key)
-        engine: NSGA2Engine = NSGA2Engine(
-            score=lambda genes: explorer.score_population_objectives(
-                genes, objectives
-            ),
-            mutations=[explorer.mutate_num, explorer.mutate_share],
-            gene_key=lambda gene: gene,
-            rng=self.seeds.spawn(task.pareto_seed_label),
-            population_size=self.config.ea_population_size,
-            offspring_per_gen=self.config.ea_offspring_per_gen,
-            max_generations=self.config.ea_max_generations,
-            cache=self.cache,
-            cache_key=lambda gene: ("pareto", objectives, context, gene),
-        )
-        population = explorer.initial_population(
-            self.config.ea_population_size
-        )
-        if item.inject is not None:
-            population = [tuple(item.inject)] + population
-        front = engine.run(population)
-
-        outcome = ParetoTaskOutcome(
-            index=task.index,
-            evaluations=engine.report.evaluations,
-            cache_hits=engine.report.cache_hits,
-        )
-        for gene, vector in front:
-            if any(math.isinf(value) for value in vector):
-                continue  # the all -inf sentinel: no feasible gene
-            _fitness, allocation, result = explorer.score(gene)
-            if allocation is None or result is None:
-                continue  # pragma: no cover - finite vectors are feasible
-            outcome.points.append(ParetoPoint(
-                ratio_rram=task.point.ratio_rram,
-                res_rram=task.point.res_rram,
-                xb_size=task.point.xb_size,
-                res_dac=task.res_dac,
-                num_crossbars=task.point.num_crossbars,
-                wt_dup=task.wt_dup,
-                gene=tuple(gene),
-                throughput=result.throughput,
-                power=result.power,
-                tops_per_watt=result.tops_per_watt,
-                latency=result.latency,
-                energy_per_image=result.energy_per_image,
-                num_macros=MacroPartition.from_gene(gene).num_macros,
-                task_index=task.index,
+        objectives = tuple(self.config.objectives)
+        explorers = [self.make_explorer(item.task) for item in items]
+        engines, populations = [], []
+        for item, explorer in zip(items, explorers):
+            context = item.task.context_key(
+                self._model_key, self._params_key
+            )
+            engines.append(NSGA2Engine(
+                score=None,
+                mutations=[explorer.mutate_num, explorer.mutate_share],
+                gene_key=lambda gene: gene,
+                rng=self.seeds.spawn(item.task.pareto_seed_label),
+                population_size=self.config.ea_population_size,
+                offspring_per_gen=self.config.ea_offspring_per_gen,
+                max_generations=self.config.ea_max_generations,
+                cache=self.cache,
+                cache_key=lambda gene, context=context: (
+                    "pareto", objectives, context, gene
+                ),
             ))
-        return outcome
+            population = explorer.initial_population(
+                self.config.ea_population_size
+            )
+            if item.inject is not None:
+                population = [tuple(item.inject)] + population
+            populations.append(population)
+        scorer = PopulationScorer(explorers)
+        fronts = evolve_together(
+            engines, populations,
+            lambda genes, lanes: [
+                objective_vector(row, objectives)
+                for row in scorer.rows(genes, lanes)
+            ],
+        )
+
+        outcomes = [
+            ParetoTaskOutcome(
+                index=item.task.index,
+                evaluations=engine.report.evaluations,
+                cache_hits=engine.report.cache_hits,
+            )
+            for item, engine in zip(items, engines)
+        ]
+        # Finite vectors only: the all -inf sentinel is infeasible.
+        picks = [
+            (lane, gene)
+            for lane, front in enumerate(fronts)
+            for gene, vector in front
+            if not any(math.isinf(value) for value in vector)
+        ]
+        if picks:
+            rows = scorer.rows(
+                [gene for _, gene in picks], [lane for lane, _ in picks]
+            )
+            for (lane, gene), row in zip(picks, rows):
+                task = items[lane].task
+                outcomes[lane].points.append(ParetoPoint(
+                    ratio_rram=task.point.ratio_rram,
+                    res_rram=task.point.res_rram,
+                    xb_size=task.point.xb_size,
+                    res_dac=task.res_dac,
+                    num_crossbars=task.point.num_crossbars,
+                    wt_dup=task.wt_dup,
+                    gene=tuple(gene),
+                    throughput=row["throughput"],
+                    power=row["power"],
+                    tops_per_watt=row["tops_per_watt"],
+                    latency=row["latency"],
+                    energy_per_image=row["energy_per_image"],
+                    num_macros=row["num_macros"],
+                    task_index=task.index,
+                ))
+        return outcomes
 
     def throughput_bound(self, task: EvaluationTask) -> float:
         """Analytical upper bound used for dominated-task pruning."""
@@ -850,14 +882,14 @@ class ExplorationEngine:
             return None
         return self._materialize_gene(
             tasks[incumbent.index], incumbent.gene, incumbent.fitness,
-            searched=incumbent,
+            searched={
+                name: getattr(incumbent, name) for name in OUTCOME_METRICS
+            },
         )
 
-    def run_pareto(
-        self,
-        objectives: Optional[Sequence[str]] = None,
-    ) -> Optional[ParetoSolutionSet]:
-        """Multi-objective exploration: one global Pareto front.
+    def run_pareto(self) -> Optional[ParetoSolutionSet]:
+        """Multi-objective exploration: one global Pareto front over
+        ``config.objectives``.
 
         Two phases over the same flat task queue:
 
@@ -871,14 +903,13 @@ class ExplorationEngine:
            parent merges under the shared strict dominance into the
            global front.
 
-        Returns None when no task produced a feasible point. The
-        returned set's ``solution`` is the front's best point in the
-        first objective, re-materialized in-process.
+        Returns None when no task produced a feasible point. Every
+        point of the merged front is re-scored in-process through the
+        scalar oracle, which must reproduce its metrics; the returned
+        set's ``solution`` is the front's best point in the first
+        objective, materialized so.
         """
-        objectives = tuple(
-            objectives if objectives is not None
-            else self.config.objectives
-        )
+        objectives = tuple(self.config.objectives)
         space = DesignSpace(self.model, self.config)
         points = list(space.outer_points())
         if not points:
@@ -893,54 +924,61 @@ class ExplorationEngine:
                 executor, tasks, prune=False, winners=winners
             )
             front_points = self._evaluate_pareto_queue(
-                executor, tasks, objectives, winners
+                executor, tasks, winners
             )
         if not front_points:
             return None
 
+        # Canonical order: first objective descending.
         merged = merge_fronts(front_points, objectives)
-        best = merged[0]  # canonical order: first objective descending
-        solution = self._materialize_gene(
-            tasks[best.task_index], best.gene, best.throughput
-        )
+        solutions = [
+            self._materialize_gene(
+                tasks[point.task_index], point.gene, point.throughput,
+                searched=point.metrics(),
+            )
+            for point in merged
+        ]
         return ParetoSolutionSet(
             model_name=self.model.name,
             total_power=self.config.total_power,
             objectives=objectives,
             points=merged,
-            solution=solution,
+            solution=solutions[0],
         )
 
     def _evaluate_pareto_queue(
         self,
         executor,
         tasks: List[EvaluationTask],
-        objectives: Tuple[str, ...],
         winners: Dict[int, Tuple[int, ...]],
     ) -> List[ParetoPoint]:
         """Phase 2: NSGA-II over every task; collect the local fronts.
 
         No pruning — a task dominated on throughput can still own the
-        energy- or macro-frugal end of the global front. Outcomes are
-        consumed in submission order, so the collected point list (and
-        everything downstream) is independent of the worker count.
+        energy- or macro-frugal end of the global front. The tasks go
+        out in chunks of ``WAVE_TASKS_PER_JOB`` consecutive tasks, one
+        lock-stepped runner call each, and outcomes are consumed in
+        submission order, so the collected point list (and everything
+        downstream) is independent of the worker count.
         """
         items = [
-            ParetoTaskItem(
-                task=task, objectives=objectives,
-                inject=winners.get(task.index),
-            )
+            ParetoTaskItem(task=task, inject=winners.get(task.index))
             for task in tasks
         ]
+        chunks = [
+            items[start:start + WAVE_TASKS_PER_JOB]
+            for start in range(0, len(items), WAVE_TASKS_PER_JOB)
+        ]
         collected: List[ParetoPoint] = []
-        for outcome in executor.imap("run_pareto_task", items):
-            self.report.nsga_runs += 1
-            self.report.cache_hits += outcome.cache_hits
-            self.report.ea_evaluations += outcome.evaluations
-            collected.extend(outcome.points)
-            if self.archive is not None:
-                for point in outcome.points:
-                    self.archive.record(point.to_archive_entry())
+        for outcomes in executor.imap("run_pareto_tasks", chunks):
+            for outcome in outcomes:
+                self.report.nsga_runs += 1
+                self.report.cache_hits += outcome.cache_hits
+                self.report.ea_evaluations += outcome.evaluations
+                collected.extend(outcome.points)
+                if self.archive is not None:
+                    for point in outcome.points:
+                        self.archive.record(point.to_archive_entry())
         return collected
 
     def _materialize_gene(
@@ -948,24 +986,21 @@ class ExplorationEngine:
         task: EvaluationTask,
         gene: Tuple[int, ...],
         fitness: float,
-        searched: Optional[TaskOutcome] = None,
+        searched: Optional[Mapping[str, object]] = None,
     ) -> SynthesisSolution:
         """Re-score one (task, gene) in-process, through the scalar
         oracle, into a full solution; ``fitness`` is the gene's score in
-        the search, and ``searched`` the (possibly remote) worker's
-        outcome for it. The re-score must reproduce every metric the
-        search reported, or a :class:`~repro.errors.PimsynError` names
-        the field (:meth:`~repro.core.macro_partition.
-        MacroPartitionExplorer.score_winner`): this is the runtime check
-        of the batched kernel against the oracle, on the design that
-        ships."""
-        expected: Dict[str, object] = {"fitness": fitness}
-        if searched is not None:
-            expected.update(
-                (name, getattr(searched, name)) for name in OUTCOME_METRICS
-            )
+        the search, and ``searched`` more of its fields as the
+        (possibly remote) worker scored them. The re-score must
+        reproduce every one of them, or a :class:`~repro.errors.
+        PimsynError` names the field (:meth:`~repro.core.
+        macro_partition.MacroPartitionExplorer.score_winner`): this is
+        the runtime check of the batched kernel against the oracle, on
+        what ships."""
         explorer = self._local_runner.make_explorer(task)
-        allocation, result = explorer.score_winner(gene, expected)
+        allocation, result = explorer.score_winner(
+            gene, {"fitness": fitness, **(searched or {})}
+        )
         return SynthesisSolution(
             model_name=self.model.name,
             total_power=self.config.total_power,

@@ -33,17 +33,13 @@ from typing import (
     Tuple,
 )
 
-from repro.core.backend import numpy_available
+from repro.core.backend import ENCODING_BASE, numpy_available
 from repro.core.batch_eval import BatchPerformanceEvaluator, ModelContext
 from repro.core.component_alloc import (
     ComponentAllocation,
     allocate_components,
 )
-from repro.core.config import (
-    SynthesisConfig,
-    infeasible_objective_vector,
-    objective_vector,
-)
+from repro.core.config import SynthesisConfig
 from repro.core.evaluator import EvaluationResult, PerformanceEvaluator
 from repro.errors import ConfigurationError, InfeasibleError, PimsynError
 from repro.hardware.power import PowerBudget
@@ -52,8 +48,6 @@ from repro.optim.evolution import EvolutionEngine, evolve_together
 from repro.utils.rng import randbelow
 
 Gene = Tuple[int, ...]
-
-_ENCODING_BASE = 1000
 
 #: ``mutate_num``'s #macros steps.
 _DELTAS = (-2, -1, 1, 2)
@@ -75,12 +69,12 @@ def encode_gene(owners: Sequence[int], macro_counts: Sequence[int]) -> Gene:
             raise ConfigurationError(
                 f"layer {index}: owner {owner} must be <= layer index"
             )
-        if count < 1 or count >= _ENCODING_BASE:
+        if count < 1 or count >= ENCODING_BASE:
             raise ConfigurationError(
                 f"layer {index}: #macros {count} outside [1, "
-                f"{_ENCODING_BASE})"
+                f"{ENCODING_BASE})"
             )
-        gene.append(owner * _ENCODING_BASE + count)
+        gene.append(owner * ENCODING_BASE + count)
     return tuple(gene)
 
 
@@ -88,7 +82,7 @@ def decode_gene(gene: Gene) -> Tuple[List[int], List[int]]:
     """Unpack a gene into (owners, macro_counts)."""
     owners, counts = [], []
     for index, value in enumerate(gene):
-        owner, count = divmod(value, _ENCODING_BASE)
+        owner, count = divmod(value, ENCODING_BASE)
         if count < 1:
             raise ConfigurationError(
                 f"layer {index}: decoded #macros {count} < 1"
@@ -163,13 +157,13 @@ class MacroPartitionExplorer:
     params, design point, gene) evaluations. Without them the engine
     keeps a private per-run memo.
 
-    The EA and NSGA-II score whole generations through
-    :meth:`score_population` / :meth:`score_population_objectives`:
-    the batched evaluator of :mod:`repro.core.batch_eval` when numpy
-    imports (bit-identical metrics, one array op per stage instead of
-    one Python call per gene), the gene-at-a-time oracle otherwise.
-    Either way :meth:`score` remains the scalar reference for
-    individual genes (winner materialization, tests).
+    The EA and NSGA-II score whole generations of a chunk's explorers
+    through :class:`PopulationScorer`: the batched evaluator of
+    :mod:`repro.core.batch_eval` when numpy imports (bit-identical
+    metrics, one array op per stage instead of one Python call per
+    gene), this explorer's :meth:`score` / :meth:`score_fields` gene by
+    gene otherwise. Either way :meth:`score` remains the scalar
+    reference for individual genes (winner materialization, tests).
     ``model_context`` is the batched engine's model-level half
     (:class:`~repro.core.batch_eval.ModelContext`), when the caller
     keeps one for many explorers of ``spec.model``.
@@ -201,7 +195,7 @@ class MacroPartitionExplorer:
         self.caps: List[int] = []
         for geo in spec.geometries:
             cap = min(geo.wt_dup * geo.row_tiles, geo.crossbars)
-            self.caps.append(max(1, min(cap, _ENCODING_BASE - 1)))
+            self.caps.append(max(1, min(cap, ENCODING_BASE - 1)))
 
     # ------------------------------------------------------------------
     # Evaluation plumbing
@@ -277,73 +271,6 @@ class MacroPartitionExplorer:
                 )
         return allocation, result
 
-    def score_population(self, genes: Sequence[Gene]) -> List[float]:
-        """Fitness of every gene in one vectorized pass.
-
-        Numerically identical to calling :meth:`score` per gene (the
-        batched engine replicates the scalar operation order); the EA's
-        one scorer. Without numpy it degrades to the scalar loop, so
-        callers get the same values either way.
-        """
-        if not numpy_available():
-            return [self.score(gene)[0] for gene in genes]
-        return self.batch_evaluator.fitness_of(genes)
-
-    # ------------------------------------------------------------------
-    # Vector objectives (the NSGA-II / pareto-mode scoring path)
-    # ------------------------------------------------------------------
-    def score_objectives(
-        self, gene: Gene, objectives: Optional[Sequence[str]] = None
-    ) -> Tuple[float, ...]:
-        """Sense-adjusted objective vector of one gene (scalar oracle).
-
-        Metric names come from :data:`repro.core.config.
-        OBJECTIVE_SENSES` and are read from the gene's
-        :meth:`score_fields` row. Infeasible genes get the all ``-inf``
-        sentinel — dominated by every feasible vector, tying (never
-        dominating) other infeasible ones.
-        """
-        if objectives is None:
-            objectives = self.config.objectives
-        row = self.score_fields(gene)
-        if not row["feasible"]:
-            return infeasible_objective_vector(objectives)
-        return objective_vector(row, objectives)
-
-    def score_population_objectives(
-        self,
-        genes: Sequence[Gene],
-        objectives: Optional[Sequence[str]] = None,
-    ) -> List[Tuple[float, ...]]:
-        """Objective vectors of every gene in one vectorized pass.
-
-        The multi-objective analog of :meth:`score_population`: the
-        batched engine's metric arrays (bit-identical to the scalar
-        oracle) feed the same :func:`repro.core.config.
-        objective_vector` adapter the scalar path uses, so batched and
-        scalar runs produce identical vectors — and therefore identical
-        NSGA-II walks and fronts. Degrades to the scalar loop when
-        numpy is unavailable.
-        """
-        if objectives is None:
-            objectives = self.config.objectives
-        if not numpy_available():
-            return [
-                self.score_objectives(gene, objectives) for gene in genes
-            ]
-        batch = self.batch_evaluator.evaluate_population(genes)
-        vectors: List[Tuple[float, ...]] = []
-        for position in range(len(genes)):
-            if not bool(batch.feasible[position]):
-                vectors.append(infeasible_objective_vector(objectives))
-                continue
-            metrics = {
-                name: float(getattr(batch, name)[position])
-                for name in objectives
-            }
-            vectors.append(objective_vector(metrics, objectives))
-        return vectors
-
     @property
     def batch_evaluator(self) -> BatchPerformanceEvaluator:
         """The lazily built batched engine for this (spec, budget,
@@ -389,13 +316,13 @@ class MacroPartitionExplorer:
         and ``rng.choice``'s values and RNG states.
         """
         index = randbelow(rng, len(gene))
-        target = gene[index] // _ENCODING_BASE  # the group's owner
+        target = gene[index] // ENCODING_BASE  # the group's owner
         cap = self.caps[target]
         if cap == 1:
             return gene
         delta = _DELTAS[randbelow(rng, len(_DELTAS))]
         value = gene[target]
-        count = value % _ENCODING_BASE
+        count = value % ENCODING_BASE
         value += max(1, min(cap, count + delta)) - count
         return gene[:target] + (value,) + gene[target + 1:]
 
@@ -405,14 +332,14 @@ class MacroPartitionExplorer:
         if not self.config.enable_macro_sharing:
             return gene
         index = randbelow(rng, len(gene))
-        owner, count = divmod(gene[index], _ENCODING_BASE)
+        owner, count = divmod(gene[index], ENCODING_BASE)
         if owner != index:
             # Currently sharing: dissolve the pair.
             partner = index
         else:
             # Currently an owner: try to share with an earlier eligible
             # owner.
-            owners = [value // _ENCODING_BASE for value in gene]
+            owners = [value // ENCODING_BASE for value in gene]
             shared_owners = {o for i, o in enumerate(owners) if o != i}
             if index in shared_owners:
                 return gene  # someone shares with us already (pairs only)
@@ -424,7 +351,7 @@ class MacroPartitionExplorer:
                 return gene
             partner = candidates[randbelow(rng, len(candidates))]
         return (
-            gene[:index] + (partner * _ENCODING_BASE + count,)
+            gene[:index] + (partner * ENCODING_BASE + count,)
             + gene[index + 1:]
         )
 
@@ -432,9 +359,10 @@ class MacroPartitionExplorer:
     # Entry point (Alg. 1 line 10)
     # ------------------------------------------------------------------
     def _engine(self) -> EvolutionEngine[Gene]:
-        """This launch's Alg. 2 EA, on the explorer's RNG and memo."""
+        """This launch's Alg. 2 EA, on the explorer's RNG and memo;
+        :func:`explore_together` scores it."""
         return EvolutionEngine(
-            score=self.score_population,
+            score=None,
             mutations=[self.mutate_num, self.mutate_share],
             gene_key=lambda gene: gene,
             rng=self.rng,
@@ -492,6 +420,42 @@ def _fields_of(
     return row
 
 
+class PopulationScorer:
+    """The one population scorer of the EA and NSGA-II launches of
+    ``explorers``, which must score one model under one config:
+    ``fitness(genes, lanes)`` and :meth:`MacroPartitionExplorer.
+    score_fields`-shaped ``rows(genes, lanes)``, where ``lanes[k]`` is
+    the position of the explorer that scores ``genes[k]``.
+
+    When numpy imports, each call is one :meth:`~repro.core.batch_eval.
+    BatchPerformanceEvaluator.evaluate_population` over the explorers'
+    stacked contexts; otherwise each gene goes through its explorer's
+    scalar oracle (:meth:`~MacroPartitionExplorer.score` /
+    :meth:`~MacroPartitionExplorer.score_fields`). The two give ``==``
+    values, and a gene's value never depends on the other genes in the
+    call.
+    """
+
+    def __init__(self, explorers: Sequence[MacroPartitionExplorer]) -> None:
+        if numpy_available():
+            stacked = BatchPerformanceEvaluator.stack(
+                [explorer.batch_evaluator for explorer in explorers]
+            )
+            self.fitness = stacked.fitness_of
+            self.rows = lambda genes, lanes: (
+                stacked.evaluate_population(genes, lanes).rows()
+            )
+        else:
+            self.fitness = lambda genes, lanes: [
+                explorers[lane].score(gene)[0]
+                for gene, lane in zip(genes, lanes)
+            ]
+            self.rows = lambda genes, lanes: [
+                explorers[lane].score_fields(gene)
+                for gene, lane in zip(genes, lanes)
+            ]
+
+
 #: One launch's best feasible gene and its fields as the search's
 #: engine scores them (a :meth:`MacroPartitionExplorer.score_fields`
 #: row), or None when the search found no feasible gene.
@@ -509,15 +473,12 @@ def explore_together(
     builds it alone, on its own RNG, memo keys and report
     (``last_report``), and all of them run under one
     :func:`repro.optim.evolution.evolve_together`. Each round scores
-    every launch's memo misses with one call: one
-    :meth:`~repro.core.batch_eval.BatchPerformanceEvaluator.
-    evaluate_population` over the launches' stacked contexts when numpy
-    imports, the scalar oracle gene by gene otherwise. So each launch
-    returns what it returns alone. The explorers must score one model
-    under one config and share one memo (a task runner's). The winners'
-    fields come from one more call of the same scorer over all of them
-    (:meth:`~MacroPartitionExplorer.score_fields` without numpy); the
-    design that ships is the one held ``==`` to the scalar oracle
+    every launch's memo misses with one :class:`PopulationScorer` call,
+    so each launch returns what it returns alone. The explorers must
+    score one model under one config and share one memo (a task
+    runner's). The winners' fields come from one more call of the same
+    scorer over all of them; the design that ships is the one held
+    ``==`` to the scalar oracle
     (:meth:`~MacroPartitionExplorer.score_winner`).
     """
     if not explorers:
@@ -531,27 +492,8 @@ def explore_together(
         populations.append(
             explorer.initial_population(explorer.config.ea_population_size)
         )
-    if numpy_available():
-        stacked = BatchPerformanceEvaluator.stack(
-            [explorer.batch_evaluator for explorer in explorers]
-        )
-        score = stacked.fitness_of
-
-        def winner_rows(genes, lanes):
-            return stacked.evaluate_population(genes, lanes).rows()
-    else:
-        def score(genes, lanes):
-            return [
-                explorers[lane].score(gene)[0]
-                for gene, lane in zip(genes, lanes)
-            ]
-
-        def winner_rows(genes, lanes):
-            return [
-                explorers[lane].score_fields(gene)
-                for gene, lane in zip(genes, lanes)
-            ]
-    best = evolve_together(engines, populations, score)
+    scorer = PopulationScorer(explorers)
+    best = evolve_together(engines, populations, scorer.fitness)
     lanes = [
         lane for lane, (_gene, fitness) in enumerate(best)
         if fitness > 0.0
@@ -560,7 +502,7 @@ def explore_together(
     found: List[Explored] = [None] * len(explorers)
     if genes:
         for lane, gene, row in zip(
-            lanes, genes, winner_rows(genes, lanes)
+            lanes, genes, scorer.rows(genes, lanes)
         ):
             found[lane] = (gene, row)
     return found

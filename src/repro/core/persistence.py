@@ -79,14 +79,25 @@ def solution_from_payload(
     DSE. ``params`` (explicit constants) or ``tech`` (a registered
     profile name) selects the device the artifact was synthesized
     under; the allocation mode comes from the artifact, which records
-    ``specialized_macros`` when it is False.
+    ``specialized_macros`` when it is False. A manual baseline's
+    artifact (``<model>@<design>``, from :func:`repro.baselines.
+    build_manual_solution`) does not record its fixed allocation, so
+    it raises :class:`ConfigurationError` rather than reload under
+    PIMSYN's.
     """
     hw = (
         params if params is not None
         else HardwareParams.from_technology(tech)
     )
     expected_model = payload["model"]
-    if model.name not in (expected_model, expected_model.split("@")[0]):
+    if model.name != expected_model:
+        base, _, design = expected_model.partition("@")
+        if base == model.name:
+            raise ConfigurationError(
+                f"artifact {expected_model!r} is the {design!r} baseline "
+                "design, whose manual allocation is not in the artifact: "
+                "rebuild it with build_manual_solution"
+            )
         raise ConfigurationError(
             f"artifact was synthesized for {expected_model!r}, "
             f"got model {model.name!r}"

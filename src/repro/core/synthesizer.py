@@ -132,7 +132,7 @@ class Pimsyn:
         configured space can hold the model under the power constraint.
         """
         started = time.perf_counter()
-        front = self._engine().run_pareto(self.config.objectives)
+        front = self._engine().run_pareto()
         self.report.wall_seconds = time.perf_counter() - started
         if front is None:
             raise InfeasibleError(

@@ -70,7 +70,8 @@ class MuPlusLambda(Generic[Gene, Value]):
         :meth:`run` scores whole generations (the initial population
         and each brood) through :func:`repro.optim.memo.
         score_through_memo`, so only genes missing from the memo reach
-        it.
+        it. None for an engine that only :func:`evolve_together` steps
+        with its own scorer (the DSE's launches).
     mutations:
         Operators ``(gene, rng) -> gene``; must return valid genes
         ("the generated children always obey the defined rules").
@@ -98,7 +99,7 @@ class MuPlusLambda(Generic[Gene, Value]):
 
     def __init__(
         self,
-        score: Callable[[Sequence[Gene]], Sequence[Value]],
+        score: Optional[Callable[[Sequence[Gene]], Sequence[Value]]],
         mutations: List[Callable[[Gene, random.Random], Gene]],
         gene_key: Callable[[Gene], Hashable],
         rng: random.Random,
@@ -174,6 +175,8 @@ class MuPlusLambda(Generic[Gene, Value]):
     def run(self, initial_population: List[Gene]):
         """Evolve from ``initial_population`` alone, scoring through the
         memo: :func:`evolve_together` over this engine."""
+        if self.score is None:
+            raise ConfigurationError("run() needs the engine's score")
         return evolve_together(
             [self], [initial_population],
             lambda genes, _lanes: self.score(genes),
@@ -244,11 +247,12 @@ class EvolutionEngine(MuPlusLambda[Gene, float]):
     """Maximize fitness over genes under mutation operators.
 
     ``score`` maps a gene sequence to one fitness per gene, larger is
-    better (accelerator performance in §IV-C2); the DSE passes
-    :meth:`repro.core.macro_partition.MacroPartitionExplorer.
-    score_population`. The other parameters are :class:`MuPlusLambda`'s,
-    plus ``patience``: stop once that many generations in a row fail to
-    raise the best fitness.
+    better (accelerator performance in §IV-C2). The DSE steps its
+    launches with :func:`evolve_together`, scoring each round of a
+    chunk's launches through :class:`repro.core.macro_partition.
+    PopulationScorer`. The other parameters are
+    :class:`MuPlusLambda`'s, plus ``patience``: stop once that many
+    generations in a row fail to raise the best fitness.
 
     Parents are picked fitness-proportionately, and the survivors are
     the fittest ``population_size`` under a stable descending sort, so

@@ -187,9 +187,9 @@ class TestBoundsConformance:
         assert compute_bounds(grid).tolist() == scalar
 
 
-#: PopulationScores integer/flag fields.
+#: BatchEvaluation integer/flag fields.
 EXACT_SCORE_FIELDS = ("feasible", "bottleneck_layer", "num_macros")
-#: PopulationScores float kernel outputs.
+#: BatchEvaluation float kernel outputs.
 FLOAT_SCORE_FIELDS = (
     "fitness", "period", "latency", "throughput", "tops", "power",
     "tops_per_watt", "energy_per_image", "edp",

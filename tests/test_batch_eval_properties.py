@@ -34,6 +34,7 @@ from repro.core.dataflow import make_spec
 from repro.core.macro_partition import (
     MacroPartition,
     MacroPartitionExplorer,
+    PopulationScorer,
     encode_gene,
 )
 from repro.errors import ConfigurationError
@@ -70,6 +71,12 @@ KNOB_EXPLORERS = {
     "no-sharing": _make_explorer(sharing=False),
     "identical-macros": _make_explorer(specialized=False),
 }
+
+
+def _fitness(genes):
+    """``EXPLORER``'s fitness of ``genes`` through the DSE's population
+    scorer (the numpy kernel when numpy imports)."""
+    return PopulationScorer([EXPLORER]).fitness(genes, [0] * len(genes))
 
 
 def _memo_engine(score, cache):
@@ -132,18 +139,16 @@ class TestBatchInvariants:
     @given(genes=populations(), seed=st.integers(0, 2**16))
     @settings(max_examples=25, deadline=None)
     def test_permutation_permutes_scores(self, genes, seed):
-        scores = EXPLORER.score_population(genes)
+        scores = _fitness(genes)
         order = list(range(len(genes)))
         random.Random(seed).shuffle(order)
-        permuted = EXPLORER.score_population(
-            [genes[i] for i in order]
-        )
+        permuted = _fitness([genes[i] for i in order])
         assert permuted == [scores[i] for i in order]
 
     @given(gene=valid_genes())
     @settings(max_examples=25, deadline=None)
     def test_batch_of_one_equals_scalar_score(self, gene):
-        assert EXPLORER.score_population([gene]) == [
+        assert _fitness([gene]) == [
             EXPLORER.score(gene)[0]
         ]
         batch = EXPLORER.batch_evaluator.evaluate_population([gene])
@@ -157,7 +162,7 @@ class TestBatchInvariants:
     @given(gene=valid_genes(), copies=st.integers(2, 6))
     @settings(max_examples=25, deadline=None)
     def test_duplicated_genes_get_identical_fitness(self, gene, copies):
-        scores = EXPLORER.score_population([gene] * copies)
+        scores = _fitness([gene] * copies)
         assert len(set(scores)) == 1
 
     @given(genes=populations())
@@ -175,7 +180,7 @@ class TestBatchInvariants:
 
         def score(batch):
             evaluated.extend(batch)
-            return EXPLORER.score_population(list(batch))
+            return _fitness(list(batch))
 
         engine = _memo_engine(score, cache)
         values = score_through_memo(

@@ -418,6 +418,60 @@ class TestLockstepWaves:
             assert getattr(a, name) is getattr(b, name), name
 
 
+class TestLockstepParetoChunks:
+    """``run_pareto_tasks`` lock-steps a chunk's NSGA-II launches. Every
+    launch must return what its solo ``run_pareto_tasks([item])``
+    returns on a runner that walks the same items one at a time: its
+    front's points, evaluations and cache hits."""
+
+    CONFIG = TestLockstepWaves.CONFIG
+
+    def _items(self, model):
+        """A full chunk: ``TestLockstepWaves``' tasks (lenet5's first
+        ``WAVE_TASKS_PER_JOB - 1`` and a repeat of the first), every
+        other one warm-started with its EA winner."""
+        tasks = TestLockstepWaves._tasks(model, self.CONFIG)
+        outcomes = _TaskRunner(model, self.CONFIG).run_tasks(tasks)
+        items = [
+            executor_mod.ParetoTaskItem(
+                task=task, inject=outcome.gene if k % 2 == 0 else None
+            )
+            for k, (task, outcome) in enumerate(zip(tasks, outcomes))
+        ]
+        items[-1] = dataclasses.replace(items[-1], inject=items[0].inject)
+        return items
+
+    @pytest.mark.parametrize(
+        "numpy", (True, False), ids=("numpy", "scalar")
+    )
+    def test_each_launch_returns_its_solo_run(
+        self, lenet, without_numpy, numpy
+    ):
+        items = self._items(lenet)
+        assert len(items) == WAVE_TASKS_PER_JOB
+        assert any(item.inject is not None for item in items)
+        with contextlib.ExitStack() as stack:
+            if not numpy:
+                stack.enter_context(without_numpy())
+            walker = _TaskRunner(lenet, self.CONFIG)
+            serial = [
+                walker.run_pareto_tasks([item])[0] for item in items
+            ]
+            together = _TaskRunner(lenet, self.CONFIG).run_pareto_tasks(
+                items
+            )
+        assert together == serial
+        assert len({len(outcome.points) for outcome in serial}) > 1
+        # The repeated task walks as the first one did, and every one
+        # of its lookups is a hit, as when it runs after it.
+        first, repeat = serial[0], serial[-1]
+        assert [p.gene for p in repeat.points] == [
+            p.gene for p in first.points
+        ]
+        assert repeat.evaluations == 0
+        assert repeat.cache_hits == first.evaluations + first.cache_hits
+
+
 class TestPruning:
     def test_pruning_preserves_the_true_optimum(self, lenet):
         """Exhaustive walk vs pruned walk over the same small space."""
@@ -559,6 +613,34 @@ class TestShippedDesignCheck:
             Pimsyn(lenet, config).synthesize()
         assert not isinstance(info.value, InfeasibleError)
         assert str(shipped.partition.gene) in str(info.value)
+
+    def test_a_one_ulp_divergence_on_the_front_names_the_field(
+        self, lenet, monkeypatch
+    ):
+        """Pareto mode ships its whole merged front, and each point's
+        metrics come from the batched kernel: a one-ulp power bump on
+        every feasible gene must be caught when the front ships."""
+        if not numpy_available():
+            pytest.skip("the batched kernel needs numpy")
+        import numpy as np
+
+        from repro.core import batch_eval
+
+        kernel = batch_eval.score_population
+
+        def bumped(ctx, genes, rows=None):
+            scores = kernel(ctx, genes, rows)
+            scores.power = np.where(
+                scores.feasible, np.nextafter(scores.power, np.inf),
+                scores.power,
+            )
+            return scores
+
+        monkeypatch.setattr(batch_eval, "score_population", bumped)
+        with pytest.raises(PimsynError, match="scored power") as info:
+            Pimsyn(lenet, _config()).synthesize_pareto()
+        assert not isinstance(info.value, InfeasibleError)
+        assert "scalar oracle" in str(info.value)
 
     def test_matching_metrics_ship(self, lenet):
         config = _config()

@@ -25,7 +25,7 @@ from repro.core.executor import (
     decode_memo_entries,
     encode_memo_entries,
 )
-from repro.core.macro_partition import MacroPartitionExplorer
+from repro.core.macro_partition import MacroPartitionExplorer, PopulationScorer
 from repro.errors import ConfigurationError
 from repro.hardware.power import PowerBudget
 from repro.nn import zoo
@@ -52,6 +52,16 @@ def _explorer(model, power, res_dac=1, seed=1):
     )
 
 
+def _vectors(explorer, genes, objectives=None):
+    """``genes``' objective vectors as NSGA-II scores them: the DSE's
+    population scorer's rows (the numpy kernel when numpy imports)
+    through ``objective_vector``, over the config's objectives by
+    default."""
+    objectives = objectives or explorer.config.objectives
+    rows = PopulationScorer([explorer]).rows(genes, [0] * len(genes))
+    return [objective_vector(row, objectives) for row in rows]
+
+
 def _population(explorer, size=24, seed=2):
     genes = explorer.initial_population(min(size, 8))
     rng = random.Random(seed)
@@ -74,11 +84,9 @@ class TestZooVectorDifferential:
         for power in POWER_GRID:
             explorer = _explorer(model, power)
             genes = _population(explorer)
-            batched = explorer.score_population_objectives(
-                genes, ALL_OBJECTIVES
-            )
+            batched = _vectors(explorer, genes, ALL_OBJECTIVES)
             scalar = [
-                explorer.score_objectives(gene, ALL_OBJECTIVES)
+                objective_vector(explorer.score_fields(gene), ALL_OBJECTIVES)
                 for gene in genes
             ]
             # == (not isclose): both paths must produce the *same
@@ -115,15 +123,15 @@ class TestZooVectorDifferential:
         """Without numpy it degrades to the scalar loop, same vectors."""
         explorer = _explorer(zoo.by_name("lenet5"), 2.0)
         genes = _population(explorer, size=8)
-        batched = explorer.score_population_objectives(genes)
+        batched = _vectors(explorer, genes)
         with without_numpy():
-            assert explorer.score_population_objectives(genes) == batched
+            assert _vectors(explorer, genes) == batched
 
     def test_infeasible_vector_is_dominated_sentinel(self):
         explorer = _explorer(zoo.by_name("lenet5"), 0.5)
         genes = _population(explorer, size=12)
-        vectors = explorer.score_population_objectives(
-            genes, ("throughput", "energy_per_image")
+        vectors = _vectors(
+            explorer, genes, ("throughput", "energy_per_image")
         )
         sentinel = (float("-inf"), float("-inf"))
         assert sentinel in vectors  # 0.5 W starves lenet5's periphery

@@ -142,6 +142,25 @@ def test_non_boolean_mode_rejected(solution):
         solution_from_payload(payload, lenet5())
 
 
+@pytest.mark.parametrize("name", ["lenet5", "alexnet_cifar"])
+def test_baseline_artifact_is_refused(name, tmp_path):
+    """A manual baseline's artifact (``<model>@<design>``) does not
+    record its fixed allocation, so a reload under PIMSYN's would
+    misprice it (lenet5) or fail blaming the model (alexnet_cifar). It
+    is refused, naming the design."""
+    from repro.baselines import build_manual_solution, isaac_design
+    from repro.hardware.params import HardwareParams
+
+    model = zoo.by_name(name)
+    design = isaac_design()
+    power = 2 * design.minimum_power(model, HardwareParams())
+    path = tmp_path / "baseline.json"
+    save_solution(build_manual_solution(design, model, power), path)
+    with pytest.raises(ConfigurationError, match="'isaac'") as info:
+        load_solution(path, model)
+    assert "build_manual_solution" in str(info.value)
+
+
 class TestEnergyBreakdown:
     def test_sums_to_sane_total(self, solution):
         breakdown = layer_energy_breakdown(solution)

@@ -17,7 +17,8 @@ sorts, the memo accounting and the stopping rules:
   lock-stepped EA waves) through one shared memo, which must keep every
   pinned walk, counts included, with one scorer call per round;
 - ``evolve_together``'s checks: no engines, engines with private
-  memos, and a scorer that returns too few or too many values.
+  memos, and a scorer that returns too few or too many values; and
+  ``run()`` on an engine built without a scorer of its own.
 """
 
 from __future__ import annotations
@@ -306,6 +307,20 @@ def test_all_duplicate_broods_are_empty_rounds():
 
 def test_evolve_together_without_engines():
     assert evolve_together([], [], lambda genes, lanes: []) == []
+
+
+@pytest.mark.parametrize(
+    "engine_type", [EvolutionEngine, NSGA2Engine], ids=["evolution", "nsga"]
+)
+def test_run_needs_the_engines_score(engine_type):
+    """An engine built without ``score``, as the DSE builds the
+    launches ``evolve_together`` scores, refuses a solo ``run()``."""
+    engine = engine_type(
+        score=None, mutations=[_flip], gene_key=lambda gene: gene,
+        rng=random.Random(0),
+    )
+    with pytest.raises(ConfigurationError, match="needs the engine's"):
+        engine.run([_bits("00000000")])
 
 
 def _miscount(values, delta):
