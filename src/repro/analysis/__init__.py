@@ -4,9 +4,9 @@ Houses the studies that turn solutions into paper artifacts and
 deployment answers: the Fig. 5 ADC-reuse curves (:mod:`.adc_reuse`),
 power-constraint sweeps over the §V experiment setup (:mod:`.sweep`),
 per-layer energy attribution (:mod:`.energy`), technology sensitivity
-of §VI's device-agnosticism claim (:mod:`.sensitivity`), stuck-at-fault
-curves (:mod:`.faults`), trace Gantt rendering (:mod:`.gantt`), and the
-ASCII table formatting every bench prints (:mod:`.report`).
+of §VI's device-agnosticism claim (:mod:`.sensitivity`), trace Gantt
+rendering (:mod:`.gantt`), and the ASCII table formatting every bench
+prints (:mod:`.report`).
 """
 
 from repro.analysis.adc_reuse import AdcReuseSample, adc_reuse_study

@@ -444,6 +444,11 @@ def cmd_store(args) -> int:
 
     from repro.serve import ResultStore
 
+    # A mistyped path must not become a new, empty store.
+    if not os.path.isdir(args.store):
+        raise PimsynError(
+            f"--store {args.store} is not an existing directory"
+        )
     store = ResultStore(args.store)
     if args.store_command == "stats":
         stats = store.stats(include_models=True)
@@ -790,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     store_dir = argparse.ArgumentParser(add_help=False)
     store_dir.add_argument("--store", default=".pimsyn-store",
-                           help="result-store directory")
+                           help="an existing result-store directory")
     store_sub = store.add_subparsers(
         dest="store_command", required=True
     )

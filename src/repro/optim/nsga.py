@@ -81,14 +81,20 @@ class NSGA2Engine(MuPlusLambda[Gene, Vector]):
     ) -> List[Tuple[Gene, Vector]]:
         """Environmental selection: best ``population_size`` by
         (rank asc, crowding desc, index asc) — the NSGA-II elitist
-        truncation with a deterministic index tie-break."""
+        truncation with a deterministic index tie-break.
+
+        Also records how many survivors have rank 0, which is the size
+        of the survivors' own first front: every survivor of rank >= 1
+        is dominated by a rank-0 member, and the rank-0 members all
+        survive unless they alone fill the population."""
         vectors = [vector for _, vector in population]
         ranks, crowding = self._rank_and_crowd(vectors)
-        order = sorted(
+        kept = sorted(
             range(len(population)),
             key=lambda i: (ranks[i], -crowding[i], i),
-        )
-        return [population[i] for i in order[: self.population_size]]
+        )[: self.population_size]
+        self._front_size = sum(ranks[i] == 0 for i in kept)
+        return [population[i] for i in kept]
 
     def _tournament(
         self,
@@ -110,9 +116,7 @@ class NSGA2Engine(MuPlusLambda[Gene, Vector]):
         return lambda: self._tournament(population, ranks, crowding)
 
     def _advance(self, parents, population):
-        self.report.front_size_history.append(len(
-            fast_non_dominated_sort([vector for _, vector in population])[0]
-        ))
+        self.report.front_size_history.append(self._front_size)
         return False
 
     def _result(

@@ -184,6 +184,8 @@ class ResultStore:
     root:
         Store directory (created as needed). A flat (schema-1) store
         there is moved into its shards before the constructor returns.
+        A root that is not a directory, or that cannot be created,
+        raises :class:`ConfigurationError` naming it.
     shards:
         Shard count for a *new* store. An existing store's manifest
         always wins; passing a conflicting explicit count raises
@@ -195,7 +197,16 @@ class ResultStore:
         self, root: Union[str, Path], shards: Optional[int] = None
     ) -> None:
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except FileExistsError:
+            raise ConfigurationError(
+                f"store {self.root} is not a directory"
+            ) from None
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot create store {self.root}: {exc.strerror or exc}"
+            ) from exc
         self.shards_dir = self.root / "shards"
         self.num_shards = self._resolve_shards(shards)
         for index in range(self.num_shards):

@@ -1,4 +1,4 @@
-"""Tests for the DSE archive/Pareto analysis and NN graph utilities."""
+"""Tests for the DSE archive and its Pareto analysis."""
 
 import pytest
 
@@ -10,13 +10,7 @@ from repro.core.archive import (
     pareto_front,
 )
 from repro.errors import ConfigurationError
-from repro.nn import lenet5, resnet18_cifar, vgg16
-from repro.nn.transforms import (
-    fused_stages,
-    model_report,
-    receptive_field,
-    validate_for_synthesis,
-)
+from repro.nn import lenet5
 
 
 def _entry(throughput, power, **overrides):
@@ -151,65 +145,3 @@ class TestDesignArchive:
                     (member.throughput, -member.power),
                 )
 
-
-class TestModelReport:
-    def test_rows_cover_weighted_layers(self):
-        rows = model_report(lenet5())
-        assert [r.name for r in rows] == [
-            "conv1", "conv2", "fc1", "fc2", "fc3",
-        ]
-        for row in rows:
-            assert row.macs > 0 and row.crossbar_set > 0
-
-    def test_crossbar_set_matches_eq1(self):
-        model = vgg16()
-        rows = model_report(model, xb_size=256, res_rram=4)
-        from repro.hardware.crossbar import crossbar_set_size
-
-        for row, layer in zip(rows, model.weighted_layers):
-            assert row.crossbar_set == crossbar_set_size(
-                layer, 256, 4, 16
-            )
-
-
-class TestValidation:
-    def test_zoo_models_clean(self):
-        for model in (lenet5(), vgg16(), resnet18_cifar()):
-            assert validate_for_synthesis(model) == []
-
-    def test_unweighted_model_flagged(self):
-        from repro.nn.layers import ReluLayer
-        from repro.nn.model import CNNModel
-
-        model = CNNModel(
-            name="relu_only",
-            layers=[ReluLayer(name="r", inputs=("input",))],
-            input_shape=(3, 8, 8),
-        )
-        problems = validate_for_synthesis(model)
-        assert any("no conv/fc" in p for p in problems)
-
-
-class TestFusedStages:
-    def test_stage_ops(self):
-        stages = fused_stages(lenet5())
-        assert stages[0].weighted_name == "conv1"
-        assert set(stages[0].vector_ops) == {"relu1", "pool1"}
-        assert stages[-1].vector_ops == ()
-
-    def test_depth(self):
-        stages = fused_stages(lenet5())
-        assert stages[0].depth == 3
-
-
-class TestReceptiveField:
-    def test_grows_monotonically_down_a_chain(self):
-        fields = receptive_field(lenet5())
-        assert fields["conv1"] == 5
-        assert fields["pool1"] > fields["conv1"]
-        assert fields["conv2"] > fields["pool1"]
-
-    def test_vgg16_first_block(self):
-        fields = receptive_field(vgg16())
-        assert fields["conv1"] == 3
-        assert fields["conv2"] == 5

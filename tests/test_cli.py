@@ -477,3 +477,51 @@ class TestUnwritableOutputPaths:
         )
         assert syntheses == []
         assert not store.exists()
+
+
+class TestStorePaths:
+    """``store stats`` and ``store gc`` open only an existing store
+    directory, so a mistyped path creates nothing; a regular file given
+    as ``--store`` is one ``error:`` line and exit status 1 on every
+    command that opens a store."""
+
+    @pytest.mark.parametrize("command", ["stats", "gc"])
+    def test_maintenance_on_a_missing_path(self, tmp_path, capsys, command):
+        path = tmp_path / "mistyped" / "store"
+        assert main(["store", command, "--store", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --store {path} is not an existing directory\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["serve", "--port", "0"], "store {path} is not a directory"),
+        (["batch", "--manifest", "{manifest}"],
+         "store {path} is not a directory"),
+        (["store", "stats"], "--store {path} is not an existing directory"),
+    ], ids=["serve", "batch", "store-stats"])
+    def test_a_file_as_the_store(
+        self, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        import repro.serve
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a server started")
+
+        # A store that opened would start a server that never returns.
+        monkeypatch.setattr(repro.serve, "make_server", refuse)
+        path = tmp_path / "a-file"
+        path.write_text("not a store")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(
+            {"models": ["lenet5"], "powers": [2.0]}
+        ))
+        argv = [arg.format(manifest=manifest) for arg in argv]
+        assert main(argv + ["--store", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: " + message.format(path=path) + "\n"
+        )
+        assert path.read_text() == "not a store"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a-file", "manifest.json",
+        ]

@@ -13,7 +13,9 @@ ties the new engine back to the scalar EA:
 - strict dominance: a vector never dominates itself (the archive's
   equal-vector regression);
 - a single-objective NSGA-II run recovers the same best fitness as
-  ``EvolutionEngine`` under the same seed.
+  ``EvolutionEngine`` under the same seed;
+- the front size NSGA-II records per generation is the survivors'
+  first front, without sorting the survivors again.
 
 The memo both engines score through is tested on its own
 (``test_memo_properties.py``).
@@ -207,3 +209,68 @@ class TestEngineContracts:
         )
         front = nsga.run(list(initial))
         assert max(vector[0] for _gene, vector in front) == best == 0.0
+
+
+class TestSurvivorFrontSize:
+    """``_survivors`` records the size of its survivors' first front,
+    and ``_advance`` reports that count instead of sorting the
+    survivors a third time per generation."""
+
+    @given(
+        vectors=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)).map(
+                lambda t: tuple(float(v) for v in t)
+            ),
+            min_size=2, max_size=24,
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_recorded_count_is_the_survivors_first_front(
+        self, vectors, data
+    ):
+        size = data.draw(st.integers(1, len(vectors) - 1))
+        engine = NSGA2Engine(
+            score=None,
+            mutations=_toy_mutations(),
+            gene_key=lambda gene: gene,
+            rng=random.Random(0),
+            population_size=size,
+        )
+        survivors = engine._survivors(
+            [((index,), vector) for index, vector in enumerate(vectors)]
+        )
+        assert len(survivors) == size
+        assert engine._front_size == len(
+            fast_non_dominated_sort([vector for _, vector in survivors])[0]
+        )
+
+    def test_a_run_sorts_twice_per_generation(self, monkeypatch):
+        sorts = []
+
+        def counting_sort(vectors):
+            sorts.append(len(vectors))
+            return fast_non_dominated_sort(vectors)
+
+        monkeypatch.setattr(
+            "repro.optim.nsga.fast_non_dominated_sort", counting_sort
+        )
+        generations = 6
+        engine = NSGA2Engine(
+            score=lambda genes: [
+                (-float((g[0] - 20) ** 2), -float((g[0] - 40) ** 2))
+                for g in genes
+            ],
+            mutations=_toy_mutations(),
+            gene_key=lambda gene: gene,
+            rng=random.Random(5),
+            population_size=8, offspring_per_gen=8,
+            max_generations=generations,
+        )
+        front = engine.run([(0,), (_SPAN,), (13,)])
+        # One sort for the initial survivors, one each for a
+        # generation's tournament and its survivors, one for the front.
+        assert engine.report.generations == generations
+        assert len(sorts) == 2 * generations + 2
+        assert len(engine.report.front_size_history) == generations
+        assert engine.report.front_size_history[-1] == len(front)

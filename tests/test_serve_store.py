@@ -108,6 +108,18 @@ class TestManifest:
         with pytest.raises(ConfigurationError):
             ResultStore(tmp_path / "b", shards=257)
 
+    @pytest.mark.parametrize("name, message", [
+        ("a-file", "store {root} is not a directory"),
+        ("a-file/store", "cannot create store {root}: Not a directory"),
+    ], ids=("file", "under-a-file"))
+    def test_a_root_that_cannot_be_a_directory(self, tmp_path, name, message):
+        (tmp_path / "a-file").write_text("not a store")
+        root = tmp_path / name
+        with pytest.raises(ConfigurationError) as exc:
+            ResultStore(root)
+        assert str(exc.value) == message.format(root=root)
+        assert (tmp_path / "a-file").read_text() == "not a store"
+
     #: On 4 shards all three keys sit in shards 0 and 3; a re-shard to
     #: the default 16 would look for the first two in shards 11 and 12.
     KEYS = ("7b" + "1" * 62, "1c" + "e" * 62, "00" + "0" * 62)

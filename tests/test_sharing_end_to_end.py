@@ -2,8 +2,8 @@
 
 Sharing (rule b) is exercised stochastically by the EA; these tests
 force a shared partition deterministically and walk it through every
-downstream consumer: allocation, evaluation, chip build, simulation,
-and weight programming.
+downstream consumer: allocation, evaluation, chip build and
+simulation.
 """
 
 import pytest
@@ -117,20 +117,3 @@ class TestSharedSimulation:
                                        adc_intervals[1:]):
             assert s2 >= f1 - 1e-15
 
-
-class TestSharedProgramming:
-    def test_layout_programs_both_layers_on_shared_macros(
-        self, shared_solution
-    ):
-        from repro.hardware.programming import program_solution
-
-        layout = program_solution(shared_solution)
-        layout.validate()
-        shared_ids = set(
-            shared_solution.partition.macro_groups[0]
-        )
-        layers_on_shared = {
-            a.layer for a in layout.assignments
-            if a.macro_id in shared_ids
-        }
-        assert layers_on_shared == {0, 1}
