@@ -49,6 +49,28 @@ class TestSynthesisOutcome:
 
 
 class TestArtifactConsistency:
+    def test_chip_pes_hold_every_weight_copy(self, flow):
+        _model, solution, _dag, _trace = flow
+        chip = solution.build_accelerator()
+        for geo in solution.spec.geometries:
+            pes = sum(m.num_pes for m in chip.macros_of_layer(geo.index))
+            assert pes >= geo.crossbars  # WtDup_i * set_i (Eq. 2 LHS)
+        assert chip.num_crossbars >= sum(
+            geo.crossbars for geo in solution.spec.geometries
+        )
+
+    def test_chip_layer_map_matches_partition(self, flow):
+        _model, solution, _dag, _trace = flow
+        chip = solution.build_accelerator()
+        groups = solution.partition.macro_groups
+        assert chip.num_macros == solution.partition.num_macros
+        for layer, group in enumerate(groups):
+            assert chip.layer_macros[layer] == list(group)
+        for macro in chip.macros:
+            users = [i for i, group in enumerate(groups)
+                     if macro.macro_id in group]
+            assert list(macro.layer_indices) == users
+
     def test_dag_matches_window_structure(self, flow):
         _model, solution, dag, _trace = flow
         spec = solution.spec

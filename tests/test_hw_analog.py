@@ -20,6 +20,8 @@ from repro.hardware.analog import (
     slice_activations,
     slice_weights,
 )
+from repro.hardware.crossbar import map_layer_weights
+from repro.nn.layers import ConvLayer
 
 
 def _random_case(rng, rows, cols, weight_precision, act_precision):
@@ -142,6 +144,31 @@ class TestCrossbarMvmExactness:
         np.testing.assert_array_equal(
             result, reference_mvm(weights, acts)
         )
+
+    def test_eq1_tiles_compute_the_layer_mvm(self):
+        """Each Eq. 1 tile holds one bit slice of one weight block; the
+        shifted sum of the tiles' products is the layer's integer MVM."""
+        layer = ConvLayer(name="c", inputs=("input",), kernel=3,
+                          in_channels=20, out_channels=40)
+        res_rram, precision = 2, 8
+        tiling = map_layer_weights(layer, 64, res_rram, precision)
+        assert (tiling.row_tiles, tiling.col_tiles) == (3, 1)
+        rng = np.random.default_rng(5)
+        weights, acts = _random_case(rng, layer.weight_rows, 40,
+                                     precision, precision)
+        result = np.zeros(40, dtype=np.int64)
+        for tile in tiling.tiles:
+            block = weights[tile.row_start:tile.row_end,
+                            tile.col_start:tile.col_end]
+            cells = slice_weights(block, res_rram, precision)[
+                tile.bit_slice
+            ]
+            partial = acts[tile.row_start:tile.row_end] @ cells
+            result[tile.col_start:tile.col_end] += (
+                partial << (tile.bit_slice * res_rram)
+            )
+        np.testing.assert_array_equal(result,
+                                      reference_mvm(weights, acts))
 
 
 class TestConvolutionEndToEnd:

@@ -1,15 +1,18 @@
 """Unit tests for Eq. 1 crossbar-set math and weight mapping."""
 
+import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ModelError
 from repro.hardware.crossbar import (
+    CrossbarTile,
     crossbar_set_size,
+    crossbar_tiling_summary,
     crossbars_for_layer,
     map_layer_weights,
     required_adc_resolution,
 )
-from repro.nn.layers import ConvLayer, FCLayer
+from repro.nn.layers import ConvLayer, FCLayer, PoolLayer
 
 
 def _conv(ci, co, kernel=3):
@@ -123,3 +126,65 @@ class TestWeightMapping:
         tiling = map_layer_weights(_conv(64, 200), 128, 2, 16)
         assert tiling.row_tiles == 5  # 576 / 128
         assert tiling.col_tiles == 2  # 200 / 128
+
+    def test_tiles_cover_each_weight_once_per_slice(self):
+        layer = _conv(64, 200)
+        tiling = map_layer_weights(layer, 128, 2, 16)
+        for bit_slice in range(tiling.bit_slices):
+            cover = np.zeros((layer.weight_rows, 200), dtype=int)
+            for tile in tiling.tiles:
+                if tile.bit_slice == bit_slice:
+                    cover[tile.row_start:tile.row_end,
+                          tile.col_start:tile.col_end] += 1
+            assert np.all(cover == 1)
+
+    def test_tiles_listed_bit_slice_major(self):
+        tiling = map_layer_weights(_conv(64, 200), 128, 4, 16)
+        order = [(t.bit_slice, t.row_start, t.col_start)
+                 for t in tiling.tiles]
+        assert order == sorted(order)
+        assert len(set(order)) == len(order)
+
+    def test_fc_layer_rows_are_input_features(self):
+        fc = FCLayer(name="f", inputs=("input",), in_features=300,
+                     out_features=10)
+        tiling = map_layer_weights(fc, 128, 2, 16)
+        assert (tiling.row_tiles, tiling.col_tiles) == (3, 1)
+        last = max(tiling.tiles, key=lambda t: t.row_start)
+        assert (last.row_start, last.row_end) == (256, 300)
+        assert (last.col_start, last.col_end) == (0, 10)
+
+    def test_uneven_bit_slicing_rounds_up(self):
+        layer = _conv(3, 64)
+        assert crossbar_set_size(layer, 128, 3, 16) == 6
+        tiling = map_layer_weights(layer, 128, 3, 16)
+        assert tiling.bit_slices == 6
+        assert tiling.num_crossbars == 6
+
+    def test_set_records_its_mapping(self):
+        tiling = map_layer_weights(_conv(3, 64), 256, 4, 8)
+        assert tiling.layer_name == "c"
+        assert (tiling.xb_size, tiling.res_rram,
+                tiling.weight_precision) == (256, 4, 8)
+
+    def test_non_weighted_layer_rejected(self):
+        pool = PoolLayer(name="p", inputs=("input",), kernel=2, stride=2)
+        with pytest.raises(ModelError):
+            crossbar_set_size(pool, 128, 2)
+        with pytest.raises(ModelError):
+            map_layer_weights(pool, 128, 2)
+        with pytest.raises(ModelError):
+            crossbar_tiling_summary(pool, 128, 2)
+
+    def test_tiling_summary_rejects_invalid_inputs(self):
+        with pytest.raises(ConfigurationError):
+            crossbar_tiling_summary(_conv(3, 64), 0, 2)
+        with pytest.raises(ConfigurationError):
+            crossbar_tiling_summary(_conv(3, 64), 128, 0)
+
+
+class TestCrossbarTile:
+    def test_extents_are_half_open(self):
+        tile = CrossbarTile(row_start=128, row_end=200, col_start=0,
+                            col_end=128, bit_slice=3)
+        assert (tile.rows, tile.cols) == (72, 128)

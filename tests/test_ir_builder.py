@@ -114,6 +114,65 @@ class TestBuildStructure:
         dag.validate_acyclic()
         assert lint_dag(dag) == []
 
+    def test_adjacency_lists_agree(self, lenet):
+        spec = _spec(lenet, max_blocks=4)
+        alloc = {i: [i] for i in range(spec.num_layers)}
+        dag = DataflowBuilder(spec).build(macro_alloc=alloc)
+        edges = {
+            (node.node_id, succ.node_id)
+            for node in dag for succ in dag.successors(node)
+        }
+        back = {
+            (pred.node_id, node.node_id)
+            for node in dag for pred in dag.predecessors(node)
+        }
+        assert edges == back
+        assert len(edges) == dag.num_edges
+
+    def test_every_layer_compiles_its_window(self, tiny_model):
+        spec = _spec(tiny_model, max_blocks=4)
+        dag = DataflowBuilder(spec).build(
+            macro_alloc={0: [0], 1: [1], 2: [2, 3]}
+        )
+        for layer in range(spec.num_layers):
+            nodes = dag.nodes_of_layer(layer)
+            loads = [n for n in nodes if n.op == IROp.LOAD]
+            assert sorted(n.cnt for n in loads) == list(
+                range(spec.window_blocks(layer))
+            )
+
+    def test_critical_path_is_a_dependency_chain(self, tiny_model):
+        spec = _spec(tiny_model, max_blocks=4)
+        dag = DataflowBuilder(spec).build(
+            macro_alloc={0: [0], 1: [1], 2: [2]}
+        )
+        path = dag.critical_path(lambda n: 1.0)
+        assert len(path) == dag.depth()
+        assert path[0] in dag.sources()
+        assert path[-1] in dag.sinks()
+        for node, nxt in zip(path, path[1:]):
+            assert nxt in dag.successors(node)
+
+    def test_transfers_join_producer_store_to_consumer_load(
+        self, tiny_model
+    ):
+        spec = _spec(tiny_model)
+        alloc = {0: [0], 1: [1, 4], 2: [2]}
+        dag = DataflowBuilder(spec).build(macro_alloc=alloc)
+        transfers = dag.nodes_of_op(IROp.TRANSFER)
+        assert transfers
+        edges = set(tiny_model.interlayer_edges())
+        for node in transfers:
+            assert (node.layer, node.dst_layer) in edges
+            assert node.src == alloc[node.layer][0]
+            assert node.dst == alloc[node.dst_layer][0]
+            (pred,) = dag.predecessors(node)
+            assert (pred.op, pred.layer) == (IROp.STORE, node.layer)
+            (succ,) = dag.successors(node)
+            assert (succ.op, succ.layer, succ.cnt) == (
+                IROp.LOAD, node.dst_layer, node.cnt
+            )
+
 
 class TestDependencies:
     def _block_nodes(self, dag, layer, cnt):

@@ -147,3 +147,69 @@ class TestIRDag:
         dag = IRDag()
         with pytest.raises(IRError):
             dag.node(0)
+
+    def test_depth_is_longest_chain_in_nodes(self):
+        dag = IRDag()
+        a, b, c, d = (dag.add_node(_mvm(cnt=i)) for i in range(4))
+        dag.add_edge(a, b)
+        dag.add_edge(b, c)
+        dag.add_edge(a, d)
+        dag.add_node(_mvm(cnt=4))  # isolated
+        assert dag.depth() == 3
+
+    def test_empty_dag(self):
+        dag = IRDag()
+        assert len(dag) == 0 and dag.num_edges == 0
+        assert dag.depth() == 0
+        assert dag.critical_path_length(lambda n: 1.0) == 0.0
+        assert dag.critical_path(lambda n: 1.0) == []
+        assert dag.sources() == [] and dag.sinks() == []
+
+    def test_edge_to_foreign_node_rejected(self):
+        dag = IRDag()
+        a = dag.add_node(_mvm())
+        other = IRDag()
+        other.add_node(_mvm())
+        foreign = other.add_node(_mvm(cnt=1))  # id 1, absent here
+        with pytest.raises(IRError):
+            dag.add_edge(a, foreign)
+        with pytest.raises(IRError):
+            dag.add_edge(_mvm(cnt=2), a)  # never added: id -1
+
+    def test_new_edge_invalidates_topological_order(self):
+        dag = IRDag()
+        a, b = dag.add_node(_mvm()), dag.add_node(_mvm(cnt=1))
+        assert [n.node_id for n in dag.topological_order()] == [0, 1]
+        dag.add_edge(b, a)
+        assert [n.node_id for n in dag.topological_order()] == [1, 0]
+
+    def test_add_node_stores_a_numbered_copy(self):
+        dag = IRDag()
+        original = _mvm(layer=2, cnt=3)
+        dag.add_node(_mvm())
+        stored = dag.add_node(original)
+        assert original.node_id == -1
+        assert stored.node_id == 1
+        assert stored is not original
+        # node_id is not part of a node's identity.
+        assert stored == original
+        assert stored.key() == original.key()
+        assert dag.node(1) is stored
+
+    def test_nodes_view_is_a_copy(self):
+        dag = IRDag()
+        dag.add_node(_mvm())
+        view = dag.nodes
+        view.clear()
+        assert len(dag) == 1
+
+
+class TestIRNodeDescribe:
+    def test_transfer_names_its_endpoints(self):
+        node = IRNode(op=IROp.TRANSFER, layer=1, cnt=2, src=0, dst=3,
+                      dst_layer=2, vec_width=16)
+        assert node.describe() == "transfer L1 cnt=2 w=16 0->3"
+
+    def test_merge_names_its_macro_count(self):
+        node = IRNode(op=IROp.MERGE, layer=0, macro_num=4, vec_width=8)
+        assert node.describe() == "merge L0 cnt=0 w=8 macros=4"

@@ -122,6 +122,27 @@ class TestInterlayerEdges:
         names2 = {l.name for l in tiny_model.vector_ops_after("c2")}
         assert names2 == {"r2", "f1"}
 
+    def test_producer_weighted_index_at_join_is_latest(self):
+        layers = [
+            _conv("c1", "input", 3, 8),
+            _conv("c2", "c1", 8, 8),
+            AddLayer(name="add", inputs=("c2", "c1")),
+            ReluLayer(name="r", inputs=("add",)),
+            _conv("c3", "r", 8, 8),
+        ]
+        model = CNNModel(name="res", layers=layers, input_shape=(3, 8, 8))
+        # The join waits on its slower producer, c2.
+        assert model.producer_weighted_index("add") == 1
+        assert model.producer_weighted_index("c3") == 1
+        # Both producers charge the join's vector ops; c3 is weighted
+        # and stops the walk.
+        for producer in ("c1", "c2"):
+            names = {l.name for l in model.vector_ops_after(producer)}
+            assert names == {"add", "r"}
+
+    def test_vector_ops_after_last_layer_is_empty(self, tiny_model):
+        assert tiny_model.vector_ops_after("fc1") == []
+
 
 class TestZooModelsStructure:
     def test_resnet_has_join_edges(self, resnet_cifar):

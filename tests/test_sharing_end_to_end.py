@@ -81,6 +81,14 @@ class TestSharedChipBuild:
         )
         assert shared_pes >= geo0.crossbars + geo1.crossbars
 
+    def test_unshared_layers_keep_private_macros(self, shared_solution):
+        chip = shared_solution.build_accelerator()
+        assert chip.macros_of_layer(0) == chip.macros_of_layer(1)
+        for layer in (2, 3, 4):
+            (macro,) = chip.macros_of_layer(layer)
+            assert macro.layer_indices == (layer,)
+            assert not macro.shared
+
     def test_power_report_positive(self, shared_solution):
         report = shared_solution.build_accelerator().power_report()
         assert report.total > 0
