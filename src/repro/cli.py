@@ -439,15 +439,30 @@ def cmd_batch(args) -> int:
     return 1 if report.failures else 0
 
 
+#: What a result store's root holds: its manifest and shards, or the
+#: flat directories of a pre-sharding store, which opening moves. A
+#: trailing slash matches a directory only.
+_STORE_MARKERS = ("store.json", "shards/", "results/", "memo/")
+
+
 def cmd_store(args) -> int:
     import json
 
     from repro.serve import ResultStore
 
-    # A mistyped path must not become a new, empty store.
+    # A mistyped path must not become a new, empty store, nor a store
+    # be written into a directory that holds none.
     if not os.path.isdir(args.store):
         raise PimsynError(
             f"--store {args.store} is not an existing directory"
+        )
+    if not any(
+        os.path.exists(os.path.join(args.store, name))
+        for name in _STORE_MARKERS
+    ):
+        raise PimsynError(
+            f"--store {args.store} holds no result store (no "
+            "store.json, shards/, results/ or memo/)"
         )
     store = ResultStore(args.store)
     if args.store_command == "stats":

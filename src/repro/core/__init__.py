@@ -15,6 +15,7 @@ packaging winners as :class:`repro.core.solution.SynthesisSolution`.
 
 from repro.core.backend import TaskGrid, backend_status, get_backend
 from repro.core.batch_eval import (
+    BATCH_FIELDS,
     BatchEvaluation,
     BatchPerformanceEvaluator,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "backend_status",
     "get_backend",
     "GridBoundEvaluator",
+    "BATCH_FIELDS",
     "BatchEvaluation",
     "BatchPerformanceEvaluator",
     "SynthesisConfig",

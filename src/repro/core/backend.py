@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -290,7 +291,40 @@ def stack_contexts(
     return PopulationContext(**values)
 
 
-@dataclass
+#: Every :class:`BatchEvaluation` field, in the order :meth:`BatchEvaluation.
+#: rows` lists them: the one list a field-wise comparison walks.
+BATCH_FIELDS = (
+    "feasible", "fitness", "period", "latency", "throughput", "tops",
+    "power", "tops_per_watt", "energy_per_image", "edp",
+    "bottleneck_layer", "num_macros",
+)
+
+#: The :data:`BATCH_FIELDS` of the deferred metrics pass; the rest come
+#: from the stage pass every EA generation pays for.
+DEFERRED_FIELDS = (
+    "latency", "tops", "power", "tops_per_watt", "energy_per_image", "edp",
+)
+
+
+class _Deferred:
+    """A metrics-pass field of :class:`BatchEvaluation`. The first read
+    of any of them runs the pass, which sets all six on the instance;
+    an instance attribute shadows this non-data descriptor, so later
+    reads are plain lookups."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, batch, owner=None):
+        if batch is None:
+            return self
+        metrics, batch._metrics = batch._metrics, None
+        # A field assigned before the pass keeps its assigned value.
+        for name, values in metrics().items():
+            batch.__dict__.setdefault(name, values)
+        return batch.__dict__[self.name]
+
+
 class BatchEvaluation:
     """Population-wide metric arrays, one numpy entry per gene, in
     order: what :func:`score_population` returns.
@@ -301,20 +335,42 @@ class BatchEvaluation:
     oracle's infeasible genes get, so every field is defined and
     ``==``-comparable to it rather than NaN. Field meanings mirror
     :class:`repro.core.evaluator.EvaluationResult`.
+
+    The stage pass sets ``feasible``, ``fitness``, ``period``,
+    ``throughput``, ``bottleneck_layer`` and ``num_macros``, all the
+    EA ranks by. ``metrics``, a zero-argument callable returning the
+    :data:`DEFERRED_FIELDS` arrays, is the metrics pass: it runs once,
+    the first time one of them is read.
     """
 
-    feasible: "object"  # (P,) bool
-    fitness: "object"  # (P,) float64 — EA fitness (img/s)
-    period: "object"
-    latency: "object"
-    throughput: "object"
-    tops: "object"
-    power: "object"
-    tops_per_watt: "object"
-    energy_per_image: "object"
-    edp: "object"
-    bottleneck_layer: "object"  # (P,) int64 (-1 when infeasible)
-    num_macros: "object"  # (P,) int64 (0 when infeasible)
+    latency = _Deferred()
+    tops = _Deferred()
+    power = _Deferred()
+    tops_per_watt = _Deferred()
+    energy_per_image = _Deferred()
+    edp = _Deferred()
+
+    def __init__(
+        self, feasible, fitness, period, throughput, bottleneck_layer,
+        num_macros, metrics,
+    ) -> None:
+        self.feasible = feasible  # (P,) bool
+        self.fitness = fitness  # (P,) float64 — EA fitness (img/s)
+        self.period = period
+        self.throughput = throughput
+        self.bottleneck_layer = bottleneck_layer  # (P,) int64, -1 masked
+        self.num_macros = num_macros  # (P,) int64, 0 masked
+        self._metrics = metrics
+
+    @classmethod
+    def empty(cls) -> "BatchEvaluation":
+        """The scores of an empty population."""
+        floats = _np.zeros(0, dtype=_np.float64)
+        ints = _np.zeros(0, dtype=_np.int64)
+        return cls(
+            _np.zeros(0, dtype=bool), floats, floats, floats, ints, ints,
+            metrics=lambda: dict.fromkeys(DEFERRED_FIELDS, floats),
+        )
 
     def __len__(self) -> int:
         return int(self.fitness.shape[0])
@@ -324,14 +380,8 @@ class BatchEvaluation:
         the shape of :meth:`repro.core.macro_partition.
         MacroPartitionExplorer.score_fields`, so a batch row and the
         scalar oracle's row compare with ``==``."""
-        columns = {
-            spec.name: getattr(self, spec.name).tolist()
-            for spec in fields(self)
-        }
-        return [
-            dict(zip(columns, values))
-            for values in zip(*columns.values())
-        ]
+        columns = [getattr(self, name).tolist() for name in BATCH_FIELDS]
+        return [dict(zip(BATCH_FIELDS, values)) for values in zip(*columns)]
 
 
 # ----------------------------------------------------------------------
@@ -347,27 +397,85 @@ def row_sums(terms):
     return _np.cumsum(terms, axis=1)[:, -1]
 
 
-def _manhattan(a, b):
-    """Hops between two ``(row, col)`` mesh positions."""
-    return _np.abs(a[0] - b[0]) + _np.abs(a[1] - b[1])
-
-
-def _hops(a, b, cols):
-    return _manhattan(_np.divmod(a, cols), _np.divmod(b, cols))
+def _offsets(pop: int, n: int):
+    """Each gene's offset into a raveled ``(pop, n)`` array: a layer
+    index array plus these indexes the flat array, a cheaper gather
+    than 2-D fancy indexing."""
+    return _np.arange(0, pop * n, n, dtype=_np.int64)[:, None]
 
 
 def _decode(genes):
-    """(owners, is_owner, total_macros, group_start, group_len):
-    contiguous owner groups in layer order, exactly as
-    ``MacroPartition.from_gene`` assigns them."""
-    owners, counts = _np.divmod(genes, ENCODING_BASE)
-    is_owner = owners == _np.arange(genes.shape[1], dtype=_np.int64)
+    """(owners, is_owner, total_macros, group_start, group_len) of a
+    ``(population, layers)`` gene array: contiguous owner groups in
+    layer order, exactly as ``MacroPartition.from_gene`` assigns them.
+
+    It raises :class:`~repro.errors.ConfigurationError` wherever
+    ``from_gene`` does, including on an owner shared by two or more
+    layers (rule b allows pairs only), so both scoring paths accept the
+    same genes."""
+    pop, n = genes.shape
+    owners = genes // ENCODING_BASE
+    counts = genes - owners * ENCODING_BASE
+    layer_idx = _np.arange(n, dtype=_np.int64)
+    if (counts < 1).any():
+        raise ConfigurationError("batch decode: #macros < 1")
+    if (owners > layer_idx).any():
+        raise ConfigurationError("batch decode: owner > layer index")
+    # Every referenced owner must own itself (rule b).
+    at_owner = None if (owners < 0).any() else owners + _offsets(pop, n)
+    if at_owner is None or (owners.ravel()[at_owner] != owners).any():
+        raise ConfigurationError(
+            "batch decode: layer shares with a non-owner"
+        )
+    # Now only owners are named, each by itself and its sharers.
+    if _np.bincount(at_owner.ravel()).max() > 2:
+        raise ConfigurationError(
+            "batch decode: an owner is shared by more than one "
+            "layer (rule b allows pairs only)"
+        )
+    is_owner = owners == layer_idx
     sizes = _np.where(is_owner, counts, 0)
-    group_starts_by_owner = _np.cumsum(sizes, axis=1) - sizes
-    total_macros = sizes.sum(axis=1)
-    group_start = _np.take_along_axis(group_starts_by_owner, owners, axis=1)
-    group_len = _np.take_along_axis(counts, owners, axis=1)
-    return owners, is_owner, total_macros, group_start, group_len
+    group_ends = _np.cumsum(sizes, axis=1)
+    group_start = (group_ends - sizes).ravel()[at_owner]
+    group_len = counts.ravel()[at_owner]
+    return owners, is_owner, group_ends[:, -1], group_start, group_len
+
+
+def _mesh_ends(total_macros, group_start, group_len):
+    """Each layer's group ends on its gene's ``MeshNoC``, once per
+    layer: ``((first_row, first_col, last_row, last_col), neighbor)``,
+    ``(population, layers)`` int32 arrays.
+
+    They are the mesh row and column of each group's first and last
+    macro, and ``MeshNoC.hops`` from its first macro to its second: 1
+    when a next column exists, else ``cols``, the wrap to column 0 of
+    the next row. Macro ids stay below the gene's macro count, at most
+    ``(ENCODING_BASE - 1) * layers``, so int32 holds them exactly."""
+    cols = _np.ceil(
+        _np.sqrt(_np.maximum(1, total_macros))
+    ).astype(_np.int32)[:, None]
+    ends = _np.stack((group_start, group_start + group_len - 1))
+    mesh_row, mesh_col = _np.divmod(ends.astype(_np.int32), cols)
+    neighbor = _np.where(mesh_col[0] + 1 < cols, 1, cols)
+    return (mesh_row[0], mesh_col[0], mesh_row[1], mesh_col[1]), neighbor
+
+
+def _edge_hops(ends, src, dst):
+    """Each inter-layer edge's hops, ``(population, edges)``: the
+    minimum of ``MeshNoC.hops`` over the four pairs of end macros of
+    producer ``src`` and consumer ``dst``, given :func:`_mesh_ends`'s
+    ``ends``."""
+    at_src = [position[:, src] for position in ends]
+    at_dst = [position[:, dst] for position in ends]
+
+    def corner(a, b):  # 0: the first macro, 2: the last
+        return (_np.abs(at_src[a] - at_dst[b])
+                + _np.abs(at_src[a + 1] - at_dst[b + 1]))
+
+    return _np.minimum(
+        _np.minimum(corner(0, 0), corner(2, 0)),
+        _np.minimum(corner(0, 2), corner(2, 2)),
+    )
 
 
 def compute_bounds(grid: TaskGrid):
@@ -437,6 +545,14 @@ def score_population(
     per-row arrays and scalars, and a gene's score never depends on
     the other genes or rows in the call.
 
+    It runs in two passes. This call runs the stage pass: the decode,
+    which rejects what ``MacroPartition.from_gene`` rejects, the Eq. 6
+    allocation with rule-b sharing, the stage times, the period and
+    feasibility, all that the EA's fitness needs. The record it
+    returns runs :func:`_metrics_pass` (the pipeline latency, the
+    power account and the derived metrics) the first time one of its
+    :data:`DEFERRED_FIELDS` is read.
+
     Per-layer and per-edge quantities are whole ``(population,
     layers)`` and ``(population, edges)`` array ops over the
     context's gene-free index arrays; the only Python loops run
@@ -444,7 +560,9 @@ def score_population(
     ``ctx.levels`` (the DAG depth). Every step keeps the scalar
     oracle's IEEE-754 evaluation order, so the result is its bits:
 
-    * elementwise formulas are the oracle's, operand for operand;
+    * elementwise formulas are the oracle's, operand for operand, and
+      integer ones (the decode, mesh positions, hops) are exact in any
+      arrangement;
     * ordered sums (rule-b savings, the ADC and ALU power accounts)
       are :func:`row_sums` over term arrays — no term is negative
       and a skipped one is ``+0.0``, so these are the oracle's adds,
@@ -456,34 +574,46 @@ def score_population(
       ``max`` reductions, exact in any grouping, so the forward
       pass runs one topological level at a time.
 
-    Validation is the caller's job:
+    The population's shape and ``rows`` are the caller's to check:
     :meth:`~repro.core.batch_eval.BatchPerformanceEvaluator.
-    evaluate_population` rejects what ``MacroPartition.from_gene``
-    rejects, and row indices outside the context.
+    evaluate_population` does.
     """
     genes = _np.asarray(genes, dtype=_np.int64)
     pop, n = genes.shape
-    # One row broadcasts against the population; many are gathered.
-    take = slice(0, 1) if rows is None else _np.asarray(rows)
-    adc_wl = ctx.adc_wl[take]
-    alu_wl = ctx.alu_wl[take]
-    adc_powers = ctx.adc_powers[take]
-    total_blocks = ctx.total_blocks[take]
+    if rows is None:  # one row broadcasts against the population
+        def per_row(values):
+            return values[:1]
+    else:
+        rows = _np.asarray(rows)
+
+        def per_row(values):
+            return values.take(rows, axis=0)
+
+    def at(values, flat, layers):
+        """``values[g, layers[g, i]]``, ``flat`` being ``layers`` plus
+        :func:`_offsets`; a one-row ``values`` broadcasts."""
+        if len(values) == 1:
+            return values[0][layers]
+        return values.ravel()[flat]
+
+    offsets = _offsets(pop, n)
+    adc_wl = per_row(ctx.adc_wl)
+    alu_wl = per_row(ctx.alu_wl)
     with _np.errstate(all="ignore"):
         owners, is_owner, total_macros, group_start, group_len = (
             _decode(genes)
         )
-        layer_idx = _np.arange(n, dtype=_np.int64)
+        at_owner = owners + offsets
 
         # -- Eq. 6 allocation + rule-b sharing ---------------------
         fixed = (
             total_macros.astype(_np.float64) * ctx.per_macro_fixed
-            + ctx.crossbar_fixed[take]
+            + per_row(ctx.crossbar_fixed)
         )
-        available = ctx.peripheral_power[take] - fixed
+        available = per_row(ctx.peripheral_power) - fixed
         feasible = available > 0.0
         if ctx.identical_macros:
-            adc_power_unit = ctx.adc_power_unit[take]
+            adc_power_unit = per_row(ctx.adc_power_unit)
             macro_count = group_len  # every group has >= 1 macro
             adc_demand = (adc_wl / macro_count).max(axis=1)
             alu_demand = (alu_wl / macro_count).max(axis=1)
@@ -514,9 +644,11 @@ def score_population(
             lanes = per_macro_alu[:, None] * macro_count
             adc_delay = adc_wl / (ctx.adc_rate * bank)
             alu_delay = alu_wl / (ctx.alu_rate * lanes)
-            adc_alu_power = adc_power_total + alu_power_total
+
+            def power_draw():
+                return adc_power_total + alu_power_total
         else:
-            denom = ctx.denom[take]
+            denom = per_row(ctx.denom)
             # Gene-independent: the scalar path raises for every gene
             # of a row whose denominator is not positive.
             feasible = feasible & ~(denom <= 0)
@@ -527,17 +659,17 @@ def score_population(
             alu_alloc = alu_wl / (
                 ctx.alu_rate * balanced_delay
             )[:, None]
+            adc_powers = per_row(ctx.adc_powers)
 
             # Sharing post-pass (rule b): every sharer layer i
             # against its owner j = owners[:, i] at once.
             savings = _np.zeros(pop, dtype=_np.float64)
             partner = _np.full((pop, n), -1, dtype=_np.int64)
             if ctx.enable_macro_sharing:
-                a_j = _np.take_along_axis(adc_alloc, owners, axis=1)
-                p_j = _np.take_along_axis(adc_powers, owners, axis=1)
-                p_i = adc_powers
-                separate = p_j * a_j + p_i * adc_alloc
-                merged = _np.maximum(p_j, p_i) * _np.maximum(
+                a_j = adc_alloc.ravel()[at_owner]
+                p_j = at(adc_powers, at_owner, owners)
+                separate = p_j * a_j + adc_powers * adc_alloc
+                merged = _np.maximum(p_j, adc_powers) * _np.maximum(
                     a_j, adc_alloc
                 )
                 include = ~is_owner & (merged < separate)
@@ -547,8 +679,8 @@ def score_population(
                 # Rule b pairs an owner with at most one sharer, which
                 # becomes the owner's partner when included.
                 partner = _np.where(include, owners, -1)
-                gene_idx, sharer = _np.nonzero(include)
-                partner[gene_idx, owners[gene_idx, sharer]] = sharer
+                sharers = _np.flatnonzero(include)
+                partner.ravel()[at_owner.ravel()[sharers]] = sharers % n
 
             apply_scale = (savings > 0.0) & (savings < available)
             scale = _np.where(
@@ -561,11 +693,12 @@ def score_population(
 
             has_partner = partner >= 0
             partner_idx = _np.where(has_partner, partner, 0)
-            partner_alloc = _np.take_along_axis(
-                adc_alloc, partner_idx, axis=1
-            )
-            bank = _np.maximum(adc_alloc, partner_alloc) * scale
-            distance = _np.abs(layer_idx[None, :] - partner_idx)
+            at_partner = partner_idx + offsets
+            bank = _np.maximum(
+                adc_alloc, adc_alloc.ravel()[at_partner]
+            ) * scale
+            layer_idx = _np.arange(n, dtype=_np.int64)
+            distance = _np.abs(layer_idx - partner_idx)
             overlap = _np.maximum(
                 0.0,
                 1.0 - distance / max(1, ctx.overlap_window),
@@ -579,46 +712,41 @@ def score_population(
             adc_delay = adc_wl / (ctx.adc_rate * effective_adc)
             alu_delay = alu_wl / (ctx.alu_rate * effective_alu)
 
-            # Power drawn: a shared bank is counted once, at the
-            # pair's first (owner-side) index.
-            solo = (adc_powers * adc_alloc) * scale
-            pair = _np.maximum(
-                adc_powers,
-                _np.take_along_axis(adc_powers, partner_idx, axis=1),
-            ) * bank
-            counted = ~has_partner | (
-                partner_idx > layer_idx[None, :]
-            )
-            adc_power_used = row_sums(
-                _np.where(
-                    counted, _np.where(has_partner, pair, solo), 0.0
+            def power_draw():
+                # A shared bank is counted once, at the pair's first
+                # (owner-side) index.
+                solo = (adc_powers * adc_alloc) * scale
+                pair = _np.maximum(
+                    adc_powers, at(adc_powers, at_partner, partner_idx)
+                ) * bank
+                counted = ~has_partner | (partner_idx > layer_idx)
+                adc_power_used = row_sums(
+                    _np.where(
+                        counted, _np.where(has_partner, pair, solo), 0.0
+                    )
                 )
-            )
-            alu_power_used = row_sums(
-                (ctx.alu_power * alu_alloc) * scale
-            )
-            adc_alu_power = adc_power_used + alu_power_used
+                alu_power_used = row_sums(
+                    (ctx.alu_power * alu_alloc) * scale
+                )
+                return adc_power_used + alu_power_used
 
         # -- §IV-B stage times -------------------------------------
         bandwidth = ctx.edram_bandwidth * group_len
-        load = ctx.load_num[take] / bandwidth
-        store = ctx.store_num[take] / bandwidth
-        cols = _np.maximum(
-            1,
-            _np.ceil(
-                _np.sqrt(_np.maximum(1, total_macros))
-            ).astype(_np.int64),
-        )[:, None]
+        load = per_row(ctx.load_num) / bandwidth
+        store = per_row(ctx.store_num) / bandwidth
+        ends, neighbor = _mesh_ends(total_macros, group_start, group_len)
         # Partial-sum merge of the row-tiled layers spanning more
         # than one macro; comm starts here, as 0.0 + merge == merge.
-        neighbor = _hops(group_start, group_start + 1, cols)
-        per_round_bytes = ctx.per_round_num[take] / group_len
-        per_block = ctx.merge_rounds[take] * (
+        # ``neighbor`` is at least 1, so the oracle's max(1, hops) is
+        # the identity.
+        total_blocks = per_row(ctx.total_blocks)
+        per_round_bytes = per_row(ctx.per_round_num) / group_len
+        per_block = per_row(ctx.merge_rounds) * (
             per_round_bytes / ctx.noc_port_bandwidth
-            + _np.maximum(1, neighbor) * ctx.noc_hop_latency
+            + neighbor * ctx.noc_hop_latency
         )
         comm = _np.where(
-            ctx.merge_layers[take] & (group_len > 1),
+            per_row(ctx.merge_layers) & (group_len > 1),
             total_blocks * per_block,
             0.0,
         )
@@ -628,22 +756,14 @@ def score_population(
         # macros, serialization over the narrower group, head flits.
         src = ctx.comm_producer
         dst = ctx.comm_consumer
-        last = group_start + group_len - 1
-        s0, s1, d0, d1 = (
-            _np.divmod(macro, cols) for macro in (
-                group_start[:, src], last[:, src],
-                group_start[:, dst], last[:, dst],
-            )
-        )
-        hops = _np.minimum(
-            _np.minimum(_manhattan(s0, d0), _manhattan(s1, d0)),
-            _np.minimum(_manhattan(s0, d1), _manhattan(s1, d1)),
-        )
+        hops = _edge_hops(ends, src, dst)
         ports = _np.minimum(group_len[:, src], group_len[:, dst])
-        serialization = ctx.out_bytes[take][:, src] / (
+        serialization = per_row(ctx.out_bytes[:, src]) / (
             ctx.noc_port_bandwidth * ports
         )
-        head = (total_blocks[:, src] * hops) * ctx.noc_hop_latency
+        head = (
+            per_row(ctx.total_blocks[:, src]) * hops
+        ) * ctx.noc_hop_latency
         # An edge inside one macro group moves nothing; its +0.0
         # term leaves the never-negative comm bit-for-bit unchanged.
         transfer = _np.where(
@@ -654,21 +774,47 @@ def score_population(
         for producers, edges in ctx.out_slots:
             comm[:, producers] = comm[:, producers] + transfer[:, edges]
 
-        stage_total = _np.maximum(ctx.mvm[take], adc_delay)
+        stage_total = _np.maximum(per_row(ctx.mvm), adc_delay)
         stage_total = _np.maximum(stage_total, alu_delay)
         stage_total = _np.maximum(stage_total, load)
         stage_total = _np.maximum(stage_total, store)
         stage_total = _np.maximum(stage_total, comm)
 
-        period = stage_total.max(axis=1)
+        # The first maximum of each row is its maximum.
         bottleneck = stage_total.argmax(axis=1)
+        period = stage_total.ravel()[bottleneck + offsets[:, 0]]
+        throughput = _np.where(feasible, 1.0 / period, 0.0)
 
+    return BatchEvaluation(
+        feasible=feasible,
+        fitness=throughput,
+        period=_np.where(feasible, period, 0.0),
+        throughput=throughput,
+        bottleneck_layer=_np.where(feasible, bottleneck, -1),
+        num_macros=_np.where(feasible, total_macros, 0),
+        metrics=partial(
+            _metrics_pass, ctx, per_row, feasible, fixed, period,
+            stage_total, power_draw,
+        ),
+    )
+
+
+def _metrics_pass(ctx, per_row, feasible, fixed, period, stage_total,
+                  power_draw):
+    """The deferred half of :func:`score_population`: its
+    :data:`DEFERRED_FIELDS`, masked like the stage pass's fields.
+    ``per_row`` gathers the genes' rows of a context array, and
+    ``power_draw()`` is the allocation's ADC plus ALU power."""
+    pop, n = stage_total.shape
+    with _np.errstate(all="ignore"):
         # Fine-grained pipeline latency, one topological level at a
         # time: a layer starts at the latest of its producers'
         # start + stage * fraction. Every candidate is a
         # non-negative start plus a non-negative share, so the
         # oracle's 0.0 seed never changes the max.
-        shares = stage_total[:, ctx.lat_producer] * ctx.lat_fraction[take]
+        shares = stage_total[:, ctx.lat_producer] * per_row(
+            ctx.lat_fraction
+        )
         starts = _np.zeros((pop, n), dtype=_np.float64)
         for consumers, producers, edges in ctx.levels:
             starts[:, consumers] = (
@@ -676,28 +822,17 @@ def score_population(
             ).max(axis=1)
         latency = (starts + stage_total).max(axis=1)
 
-        # -- power account + derived metrics -----------------------
-        power = ctx.rram_power[take] + (fixed + adc_alu_power)
-        throughput = 1.0 / period
+        power = per_row(ctx.rram_power) + (fixed + power_draw())
         tops = ctx.macs2 / period / 1e12
         tops_per_watt = _np.where(power > 0, tops / power, 0.0)
         energy = power * latency
         edp = energy * latency
-
-    def _mask(values):
-        return _np.where(feasible, values, 0.0)
-
-    return BatchEvaluation(
-        feasible=feasible,
-        fitness=_mask(throughput),
-        period=_mask(period),
-        latency=_mask(latency),
-        throughput=_mask(throughput),
-        tops=_mask(tops),
-        power=_mask(power),
-        tops_per_watt=_mask(tops_per_watt),
-        energy_per_image=_mask(energy),
-        edp=_mask(edp),
-        bottleneck_layer=_np.where(feasible, bottleneck, -1),
-        num_macros=_np.where(feasible, total_macros, 0),
-    )
+    metrics = {
+        "latency": latency, "tops": tops, "power": power,
+        "tops_per_watt": tops_per_watt, "energy_per_image": energy,
+        "edp": edp,
+    }
+    return {
+        name: _np.where(feasible, values, 0.0)
+        for name, values in metrics.items()
+    }

@@ -17,8 +17,12 @@ the per-gene work — group sizing, fixed overhead, the Eq. 6 balanced
 delay, the ADC-sharing post-pass, stage times, the fine-grained
 pipeline latency and the power account — runs as the one fused numpy
 kernel :func:`repro.core.backend.score_population`, whose record,
-:class:`BatchEvaluation` (defined there, re-exported here),
+:class:`BatchEvaluation` (defined there and re-exported here with its
+field lists :data:`BATCH_FIELDS` and :data:`DEFERRED_FIELDS`),
 :meth:`BatchPerformanceEvaluator.evaluate_population` returns as is.
+The kernel's call runs the stage pass, all the EA's fitness needs; the
+record runs the pipeline latency and the power account only when one
+of their fields is first read, as the winners' rows do.
 :meth:`BatchPerformanceEvaluator.stack` stacks the rows of many tasks
 of one model, so the lock-stepped EA launches of a DSE wave score all
 their genes in one call.
@@ -30,7 +34,7 @@ approximation: every formula is evaluated with the *same operation
 order* as the scalar code (`allocate_components` /
 ``PerformanceEvaluator.evaluate``), and IEEE-754 float64 arithmetic is
 deterministic, so batched metrics are bit-identical to the scalar ones,
-on every field, for every gene the validator accepts. Cross-layer
+on every field, for every gene the decode accepts. Cross-layer
 reductions that the scalar code performs as ordered sums
 (:func:`repro.utils.mathutils.ordered_sum`) are likewise accumulated in
 layer order. ``tests/test_batch_eval_differential.py`` pins the
@@ -38,10 +42,11 @@ contract across the entire model zoo, and full synthesis selects the
 identical solution with numpy and without it (where the explorer scores
 one gene at a time through the scalar oracle).
 
-Both paths accept the same genes: :meth:`BatchPerformanceEvaluator.
-evaluate_population` raises :class:`ConfigurationError` wherever
-``MacroPartition.from_gene`` does, including on an owner shared by two
-or more layers (rule b allows pairs only).
+Both paths accept the same genes: the kernel's gene decode, and so
+:meth:`BatchPerformanceEvaluator.evaluate_population`, raises
+:class:`ConfigurationError` wherever ``MacroPartition.from_gene`` does,
+including on an owner shared by two or more layers (rule b allows
+pairs only).
 
 Genes that the scalar path rejects with :class:`InfeasibleError`
 (fixed overhead exceeding the peripheral budget, a collapsed
@@ -62,7 +67,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 # method uniformly. This module never imports numpy directly (an AST
 # guard in tests/test_backend_conformance.py enforces that).
 from repro.core.backend import (
-    ENCODING_BASE,
+    BATCH_FIELDS,
+    DEFERRED_FIELDS,
     BatchEvaluation,
     PopulationContext,
     numpy_module,
@@ -409,37 +415,6 @@ class BatchPerformanceEvaluator:
         return stacked
 
     # ------------------------------------------------------------------
-    # Gene validation (host-side; the kernel assumes well-formed genes)
-    # ------------------------------------------------------------------
-    def _validate_population(self, genes_arr) -> None:
-        """Rejects what ``decode_gene`` / ``MacroPartition.from_gene``
-        reject, with :class:`ConfigurationError`, so both scoring paths
-        accept the same genes."""
-        np = numpy_module()
-        owners, counts = np.divmod(genes_arr, ENCODING_BASE)
-        layer_idx = np.arange(self.num_layers, dtype=np.int64)
-        if np.any(counts < 1):
-            raise ConfigurationError("batch decode: #macros < 1")
-        if np.any(owners > layer_idx[None, :]):
-            raise ConfigurationError("batch decode: owner > layer index")
-        # Every referenced owner must own itself (rule b).
-        owner_of_owner = np.take_along_axis(owners, owners, axis=1)
-        if np.any(owner_of_owner != owners):
-            raise ConfigurationError(
-                "batch decode: layer shares with a non-owner"
-            )
-        # Rule b allows pairs only. Owners get unique negative
-        # sentinels, so after a row sort two equal neighbours can only
-        # be two sharers of one owner.
-        shared = np.where(owners == layer_idx, -1 - layer_idx, owners)
-        shared.sort(axis=1)
-        if np.any(shared[:, 1:] == shared[:, :-1]):
-            raise ConfigurationError(
-                "batch decode: an owner is shared by more than one "
-                "layer (rule b allows pairs only)"
-            )
-
-    # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def evaluate_population(
@@ -453,22 +428,13 @@ class BatchPerformanceEvaluator:
         """
         np = numpy_module()
         if len(genes) == 0:
-            empty = np.zeros(0, dtype=np.float64)
-            return BatchEvaluation(
-                feasible=np.zeros(0, dtype=bool), fitness=empty,
-                period=empty, latency=empty, throughput=empty,
-                tops=empty, power=empty, tops_per_watt=empty,
-                energy_per_image=empty, edp=empty,
-                bottleneck_layer=np.zeros(0, dtype=np.int64),
-                num_macros=np.zeros(0, dtype=np.int64),
-            )
+            return BatchEvaluation.empty()
         genes_arr = np.asarray(genes, dtype=np.int64)
         if genes_arr.ndim != 2 or genes_arr.shape[1] != self.num_layers:
             raise ConfigurationError(
                 f"population shape {genes_arr.shape} does not match "
                 f"{self.num_layers} layers"
             )
-        self._validate_population(genes_arr)
         if rows is not None:
             rows = np.asarray(rows, dtype=np.int64)
             if rows.shape != (len(genes_arr),) or not (

@@ -29,6 +29,10 @@ from repro.errors import ConfigurationError
 Gene = TypeVar("Gene")
 Value = TypeVar("Value")
 
+#: What ``memo.get`` returns for a missing key: no stored value is it,
+#: so a falsy value such as the infeasible fitness ``0.0`` is a hit.
+_MISSING = object()
+
 
 def score_through_memo(
     genes: Sequence[Gene],
@@ -50,26 +54,36 @@ def score_through_memo(
     report, and a key one search misses counts as a hit for a later
     search in the same call, as if that search ran after the first. A
     ``score`` that returns a different number of values than it was
-    given genes raises :class:`ConfigurationError`.
+    given genes raises :class:`ConfigurationError`, and then nothing is
+    stored or counted.
+
+    Keys hash on every dict access, so each gene's key is looked up in
+    ``memo`` once and each distinct miss written once.
     """
-    keys = [key(gene) for gene in genes]
-    misses: Dict[Hashable, int] = {}  # key -> position of its first gene
-    for position, gene_key in enumerate(keys):
-        if gene_key not in memo and gene_key not in misses:
-            misses[gene_key] = position
+    values: List[Value] = []
+    misses: Dict[Hashable, List[int]] = {}  # key -> its genes' positions
+    for position, gene in enumerate(genes):
+        gene_key = key(gene)
+        value = memo.get(gene_key, _MISSING)
+        if value is _MISSING:
+            misses.setdefault(gene_key, []).append(position)
+        values.append(value)
     if misses:
-        fresh = list(score([genes[p] for p in misses.values()]))
+        fresh = list(score([genes[p[0]] for p in misses.values()]))
         if len(fresh) != len(misses):
             raise ConfigurationError(
                 f"score returned {len(fresh)} values for "
                 f"{len(misses)} genes"
             )
-        memo.update(zip(misses, fresh))
+        for (gene_key, positions), value in zip(misses.items(), fresh):
+            memo[gene_key] = value
+            for position in positions:
+                values[position] = value
     report_of = report if callable(report) else lambda _gene: report
-    scored = set(misses.values())
+    scored = {positions[0] for positions in misses.values()}
     for position, gene in enumerate(genes):
         if position in scored:
             report_of(gene).evaluations += 1
         else:
             report_of(gene).cache_hits += 1
-    return [memo[gene_key] for gene_key in keys]
+    return values

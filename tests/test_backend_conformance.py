@@ -237,7 +237,8 @@ class TestScorePopulationConformance:
 @needs_numpy
 class TestKernelHelperConformance:
     """The numpy kernel's gene decode and mesh hops: integer-exact to
-    the scalar chain (``MacroPartition.from_gene`` / ``MeshNoC.hops``)."""
+    the scalar chain (``MacroPartition.from_gene`` / ``MeshNoC.hops``).
+    The decode also validates, so its rejections are pinned here."""
 
     def test_decode_matches_macro_partition(self, lenet_population):
         from repro.core.backend import _decode
@@ -261,33 +262,145 @@ class TestKernelHelperConformance:
                 len(group) for group in partition.macro_groups
             ]
 
-    @pytest.mark.parametrize("num_macros", (1, 9, 50, 64))
-    def test_hops_match_mesh_noc(self, num_macros):
+    @pytest.mark.parametrize("gene,message", [
+        ((1, 1000, 2001, 3001, 4001), "batch decode: #macros < 1"),
+        ((1, 2001, 2001, 3001, 4001), "batch decode: owner > layer index"),
+        ((1, 1, 2001, 1001, 4001),
+         "batch decode: layer shares with a non-owner"),
+        ((1, 1001, 2001, 2001, 2001),
+         "batch decode: an owner is shared by more than one layer "
+         "(rule b allows pairs only)"),
+    ], ids=("zero-macros", "owner-after-layer", "shares-with-a-sharer",
+            "owner-shared-twice"))
+    def test_decode_rejections(self, lenet_population, gene, message):
+        """Each gene ``MacroPartition.from_gene`` rejects is rejected by
+        the kernel's decode, with its message, through the evaluator's
+        one entry point and among valid genes."""
+        import re
+
         import numpy as np
 
-        from repro.core.backend import _hops
+        from repro.core.backend import _decode
+        from repro.core.macro_partition import MacroPartition
+
+        explorer, genes_arr, _ = lenet_population
+        with pytest.raises(ConfigurationError):
+            MacroPartition.from_gene(gene)
+        population = genes_arr.tolist()[:3] + [list(gene)]
+        for reject in (
+            lambda: _decode(np.asarray(population, dtype=np.int64)),
+            lambda: explorer.batch_evaluator.evaluate_population(
+                population
+            ),
+        ):
+            with pytest.raises(
+                ConfigurationError, match=f"^{re.escape(message)}$"
+            ):
+                reject()
+
+    @staticmethod
+    def _groups(num_macros, seed):
+        """Contiguous groups covering ``num_macros`` macros, as the
+        decode lays them out: ``(group_start, group_len)`` rows."""
+        rng = random.Random(seed)
+        starts, lengths, start = [], [], 0
+        while start < num_macros:
+            length = rng.randint(1, max(1, num_macros // 4))
+            length = min(length, num_macros - start)
+            starts.append(start)
+            lengths.append(length)
+            start += length
+        return starts, lengths
+
+    @pytest.mark.parametrize("num_macros", (1, 9, 50, 64))
+    def test_mesh_ends_match_mesh_noc(self, num_macros):
+        """Each group's first and last macro on the mesh, and the hop
+        from its first macro to its second, as ``MeshNoC`` places
+        them."""
+        import numpy as np
+
+        from repro.core.backend import _mesh_ends
+        from repro.hardware.noc import MeshNoC
+        from repro.hardware.params import HardwareParams
+
+        noc = MeshNoC(num_macros, HardwareParams())
+        for seed in range(4):
+            starts, lengths = self._groups(num_macros, seed)
+            ends, neighbor = _mesh_ends(
+                np.asarray([num_macros], dtype=np.int64),
+                np.asarray([starts], dtype=np.int64),
+                np.asarray([lengths], dtype=np.int64),
+            )
+            first_row, first_col, last_row, last_col = (
+                position[0].tolist() for position in ends
+            )
+            for i, (start, length) in enumerate(zip(starts, lengths)):
+                last = start + length - 1
+                assert (first_row[i], first_col[i]) == noc.position(start)
+                assert (last_row[i], last_col[i]) == noc.position(last)
+                if length > 1:
+                    assert neighbor[0, i] == noc.hops(start, start + 1)
+
+    @pytest.mark.parametrize("num_macros", (1, 9, 50, 64))
+    def test_hops_match_mesh_noc(self, num_macros):
+        """Each edge's hops: the least ``MeshNoC.hops`` between the end
+        macros of its producer's and its consumer's groups."""
+        import numpy as np
+
+        from repro.core.backend import _edge_hops, _mesh_ends
         from repro.hardware.noc import MeshNoC
         from repro.hardware.params import HardwareParams
 
         noc = MeshNoC(num_macros, HardwareParams())
         rng = random.Random(5)
-        a = [rng.randrange(num_macros) for _ in range(128)]
-        b = [rng.randrange(num_macros) for _ in range(128)]
-        got = _hops(
-            np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64),
-            noc.cols,
-        )
-        assert got.tolist() == [noc.hops(s, d) for s, d in zip(a, b)]
+        for seed in range(4):
+            starts, lengths = self._groups(num_macros, seed)
+            ends, _ = _mesh_ends(
+                np.asarray([num_macros], dtype=np.int64),
+                np.asarray([starts], dtype=np.int64),
+                np.asarray([lengths], dtype=np.int64),
+            )
+            layers = range(len(starts))
+            src = [rng.choice(layers) for _ in range(32)]
+            dst = [rng.choice(layers) for _ in range(32)]
+            got = _edge_hops(
+                ends, np.asarray(src, dtype=np.int64),
+                np.asarray(dst, dtype=np.int64),
+            )
+            want = [
+                min(
+                    noc.hops(a, b)
+                    for a in (starts[s], starts[s] + lengths[s] - 1)
+                    for b in (starts[d], starts[d] + lengths[d] - 1)
+                )
+                for s, d in zip(src, dst)
+            ]
+            assert got[0].tolist() == want
 
     def test_hops_is_manhattan(self):
-        """Pinned against the closed form, not just the scalar chain."""
+        """Pinned against the closed form, not just the scalar chain:
+        on a 3-column mesh (9 macros), groups 0-1, 2, 3-7 and 8."""
         import numpy as np
 
-        from repro.core.backend import _hops
+        from repro.core.backend import _edge_hops, _mesh_ends
 
-        a = np.asarray([0, 5, 7, 7], dtype=np.int64)
-        b = np.asarray([7, 5, 0, 6], dtype=np.int64)
-        assert _hops(a, b, 3).tolist() == [3, 0, 3, 1]
+        ends, neighbor = _mesh_ends(
+            np.asarray([9], dtype=np.int64),
+            np.asarray([[0, 2, 3, 8]], dtype=np.int64),
+            np.asarray([[2, 1, 5, 1]], dtype=np.int64),
+        )
+        assert [position.tolist() for position in ends] == [
+            [[0, 0, 1, 2]], [[0, 2, 0, 2]],  # first macro: row, col
+            [[0, 0, 2, 2]], [[1, 2, 1, 2]],  # last macro: row, col
+        ]
+        # A next column is one hop; the wrap from column 2 is three.
+        assert neighbor[0, [0, 2]].tolist() == [1, 1]
+        assert neighbor[0, [1, 3]].tolist() == [3, 3]
+        src = np.asarray([0, 0, 1, 2], dtype=np.int64)
+        dst = np.asarray([1, 3, 2, 3], dtype=np.int64)
+        # 0-1 -> 2: (0,1)-(0,2); 0-1 -> 8: (0,1)-(2,2);
+        # 2 -> 3-7: (0,2)-(1,0)...; 3-7 -> 8: (2,1)-(2,2).
+        assert _edge_hops(ends, src, dst).tolist() == [[1, 3, 3, 1]]
 
 
 class TestNoDirectNumpyImport:

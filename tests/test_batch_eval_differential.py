@@ -13,12 +13,13 @@ owner shared by two layers among them (rule b allows pairs only). Then
 end to end: full synthesis must select the *identical* solution, with
 identical search and pruning telemetry, with numpy and without it
 (the ``without_numpy`` fixture), serial or pooled, and the committed
-pareto golden reproduces both ways.
+pareto golden reproduces both ways. The kernel's deferred metrics pass
+runs only when one of its fields is read, once, and every read order
+of the twelve fields reads the oracle's values.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import random
@@ -27,7 +28,12 @@ import pytest
 
 from repro.core import Pimsyn, SynthesisConfig
 from repro.core.backend import numpy_available
-from repro.core.batch_eval import BatchPerformanceEvaluator, ModelContext
+from repro.core.batch_eval import (
+    BATCH_FIELDS,
+    DEFERRED_FIELDS,
+    BatchPerformanceEvaluator,
+    ModelContext,
+)
 from repro.core.dataflow import make_spec
 from repro.core.macro_partition import (
     MacroPartition,
@@ -301,11 +307,11 @@ class TestStackedRows:
         )
         assert len(batch) == len(entries)
         for position, (row, k, _gene) in enumerate(entries):
-            for field in dataclasses.fields(batch):
+            for field in BATCH_FIELDS:
                 _assert_equal(
-                    getattr(alone[row], field.name)[k],
-                    getattr(batch, field.name)[position],
-                    f"{name} row {row} gene {k} {field.name}",
+                    getattr(alone[row], field)[k],
+                    getattr(batch, field)[position],
+                    f"{name} row {row} gene {k} {field}",
                 )
         feasible = [bool(batch.feasible[p]) for p in range(len(batch))]
         assert any(feasible) and not all(feasible)
@@ -367,6 +373,159 @@ class TestStackedRows:
         for rows in ([0, 1, 2], [0, 1, 2, len(self.ROWS)], [-1, 0, 0, 0]):
             with pytest.raises(ConfigurationError, match="rows"):
                 stacked.evaluate_population(genes, rows)
+
+
+@pytest.fixture
+def metrics_runs(monkeypatch):
+    """The arguments of each run of the kernel's deferred metrics
+    pass, in order."""
+    from repro.core import backend
+
+    runs = []
+    real = backend._metrics_pass
+
+    def counted(*args):
+        runs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(backend, "_metrics_pass", counted)
+    return runs
+
+
+#: The fields the stage pass sets.
+STAGE_FIELDS = tuple(
+    name for name in BATCH_FIELDS if name not in DEFERRED_FIELDS
+)
+
+
+def _stacked_case():
+    """A stacked resnet18 context, five rows from infeasible to
+    generous, scoring their genes in shuffled order."""
+    explorers = TestStackedRows()._rows(zoo.by_name("resnet18_cifar"))
+    stacked = BatchPerformanceEvaluator.stack(
+        [explorer.batch_evaluator for explorer in explorers]
+    )
+    entries = [
+        (row, gene)
+        for row, explorer in enumerate(explorers)
+        for gene in _population(explorer, size=8, seed=row)
+    ]
+    random.Random(7).shuffle(entries)
+    genes = [gene for _row, gene in entries]
+    rows = [row for row, _gene in entries]
+    oracle = [explorers[row].score_fields(gene) for row, gene in entries]
+    return lambda: stacked.evaluate_population(genes, rows), oracle
+
+
+def _one_row_case(name, **knobs):
+    """One task's context, its genes scored with ``rows=None``."""
+    explorer = _explorer(zoo.by_name(name), 8.0, **knobs)
+    genes = _population(explorer, size=16)
+    oracle = [explorer.score_fields(gene) for gene in genes]
+    return (
+        lambda: explorer.batch_evaluator.evaluate_population(genes),
+        oracle,
+    )
+
+
+DEFERRED_CASES = {
+    "stacked-shuffled-rows": _stacked_case,
+    "one-row": lambda: _one_row_case("resnet18_cifar"),
+    "identical-macros": lambda: _one_row_case(
+        "resnet18_cifar", specialized=False
+    ),
+    "sharing-off": lambda: _one_row_case("vgg13", sharing=False),
+    "empty-population": lambda: (
+        lambda: _explorer(
+            zoo.by_name("lenet5"), 2.0
+        ).batch_evaluator.evaluate_population([]),
+        [],
+    ),
+}
+
+#: Read orders of the twelve fields: as listed, reversed, the metrics
+#: pass's first, and two shuffles.
+READ_ORDERS = (
+    BATCH_FIELDS,
+    BATCH_FIELDS[::-1],
+    DEFERRED_FIELDS + STAGE_FIELDS,
+    tuple(random.Random(1).sample(BATCH_FIELDS, len(BATCH_FIELDS))),
+    tuple(random.Random(2).sample(BATCH_FIELDS, len(BATCH_FIELDS))),
+)
+
+
+@needs_numpy
+class TestDeferredMetricsPass:
+    """``score_population`` runs the stage pass when called; its record
+    runs the metrics pass (the pipeline latency, the power account and
+    the derived metrics) once, the first time one of those fields is
+    read. The EA's fitness never pays for it, and every field is ``==``
+    to the scalar oracle whatever the read order."""
+
+    def test_fields_are_listed_once(self):
+        assert len(set(BATCH_FIELDS)) == len(BATCH_FIELDS) == 12
+        assert set(DEFERRED_FIELDS) < set(BATCH_FIELDS)
+        assert set(STAGE_FIELDS) == {
+            "feasible", "fitness", "period", "throughput",
+            "bottleneck_layer", "num_macros",
+        }
+
+    def test_stage_fields_never_run_the_metrics_pass(self, metrics_runs):
+        explorer = _explorer(zoo.by_name("resnet18_cifar"), 50.0)
+        genes = _population(explorer, size=16)
+        evaluator = explorer.batch_evaluator
+        batch = evaluator.evaluate_population(genes)
+        for field in STAGE_FIELDS:
+            getattr(batch, field)
+        fitness = evaluator.fitness_of(genes, [0] * len(genes))
+        assert fitness == batch.fitness.tolist()
+        assert _fitness(explorer, genes) == fitness
+        assert metrics_runs == []
+
+    @pytest.mark.parametrize("field", DEFERRED_FIELDS)
+    def test_any_metrics_field_runs_the_pass_once(
+        self, metrics_runs, field
+    ):
+        explorer = _explorer(zoo.by_name("resnet18_cifar"), 50.0)
+        genes = _population(explorer, size=16)
+        batch = explorer.batch_evaluator.evaluate_population(genes)
+        getattr(batch, field)
+        assert len(metrics_runs) == 1
+        for name in BATCH_FIELDS:
+            getattr(batch, name)
+        batch.rows()
+        assert len(metrics_runs) == 1
+
+    def test_an_assigned_field_survives_the_pass(self, metrics_runs):
+        """A metrics field assigned before the pass runs keeps its
+        assigned value; the pass fills the other five."""
+        import numpy as np
+
+        explorer = _explorer(zoo.by_name("lenet5"), 2.0)
+        genes = _population(explorer, size=8)
+        want = explorer.batch_evaluator.evaluate_population(genes)
+        batch = explorer.batch_evaluator.evaluate_population(genes)
+        batch.power = np.full(len(genes), -1.0)
+        assert batch.latency.tolist() == want.latency.tolist()
+        assert batch.power.tolist() == [-1.0] * len(genes)
+        assert len(metrics_runs) == 2
+
+    @pytest.mark.parametrize("case", sorted(DEFERRED_CASES))
+    def test_every_read_order_matches_the_oracle(self, case, metrics_runs):
+        evaluate, oracle = DEFERRED_CASES[case]()
+        for order in READ_ORDERS:
+            batch = evaluate()
+            columns = {name: getattr(batch, name).tolist() for name in order}
+            assert len(batch) == len(oracle)
+            for k, want in enumerate(oracle):
+                for name in BATCH_FIELDS:
+                    _assert_equal(
+                        want[name], columns[name][k],
+                        f"{case} {order[0]}-first gene {k} {name}",
+                    )
+            assert batch.rows() == oracle
+        # One metrics pass per non-empty batch, whatever the order.
+        assert len(metrics_runs) == (len(READ_ORDERS) if oracle else 0)
 
 
 @needs_numpy

@@ -12,9 +12,11 @@ samples):
 
 The numpy-kernel class holds :func:`repro.core.backend.
 score_population` to the same properties on every field: permutation
-invariance, batch-of-one ``==`` the scalar oracle, and memo hit/miss
-identity — the EA's memo interaction is byte-for-byte the same whether
-the kernel or the scalar oracle scores the misses. Both paths accept
+invariance, batch-of-one ``==`` the scalar oracle, any read order of
+the fields (the deferred metrics pass runs once, and only when one of
+its fields is read), and memo hit/miss identity — the EA's memo
+interaction is byte-for-byte the same whether the kernel or the scalar
+oracle scores the misses. Both paths accept
 exactly the same genes, and an EA run walks identically with numpy and
 without it. The memo accounting itself is tested on its own, over float
 and tuple values (``test_memo_properties.py``).
@@ -22,7 +24,7 @@ and tuple values (``test_memo_properties.py``).
 
 from __future__ import annotations
 
-import dataclasses
+import contextlib
 import random
 
 import pytest
@@ -30,6 +32,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import SynthesisConfig
 from repro.core.backend import numpy_available
+from repro.core.batch_eval import BATCH_FIELDS, DEFERRED_FIELDS
 from repro.core.dataflow import make_spec
 from repro.core.macro_partition import (
     MacroPartition,
@@ -77,6 +80,26 @@ def _fitness(genes):
     """``EXPLORER``'s fitness of ``genes`` through the DSE's population
     scorer (the numpy kernel when numpy imports)."""
     return PopulationScorer([EXPLORER]).fitness(genes, [0] * len(genes))
+
+
+@contextlib.contextmanager
+def _counted_metrics_pass():
+    """The arguments of each run of the kernel's deferred metrics pass
+    while the block runs."""
+    from repro.core import backend
+
+    runs = []
+    real = backend._metrics_pass
+
+    def counted(*args):
+        runs.append(args)
+        return real(*args)
+
+    backend._metrics_pass = counted
+    try:
+        yield runs
+    finally:
+        backend._metrics_pass = real
 
 
 def _memo_engine(score, cache):
@@ -223,11 +246,37 @@ class TestNumpyKernelProperties:
         permuted = evaluator.evaluate_population(
             [genes[i] for i in order]
         )
-        for field in dataclasses.fields(base):
+        for field in BATCH_FIELDS:
             assert np.array_equal(
-                np.asarray(getattr(base, field.name))[order],
-                np.asarray(getattr(permuted, field.name)),
-            ), field.name
+                np.asarray(getattr(base, field))[order],
+                np.asarray(getattr(permuted, field)),
+            ), field
+
+    @pytest.mark.parametrize("knobs", ["default"] + sorted(KNOB_EXPLORERS))
+    @given(
+        genes=populations(),
+        order=st.permutations(BATCH_FIELDS),
+        stop=st.integers(0, len(BATCH_FIELDS)),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_any_read_order_reads_the_oracle(
+        self, knobs, genes, order, stop
+    ):
+        """Reading the first ``stop`` fields of any order runs the
+        deferred metrics pass once when they hold one of its fields and
+        never otherwise, and every field read is the oracle's."""
+        explorer = KNOB_EXPLORERS.get(knobs, EXPLORER)
+        read = order[:stop]
+        with _counted_metrics_pass() as runs:
+            batch = explorer.batch_evaluator.evaluate_population(genes)
+            columns = {name: getattr(batch, name).tolist() for name in read}
+            for name in read:  # a second read runs nothing
+                getattr(batch, name)
+        assert len(runs) == int(any(name in DEFERRED_FIELDS for name in read))
+        for k, gene in enumerate(genes):
+            want = explorer.score_fields(gene)
+            for name in read:
+                assert columns[name][k] == want[name], (k, name)
 
     @given(gene=valid_genes())
     @settings(max_examples=10, deadline=None)

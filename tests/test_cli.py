@@ -525,3 +525,32 @@ class TestStorePaths:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "a-file", "manifest.json",
         ]
+
+    @pytest.mark.parametrize("command", ["stats", "gc"])
+    def test_maintenance_on_a_directory_without_a_store(
+        self, tmp_path, capsys, command
+    ):
+        """An existing directory with no manifest, no shards and no
+        flat ``results/`` or ``memo/`` holds no store: refused, and
+        nothing is written into it."""
+        (tmp_path / "notes.txt").write_text("not a store")
+        assert main(["store", command, "--store", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --store {tmp_path} holds no result store (no "
+            "store.json, shards/, results/ or memo/)\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
+
+    def test_a_flat_store_opens_and_moves(self, tmp_path, capsys):
+        """A pre-sharding store, flat ``results/`` and all, still opens
+        and is moved into its shards."""
+        from repro.serve import ResultStore
+
+        key = "ab" * 32
+        doc = json.dumps({"schema": 1, "solution": {"model": "lenet5"}})
+        (tmp_path / "results").mkdir()
+        (tmp_path / "results" / f"{key}.json").write_text(doc)
+        assert main(["store", "stats", "--store", str(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["results"] == 1
+        assert not (tmp_path / "results").exists()
+        assert ResultStore(tmp_path).get_bytes(key) == doc.encode()

@@ -98,3 +98,23 @@ def test_wrong_count_raises(kind, surplus):
         score_through_memo(genes, score, memo, _context_key, report)
     assert memo == {}
     assert report.evaluations == report.cache_hits == 0
+
+
+@pytest.mark.parametrize("cached", [0.0, (0.0, 0.0), ()])
+def test_a_falsy_cached_value_is_a_hit(cached):
+    """The infeasible fitness ``0.0``, like any falsy value, is a
+    stored value: served as a hit, never scored, never rewritten."""
+    genes = [(1, 2), (3, 4), (1, 2)]
+    memo = {_context_key((1, 2)): cached}
+    calls = []
+
+    def score(batch):
+        calls.append(list(batch))
+        return [float(sum(gene)) for gene in batch]
+
+    report = EvolutionReport()
+    values = score_through_memo(genes, score, memo, _context_key, report)
+    assert calls == [[(3, 4)]]
+    assert values == [cached, 7.0, cached]
+    assert memo[_context_key((1, 2))] is cached
+    assert (report.evaluations, report.cache_hits) == (1, 2)
