@@ -118,19 +118,27 @@ class TaskGrid:
     per-task or per-layer as noted. Integer arrays hold exact values
     (every product taken inside the kernels stays far below 2**53, so
     int -> float conversions are exact and match the scalar oracle's
-    arbitrary-precision arithmetic bit for bit).
+    arbitrary-precision arithmetic bit for bit). :func:`compute_bounds`
+    reads it, and so does :meth:`repro.core.grid_eval.
+    GridBoundEvaluator.population_context`, which also reads the
+    columns the bound does not (``wt_dup``, ``merge_rounds``,
+    ``adc_power_unit``, ``crossbar_power``).
     """
 
+    wt_dup: "object"  # (T, L) int64 — the task's WtDup vector
     total_blocks: "object"  # (T, L) int64 — ceil(out_positions / WtDup)
     inputs_per_block: "object"  # (T, L) int64 — WtDup * rows
     outputs_per_block: "object"  # (T, L) int64 — WtDup * cols
     group_cap: "object"  # (T, L) int64 — min(WtDup*row_tiles, crossbars)
     crossbars: "object"  # (T, L) int64 — WtDup * set_size
     conversions_per_block_bit: "object"  # (T, L) int64
+    merge_rounds: "object"  # (T, L) int64 — ceil(log2(row_tiles)), or 0
     bits: "object"  # (T,) int64 — ceil(PrecAct / ResDAC)
     adc_power: "object"  # (T, L) float64 — ADC power at required res.
+    adc_power_unit: "object"  # (T,) float64 — at the largest of them
     vector_ops: "object"  # (L,) float64 — ALU-only workload per layer
     per_crossbar_fixed: "object"  # (T,) float64 — XbSize*(DAC+S&H)
+    crossbar_power: "object"  # (T,) float64 — one crossbar's read power
     peripheral_power: "object"  # (T,) float64 — (1-RatioRram)*TotalPower
     crossbar_latency: float
     act_bytes: float

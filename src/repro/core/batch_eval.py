@@ -81,6 +81,7 @@ from repro.core.component_alloc import (
     layer_workloads,
 )
 from repro.core.evaluator import PerformanceEvaluator
+from repro.core.grid_eval import ModelContext
 from repro.errors import ConfigurationError, PimsynError
 from repro.hardware.crossbar import required_adc_resolution
 from repro.hardware.power import PowerBudget
@@ -90,97 +91,6 @@ from repro.nn.workload import model_macs
 from repro.utils.mathutils import ordered_sum
 
 Gene = Tuple[int, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class ModelContext:
-    """The model-level half of a scoring context, shared by every task.
-
-    The inter-layer edge structure (``interlayer_edges()`` order) as the
-    gene-free index arrays :class:`~repro.core.backend.PopulationContext`
-    shares across its rows, and ``2 * MACs``. None of it depends on a
-    task, so the caller that builds many evaluators of one model builds
-    this once and passes it to each (a DSE task runner does), and every
-    context built over it shares these arrays by identity, which
-    :func:`~repro.core.backend.stack_contexts` checks in O(1).
-    ``producers_of[idx]`` lists layer ``idx``'s producers in the order
-    of the ``lat_*`` edges, for the per-task pipeline fractions.
-    """
-
-    model: CNNModel
-    producers_of: Tuple[Tuple[int, ...], ...]
-    comm_producer: "object"  # (E,) int64
-    comm_consumer: "object"  # (E,) int64
-    lat_producer: "object"  # (E,) int64
-    out_slots: Tuple[Tuple["object", "object"], ...]
-    levels: Tuple[Tuple["object", "object", "object"], ...]
-    macs2: float
-
-    @classmethod
-    def of(cls, model: CNNModel) -> "ModelContext":
-        """Build ``model``'s context from two CSR walks over its edges:
-        producer-major for transfers (the §IV-B accumulation order),
-        consumer-major for the latency forward pass. Needs numpy."""
-        np = numpy_module()
-        n = model.num_weighted_layers
-        consumer_lists: Dict[int, List[int]] = {}
-        producer_of: Dict[int, List[int]] = {}
-        for producer, consumer in model.interlayer_edges():
-            consumer_lists.setdefault(producer, []).append(consumer)
-            producer_of.setdefault(consumer, []).append(producer)
-        producers_of = tuple(
-            tuple(producer_of.get(idx, ())) for idx in range(n)
-        )
-        comm_offsets = np.zeros(n + 1, dtype=np.int64)
-        comm_consumer: List[int] = []
-        for producer in range(n):
-            comm_consumer.extend(consumer_lists.get(producer, []))
-            comm_offsets[producer + 1] = len(comm_consumer)
-        lat_offsets = np.zeros(n + 1, dtype=np.int64)
-        lat_producer: List[int] = []
-        for idx, producers in enumerate(producers_of):
-            lat_producer.extend(producers)
-            lat_offsets[idx + 1] = len(lat_producer)
-        lat_producer = np.asarray(lat_producer, dtype=np.int64)
-
-        # Out-edge slots for the transfer fold, topological levels for
-        # the latency pass.
-        out_degree = np.diff(comm_offsets)
-        out_slots = []
-        for slot in range(int(out_degree.max(initial=0))):
-            producers = np.flatnonzero(out_degree > slot)
-            out_slots.append((producers, comm_offsets[producers] + slot))
-        level = [0] * n
-        for idx in range(n):  # weighted layers are in topological order
-            for producer in producers_of[idx]:
-                level[idx] = max(level[idx], level[producer] + 1)
-        levels = []
-        for depth in range(1, max(level, default=0) + 1):
-            consumers = np.flatnonzero(np.asarray(level) == depth)
-            in_edges = [
-                range(lat_offsets[idx], lat_offsets[idx + 1])
-                for idx in consumers
-            ]
-            width = max(len(edges) for edges in in_edges)
-            # A short in-edge list repeats its first edge: max-neutral.
-            edges = np.array(
-                [[e[d] if d < len(e) else e[0] for e in in_edges]
-                 for d in range(width)],
-                dtype=np.int64,
-            )
-            levels.append((consumers, lat_producer[edges], edges))
-        return cls(
-            model=model,
-            producers_of=producers_of,
-            comm_producer=np.repeat(
-                np.arange(n, dtype=np.int64), out_degree
-            ),
-            comm_consumer=np.asarray(comm_consumer, dtype=np.int64),
-            lat_producer=lat_producer,
-            out_slots=tuple(out_slots),
-            levels=tuple(levels),
-            macs2=2.0 * model_macs(model),
-        )
 
 
 class BatchPerformanceEvaluator:

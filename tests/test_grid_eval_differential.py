@@ -19,17 +19,24 @@ solution and telemetry identity across ``jobs``.
 from __future__ import annotations
 
 import contextlib
+import math
 
 import pytest
 
 import repro.core.executor
 from repro.core import Pimsyn, SynthesisConfig
-from repro.core.backend import numpy_available
+from repro.core.backend import _ROW_FIELDS, numpy_available
+from repro.core.batch_eval import BatchPerformanceEvaluator
+from repro.core.component_alloc import fixed_overhead_power, layer_workloads
 from repro.core.design_space import DesignSpace
+from repro.core.evaluator import PerformanceEvaluator
 from repro.core.executor import ExplorationEngine
 from repro.core.grid_eval import GridBoundEvaluator
 from repro.core.synthesizer import SynthesisReport
+from repro.hardware.crossbar import required_adc_resolution
+from repro.ir.builder import DataflowBuilder
 from repro.nn import zoo
+from repro.utils.mathutils import ordered_sum
 
 pytestmark = pytest.mark.skipif(
     not numpy_available(), reason="grid evaluation requires numpy"
@@ -118,6 +125,143 @@ class TestZooBoundsBitIdentity:
             per_task_bounds = scalar_engine._task_bounds(tasks)
         assert scalar_engine._grid_evaluator is None
         assert grid_bounds == per_task_bounds
+
+
+def _oracle_row(runner, task):
+    """Task ``task``'s population-context row from the scalar oracle's
+    own helpers, over its spec and budget: each column as
+    ``PerformanceEvaluator``'s stage-time helpers, ``layer_workloads``,
+    ``allocate_components``' ordered Eq. 6 sums, ``fixed_overhead_power``
+    and ``DataflowBuilder.producer_block_for`` compose it."""
+    spec, budget = runner.spec_and_budget(task)
+    params = spec.params
+    geos = spec.geometries
+    oracle = PerformanceEvaluator(spec, budget)
+    act_bytes = oracle._bytes_per_activation()
+    adc_wl, alu_wl = layer_workloads(geos, spec.model, spec.bits)
+    adc_lo, adc_hi = params.adc_resolution_range
+    resolutions = [
+        required_adc_resolution(
+            min(budget.xb_size, geo.rows), budget.res_rram, task.res_dac,
+            min_resolution=adc_lo, max_resolution=adc_hi,
+        )
+        for geo in geos
+    ]
+    adc_powers = [params.adc_power_of(r) for r in resolutions]
+    builder = DataflowBuilder(spec)
+    return {
+        "mvm": [oracle._mvm_time(geo) for geo in geos],
+        "load_num": [
+            geo.total_blocks * geo.inputs_per_block * act_bytes
+            for geo in geos
+        ],
+        "store_num": [
+            geo.total_blocks * geo.outputs_per_block * act_bytes
+            for geo in geos
+        ],
+        "total_blocks": [geo.total_blocks for geo in geos],
+        "merge_rounds": [
+            math.ceil(math.log2(geo.row_tiles)) if geo.row_tiles > 1
+            else 0 for geo in geos
+        ],
+        "per_round_num": [geo.outputs_per_block * act_bytes for geo in geos],
+        "out_bytes": [
+            geo.out_positions * geo.cols * act_bytes for geo in geos
+        ],
+        "adc_wl": adc_wl,
+        "alu_wl": alu_wl,
+        "adc_powers": adc_powers,
+        "merge_layers": [geo.row_tiles > 1 for geo in geos],
+        "lat_fraction": [
+            (builder.producer_block_for(geos[producer], geos[consumer], 0)
+             + 1) / geos[producer].total_blocks
+            for producer, consumer in sorted(
+                spec.model.interlayer_edges(), key=lambda edge: edge[1]
+            )
+        ],
+        "denom": ordered_sum(
+            p * wl / params.adc_sample_rate
+            for p, wl in zip(adc_powers, adc_wl)
+        ) + ordered_sum(
+            params.alu_power * wl / params.alu_frequency for wl in alu_wl
+        ),
+        # No macro: the fixed overhead's crossbar term alone.
+        "crossbar_fixed": fixed_overhead_power(
+            geos, [], params, budget.xb_size, task.res_dac
+        ),
+        "peripheral_power": budget.peripheral_power,
+        "adc_power_unit": params.adc_power_of(max(resolutions)),
+        "rram_power": sum(geo.crossbars for geo in geos)
+        * params.crossbar_power_of(budget.xb_size),
+    }
+
+
+#: Default-config (model, power) grids whose every task's context row
+#: is checked, and with numpy blocked, their synthesis digests.
+CONTEXT_GRIDS = (
+    ("lenet5", 2.0), ("alexnet_cifar", 20.0), ("vgg16_cifar", 40.0),
+    ("resnet18_cifar", 60.0),
+)
+
+
+class TestGridContexts:
+    """The stacked population contexts the task grid builds: every
+    per-row column of every task of four default-config queues ``==``
+    the scalar oracle's helpers, and the shared fields are the grid's
+    model context and the config's settings."""
+
+    @pytest.mark.parametrize("name,power", CONTEXT_GRIDS)
+    def test_rows_match_the_scalar_helpers(self, name, power):
+        model = zoo.by_name(name)
+        config = SynthesisConfig(total_power=power, seed=1)
+        engine, tasks = _engine_and_tasks(model, config)
+        grid = GridBoundEvaluator(model, config)
+        context = grid.population_context(grid.build_grid(tasks))
+        assert context.num_rows == len(tasks) > 2000
+        runner = engine._local_runner
+        columns = {
+            name: getattr(context, name).tolist() for name in _ROW_FIELDS
+        }
+        for k, task in enumerate(tasks):
+            want = _oracle_row(runner, task)
+            spec, budget = runner.spec_and_budget(task)
+            precomputed = BatchPerformanceEvaluator(
+                spec, budget, task.res_dac,
+                model_context=grid.model_context,
+            ).context
+            for field in _ROW_FIELDS:
+                got = columns[field][k]
+                assert got == want[field], f"{name} task {k} {field}"
+                assert [got] == getattr(precomputed, field).tolist(), (
+                    f"{name} task {k} {field} (precomputed)"
+                )
+
+    @pytest.mark.parametrize("sharing,specialized", [
+        (True, True), (True, False), (False, True),
+    ])
+    def test_shared_fields(self, sharing, specialized):
+        model = zoo.by_name("resnet18_cifar")
+        config = SynthesisConfig.fast(
+            total_power=60.0, seed=7, enable_macro_sharing=sharing,
+            specialized_macros=specialized,
+        )
+        _engine, tasks = _engine_and_tasks(model, config)
+        grid = GridBoundEvaluator(model, config)
+        first = grid.population_context(grid.build_grid(tasks[:16]))
+        second = grid.population_context(grid.build_grid(tasks[16:]))
+        shared = grid.model_context
+        for context in (first, second):
+            for field in (
+                "comm_producer", "comm_consumer", "lat_producer",
+                "out_slots", "levels",
+            ):
+                assert getattr(context, field) is getattr(shared, field)
+            assert context.enable_macro_sharing is sharing
+            assert context.identical_macros is (not specialized)
+            assert context.macs2 == shared.macs2
+            assert context.overlap_window == 4
+        assert first.num_rows == 16
+        assert second.num_rows == len(tasks) - 16
 
 
 class TestFullSynthesisIdentity:
