@@ -35,9 +35,9 @@ it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -162,12 +162,13 @@ class TaskGrid:
 class PopulationContext:
     """Gene-independent context for fused population scoring.
 
-    Each row is one (spec, budget, ResDAC) evaluation function.
-    :class:`repro.core.batch_eval.BatchPerformanceEvaluator` builds a
-    one-row context per task, and :func:`stack_contexts` stacks the
-    rows of many tasks of one model, so one kernel call can score the
-    genes of many EA launches. Per-row arrays are numpy float64/int64
-    with a leading row axis, like :class:`TaskGrid`'s. The inter-layer
+    Each row is one (spec, budget, ResDAC) evaluation function. The
+    task grid builds the rows of a chunk of tasks of one model under
+    one config in one pass (:meth:`repro.core.grid_eval.
+    GridBoundEvaluator.population_context`), so one kernel call can
+    score the genes of many EA launches. Per-row arrays are numpy
+    float64/int64 with a leading row axis, like :class:`TaskGrid`'s,
+    from whose columns they are built. The inter-layer
     edges, in ``spec.model.interlayer_edges()`` order, are shared by
     every row and come as gene-free index arrays, so the kernel's
     Python loops run over out-edge slots and topological levels rather
@@ -248,55 +249,6 @@ _ROW_FIELDS = frozenset({
     "merge_layers", "lat_fraction", "denom", "crossbar_fixed",
     "peripheral_power", "adc_power_unit", "rram_power",
 })
-
-
-def _same(a, b) -> bool:
-    """Exact equality of two shared context fields (nested tuples of
-    arrays, arrays or scalars). Contexts built over one
-    :class:`~repro.core.batch_eval.ModelContext` share its arrays, so
-    identity answers first."""
-    if a is b:
-        return True
-    if isinstance(a, tuple):
-        return (isinstance(b, tuple) and len(a) == len(b)
-                and all(_same(x, y) for x, y in zip(a, b)))
-    if isinstance(a, _np.ndarray):
-        return (isinstance(b, _np.ndarray) and a.dtype == b.dtype
-                and _np.array_equal(a, b))
-    return type(a) is type(b) and a == b
-
-
-def stack_contexts(
-    contexts: Sequence[PopulationContext],
-) -> PopulationContext:
-    """One context holding the rows of ``contexts``, in order.
-
-    The shared fields (the model's edges and the hardware, model and
-    config scalars) must be equal in every context, or
-    :class:`~repro.errors.ConfigurationError` is raised: only tasks of
-    one model under one config stack.
-    """
-    if not contexts:
-        raise ConfigurationError("stack_contexts needs a context")
-    head = contexts[0]
-    values = {}
-    for spec in fields(PopulationContext):
-        name = spec.name
-        if name in _ROW_FIELDS:
-            continue
-        value = values[name] = getattr(head, name)
-        for context in contexts[1:]:
-            if not (context.num_layers == head.num_layers
-                    and _same(value, getattr(context, name))):
-                raise ConfigurationError(
-                    f"contexts differ in the shared field {name!r}: "
-                    "only one model's tasks under one config stack"
-                )
-    for name in _ROW_FIELDS:
-        values[name] = _np.concatenate(
-            [getattr(context, name) for context in contexts]
-        )
-    return PopulationContext(**values)
 
 
 #: Every :class:`BatchEvaluation` field, in the order :meth:`BatchEvaluation.

@@ -107,7 +107,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.core.synthesizer import SynthesisReport
 
 from repro.core.backend import numpy_available
-from repro.core.batch_eval import ModelContext
+from repro.core.batch_eval import BatchPerformanceEvaluator
 from repro.core.config import SynthesisConfig, objective_vector
 from repro.core.dataflow import make_spec
 from repro.core.design_space import DesignPoint, DesignSpace
@@ -129,6 +129,7 @@ from repro.errors import InfeasibleError, SynthesisInterrupted
 from repro.hardware.params import HardwareParams
 from repro.hardware.tech import DEFAULT_TECHNOLOGY
 from repro.hardware.power import PowerBudget
+from repro.ir.builder import DataflowSpec
 from repro.nn.model import CNNModel
 from repro.optim.evolution import evolve_together
 from repro.utils.rng import SeedSequence
@@ -391,7 +392,16 @@ class _TaskRunner:
         self.cache: Dict[Hashable, object] = dict(warm_memo or ())
         self._model_key = model_fingerprint(model)
         self._params_key = params_fingerprint(config.params)
-        self._model_context: Optional[ModelContext] = None
+        self._grid: Optional[GridBoundEvaluator] = None
+
+    @property
+    def grid_evaluator(self) -> GridBoundEvaluator:
+        """The runner's one task grid, built on first use (it needs
+        numpy): the engine's pruning bounds and every chunk's
+        population context come from it."""
+        if self._grid is None:
+            self._grid = GridBoundEvaluator(self.model, self.config)
+        return self._grid
 
     def filter_candidates(
         self, points: Sequence[DesignPoint]
@@ -423,9 +433,9 @@ class _TaskRunner:
             lists[position] = found
         return lists
 
-    def spec_and_budget(self, task: EvaluationTask):
-        """The stage-2 spec and Eq. 3 budget a task evaluates under."""
-        spec = make_spec(
+    def spec_of(self, task: EvaluationTask) -> DataflowSpec:
+        """The stage-2 spec a task evaluates under."""
+        return make_spec(
             self.model, task.wt_dup,
             xb_size=task.point.xb_size,
             res_rram=task.point.res_rram,
@@ -433,36 +443,63 @@ class _TaskRunner:
             params=self.config.params,
             max_blocks_per_layer=self.config.max_blocks_per_layer,
         )
-        budget = PowerBudget(
+
+    def budget_of(self, task: EvaluationTask) -> PowerBudget:
+        """The Eq. 3 budget a task evaluates under."""
+        return PowerBudget(
             total_power=self.config.total_power,
             ratio_rram=task.point.ratio_rram,
             xb_size=task.point.xb_size,
             res_rram=task.point.res_rram,
             num_crossbars=task.point.num_crossbars,
         )
-        return spec, budget
 
-    def make_explorer(self, task: EvaluationTask) -> MacroPartitionExplorer:
+    def make_explorer(
+        self, task: EvaluationTask, caps: Optional[Sequence[int]] = None
+    ) -> MacroPartitionExplorer:
         """Build the stage-3 explorer for a task (shared by run/score).
 
-        Every EA launch this worker runs scores whole populations
-        through the explorer's batched engine when numpy imports — the
-        serial executor and each pool worker batch their task queues'
-        evaluations identically. The runner builds the model's
-        :class:`~repro.core.batch_eval.ModelContext` once and hands it
-        to every explorer, so the contexts of a wave share it.
+        Its spec is built the first time the scalar oracle needs it,
+        and right away when ``caps``, the task's rule-c caps, are not
+        given (:meth:`launches` gives them).
         """
-        spec, budget = self.spec_and_budget(task)
-        if self._model_context is None and numpy_available():
-            self._model_context = ModelContext.of(self.model)
         return MacroPartitionExplorer(
-            spec=spec, budget=budget, res_dac=task.res_dac,
-            config=self.config, rng=self.seeds.spawn(task.seed_label),
+            spec=partial(self.spec_of, task), budget=self.budget_of(task),
+            res_dac=task.res_dac, config=self.config,
+            rng=self.seeds.spawn(task.seed_label),
             cache=self.cache,
             cache_context=task.context_key(
                 self._model_key, self._params_key
             ),
-            model_context=self._model_context,
+            caps=caps,
+        )
+
+    def launches(
+        self, tasks: Sequence[EvaluationTask]
+    ) -> Tuple[
+        List[MacroPartitionExplorer], Optional[BatchPerformanceEvaluator]
+    ]:
+        """The explorers of a chunk's lock-stepped launches, in task
+        order, and the batched evaluator that scores them, whose
+        context row ``k`` is ``tasks[k]``'s.
+
+        When numpy imports, one pass over the chunk's task grid
+        (:meth:`~repro.core.grid_eval.GridBoundEvaluator.
+        population_context`) gives the stacked context and every
+        launch's rule-c caps, so no launch builds a spec or a scalar
+        evaluator. Without numpy each explorer builds its spec, and
+        the evaluator is None: the launches score through the scalar
+        oracle.
+        """
+        if not numpy_available():
+            return [self.make_explorer(task) for task in tasks], None
+        grid = self.grid_evaluator.build_grid(tasks)
+        explorers = [
+            self.make_explorer(task, caps=caps)
+            for task, caps in zip(tasks, grid.group_cap.tolist())
+        ]
+        return explorers, BatchPerformanceEvaluator.over(
+            self.grid_evaluator.population_context(grid)
         )
 
     def run_pareto_tasks(
@@ -484,7 +521,7 @@ class _TaskRunner:
         from repro.optim.nsga import NSGA2Engine
 
         objectives = tuple(self.config.objectives)
-        explorers = [self.make_explorer(item.task) for item in items]
+        explorers, evaluator = self.launches([item.task for item in items])
         engines, populations = [], []
         for item, explorer in zip(items, explorers):
             context = item.task.context_key(
@@ -509,7 +546,7 @@ class _TaskRunner:
             if item.inject is not None:
                 population = [tuple(item.inject)] + population
             populations.append(population)
-        scorer = PopulationScorer(explorers)
+        scorer = PopulationScorer(explorers, evaluator)
         fronts = evolve_together(
             engines, populations,
             lambda genes, lanes: [
@@ -559,9 +596,8 @@ class _TaskRunner:
 
     def throughput_bound(self, task: EvaluationTask) -> float:
         """Analytical upper bound used for dominated-task pruning."""
-        spec, budget = self.spec_and_budget(task)
         return throughput_upper_bound(
-            spec, budget,
+            self.spec_of(task), self.budget_of(task),
             enable_macro_sharing=self.config.enable_macro_sharing,
         )
 
@@ -577,10 +613,10 @@ class _TaskRunner:
         Its metrics are its winner's fields from the chunk's one
         winner-scoring call.
         """
-        explorers = [self.make_explorer(task) for task in tasks]
+        explorers, evaluator = self.launches(tasks)
         outcomes = []
         for task, explorer, found in zip(
-            tasks, explorers, explore_together(explorers)
+            tasks, explorers, explore_together(explorers, evaluator)
         ):
             outcome = TaskOutcome(
                 index=task.index,
@@ -763,7 +799,6 @@ class ExplorationEngine:
         self._local_runner = _TaskRunner(
             model, config, warm_memo=self._warm_memo
         )
-        self._grid_evaluator = None  # lazy GridBoundEvaluator
 
     def _log(self, message: str) -> None:
         if self.progress is not None:
@@ -1020,7 +1055,7 @@ class ExplorationEngine:
     def _task_bounds(self, tasks: List[EvaluationTask]) -> List[float]:
         """Pruning bounds for a whole queue, aligned with ``tasks``.
 
-        One pass through the tensorized grid evaluator
+        One pass through the local runner's task grid
         (:mod:`repro.core.grid_eval`) when numpy imports; otherwise the
         per-task scalar walk. Grid and scalar bounds are bit-identical
         (the differential suite's pinned claim), so both order and
@@ -1028,11 +1063,7 @@ class ExplorationEngine:
         """
         if not numpy_available():
             return [self._local_runner.throughput_bound(t) for t in tasks]
-        if self._grid_evaluator is None:
-            self._grid_evaluator = GridBoundEvaluator(
-                self.model, self.config
-            )
-        return self._grid_evaluator.bounds(tasks)
+        return self._local_runner.grid_evaluator.bounds(tasks)
 
     def _evaluate_queue(
         self,

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.backend import (
     PopulationContext,
@@ -87,12 +87,11 @@ class ModelContext:
     shares across its rows, and ``2 * MACs``. None of it depends on a
     task, so a :class:`GridBoundEvaluator` builds it once and every
     context it builds shares these arrays by identity.
-    ``producers_of[idx]`` lists layer ``idx``'s producers in the order
-    of the ``lat_*`` edges, for the per-task pipeline fractions.
+    ``lat_consumer`` holds each ``lat_*`` edge's consumer, for the
+    per-task pipeline fractions.
     """
 
     model: CNNModel
-    producers_of: Tuple[Tuple[int, ...], ...]
     comm_producer: "object"  # (E,) int64
     comm_consumer: "object"  # (E,) int64
     lat_producer: "object"  # (E,) int64
@@ -156,7 +155,6 @@ class ModelContext:
             levels.append((consumers, lat_producer[edges], edges))
         return cls(
             model=model,
-            producers_of=producers_of,
             comm_producer=np.repeat(
                 np.arange(n, dtype=np.int64), out_degree
             ),
@@ -253,7 +251,7 @@ class GridBoundEvaluator:
         # task has named, stacked into arrays on the next gather.
         self._combos: Dict[Tuple[int, int, int], int] = {}
         self._combo_rows: List[Tuple] = []
-        self._tables: List = []
+        self._tables: Optional[List] = None
 
     # ------------------------------------------------------------------
     # Per-combo quantities
@@ -308,8 +306,9 @@ class GridBoundEvaluator:
             if row is None:
                 row = combos[key] = len(self._combo_rows)
                 self._combo_rows.append(self._combo_row(*key))
+                self._tables = None
             index.append(row)
-        if len(self._tables) != len(self._combo_rows):
+        if self._tables is None:
             self._tables = [
                 np.asarray(column) for column in zip(*self._combo_rows)
             ]

@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from typing import (
+    Callable,
     Dict,
     Hashable,
     List,
@@ -31,10 +32,11 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro.core.backend import ENCODING_BASE, numpy_available
-from repro.core.batch_eval import BatchPerformanceEvaluator, ModelContext
+from repro.core.batch_eval import BatchPerformanceEvaluator
 from repro.core.component_alloc import (
     ComponentAllocation,
     allocate_components,
@@ -45,12 +47,12 @@ from repro.errors import ConfigurationError, InfeasibleError, PimsynError
 from repro.hardware.power import PowerBudget
 from repro.ir.builder import DataflowSpec
 from repro.optim.evolution import EvolutionEngine, evolve_together
-from repro.utils.rng import randbelow
 
 Gene = Tuple[int, ...]
 
-#: ``mutate_num``'s #macros steps.
+#: ``mutate_num``'s #macros steps, and the bit length of its draw.
 _DELTAS = (-2, -1, 1, 2)
+_DELTA_BITS = len(_DELTAS).bit_length()
 
 #: The float metrics a gene's evaluation shares with BatchEvaluation.
 _METRIC_FIELDS = (
@@ -164,38 +166,63 @@ class MacroPartitionExplorer:
     gene), this explorer's :meth:`score` / :meth:`score_fields` gene by
     gene otherwise. Either way :meth:`score` remains the scalar
     reference for individual genes (winner materialization, tests).
-    ``model_context`` is the batched engine's model-level half
-    (:class:`~repro.core.batch_eval.ModelContext`), when the caller
-    keeps one for many explorers of ``spec.model``.
+
+    ``spec`` may also be a zero-argument callable that builds the spec.
+    A DSE launch passes one, with ``caps``, its rule-c caps from the
+    task grid (:attr:`~repro.core.backend.TaskGrid.group_cap`): a
+    launch its chunk's batched evaluator scores then builds neither
+    its spec nor its scalar evaluator, and :attr:`spec` builds the spec
+    the first time the scalar oracle needs it.
     """
 
     def __init__(
         self,
-        spec: DataflowSpec,
+        spec: Union[DataflowSpec, Callable[[], DataflowSpec]],
         budget: PowerBudget,
         res_dac: int,
         config: SynthesisConfig,
         rng: random.Random,
         cache: Optional[MutableMapping] = None,
         cache_context: Optional[Hashable] = None,
-        model_context: Optional[ModelContext] = None,
+        caps: Optional[Sequence[int]] = None,
     ) -> None:
-        self.spec = spec
+        self._spec = spec
         self.budget = budget
         self.res_dac = res_dac
         self.config = config
         self.rng = rng
         self.cache = cache
         self.cache_context = cache_context
-        self.model_context = model_context
         self._batch_evaluator: Optional[BatchPerformanceEvaluator] = None
+        self._evaluator: Optional[PerformanceEvaluator] = None
         self.last_report = None  # EvolutionReport of the latest EA run
-        self.evaluator = PerformanceEvaluator(spec, budget)
+        if caps is None:
+            caps = [
+                min(geo.wt_dup * geo.row_tiles, geo.crossbars)
+                for geo in self.spec.geometries
+            ]
         # Rule c caps: WtDup * row-tile count, and >= 1 crossbar per macro.
-        self.caps: List[int] = []
-        for geo in spec.geometries:
-            cap = min(geo.wt_dup * geo.row_tiles, geo.crossbars)
-            self.caps.append(max(1, min(cap, ENCODING_BASE - 1)))
+        self.caps: List[int] = [
+            max(1, min(cap, ENCODING_BASE - 1)) for cap in caps
+        ]
+        # The bit lengths of the operators' fixed-range draws.
+        self._cap_bits = [cap.bit_length() for cap in self.caps]
+        self._layer_bits = len(self.caps).bit_length()
+
+    @property
+    def spec(self) -> DataflowSpec:
+        """The stage-2 spec, built on first use when given as a
+        callable."""
+        if callable(self._spec):
+            self._spec = self._spec()
+        return self._spec
+
+    @property
+    def evaluator(self) -> PerformanceEvaluator:
+        """The scalar oracle's evaluator, built on first use."""
+        if self._evaluator is None:
+            self._evaluator = PerformanceEvaluator(self.spec, self.budget)
+        return self._evaluator
 
     # ------------------------------------------------------------------
     # Evaluation plumbing
@@ -282,7 +309,6 @@ class MacroPartitionExplorer:
                 self.res_dac,
                 enable_macro_sharing=self.config.enable_macro_sharing,
                 identical_macros=not self.config.specialized_macros,
-                model_context=self.model_context,
             )
         return self._batch_evaluator
 
@@ -290,18 +316,29 @@ class MacroPartitionExplorer:
     # Population initialization
     # ------------------------------------------------------------------
     def initial_population(self, size: int) -> List[Gene]:
-        """Seed genes: one-macro-per-layer, cap-sized, and random mixes."""
-        n_layers = self.spec.num_layers
+        """Seed genes: one-macro-per-layer, cap-sized, and random mixes.
+
+        Every layer owns its group and every count lies in ``[1,
+        cap]``, so the genes are built directly: :func:`encode_gene`'s
+        checks cannot fail on them. Each random count is
+        ``rng.randint(1, cap)``'s draw, decoded from ``getrandbits``
+        in place like :meth:`mutate_num`'s.
+        """
+        owned = [index * ENCODING_BASE for index in range(len(self.caps))]
         population: List[Gene] = [
-            encode_gene(range(n_layers), [1] * n_layers)
+            tuple(base + 1 for base in owned),
+            tuple(base + cap for base, cap in zip(owned, self.caps)),
         ]
-        population.append(
-            encode_gene(range(n_layers), list(self.caps))
-        )
+        getrandbits = self.rng.getrandbits
+        draws = list(zip(owned, self.caps, self._cap_bits))
         while len(population) < size:
-            # 1 + randbelow(cap): rng.randint(1, cap)'s draw.
-            counts = [1 + randbelow(self.rng, cap) for cap in self.caps]
-            population.append(encode_gene(range(n_layers), counts))
+            gene = []
+            for base, cap, bits in draws:
+                count = getrandbits(bits)  # randbelow(rng, cap)
+                while count >= cap:
+                    count = getrandbits(bits)
+                gene.append(base + 1 + count)
+            population.append(tuple(gene))
         return population
 
     # ------------------------------------------------------------------
@@ -312,26 +349,42 @@ class MacroPartitionExplorer:
 
         Edits the encoded gene in place of a decode/encode round trip,
         with the same draws and the same result on every valid gene.
-        Draws are :func:`repro.utils.rng.randbelow`: ``rng.randrange``
-        and ``rng.choice``'s values and RNG states.
+        Each draw is :func:`repro.utils.rng.randbelow`'s, decoded from
+        ``rng.getrandbits`` in place with the bit lengths the explorer
+        computed once, as :meth:`repro.core.weight_duplication.
+        WeightDuplicationFilter.draw_moves` does: ``rng.randrange``
+        and ``rng.choice``'s values and RNG states, without a call per
+        draw.
         """
-        index = randbelow(rng, len(gene))
+        getrandbits = rng.getrandbits
+        n_layers = len(gene)
+        index = getrandbits(self._layer_bits)  # randbelow(rng, n_layers)
+        while index >= n_layers:
+            index = getrandbits(self._layer_bits)
         target = gene[index] // ENCODING_BASE  # the group's owner
         cap = self.caps[target]
         if cap == 1:
             return gene
-        delta = _DELTAS[randbelow(rng, len(_DELTAS))]
+        step = getrandbits(_DELTA_BITS)  # randbelow(rng, len(_DELTAS))
+        while step >= len(_DELTAS):
+            step = getrandbits(_DELTA_BITS)
         value = gene[target]
         count = value % ENCODING_BASE
-        value += max(1, min(cap, count + delta)) - count
+        value += max(1, min(cap, count + _DELTAS[step])) - count
         return gene[:target] + (value,) + gene[target + 1:]
 
     def mutate_share(self, gene: Gene, rng: random.Random) -> Gene:
         """Toggle pair-sharing status of one randomly chosen layer
-        (on the encoded gene, like :meth:`mutate_num`)."""
+        (on the encoded gene, drawing like :meth:`mutate_num`). Layer
+        ``i`` shares exactly when ``gene[i] < i * ENCODING_BASE``: its
+        owner is below ``i``."""
         if not self.config.enable_macro_sharing:
             return gene
-        index = randbelow(rng, len(gene))
+        getrandbits = rng.getrandbits
+        n_layers = len(gene)
+        index = getrandbits(self._layer_bits)  # randbelow(rng, n_layers)
+        while index >= n_layers:
+            index = getrandbits(self._layer_bits)
         owner, count = divmod(gene[index], ENCODING_BASE)
         if owner != index:
             # Currently sharing: dissolve the pair.
@@ -339,17 +392,23 @@ class MacroPartitionExplorer:
         else:
             # Currently an owner: try to share with an earlier eligible
             # owner.
-            owners = [value // ENCODING_BASE for value in gene]
-            shared_owners = {o for i, o in enumerate(owners) if o != i}
+            shared_owners = {
+                value // ENCODING_BASE
+                for i, value in enumerate(gene) if value < i * ENCODING_BASE
+            }
             if index in shared_owners:
                 return gene  # someone shares with us already (pairs only)
             candidates = [
                 j for j in range(index)
-                if owners[j] == j and j not in shared_owners
+                if gene[j] > j * ENCODING_BASE and j not in shared_owners
             ]
             if not candidates:
                 return gene
-            partner = candidates[randbelow(rng, len(candidates))]
+            bits = len(candidates).bit_length()
+            pick = getrandbits(bits)  # randbelow(rng, len(candidates))
+            while pick >= len(candidates):
+                pick = getrandbits(bits)
+            partner = candidates[pick]
         return (
             gene[:index] + (partner * ENCODING_BASE + count,)
             + gene[index + 1:]
@@ -428,22 +487,33 @@ class PopulationScorer:
     the position of the explorer that scores ``genes[k]``.
 
     When numpy imports, each call is one :meth:`~repro.core.batch_eval.
-    BatchPerformanceEvaluator.evaluate_population` over the explorers'
-    stacked contexts; otherwise each gene goes through its explorer's
-    scalar oracle (:meth:`~MacroPartitionExplorer.score` /
+    BatchPerformanceEvaluator.evaluate_population` of ``evaluator``,
+    whose context row ``k`` scores ``explorers[k]``: a task runner's
+    chunk evaluator, built over the task grid, or a lone explorer's
+    own :attr:`~MacroPartitionExplorer.batch_evaluator` when none is
+    given. Otherwise each gene goes through its explorer's scalar
+    oracle (:meth:`~MacroPartitionExplorer.score` /
     :meth:`~MacroPartitionExplorer.score_fields`). The two give ``==``
     values, and a gene's value never depends on the other genes in the
     call.
     """
 
-    def __init__(self, explorers: Sequence[MacroPartitionExplorer]) -> None:
+    def __init__(
+        self,
+        explorers: Sequence[MacroPartitionExplorer],
+        evaluator: Optional[BatchPerformanceEvaluator] = None,
+    ) -> None:
         if numpy_available():
-            stacked = BatchPerformanceEvaluator.stack(
-                [explorer.batch_evaluator for explorer in explorers]
-            )
-            self.fitness = stacked.fitness_of
+            if evaluator is None:
+                if len(explorers) != 1:
+                    raise ConfigurationError(
+                        "the scorer of several explorers needs their "
+                        "chunk's batched evaluator"
+                    )
+                evaluator = explorers[0].batch_evaluator
+            self.fitness = evaluator.fitness_of
             self.rows = lambda genes, lanes: (
-                stacked.evaluate_population(genes, lanes).rows()
+                evaluator.evaluate_population(genes, lanes).rows()
             )
         else:
             self.fitness = lambda genes, lanes: [
@@ -464,6 +534,7 @@ Explored = Optional[Tuple[Gene, Dict[str, object]]]
 
 def explore_together(
     explorers: Sequence[MacroPartitionExplorer],
+    evaluator: Optional[BatchPerformanceEvaluator] = None,
 ) -> List[Explored]:
     """Run the EAs of ``explorers`` in lock-step: each one's best
     feasible gene with its fields, or None when its search found no
@@ -473,13 +544,13 @@ def explore_together(
     builds it alone, on its own RNG, memo keys and report
     (``last_report``), and all of them run under one
     :func:`repro.optim.evolution.evolve_together`. Each round scores
-    every launch's memo misses with one :class:`PopulationScorer` call,
-    so each launch returns what it returns alone. The explorers must
-    score one model under one config and share one memo (a task
-    runner's). The winners' fields come from one more call of the same
-    scorer over all of them; the design that ships is the one held
-    ``==`` to the scalar oracle
-    (:meth:`~MacroPartitionExplorer.score_winner`).
+    every launch's memo misses with one :class:`PopulationScorer` call
+    (over ``evaluator``, the explorers' chunk evaluator), so each
+    launch returns what it returns alone. The explorers must score one
+    model under one config and share one memo (a task runner's). The
+    winners' fields come from one more call of the same scorer over
+    all of them; the design that ships is the one held ``==`` to the
+    scalar oracle (:meth:`~MacroPartitionExplorer.score_winner`).
     """
     if not explorers:
         return []
@@ -492,7 +563,7 @@ def explore_together(
         populations.append(
             explorer.initial_population(explorer.config.ea_population_size)
         )
-    scorer = PopulationScorer(explorers)
+    scorer = PopulationScorer(explorers, evaluator)
     best = evolve_together(engines, populations, scorer.fitness)
     lanes = [
         lane for lane, (_gene, fitness) in enumerate(best)

@@ -28,20 +28,17 @@ import pytest
 
 from repro.core import Pimsyn, SynthesisConfig
 from repro.core.backend import numpy_available
-from repro.core.batch_eval import (
-    BATCH_FIELDS,
-    DEFERRED_FIELDS,
-    BatchPerformanceEvaluator,
-    ModelContext,
-)
+from repro.core.batch_eval import BATCH_FIELDS, DEFERRED_FIELDS
 from repro.core.dataflow import make_spec
+from repro.core.design_space import DesignPoint
+from repro.core.executor import EvaluationTask, _TaskRunner
 from repro.core.macro_partition import (
     MacroPartition,
     MacroPartitionExplorer,
     PopulationScorer,
     encode_gene,
 )
-from repro.errors import ConfigurationError, PimsynError
+from repro.errors import ConfigurationError
 from repro.hardware.params import HardwareParams
 from repro.hardware.power import PowerBudget
 from repro.nn import zoo
@@ -258,26 +255,42 @@ class TestRiskyKernelCases:
 
 @needs_numpy
 class TestStackedRows:
-    """One model's task contexts stacked into one
-    (``BatchPerformanceEvaluator.stack``), as a lock-stepped wave of EA
-    launches scores them: a population that mixes every row's genes
-    scores ``==``, on every field, to each gene's own context."""
+    """One model's task contexts stacked into one by the task grid (a
+    task runner's chunk, ``_TaskRunner.launches``), as a lock-stepped
+    wave of EA launches scores them: a population that mixes every
+    row's genes scores ``==``, on every field, to each gene's own
+    context."""
 
-    #: (power, ResDAC, XbSize, WtDup) per row: budgets from infeasible
-    #: to generous, three DAC resolutions, two crossbar sizes (row
-    #: tiling, so the merge-layer masks differ) and two duplications
-    #: (block counts and pipeline fractions).
+    #: (RatioRram, ResDAC, XbSize, WtDup) per row at 200 W: peripheral
+    #: budgets from infeasible to generous, three DAC resolutions, two
+    #: crossbar sizes (row tiling, so the merge-layer masks differ) and
+    #: two duplications (block counts and pipeline fractions).
     ROWS = (
-        (0.5, 1, 128, 1), (8.0, 2, 128, 1), (50.0, 4, 256, 2),
-        (200.0, 1, 256, 1), (8.0, 1, 128, 2),
+        (0.99825, 1, 128, 1), (0.972, 2, 128, 1), (0.825, 4, 256, 2),
+        (0.3, 1, 256, 1), (0.972, 1, 128, 2),
     )
 
-    def _rows(self, model, **knobs):
-        return [
-            _explorer(model, power, res_dac=res_dac, xb_size=xb_size,
-                      wt_dup=wt_dup, **knobs)
-            for power, res_dac, xb_size, wt_dup in self.ROWS
+    def _rows(self, model, sharing=True, specialized=True):
+        """The chunk of ``ROWS``' tasks on one runner: its explorers,
+        in row order, and their stacked evaluator."""
+        config = SynthesisConfig.fast(
+            total_power=200.0, enable_macro_sharing=sharing,
+            specialized_macros=specialized,
+        )
+        n = model.num_weighted_layers
+        tasks = [
+            EvaluationTask(
+                index=row,
+                point=DesignPoint(
+                    ratio_rram=ratio, res_rram=2, xb_size=xb_size,
+                    num_crossbars=4096,
+                ),
+                wt_dup=(wt_dup,) * n, res_dac=res_dac,
+            )
+            for row, (ratio, res_dac, xb_size, wt_dup)
+            in enumerate(self.ROWS)
         ]
+        return _TaskRunner(model, config).launches(tasks)
 
     @pytest.mark.parametrize("sharing,specialized", [
         (True, True), (True, False), (False, True), (False, False),
@@ -286,11 +299,8 @@ class TestStackedRows:
     def test_mixed_rows_match_each_context(
         self, name, sharing, specialized
     ):
-        explorers = self._rows(
+        explorers, stacked = self._rows(
             zoo.by_name(name), sharing=sharing, specialized=specialized
-        )
-        stacked = BatchPerformanceEvaluator.stack(
-            [explorer.batch_evaluator for explorer in explorers]
         )
         assert stacked.context.num_rows == len(self.ROWS)
         alone, entries = [], []
@@ -317,58 +327,23 @@ class TestStackedRows:
         assert any(feasible) and not all(feasible)
 
     def test_one_row_is_its_own_stack(self):
-        explorer = _explorer(zoo.by_name("lenet5"), 2.0)
-        evaluator = explorer.batch_evaluator
-        assert BatchPerformanceEvaluator.stack([evaluator]) is evaluator
-        genes = _population(explorer, size=8)
-        assert evaluator.fitness_of(genes, [0] * len(genes)) == (
-            evaluator.fitness_of(genes)
+        """A one-task chunk scores like the task's own evaluator, with
+        or without rows."""
+        runner = _TaskRunner(
+            zoo.by_name("lenet5"), SynthesisConfig.fast(total_power=2.0)
         )
-
-    def test_only_one_models_tasks_under_one_config_stack(self):
-        lenet = _explorer(zoo.by_name("lenet5"), 2.0).batch_evaluator
-        for other in (
-            _explorer(zoo.by_name("alexnet_cifar"), 2.0),
-            _explorer(zoo.by_name("lenet5"), 2.0, sharing=False),
-            _explorer(zoo.by_name("lenet5"), 2.0, specialized=False),
-        ):
-            with pytest.raises(ConfigurationError, match="shared field"):
-                BatchPerformanceEvaluator.stack(
-                    [lenet, other.batch_evaluator]
-                )
-
-    def test_one_model_context_is_shared_by_identity(self):
-        """Explorers built over one ModelContext share its arrays, so
-        their stack keeps the very objects, and a context of another
-        model is refused."""
-        model = zoo.by_name("resnet18_cifar")
-        shared = ModelContext.of(model)
-        explorers = self._rows(model)
-        for explorer in explorers:
-            explorer.model_context = shared
-        contexts = [
-            explorer.batch_evaluator.context for explorer in explorers
-        ]
-        stacked = BatchPerformanceEvaluator.stack(
-            [explorer.batch_evaluator for explorer in explorers]
-        ).context
-        for name in (
-            "comm_producer", "comm_consumer", "lat_producer",
-            "out_slots", "levels",
-        ):
-            assert getattr(stacked, name) is getattr(shared, name)
-            for context in contexts:
-                assert getattr(context, name) is getattr(shared, name)
-        lenet = _explorer(zoo.by_name("lenet5"), 2.0)
-        lenet.model_context = shared
-        with pytest.raises(ConfigurationError, match="model context"):
-            lenet.batch_evaluator
+        task = EvaluationTask(
+            index=0, point=DesignPoint(0.3, 2, 128, 4096),
+            wt_dup=(1,) * 5, res_dac=1,
+        )
+        (explorer,), evaluator = runner.launches([task])
+        genes = _population(explorer, size=8)
+        want = explorer.batch_evaluator.fitness_of(genes)
+        assert evaluator.fitness_of(genes, [0] * len(genes)) == want
+        assert evaluator.fitness_of(genes) == want
 
     def test_rows_must_name_a_row_per_gene(self):
-        explorers = self._rows(zoo.by_name("lenet5"))
-        stacked = BatchPerformanceEvaluator.stack(
-            [explorer.batch_evaluator for explorer in explorers]
-        )
+        explorers, stacked = self._rows(zoo.by_name("lenet5"))
         genes = _population(explorers[0], size=4)
         for rows in ([0, 1, 2], [0, 1, 2, len(self.ROWS)], [-1, 0, 0, 0]):
             with pytest.raises(ConfigurationError, match="rows"):
@@ -401,9 +376,8 @@ STAGE_FIELDS = tuple(
 def _stacked_case():
     """A stacked resnet18 context, five rows from infeasible to
     generous, scoring their genes in shuffled order."""
-    explorers = TestStackedRows()._rows(zoo.by_name("resnet18_cifar"))
-    stacked = BatchPerformanceEvaluator.stack(
-        [explorer.batch_evaluator for explorer in explorers]
+    explorers, stacked = TestStackedRows()._rows(
+        zoo.by_name("resnet18_cifar")
     )
     entries = [
         (row, gene)
@@ -526,29 +500,6 @@ class TestDeferredMetricsPass:
             assert batch.rows() == oracle
         # One metrics pass per non-empty batch, whatever the order.
         assert len(metrics_runs) == (len(READ_ORDERS) if oracle else 0)
-
-
-@needs_numpy
-class TestFixedOverheadGuard:
-    def test_a_power_model_change_under_the_kernel_raises(
-        self, monkeypatch
-    ):
-        """The kernel copies fixed_overhead_power's constants; a power
-        model that moves under it is an explicit error, not an assert
-        ``python -O`` strips."""
-        from repro.core import batch_eval
-
-        real = batch_eval.fixed_overhead_power
-
-        def one_more_watt(*args, **kwargs):
-            return real(*args, **kwargs) + 1.0
-
-        monkeypatch.setattr(
-            batch_eval, "fixed_overhead_power", one_more_watt
-        )
-        explorer = _explorer(zoo.by_name("lenet5"), 2.0)
-        with pytest.raises(PimsynError, match="fixed_overhead_power"):
-            explorer.batch_evaluator
 
 
 @needs_numpy

@@ -338,9 +338,10 @@ class TestLockstepWaves:
             if not numpy:
                 stack.enter_context(without_numpy())
             serial = self._serial(lenet, tasks)
-            runner = _TaskRunner(lenet, self.CONFIG)
-            explorers = [runner.make_explorer(task) for task in tasks]
-            together = explore_together(explorers)
+            explorers, evaluator = _TaskRunner(
+                lenet, self.CONFIG
+            ).launches(tasks)
+            together = explore_together(explorers, evaluator)
             outcomes = _TaskRunner(lenet, self.CONFIG).run_tasks(tasks)
         for explorer, found, outcome, (want, report) in zip(
             explorers, together, outcomes, serial
@@ -399,17 +400,17 @@ class TestLockstepWaves:
                 assert getattr(outcome, metric) == row[metric], metric
 
     def test_a_runners_explorers_share_the_model_context(self, lenet):
-        """Every explorer a runner makes scores over the runner's one
-        ModelContext, so a wave's contexts share the model-level arrays
-        by identity and stack without comparing them."""
+        """Every chunk a runner launches scores over its one task grid,
+        so the chunks' contexts share the grid's ModelContext arrays by
+        identity, and its launches build no spec."""
         if not numpy_available():
             pytest.skip("numpy is not installed")
         first, second = self._tasks(lenet, self.CONFIG)[:2]
         runner = _TaskRunner(lenet, self.CONFIG)
-        a, b = (
-            runner.make_explorer(task).batch_evaluator.context
-            for task in (first, second)
-        )
+        chunks = [runner.launches([task]) for task in (first, second)]
+        a, b = (evaluator.context for _explorers, evaluator in chunks)
+        for (explorer,), _evaluator in chunks:
+            assert callable(explorer._spec)
         assert a.lat_fraction is not b.lat_fraction
         for name in (
             "comm_producer", "comm_consumer", "lat_producer",

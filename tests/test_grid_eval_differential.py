@@ -23,15 +23,13 @@ import math
 
 import pytest
 
-import repro.core.executor
 from repro.core import Pimsyn, SynthesisConfig
 from repro.core.backend import _ROW_FIELDS, numpy_available
-from repro.core.batch_eval import BatchPerformanceEvaluator
 from repro.core.component_alloc import fixed_overhead_power, layer_workloads
 from repro.core.design_space import DesignSpace
 from repro.core.evaluator import PerformanceEvaluator
 from repro.core.executor import ExplorationEngine
-from repro.core.grid_eval import GridBoundEvaluator
+from repro.core.grid_eval import _COMBO_COLUMNS, GridBoundEvaluator
 from repro.core.synthesizer import SynthesisReport
 from repro.hardware.crossbar import required_adc_resolution
 from repro.ir.builder import DataflowBuilder
@@ -48,16 +46,19 @@ POWER_GRID = (0.5, 2.0, 8.0, 50.0, 200.0)
 @contextlib.contextmanager
 def _per_task_bounds():
     """Route only the executor's task bounds through the per-task scalar
-    walk; EA scoring and the SA filter stay batched, so any difference
-    comes from the bounds walk alone. Building a grid evaluator under
-    it fails the test."""
+    walk; the chunk contexts, EA scoring and the SA filter stay
+    batched, so any difference comes from the bounds walk alone. A grid
+    bound computed under it fails the test."""
 
-    def no_grid(*_args, **_kwargs):
-        raise AssertionError("grid evaluator built on the per-task walk")
+    def per_task(engine, tasks):
+        return [engine._local_runner.throughput_bound(t) for t in tasks]
+
+    def no_grid_bounds(*_args, **_kwargs):
+        raise AssertionError("grid bounds computed on the per-task walk")
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(repro.core.executor, "numpy_available", lambda: False)
-        patch.setattr(repro.core.executor, "GridBoundEvaluator", no_grid)
+        patch.setattr(ExplorationEngine, "_task_bounds", per_task)
+        patch.setattr(GridBoundEvaluator, "bounds_array", no_grid_bounds)
         yield
 
 
@@ -119,11 +120,11 @@ class TestZooBoundsBitIdentity:
         config = SynthesisConfig.fast(total_power=8.0, seed=7)
         grid_engine, tasks = _engine_and_tasks(model, config)
         grid_bounds = grid_engine._task_bounds(tasks)
-        assert grid_engine._grid_evaluator is not None
+        assert grid_engine._local_runner._grid is not None
         scalar_engine = ExplorationEngine(model, config, SynthesisReport())
         with without_numpy():
             per_task_bounds = scalar_engine._task_bounds(tasks)
-        assert scalar_engine._grid_evaluator is None
+        assert scalar_engine._local_runner._grid is None
         assert grid_bounds == per_task_bounds
 
 
@@ -133,7 +134,7 @@ def _oracle_row(runner, task):
     ``PerformanceEvaluator``'s stage-time helpers, ``layer_workloads``,
     ``allocate_components``' ordered Eq. 6 sums, ``fixed_overhead_power``
     and ``DataflowBuilder.producer_block_for`` compose it."""
-    spec, budget = runner.spec_and_budget(task)
+    spec, budget = runner.spec_of(task), runner.budget_of(task)
     params = spec.params
     geos = spec.geometries
     oracle = PerformanceEvaluator(spec, budget)
@@ -224,17 +225,30 @@ class TestGridContexts:
         }
         for k, task in enumerate(tasks):
             want = _oracle_row(runner, task)
-            spec, budget = runner.spec_and_budget(task)
-            precomputed = BatchPerformanceEvaluator(
-                spec, budget, task.res_dac,
-                model_context=grid.model_context,
-            ).context
             for field in _ROW_FIELDS:
-                got = columns[field][k]
-                assert got == want[field], f"{name} task {k} {field}"
-                assert [got] == getattr(precomputed, field).tolist(), (
-                    f"{name} task {k} {field} (precomputed)"
+                assert columns[field][k] == want[field], (
+                    f"{name} task {k} {field}"
                 )
+
+    def test_chunk_contexts_are_the_queue_rows(self):
+        """A grid that meets the queue's (XbSize, ResRram, ResDAC)
+        combos chunk by chunk, as a task runner does, builds each
+        chunk's rows as the whole queue's context holds them."""
+        model = zoo.by_name("resnet18_cifar")
+        config = SynthesisConfig(total_power=60.0, seed=1)
+        _engine, tasks = _engine_and_tasks(model, config)
+        whole = GridBoundEvaluator(model, config)
+        queue = whole.population_context(whole.build_grid(tasks))
+        grid = GridBoundEvaluator(model, config)
+        for start in range(0, len(tasks), 16):
+            chunk = grid.population_context(
+                grid.build_grid(tasks[start:start + 16])
+            )
+            for field in _ROW_FIELDS:
+                assert getattr(chunk, field).tolist() == getattr(
+                    queue, field
+                )[start:start + 16].tolist(), (start, field)
+        assert len(grid._combos) > len(_COMBO_COLUMNS)
 
     @pytest.mark.parametrize("sharing,specialized", [
         (True, True), (True, False), (False, True),
