@@ -249,20 +249,19 @@ def test_batched_backend_speedup(benchmark):
     wall time and genes/sec land in ``extra_info`` (``numpy_seconds``,
     ``numpy_genes_per_sec``).
 
-    A second row times the call the EA really makes on a residual DAG:
-    16 genes on resnet18_cifar (out-degree 4, in-degree 3), once as one
-    ``evaluate_population`` call and once as 16 scalar
-    ``explorer.score`` calls, the path an interpreter without numpy
-    runs. Both timed ``evaluate_population`` calls are the kernel's
-    stage pass, all an EA generation pays for: the record defers the
-    latency and power pass until one of its fields is read, and no
-    timed call reads one. Microseconds per 16-gene call land as
-    ``resnet18_pop16_numpy_us_per_call`` and
+    A second row times like work on a residual DAG: 16 genes on
+    resnet18_cifar (out-degree 4, in-degree 3), once as one
+    ``evaluate_population`` call whose rows are read (``rows()``, every
+    :data:`~repro.core.batch_eval.BATCH_FIELDS` field, so the record's
+    deferred latency and power pass runs too) and once as 16 scalar
+    ``explorer.score`` calls, which compute all of them, the path an
+    interpreter without numpy runs. The 256-gene row above times the
+    stage pass alone, all an EA generation pays for. Microseconds per
+    16-gene call land as ``resnet18_pop16_numpy_us_per_call`` and
     ``resnet18_pop16_scalar_us_per_call``, and numpy's speedup as
     ``resnet18_pop16_numpy_vs_scalar`` (CI gates it at >= 3). The two
-    must agree on every field, which runs the deferred pass (the cheap
-    end-to-end cross-check; the differential suite is the real
-    gate)."""
+    must agree on every field (the cheap end-to-end cross-check; the
+    differential suite is the real gate)."""
     explorer, genes = _mutation_walk(zoo.vgg13(), 120.0, 4096, 256)
     evaluator = explorer.batch_evaluator
     evaluator.evaluate_population(genes)  # warm the context
@@ -296,7 +295,7 @@ def test_batched_backend_speedup(benchmark):
 
     us_per_call = {
         "numpy": per_call_us(
-            lambda: evaluator.evaluate_population(dag_genes)
+            lambda: evaluator.evaluate_population(dag_genes).rows()
         ),
         "scalar": per_call_us(
             lambda: [explorer.score(gene) for gene in dag_genes]

@@ -2,11 +2,13 @@
 
 The grid evaluator of :mod:`repro.core.grid_eval` flattens the outer
 (design point x WtDup x ResDAC) task walk into ``(tasks, layers)``
-arrays, :mod:`repro.core.batch_eval` does the same for the inner
-``(population, layers)`` EA scoring, and the stage-1 SA filter scores
-whole proposal rounds at once. Each calls one kernel of this module:
-:func:`row_sums` (the SA filter's Eq. 4 sums), :func:`compute_bounds`
-(task-grid bounds) and :func:`score_population` (population scores).
+arrays (:class:`TaskGrid`), :mod:`repro.core.batch_eval` does the same
+for the inner ``(population, layers)`` EA scoring, under the
+:class:`PopulationContext` rows the grid builds from a chunk's
+:class:`TaskGrid`, and the stage-1 SA filter scores whole proposal
+rounds at once. Each calls one kernel of this module: :func:`row_sums`
+(the SA filter's Eq. 4 sums), :func:`compute_bounds` (task-grid
+bounds) and :func:`score_population` (population scores).
 
 Whether numpy imports is the only thing that decides whether they run.
 Without it (:func:`numpy_available` is False) no array is ever built

@@ -76,7 +76,7 @@ from repro.core.backend import (
     score_population,
 )
 from repro.core.design_space import DesignPoint
-from repro.core.grid_eval import GridBoundEvaluator, ModelContext
+from repro.core.grid_eval import GridBoundEvaluator
 from repro.errors import ConfigurationError
 from repro.hardware.power import PowerBudget
 from repro.ir.builder import DataflowSpec

@@ -37,17 +37,22 @@ Seven properties make the engine safe to parallelize and to accelerate:
 4. **Batched population scoring** — EA and NSGA-II launches score
    whole generations through one scorer
    (:class:`repro.core.macro_partition.PopulationScorer`): the batched
-   engine of :mod:`repro.core.batch_eval` when numpy imports, one gene
-   at a time through the scalar oracle without it. The two are
-   bit-identical, so whether numpy imports never enters a content
-   key; serial and multiprocessing paths both benefit because the
-   batching happens inside the worker-side runner.
-5. **Tensorized task bounds** — when numpy imports, the pruning bounds
-   of property 2 are computed for the *whole* queue in one
-   ``(tasks, layers)`` pass through :mod:`repro.core.grid_eval`;
-   without numpy, through one spec per task. The two are
-   bit-identical, so the pruning walk — one dispatch-time check per
-   task against the incumbent — makes the same decisions on either.
+   engine of :mod:`repro.core.batch_eval` over their chunk's stacked
+   context (property 5) when numpy imports, one gene at a time
+   through the scalar oracle without it. The two are bit-identical,
+   so whether numpy imports never enters a content key; serial and
+   multiprocessing paths both benefit because the batching happens
+   inside the worker-side runner.
+5. **One task grid** — when numpy imports, each runner keeps one
+   :class:`~repro.core.grid_eval.GridBoundEvaluator`. The local
+   runner's computes the pruning bounds of property 2 for the *whole*
+   queue in one ``(tasks, layers)`` pass; without numpy they come
+   through one spec per task. The two are bit-identical, so the
+   pruning walk — one dispatch-time check per task against the
+   incumbent — makes the same decisions on either. Each chunk's
+   launches get their stacked population context and rule-c caps from
+   one more pass over the chunk's grid (:meth:`_TaskRunner.launches`),
+   so a launch builds no spec and no scalar evaluator.
 6. **Lock-stepped stage 1** — one loop steps the SA filter chains of
    many outer points as moves off their round's entry states, with one
    Eq. 4 ``batch_energy`` call per round for all of them
@@ -64,7 +69,7 @@ Seven properties make the engine safe to parallelize and to accelerate:
    ``jobs`` contiguous chunks, one :meth:`_TaskRunner.run_tasks` call
    each. A chunk's launches run in lock-step
    (:func:`repro.core.macro_partition.explore_together`): one scoring
-   call per generation for all of them, over their stacked contexts
+   call per generation for all of them, over the chunk's one context
    when numpy imports, and one more for all their winners, whose
    metrics the outcomes carry. Every launch keeps its ``ea:{...}``
    RNG, memo keys and counts, so its outcome does not depend on the
@@ -72,9 +77,10 @@ Seven properties make the engine safe to parallelize and to accelerate:
    in chunks of ``WAVE_TASKS_PER_JOB`` consecutive tasks, one
    :meth:`_TaskRunner.run_pareto_tasks` call each. Only what ships is
    re-scored through the scalar oracle
-   (:meth:`ExplorationEngine._materialize_gene`): the winning design,
-   or every point of the merged front, and each metric must match
-   what its worker reported.
+   (:meth:`ExplorationEngine._materialize_gene`), and with numpy only
+   it builds a :class:`~repro.ir.builder.DataflowSpec`: the winning
+   design, or every point of the merged front, and each metric must
+   match what its worker reported.
 
 Every future scaling direction (sharding the queue across hosts, async
 backends, multi-accelerator evaluation) plugs in behind the same
@@ -375,7 +381,9 @@ class _TaskRunner:
     outer points and lock-steps their SA chains
     (:meth:`filter_candidates`). Its ``cache`` dict is
     the evaluation memo of every task it handles, pre-filled from
-    ``warm_memo`` when a synthesis resumes.
+    ``warm_memo`` when a synthesis resumes, and its one task grid
+    (:attr:`grid_evaluator`) builds the contexts its EA and NSGA-II
+    chunks score through.
     """
 
     def __init__(

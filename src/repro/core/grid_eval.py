@@ -169,14 +169,6 @@ class ModelContext:
         )
 
 
-#: The per-combo table columns :meth:`GridBoundEvaluator._gather`
-#: returns, in order.
-_COMBO_COLUMNS = (
-    "set_size", "row_tiles", "bit_slices", "merge_rounds", "adc_power",
-    "adc_power_unit", "bits", "per_crossbar_fixed", "crossbar_power",
-)
-
-
 class GridBoundEvaluator:
     """Computes pruning bounds for whole task queues in one pass, and
     the stacked population contexts of a queue's chunks.
@@ -218,7 +210,6 @@ class GridBoundEvaluator:
             rows.append(layer.weight_rows)  # type: ignore[attr-defined]
             cols.append(n_cols)
             out_positions.append(ho * wo)
-        self._row_counts = rows
         self._rows = np.asarray(rows, dtype=np.int64)
         self._cols = np.asarray(cols, dtype=np.int64)
         self._out_positions = np.asarray(out_positions, dtype=np.int64)
@@ -257,13 +248,13 @@ class GridBoundEvaluator:
     # Per-combo quantities
     # ------------------------------------------------------------------
     def _combo_row(self, xb_size: int, res_rram: int, res_dac: int):
-        """One combo's table row (:data:`_COMBO_COLUMNS`): the crossbar
-        tiling and the partial-sum merge rounds per layer, the per-layer
-        ADC power at the lossless-readout resolution and the
-        identical-macro ADC unit power at the largest of them,
-        ``ceil(PrecAct / ResDAC)`` (``DataflowSpec.bits``), the DAC +
-        sample-hold power of one crossbar, and one crossbar's read
-        power."""
+        """One combo's table row, in :meth:`build_grid`'s order: the
+        crossbar tiling (set size, row tiles, bit slices) and the
+        partial-sum merge rounds per layer, the per-layer ADC power at
+        the lossless-readout resolution and the identical-macro ADC
+        unit power at the largest of them, ``ceil(PrecAct / ResDAC)``
+        (``DataflowSpec.bits``), the DAC + sample-hold power of one
+        crossbar, and one crossbar's read power."""
         params = self.params
         tilings = [
             crossbar_tiling_summary(
@@ -277,7 +268,7 @@ class GridBoundEvaluator:
                 min(xb_size, n_rows), res_rram, res_dac,
                 min_resolution=adc_lo, max_resolution=adc_hi,
             )
-            for n_rows in self._row_counts
+            for n_rows in self._rows.tolist()
         ]
         return (
             [tiling.num_crossbars for tiling in tilings],
@@ -294,8 +285,8 @@ class GridBoundEvaluator:
         )
 
     def _gather(self, tasks: Sequence["EvaluationTask"]) -> List:
-        """Each task's row of every per-combo table, in
-        :data:`_COMBO_COLUMNS` order, by one fancy index per table."""
+        """Each task's row of every per-combo table
+        (:meth:`_combo_row`), by one fancy index per table."""
         np = numpy_module()
         combos = self._combos
         index = []

@@ -197,15 +197,29 @@ def _reference_mutate_share(explorer, gene, rng):
     return encode_gene(owners, counts)
 
 
-def _walk_explorer(sharing):
-    """lenet5 under a WtDup with several row tiles per layer, so every
-    layer's count has room to move (caps above 1)."""
-    from repro.nn import lenet5
+#: The walk explorers' models and WtDup vectors: lenet5 (5 layers)
+#: with several row tiles per layer, so every cap is above 1, and vgg8,
+#: vgg16 and resnet18_cifar (8, 16 and 21 layers: 8 and 16 are where
+#: the layer draws' bit length steps) with WtDup 1 on their first conv,
+#: whose 27 rows fit one 32-row crossbar, so its cap is 1.
+WALK_MODELS = {
+    "lenet5": [8, 4, 4, 2, 1],
+    "vgg8": [1] + [2] * 7,
+    "vgg16": [1] + [2] * 15,
+    "resnet18_cifar": [1] + [2] * 20,
+}
 
-    model = lenet5()
+
+def _walk_explorer(name, sharing):
+    """A 32-row-crossbar explorer of ``name`` under its
+    :data:`WALK_MODELS` WtDup, so most layers' counts have room to
+    move."""
+    from repro.nn import zoo
+
+    model = zoo.by_name(name)
     config = SynthesisConfig.fast(total_power=8.0, seed=3)
     config.enable_macro_sharing = sharing
-    spec = make_spec(model, [8, 4, 4, 2, 1], xb_size=32, res_rram=2,
+    spec = make_spec(model, WALK_MODELS[name], xb_size=32, res_rram=2,
                      res_dac=1, params=config.params)
     budget = PowerBudget(total_power=8.0, ratio_rram=0.3, xb_size=32,
                          res_rram=2, num_crossbars=8192)
@@ -216,7 +230,8 @@ def _walk_explorer(sharing):
 
 
 WALK_EXPLORERS = {
-    sharing: _walk_explorer(sharing) for sharing in (True, False)
+    (name, sharing): _walk_explorer(name, sharing)
+    for name in WALK_MODELS for sharing in (True, False)
 }
 
 
@@ -229,11 +244,14 @@ class TestEncodedMutations:
         seed=st.integers(0, 2**32 - 1),
         steps=st.integers(1, 80),
         sharing=st.booleans(),
+        name=st.sampled_from(sorted(WALK_MODELS)),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_walk_matches_the_reference(self, seed, steps, sharing):
-        explorer = WALK_EXPLORERS[sharing]
+    @settings(max_examples=120, deadline=None)
+    def test_walk_matches_the_reference(self, seed, steps, sharing, name):
+        explorer = WALK_EXPLORERS[name, sharing]
         assert max(explorer.caps) > 1
+        assert len(explorer.caps) == len(WALK_MODELS[name])
+        assert (1 in explorer.caps) == (name != "lenet5")
         rng = random.Random(seed)
         genes = explorer.initial_population(4)
         operators = (
@@ -252,12 +270,16 @@ class TestEncodedMutations:
             MacroPartition.from_gene(child)  # still a valid gene
             genes.append(child)
 
-    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 40))
-    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 40),
+        name=st.sampled_from(sorted(WALK_MODELS)),
+    )
+    @settings(max_examples=80, deadline=None)
     def test_initial_population_matches_the_randint_reference(
-        self, seed, size
+        self, seed, size, name
     ):
-        explorer = _walk_explorer(True)
+        explorer = _walk_explorer(name, True)
         explorer.rng = random.Random(seed)
         reference_rng = random.Random(seed)
         n_layers = len(explorer.caps)

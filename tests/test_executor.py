@@ -402,21 +402,79 @@ class TestLockstepWaves:
     def test_a_runners_explorers_share_the_model_context(self, lenet):
         """Every chunk a runner launches scores over its one task grid,
         so the chunks' contexts share the grid's ModelContext arrays by
-        identity, and its launches build no spec."""
+        identity."""
         if not numpy_available():
             pytest.skip("numpy is not installed")
         first, second = self._tasks(lenet, self.CONFIG)[:2]
         runner = _TaskRunner(lenet, self.CONFIG)
         chunks = [runner.launches([task]) for task in (first, second)]
         a, b = (evaluator.context for _explorers, evaluator in chunks)
-        for (explorer,), _evaluator in chunks:
-            assert callable(explorer._spec)
         assert a.lat_fraction is not b.lat_fraction
         for name in (
             "comm_producer", "comm_consumer", "lat_producer",
             "out_slots", "levels",
         ):
             assert getattr(a, name) is getattr(b, name), name
+
+
+class TestSpecBuilds:
+    """A launch scored over its chunk's task grid builds no
+    DataflowSpec: with numpy only what ships builds one, through the
+    scalar oracle's re-score. Without numpy every launch scores
+    through its own spec, and the scalar bounds walk builds one per
+    task."""
+
+    @pytest.fixture
+    def spec_builds(self, monkeypatch):
+        """Every DataflowSpec built while the test runs, in order."""
+        from repro.ir.builder import DataflowSpec
+
+        builds = []
+        real = DataflowSpec.__post_init__
+
+        def counted(spec):
+            builds.append(spec)
+            real(spec)
+
+        monkeypatch.setattr(DataflowSpec, "__post_init__", counted)
+        return builds
+
+    @pytest.mark.parametrize(
+        "numpy", (True, False), ids=("numpy", "scalar")
+    )
+    def test_synthesize_builds_the_shipped_spec(
+        self, lenet, spec_builds, without_numpy, numpy
+    ):
+        if numpy and not numpy_available():
+            pytest.skip("numpy is not installed")
+        with contextlib.ExitStack() as stack:
+            if not numpy:
+                stack.enter_context(without_numpy())
+            solution, report = _run(lenet, _config())
+        assert report.ea_runs > 1
+        tasks = report.ea_runs + report.pruned_tasks
+        scalar = 0 if numpy else tasks + report.ea_runs
+        assert len(spec_builds) == scalar + 1
+        assert spec_builds[-1] is solution.spec
+
+    @pytest.mark.parametrize(
+        "numpy", (True, False), ids=("numpy", "scalar")
+    )
+    def test_synthesize_pareto_builds_one_per_front_point(
+        self, lenet, spec_builds, without_numpy, numpy
+    ):
+        if numpy and not numpy_available():
+            pytest.skip("numpy is not installed")
+        with contextlib.ExitStack() as stack:
+            if not numpy:
+                stack.enter_context(without_numpy())
+            synthesizer = Pimsyn(lenet, _config())
+            front = synthesizer.synthesize_pareto()
+        report = synthesizer.report
+        assert report.ea_runs > 1 and report.nsga_runs > 1
+        launches = 0 if numpy else report.ea_runs + report.nsga_runs
+        assert len(spec_builds) == launches + len(front.points)
+        assert front.solution.spec is spec_builds[launches]
 
 
 class TestLockstepParetoChunks:
