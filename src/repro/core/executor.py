@@ -45,7 +45,7 @@ Seven properties make the engine safe to parallelize and to accelerate:
    inside the worker-side runner.
 5. **One task grid** — when numpy imports, each runner keeps one
    :class:`~repro.core.grid_eval.GridBoundEvaluator`. The local
-   runner's computes the pruning bounds of property 2 for the *whole*
+   runner's grid computes the pruning bounds of property 2 for the *whole*
    queue in one ``(tasks, layers)`` pass; without numpy they come
    through one spec per task. The two are bit-identical, so the
    pruning walk — one dispatch-time check per task against the

@@ -169,10 +169,10 @@ class MacroPartitionExplorer:
 
     ``spec`` may also be a zero-argument callable that builds the spec.
     A DSE launch passes one, with ``caps``, its rule-c caps from the
-    task grid (:attr:`~repro.core.backend.TaskGrid.group_cap`): a
-    launch its chunk's batched evaluator scores then builds neither
-    its spec nor its scalar evaluator, and :attr:`spec` builds the spec
-    the first time the scalar oracle needs it.
+    task grid (:attr:`~repro.core.backend.TaskGrid.group_cap`). Scored
+    by its chunk's batched evaluator, it then builds neither its spec
+    nor its scalar evaluator: :attr:`spec` builds the spec the first
+    time the scalar oracle needs it.
     """
 
     def __init__(

@@ -342,6 +342,18 @@ class TestStackedRows:
         assert evaluator.fitness_of(genes, [0] * len(genes)) == want
         assert evaluator.fitness_of(genes) == want
 
+    def test_a_chunk_scores_through_its_evaluator(self):
+        """Several explorers score only through their chunk's stacked
+        evaluator, row ``k`` for explorer ``k``; a scorer of several
+        explorers built without it is refused."""
+        explorers, stacked = self._rows(zoo.by_name("lenet5"))
+        with pytest.raises(ConfigurationError, match="chunk's batched"):
+            PopulationScorer(explorers)
+        genes = _population(explorers[1], size=4)
+        assert PopulationScorer(explorers, stacked).fitness(
+            genes, [1] * len(genes)
+        ) == explorers[1].batch_evaluator.fitness_of(genes)
+
     def test_rows_must_name_a_row_per_gene(self):
         explorers, stacked = self._rows(zoo.by_name("lenet5"))
         genes = _population(explorers[0], size=4)
